@@ -91,9 +91,9 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, start.elapsed().as_secs_f64() * 1000.0)
 }
 
-/// Best-of-`reps` wall clock after one warmup — used for the sub-10ms
-/// kernel stages where a single cold measurement is dominated by cache
-/// and page-fault noise.
+/// Best-of-`reps` wall clock after one warmup — used for the kernel,
+/// planning and campaign stages, where a single cold measurement is
+/// dominated by cache and page-fault noise.
 fn timed_min<T>(reps: u32, mut f: impl FnMut() -> T) -> (T, f64) {
     let mut out = f(); // warmup (and the returned value)
     let mut best = f64::INFINITY;
@@ -385,7 +385,7 @@ fn main() {
     // ---- Stage 2: planners ----
     for kind in MechanismKind::ALL {
         let mechanism = kind.instantiate();
-        let ((), ms) = timed(|| {
+        let ((), ms) = timed_min(3, || {
             let mut rng = seq.child(1_000).rng(2);
             let plan = mechanism.as_ref().plan(&input, &mut rng).expect("plan");
             std::hint::black_box(&plan);
@@ -396,6 +396,25 @@ fn main() {
             json!({ "mechanism": kind.to_string(), "devices": opts.devices }),
         ));
     }
+
+    // ---- Stage 2b: the deduplicated anchor-window instance DR-SC-tabu
+    // and DR-SC-weighted solve, with its size before and after
+    // deduplication (deterministic counters beside the wall clock).
+    let (events, dense) = input.po_events();
+    let (instance, instance_ms) = timed_min(3, || {
+        set_cover::AnchorInstance::new(params.ti.duration(), &events, &dense)
+    });
+    stages.push(stage(
+        "anchor_instance",
+        instance_ms,
+        json!({
+            "devices": opts.devices,
+            "anchors": instance.anchors().len(),
+            "windows": instance.windows().len(),
+            "entries_before_dedup": instance.anchor_entries(),
+            "entries_after_dedup": instance.entries(),
+        }),
+    ));
 
     // ---- Stage 3: set-cover kernels — incremental vs bitset vs
     // reference on the 1000-device frame-cover instance, then incremental
@@ -925,7 +944,7 @@ fn main() {
     // ---- Stage 4: single campaign execution per mechanism ----
     for kind in MechanismKind::ALL {
         let mechanism = kind.instantiate();
-        let ((), ms) = timed(|| {
+        let ((), ms) = timed_min(3, || {
             let mut rng = seq.child(2_000).rng(3);
             let result =
                 run_campaign(mechanism.as_ref(), &input, &sim, &mut rng).expect("campaign");

@@ -199,6 +199,25 @@ fn diff_reports_unreadable_archives_with_their_path() {
     assert_error_line(&out, "scenario_diff", 1, "/no/such/a.json");
 }
 
+/// Writes a 200k-deep `[[[…]]]` JSON document — deep enough to overflow
+/// the stack of a parser that recurses without a bound.
+fn deeply_nested_json(dir: &Path) -> PathBuf {
+    let path = dir.join("deep.json");
+    let depth = 200_000;
+    std::fs::write(&path, format!("{}{}", "[".repeat(depth), "]".repeat(depth))).unwrap();
+    path
+}
+
+#[test]
+fn diff_reports_deeply_nested_json_as_a_data_error() {
+    let dir = scratch("deep_diff");
+    let deep = deeply_nested_json(&dir);
+    let deep = deep.to_str().unwrap();
+    let out = run(env!("CARGO_BIN_EXE_scenario_diff"), &[deep, deep]);
+    assert_error_line(&out, "scenario_diff", 1, "nesting deeper than");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---- the merge semantics reachable only through real shard archives ----
 
 /// Two tiny fig6a shard archives (0/2 and 1/2), generated once through the
@@ -397,6 +416,18 @@ fn groupingd_reports_truncated_event_logs_as_data_errors() {
         &["--events", truncated.to_str().unwrap()],
     );
     assert_error_line(&out, "groupingd", 1, "corrupt event log");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn groupingd_reports_deeply_nested_event_logs_as_data_errors() {
+    let dir = scratch("deep_log");
+    let deep = deeply_nested_json(&dir);
+    let out = run(
+        env!("CARGO_BIN_EXE_groupingd"),
+        &["--events", deep.to_str().unwrap()],
+    );
+    assert_error_line(&out, "groupingd", 1, "nesting deeper than");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -152,6 +152,33 @@ fn bench_repair_chain_is_pinned() {
 }
 
 #[test]
+fn tabu_plan_without_improvement_is_pinned() {
+    // A 500-device ericsson-city DR-SC-tabu(64) plan on which the tabu
+    // pass finds no strictly smaller cover. Such a plan keeps the greedy
+    // windows at their own anchors, so its content (everything but the
+    // search statistics) must stay byte-identical whatever the improvement
+    // kernel's trajectory or instance representation.
+    let seq = SeedSequence::new(BENCH_SEED).child(0);
+    let pop = nbiot_traffic::TrafficMix::ericsson_city()
+        .generate(500, &mut seq.rng(0))
+        .expect("population");
+    let input = GroupingInput::from_population(&pop, GroupingParams::default()).expect("input");
+    let mut plan = MechanismKind::DrScTabu(64)
+        .instantiate()
+        .plan(&input, &mut seq.rng(2))
+        .expect("plan");
+    plan.validate(&input).expect("tabu plan is feasible");
+    let stats = plan.improvement.take().expect("tabu plans carry stats");
+    assert_eq!(stats.initial_cost, 221, "greedy cover size moved");
+    assert_eq!(stats.final_cost, 221, "tabu now improves this input");
+    assert_eq!(
+        nbiot_sim::value_digest(&serde::Serialize::to_value(&plan)),
+        0x1297_50d9_3f61_e9ca,
+        "unimproved tabu plan content moved"
+    );
+}
+
+#[test]
 fn all_solver_tiers_agree_on_both_bench_shapes() {
     // The dense-heavy 1000-device instance (the `set_cover_*` stages) and
     // the sparse post-filter 10k point (`set_cover_stress_*`), each

@@ -6,30 +6,11 @@ use nbiot_phy::{CoverageClass, NpdschConfig};
 use nbiot_time::{SimDuration, SimInstant, TimeWindow};
 
 use crate::improve::{improve_cover, ImprovementStats};
-use crate::set_cover::{CoverSlot, WindowCover, DEFAULT_ARENA};
+use crate::set_cover::{AnchorInstance, CoverSlot, WindowCover, DEFAULT_ARENA};
 use crate::{
     DevicePlan, GroupingError, GroupingInput, GroupingMechanism, MulticastPlan, PageDirective,
     Transmission,
 };
-
-/// Per-device PO events over the search horizon: sparse devices (cycle
-/// greater than `TI`) get their enumerated occasions, dense devices get an
-/// empty list plus a `true` flag (they have a PO in every window).
-fn po_events(input: &GroupingInput, ti: SimDuration) -> (Vec<Vec<SimInstant>>, Vec<bool>) {
-    let horizon = input.search_horizon();
-    let mut events: Vec<Vec<SimInstant>> = Vec::with_capacity(input.len());
-    let mut dense = Vec::with_capacity(input.len());
-    for (paging, sched) in input.paging_configs().iter().zip(input.schedules()) {
-        let is_dense = paging.cycle.period() <= ti;
-        dense.push(is_dense);
-        if is_dense {
-            events.push(Vec::new());
-        } else {
-            events.push(sched.pos_in(horizon));
-        }
-    }
-    (events, dense)
-}
 
 /// The error [`WindowCover::solve`] failure maps to: some sparse device
 /// has no paging occasion inside the horizon.
@@ -133,7 +114,7 @@ impl GroupingMechanism for DrSc {
         // Enumerate PO events only for sparse devices (cycle > TI); devices
         // with cycle <= TI ("dense") have a PO in every window and ride the
         // first transmission.
-        let (events, dense) = po_events(input, ti);
+        let (events, dense) = input.po_events();
         let slots = WindowCover::new(ti)
             .solve(horizon.start(), &events, &dense)
             .ok_or_else(|| no_usable_po(input, &events, &dense))?;
@@ -145,9 +126,9 @@ impl GroupingMechanism for DrSc {
 /// is paged at its own first PO inside its slot's window, the slot
 /// transmits `guard` after the last of those pages (capped at the window
 /// end, which preserves the first-paged device's inactivity timer), and
-/// transmissions are emitted in time order. Shared by [`DrSc`] and
-/// [`DrScWeighted`] so the weighted variant differs from plain DR-SC
-/// *only* in which windows the cover picked.
+/// transmissions are emitted in time order. Shared by [`DrSc`],
+/// [`DrScWeighted`] and [`DrScTabu`], so the variants differ from plain
+/// DR-SC *only* in which windows carry which devices.
 fn plan_from_slots(
     input: &GroupingInput,
     slots: &[CoverSlot],
@@ -346,7 +327,7 @@ impl GroupingMechanism for DrScWeighted {
     ) -> Result<MulticastPlan, GroupingError> {
         let ti = input.params().ti.duration();
         let horizon = input.search_horizon();
-        let (events, dense) = po_events(input, ti);
+        let (events, dense) = input.po_events();
         let table = self.airtime_table();
         let coverages = input.coverages();
         let window_cost = |members: &[usize]| {
@@ -398,9 +379,14 @@ pub const DEFAULT_TABU_BUDGET: u32 = 64;
 /// `budget` destroy-and-repair iterations of [`crate::improve`] trying to
 /// shrink the window set — fewer windows means fewer transmissions, the
 /// paper's Fig. 7 bandwidth cost. The improvement search works on the
-/// *full* anchor-window instance (every sparse PO anchors a candidate
-/// window covering all devices with a PO inside it), which is a strictly
-/// richer neighborhood than the greedy solver's newly-covered slots.
+/// [`AnchorInstance`] — every distinct member set of a `TI` window
+/// anchored at a sparse PO, stored once — which is a strictly richer
+/// neighborhood than the greedy solver's newly-covered slots. Because
+/// each set appears once, tabu tenure bans a window's *content*, not one
+/// of its copies. Each greedy slot maps to its window; the rebuilt plan
+/// keeps retained greedy windows at their own anchors and opens windows
+/// the search introduced at their lowest anchor, so a run that finds no
+/// strictly smaller cover reproduces the greedy windows exactly.
 ///
 /// `budget == 0` delegates to [`DrSc`] and relabels: the plan content is
 /// bit-identical to plain DR-SC (locked by proptest). With `budget > 0`
@@ -467,12 +453,10 @@ impl GroupingMechanism for DrScTabu {
         if self.budget == 0 {
             return Ok(self.relabel(greedy.plan(input, rng)?, 0));
         }
-        let params = input.params();
-        let ti = params.ti.duration();
+        let ti = input.params().ti.duration();
         let horizon = input.search_horizon();
-        let (events, dense) = po_events(input, ti);
-        let n_sparse = dense.iter().filter(|&&d| !d).count();
-        if n_sparse == 0 {
+        let (events, dense) = input.po_events();
+        if dense.iter().all(|&d| d) {
             // All-dense groups are a single window already — optimal.
             return Ok(self.relabel(greedy.plan(input, rng)?, 0));
         }
@@ -480,136 +464,73 @@ impl GroupingMechanism for DrScTabu {
             .solve(horizon.start(), &events, &dense)
             .ok_or_else(|| no_usable_po(input, &events, &dense))?;
 
-        // Materialize the anchor-window set-cover instance over sparse
-        // devices: every distinct sparse PO instant anchors a candidate
-        // window covering the sparse devices with a PO in [a, a + TI).
-        let mut orig_of = Vec::with_capacity(n_sparse);
-        let mut sparse_of = vec![usize::MAX; input.len()];
-        for (d, &is_dense) in dense.iter().enumerate() {
-            if !is_dense {
-                sparse_of[d] = orig_of.len();
-                orig_of.push(d);
-            }
-        }
-        let mut flat: Vec<(SimInstant, usize)> = Vec::new();
-        for (d, evs) in events.iter().enumerate() {
-            if !dense[d] {
-                flat.extend(evs.iter().map(|&t| (t, sparse_of[d])));
-            }
-        }
-        flat.sort_unstable();
-        let mut anchors: Vec<SimInstant> = flat.iter().map(|&(t, _)| t).collect();
-        anchors.dedup();
-        let mut sets: Vec<Vec<usize>> = Vec::with_capacity(anchors.len());
-        let mut seen = vec![usize::MAX; n_sparse];
-        let (mut lo, mut hi) = (0usize, 0usize);
-        for (i, &a) in anchors.iter().enumerate() {
-            let end = a + ti;
-            while flat[lo].0 < a {
-                lo += 1;
-            }
-            hi = hi.max(lo);
-            while hi < flat.len() && flat[hi].0 < end {
-                hi += 1;
-            }
-            let mut set = Vec::new();
-            for &(_, d) in &flat[lo..hi] {
-                if seen[d] != i {
-                    seen[d] = i;
-                    set.push(d);
-                }
-            }
-            sets.push(set);
-        }
-
         // The greedy slots are the initial solution: each slot is anchored
-        // at a sparse PO, so its window is one of the candidate sets.
-        let picks: Vec<usize> = slots
+        // at a sparse PO, so it opens one of the instance's windows (never
+        // the same one twice — a second copy would cover nothing new).
+        let instance = AnchorInstance::new(ti, &events, &dense);
+        let greedy_anchors: Vec<usize> = slots
             .iter()
             .map(|s| {
-                anchors
-                    .binary_search(&s.window_start)
+                instance
+                    .anchor_index(s.window_start)
                     .expect("greedy slots anchor at sparse POs")
             })
+            .collect();
+        let picks: Vec<usize> = greedy_anchors
+            .iter()
+            .map(|&a| instance.window_of(a))
             .collect();
         // Every rung of the anytime budget ladder must share one seed so a
         // larger budget replays a smaller budget's iteration sequence as a
         // prefix (best-found cover cost monotone non-increasing in budget).
         // Mechanisms draw from independent RNG streams, so the seed comes
         // from the set-cover instance itself, not from `rng`.
-        let seed = instance_seed(n_sparse, &sets);
-        let (best, stats) = improve_cover(n_sparse, &sets, &picks, self.budget, seed);
+        let n_sparse = instance.sparse_devices().len();
+        let seed = instance_seed(n_sparse, instance.windows());
+        let (best, stats) = improve_cover(n_sparse, instance.windows(), &picks, self.budget, seed);
 
-        // Rebuild the plan: selected windows in time order, each sparse
-        // device assigned to the earliest one containing a PO of its own;
-        // dense devices ride the first transmission, as in DR-SC.
-        let mut sel = best;
-        sel.sort_unstable();
+        // Rebuild the plan: a retained greedy pick keeps its own anchor, a
+        // window the search introduced opens at its lowest anchor, and
+        // windows run in anchor order. Each sparse device rides the
+        // earliest window holding a PO of its own; dense devices ride the
+        // first transmission, as in DR-SC.
+        let mut anchor_of = instance.lowest_anchors().to_vec();
+        for (&w, &a) in picks.iter().zip(&greedy_anchors) {
+            anchor_of[w] = a;
+        }
+        let mut chosen: Vec<(usize, usize)> = best.iter().map(|&w| (anchor_of[w], w)).collect();
+        chosen.sort_unstable();
+        let sparse = instance.sparse_devices();
         let mut assigned = vec![false; n_sparse];
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); sel.len()];
-        for (w, &a) in sel.iter().enumerate() {
-            for &d in &sets[a] {
-                if !assigned[d] {
-                    assigned[d] = true;
-                    groups[w].push(d);
+        let mut slots: Vec<CoverSlot> = Vec::with_capacity(chosen.len());
+        for (a, w) in chosen {
+            let mut covered = Vec::new();
+            for &s in &instance.windows()[w] {
+                if !assigned[s] {
+                    assigned[s] = true;
+                    covered.push(sparse[s]);
                 }
+            }
+            if !covered.is_empty() {
+                covered.sort_unstable();
+                let window_start = instance.anchors()[a];
+                slots.push(CoverSlot {
+                    window_start,
+                    transmit_at: window_start + ti,
+                    covered,
+                });
             }
         }
         debug_assert!(assigned.iter().all(|&c| c), "improved cover is complete");
-        let first_nonempty = groups
-            .iter()
-            .position(|g| !g.is_empty())
-            .expect("n_sparse > 0");
-        let mut transmissions = Vec::new();
-        let mut device_plans: Vec<Option<DevicePlan>> = vec![None; input.len()];
-        for (w, group) in groups.iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let window_start = anchors[sel[w]];
-            let mut members: Vec<usize> = group.iter().map(|&d| orig_of[d]).collect();
-            if w == first_nonempty {
-                members.extend((0..input.len()).filter(|&d| dense[d]));
-            }
-            members.sort_unstable();
-            let pages: Vec<SimInstant> = members
-                .iter()
-                .map(|&idx| input.schedules()[idx].first_po_at_or_after(window_start))
-                .collect();
-            let last_po = pages.iter().copied().max().expect("non-empty window");
-            let transmit_at = (last_po + self.guard).min(window_start + ti);
-            for (&idx, &po) in members.iter().zip(&pages) {
-                debug_assert!(po < transmit_at);
-                device_plans[idx] = Some(DevicePlan {
-                    device: input.ids()[idx],
-                    page: Some(PageDirective { po }),
-                    mltc: None,
-                    adaptation: None,
-                    connect_at: Some(po),
-                    receives_at: transmit_at,
-                });
-            }
-            transmissions.push(Transmission {
-                at: transmit_at,
-                recipients: members.iter().map(|&idx| input.ids()[idx]).collect(),
-            });
-        }
-        transmissions.sort_by_key(|t| t.at);
-        let device_plans: Vec<DevicePlan> = device_plans
-            .into_iter()
-            .map(|p| p.expect("every device rides a selected window"))
-            .collect();
-        let end = transmissions.last().map(|t| t.at).unwrap_or(horizon.end());
-        Ok(MulticastPlan {
-            mechanism: self.name(),
-            standards_compliant: true,
-            requires_connection: true,
-            transmissions,
-            device_plans,
-            horizon: TimeWindow::new(params.start, end.max(horizon.end())),
-            control_monitoring: None,
-            improvement: Some(stats),
-        })
+        let first = &mut slots
+            .first_mut()
+            .expect("some sparse device rides a window")
+            .covered;
+        first.extend((0..input.len()).filter(|&d| dense[d]));
+        first.sort_unstable();
+        let mut plan = plan_from_slots(input, &slots, self.guard, self.name());
+        plan.improvement = Some(stats);
+        Ok(plan)
     }
 }
 

@@ -83,6 +83,18 @@ pub struct ImprovementStats {
     pub budget_spent: u32,
 }
 
+/// Whether some set lists an element twice (elements outside the universe
+/// are left to the caller's bounds check).
+fn repeats_an_element(universe_size: usize, sets: &[Vec<usize>]) -> bool {
+    let mut seen = vec![usize::MAX; universe_size];
+    sets.iter().enumerate().any(|(i, set)| {
+        set.iter().any(|&e| {
+            seen.get_mut(e)
+                .is_some_and(|s| std::mem::replace(s, i) == i)
+        })
+    })
+}
+
 /// Improves a feasible set-cover solution by tabu local search.
 ///
 /// * `universe_size`, `sets` — the same instance the initial solution was
@@ -157,18 +169,23 @@ pub fn improve_cover_with(
     // below counts cover *multiplicity*, and a set listing an element
     // twice would read as "covered twice" on its own — enough for the
     // redundancy pass to strip the sole covering set and silently lose
-    // the element. Real window instances are duplicate-free, so this is
-    // a no-op there.
-    let sets: Vec<Vec<usize>> = sets
-        .iter()
-        .map(|s| {
-            let mut v = s.clone();
-            v.sort_unstable();
-            v.dedup();
-            v
-        })
-        .collect();
-    let sets = &sets[..];
+    // the element. Real window instances are duplicate-free and are used
+    // as given (element order within a set never affects the search).
+    let normalized: Vec<Vec<usize>>;
+    let sets = if repeats_an_element(universe_size, sets) {
+        normalized = sets
+            .iter()
+            .map(|s| {
+                let mut v = s.clone();
+                v.sort_unstable();
+                v.dedup();
+                v
+            })
+            .collect();
+        &normalized[..]
+    } else {
+        sets
+    };
 
     // Element -> covering sets (CSR), built once.
     let mut elem_off = vec![0usize; universe_size + 1];
@@ -425,6 +442,24 @@ mod tests {
         for budget in [1u32, 4, 16, 64] {
             let (picks, _) = improve_cover(3, &sets, &initial, budget, 11);
             assert!(covers(3, &sets, &picks), "budget {budget}: {picks:?}");
+        }
+    }
+
+    #[test]
+    fn element_order_within_sets_never_changes_the_search() {
+        // Duplicate-free sets are searched as given, without the sorting
+        // normalization: the element order inside a set must not matter.
+        let (n, sets, initial) = trap_instance();
+        let reversed: Vec<Vec<usize>> = sets
+            .iter()
+            .map(|s| s.iter().rev().copied().collect())
+            .collect();
+        for budget in [1u32, 8, 64] {
+            assert_eq!(
+                improve_cover(n, &sets, &initial, budget, 42),
+                improve_cover(n, &reversed, &initial, budget, 42),
+                "budget {budget}"
+            );
         }
     }
 

@@ -296,6 +296,26 @@ impl GroupingInput {
     pub fn search_horizon(&self) -> nbiot_time::TimeWindow {
         nbiot_time::TimeWindow::new(self.params.start, self.default_transmission_time())
     }
+
+    /// Per-device PO events over the search horizon, the input of every
+    /// DR-SC window cover: sparse devices (cycle greater than `TI`) get
+    /// their enumerated occasions, dense devices get an empty list plus a
+    /// `true` flag (they have a PO in every window).
+    pub fn po_events(&self) -> (Vec<Vec<SimInstant>>, Vec<bool>) {
+        let ti = self.params.ti.duration();
+        let horizon = self.search_horizon();
+        self.pagings
+            .iter()
+            .zip(&self.schedules)
+            .map(|(paging, sched)| {
+                if paging.cycle.period() <= ti {
+                    (Vec::new(), true)
+                } else {
+                    (sched.pos_in(horizon), false)
+                }
+            })
+            .unzip()
+    }
 }
 
 #[cfg(test)]

@@ -19,6 +19,10 @@
 //!   PO in *every* window, so it never influences the argmax and can be
 //!   attached to the first selected transmission.
 //!
+//! The cost-aware and tabu variants instead solve the *static* instance
+//! [`AnchorInstance`]: every distinct member set of a window anchored at a
+//! PO, stored once.
+//!
 //! # Performance
 //!
 //! Three implementation tiers exist, all **pick- and slot-identical** (not
@@ -42,13 +46,13 @@
 //!    [`WindowCover::solve_sweep`] re-runs a self-cleaning two-pointer
 //!    sweep per round over hoisted scratch buffers. `O(rounds × L/w)`
 //!    shapes that win when rounds are few and windows are crowded.
-//! 3. **Reference oracles**: the original straightforward implementations,
-//!    retained verbatim in [`reference`] for the equivalence tests
+//! 3. **Reference oracles**: straightforward implementations, kept in
+//!    [`reference`] for the equivalence tests
 //!    (`tests/setcover_properties.rs`).
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 
 use nbiot_time::{SimDuration, SimInstant};
 
@@ -873,6 +877,186 @@ pub struct CoverSlot {
     pub covered: Vec<usize>,
 }
 
+/// The deduplicated anchor-window set-cover instance over sparse devices —
+/// the static instance [`WindowCover::solve_weighted`] and
+/// [`crate::DrScTabu`] solve.
+///
+/// Every distinct sparse PO instant `a` anchors a candidate window holding
+/// the sparse devices with a PO in `[a, a + TI)`. Most cycles are far
+/// shorter than the `2·maxDRX` horizon, so the same member set recurs at
+/// many anchors; the instance stores each distinct set **once**, at its
+/// lowest anchor, plus an anchor → window map. Windows are numbered in
+/// order of their lowest anchor, so a lowest-index tie law over windows is
+/// the lowest-anchor tie law over the full per-anchor instance.
+///
+/// One sweep over the time-sorted PO events builds it: per-device
+/// in-window counts track the current member set, and an order-independent
+/// hash of that set (a wrapping sum of per-device keys) proposes earlier
+/// windows with the same hash. Every proposal is checked exactly — equal
+/// size and every member of the candidate inside the current window — so
+/// two anchors share a window iff their member sets are equal; the hash
+/// only saves work and never decides.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AnchorInstance {
+    /// Event index of each sparse device; window members index this list.
+    sparse: Vec<usize>,
+    /// Distinct sparse PO instants, ascending.
+    anchors: Vec<SimInstant>,
+    /// The window each anchor opens.
+    window_of: Vec<usize>,
+    /// Each window's lowest anchor (an index into `anchors`).
+    lowest: Vec<usize>,
+    /// Distinct member sets (sparse indices in PO order at the lowest
+    /// anchor), in lowest-anchor order.
+    windows: Vec<Vec<usize>>,
+}
+
+/// Per-device key of the order-independent member-set hash (the
+/// SplitMix64 finalizer, so sums of keys rarely collide).
+fn member_key(s: usize) -> u64 {
+    let mut z = (s as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+impl AnchorInstance {
+    /// Builds the instance for windows of length `ti` over per-device PO
+    /// `events`; `dense` devices (a PO in every window) are left out, as
+    /// in [`WindowCover::solve`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `events` and `dense` have different lengths or `ti` is
+    /// zero.
+    pub fn new(ti: SimDuration, events: &[Vec<SimInstant>], dense: &[bool]) -> AnchorInstance {
+        assert_eq!(events.len(), dense.len(), "events/dense length mismatch");
+        assert!(ti > SimDuration::ZERO, "anchor windows need a positive TI");
+        let sparse: Vec<usize> = (0..events.len()).filter(|&d| !dense[d]).collect();
+        let mut flat: Vec<(SimInstant, usize)> = sparse
+            .iter()
+            .enumerate()
+            .flat_map(|(s, &d)| events[d].iter().map(move |&t| (t, s)))
+            .collect();
+        flat.sort_unstable();
+
+        let mut instance = AnchorInstance {
+            sparse,
+            anchors: Vec::new(),
+            window_of: Vec::new(),
+            lowest: Vec::new(),
+            windows: Vec::new(),
+        };
+        let mut count = vec![0u32; instance.sparse.len()];
+        let mut stamp = vec![usize::MAX; instance.sparse.len()];
+        let (mut size, mut hash) = (0usize, 0u64);
+        // Latest window per hash, chained to the previous window with the
+        // same hash.
+        let mut by_hash: HashMap<u64, usize> = HashMap::new();
+        let mut same_hash: Vec<Option<usize>> = Vec::new();
+        let (mut lo, mut hi) = (0usize, 0usize);
+        while lo < flat.len() {
+            let a = flat[lo].0;
+            let end = a + ti;
+            while hi < flat.len() && flat[hi].0 < end {
+                let s = flat[hi].1;
+                if count[s] == 0 {
+                    size += 1;
+                    hash = hash.wrapping_add(member_key(s));
+                }
+                count[s] += 1;
+                hi += 1;
+            }
+            let mut candidate = by_hash.get(&hash).copied();
+            while let Some(w) = candidate {
+                let members = &instance.windows[w];
+                if members.len() == size && members.iter().all(|&s| count[s] > 0) {
+                    break;
+                }
+                candidate = same_hash[w];
+            }
+            let window = candidate.unwrap_or_else(|| {
+                let w = instance.windows.len();
+                let mut members = Vec::with_capacity(size);
+                for &(_, s) in &flat[lo..hi] {
+                    if stamp[s] != w {
+                        stamp[s] = w;
+                        members.push(s);
+                    }
+                }
+                instance.windows.push(members);
+                instance.lowest.push(instance.anchors.len());
+                same_hash.push(by_hash.insert(hash, w));
+                w
+            });
+            instance.anchors.push(a);
+            instance.window_of.push(window);
+            // Slide past the anchor instant: its events leave the window.
+            while lo < flat.len() && flat[lo].0 == a {
+                let s = flat[lo].1;
+                count[s] -= 1;
+                if count[s] == 0 {
+                    size -= 1;
+                    hash = hash.wrapping_sub(member_key(s));
+                }
+                lo += 1;
+            }
+        }
+        instance
+    }
+
+    /// The event index of each sparse device, ascending: window members
+    /// are positions in this list (the set-cover universe).
+    pub fn sparse_devices(&self) -> &[usize] {
+        &self.sparse
+    }
+
+    /// The candidate anchors: every distinct sparse PO instant, ascending.
+    pub fn anchors(&self) -> &[SimInstant] {
+        &self.anchors
+    }
+
+    /// The index of anchor instant `t`, or `None` when no sparse device
+    /// has a PO at `t`.
+    pub fn anchor_index(&self, t: SimInstant) -> Option<usize> {
+        self.anchors.binary_search(&t).ok()
+    }
+
+    /// The window anchor `anchor` opens.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `anchor >= anchors().len()`.
+    pub fn window_of(&self, anchor: usize) -> usize {
+        self.window_of[anchor]
+    }
+
+    /// Each window's lowest anchor, as an index into
+    /// [`AnchorInstance::anchors`] (ascending: windows are numbered in
+    /// lowest-anchor order).
+    pub fn lowest_anchors(&self) -> &[usize] {
+        &self.lowest
+    }
+
+    /// The distinct member sets, in lowest-anchor order — the candidate
+    /// sets of the set cover. Each lists its sparse indices in PO order at
+    /// its lowest anchor.
+    pub fn windows(&self) -> &[Vec<usize>] {
+        &self.windows
+    }
+
+    /// Summed size of the distinct windows.
+    pub fn entries(&self) -> usize {
+        self.windows.iter().map(Vec::len).sum()
+    }
+
+    /// Summed window size over every anchor: the size of the instance
+    /// before deduplication.
+    pub fn anchor_entries(&self) -> usize {
+        self.window_of.iter().map(|&w| self.windows[w].len()).sum()
+    }
+}
+
 /// The greedy timeline solver for DR-SC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowCover {
@@ -982,33 +1166,36 @@ impl WindowCover {
         self.solve_with(horizon_start, events, dense, Strategy::Incremental, None)
     }
 
-    /// Cost-aware cover: anchors every candidate window at a distinct
-    /// sparse PO (the same anchor-window instance the tabu improver
-    /// searches), prices each window through `window_cost`, and solves
-    /// with [`greedy_set_cover_weighted`] — each round picks the window
+    /// Cost-aware cover over the [`AnchorInstance`] (the same deduplicated
+    /// anchor-window instance [`crate::DrScTabu`] searches): prices each
+    /// distinct window through `window_cost` and solves with
+    /// [`greedy_set_cover_weighted`] — each round picks the window
     /// maximizing newly-covered devices *per unit cost* instead of the
-    /// raw count.
+    /// raw count. A picked window opens at its lowest anchor.
     ///
     /// `window_cost` receives the window's member devices as indices into
-    /// `events` (sparse members only, in PO-time order) and must return a
-    /// positive cost; for DR-SC it returns the coverage-class block
-    /// airtime of the deepest member. Dense devices ride the first
-    /// selected transmission exactly as in [`WindowCover::solve`] — their
-    /// cost contribution is constant across any cover, so they never
-    /// influence the argmax and are excluded from the priced instance.
+    /// `events` (sparse members only, in PO order at the window's lowest
+    /// anchor) and must return a positive cost that depends on the member
+    /// *set* alone; for DR-SC it returns the coverage-class block airtime
+    /// of the deepest member. Dense devices ride the first selected
+    /// transmission exactly as in [`WindowCover::solve`] — their cost
+    /// contribution is constant across any cover, so they never influence
+    /// the argmax and are excluded from the priced instance.
     ///
     /// Returns the selected transmissions in selection (greedy) order, or
-    /// `None` when some non-dense device has no PO events. The candidate
-    /// instance is the *static* anchor-window instance — the same one
-    /// [`crate::DrScTabu`] materializes and searches — so with a constant
-    /// `window_cost` the pick sequence is bit-identical to running the
-    /// unweighted kernel on that instance (the ratio key degenerates to
-    /// `gain << 32`). It is *not* slot-for-slot identical to
-    /// [`WindowCover::solve`]: the unweighted engines drop covered
-    /// devices' events between rounds and therefore re-anchor
-    /// gain-tied windows at a surviving (uncovered) PO, while the static
-    /// instance keeps every anchor alive. The covered POs are the same;
-    /// only tie-round `window_start`s can differ.
+    /// `None` when some non-dense device has no PO events. The slots are
+    /// **identical** to the weighted greedy over the full per-anchor
+    /// instance ([`reference::window_cover_weighted`], proptest-locked):
+    /// anchors with equal member sets have equal gains and costs in every
+    /// round, so that greedy always picks the lowest of them — the one
+    /// anchor the deduplicated instance keeps. With a constant
+    /// `window_cost` the ratio key degenerates to `gain << 32`, so the
+    /// picks equal the unweighted kernel's on the same instance. They are
+    /// *not* slot-for-slot identical to [`WindowCover::solve`]: the
+    /// unweighted engines drop covered devices' events between rounds and
+    /// therefore re-anchor gain-tied windows at a surviving (uncovered)
+    /// PO, while the static instance keeps every anchor alive. The covered
+    /// POs are the same; only tie-round `window_start`s can differ.
     ///
     /// # Panics
     ///
@@ -1023,113 +1210,81 @@ impl WindowCover {
         arena: &mut KernelArena,
     ) -> Option<Vec<CoverSlot>> {
         assert_eq!(events.len(), dense.len(), "events/dense length mismatch");
-        let n = events.len();
-        if n == 0 {
-            return Some(Vec::new());
+        if events
+            .iter()
+            .zip(dense)
+            .any(|(evs, &d)| evs.is_empty() && !d)
+        {
+            return None;
         }
-        for (evs, &is_dense) in events.iter().zip(dense) {
-            if evs.is_empty() && !is_dense {
-                return None;
-            }
+        let instance = AnchorInstance::new(self.ti, events, dense);
+        let sparse = instance.sparse_devices();
+        let mut costs = std::mem::take(&mut arena.wcosts);
+        costs.clear();
+        let mut members: Vec<usize> = Vec::new();
+        for window in instance.windows() {
+            members.clear();
+            members.extend(window.iter().map(|&s| sparse[s]));
+            let cost = window_cost(&members);
+            assert!(cost > 0, "window cost must be positive");
+            costs.push(cost);
         }
+        let picks = greedy_set_cover_weighted(sparse.len(), instance.windows(), &costs, 1, arena);
+        arena.wcosts = costs;
 
-        // Materialize the anchor-window instance over sparse devices:
-        // every distinct sparse PO instant anchors a candidate window
-        // covering the sparse devices with a PO in `[a, a + TI)`.
-        let mut orig_of: Vec<usize> = Vec::new();
-        let mut sparse_of = vec![usize::MAX; n];
-        for (d, &is_dense) in dense.iter().enumerate() {
-            if !is_dense {
-                sparse_of[d] = orig_of.len();
-                orig_of.push(d);
-            }
-        }
-        let n_sparse = orig_of.len();
-        let mut covered = vec![false; n];
+        let mut covered = vec![false; events.len()];
         let mut slots: Vec<CoverSlot> = Vec::new();
-        if n_sparse > 0 {
-            let mut flat: Vec<(SimInstant, usize)> = Vec::new();
-            for (d, evs) in events.iter().enumerate() {
-                if !dense[d] {
-                    flat.extend(evs.iter().map(|&t| (t, sparse_of[d])));
-                }
-            }
-            flat.sort_unstable();
-            let mut anchors: Vec<SimInstant> = flat.iter().map(|&(t, _)| t).collect();
-            anchors.dedup();
-            let mut sets: Vec<Vec<usize>> = Vec::with_capacity(anchors.len());
-            let mut costs = std::mem::take(&mut arena.wcosts);
-            costs.clear();
-            let mut members_orig: Vec<usize> = Vec::new();
-            let mut seen = vec![usize::MAX; n_sparse];
-            let (mut lo, mut hi) = (0usize, 0usize);
-            for (i, &a) in anchors.iter().enumerate() {
-                let end = a + self.ti;
-                while flat[lo].0 < a {
-                    lo += 1;
-                }
-                hi = hi.max(lo);
-                while hi < flat.len() && flat[hi].0 < end {
-                    hi += 1;
-                }
-                let mut set = Vec::new();
-                members_orig.clear();
-                for &(_, d) in &flat[lo..hi] {
-                    if seen[d] != i {
-                        seen[d] = i;
-                        set.push(d);
-                        members_orig.push(orig_of[d]);
-                    }
-                }
-                let cost = window_cost(&members_orig);
-                assert!(cost > 0, "window cost must be positive");
-                costs.push(cost);
-                sets.push(set);
-            }
-            let picks = greedy_set_cover_weighted(n_sparse, &sets, &costs, 1, arena);
-            arena.wcosts = costs;
-            for pick in picks? {
-                let window_start = anchors[pick];
-                let mut newly: Vec<usize> = sets[pick]
-                    .iter()
-                    .map(|&d| orig_of[d])
-                    .filter(|&d| !covered[d])
-                    .collect();
-                newly.sort_unstable();
-                debug_assert!(!newly.is_empty(), "weighted pick covers nothing");
-                for &d in &newly {
-                    covered[d] = true;
-                }
-                slots.push(CoverSlot {
-                    window_start,
-                    transmit_at: window_start + self.ti,
-                    covered: newly,
-                });
-            }
-        }
-
-        // Dense devices ride the first transmission; if there is none
-        // (everyone is dense), create one window at the earliest possible
-        // position — identical to [`WindowCover::solve`].
-        let dense_devices: Vec<usize> = (0..n).filter(|&d| dense[d] && !covered[d]).collect();
-        if !dense_devices.is_empty() {
-            for &d in &dense_devices {
+        for w in picks? {
+            let window_start = instance.anchors()[instance.lowest_anchors()[w]];
+            let mut newly: Vec<usize> = instance.windows()[w]
+                .iter()
+                .map(|&s| sparse[s])
+                .filter(|&d| !covered[d])
+                .collect();
+            newly.sort_unstable();
+            debug_assert!(!newly.is_empty(), "weighted pick covers nothing");
+            for &d in &newly {
                 covered[d] = true;
             }
-            if let Some(first) = slots.first_mut() {
-                first.covered.extend(dense_devices);
-                first.covered.sort_unstable();
-            } else {
-                let window_start = horizon_start;
-                slots.push(CoverSlot {
-                    window_start,
-                    transmit_at: window_start + self.ti,
-                    covered: dense_devices,
-                });
-            }
+            slots.push(CoverSlot {
+                window_start,
+                transmit_at: window_start + self.ti,
+                covered: newly,
+            });
+        }
+        self.attach_dense(horizon_start, dense, &mut covered, &mut slots);
+        Some(slots)
+    }
+
+    /// Dense devices ride the first transmission; if there is none
+    /// (everyone is dense), one window opens at the horizon start.
+    fn attach_dense(
+        &self,
+        horizon_start: SimInstant,
+        dense: &[bool],
+        covered: &mut [bool],
+        slots: &mut Vec<CoverSlot>,
+    ) {
+        let dense_devices: Vec<usize> = (0..dense.len())
+            .filter(|&d| dense[d] && !covered[d])
+            .collect();
+        for &d in &dense_devices {
+            covered[d] = true;
         }
         debug_assert!(covered.iter().all(|&c| c));
-        Some(slots)
+        if dense_devices.is_empty() {
+            return;
+        }
+        if let Some(first) = slots.first_mut() {
+            first.covered.extend(dense_devices);
+            first.covered.sort_unstable();
+        } else {
+            slots.push(CoverSlot {
+                window_start: horizon_start,
+                transmit_at: horizon_start + self.ti,
+                covered: dense_devices,
+            });
+        }
     }
 
     fn solve_with(
@@ -1201,28 +1356,7 @@ impl WindowCover {
                 None => self.rounds_sweep(flat, count, covered, uncovered_sparse),
             }
         };
-
-        // Dense devices ride the first transmission; if there is none
-        // (everyone is dense), create one window at the earliest possible
-        // position.
-        let dense_devices: Vec<usize> = (0..n).filter(|&d| dense[d] && !covered[d]).collect();
-        if !dense_devices.is_empty() {
-            for &d in &dense_devices {
-                covered[d] = true;
-            }
-            if let Some(first) = slots.first_mut() {
-                first.covered.extend(dense_devices);
-                first.covered.sort_unstable();
-            } else {
-                let window_start = horizon_start;
-                slots.push(CoverSlot {
-                    window_start,
-                    transmit_at: window_start + self.ti,
-                    covered: dense_devices,
-                });
-            }
-        }
-        debug_assert!(covered.iter().all(|&c| c));
+        self.attach_dense(horizon_start, dense, covered, &mut slots);
         Some(slots)
     }
 
@@ -1489,7 +1623,9 @@ impl WindowCover {
 }
 
 /// The original straightforward solvers, retained verbatim as the oracle
-/// for equivalence testing of the bitset/scratch fast paths.
+/// for equivalence testing of the bitset/scratch fast paths, plus the
+/// naive per-anchor instance behind [`super::AnchorInstance`] and the
+/// weighted window cover over it.
 pub mod reference {
     use super::{CoverSlot, SimDuration, SimInstant};
 
@@ -1586,6 +1722,97 @@ pub mod reference {
             round += 1;
         }
         Some(picked)
+    }
+
+    /// Naive per-anchor materialization of the anchor-window instance —
+    /// the oracle for [`super::AnchorInstance`]: every distinct sparse PO
+    /// instant `a`, ascending, with the sparse devices (ascending indices
+    /// into `events`) that have a PO in `[a, a + TI)`. One full scan of
+    /// every sparse device per anchor; duplicate member sets are kept.
+    pub fn anchor_windows(
+        ti: SimDuration,
+        events: &[Vec<SimInstant>],
+        dense: &[bool],
+    ) -> Vec<(SimInstant, Vec<usize>)> {
+        let mut anchors: Vec<SimInstant> = events
+            .iter()
+            .zip(dense)
+            .filter(|(_, &d)| !d)
+            .flat_map(|(evs, _)| evs.iter().copied())
+            .collect();
+        anchors.sort_unstable();
+        anchors.dedup();
+        anchors
+            .into_iter()
+            .map(|a| {
+                let members = (0..events.len())
+                    .filter(|&d| !dense[d] && events[d].iter().any(|&t| t >= a && t < a + ti))
+                    .collect();
+                (a, members)
+            })
+            .collect()
+    }
+
+    /// Reference cost-aware window cover: [`greedy_set_cover_weighted`]
+    /// over the full per-anchor instance ([`anchor_windows`], duplicate
+    /// member sets included), each window priced by `cost` on its
+    /// members, dense devices riding the first slot — the oracle for
+    /// [`super::WindowCover::solve_weighted`].
+    pub fn window_cover_weighted(
+        ti: SimDuration,
+        horizon_start: SimInstant,
+        events: &[Vec<SimInstant>],
+        dense: &[bool],
+        cost: impl Fn(&[usize]) -> u32,
+    ) -> Option<Vec<CoverSlot>> {
+        if events
+            .iter()
+            .zip(dense)
+            .any(|(evs, &d)| evs.is_empty() && !d)
+        {
+            return None;
+        }
+        // The set-cover universe is the sparse devices, renumbered.
+        let sparse: Vec<usize> = (0..events.len()).filter(|&d| !dense[d]).collect();
+        let windows = anchor_windows(ti, events, dense);
+        let sets: Vec<Vec<usize>> = windows
+            .iter()
+            .map(|(_, members)| {
+                members
+                    .iter()
+                    .map(|d| sparse.binary_search(d).expect("member is sparse"))
+                    .collect()
+            })
+            .collect();
+        let costs: Vec<u32> = windows.iter().map(|(_, members)| cost(members)).collect();
+        let mut covered = vec![false; events.len()];
+        let mut slots: Vec<CoverSlot> = Vec::new();
+        for pick in greedy_set_cover_weighted(sparse.len(), &sets, &costs)? {
+            let (window_start, members) = &windows[pick];
+            let newly: Vec<usize> = members.iter().copied().filter(|&d| !covered[d]).collect();
+            for &d in &newly {
+                covered[d] = true;
+            }
+            slots.push(CoverSlot {
+                window_start: *window_start,
+                transmit_at: *window_start + ti,
+                covered: newly,
+            });
+        }
+        let dense_devices: Vec<usize> = (0..events.len()).filter(|&d| dense[d]).collect();
+        if !dense_devices.is_empty() {
+            if let Some(first) = slots.first_mut() {
+                first.covered.extend(dense_devices);
+                first.covered.sort_unstable();
+            } else {
+                slots.push(CoverSlot {
+                    window_start: horizon_start,
+                    transmit_at: horizon_start + ti,
+                    covered: dense_devices,
+                });
+            }
+        }
+        Some(slots)
     }
 
     /// Reference timeline solver: allocates its counting buffer afresh
@@ -2331,101 +2558,8 @@ mod tests {
         }
     }
 
-    /// Naive weighted-window oracle: the same static anchor instance,
-    /// solved by per-round full rescan with the documented fixed-point
-    /// key and lowest-anchor tie law.
-    fn naive_weighted_window(
-        ti: SimDuration,
-        horizon_start: SimInstant,
-        events: &[Vec<SimInstant>],
-        dense: &[bool],
-        cost: &dyn Fn(&[usize]) -> u32,
-    ) -> Option<Vec<CoverSlot>> {
-        let n = events.len();
-        if n == 0 {
-            return Some(Vec::new());
-        }
-        for (evs, &is_dense) in events.iter().zip(dense) {
-            if evs.is_empty() && !is_dense {
-                return None;
-            }
-        }
-        let mut flat: Vec<(SimInstant, usize)> = events
-            .iter()
-            .enumerate()
-            .filter(|&(d, _)| !dense[d])
-            .flat_map(|(d, evs)| evs.iter().map(move |&t| (t, d)))
-            .collect();
-        flat.sort_unstable();
-        let mut anchors: Vec<SimInstant> = flat.iter().map(|&(t, _)| t).collect();
-        anchors.dedup();
-        let windows: Vec<(SimInstant, Vec<usize>, u32)> = anchors
-            .iter()
-            .map(|&a| {
-                let mut members: Vec<usize> = flat
-                    .iter()
-                    .filter(|&&(t, _)| t >= a && t < a + ti)
-                    .map(|&(_, d)| d)
-                    .collect();
-                let mut dedup = Vec::new();
-                for d in members.drain(..) {
-                    if !dedup.contains(&d) {
-                        dedup.push(d);
-                    }
-                }
-                let c = cost(&dedup);
-                (a, dedup, c)
-            })
-            .collect();
-        let mut covered = vec![false; n];
-        let mut slots = Vec::new();
-        while flat.iter().any(|&(_, d)| !covered[d]) {
-            let mut best: Option<(u64, usize)> = None;
-            for (i, (_, members, c)) in windows.iter().enumerate() {
-                let gain = members.iter().filter(|&&d| !covered[d]).count() as u64;
-                if gain == 0 {
-                    continue;
-                }
-                let key = (gain << 32) / *c as u64;
-                if best.is_none_or(|(bk, _)| key > bk) {
-                    best = Some((key, i));
-                }
-            }
-            let (_, w) = best.expect("some window gains");
-            let mut newly: Vec<usize> = windows[w]
-                .1
-                .iter()
-                .copied()
-                .filter(|&d| !covered[d])
-                .collect();
-            newly.sort_unstable();
-            for &d in &newly {
-                covered[d] = true;
-            }
-            slots.push(CoverSlot {
-                window_start: windows[w].0,
-                transmit_at: windows[w].0 + ti,
-                covered: newly,
-            });
-        }
-        let dense_devices: Vec<usize> = (0..n).filter(|&d| dense[d]).collect();
-        if !dense_devices.is_empty() {
-            if let Some(first) = slots.first_mut() {
-                first.covered.extend(dense_devices);
-                first.covered.sort_unstable();
-            } else {
-                slots.push(CoverSlot {
-                    window_start: horizon_start,
-                    transmit_at: horizon_start + ti,
-                    covered: dense_devices,
-                });
-            }
-        }
-        Some(slots)
-    }
-
     #[test]
-    fn solve_weighted_matches_naive_oracle() {
+    fn solve_weighted_matches_reference_oracle() {
         // Random dense/sparse mixtures with per-device weights (window
         // cost = heaviest member, the DR-SC airtime shape) AND with unit
         // costs, both compared slot-for-slot against the rescan oracle.
@@ -2456,12 +2590,12 @@ mod tests {
                 |members: &[usize]| members.iter().map(|&d| weights[d]).max().unwrap_or(1);
             assert_eq!(
                 solver.solve_weighted(ms(0), &events, &dense, airtime, &mut arena),
-                naive_weighted_window(ti, ms(0), &events, &dense, &airtime),
+                reference::window_cover_weighted(ti, ms(0), &events, &dense, airtime),
                 "weighted, trial {trial}"
             );
             assert_eq!(
                 solver.solve_weighted(ms(0), &events, &dense, |_| 1, &mut arena),
-                naive_weighted_window(ti, ms(0), &events, &dense, &|_| 1),
+                reference::window_cover_weighted(ti, ms(0), &events, &dense, |_| 1),
                 "unit-cost, trial {trial}"
             );
         }
@@ -2554,5 +2688,54 @@ mod tests {
             }
         }
         assert_eq!(seen, vec![1, 1, 1, 1]);
+    }
+
+    #[test]
+    fn anchor_instance_keeps_each_member_set_once_at_its_lowest_anchor() {
+        // Devices 0 and 1 share POs at 0 and 1000 (windows {0, 1} twice);
+        // device 2 (dense) is left out; device 3 alone at 500 and 1500.
+        let ti = SimDuration::from_ms(100);
+        let events = vec![
+            vec![ms(0), ms(1000)],
+            vec![ms(50), ms(1050)],
+            vec![ms(5)],
+            vec![ms(500), ms(1500)],
+        ];
+        let dense = [false, false, true, false];
+        let instance = AnchorInstance::new(ti, &events, &dense);
+        assert_eq!(instance.sparse_devices(), &[0, 1, 3]);
+        assert_eq!(
+            instance.anchors(),
+            &[ms(0), ms(50), ms(500), ms(1000), ms(1050), ms(1500)]
+        );
+        assert_eq!(instance.windows(), &[vec![0, 1], vec![1], vec![2]]);
+        assert_eq!(instance.lowest_anchors(), &[0, 1, 2]);
+        let window_of: Vec<usize> = (0..6).map(|a| instance.window_of(a)).collect();
+        assert_eq!(window_of, vec![0, 1, 2, 0, 1, 2]);
+        assert_eq!(instance.anchor_index(ms(1050)), Some(4));
+        assert_eq!(
+            instance.anchor_index(ms(5)),
+            None,
+            "dense POs anchor nothing"
+        );
+        assert_eq!(instance.entries(), 4);
+        assert_eq!(instance.anchor_entries(), 8);
+    }
+
+    #[test]
+    fn anchor_instance_single_shared_instant_is_one_window() {
+        // Every sparse device pages at the same instant: one anchor, one
+        // window holding everyone.
+        let ti = SimDuration::from_ms(100);
+        let events = vec![vec![ms(700)]; 4];
+        let instance = AnchorInstance::new(ti, &events, &[false; 4]);
+        assert_eq!(instance.anchors(), &[ms(700)]);
+        assert_eq!(instance.windows(), &[vec![0, 1, 2, 3]]);
+        assert_eq!(instance.anchor_entries(), instance.entries());
+        // Empty and all-dense inputs build an empty instance.
+        for (events, dense) in [(vec![], vec![]), (vec![vec![ms(5)]], vec![true])] {
+            let empty = AnchorInstance::new(ti, &events, &dense);
+            assert!(empty.anchors().is_empty() && empty.windows().is_empty());
+        }
     }
 }

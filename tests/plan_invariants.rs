@@ -151,3 +151,92 @@ proptest! {
         }
     }
 }
+
+/// The planners that solve the deduplicated anchor-window instance.
+const INSTANCE_PLANNERS: [MechanismKind; 2] =
+    [MechanismKind::DrScTabu(64), MechanismKind::DrScWeighted];
+
+/// Fails on a `NaN` or `inf` token anywhere in `value`'s debug rendering,
+/// so every float of every nested summary must be finite.
+fn assert_finite(what: &str, value: &impl std::fmt::Debug) {
+    let text = format!("{value:?}");
+    let bad = text
+        .split(|c: char| !c.is_ascii_alphanumeric())
+        .find(|token| *token == "NaN" || *token == "inf");
+    assert!(bad.is_none(), "{what}: non-finite number in {text}");
+}
+
+#[test]
+fn instance_planners_are_valid_and_finite_on_edge_fleets() {
+    // One and two devices of the city mix, and an all-dense fleet (every
+    // cycle within TI: the instance is empty). `run_comparison` validates
+    // every plan before executing it.
+    for (label, mix, n, max_transmissions) in [
+        ("1 device", TrafficMix::ericsson_city(), 1, 1.0),
+        ("2 devices", TrafficMix::ericsson_city(), 2, 2.0),
+        ("all-dense", TrafficMix::short_drx(), 20, 1.0),
+    ] {
+        let config = ExperimentConfig {
+            mix,
+            n_devices: n,
+            runs: 3,
+            ..ExperimentConfig::default()
+        };
+        let cmp = run_comparison(&config, &INSTANCE_PLANNERS).unwrap();
+        assert_finite(label, &cmp);
+        for m in &cmp.mechanisms {
+            assert!(
+                m.transmissions.max <= max_transmissions,
+                "{label}: {} used {} transmissions",
+                m.mechanism,
+                m.transmissions.max
+            );
+        }
+    }
+}
+
+#[test]
+fn instance_planners_serve_identical_timelines_with_one_window() {
+    // Five sparse devices share one paging identity and eDRX cycle, so
+    // every anchor holds all of them (two anchors over the 2·maxDRX
+    // horizon, one distinct window); a dense device rides along.
+    let pop = TrafficMix::ericsson_city()
+        .generate(6, &mut StdRng::seed_from_u64(21))
+        .unwrap();
+    let mut devices = pop.profiles();
+    let ue = devices[0].ue;
+    for d in &mut devices[..5] {
+        d.ue = ue;
+        d.paging = PagingConfig::edrx(EdrxCycle::Hf16);
+    }
+    devices[5].paging = PagingConfig::drx(DrxCycle::Rf128);
+    let params = GroupingParams::default();
+    let input = GroupingInput::from_devices(devices, params).unwrap();
+    let (events, dense) = input.po_events();
+    let instance = nbiot_multicast::grouping::set_cover::AnchorInstance::new(
+        params.ti.duration(),
+        &events,
+        &dense,
+    );
+    assert_eq!(instance.anchors().len(), 2);
+    assert_eq!(instance.windows(), &[vec![0, 1, 2, 3, 4]]);
+    for kind in INSTANCE_PLANNERS {
+        let mechanism = kind.instantiate();
+        let plan = mechanism
+            .plan(&input, &mut StdRng::seed_from_u64(1))
+            .unwrap();
+        plan.validate(&input).unwrap();
+        assert_eq!(plan.transmission_count(), 1, "{kind}");
+        assert_eq!(plan.transmissions[0].recipients.len(), 6, "{kind}");
+        let result = run_campaign(
+            mechanism.as_ref(),
+            &input,
+            &SimConfig::default(),
+            &mut StdRng::seed_from_u64(2),
+        )
+        .unwrap();
+        assert_finite(&kind.to_string(), &result);
+        assert!(result.mean_light_sleep_ms().is_finite());
+        assert!(result.mean_connected_ms().is_finite());
+    }
+}

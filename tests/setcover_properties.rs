@@ -2,7 +2,7 @@
 //! optimality reference on small instances.
 
 use nbiot_multicast::grouping::set_cover::{
-    greedy_set_cover, greedy_set_cover_bitset, reference, WindowCover,
+    greedy_set_cover, greedy_set_cover_bitset, reference, AnchorInstance, KernelArena, WindowCover,
 };
 use nbiot_multicast::prelude::*;
 use proptest::prelude::*;
@@ -262,5 +262,76 @@ proptest! {
         }
         let picked = greedy_set_cover(events.len(), &sets).unwrap();
         prop_assert_eq!(slots.len(), picked.len());
+    }
+
+    #[test]
+    fn anchor_instance_is_the_deduplicated_per_anchor_instance(
+        periods in proptest::collection::vec((1u64..5, 0u64..800), 1..20),
+        dense_bits in proptest::collection::vec(0u8..5, 1..20),
+        weights in proptest::collection::vec(1u32..40, 1..20),
+        ti_ms in 50u64..600,
+    ) {
+        // Periodic PO timelines (period a multiple of 200 ms) make member
+        // sets recur across anchors, as real paging cycles do.
+        let events: Vec<Vec<SimInstant>> = periods
+            .iter()
+            .map(|&(k, offset)| {
+                let period = 200 * k;
+                (0..8).map(|i| SimInstant::from_ms(offset % period + i * period)).collect()
+            })
+            .collect();
+        let dense: Vec<bool> = (0..events.len())
+            .map(|i| dense_bits.get(i).is_some_and(|&b| b == 0))
+            .collect();
+        let ti = SimDuration::from_ms(ti_ms);
+        let instance = AnchorInstance::new(ti, &events, &dense);
+        let naive = reference::anchor_windows(ti, &events, &dense);
+
+        // Every anchor's window is exactly its member set, and each
+        // distinct window sits at the lowest anchor holding that set.
+        prop_assert_eq!(instance.anchors().len(), naive.len());
+        for (a, (t, members)) in naive.iter().enumerate() {
+            prop_assert_eq!(instance.anchors()[a], *t);
+            let w = instance.window_of(a);
+            let mut window: Vec<usize> = instance.windows()[w]
+                .iter()
+                .map(|&s| instance.sparse_devices()[s])
+                .collect();
+            window.sort_unstable();
+            prop_assert_eq!(&window, members);
+            let lowest = instance.lowest_anchors()[w];
+            prop_assert_eq!(&naive[lowest].1, members);
+            prop_assert!(naive[..lowest].iter().all(|(_, m)| m != members));
+        }
+        // Distinct windows differ pairwise.
+        let mut sets: Vec<Vec<usize>> = instance
+            .windows()
+            .iter()
+            .map(|w| {
+                let mut w = w.clone();
+                w.sort_unstable();
+                w
+            })
+            .collect();
+        let distinct = sets.len();
+        sets.sort();
+        sets.dedup();
+        prop_assert_eq!(sets.len(), distinct);
+        prop_assert_eq!(instance.entries(), sets.iter().map(Vec::len).sum::<usize>());
+        prop_assert_eq!(
+            instance.anchor_entries(),
+            naive.iter().map(|(_, m)| m.len()).sum::<usize>()
+        );
+
+        // The weighted cover over the deduplicated instance returns the
+        // same slots as the weighted greedy over the full naive instance.
+        let cost = |members: &[usize]| {
+            members.iter().map(|&d| weights.get(d).copied().unwrap_or(1)).max().unwrap_or(1)
+        };
+        let mut arena = KernelArena::new();
+        prop_assert_eq!(
+            WindowCover::new(ti).solve_weighted(SimInstant::ZERO, &events, &dense, cost, &mut arena),
+            reference::window_cover_weighted(ti, SimInstant::ZERO, &events, &dense, cost)
+        );
     }
 }
