@@ -7,8 +7,10 @@
 //! Default workload: 5 mechanisms × 500 devices × 20 runs (override with
 //! `--devices`/`--runs`; `--threads` sets the *parallel* comparison's
 //! worker count, 0 = all cores). The massive-n scale-tier stages solve a
-//! `--massive-devices` (default 10^6) frame-cover point and race the
-//! serial vs parallel kernel index build. `--out <path>` redirects the
+//! `--massive-devices` (default 10^6) frame-cover point, race the
+//! serial vs parallel kernel index build, and validate the DA-SC and
+//! DR-SI plans of a massive-metering fleet of that size
+//! (`plan_validate`). `--out <path>` redirects the
 //! report. Building with `--features bench-alloc` adds a `mem` block to
 //! every stage (peak allocated bytes in the stage's window, plus
 //! bytes-per-device where the stage has a device count).
@@ -282,8 +284,9 @@ fn main() {
                      runs the fixed macro workload through every pipeline stage and writes\n\
                      a BENCH_results.json report (default workload: 5 mechanisms x 500\n\
                      devices x 20 runs). --massive-devices sizes the scale-tier kernel\n\
-                     stages (default 1000000). --compare turns the run into a regression\n\
-                     gate against a baseline report; --warn-only downgrades it to a report.\n\
+                     and plan_validate stages (default 1000000). --compare turns the run\n\
+                     into a regression gate against a baseline report; --warn-only\n\
+                     downgrades it to a report.\n\
                      build with --features bench-alloc to add per-stage memory accounting."
                 );
                 return;
@@ -904,6 +907,40 @@ fn main() {
     // campaign stages.
     drop(massive_arena);
     drop(massive_sets);
+
+    // ---- Stage 3d: plan validation at massive n. DA-SC and DR-SI serve
+    // the whole massive-metering fleet with one transmission, so their
+    // plans hold the longest recipient list a plan can have. One plan is
+    // alive at a time.
+    let massive_input = {
+        let pop = nbiot_traffic::TrafficMix::massive_metering()
+            .generate(massive_devices, &mut seq.child(2_000).rng(0))
+            .expect("population");
+        GroupingInput::from_population(&pop, params).expect("input")
+    };
+    for kind in [MechanismKind::DaSc, MechanismKind::DrSi] {
+        let plan = kind
+            .instantiate()
+            .plan(&massive_input, &mut seq.child(2_000).rng(1))
+            .expect("plan");
+        let (valid, ms) = timed_min(3, || plan.validate(&massive_input));
+        valid.expect("massive plans are valid");
+        stages.push(stage(
+            "plan_validate",
+            ms,
+            json!({
+                "mechanism": kind.to_string(),
+                "devices": massive_input.len(),
+                "transmissions": plan.transmissions.len(),
+                "recipients": plan
+                    .transmissions
+                    .iter()
+                    .map(|tx| tx.recipients.len())
+                    .sum::<usize>(),
+            }),
+        ));
+    }
+    drop(massive_input);
 
     let (events, dense) = workload::window_cover_instance(1_000, 2_600, opts.seed);
     let ti = SimDuration::from_secs(10);

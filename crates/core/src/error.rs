@@ -120,6 +120,26 @@ pub enum PlanViolation {
         /// The affected device.
         device: DeviceId,
     },
+    /// The device plans are not one per group member in the group's
+    /// device order.
+    DeviceOrder {
+        /// The first position where the device plans and the group's
+        /// device order disagree (the shorter length when one list is a
+        /// prefix of the other).
+        index: usize,
+    },
+    /// A transmission lists a device that is not a member of the group.
+    UnknownRecipient {
+        /// The foreign recipient.
+        device: DeviceId,
+    },
+    /// A connection-requiring plan does not connect the device at exactly
+    /// one trigger (its page PO or its T322 wake) equal to its
+    /// `connect_at`.
+    ConnectionTrigger {
+        /// The affected device.
+        device: DeviceId,
+    },
 }
 
 impl fmt::Display for PlanViolation {
@@ -148,6 +168,17 @@ impl fmt::Display for PlanViolation {
             PlanViolation::BeforeStart { device } => {
                 write!(f, "{device} has an action scheduled before campaign start")
             }
+            PlanViolation::DeviceOrder { index } => write!(
+                f,
+                "device plan {index} does not match the group's device order"
+            ),
+            PlanViolation::UnknownRecipient { device } => {
+                write!(f, "{device} is a recipient but not a group member")
+            }
+            PlanViolation::ConnectionTrigger { device } => write!(
+                f,
+                "{device} is not connected at exactly one page or wake trigger equal to its connect_at"
+            ),
         }
     }
 }

@@ -6,7 +6,6 @@
 //! full pipeline is drawn in `docs/ARCHITECTURE.md`.
 
 use core::fmt;
-use std::collections::HashMap;
 
 use nbiot_time::{PagingCycle, SimDuration, SimInstant, TimeWindow};
 use nbiot_traffic::DeviceId;
@@ -85,8 +84,9 @@ pub struct DevicePlan {
     pub mltc: Option<MltcDirective>,
     /// DA-SC adaptation, if any.
     pub adaptation: Option<AdaptationDirective>,
-    /// When the device starts random access to receive the data
-    /// (`None` for connectionless reception, e.g. SC-PTM).
+    /// When the device starts random access to receive the data: the
+    /// instant of its page PO or its T322 wake (`None` for connectionless
+    /// reception, e.g. SC-PTM).
     pub connect_at: Option<SimInstant>,
     /// The transmission instant that serves this device.
     pub receives_at: SimInstant,
@@ -110,7 +110,7 @@ pub struct MulticastPlan {
     pub requires_connection: bool,
     /// All multicast transmissions, sorted by time.
     pub transmissions: Vec<Transmission>,
-    /// Per-device actions, in device order.
+    /// Per-device actions: one per group member, in device order.
     pub device_plans: Vec<DevicePlan>,
     /// The campaign span `[start, last transmission]` (payload airtime is
     /// appended by the simulator).
@@ -157,8 +157,55 @@ impl MulticastPlan {
         }
     }
 
-    /// Checks all structural invariants against the input the plan was
-    /// computed from.
+    /// Checks every structural invariant the campaign engine relies on,
+    /// against the input the plan was computed from.
+    ///
+    /// The checks, in the order they run, and the engine assumption each
+    /// one protects:
+    ///
+    /// 1. **Transmissions are sorted by time**
+    ///    ([`PlanViolation::UnsortedTransmissions`]): plans are replayed
+    ///    in time order, and check 5 binary-searches the transmissions.
+    /// 2. **Every recipient is a group member**
+    ///    ([`PlanViolation::UnknownRecipient`]): the engine resolves each
+    ///    recipient to its device position before charging its ledger.
+    /// 3. **One device plan per group member, in device order**
+    ///    ([`PlanViolation::DeviceOrder`]): the engine pairs device plans
+    ///    with the input's columns (schedules, paging identities, ledgers)
+    ///    by position.
+    /// 4. **Every device is served exactly once**
+    ///    ([`PlanViolation::NotExactlyOnce`]): one delivery, one ledger
+    ///    charge per device.
+    /// 5. **`receives_at` is the instant of the transmission listing the
+    ///    device** ([`PlanViolation::UnknownTransmission`] when no
+    ///    transmission happens then, [`PlanViolation::NotExactlyOnce`]
+    ///    with `times: 0` when the transmissions then do not list it): the
+    ///    engine restores adapted cycles and accounts natural POs from the
+    ///    serving instant.
+    /// 6. **Connection within `TI` before the transmission**
+    ///    ([`PlanViolation::InactivityViolated`]): a device that connects
+    ///    earlier is released before the data arrives.
+    /// 7. **Nothing happens before the campaign start**
+    ///    ([`PlanViolation::BeforeStart`]): the analytic PO accounting
+    ///    starts there.
+    /// 8. **A connection-requiring plan connects each device at exactly
+    ///    one trigger, equal to `connect_at`**
+    ///    ([`PlanViolation::ConnectionTrigger`]): the trigger is the page PO
+    ///    or the T322 wake; the engine takes the connection that trigger
+    ///    opened when the serving transmission starts, and checks 6 and 8
+    ///    together place the trigger before (or at) that transmission.
+    /// 9. **The compliance flag matches the signalling**
+    ///    ([`PlanViolation::ComplianceMismatch`]): only `mltc` directives
+    ///    are non-standard.
+    ///
+    /// Check 4 covers every device before checks 5–8 run; each reports
+    /// the first failing device in device order.
+    ///
+    /// Cost: O(n + R log n) time and O(n) space, where n is the group
+    /// size and R the total number of recipients — one pass over the
+    /// recipient lists (each resolved with [`GroupingInput::position_of`])
+    /// and one over the device plans, both indexed by device position,
+    /// with no hash map.
     ///
     /// # Errors
     ///
@@ -168,46 +215,64 @@ impl MulticastPlan {
         if self.transmissions.windows(2).any(|w| w[0].at > w[1].at) {
             return Err(PlanViolation::UnsortedTransmissions);
         }
-        // 2. Every device served exactly once across all recipient lists.
-        let mut served: HashMap<DeviceId, usize> = HashMap::new();
+        // 2. Recipient pass: resolve each recipient to its device position,
+        //    count it and record the instant that serves it.
+        let n = input.len();
+        let mut served = vec![0usize; n];
+        let mut served_at = vec![SimInstant::ZERO; n];
         for tx in &self.transmissions {
-            for &d in &tx.recipients {
-                *served.entry(d).or_insert(0) += 1;
+            for &device in &tx.recipients {
+                let i = input
+                    .position_of(device)
+                    .ok_or(PlanViolation::UnknownRecipient { device })?;
+                served[i] += 1;
+                served_at[i] = tx.at;
             }
         }
-        for dp in &self.device_plans {
-            let times = served.get(&dp.device).copied().unwrap_or(0);
-            if times != 1 {
-                return Err(PlanViolation::NotExactlyOnce {
-                    device: dp.device,
-                    times,
-                });
-            }
+        // 3. One device plan per member, in device order.
+        let ids = input.ids();
+        let plans = self.device_plans.len();
+        let mismatch = self
+            .device_plans
+            .iter()
+            .zip(ids)
+            .position(|(dp, &id)| dp.device != id)
+            .or((plans != n).then(|| plans.min(n)));
+        if let Some(index) = mismatch {
+            return Err(PlanViolation::DeviceOrder { index });
         }
-        // 3. Each device plan references an existing transmission that
-        //    lists it as recipient. Several transmissions may share an
-        //    instant (unicast deliveries paged in the same PO), so index
-        //    them as a multimap.
-        let mut by_time: HashMap<SimInstant, Vec<&Transmission>> = HashMap::new();
-        for t in &self.transmissions {
-            by_time.entry(t.at).or_default().push(t);
+        // 4. Every device served exactly once.
+        if let Some(i) = served.iter().position(|&times| times != 1) {
+            return Err(PlanViolation::NotExactlyOnce {
+                device: ids[i],
+                times: served[i],
+            });
         }
+        // 5.–8. Device pass.
         let ti = input.params().ti.duration();
         let start = input.params().start;
-        for dp in &self.device_plans {
-            let Some(txs) = by_time.get(&dp.receives_at) else {
-                return Err(PlanViolation::UnknownTransmission {
-                    device: dp.device,
-                    receives_at: dp.receives_at,
-                });
-            };
-            if !txs.iter().any(|tx| tx.recipients.contains(&dp.device)) {
-                return Err(PlanViolation::NotExactlyOnce {
-                    device: dp.device,
-                    times: 0,
+        for (dp, &at) in self.device_plans.iter().zip(&served_at) {
+            // 5. `receives_at` names the serving transmission. The
+            //    transmissions are only searched to tell a dangling
+            //    instant from one whose transmissions omit the device.
+            if dp.receives_at != at {
+                let exists = self
+                    .transmissions
+                    .binary_search_by_key(&dp.receives_at, |tx| tx.at)
+                    .is_ok();
+                return Err(if exists {
+                    PlanViolation::NotExactlyOnce {
+                        device: dp.device,
+                        times: 0,
+                    }
+                } else {
+                    PlanViolation::UnknownTransmission {
+                        device: dp.device,
+                        receives_at: dp.receives_at,
+                    }
                 });
             }
-            // 4. Inactivity-timer discipline: the device must connect within
+            // 6. Inactivity-timer discipline: the device must connect within
             //    TI before (or exactly at) the transmission.
             if let Some(connect_at) = dp.connect_at {
                 let lower = dp.receives_at.saturating_sub(ti);
@@ -219,7 +284,7 @@ impl MulticastPlan {
                     });
                 }
             }
-            // 5. Nothing happens before the campaign start.
+            // 7. Nothing happens before the campaign start.
             let earliest = [
                 dp.page.map(|p| p.po),
                 dp.mltc.map(|m| m.po),
@@ -234,8 +299,19 @@ impl MulticastPlan {
                     return Err(PlanViolation::BeforeStart { device: dp.device });
                 }
             }
+            // 8. Exactly one connection trigger, at `connect_at`.
+            if self.requires_connection {
+                let trigger = match (dp.page, dp.mltc) {
+                    (Some(page), None) => Some(page.po),
+                    (None, Some(mltc)) => Some(mltc.wake_at),
+                    _ => None,
+                };
+                if trigger.is_none() || trigger != dp.connect_at {
+                    return Err(PlanViolation::ConnectionTrigger { device: dp.device });
+                }
+            }
         }
-        // 6. Compliance flag consistency: only a plan that carries mltc
+        // 9. Compliance flag consistency: only a plan that carries mltc
         //    directives may be non-compliant and vice versa.
         let uses_mltc = self.device_plans.iter().any(|p| p.mltc.is_some());
         if uses_mltc == self.standards_compliant {
@@ -401,6 +477,80 @@ mod tests {
             plan.validate(&input),
             Err(PlanViolation::BeforeStart { .. })
         ));
+    }
+
+    #[test]
+    fn device_order_detected() {
+        let input = tiny_input();
+        let mut plan = valid_plan(&input);
+        plan.device_plans.reverse();
+        assert_eq!(
+            plan.validate(&input),
+            Err(PlanViolation::DeviceOrder { index: 0 })
+        );
+        // A missing trailing plan is a mismatch at the end of the prefix.
+        let mut plan = valid_plan(&input);
+        plan.device_plans.pop();
+        assert_eq!(
+            plan.validate(&input),
+            Err(PlanViolation::DeviceOrder { index: 1 })
+        );
+    }
+
+    #[test]
+    fn unknown_recipient_detected() {
+        let input = tiny_input();
+        let mut plan = valid_plan(&input);
+        let foreign = DeviceId(9999);
+        assert_eq!(input.position_of(foreign), None);
+        plan.transmissions[0].recipients.push(foreign);
+        assert_eq!(
+            plan.validate(&input),
+            Err(PlanViolation::UnknownRecipient { device: foreign })
+        );
+    }
+
+    #[test]
+    fn connection_trigger_detected() {
+        let input = tiny_input();
+        let device = input.ids()[0];
+        // No trigger at all.
+        let mut plan = valid_plan(&input);
+        plan.device_plans[0].page = None;
+        assert_eq!(
+            plan.validate(&input),
+            Err(PlanViolation::ConnectionTrigger { device })
+        );
+        // A page that disagrees with connect_at (still inside TI).
+        let mut plan = valid_plan(&input);
+        let connect_at = plan.device_plans[0].connect_at.unwrap();
+        plan.device_plans[0].page = Some(PageDirective {
+            po: connect_at - SimDuration::from_secs(1),
+        });
+        assert_eq!(
+            plan.validate(&input),
+            Err(PlanViolation::ConnectionTrigger { device })
+        );
+        // Two triggers: a page and a T322 wake.
+        let mut plan = valid_plan(&input);
+        plan.standards_compliant = false;
+        plan.device_plans[0].mltc = Some(MltcDirective {
+            po: connect_at,
+            wake_at: connect_at,
+            time_remaining: SimDuration::from_secs(5),
+        });
+        assert_eq!(
+            plan.validate(&input),
+            Err(PlanViolation::ConnectionTrigger { device })
+        );
+        // Connectionless plans carry no trigger.
+        let mut plan = valid_plan(&input);
+        plan.requires_connection = false;
+        for dp in &mut plan.device_plans {
+            dp.page = None;
+            dp.connect_at = None;
+        }
+        assert_eq!(plan.validate(&input), Ok(()));
     }
 
     #[test]

@@ -16,13 +16,24 @@ use crate::{engine, CampaignResult, SimConfig, SimError};
 ///
 /// The mechanism's plan is validated against the input before execution,
 /// so a buggy mechanism implementation fails loudly instead of producing
-/// nonsense metrics.
+/// nonsense metrics — or panicking the engine: every assumption the engine
+/// makes about a plan is one of
+/// [`MulticastPlan::validate`](nbiot_grouping::MulticastPlan::validate)'s
+/// checks.
 ///
 /// # Errors
 ///
 /// * [`SimError::Grouping`] when the mechanism cannot serve the group,
 /// * [`SimError::InvalidPlan`] when the produced plan violates a structural
-///   invariant (a mechanism bug).
+///   invariant (a mechanism bug). Besides the delivery invariants this
+///   covers the engine's indexing assumptions:
+///   [`DeviceOrder`](nbiot_grouping::PlanViolation::DeviceOrder) (device
+///   plans not one per member in device order),
+///   [`UnknownRecipient`](nbiot_grouping::PlanViolation::UnknownRecipient)
+///   (a recipient outside the group) and
+///   [`ConnectionTrigger`](nbiot_grouping::PlanViolation::ConnectionTrigger)
+///   (a device not connected at exactly one page or wake trigger equal to
+///   its `connect_at`).
 ///
 /// # Example
 ///
@@ -53,8 +64,12 @@ pub fn run_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nbiot_grouping::{DaSc, DrSc, DrSi, GroupingParams, MechanismKind, ScPtm, Unicast};
-    use nbiot_traffic::TrafficMix;
+    use nbiot_grouping::{
+        DaSc, DrSc, DrSi, GroupingError, GroupingParams, MechanismKind, MulticastPlan,
+        PageDirective, PlanViolation, ScPtm, Unicast,
+    };
+    use nbiot_time::SimDuration;
+    use nbiot_traffic::{DeviceId, TrafficMix};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -156,6 +171,91 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(21);
         let dasc_serial = run_campaign(&DaSc::new(), &input, &serialized, &mut rng).unwrap();
         assert_eq!(dasc_ideal.ledgers, dasc_serial.ledgers);
+    }
+
+    /// DA-SC with its plan edited after planning: a stand-in for a buggy
+    /// mechanism.
+    struct Tampered(fn(&mut MulticastPlan));
+
+    impl GroupingMechanism for Tampered {
+        fn name(&self) -> String {
+            "tampered DA-SC".to_string()
+        }
+
+        fn is_standards_compliant(&self) -> bool {
+            true
+        }
+
+        fn plan(
+            &self,
+            input: &GroupingInput,
+            rng: &mut dyn RngCore,
+        ) -> Result<MulticastPlan, GroupingError> {
+            let mut plan = DaSc::new().plan(input, rng)?;
+            (self.0)(&mut plan);
+            Ok(plan)
+        }
+    }
+
+    #[test]
+    fn tampered_plans_are_rejected_before_execution() {
+        // Each tamper breaks an assumption of the engine: executed, the
+        // plan would panic it or charge the wrong ledgers.
+        let input = input(4, 8);
+        let first = input.ids()[0];
+        let cases: [(&str, Tampered, PlanViolation); 5] = [
+            (
+                "reversed device plans",
+                Tampered(|plan| plan.device_plans.reverse()),
+                PlanViolation::DeviceOrder { index: 0 },
+            ),
+            (
+                "last member dropped",
+                Tampered(|plan| {
+                    let last = plan.device_plans.pop().unwrap().device;
+                    plan.transmissions[0].recipients.retain(|&r| r != last);
+                }),
+                PlanViolation::DeviceOrder { index: 3 },
+            ),
+            (
+                "foreign device",
+                Tampered(|plan| {
+                    let member =
+                        std::mem::replace(&mut plan.device_plans[3].device, DeviceId(9999));
+                    for r in &mut plan.transmissions[0].recipients {
+                        if *r == member {
+                            *r = DeviceId(9999);
+                        }
+                    }
+                }),
+                PlanViolation::UnknownRecipient {
+                    device: DeviceId(9999),
+                },
+            ),
+            (
+                "page removed",
+                Tampered(|plan| plan.device_plans[0].page = None),
+                PlanViolation::ConnectionTrigger { device: first },
+            ),
+            (
+                "page 40 s before connect_at",
+                Tampered(|plan| {
+                    let dp = &mut plan.device_plans[0];
+                    let po = dp.connect_at.unwrap() - SimDuration::from_secs(40);
+                    dp.page = Some(PageDirective { po });
+                }),
+                PlanViolation::ConnectionTrigger { device: first },
+            ),
+        ];
+        for (label, mechanism, violation) in cases {
+            let mut rng = StdRng::seed_from_u64(13);
+            let outcome = run_campaign(&mechanism, &input, &SimConfig::default(), &mut rng);
+            assert_eq!(
+                outcome.map(|r| r.ledgers),
+                Err(SimError::InvalidPlan(violation)),
+                "{label}"
+            );
+        }
     }
 
     #[test]

@@ -260,12 +260,12 @@ pub(crate) fn execute(
                 for &rid in &tx.recipients {
                     let device = input
                         .position_of(rid)
-                        .expect("validated plan recipients are group members");
+                        .expect("validate: every recipient is a group member");
                     if plan.requires_connection {
-                        let Some(p) = pending[device].take() else {
-                            debug_assert!(false, "recipient {rid} was never connected");
-                            continue;
-                        };
+                        let p = pending[device].take().expect(
+                            "validate: each recipient connects at exactly one trigger, \
+                             no later than its transmission",
+                        );
                         // Active from the connection trigger until the data
                         // starts: at least the RA exchange, plus any wait
                         // for the transmission instant (and any channel

@@ -379,22 +379,22 @@ fn execute_per_payload(
 /// indexed by `CoverageClass as usize`. A transmission is served at the
 /// repetition level of its worst-coverage recipient, so this histogram is
 /// the only plan-dependent input the airtime metrics need — the payload
-/// then scales each class's transfer time independently.
+/// then scales each class's transfer time independently. The plan has
+/// been validated, so every recipient resolves to a device position.
 fn coverage_histogram(plan: &MulticastPlan, input: &GroupingInput) -> [u64; 3] {
-    let coverage_of: std::collections::HashMap<_, _> = input
-        .ids()
-        .iter()
-        .copied()
-        .zip(input.coverages().iter().copied())
-        .collect();
+    let coverages = input.coverages();
     let mut hist = [0u64; 3];
     for tx in &plan.transmissions {
         let deepest = tx
             .recipients
             .iter()
-            .filter_map(|id| coverage_of.get(id))
+            .map(|&id| {
+                let i = input
+                    .position_of(id)
+                    .expect("validate: every recipient is a group member");
+                coverages[i]
+            })
             .max()
-            .copied()
             .unwrap_or_default();
         hist[deepest as usize] += 1;
     }

@@ -1,6 +1,9 @@
 //! Property-based tests on the structural invariants of multicast plans,
 //! across random populations, group sizes, inactivity timers and seeds.
 
+use std::collections::HashMap;
+
+use nbiot_multicast::grouping::{PlanViolation, Transmission};
 use nbiot_multicast::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -152,6 +155,247 @@ proptest! {
     }
 }
 
+/// Reference validator for the differential test: the delivery
+/// invariants of `MulticastPlan::validate`, checked through hash maps
+/// keyed by device identity, without the device-order, membership and
+/// connection-trigger checks the campaign engine also relies on.
+fn reference_validate(plan: &MulticastPlan, input: &GroupingInput) -> Result<(), PlanViolation> {
+    // 1. Transmissions sorted.
+    if plan.transmissions.windows(2).any(|w| w[0].at > w[1].at) {
+        return Err(PlanViolation::UnsortedTransmissions);
+    }
+    // 2. Every device served exactly once across all recipient lists.
+    let mut served: HashMap<DeviceId, usize> = HashMap::new();
+    for tx in &plan.transmissions {
+        for &d in &tx.recipients {
+            *served.entry(d).or_insert(0) += 1;
+        }
+    }
+    for dp in &plan.device_plans {
+        let times = served.get(&dp.device).copied().unwrap_or(0);
+        if times != 1 {
+            return Err(PlanViolation::NotExactlyOnce {
+                device: dp.device,
+                times,
+            });
+        }
+    }
+    // 3. Each device plan references an existing transmission that
+    //    lists it as recipient. Several transmissions may share an
+    //    instant (unicast deliveries paged in the same PO), so index
+    //    them as a multimap.
+    let mut by_time: HashMap<SimInstant, Vec<&Transmission>> = HashMap::new();
+    for t in &plan.transmissions {
+        by_time.entry(t.at).or_default().push(t);
+    }
+    let ti = input.params().ti.duration();
+    let start = input.params().start;
+    for dp in &plan.device_plans {
+        let Some(txs) = by_time.get(&dp.receives_at) else {
+            return Err(PlanViolation::UnknownTransmission {
+                device: dp.device,
+                receives_at: dp.receives_at,
+            });
+        };
+        if !txs.iter().any(|tx| tx.recipients.contains(&dp.device)) {
+            return Err(PlanViolation::NotExactlyOnce {
+                device: dp.device,
+                times: 0,
+            });
+        }
+        // 4. Inactivity-timer discipline: the device must connect within
+        //    TI before (or exactly at) the transmission.
+        if let Some(connect_at) = dp.connect_at {
+            let lower = dp.receives_at.saturating_sub(ti);
+            if connect_at < lower || connect_at > dp.receives_at {
+                return Err(PlanViolation::InactivityViolated {
+                    device: dp.device,
+                    connect_at,
+                    receives_at: dp.receives_at,
+                });
+            }
+        }
+        // 5. Nothing happens before the campaign start.
+        let earliest = [
+            dp.page.map(|p| p.po),
+            dp.mltc.map(|m| m.po),
+            dp.adaptation.map(|a| a.page_po),
+            dp.connect_at,
+        ]
+        .into_iter()
+        .flatten()
+        .min();
+        if let Some(e) = earliest {
+            if e < start {
+                return Err(PlanViolation::BeforeStart { device: dp.device });
+            }
+        }
+    }
+    // 6. Compliance flag consistency: only a plan that carries mltc
+    //    directives may be non-compliant and vice versa.
+    let uses_mltc = plan.device_plans.iter().any(|p| p.mltc.is_some());
+    if uses_mltc == plan.standards_compliant {
+        return Err(PlanViolation::ComplianceMismatch);
+    }
+    Ok(())
+}
+
+/// One edit of a valid plan, as a buggy mechanism might make it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mutation {
+    DropRecipient,
+    DuplicateRecipient,
+    MoveRecipient,
+    ReceivesAtMissing,
+    ReceivesAtOther,
+    ConnectPastTi,
+    PoBeforeStart,
+    FlipCompliance,
+    SwapTransmissions,
+    ReverseDevicePlans,
+    TruncateDevicePlans,
+    ForeignRecipient,
+}
+
+impl Mutation {
+    const ALL: [Mutation; 12] = [
+        Mutation::DropRecipient,
+        Mutation::DuplicateRecipient,
+        Mutation::MoveRecipient,
+        Mutation::ReceivesAtMissing,
+        Mutation::ReceivesAtOther,
+        Mutation::ConnectPastTi,
+        Mutation::PoBeforeStart,
+        Mutation::FlipCompliance,
+        Mutation::SwapTransmissions,
+        Mutation::ReverseDevicePlans,
+        Mutation::TruncateDevicePlans,
+        Mutation::ForeignRecipient,
+    ];
+}
+
+/// Applies `mutation` to a valid `plan`, with `pick` choosing the device,
+/// transmissions and positions it edits. Returns whether the edit kept
+/// the device order, the group membership and every connection trigger
+/// intact — the three properties the previous `validate` did not check.
+fn mutate(plan: &mut MulticastPlan, input: &GroupingInput, mutation: Mutation, pick: u64) -> bool {
+    let pick = pick as usize;
+    let n = plan.device_plans.len();
+    let d = pick % n;
+    let k = (pick / 61) % plan.transmissions.len();
+    let j = (pick / 3_721) % plan.transmissions.len();
+    let device = plan.device_plans[d].device;
+    match mutation {
+        Mutation::DropRecipient => {
+            let recipients = &mut plan.transmissions[k].recipients;
+            if !recipients.is_empty() {
+                recipients.remove(pick % recipients.len());
+            }
+        }
+        Mutation::DuplicateRecipient => plan.transmissions[k].recipients.push(device),
+        Mutation::MoveRecipient => {
+            for tx in &mut plan.transmissions {
+                tx.recipients.retain(|&r| r != device);
+            }
+            plan.transmissions[k].recipients.push(device);
+        }
+        Mutation::ReceivesAtMissing => {
+            let last = plan.transmissions.last().expect("non-empty").at;
+            plan.device_plans[d].receives_at = last + SimDuration::from_ms(1);
+        }
+        Mutation::ReceivesAtOther => plan.device_plans[d].receives_at = plan.transmissions[k].at,
+        Mutation::ConnectPastTi => {
+            let dp = &mut plan.device_plans[d];
+            if dp.connect_at.is_some() {
+                let past = input.params().ti.duration() + SimDuration::from_secs(1);
+                let moved = dp.receives_at.saturating_sub(past);
+                dp.connect_at = Some(moved);
+                if let Some(page) = &mut dp.page {
+                    page.po = moved;
+                }
+                if let Some(mltc) = &mut dp.mltc {
+                    mltc.wake_at = moved;
+                }
+            }
+        }
+        Mutation::PoBeforeStart => {
+            let before = input.params().start.saturating_sub(SimDuration::from_ms(1));
+            let dp = &mut plan.device_plans[d];
+            let mut pos: Vec<&mut SimInstant> = Vec::new();
+            pos.extend(dp.adaptation.as_mut().map(|a| &mut a.page_po));
+            pos.extend(dp.mltc.as_mut().map(|m| &mut m.po));
+            let non_triggers = pos.len();
+            pos.extend(dp.page.as_mut().map(|p| &mut p.po));
+            if !pos.is_empty() {
+                let which = pick % pos.len();
+                *pos[which] = before;
+                // The page PO is the connection trigger.
+                return which < non_triggers || !plan.requires_connection;
+            }
+        }
+        Mutation::FlipCompliance => plan.standards_compliant = !plan.standards_compliant,
+        Mutation::SwapTransmissions => plan.transmissions.swap(k, j),
+        Mutation::ReverseDevicePlans => {
+            plan.device_plans.reverse();
+            return n < 2;
+        }
+        Mutation::TruncateDevicePlans => {
+            plan.device_plans.truncate(d);
+            return false;
+        }
+        Mutation::ForeignRecipient => {
+            let foreign = DeviceId(u32::MAX);
+            assert_eq!(input.position_of(foreign), None);
+            let recipients = &mut plan.transmissions[k].recipients;
+            recipients.insert(pick % (recipients.len() + 1), foreign);
+            return false;
+        }
+    }
+    true
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn validate_is_the_reference_plus_engine_assumptions(
+        mix in arb_mix(),
+        params in arb_params(),
+        n in 2usize..40,
+        seed in 0u64..1_000,
+        mutation in proptest::sample::select(Mutation::ALL.to_vec()),
+        pick in 0u64..u64::MAX,
+    ) {
+        let pop = mix.generate(n, &mut StdRng::seed_from_u64(seed)).unwrap();
+        let input = GroupingInput::from_population(&pop, params).unwrap();
+        for kind in MechanismKind::ALL {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+            let mut plan = kind.instantiate().plan(&input, &mut rng).unwrap();
+            prop_assert_eq!(plan.validate(&input), Ok(()), "{kind}");
+            let intact = mutate(&mut plan, &input, mutation, pick);
+            let (new, old) = (plan.validate(&input), reference_validate(&plan, &input));
+            let context = format!("{kind}, {mutation:?}: new {new:?}, reference {old:?}");
+            if old.is_err() {
+                prop_assert!(new.is_err(), "{context}");
+            } else {
+                prop_assert!(
+                    matches!(
+                        new,
+                        Ok(())
+                            | Err(PlanViolation::DeviceOrder { .. }
+                                | PlanViolation::UnknownRecipient { .. }
+                                | PlanViolation::ConnectionTrigger { .. })
+                    ),
+                    "{context}"
+                );
+            }
+            if intact {
+                prop_assert_eq!(&new, &old, "{context}");
+            }
+        }
+    }
+}
+
 /// The planners that solve the deduplicated anchor-window instance.
 const INSTANCE_PLANNERS: [MechanismKind; 2] =
     [MechanismKind::DrScTabu(64), MechanismKind::DrScWeighted];
@@ -166,40 +410,10 @@ fn assert_finite(what: &str, value: &impl std::fmt::Debug) {
     assert!(bad.is_none(), "{what}: non-finite number in {text}");
 }
 
-#[test]
-fn instance_planners_are_valid_and_finite_on_edge_fleets() {
-    // One and two devices of the city mix, and an all-dense fleet (every
-    // cycle within TI: the instance is empty). `run_comparison` validates
-    // every plan before executing it.
-    for (label, mix, n, max_transmissions) in [
-        ("1 device", TrafficMix::ericsson_city(), 1, 1.0),
-        ("2 devices", TrafficMix::ericsson_city(), 2, 2.0),
-        ("all-dense", TrafficMix::short_drx(), 20, 1.0),
-    ] {
-        let config = ExperimentConfig {
-            mix,
-            n_devices: n,
-            runs: 3,
-            ..ExperimentConfig::default()
-        };
-        let cmp = run_comparison(&config, &INSTANCE_PLANNERS).unwrap();
-        assert_finite(label, &cmp);
-        for m in &cmp.mechanisms {
-            assert!(
-                m.transmissions.max <= max_transmissions,
-                "{label}: {} used {} transmissions",
-                m.mechanism,
-                m.transmissions.max
-            );
-        }
-    }
-}
-
-#[test]
-fn instance_planners_serve_identical_timelines_with_one_window() {
-    // Five sparse devices share one paging identity and eDRX cycle, so
-    // every anchor holds all of them (two anchors over the 2·maxDRX
-    // horizon, one distinct window); a dense device rides along.
+/// Five sparse devices sharing one paging identity and eDRX cycle — one
+/// PO timeline, so every DR-SC anchor holds all of them (two anchors over
+/// the 2·maxDRX horizon, one distinct window) — plus a dense device.
+fn shared_timeline_input() -> GroupingInput {
     let pop = TrafficMix::ericsson_city()
         .generate(6, &mut StdRng::seed_from_u64(21))
         .unwrap();
@@ -210,11 +424,85 @@ fn instance_planners_serve_identical_timelines_with_one_window() {
         d.paging = PagingConfig::edrx(EdrxCycle::Hf16);
     }
     devices[5].paging = PagingConfig::drx(DrxCycle::Rf128);
-    let params = GroupingParams::default();
-    let input = GroupingInput::from_devices(devices, params).unwrap();
+    GroupingInput::from_devices(devices, GroupingParams::default()).unwrap()
+}
+
+#[test]
+fn every_mechanism_is_valid_and_finite_on_edge_fleets() {
+    // One and two devices of the city mix, an all-dense fleet (every
+    // cycle within TI: the DR-SC instance is empty) and an all-CE2 fleet
+    // (every transmission at the deepest repetition level).
+    // `run_comparison` validates every plan before executing it.
+    let all_ce2 = TrafficMix::new(
+        "all-ce2",
+        vec![ClassSpec::new(
+            "manhole-sensor",
+            1.0,
+            PagingCycle::edrx(EdrxCycle::Hf256),
+            SimDuration::from_secs(86_400),
+        )
+        .with_coverage(CoverageClass::Extreme)],
+    )
+    .unwrap();
+    for (label, mix, n, max_transmissions) in [
+        ("1 device", TrafficMix::ericsson_city(), 1, 1.0),
+        ("2 devices", TrafficMix::ericsson_city(), 2, 2.0),
+        ("all-dense", TrafficMix::short_drx(), 20, 1.0),
+        ("all-CE2", all_ce2, 20, 20.0),
+    ] {
+        let config = ExperimentConfig {
+            mix,
+            n_devices: n,
+            runs: 3,
+            ..ExperimentConfig::default()
+        };
+        let cmp = run_comparison(&config, &MechanismKind::ALL).unwrap();
+        assert_finite(label, &cmp);
+        assert_eq!(cmp.mechanisms.len(), MechanismKind::ALL.len(), "{label}");
+        for m in &cmp.mechanisms {
+            // Unicast sends one transmission per device.
+            let bound = if m.mechanism == MechanismKind::Unicast.to_string() {
+                n as f64
+            } else {
+                max_transmissions
+            };
+            assert!(
+                m.transmissions.max <= bound,
+                "{label}: {} used {} transmissions",
+                m.mechanism,
+                m.transmissions.max
+            );
+        }
+        if label == "all-CE2" {
+            // Every transmission is priced at CE2, whatever the plan.
+            let ratio = cmp.mechanisms[0].airtime_vs_count_ratio.mean;
+            assert!(ratio > 1.0, "CE2 airtime ratio {ratio}");
+            for m in &cmp.mechanisms {
+                assert_eq!(m.airtime_vs_count_ratio.mean, ratio, "{}", m.mechanism);
+            }
+        }
+    }
+    // Sparse devices on one PO timeline, through `run_campaign`.
+    let input = shared_timeline_input();
+    for kind in MechanismKind::ALL {
+        let result = run_campaign(
+            kind.instantiate().as_ref(),
+            &input,
+            &SimConfig::default(),
+            &mut StdRng::seed_from_u64(2),
+        )
+        .unwrap();
+        assert_finite(&kind.to_string(), &result);
+        assert_eq!(result.device_count(), input.len(), "{kind}");
+    }
+}
+
+#[test]
+fn instance_planners_serve_identical_timelines_with_one_window() {
+    let input = shared_timeline_input();
     let (events, dense) = input.po_events();
     let instance = nbiot_multicast::grouping::set_cover::AnchorInstance::new(
-        params.ti.duration(),
+        input.params().ti.duration(),
         &events,
         &dense,
     );
