@@ -492,7 +492,8 @@ stage_massive_smoke() {
         --warn-only --out "$report" > /dev/null
     local s
     for s in massive_instance_generation index_build_serial index_build_parallel \
-             set_cover_massive_incremental set_cover_massive_bitset plan_validate; do
+             set_cover_massive_incremental set_cover_massive_bitset plan_validate \
+             window_cover_massive; do
         grep -q "\"$s" "$report" || { echo "bench report lacks stage $s" >&2; return 1; }
     done
     echo "massive smoke OK (all three legs)"

@@ -8,9 +8,10 @@
 //! `--devices`/`--runs`; `--threads` sets the *parallel* comparison's
 //! worker count, 0 = all cores). The massive-n scale-tier stages solve a
 //! `--massive-devices` (default 10^6) frame-cover point, race the
-//! serial vs parallel kernel index build, and validate the DA-SC and
+//! serial vs parallel kernel index build, validate the DA-SC and
 //! DR-SI plans of a massive-metering fleet of that size
-//! (`plan_validate`). `--out <path>` redirects the
+//! (`plan_validate`) and solve that fleet's DR-SC window cover
+//! (`window_cover_massive`). `--out <path>` redirects the
 //! report. Building with `--features bench-alloc` adds a `mem` block to
 //! every stage (peak allocated bytes in the stage's window, plus
 //! bytes-per-device where the stage has a device count).
@@ -283,10 +284,10 @@ fn main() {
                      \x20      [--warn-only]\n\
                      runs the fixed macro workload through every pipeline stage and writes\n\
                      a BENCH_results.json report (default workload: 5 mechanisms x 500\n\
-                     devices x 20 runs). --massive-devices sizes the scale-tier kernel\n\
-                     and plan_validate stages (default 1000000). --compare turns the run\n\
-                     into a regression gate against a baseline report; --warn-only\n\
-                     downgrades it to a report.\n\
+                     devices x 20 runs). --massive-devices sizes the scale-tier kernel,\n\
+                     plan_validate and window_cover_massive stages (default 1000000).\n\
+                     --compare turns the run into a regression gate against a baseline\n\
+                     report; --warn-only downgrades it to a report.\n\
                      build with --features bench-alloc to add per-stage memory accounting."
                 );
                 return;
@@ -940,6 +941,31 @@ fn main() {
             }),
         ));
     }
+    // The same fleet's DR-SC window cover. eDRX paging time windows put
+    // its sparse POs on few distinct instants, unlike the uniform phases
+    // of the `window_cover_*` stages below.
+    let (events, dense) = massive_input.po_events();
+    let start = massive_input.search_horizon().start();
+    let (slots, ms) = timed_min(3, || {
+        WindowCover::new(massive_input.params().ti.duration())
+            .solve(start, &events, &dense)
+            .expect("coverable")
+    });
+    let mut instants: Vec<_> = events.iter().flatten().copied().collect();
+    let po_count = instants.len();
+    instants.sort_unstable();
+    instants.dedup();
+    stages.push(stage(
+        "window_cover_massive",
+        ms,
+        json!({
+            "devices": massive_input.len(),
+            "events": po_count,
+            "instants": instants.len(),
+            "slots": slots.len(),
+        }),
+    ));
+    drop((events, dense, instants, slots));
     drop(massive_input);
 
     let (events, dense) = workload::window_cover_instance(1_000, 2_600, opts.seed);

@@ -12,6 +12,7 @@ use nbiot_bench::workload;
 use nbiot_des::SeedSequence;
 use nbiot_grouping::set_cover::{
     greedy_set_cover, greedy_set_cover_bitset, greedy_set_cover_weighted, reference, KernelArena,
+    WindowCover,
 };
 use nbiot_grouping::{repair_plan, GroupingInput, GroupingParams, MechanismKind};
 
@@ -175,6 +176,54 @@ fn tabu_plan_without_improvement_is_pinned() {
         nbiot_sim::value_digest(&serde::Serialize::to_value(&plan)),
         0x1297_50d9_3f61_e9ca,
         "unimproved tabu plan content moved"
+    );
+}
+
+#[test]
+fn massive_metering_window_cover_is_pinned() {
+    // `WindowCover::solve` on a 20,000-device massive-metering fleet, the
+    // fleet `bench_report --massive-devices 20000` builds. eDRX paging
+    // time windows put its sparse POs on few distinct instants (about 7
+    // per instant), the shape where candidates per PO event and per PO
+    // instant differ most. The slot count and an FNV-1a fold over every
+    // slot's window start and newly covered devices pin the cover, and
+    // both engines must agree on it.
+    let pop = nbiot_traffic::TrafficMix::massive_metering()
+        .generate(
+            20_000,
+            &mut SeedSequence::new(BENCH_SEED).child(2_000).rng(0),
+        )
+        .expect("population");
+    let input = GroupingInput::from_population(&pop, GroupingParams::default()).expect("input");
+    let (events, dense) = input.po_events();
+    let mut instants: Vec<_> = events.iter().flatten().copied().collect();
+    let pos = instants.len();
+    instants.sort_unstable();
+    instants.dedup();
+    assert_eq!((pos, instants.len()), (86_472, 12_050), "fleet shape moved");
+
+    let start = input.search_horizon().start();
+    let cover = WindowCover::new(input.params().ti.duration());
+    let slots = cover.solve(start, &events, &dense).expect("coverable");
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for slot in &slots {
+        for v in std::iter::once(slot.window_start.as_ms())
+            .chain(std::iter::once(slot.covered.len() as u64))
+            .chain(slot.covered.iter().map(|&d| d as u64))
+        {
+            h ^= v;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    assert_eq!(
+        (slots.len(), h),
+        (1_218, 0x0004_a64c_5cf3_0cdf),
+        "massive-metering cover moved"
+    );
+    assert_eq!(
+        cover.solve_incremental(start, &events, &dense),
+        cover.solve_sweep(start, &events, &dense),
+        "window-cover engines disagree"
     );
 }
 

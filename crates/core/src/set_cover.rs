@@ -38,8 +38,9 @@
 //!    max-gain snapshot heap (`GainQueue` internally). Total work is
 //!    `O(L log L)` over the whole solve, where `L` is the summed set
 //!    size, independent of the round count. [`greedy_set_cover`] is this
-//!    solver; [`WindowCover::solve`] dispatches to it when the window
-//!    occupancy is low (see [`WindowCover::solve_incremental`]).
+//!    solver; [`WindowCover::solve_incremental`] runs it with one
+//!    candidate per distinct PO instant, and [`WindowCover::solve`]
+//!    dispatches to it when its work estimate beats the re-sweep's.
 //! 2. **Eager re-sweep fast paths** (the PR-1 kernels):
 //!    [`greedy_set_cover_bitset`] packs each set into `u64` bitset rows so
 //!    a round's gain is a `popcount(set & !covered)` sweep;
@@ -57,36 +58,27 @@ use std::collections::{BinaryHeap, HashMap};
 use nbiot_time::{SimDuration, SimInstant};
 
 /// Lazy max-gain priority queue over `(gain, Reverse(candidate))`
-/// snapshots — the priority structure of the incremental solvers.
+/// snapshots — the priority structure of the incremental solvers, kept in
+/// a caller-owned heap (the [`KernelArena`]'s).
 ///
 /// Gains of a greedy cover only ever *decrease* as coverage grows
 /// (coverage gain is submodular), so a snapshot taken earlier is an upper
 /// bound on the candidate's current gain. Every gain change pushes a fresh
-/// snapshot; [`GainQueue::pop_current`] discards stale entries until the
-/// top snapshot matches the candidate's live gain. The first current entry
-/// popped is exactly the eager greedy's argmax with ties broken towards
-/// the lowest index: any entry ordered above `(gain[s*], s*)` either
-/// carries a stale (higher) gain or would itself be a lower-index argmax.
-struct GainQueue {
-    // u32 keys keep the snapshots at 8 bytes: gains are device counts and
-    // candidates are set/anchor indices, both far below 2^32 for any
-    // instance that fits in memory.
-    heap: BinaryHeap<(u32, Reverse<u32>)>,
-}
+/// snapshot; [`GainQueue::pop_current_from`] discards stale entries until
+/// the top snapshot matches the candidate's live gain. The first current
+/// entry popped is exactly the eager greedy's argmax with ties broken
+/// towards the lowest index: any entry ordered above `(gain[s*], s*)`
+/// either carries a stale (higher) gain or would itself be a lower-index
+/// argmax.
+///
+/// The keys are `u32`, so a snapshot is 8 bytes: gains are device counts
+/// and candidates are set/instant indices, both far below 2^32 for any
+/// instance that fits in memory.
+struct GainQueue;
 
 impl GainQueue {
-    /// Seeds the queue with a snapshot of every candidate with a positive
-    /// gain.
-    fn new(gains: &[u32]) -> GainQueue {
-        let mut queue = GainQueue {
-            heap: BinaryHeap::new(),
-        };
-        Self::seed(&mut queue.heap, gains);
-        queue
-    }
-
     /// Re-seeds `heap` (retaining its capacity) with a snapshot of every
-    /// candidate with a positive gain — the arena-backed entry point.
+    /// candidate with a positive gain.
     fn seed(heap: &mut BinaryHeap<(u32, Reverse<u32>)>, gains: &[u32]) {
         heap.clear();
         heap.extend(
@@ -99,31 +91,22 @@ impl GainQueue {
     }
 
     /// Pushes a fresh snapshot (no-op for exhausted candidates).
-    fn push(&mut self, gain: u32, candidate: usize) {
-        Self::push_to(&mut self.heap, gain, candidate);
-    }
-
     fn push_to(heap: &mut BinaryHeap<(u32, Reverse<u32>)>, gain: u32, candidate: usize) {
         if gain > 0 {
             heap.push((gain, Reverse(candidate as u32)));
         }
     }
 
-    /// Pops snapshots until one is current (`gains[c]` unchanged and `c`
-    /// not dead) and returns that candidate, or `None` when every
-    /// remaining candidate has gain zero.
-    fn pop_current(&mut self, gains: &[u32], dead: impl Fn(usize) -> bool) -> Option<usize> {
-        Self::pop_current_from(&mut self.heap, gains, dead)
-    }
-
+    /// Pops snapshots until one is current (`gains[c]` unchanged) and
+    /// returns that candidate, or `None` when every remaining candidate
+    /// has gain zero.
     fn pop_current_from(
         heap: &mut BinaryHeap<(u32, Reverse<u32>)>,
         gains: &[u32],
-        dead: impl Fn(usize) -> bool,
     ) -> Option<usize> {
         while let Some((gain, Reverse(candidate))) = heap.pop() {
             let candidate = candidate as usize;
-            if !dead(candidate) && gains[candidate] == gain {
+            if gains[candidate] == gain {
                 return Some(candidate);
             }
         }
@@ -194,16 +177,18 @@ impl RatioQueue {
     }
 }
 
-/// Reusable scratch for the incremental set-cover kernel: the dedup CSR,
-/// the element→sets inverted index, the per-worker build buffers, and the
-/// solve-phase scratch (gains, coverage tombstones, queue storage).
+/// Reusable scratch for the incremental set-cover kernels: the dedup CSR,
+/// the element→sets inverted index, the per-worker build buffers, the
+/// solve-phase scratch (gains, coverage tombstones, queue storage) and
+/// the window-cover buffers.
 ///
 /// Every buffer keeps its capacity across calls, so repeated plans within
 /// a run — the per-round re-planning of a churned campaign, or a figure
 /// sweep's device-count ladder — stop allocating once the largest
 /// instance has been seen. Construct one with [`KernelArena::new`] and
-/// thread it through [`greedy_set_cover_with`] / [`build_cover_index`];
-/// [`greedy_set_cover`] uses a thread-local arena internally.
+/// thread it through [`greedy_set_cover_with`] / [`build_cover_index`] /
+/// [`WindowCover::solve_in`]; [`greedy_set_cover`] uses a thread-local
+/// arena internally.
 #[derive(Debug, Default)]
 pub struct KernelArena {
     // Dedup CSR over the input sets.
@@ -230,13 +215,19 @@ pub struct KernelArena {
     // per-anchor cost column of the window front-end.
     wheap: BinaryHeap<(u64, Reverse<u32>)>,
     wcosts: Vec<u32>,
-    // Window-cover front-end scratch: the flat time-sorted event list and
-    // the per-device coverage flags behind [`WindowCover::solve_in`], so a
-    // long-lived caller (the grouping service's repair path) stops
-    // allocating them once the largest instance has been seen.
+    // Window-cover scratch: the flat time-sorted event list, per-device
+    // coverage flags and in-window counts, and per distinct PO instant its
+    // first event, its window end, the first instant whose window reaches
+    // it, and its count of uncovered events. The incremental window engine
+    // keeps its device → instants CSR in `elem_off`/`elem_sets` and its
+    // gains, round stamps and heap in the solve scratch above.
     wc_flat: Vec<(SimInstant, usize)>,
     wc_covered: Vec<bool>,
     wc_count: Vec<u32>,
+    wc_starts: Vec<u32>,
+    wc_ends: Vec<u32>,
+    wc_first: Vec<u32>,
+    wc_live: Vec<u32>,
 }
 
 impl KernelArena {
@@ -675,7 +666,7 @@ pub fn greedy_set_cover_with(
     touched.clear();
     let mut round = 0u32;
     while remaining > 0 {
-        let best = GainQueue::pop_current_from(heap, gains, |_| false)?;
+        let best = GainQueue::pop_current_from(heap, gains)?;
         picked.push(best);
         touched.clear();
         for &e in &set_elems[set_off[best]..set_off[best + 1]] {
@@ -1066,7 +1057,7 @@ pub struct WindowCover {
 /// Which greedy engine [`WindowCover::solve`] runs the rounds on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Strategy {
-    /// Pick by measured window occupancy (the production default).
+    /// Pick by the work estimate of each engine (the production default).
     Auto,
     /// Force the per-round two-pointer re-sweep (the PR-1 kernel).
     Sweep,
@@ -1076,7 +1067,12 @@ enum Strategy {
 
 impl WindowCover {
     /// Creates a solver for windows of inactivity-timer length `ti`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `ti` is zero: an empty window covers nothing.
     pub fn new(ti: SimDuration) -> WindowCover {
+        assert!(ti > SimDuration::ZERO, "window covers need a positive TI");
         WindowCover { ti }
     }
 
@@ -1094,10 +1090,13 @@ impl WindowCover {
     /// when some non-dense device has no PO events (it could never be
     /// covered).
     ///
-    /// The greedy rounds run on one of two engines — incremental gain
-    /// maintenance ([`WindowCover::solve_incremental`]) or the per-round
-    /// re-sweep ([`WindowCover::solve_sweep`]) — chosen by measured window
-    /// occupancy; both produce **identical slots** (see `docs/KERNELS.md`
+    /// Each round opens the window, anchored at a PO instant that still
+    /// holds an uncovered device's PO, that covers the most uncovered
+    /// devices (ties to the earliest instant). The rounds run on one of
+    /// two engines — incremental gain maintenance over distinct PO
+    /// instants ([`WindowCover::solve_incremental`]) or the per-round
+    /// re-sweep ([`WindowCover::solve_sweep`]) — chosen by a work estimate
+    /// of each; both produce **identical slots** (see `docs/KERNELS.md`
     /// for the crossover analysis), so the choice only trades wall-clock.
     ///
     /// # Panics
@@ -1109,15 +1108,16 @@ impl WindowCover {
         events: &[Vec<SimInstant>],
         dense: &[bool],
     ) -> Option<Vec<CoverSlot>> {
-        self.solve_with(horizon_start, events, dense, Strategy::Auto, None)
+        self.solve_in(horizon_start, events, dense, &mut KernelArena::new())
     }
 
-    /// [`WindowCover::solve`] with caller-owned scratch: the flat event
-    /// list, coverage flags and sweep counters live in `arena` and keep
-    /// their capacity across calls, so a long-lived caller (the grouping
-    /// service patching plans request after request) stops allocating the
-    /// front-end buffers once the largest fleet has been seen. Output is
-    /// **bit-identical** to [`WindowCover::solve`] (locked by unit test).
+    /// [`WindowCover::solve`] with caller-owned scratch: every buffer of
+    /// both engines (the flat event list, the instant grouping, coverage
+    /// flags, gains and the snapshot heap) lives in `arena` and keeps its
+    /// capacity across calls, so a long-lived caller (the grouping service
+    /// patching plans request after request) stops allocating them once
+    /// the largest fleet has been seen. Output is **bit-identical** to
+    /// [`WindowCover::solve`] (locked by unit test).
     ///
     /// # Panics
     ///
@@ -1129,13 +1129,13 @@ impl WindowCover {
         dense: &[bool],
         arena: &mut KernelArena,
     ) -> Option<Vec<CoverSlot>> {
-        self.solve_with(horizon_start, events, dense, Strategy::Auto, Some(arena))
+        self.solve_with(horizon_start, events, dense, Strategy::Auto, arena)
     }
 
     /// [`WindowCover::solve`] forced onto the per-round two-pointer
     /// re-sweep engine (the PR-1 kernel) — exposed so equivalence tests
-    /// and benchmarks can pin the engine regardless of the occupancy
-    /// heuristic. Identical output to [`WindowCover::solve`].
+    /// and benchmarks can pin the engine regardless of the crossover.
+    /// Identical output to [`WindowCover::solve`].
     ///
     /// # Panics
     ///
@@ -1146,13 +1146,22 @@ impl WindowCover {
         events: &[Vec<SimInstant>],
         dense: &[bool],
     ) -> Option<Vec<CoverSlot>> {
-        self.solve_with(horizon_start, events, dense, Strategy::Sweep, None)
+        let arena = &mut KernelArena::new();
+        self.solve_with(horizon_start, events, dense, Strategy::Sweep, arena)
     }
 
     /// [`WindowCover::solve`] forced onto the incremental-gain engine —
     /// exposed so equivalence tests and benchmarks can pin the engine
-    /// regardless of the occupancy heuristic. Identical output to
+    /// regardless of the crossover. Identical output to
     /// [`WindowCover::solve`].
+    ///
+    /// The engine keeps one candidate per **distinct PO instant**, not per
+    /// PO event: the window opening at instant `t` holds the devices with
+    /// a PO in `[t, t + TI)`, and an instant stays a candidate while one
+    /// of its POs belongs to an uncovered device. Covering a device
+    /// decrements the gains of the instants whose window sees one of its
+    /// POs, once per window, so a solve does at most `M_inst` decrements,
+    /// the summed event count over the instants' windows.
     ///
     /// # Panics
     ///
@@ -1163,7 +1172,8 @@ impl WindowCover {
         events: &[Vec<SimInstant>],
         dense: &[bool],
     ) -> Option<Vec<CoverSlot>> {
-        self.solve_with(horizon_start, events, dense, Strategy::Incremental, None)
+        let arena = &mut KernelArena::new();
+        self.solve_with(horizon_start, events, dense, Strategy::Incremental, arena)
     }
 
     /// Cost-aware cover over the [`AnchorInstance`] (the same deduplicated
@@ -1293,7 +1303,7 @@ impl WindowCover {
         events: &[Vec<SimInstant>],
         dense: &[bool],
         strategy: Strategy,
-        arena: Option<&mut KernelArena>,
+        arena: &mut KernelArena,
     ) -> Option<Vec<CoverSlot>> {
         assert_eq!(events.len(), dense.len(), "events/dense length mismatch");
         let n = events.len();
@@ -1306,18 +1316,8 @@ impl WindowCover {
             }
         }
 
-        // Front-end buffers: borrowed from the arena when the caller holds
-        // one, call-local otherwise. Both paths clear and refill, so the
-        // solve is bit-identical either way.
-        let mut local_flat: Vec<(SimInstant, usize)> = Vec::new();
-        let mut local_covered: Vec<bool> = Vec::new();
-        let mut local_count: Vec<u32> = Vec::new();
-        let (flat, covered, count) = match arena {
-            Some(a) => (&mut a.wc_flat, &mut a.wc_covered, &mut a.wc_count),
-            None => (&mut local_flat, &mut local_covered, &mut local_count),
-        };
-
         // Flat, time-sorted (po, device) list over sparse devices only.
+        let flat = &mut arena.wc_flat;
         flat.clear();
         flat.reserve(
             events
@@ -1335,156 +1335,160 @@ impl WindowCover {
         flat.sort_unstable();
 
         let uncovered_sparse = dense.iter().filter(|&&d| !d).count();
-        reset(covered, n, false);
-        let mut slots: Vec<CoverSlot> = if uncovered_sparse == 0 {
-            Vec::new()
-        } else {
-            // The incremental engine needs the per-anchor window ends;
-            // the Auto crossover test is a cheap fold over the same
-            // array, so compute it once and hand it down.
-            let ends = match strategy {
-                Strategy::Sweep => None,
-                Strategy::Incremental => Some(self.window_ends(flat)),
-                Strategy::Auto => {
-                    let ends = self.window_ends(flat);
-                    self.incremental_pays_off(&ends, uncovered_sparse)
-                        .then_some(ends)
-                }
-            };
-            match ends {
-                Some(ends) => self.rounds_incremental(flat, ends, covered, uncovered_sparse),
-                None => self.rounds_sweep(flat, count, covered, uncovered_sparse),
-            }
+        reset(&mut arena.wc_covered, n, false);
+        let incremental = strategy != Strategy::Sweep && {
+            self.group_instants(&arena.wc_flat, &mut arena.wc_starts, &mut arena.wc_ends);
+            strategy == Strategy::Incremental
+                || incremental_pays_off(&arena.wc_starts, &arena.wc_ends, uncovered_sparse)
         };
-        self.attach_dense(horizon_start, dense, covered, &mut slots);
+        let mut slots = if uncovered_sparse == 0 {
+            Vec::new()
+        } else if incremental {
+            self.rounds_incremental(arena, uncovered_sparse)
+        } else {
+            self.rounds_sweep(arena, uncovered_sparse)
+        };
+        self.attach_dense(horizon_start, dense, &mut arena.wc_covered, &mut slots);
         Some(slots)
     }
 
-    /// One two-pointer pass over the flat event list: `ends[i]` is the
-    /// exclusive end of the index range `[i, ends[i])` of events inside
-    /// the window anchored at event `i` (`ends` is non-decreasing because
-    /// the anchors are time-sorted).
-    fn window_ends(&self, flat: &[(SimInstant, usize)]) -> Vec<usize> {
-        let e = flat.len();
-        let mut ends = vec![0usize; e];
-        let mut k = 0usize;
-        for (i, &(start, _)) in flat.iter().enumerate() {
-            let end = start + self.ti;
-            if k < i {
-                k = i;
-            }
-            while k < e && flat[k].0 < end {
-                k += 1;
-            }
-            ends[i] = k;
-        }
-        ends
-    }
-
-    /// The engine crossover: the incremental path's total decrement work
-    /// is bounded by the summed window occupancy `mass = Σᵢ (jᵢ − i)`
-    /// (every (anchor, covered-device-in-window) pair is decremented at
-    /// most once over the whole solve), while the re-sweep pays
-    /// `rounds × events` with `rounds ≳ n/w̄` for mean occupancy
-    /// `w̄ = mass/events`. The curves cross near `w̄ ≈ √n`; below it the
-    /// incremental engine wins (few devices per window ⇒ many cheap
-    /// rounds), above it the sweep does (crowded windows ⇒ few expensive
-    /// rounds). See `docs/KERNELS.md`.
-    fn incremental_pays_off(&self, ends: &[usize], n_sparse: usize) -> bool {
-        let e = ends.len();
-        let mass: u64 = ends.iter().enumerate().map(|(i, &k)| (k - i) as u64).sum();
-        (mass as f64) <= (e as f64) * (n_sparse as f64).sqrt()
-    }
-
-    /// Greedy rounds on incremental gain maintenance: per-anchor gains are
-    /// seeded with one self-cleaning sweep, then kept exact through the
-    /// device→positions index — covering a device decrements precisely the
-    /// alive anchors whose window sees one of its POs (merged position
-    /// ranges count a device once per window) and tombstones the device's
-    /// own events as anchors (the sweep engine compacts them away
-    /// instead). Winners pop from the same lazy snapshot queue as
-    /// [`greedy_set_cover`].
-    ///
-    /// The anchor index set of a window is the *lexicographic* range
-    /// `[i, j_i)` of the original flat array, which is invariant under the
-    /// reference solver's compaction — the root fact behind slot-identity.
-    fn rounds_incremental(
+    /// Groups the time-sorted events by distinct instant:
+    /// `starts[q]..starts[q + 1]` are the events at instant `q`, and
+    /// `ends[q]` is the first instant outside the window that opens at
+    /// `q`, so that window holds the events `starts[q]..starts[ends[q]]`
+    /// (`ends` is non-decreasing).
+    fn group_instants(
         &self,
         flat: &[(SimInstant, usize)],
-        j: Vec<usize>,
-        covered: &mut [bool],
+        starts: &mut Vec<u32>,
+        ends: &mut Vec<u32>,
+    ) {
+        assert!(
+            flat.len() < u32::MAX as usize,
+            "instant grouping uses u32 event offsets"
+        );
+        starts.clear();
+        starts.extend(
+            (0..flat.len())
+                .filter(|&i| i == 0 || flat[i - 1].0 != flat[i].0)
+                .map(|i| i as u32),
+        );
+        let instants = starts.len();
+        starts.push(flat.len() as u32);
+        ends.clear();
+        let mut k = 0usize;
+        for q in 0..instants {
+            let end = flat[starts[q] as usize].0 + self.ti;
+            // A positive TI keeps instant q inside its own window.
+            k = k.max(q + 1);
+            while k < instants && flat[starts[k] as usize].0 < end {
+                k += 1;
+            }
+            ends.push(k as u32);
+        }
+    }
+
+    /// Greedy rounds on incremental gain maintenance over the instant
+    /// grouping of [`WindowCover::group_instants`]. Per instant it keeps
+    /// the gain (distinct uncovered devices with a PO in its window), the
+    /// live count (its events whose device is still uncovered) and the
+    /// first instant whose window reaches it. Covering a device decrements
+    /// the gains over the merged instant ranges of its POs, once per
+    /// window, and the live count of each instant holding one of its POs;
+    /// an instant whose live count is zero is no longer a candidate.
+    /// Winners pop from the same lazy snapshot queue as
+    /// [`greedy_set_cover`].
+    ///
+    /// The slots equal the re-sweep's, which anchors at the events left
+    /// after dropping covered devices' POs. Among the events left at one
+    /// instant, the first has the largest window and the lowest index, so
+    /// the event-level argmax over `(gain, lowest event)` is the
+    /// instant-level argmax over `(gain, lowest live instant)`, and its
+    /// window holds every event of the instant.
+    fn rounds_incremental(
+        &self,
+        arena: &mut KernelArena,
         mut uncovered_sparse: usize,
     ) -> Vec<CoverSlot> {
-        let e = flat.len();
+        let KernelArena {
+            elem_off: dev_off,
+            elem_sets: dev_instants,
+            cursor,
+            gains,
+            last_touch,
+            touched,
+            heap,
+            wc_flat: flat,
+            wc_covered: covered,
+            wc_count: count,
+            wc_starts: starts,
+            wc_ends: ends,
+            wc_first: first,
+            wc_live: live,
+            ..
+        } = arena;
         let n = covered.len();
-        // j[i]: exclusive end of the index range [i, j[i]) of events
-        // inside the window anchored at event i (see `window_ends`).
-        debug_assert_eq!(j.len(), e);
-        // lo[p]: first anchor whose window still contains position p
-        // (j is non-decreasing, so {a : j[a] > p} is a suffix).
-        let mut lo = vec![0usize; e];
-        {
-            let mut a = 0usize;
-            for (p, slot) in lo.iter_mut().enumerate() {
-                while a < e && j[a] <= p {
-                    a += 1;
-                }
-                *slot = a;
+        let instants = ends.len();
+        let events_of = |q: usize| starts[q] as usize..starts[q + 1] as usize;
+        // first[q]: the first instant whose window reaches q (ends is
+        // non-decreasing, so {a : ends[a] > q} is a suffix).
+        first.clear();
+        let mut a = 0usize;
+        for q in 0..instants {
+            while ends[a] as usize <= q {
+                a += 1;
             }
+            first.push(a as u32);
         }
-        // Device → its event positions in flat (CSR, ascending).
-        let mut pos_off = vec![0usize; n + 1];
-        for &(_, d) in flat {
-            pos_off[d + 1] += 1;
+        live.clear();
+        live.extend((0..instants).map(|q| events_of(q).len() as u32));
+        // Device → instants of its POs (CSR, ascending).
+        reset(dev_off, n + 1, 0);
+        for &(_, d) in flat.iter() {
+            dev_off[d + 1] += 1;
         }
         for d in 0..n {
-            pos_off[d + 1] += pos_off[d];
+            dev_off[d + 1] += dev_off[d];
         }
-        let mut cursor = pos_off[..n].to_vec();
-        let mut positions = vec![0usize; e];
-        for (p, &(_, d)) in flat.iter().enumerate() {
-            positions[cursor[d]] = p;
-            cursor[d] += 1;
+        cursor.clear();
+        cursor.extend_from_slice(&dev_off[..n]);
+        reset(dev_instants, flat.len(), 0);
+        for q in 0..instants {
+            for &(_, d) in &flat[events_of(q)] {
+                dev_instants[cursor[d] as usize] = q as u32;
+                cursor[d] += 1;
+            }
         }
-        // Initial gains: one self-cleaning two-pointer sweep (each event
-        // is counted once as a window member, discounted once as the
-        // anchor).
-        let mut count = vec![0u32; n];
-        let mut gains = vec![0u32; e];
-        {
-            let mut distinct = 0u32;
-            let mut k = 0usize;
-            for i in 0..e {
-                while k < j[i] {
-                    let d = flat[k].1;
-                    if count[d] == 0 {
-                        distinct += 1;
-                    }
-                    count[d] += 1;
-                    k += 1;
-                }
-                gains[i] = distinct;
-                let d = flat[i].1;
+        // Initial gains: one self-cleaning sweep (each event is counted
+        // once as a window member and discounted once with its instant).
+        reset(count, n, 0);
+        gains.clear();
+        let (mut distinct, mut k) = (0u32, 0usize);
+        for q in 0..instants {
+            while k < starts[ends[q] as usize] as usize {
+                let d = flat[k].1;
+                distinct += u32::from(count[d] == 0);
+                count[d] += 1;
+                k += 1;
+            }
+            gains.push(distinct);
+            for &(_, d) in &flat[events_of(q)] {
                 count[d] -= 1;
-                if count[d] == 0 {
-                    distinct -= 1;
-                }
+                distinct -= u32::from(count[d] == 0);
             }
         }
 
-        let mut dead = vec![false; e];
-        let mut queue = GainQueue::new(&gains);
-        let mut last_touch = vec![usize::MAX; e];
-        let mut touched: Vec<usize> = Vec::new();
+        GainQueue::seed(heap, gains);
+        // Per-round dedup of gain-changed instants, stamped by round.
+        reset(last_touch, instants, u32::MAX);
         let mut slots = Vec::new();
-        let mut round = 0usize;
+        let mut round = 0u32;
         while uncovered_sparse > 0 {
-            let a = queue
-                .pop_current(&gains, |i| dead[i])
+            let q = GainQueue::pop_current_from(heap, gains)
                 .expect("uncovered sparse device without events");
-            let window_start = flat[a].0;
-            let transmit_at = window_start + self.ti;
-            let mut newly: Vec<usize> = flat[a..j[a]]
+            let window_start = flat[starts[q] as usize].0;
+            let window = starts[q] as usize..starts[ends[q] as usize] as usize;
+            let mut newly: Vec<usize> = flat[window]
                 .iter()
                 .filter(|&&(_, d)| !covered[d])
                 .map(|&(_, d)| d)
@@ -1495,35 +1499,38 @@ impl WindowCover {
             touched.clear();
             for &d in &newly {
                 covered[d] = true;
-                // Anchors seeing >= 1 PO of d: the union of [lo[p], p]
-                // over d's positions; the ranges are sorted on both ends,
-                // so a running start merges overlaps and each anchor is
-                // decremented once for d.
+                // Instants seeing >= 1 PO of d: the union of
+                // [first[p], p] over d's instants; the ranges are sorted
+                // on both ends, so a running start merges overlaps and
+                // each instant is decremented once for d.
                 let mut next_start = 0usize;
-                for &p in &positions[pos_off[d]..pos_off[d + 1]] {
-                    dead[p] = true;
-                    for anchor in lo[p].max(next_start)..=p {
-                        if !dead[anchor] {
-                            gains[anchor] -= 1;
-                            if last_touch[anchor] != round {
-                                last_touch[anchor] = round;
-                                touched.push(anchor);
-                            }
+                for &p in &dev_instants[dev_off[d] as usize..dev_off[d + 1] as usize] {
+                    let p = p as usize;
+                    live[p] -= 1;
+                    for a in (first[p] as usize).max(next_start)..=p {
+                        gains[a] -= 1;
+                        if last_touch[a] != round {
+                            last_touch[a] = round;
+                            touched.push(a as u32);
                         }
                     }
                     next_start = p + 1;
                 }
             }
             uncovered_sparse -= newly.len();
-            for &anchor in &touched {
-                if !dead[anchor] {
-                    queue.push(gains[anchor], anchor);
+            // An instant's live count drops to zero in a round that also
+            // decrements its gain, so withholding its fresh snapshot
+            // leaves only stale ones: it is never picked again.
+            for &a in touched.iter() {
+                let a = a as usize;
+                if live[a] > 0 {
+                    GainQueue::push_to(heap, gains[a], a);
                 }
             }
             round += 1;
             slots.push(CoverSlot {
                 window_start,
-                transmit_at,
+                transmit_at: window_start + self.ti,
                 covered: newly,
             });
         }
@@ -1533,13 +1540,13 @@ impl WindowCover {
     /// Greedy rounds on the per-round re-sweep engine (the PR-1 kernel):
     /// hoisted scratch buffers, one self-cleaning two-pointer sweep per
     /// round, spent events compacted away.
-    fn rounds_sweep(
-        &self,
-        flat: &mut Vec<(SimInstant, usize)>,
-        count: &mut Vec<u32>,
-        covered: &mut [bool],
-        mut uncovered_sparse: usize,
-    ) -> Vec<CoverSlot> {
+    fn rounds_sweep(&self, arena: &mut KernelArena, mut uncovered_sparse: usize) -> Vec<CoverSlot> {
+        let KernelArena {
+            wc_flat: flat,
+            wc_covered: covered,
+            wc_count: count,
+            ..
+        } = arena;
         reset(count, covered.len(), 0);
         let mut slots = Vec::new();
         while uncovered_sparse > 0 {
@@ -1620,6 +1627,31 @@ impl WindowCover {
             covered: newly,
         }
     }
+}
+
+/// The engine crossover over the instant grouping of
+/// [`WindowCover::group_instants`]. The incremental engine does at most
+/// `M_inst` decrements, the instant mass: the summed event count over the
+/// instants' windows. The re-sweep pays `rounds × E` for `E` events, and a
+/// window covers at most `w̄ = M_ev / E` devices for the event mass
+/// `M_ev` (the summed event count over each event's window, the window
+/// an event opens holding the events from it on), so it needs
+/// `rounds ≳ n / w̄` rounds: about `n·E² / M_ev` work. The incremental
+/// engine runs iff `M_inst·M_ev ≤ n·E²`; with one event per instant
+/// (`M_inst = M_ev`) that is `M_ev ≤ E·√n`. Every event at instant `q`
+/// shares the window end `starts[ends[q]]`, so both masses are sums over
+/// the instants. See `docs/KERNELS.md`.
+fn incremental_pays_off(starts: &[u32], ends: &[u32], n_sparse: usize) -> bool {
+    let (mut m_inst, mut m_ev) = (0u64, 0u64);
+    for (q, &end) in ends.iter().enumerate() {
+        let here = u64::from(starts[q + 1] - starts[q]);
+        let reach = u64::from(starts[end as usize] - starts[q]);
+        m_inst += reach;
+        // The k-th event at q (from 0) sees `reach - k` events.
+        m_ev += here * reach - here * (here - 1) / 2;
+    }
+    let e = u128::from(*starts.last().expect("grouping ends with the event count"));
+    u128::from(m_inst) * u128::from(m_ev) <= n_sparse as u128 * e * e
 }
 
 /// The original straightforward solvers, retained verbatim as the oracle
@@ -2302,7 +2334,7 @@ mod tests {
     #[test]
     fn both_window_engines_match_reference_exactly() {
         // Dense/sparse mixtures, compared slot-for-slot, with the engine
-        // pinned both ways (and the occupancy-dispatched default).
+        // pinned both ways (and the crossover-dispatched default).
         let mut state = 0x9E37_79B9_u64;
         let mut next = move || {
             state = state
@@ -2382,8 +2414,9 @@ mod tests {
     #[test]
     fn incremental_engine_handles_repeated_pos_within_one_window() {
         // Device 0 has two POs inside the same window; the distinct-gain
-        // bookkeeping must count it once (merged position ranges) and the
-        // tombstoned anchors must not resurface in later rounds.
+        // bookkeeping must count it once (merged instant ranges) and the
+        // instants left without an uncovered PO must not resurface in
+        // later rounds.
         let ti = SimDuration::from_ms(100);
         let events = vec![
             vec![ms(10), ms(60)],            // twice in the first window
@@ -2397,6 +2430,78 @@ mod tests {
         let slots = oracle.unwrap();
         assert_eq!(slots.len(), 2);
         assert_eq!(slots[0].covered, vec![0, 1]);
+    }
+
+    /// Every window engine on `events` (all sparse), checked against the
+    /// reference oracle; returns the slots as `(window_start, covered)`.
+    fn all_engines_agree(ti: SimDuration, events: &[Vec<SimInstant>]) -> Vec<(u64, Vec<usize>)> {
+        let dense = vec![false; events.len()];
+        let solver = WindowCover::new(ti);
+        let oracle = reference::window_cover_solve(ti, ms(0), events, &dense);
+        assert_eq!(solver.solve_incremental(ms(0), events, &dense), oracle);
+        assert_eq!(solver.solve_sweep(ms(0), events, &dense), oracle);
+        assert_eq!(solver.solve(ms(0), events, &dense), oracle);
+        oracle
+            .expect("coverable")
+            .into_iter()
+            .map(|slot| (slot.window_start.as_ms(), slot.covered))
+            .collect()
+    }
+
+    #[test]
+    fn instant_with_covered_first_device_stays_a_candidate() {
+        // Instant 100 holds devices 0, 1 and 2, in that order. Round one
+        // opens instant 0 and covers device 0, the first PO at 100. The
+        // instant keeps its uncovered devices 1 and 2 (which have no other
+        // PO) and its gain drops to exactly 2: below the 3 devices at
+        // 300, so 300 opens before it.
+        let ti = SimDuration::from_ms(10);
+        let events = vec![
+            vec![ms(0), ms(100)],
+            vec![ms(100)],
+            vec![ms(100)],
+            vec![ms(0)],
+            vec![ms(0)],
+            vec![ms(5)],
+            vec![ms(300)],
+            vec![ms(300)],
+            vec![ms(300)],
+        ];
+        assert_eq!(
+            all_engines_agree(ti, &events),
+            vec![
+                (0, vec![0, 3, 4, 5]),
+                (300, vec![6, 7, 8]),
+                (100, vec![1, 2]),
+            ]
+        );
+    }
+
+    #[test]
+    fn covered_instant_loses_gain_ties_to_the_next_live_instant() {
+        // Round one opens instant 0 and covers device 0, the only PO at
+        // instant 100. Instant 100's window still sees devices 3 and 4 at
+        // 105, so it ties on gain with instant 105, but it holds no
+        // uncovered PO any more: the greedy opens 105, as the re-sweep
+        // over the surviving POs does.
+        let ti = SimDuration::from_ms(10);
+        let events = vec![
+            vec![ms(0), ms(100)],
+            vec![ms(0)],
+            vec![ms(5)],
+            vec![ms(105)],
+            vec![ms(105)],
+        ];
+        assert_eq!(
+            all_engines_agree(ti, &events),
+            vec![(0, vec![0, 1, 2]), (105, vec![3, 4])]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "positive TI")]
+    fn zero_ti_is_rejected() {
+        WindowCover::new(SimDuration::ZERO);
     }
 
     #[test]

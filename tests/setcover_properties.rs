@@ -196,40 +196,6 @@ proptest! {
     }
 
     #[test]
-    fn both_window_engines_are_slot_identical_to_reference(
-        raw in proptest::collection::vec(
-            proptest::collection::vec(0u64..50_000, 0..6),
-            1..25
-        ),
-        dense_bits in proptest::collection::vec(0u8..4, 1..25),
-        ti_ms in 100u64..2_000,
-    ) {
-        let events: Vec<Vec<SimInstant>> = raw
-            .iter()
-            .map(|d| {
-                let mut v: Vec<SimInstant> = d.iter().map(|&m| SimInstant::from_ms(m)).collect();
-                v.sort_unstable();
-                v.dedup();
-                v
-            })
-            .collect();
-        // Random dense flags (aligned with events, padded with false).
-        let dense: Vec<bool> = (0..events.len())
-            .map(|i| dense_bits.get(i).is_some_and(|&b| b == 0))
-            .collect();
-        let ti = SimDuration::from_ms(ti_ms);
-        let solver = WindowCover::new(ti);
-        let oracle = reference::window_cover_solve(ti, SimInstant::ZERO, &events, &dense);
-        // The occupancy-dispatched default plus both engines pinned.
-        prop_assert_eq!(solver.solve(SimInstant::ZERO, &events, &dense), oracle.clone());
-        prop_assert_eq!(
-            solver.solve_incremental(SimInstant::ZERO, &events, &dense),
-            oracle.clone()
-        );
-        prop_assert_eq!(solver.solve_sweep(SimInstant::ZERO, &events, &dense), oracle);
-    }
-
-    #[test]
     fn greedy_matches_windowed_solver_on_frame_instances(
         raw in proptest::collection::vec(
             proptest::collection::vec(0u64..30, 1..4),
@@ -333,5 +299,53 @@ proptest! {
             WindowCover::new(ti).solve_weighted(SimInstant::ZERO, &events, &dense, cost, &mut arena),
             reference::window_cover_weighted(ti, SimInstant::ZERO, &events, &dense, cost)
         );
+    }
+}
+
+proptest! {
+    // More cases than the block above: a shared-instant slip moves a slot
+    // only when an instant keeps an uncovered device after another of its
+    // devices is covered elsewhere, which few small random draws reach.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn both_window_engines_are_slot_identical_to_reference(
+        raw in proptest::collection::vec(
+            proptest::collection::vec(0u64..50_000, 0..6),
+            1..25
+        ),
+        dense_bits in proptest::collection::vec(0u8..4, 1..25),
+        ti_ms in 100u64..2_000,
+        step_ms in 1u64..=2_000,
+    ) {
+        // POs are quantized to multiples of `step_ms`, so most cases put
+        // several devices on one instant, as eDRX paging time windows do;
+        // that is where per-event and per-instant candidates differ.
+        let events: Vec<Vec<SimInstant>> = raw
+            .iter()
+            .map(|d| {
+                let mut v: Vec<SimInstant> = d
+                    .iter()
+                    .map(|&m| SimInstant::from_ms(m / step_ms * step_ms))
+                    .collect();
+                v.sort_unstable();
+                v.dedup();
+                v
+            })
+            .collect();
+        // Random dense flags (aligned with events, padded with false).
+        let dense: Vec<bool> = (0..events.len())
+            .map(|i| dense_bits.get(i).is_some_and(|&b| b == 0))
+            .collect();
+        let ti = SimDuration::from_ms(ti_ms);
+        let solver = WindowCover::new(ti);
+        let oracle = reference::window_cover_solve(ti, SimInstant::ZERO, &events, &dense);
+        // The crossover-dispatched default plus both engines pinned.
+        prop_assert_eq!(solver.solve(SimInstant::ZERO, &events, &dense), oracle.clone());
+        prop_assert_eq!(
+            solver.solve_incremental(SimInstant::ZERO, &events, &dense),
+            oracle.clone()
+        );
+        prop_assert_eq!(solver.solve_sweep(SimInstant::ZERO, &events, &dense), oracle);
     }
 }
