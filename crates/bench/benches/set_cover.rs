@@ -1,16 +1,14 @@
 //! Criterion micro-benchmarks for the DR-SC set-cover kernels
 //! (the algorithmic core behind Fig. 7): the incremental-gain production
-//! solver against the bitset re-sweep and the retained reference
-//! implementations, on the 1000-device frame-cover instance and a
-//! 10k-device large-N stress point (see `docs/KERNELS.md`).
+//! solver against the retained reference implementations, on the
+//! 1000-device frame-cover instance and a 10k-device large-N stress point
+//! (see `docs/KERNELS.md`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use nbiot_bench::workload;
 use nbiot_des::SeedSequence;
-use nbiot_grouping::set_cover::{
-    greedy_set_cover, greedy_set_cover_bitset, reference, WindowCover,
-};
+use nbiot_grouping::set_cover::{greedy_set_cover, reference, WindowCover};
 use nbiot_time::{SimDuration, SimInstant};
 use rand::Rng;
 
@@ -82,26 +80,22 @@ fn bench_generic_greedy(c: &mut Criterion) {
     group.finish();
 }
 
-/// All three kernels on the realistic frame-cover shape: wide sets (the
-/// paper's dense devices appear in every candidate window).
-fn bench_frame_cover_kernels(c: &mut Criterion) {
-    let mut group = c.benchmark_group("frame_cover_1000");
-    let (universe, sets) = workload::frame_cover_instance(1_000, 42);
-    let oracle = reference::greedy_set_cover(universe, &sets);
+/// The incremental kernel against the reference oracle on `universe`
+/// devices of the frame-cover shape `dense_share` (same instances as
+/// bench_report's `set_cover_*` and `set_cover_stress_*` stages).
+fn bench_frame_cover(c: &mut Criterion, universe: usize, dense_share: f64) {
+    let mut group = c.benchmark_group(&format!("frame_cover_{universe}"));
+    let (universe, sets) = workload::frame_cover_instance_with(universe, dense_share, 42);
     assert_eq!(
         greedy_set_cover(universe, &sets),
-        oracle,
+        reference::greedy_set_cover(universe, &sets),
         "solvers must agree before being compared"
     );
-    assert_eq!(greedy_set_cover_bitset(universe, &sets), oracle);
     group.bench_with_input(
         BenchmarkId::new("incremental", universe),
         &universe,
         |b, _| b.iter(|| greedy_set_cover(universe, &sets).expect("coverable")),
     );
-    group.bench_with_input(BenchmarkId::new("bitset", universe), &universe, |b, _| {
-        b.iter(|| greedy_set_cover_bitset(universe, &sets).expect("coverable"))
-    });
     group.bench_with_input(
         BenchmarkId::new("reference", universe),
         &universe,
@@ -110,27 +104,17 @@ fn bench_frame_cover_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-/// Incremental vs bitset at the `large-n-stress` scale (10k devices), on
-/// the post-dense-filtering shape the DR-SC pipeline actually hands the
-/// kernel — the regime the inverted-index update model targets (same
-/// instance as bench_report's `set_cover_stress_*` stages).
+/// The realistic frame-cover shape: wide sets (the paper's dense devices
+/// appear in every candidate window).
+fn bench_frame_cover_kernels(c: &mut Criterion) {
+    bench_frame_cover(c, 1_000, 0.3);
+}
+
+/// The `large-n-stress` scale (10k devices), on the post-dense-filtering
+/// shape the DR-SC pipeline actually hands the kernel — the regime the
+/// inverted-index update model targets.
 fn bench_stress_kernels(c: &mut Criterion) {
-    let mut group = c.benchmark_group("frame_cover_10000");
-    let (universe, sets) = workload::frame_cover_instance_with(10_000, 0.0, 42);
-    assert_eq!(
-        greedy_set_cover(universe, &sets),
-        greedy_set_cover_bitset(universe, &sets),
-        "solvers must agree before being compared"
-    );
-    group.bench_with_input(
-        BenchmarkId::new("incremental", universe),
-        &universe,
-        |b, _| b.iter(|| greedy_set_cover(universe, &sets).expect("coverable")),
-    );
-    group.bench_with_input(BenchmarkId::new("bitset", universe), &universe, |b, _| {
-        b.iter(|| greedy_set_cover_bitset(universe, &sets).expect("coverable"))
-    });
-    group.finish();
+    bench_frame_cover(c, 10_000, 0.0);
 }
 
 criterion_group!(

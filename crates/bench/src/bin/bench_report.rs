@@ -7,9 +7,8 @@
 //! Default workload: 5 mechanisms × 500 devices × 20 runs (override with
 //! `--devices`/`--runs`; `--threads` sets the *parallel* comparison's
 //! worker count, 0 = all cores). The massive-n scale-tier stages solve a
-//! `--massive-devices` (default 10^6) frame-cover point, race the
-//! serial vs parallel kernel index build, validate the DA-SC and
-//! DR-SI plans of a massive-metering fleet of that size
+//! `--massive-devices` (default 10^6) frame-cover point, validate the
+//! DA-SC and DR-SI plans of a massive-metering fleet of that size
 //! (`plan_validate`) and solve that fleet's DR-SC window cover
 //! (`window_cover_massive`). `--out <path>` redirects the
 //! report. Building with `--features bench-alloc` adds a `mem` block to
@@ -48,14 +47,9 @@
 //!     ...                              // "mem" only with --features bench-alloc
 //!   ],
 //!   "derived": {
-//!     "set_cover_speedup": 3.4,        // reference greedy / bitset greedy
-//!     "set_cover_incremental_speedup": 8.0,  // bitset / incremental, 1000 devices
-//!     "set_cover_stress_speedup": 20.0,      // bitset / incremental, 10k devices
+//!     "set_cover_speedup": 14.0,       // reference / incremental greedy, 1000 devices
+//!     "set_cover_stress_speedup": 28.0,      // reference / incremental, 10k devices
 //!     "weighted_airtime_gain": 3.4,    // count-greedy airtime / weighted airtime, 10k devices
-//!     "set_cover_massive_speedup": 30.0,     // bitset / incremental, --massive-devices
-//!     "index_build_parallel_speedup": 2.5,   // serial / 4-worker index build (<= 1 on 1 core)
-//!     "index_build_warm_gain": 1.3,          // cold parallel build / warm-arena rebuild
-//!     "regroup_churn_speedup": 10.0,   // bitset / incremental, churned re-grouping sequence
 //!     "window_cover_speedup": 1.2,     // reference / incremental timeline solver
 //!     "window_cover_incremental_speedup": 5.0, // per-round sweep / incremental
 //!     "comparison_parallel_speedup": 5.9,
@@ -420,34 +414,23 @@ fn main() {
         }),
     ));
 
-    // ---- Stage 3: set-cover kernels — incremental vs bitset vs
-    // reference on the 1000-device frame-cover instance, then incremental
-    // vs bitset on a 10k-device large-n-stress point (the regime the
-    // inverted-index update model targets; the reference oracle is too
-    // slow to rerun there).
+    // ---- Stage 3: set-cover kernels — incremental vs reference on the
+    // 1000-device frame-cover instance, then on a 10k-device
+    // large-n-stress point (the regime the inverted-index update model
+    // targets).
     let (universe, sets) = workload::frame_cover_instance(1_000, opts.seed);
     let (picked_inc, incremental_ms) = timed_min(5, || {
         set_cover::greedy_set_cover(universe, &sets).expect("coverable")
     });
-    let (picked_fast, bitset_ms) = timed_min(5, || {
-        set_cover::greedy_set_cover_bitset(universe, &sets).expect("coverable")
-    });
     let (picked_ref, reference_ms) = timed_min(5, || {
         reference::greedy_set_cover(universe, &sets).expect("coverable")
     });
-    assert_eq!(picked_fast, picked_ref, "solvers must agree pick-for-pick");
     assert_eq!(picked_inc, picked_ref, "solvers must agree pick-for-pick");
-    let set_cover_speedup = reference_ms / bitset_ms;
-    let set_cover_incremental_speedup = bitset_ms / incremental_ms;
+    let set_cover_speedup = reference_ms / incremental_ms;
     stages.push(stage(
         "set_cover_incremental",
         incremental_ms,
         json!({ "devices": universe, "sets": sets.len(), "picks": picked_inc.len() }),
-    ));
-    stages.push(stage(
-        "set_cover_bitset",
-        bitset_ms,
-        json!({ "devices": universe, "sets": sets.len(), "picks": picked_fast.len() }),
     ));
     stages.push(stage(
         "set_cover_reference",
@@ -462,23 +445,20 @@ fn main() {
     let (stress_inc, stress_incremental_ms) = timed_min(3, || {
         set_cover::greedy_set_cover(universe10k, &sets10k).expect("coverable")
     });
-    let (stress_bitset, stress_bitset_ms) = timed_min(3, || {
-        set_cover::greedy_set_cover_bitset(universe10k, &sets10k).expect("coverable")
+    let (stress_ref, stress_reference_ms) = timed_min(3, || {
+        reference::greedy_set_cover(universe10k, &sets10k).expect("coverable")
     });
-    assert_eq!(
-        stress_inc, stress_bitset,
-        "solvers must agree pick-for-pick"
-    );
-    let set_cover_stress_speedup = stress_bitset_ms / stress_incremental_ms;
+    assert_eq!(stress_inc, stress_ref, "solvers must agree pick-for-pick");
+    let set_cover_stress_speedup = stress_reference_ms / stress_incremental_ms;
     stages.push(stage(
         "set_cover_stress_incremental",
         stress_incremental_ms,
         json!({ "devices": universe10k, "sets": sets10k.len(), "picks": stress_inc.len() }),
     ));
     stages.push(stage(
-        "set_cover_stress_bitset",
-        stress_bitset_ms,
-        json!({ "devices": universe10k, "sets": sets10k.len(), "picks": stress_bitset.len() }),
+        "set_cover_stress_reference",
+        stress_reference_ms,
+        json!({ "devices": universe10k, "sets": sets10k.len(), "picks": stress_ref.len() }),
     ));
 
     // ---- Stage 3a1: the airtime-weighted cover kernel — cost-aware
@@ -494,7 +474,7 @@ fn main() {
     let (wn, wsets, wcosts) = workload::weighted_cover_instance(1_000, opts.seed);
     let mut weighted_arena = set_cover::KernelArena::new();
     let (weighted_picks, weighted_ms) = timed_min(5, || {
-        set_cover::greedy_set_cover_weighted(wn, &wsets, &wcosts, 1, &mut weighted_arena)
+        set_cover::greedy_set_cover_weighted(wn, &wsets, &wcosts, &mut weighted_arena)
             .expect("coverable")
     });
     assert_eq!(
@@ -517,7 +497,7 @@ fn main() {
 
     let (wn10k, wsets10k, wcosts10k) = workload::weighted_cover_instance(10_000, opts.seed);
     let (stress_weighted, weighted_stress_ms) = timed_min(3, || {
-        set_cover::greedy_set_cover_weighted(wn10k, &wsets10k, &wcosts10k, 1, &mut weighted_arena)
+        set_cover::greedy_set_cover_weighted(wn10k, &wsets10k, &wcosts10k, &mut weighted_arena)
             .expect("coverable")
     });
     let stress_count = set_cover::greedy_set_cover(wn10k, &wsets10k).expect("coverable");
@@ -569,49 +549,6 @@ fn main() {
             "final_cost": tabu_stats.final_cost,
             "moves_accepted": tabu_stats.moves_accepted,
             "budget_spent": tabu_stats.budget_spent,
-        }),
-    ));
-
-    // ---- Stage 3b: re-grouping cost under churn — every epoch of a
-    // churned cover sequence is a fresh set-cover solve on a
-    // mostly-unchanged fleet (the every-epoch re-grouping policy's
-    // workload); the incremental and bitset kernels race over the whole
-    // sequence.
-    let churn_sequence = workload::churned_frame_cover_sequence(2_000, 8, 0.15, opts.seed);
-    let (churn_inc_picks, regroup_incremental_ms) = timed_min(3, || {
-        churn_sequence
-            .iter()
-            .map(|(n, sets)| set_cover::greedy_set_cover(*n, sets).expect("coverable"))
-            .collect::<Vec<_>>()
-    });
-    let (churn_bitset_picks, regroup_bitset_ms) = timed_min(3, || {
-        churn_sequence
-            .iter()
-            .map(|(n, sets)| set_cover::greedy_set_cover_bitset(*n, sets).expect("coverable"))
-            .collect::<Vec<_>>()
-    });
-    assert_eq!(
-        churn_inc_picks, churn_bitset_picks,
-        "solvers must agree pick-for-pick on every churned epoch"
-    );
-    let regroup_churn_speedup = regroup_bitset_ms / regroup_incremental_ms;
-    let churn_picks_total: usize = churn_inc_picks.iter().map(Vec::len).sum();
-    stages.push(stage(
-        "regroup_churn_incremental",
-        regroup_incremental_ms,
-        json!({
-            "devices": 2_000u64,
-            "epochs": churn_sequence.len(),
-            "picks_total": churn_picks_total,
-        }),
-    ));
-    stages.push(stage(
-        "regroup_churn_bitset",
-        regroup_bitset_ms,
-        json!({
-            "devices": 2_000u64,
-            "epochs": churn_sequence.len(),
-            "picks_total": churn_picks_total,
         }),
     ));
 
@@ -789,13 +726,10 @@ fn main() {
     // ---- Stage 3c: the massive-n scale tier — the 10^5-10^6-device
     // frame-cover point (post-dense-filter shape, so entries scale with
     // the event count). Single measurement per stage: at this scale a run
-    // is milliseconds-to-seconds and cache noise is irrelevant. The index
-    // build is raced serial vs parallel (4 workers, the acceptance
-    // point); checksum equality locks bit-identity, and the ratio is an
-    // honest measurement — on the 1-core CI container it is ≤ 1 (thread
-    // spawn overhead with no cores to win back; see ROADMAP), which is
-    // exactly what the report should say there.
-    let massive_threads = 4usize;
+    // is milliseconds-to-seconds and cache noise is irrelevant. The
+    // kernel stage times one solve after a warmup solve has sized the
+    // arena, so it measures the index build and the greedy rounds, not
+    // first-touch allocation.
     let ((massive_universe, massive_sets), massive_instance_ms) =
         timed(|| workload::frame_cover_instance_with(massive_devices, 0.0, opts.seed));
     stages.push(stage(
@@ -803,106 +737,27 @@ fn main() {
         massive_instance_ms,
         json!({ "devices": massive_universe, "sets": massive_sets.len() }),
     ));
+    let unit = vec![1; massive_sets.len()];
     let mut massive_arena = set_cover::KernelArena::new();
-    let (serial_stats, index_serial_ms) = timed(|| {
-        set_cover::build_cover_index(massive_universe, &massive_sets, 1, &mut massive_arena)
-    });
-    stages.push(stage(
-        "index_build_serial",
-        index_serial_ms,
-        json!({
-            "devices": massive_universe,
-            "sets": massive_sets.len(),
-            "entries": serial_stats.entries,
-            "workers": serial_stats.workers,
-        }),
-    ));
-    // Fresh arena: the parallel build pays its own allocations, exactly
-    // like the serial leg above.
-    drop(massive_arena);
-    let mut massive_arena = set_cover::KernelArena::new();
-    let (parallel_stats, index_parallel_ms) = timed(|| {
-        set_cover::build_cover_index(
+    let (massive_inc, massive_incremental_ms) = timed_min(1, || {
+        set_cover::greedy_set_cover_weighted(
             massive_universe,
             &massive_sets,
-            massive_threads,
-            &mut massive_arena,
-        )
-    });
-    assert_eq!(
-        parallel_stats.checksum, serial_stats.checksum,
-        "parallel index build must be bit-identical to serial"
-    );
-    stages.push(stage(
-        "index_build_parallel",
-        index_parallel_ms,
-        json!({
-            "devices": massive_universe,
-            "sets": massive_sets.len(),
-            "entries": parallel_stats.entries,
-            "workers": parallel_stats.workers,
-        }),
-    ));
-    // Same build again on the now-sized arena: what the reuse contract
-    // saves once the first instance has been seen.
-    let (warm_stats, index_warm_ms) = timed(|| {
-        set_cover::build_cover_index(
-            massive_universe,
-            &massive_sets,
-            massive_threads,
-            &mut massive_arena,
-        )
-    });
-    assert_eq!(warm_stats.checksum, serial_stats.checksum);
-    stages.push(stage(
-        "index_build_parallel_warm",
-        index_warm_ms,
-        json!({
-            "devices": massive_universe,
-            "sets": massive_sets.len(),
-            "entries": warm_stats.entries,
-            "workers": warm_stats.workers,
-        }),
-    ));
-    let (massive_inc, massive_incremental_ms) = timed(|| {
-        set_cover::greedy_set_cover_with(
-            massive_universe,
-            &massive_sets,
-            massive_threads,
+            &unit,
             &mut massive_arena,
         )
         .expect("coverable")
     });
-    let (massive_bitset, massive_bitset_ms) = timed(|| {
-        set_cover::greedy_set_cover_bitset(massive_universe, &massive_sets).expect("coverable")
-    });
-    assert_eq!(
-        massive_inc, massive_bitset,
-        "solvers must agree pick-for-pick at massive n"
-    );
     stages.push(stage(
         "set_cover_massive_incremental",
         massive_incremental_ms,
         json!({
             "devices": massive_universe,
             "sets": massive_sets.len(),
-            "entries": serial_stats.entries,
+            "entries": massive_sets.iter().map(Vec::len).sum::<usize>(),
             "picks": massive_inc.len(),
-            "build_threads": massive_threads,
         }),
     ));
-    stages.push(stage(
-        "set_cover_massive_bitset",
-        massive_bitset_ms,
-        json!({
-            "devices": massive_universe,
-            "sets": massive_sets.len(),
-            "picks": massive_bitset.len(),
-        }),
-    ));
-    let index_build_parallel_speedup = index_serial_ms / index_parallel_ms;
-    let index_build_warm_gain = index_parallel_ms / index_warm_ms;
-    let set_cover_massive_speedup = massive_bitset_ms / massive_incremental_ms;
     // The scale tier holds the largest allocations of the whole report
     // (~hundreds of MB at 10^6 devices); release them before the
     // campaign stages.
@@ -1193,7 +1048,6 @@ fn main() {
             "seed": opts.seed,
             "parallel_threads": opts.threads,
             "massive_devices": massive_devices,
-            "massive_build_threads": massive_threads,
         }),
         // Runner facts a reader needs to interpret the parallel-speedup
         // numbers: a detected_parallelism of 1 explains a ≤ 1 parallel
@@ -1205,13 +1059,8 @@ fn main() {
         "stages": Value::Array(stages),
         "derived": json!({
             "set_cover_speedup": set_cover_speedup,
-            "set_cover_incremental_speedup": set_cover_incremental_speedup,
             "set_cover_stress_speedup": set_cover_stress_speedup,
             "weighted_airtime_gain": weighted_airtime_gain,
-            "set_cover_massive_speedup": set_cover_massive_speedup,
-            "index_build_parallel_speedup": index_build_parallel_speedup,
-            "index_build_warm_gain": index_build_warm_gain,
-            "regroup_churn_speedup": regroup_churn_speedup,
             "tabu_cover_gain": tabu_cover_gain,
             "repair_vs_full_replan_speedup": repair_vs_full_replan_speedup,
             "service_replay_repair_speedup": service_replay_repair_speedup,
@@ -1230,16 +1079,11 @@ fn main() {
         .unwrap_or_else(|e| fail(format!("cannot write benchmark report `{out_path}`: {e}")));
     println!("{text}");
     eprintln!(
-        "\nbench_report: set-cover bitset speedup {set_cover_speedup:.2}x \
-         (incremental {set_cover_incremental_speedup:.2}x over bitset, \
-         {set_cover_stress_speedup:.2}x at 10k devices, \
-         {set_cover_massive_speedup:.2}x at {massive_devices} devices, \
-         {regroup_churn_speedup:.2}x on the churned re-grouping sequence), \
+        "\nbench_report: set-cover speedup over the reference {set_cover_speedup:.2}x \
+         ({set_cover_stress_speedup:.2}x at 10k devices), \
          tabu cover gain {tabu_cover_gain:.3}x at budget {tabu_budget}, \
          churn repair {repair_vs_full_replan_speedup:.2}x over full re-planning \
          (service replay {service_replay_repair_speedup:.2}x), \
-         index build parallel speedup {index_build_parallel_speedup:.2}x \
-         (warm-arena gain {index_build_warm_gain:.2}x), \
          window-cover speedup {window_cover_speedup:.2}x \
          (incremental {window_cover_incremental_speedup:.2}x over sweep), \
          parallel comparison speedup {:.2}x, \

@@ -161,6 +161,7 @@ impl FigureOpts {
                     opts.runs = args
                         .next()
                         .and_then(|v| v.parse().ok())
+                        .filter(|&n| n > 0)
                         .unwrap_or_else(|| fail_usage("--runs needs a positive integer"));
                     opts.given.runs = true;
                 }
@@ -168,6 +169,7 @@ impl FigureOpts {
                     opts.devices = args
                         .next()
                         .and_then(|v| v.parse().ok())
+                        .filter(|&n| n > 0)
                         .unwrap_or_else(|| fail_usage("--devices needs a positive integer"));
                     opts.given.devices = true;
                 }
@@ -308,9 +310,8 @@ pub mod workload {
     use rand::Rng;
 
     /// Shared shape of every frame-cover workload: `TI`-length windows
-    /// tiling twice the longest eDRX cycle. One definition, so the
-    /// `set_cover_*` and `regroup_churn_*` bench stages always measure
-    /// the same instance geometry.
+    /// tiling twice the longest eDRX cycle. One definition, so every
+    /// `set_cover_*` bench stage measures the same instance geometry.
     const TI_MS: u64 = 10_000;
     /// Windows tiling the DR-SC search horizon (2 × longest eDRX).
     const N_WINDOWS: usize = (2 * 2_621_440 / TI_MS) as usize;
@@ -318,23 +319,6 @@ pub mod workload {
     const HORIZON_MS: u64 = N_WINDOWS as u64 * TI_MS;
     /// The long-cycle ladder the sparse tail draws from.
     const LONG_CYCLES_MS: [u64; 5] = [163_840, 327_680, 655_360, 1_310_720, 2_621_440];
-
-    /// Draws a long-cycle device: a ladder cycle and a random phase.
-    fn draw_long_cycle_device<R: Rng + ?Sized>(rng: &mut R) -> (u64, u64) {
-        let cycle = LONG_CYCLES_MS[rng.gen_range(0..LONG_CYCLES_MS.len())];
-        let phase = rng.gen_range(0..cycle);
-        (cycle, phase)
-    }
-
-    /// Pushes device `d`'s paging occasions into the window incidence
-    /// lists: one entry per PO of `(cycle, phase)` inside the horizon.
-    fn tile_device_pos(sets: &mut [Vec<usize>], d: usize, (cycle, phase): (u64, u64)) {
-        let mut t = phase;
-        while t < HORIZON_MS {
-            sets[(t / TI_MS) as usize].push(d);
-            t += cycle;
-        }
-    }
 
     /// A generalized paper-Fig.-3 frame-cover instance over `n_devices`
     /// devices: candidate sets are `TI`-length windows tiling the DR-SC
@@ -374,53 +358,17 @@ pub mod workload {
                     set.push(d);
                 }
             } else {
-                let device = draw_long_cycle_device(&mut rng);
-                tile_device_pos(&mut sets, d, device);
+                // Long-cycle device: a ladder cycle and a random phase,
+                // one PO per cycle inside the horizon.
+                let cycle = LONG_CYCLES_MS[rng.gen_range(0..LONG_CYCLES_MS.len())];
+                let mut t = rng.gen_range(0..cycle);
+                while t < HORIZON_MS {
+                    sets[(t / TI_MS) as usize].push(d);
+                    t += cycle;
+                }
             }
         }
         (n_devices, sets)
-    }
-
-    /// A churned sequence of frame-cover instances — the re-grouping
-    /// workload: epoch 0 is the sparse post-dense-filter shape of
-    /// [`frame_cover_instance_with`]`(n, 0.0, seed)`, and each subsequent
-    /// epoch re-phases a `churn_rate` fraction of the devices (the
-    /// handover effect: same fleet, moved paging occasions) before the
-    /// cover is solved again. Under a per-epoch re-grouping policy every
-    /// epoch's instance is a fresh set-cover solve on a mostly-unchanged
-    /// population — exactly the cost `bench_report`'s `regroup_churn_*`
-    /// stages race the incremental and bitset kernels on.
-    ///
-    /// Returns one `(universe_size, sets)` instance per epoch
-    /// (`epochs + 1` entries including epoch 0).
-    pub fn churned_frame_cover_sequence(
-        n_devices: usize,
-        epochs: usize,
-        churn_rate: f64,
-        seed: u64,
-    ) -> Vec<(usize, Vec<Vec<usize>>)> {
-        let mut rng = SeedSequence::new(seed).rng(2);
-        let mut devices: Vec<(u64, u64)> = (0..n_devices)
-            .map(|_| draw_long_cycle_device(&mut rng))
-            .collect();
-        let instance = |devices: &[(u64, u64)]| {
-            let mut sets: Vec<Vec<usize>> = vec![Vec::new(); N_WINDOWS];
-            for (d, &device) in devices.iter().enumerate() {
-                tile_device_pos(&mut sets, d, device);
-            }
-            (devices.len(), sets)
-        };
-        let mut sequence = Vec::with_capacity(epochs + 1);
-        sequence.push(instance(&devices));
-        for _ in 0..epochs {
-            for slot in devices.iter_mut() {
-                if rng.gen_bool(churn_rate) {
-                    *slot = draw_long_cycle_device(&mut rng);
-                }
-            }
-            sequence.push(instance(&devices));
-        }
-        sequence
     }
 
     /// A cost-aware cover instance for the airtime-weighted kernel:
@@ -583,7 +531,7 @@ mod tests {
         let (n, sets, costs) = workload::weighted_cover_instance(256, 7);
         let mut arena = nbiot_grouping::set_cover::KernelArena::default();
         let weighted =
-            nbiot_grouping::set_cover::greedy_set_cover_weighted(n, &sets, &costs, 1, &mut arena)
+            nbiot_grouping::set_cover::greedy_set_cover_weighted(n, &sets, &costs, &mut arena)
                 .expect("umbrella-vs-pieces instances always cover");
         let oracle =
             nbiot_grouping::set_cover::reference::greedy_set_cover_weighted(n, &sets, &costs)
@@ -599,27 +547,6 @@ mod tests {
             airtime(&weighted),
             airtime(&count)
         );
-    }
-
-    #[test]
-    fn churned_cover_sequence_drifts_but_stays_coverable() {
-        let seq = workload::churned_frame_cover_sequence(150, 3, 0.2, 11);
-        assert_eq!(seq.len(), 4, "epoch 0 plus three churned epochs");
-        let mut previous: Option<Vec<usize>> = None;
-        for (n, sets) in &seq {
-            assert_eq!(*n, 150);
-            let picks = nbiot_grouping::set_cover::greedy_set_cover(*n, sets)
-                .expect("tiled windows always cover");
-            let oracle = nbiot_grouping::set_cover::reference::greedy_set_cover(*n, sets);
-            assert_eq!(Some(picks.clone()), oracle, "kernels agree per epoch");
-            if let Some(prev) = previous.replace(picks.clone()) {
-                // Epochs share most of the fleet, so the cover changes but
-                // stays in the same size regime.
-                assert!(picks.len().abs_diff(prev.len()) <= prev.len());
-            }
-        }
-        // Churn must actually move paging occasions between epochs.
-        assert_ne!(seq[0].1, seq[1].1, "epoch 1 must differ from epoch 0");
     }
 
     #[test]

@@ -146,6 +146,25 @@ fn figures_reports_unknown_scenarios_as_data_errors() {
     assert_error_line(&out, "figures", 1, "no-such-scenario");
 }
 
+// ---- the shared figure flags ----
+
+#[test]
+fn bench_report_rejects_zero_devices_with_a_usage_error() {
+    let out = run(env!("CARGO_BIN_EXE_bench_report"), &["--devices", "0"]);
+    assert_error_line(
+        &out,
+        "bench_report",
+        2,
+        "--devices needs a positive integer",
+    );
+}
+
+#[test]
+fn ablations_rejects_zero_runs_with_a_usage_error() {
+    let out = run(env!("CARGO_BIN_EXE_ablations"), &["--runs", "0"]);
+    assert_error_line(&out, "ablations", 2, "--runs needs a positive integer");
+}
+
 // ---- scenario_merge ----
 
 #[test]

@@ -11,8 +11,7 @@
 use nbiot_bench::workload;
 use nbiot_des::SeedSequence;
 use nbiot_grouping::set_cover::{
-    greedy_set_cover, greedy_set_cover_bitset, greedy_set_cover_weighted, reference, KernelArena,
-    WindowCover,
+    greedy_set_cover, greedy_set_cover_weighted, reference, KernelArena, WindowCover,
 };
 use nbiot_grouping::{repair_plan, GroupingInput, GroupingParams, MechanismKind};
 
@@ -56,7 +55,7 @@ fn weighted_cover_1000_pick_sequence_is_pinned() {
     // generator moves this sequence.
     let (n, sets, costs) = workload::weighted_cover_instance(1_000, BENCH_SEED);
     let mut arena = KernelArena::new();
-    let picks = greedy_set_cover_weighted(n, &sets, &costs, 1, &mut arena)
+    let picks = greedy_set_cover_weighted(n, &sets, &costs, &mut arena)
         .expect("umbrella-vs-pieces instances always cover");
     assert_eq!(
         &picks[..12],
@@ -71,12 +70,12 @@ fn weighted_cover_1000_pick_sequence_is_pinned() {
     );
 
     // Unit costs degenerate the ratio key to the raw gain: the weighted
-    // kernel must reproduce the unweighted pick sequence bit-identically
-    // on the very same instance.
+    // kernel must reproduce the count greedy's pick sequence
+    // bit-identically on the very same instance.
     let unit = vec![1u32; sets.len()];
     assert_eq!(
-        greedy_set_cover_weighted(n, &sets, &unit, 1, &mut arena),
-        greedy_set_cover(n, &sets),
+        greedy_set_cover_weighted(n, &sets, &unit, &mut arena),
+        reference::greedy_set_cover(n, &sets),
         "unit-cost weighted picks must be bit-identical to unweighted"
     );
 }
@@ -231,15 +230,16 @@ fn massive_metering_window_cover_is_pinned() {
 fn all_solver_tiers_agree_on_both_bench_shapes() {
     // The dense-heavy 1000-device instance (the `set_cover_*` stages) and
     // the sparse post-filter 10k point (`set_cover_stress_*`), each
-    // compared across all three tiers / both fast tiers respectively.
+    // compared against the reference oracle.
     let (n, sets) = workload::frame_cover_instance(1_000, BENCH_SEED);
-    let oracle = reference::greedy_set_cover(n, &sets);
-    assert_eq!(greedy_set_cover(n, &sets), oracle);
-    assert_eq!(greedy_set_cover_bitset(n, &sets), oracle);
+    assert_eq!(
+        greedy_set_cover(n, &sets),
+        reference::greedy_set_cover(n, &sets)
+    );
 
     let (n, sets) = workload::frame_cover_instance_with(10_000, 0.0, BENCH_SEED);
     assert_eq!(
         greedy_set_cover(n, &sets),
-        greedy_set_cover_bitset(n, &sets)
+        reference::greedy_set_cover(n, &sets)
     );
 }

@@ -10,8 +10,10 @@
 //!
 //! Two solvers are provided:
 //!
-//! * [`greedy_set_cover`] — the greedy over explicit sets (used for the
-//!   Fig. 3 bipartite instance and for cross-checking),
+//! * [`greedy_set_cover_weighted`] — the greedy over explicit sets, picking
+//!   by newly covered elements per unit cost; [`greedy_set_cover`] is its
+//!   unit-cost call (used for the Fig. 3 bipartite instance and for
+//!   cross-checking),
 //! * [`WindowCover`] — the specialized timeline solver: it slides a
 //!   `TI`-length window over the merged PO event list, exploiting two
 //!   structural facts: (a) an optimal window can always be anchored to
@@ -35,18 +37,17 @@
 //!    kept current through an element→sets inverted index — covering a
 //!    round's winner decrements only the sets that intersect the newly
 //!    covered elements — and the next winner is popped from a lazy
-//!    max-gain snapshot heap (`GainQueue` internally). Total work is
-//!    `O(L log L)` over the whole solve, where `L` is the summed set
-//!    size, independent of the round count. [`greedy_set_cover`] is this
-//!    solver; [`WindowCover::solve_incremental`] runs it with one
+//!    snapshot heap (`RatioQueue`; `GainQueue` on the timeline). Total
+//!    work is `O(L log L)` over the whole solve, where `L` is the summed
+//!    set size, independent of the round count.
+//!    [`greedy_set_cover_weighted`] is this solver over explicit sets;
+//!    [`WindowCover::solve_incremental`] runs the same scheme with one
 //!    candidate per distinct PO instant, and [`WindowCover::solve`]
 //!    dispatches to it when its work estimate beats the re-sweep's.
-//! 2. **Eager re-sweep fast paths** (the PR-1 kernels):
-//!    [`greedy_set_cover_bitset`] packs each set into `u64` bitset rows so
-//!    a round's gain is a `popcount(set & !covered)` sweep;
-//!    [`WindowCover::solve_sweep`] re-runs a self-cleaning two-pointer
-//!    sweep per round over hoisted scratch buffers. `O(rounds × L/w)`
-//!    shapes that win when rounds are few and windows are crowded.
+//! 2. **Eager re-sweep** (timeline only): [`WindowCover::solve_sweep`]
+//!    re-runs a self-cleaning two-pointer sweep per round over hoisted
+//!    scratch buffers, `O(rounds × E)` for `E` PO events — the shape that
+//!    wins when rounds are few and windows are crowded.
 //! 3. **Reference oracles**: straightforward implementations, kept in
 //!    [`reference`] for the equivalence tests
 //!    (`tests/setcover_properties.rs`).
@@ -58,8 +59,8 @@ use std::collections::{BinaryHeap, HashMap};
 use nbiot_time::{SimDuration, SimInstant};
 
 /// Lazy max-gain priority queue over `(gain, Reverse(candidate))`
-/// snapshots — the priority structure of the incremental solvers, kept in
-/// a caller-owned heap (the [`KernelArena`]'s).
+/// snapshots — the priority structure of the incremental window-cover
+/// engine, kept in a caller-owned heap (the [`KernelArena`]'s).
 ///
 /// Gains of a greedy cover only ever *decrease* as coverage grows
 /// (coverage gain is submodular), so a snapshot taken earlier is an upper
@@ -126,8 +127,9 @@ impl GainQueue {
 /// law: two candidates tie exactly when their truncated keys agree, and
 /// ties break towards the lowest index via `Reverse(candidate)`. With unit
 /// costs the key degenerates to `gain << 32`, strictly monotone in the
-/// gain, so the pick sequence is bit-identical to [`GainQueue`]'s
-/// (proptest-locked in `tests/setcover_properties.rs`).
+/// gain, so the pick sequence is the count greedy's
+/// (proptest-locked against [`reference::greedy_set_cover`] in
+/// `tests/setcover_properties.rs`).
 struct RatioQueue;
 
 impl RatioQueue {
@@ -178,15 +180,14 @@ impl RatioQueue {
 }
 
 /// Reusable scratch for the incremental set-cover kernels: the dedup CSR,
-/// the element→sets inverted index, the per-worker build buffers, the
-/// solve-phase scratch (gains, coverage tombstones, queue storage) and
-/// the window-cover buffers.
+/// the element→sets inverted index, the solve-phase scratch (gains,
+/// coverage tombstones, queue storage) and the window-cover buffers.
 ///
 /// Every buffer keeps its capacity across calls, so repeated plans within
 /// a run — the per-round re-planning of a churned campaign, or a figure
 /// sweep's device-count ladder — stop allocating once the largest
 /// instance has been seen. Construct one with [`KernelArena::new`] and
-/// thread it through [`greedy_set_cover_with`] / [`build_cover_index`] /
+/// thread it through [`greedy_set_cover_weighted`] /
 /// [`WindowCover::solve_in`]; [`greedy_set_cover`] uses a thread-local
 /// arena internally.
 #[derive(Debug, Default)]
@@ -197,22 +198,18 @@ pub struct KernelArena {
     // Element → sets inverted index (CSR).
     elem_off: Vec<u32>,
     elem_sets: Vec<u32>,
-    // Build scratch: dedup stamps, scatter cursors, per-worker buffers.
+    // Build scratch: dedup stamps and scatter cursors.
     seen: Vec<u32>,
     cursor: Vec<u32>,
-    worker_seen: Vec<Vec<u32>>,
-    worker_elems: Vec<Vec<u32>>,
-    worker_lens: Vec<Vec<u32>>,
-    worker_counts: Vec<Vec<u32>>,
     // Solve scratch.
     gains: Vec<u32>,
     covered: Vec<bool>,
     last_touch: Vec<u32>,
     touched: Vec<u32>,
     heap: BinaryHeap<(u32, Reverse<u32>)>,
-    // Weighted-solve scratch: the u64 ratio-keyed heap (the unweighted
-    // heap stays u32-keyed — see `GainQueue`'s size note) and the
-    // per-anchor cost column of the window front-end.
+    // Weighted-solve scratch: the u64 ratio-keyed heap (the window
+    // cover's gain heap stays u32-keyed — see `GainQueue`'s size note)
+    // and the per-anchor cost column of the window front-end.
     wheap: BinaryHeap<(u64, Reverse<u32>)>,
     wcosts: Vec<u32>,
     // Window-cover scratch: the flat time-sorted event list, per-device
@@ -244,132 +241,18 @@ fn reset<T: Copy>(buf: &mut Vec<T>, len: usize, value: T) {
     buf.resize(len, value);
 }
 
-/// `bounds[k]..bounds[k+1]` item ranges for `workers` contiguous chunks,
-/// balanced by per-item `mass` (empty trailing ranges when there are more
-/// workers than mass). Deterministic in its inputs only.
-fn balanced_bounds(
-    n: usize,
-    workers: usize,
-    total: usize,
-    mass: impl Fn(usize) -> usize,
-) -> Vec<usize> {
-    let mut bounds = Vec::with_capacity(workers + 1);
-    bounds.push(0);
-    let mut acc = 0usize;
-    for i in 0..n {
-        if bounds.len() > workers {
-            break;
-        }
-        acc += mass(i);
-        while bounds.len() <= workers && acc * workers >= total * bounds.len() {
-            bounds.push(i + 1);
-        }
-    }
-    while bounds.len() <= workers {
-        bounds.push(n);
-    }
-    bounds[workers] = n;
-    bounds
-}
-
-/// Resolves the worker count for an index build: `0` = the machine's
-/// available parallelism (capped at 8 — the counting buffers are
-/// universe-sized per worker), any other value is taken as-is; small
-/// instances always build serially (spawn overhead would dominate).
-fn effective_workers(threads: usize, input_entries: usize) -> usize {
-    const SERIAL_CUTOFF: usize = 1 << 14;
-    if input_entries < SERIAL_CUTOFF {
-        return 1;
-    }
-    match threads {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8),
-        t => t.min(8),
-    }
-    .max(1)
-}
-
-/// Statistics of one [`build_cover_index`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IndexBuildStats {
-    /// Number of input sets.
-    pub sets: usize,
-    /// Deduped CSR entries (= inverted-index entries).
-    pub entries: usize,
-    /// Workers the build actually ran on (small instances build
-    /// serially regardless of the requested thread count).
-    pub workers: usize,
-    /// FNV-1a digest over `set_off`/`set_elems`/`elem_off`/`elem_sets` —
-    /// the bit-identity witness for parallel-vs-serial build tests.
-    pub checksum: u64,
-}
-
-/// Builds the dedup CSR and the element→sets inverted index into `arena`
-/// and returns build statistics, including a checksum over all four index
-/// arrays. The build is **bit-identical at every thread count** (see
-/// [`greedy_set_cover_with`] for why); `threads` follows
-/// [`greedy_set_cover_with`]'s convention (`0` = auto).
-///
-/// This is the benchmarking/testing entry point for the index build in
-/// isolation; [`greedy_set_cover_with`] runs the same build and then the
-/// greedy rounds.
+/// Builds the dedup CSR and the element→sets inverted index into `arena`:
+/// the dedup pass, then the counting pass, then the exclusive-prefix-sum
+/// scatter.
 ///
 /// # Panics
 ///
 /// Panics when a set contains an element `>= universe_size`.
-pub fn build_cover_index(
-    universe_size: usize,
-    sets: &[Vec<usize>],
-    threads: usize,
-    arena: &mut KernelArena,
-) -> IndexBuildStats {
-    let workers = build_index_into(universe_size, sets, threads, arena);
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    let mut mix = |v: u64| h = (h ^ v).wrapping_mul(FNV_PRIME);
-    for &o in &arena.set_off {
-        mix(o as u64);
-    }
-    for &e in &arena.set_elems {
-        mix(e as u64);
-    }
-    for &o in &arena.elem_off {
-        mix(o as u64);
-    }
-    for &s in &arena.elem_sets {
-        mix(s as u64);
-    }
-    IndexBuildStats {
-        sets: sets.len(),
-        entries: arena.set_elems.len(),
-        workers,
-        checksum: h,
-    }
-}
-
-/// The index-build core: dedup CSR, then the counting pass, then the
-/// exclusive-prefix-sum scatter. Returns the worker count used.
-///
-/// Parallelization is by **contiguous partitioning** in both directions —
-/// set ranges for dedup/counting, element ranges for the scatter — so the
-/// output arrays are byte-for-byte what the serial build writes: the
-/// partition only changes *which worker* writes an entry, never its
-/// position or value.
-fn build_index_into(
-    universe_size: usize,
-    sets: &[Vec<usize>],
-    threads: usize,
-    arena: &mut KernelArena,
-) -> usize {
+fn build_index_into(universe_size: usize, sets: &[Vec<usize>], arena: &mut KernelArena) {
     assert!(
         universe_size < u32::MAX as usize && sets.len() < u32::MAX as usize,
         "index build uses u32 entries"
     );
-    let input_entries: usize = sets.iter().map(|s| s.len()).sum();
-    let workers = effective_workers(threads, input_entries);
 
     // --- Phase A: dedup each set into a CSR row (repeated elements count
     // once — the unique-gain semantics of the reference solver). The
@@ -380,111 +263,26 @@ fn build_index_into(
     arena.set_off.reserve(sets.len() + 1);
     arena.set_off.push(0);
     arena.set_elems.clear();
-    if workers == 1 {
-        reset(&mut arena.seen, universe_size, u32::MAX);
-        for (i, set) in sets.iter().enumerate() {
-            for &e in set {
-                assert!(
-                    e < universe_size,
-                    "set {i} contains element {e} outside universe 0..{universe_size}"
-                );
-                if arena.seen[e] != i as u32 {
-                    arena.seen[e] = i as u32;
-                    arena.set_elems.push(e as u32);
-                }
-            }
-            arena.set_off.push(arena.set_elems.len());
-        }
-    } else {
-        // Per-worker dedup over contiguous set ranges (balanced by input
-        // mass), each with its own stamp array, then an order-preserving
-        // concatenation: identical CSR to the serial pass.
-        let set_bounds =
-            balanced_bounds(sets.len(), workers, input_entries, |i| sets[i].len().max(1));
-        arena.worker_seen.resize_with(workers, Vec::new);
-        arena.worker_elems.resize_with(workers, Vec::new);
-        arena.worker_lens.resize_with(workers, Vec::new);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for (w, ((seen, elems), lens)) in arena
-                .worker_seen
-                .iter_mut()
-                .zip(arena.worker_elems.iter_mut())
-                .zip(arena.worker_lens.iter_mut())
-                .enumerate()
-            {
-                let range = set_bounds[w]..set_bounds[w + 1];
-                handles.push(scope.spawn(move || {
-                    reset(seen, universe_size, u32::MAX);
-                    elems.clear();
-                    lens.clear();
-                    for i in range {
-                        let before = elems.len();
-                        for &e in &sets[i] {
-                            assert!(
-                                e < universe_size,
-                                "set {i} contains element {e} outside universe 0..{universe_size}"
-                            );
-                            if seen[e] != i as u32 {
-                                seen[e] = i as u32;
-                                elems.push(e as u32);
-                            }
-                        }
-                        lens.push((elems.len() - before) as u32);
-                    }
-                }));
-            }
-            for h in handles {
-                h.join().expect("index-build worker");
-            }
-        });
-        for w in 0..workers {
-            for &len in &arena.worker_lens[w] {
-                arena
-                    .set_off
-                    .push(arena.set_off.last().unwrap() + len as usize);
+    reset(&mut arena.seen, universe_size, u32::MAX);
+    for (i, set) in sets.iter().enumerate() {
+        for &e in set {
+            assert!(
+                e < universe_size,
+                "set {i} contains element {e} outside universe 0..{universe_size}"
+            );
+            if arena.seen[e] != i as u32 {
+                arena.seen[e] = i as u32;
+                arena.set_elems.push(e as u32);
             }
         }
-        let total: usize = arena.worker_elems.iter().map(|v| v.len()).sum();
-        arena.set_elems.reserve(total);
-        for w in 0..workers {
-            let part = &arena.worker_elems[w];
-            arena.set_elems.extend_from_slice(part);
-        }
+        arena.set_off.push(arena.set_elems.len());
     }
-    let entries = arena.set_elems.len();
 
-    // --- Phase B: per-worker counting pass over the deduped entries,
-    // folded into the element-offset array. ---
+    // --- Phase B: count each element's sets into the element-offset
+    // array. ---
     reset(&mut arena.elem_off, universe_size + 1, 0u32);
-    if workers == 1 {
-        for &e in &arena.set_elems {
-            arena.elem_off[e as usize + 1] += 1;
-        }
-    } else {
-        arena.worker_counts.resize_with(workers, Vec::new);
-        let chunk = entries.div_ceil(workers);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for (w, counts) in arena.worker_counts.iter_mut().enumerate() {
-                let slice =
-                    &arena.set_elems[(w * chunk).min(entries)..((w + 1) * chunk).min(entries)];
-                handles.push(scope.spawn(move || {
-                    reset(counts, universe_size, 0u32);
-                    for &e in slice {
-                        counts[e as usize] += 1;
-                    }
-                }));
-            }
-            for h in handles {
-                h.join().expect("index-build worker");
-            }
-        });
-        for counts in &arena.worker_counts {
-            for (e, &c) in counts.iter().enumerate() {
-                arena.elem_off[e + 1] += c;
-            }
-        }
+    for &e in &arena.set_elems {
+        arena.elem_off[e as usize + 1] += 1;
     }
     // Exclusive prefix sum: elem_off[e] is where element e's set list
     // starts in elem_sets.
@@ -497,63 +295,14 @@ fn build_index_into(
     arena
         .cursor
         .extend_from_slice(&arena.elem_off[..universe_size]);
-    reset(&mut arena.elem_sets, entries, 0u32);
-    if workers == 1 {
-        for (i, w) in arena.set_off.windows(2).enumerate() {
-            for &e in &arena.set_elems[w[0]..w[1]] {
-                let c = &mut arena.cursor[e as usize];
-                arena.elem_sets[*c as usize] = i as u32;
-                *c += 1;
-            }
+    reset(&mut arena.elem_sets, arena.set_elems.len(), 0u32);
+    for (i, w) in arena.set_off.windows(2).enumerate() {
+        for &e in &arena.set_elems[w[0]..w[1]] {
+            let c = &mut arena.cursor[e as usize];
+            arena.elem_sets[*c as usize] = i as u32;
+            *c += 1;
         }
-    } else {
-        // Contiguous element ranges (balanced by entry mass): each worker
-        // owns a disjoint slice of `elem_sets`/`cursor` and scans the CSR
-        // in set order, scattering only its own elements — exactly the
-        // positions and values the serial scatter writes.
-        let elem_bounds = balanced_bounds(universe_size, workers, entries, |e| {
-            (arena.elem_off[e + 1] - arena.elem_off[e]) as usize
-        });
-        let set_off = &arena.set_off;
-        let set_elems = &arena.set_elems;
-        let elem_off = &arena.elem_off;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            let mut elems_rest: &mut [u32] = &mut arena.elem_sets;
-            let mut cursor_rest: &mut [u32] = &mut arena.cursor;
-            let mut entry_base = 0usize;
-            let mut elem_base = 0usize;
-            for w in 0..workers {
-                let e_lo = elem_bounds[w];
-                let e_hi = elem_bounds[w + 1];
-                let entry_hi = elem_off[e_hi] as usize;
-                let (out, rest) = elems_rest.split_at_mut(entry_hi - entry_base);
-                elems_rest = rest;
-                let (cur, rest) = cursor_rest.split_at_mut(e_hi - elem_base);
-                cursor_rest = rest;
-                let base = entry_base as u32;
-                entry_base = entry_hi;
-                elem_base = e_hi;
-                handles.push(scope.spawn(move || {
-                    let lo = e_lo as u32;
-                    let hi = e_hi as u32;
-                    for (i, win) in set_off.windows(2).enumerate() {
-                        for &e in &set_elems[win[0]..win[1]] {
-                            if e >= lo && e < hi {
-                                let c = &mut cur[(e - lo) as usize];
-                                out[(*c - base) as usize] = i as u32;
-                                *c += 1;
-                            }
-                        }
-                    }
-                }));
-            }
-            for h in handles {
-                h.join().expect("index-build worker");
-            }
-        });
     }
-    workers
 }
 
 thread_local! {
@@ -564,23 +313,22 @@ thread_local! {
     pub(crate) static DEFAULT_ARENA: RefCell<KernelArena> = RefCell::new(KernelArena::new());
 }
 
-/// Greedy (Chvátal) set cover over explicit sets — the incremental-gain
-/// production solver.
+/// Greedy (Chvátal) set cover over explicit sets — the paper's Fig. 3
+/// rule: each round picks the set covering the most still-uncovered
+/// elements.
 ///
 /// `universe_size` elements are labelled `0..universe_size`; `sets[i]`
 /// lists the elements covered by set `i`. Returns the indices of the
 /// selected sets in selection order, or `None` when the union of all sets
 /// does not cover the universe. Ties are broken towards the lowest set
-/// index, making the result deterministic — and **bit-identical** to both
-/// [`greedy_set_cover_bitset`] and [`reference::greedy_set_cover`]
-/// (enforced by `tests/setcover_properties.rs`).
+/// index, making the result deterministic — and **bit-identical** to
+/// [`reference::greedy_set_cover`] (enforced by
+/// `tests/setcover_properties.rs`).
 ///
-/// Instead of re-scanning every set each round, exact marginal gains are
-/// maintained through an element→sets inverted index: covering a round's
-/// winner decrements only the sets intersecting the newly covered
-/// elements, and winners are popped from a lazy max-gain snapshot heap.
-/// Total work is `O(L log L)` for summed set size `L`, independent of the
-/// number of rounds (see `docs/KERNELS.md`).
+/// This is [`greedy_set_cover_weighted`] with every cost 1 (a unit-cost
+/// ratio key orders candidates exactly by gain) on a thread-local
+/// [`KernelArena`]. Total work is `O(L log L)` for summed set size `L`,
+/// independent of the number of rounds (see `docs/KERNELS.md`).
 ///
 /// # Panics
 ///
@@ -606,115 +354,39 @@ thread_local! {
 /// assert_eq!(picked, vec![3, 4]); // frames 4 and 5
 /// ```
 pub fn greedy_set_cover(universe_size: usize, sets: &[Vec<usize>]) -> Option<Vec<usize>> {
-    DEFAULT_ARENA
-        .with(|arena| greedy_set_cover_with(universe_size, sets, 1, &mut arena.borrow_mut()))
-}
-
-/// [`greedy_set_cover`] with explicit scratch and an index-build thread
-/// count — the scale-tier entry point.
-///
-/// `threads` controls only the CSR/inverted-index **build**: `0` picks the
-/// machine's available parallelism (capped at 8), `n >= 1` requests
-/// exactly `n` workers, and small instances always build serially. The
-/// greedy rounds themselves are inherently sequential (each pick depends
-/// on the previous round's gain updates) and always run on one thread.
-/// The picks are **bit-identical at every thread count**: the parallel
-/// build partitions work contiguously (set ranges for dedup/counting,
-/// element ranges for the scatter), so the four index arrays — and hence
-/// every downstream gain and tie-break — are byte-for-byte the serial
-/// build's output (locked by `tests/parallel_determinism.rs`).
-///
-/// All allocations live in `arena` and are reused across calls; see
-/// [`KernelArena`].
-///
-/// # Panics
-///
-/// Panics when a set contains an element `>= universe_size`.
-pub fn greedy_set_cover_with(
-    universe_size: usize,
-    sets: &[Vec<usize>],
-    threads: usize,
-    arena: &mut KernelArena,
-) -> Option<Vec<usize>> {
-    if universe_size == 0 {
-        return Some(Vec::new());
-    }
-    build_index_into(universe_size, sets, threads, arena);
-
-    let KernelArena {
-        set_off,
-        set_elems,
-        elem_off,
-        elem_sets,
-        gains,
-        covered,
-        last_touch,
-        touched,
-        heap,
-        ..
-    } = arena;
-    gains.clear();
-    gains.extend(set_off.windows(2).map(|w| (w[1] - w[0]) as u32));
-    GainQueue::seed(heap, gains);
-    reset(covered, universe_size, false);
-    let mut remaining = universe_size;
-    let mut picked = Vec::new();
-    // Per-round dedup of gain-changed sets, stamped by round number
-    // (rounds never reach the u32::MAX sentinel: there are at most
-    // `universe_size < u32::MAX` of them).
-    reset(last_touch, sets.len(), u32::MAX);
-    touched.clear();
-    let mut round = 0u32;
-    while remaining > 0 {
-        let best = GainQueue::pop_current_from(heap, gains)?;
-        picked.push(best);
-        touched.clear();
-        for &e in &set_elems[set_off[best]..set_off[best + 1]] {
-            let e = e as usize;
-            if !covered[e] {
-                covered[e] = true;
-                remaining -= 1;
-                for &s in &elem_sets[elem_off[e] as usize..elem_off[e + 1] as usize] {
-                    let s = s as usize;
-                    gains[s] -= 1;
-                    if last_touch[s] != round {
-                        last_touch[s] = round;
-                        touched.push(s as u32);
-                    }
-                }
-            }
-        }
-        // One fresh snapshot per changed set, after all of the round's
-        // decrements (the winner itself drops to gain zero and is never
-        // re-enqueued).
-        for &s in touched.iter() {
-            GainQueue::push_to(heap, gains[s as usize], s as usize);
-        }
-        round += 1;
-    }
-    Some(picked)
+    let unit = vec![1; sets.len()];
+    DEFAULT_ARENA.with(|arena| {
+        greedy_set_cover_weighted(universe_size, sets, &unit, &mut arena.borrow_mut())
+    })
 }
 
 /// Weighted-gain greedy set cover: each round picks the set maximizing
 /// `gain / cost` — Chvátal's cost-aware rule, the `H(n)`-approximate
-/// greedy for *minimum-cost* set cover — instead of the raw gain.
+/// greedy for *minimum-cost* set cover — instead of the raw gain. This is
+/// the one explicit-set kernel; [`greedy_set_cover`] is its unit-cost
+/// call.
 ///
 /// `costs[i]` is the static, positive cost of picking set `i` (for DR-SC
 /// anchor windows: the coverage-class block airtime of the window's
 /// deepest device). Ratios are compared through the deterministic
 /// fixed-point key `(gain << 32) / cost`; candidates whose truncated keys
-/// agree tie, and ties break towards the lowest set index. Gains are
-/// maintained exactly through the same inverted-index machinery as
-/// [`greedy_set_cover_with`], and winners pop from a lazy max-ratio
-/// snapshot heap (costs are static and gains only decrease, so stale
-/// snapshots are upper bounds — the same argument as the unweighted
-/// queue). Total work is `O(L log L)` for summed set size `L`.
+/// agree tie, and ties break towards the lowest set index.
 ///
-/// **Unit costs reproduce [`greedy_set_cover`]'s pick sequence
-/// bit-identically**: with `cost == 1` the key is `gain << 32`, strictly
-/// monotone in the gain, so every argmax and tie-break coincides
-/// (proptest-locked in `tests/setcover_properties.rs` and pinned in the
-/// bench crate's `kernel_regression.rs`).
+/// Instead of re-scanning every set each round, exact marginal gains are
+/// maintained through an element→sets inverted index: covering a round's
+/// winner decrements only the sets intersecting the newly covered
+/// elements, and winners pop from a lazy max-ratio snapshot heap (costs
+/// are static and gains only decrease, so stale snapshots are upper
+/// bounds). Total work is `O(L log L)` for summed set size `L`. All
+/// allocations live in `arena` and are reused across calls; see
+/// [`KernelArena`].
+///
+/// **Unit costs reproduce the count greedy pick for pick**: with
+/// `cost == 1` the key is `gain << 32`, strictly monotone in the gain, so
+/// every argmax and tie-break coincides with
+/// [`reference::greedy_set_cover`]'s (proptest-locked in
+/// `tests/setcover_properties.rs` and pinned in the bench crate's
+/// `kernel_regression.rs`).
 ///
 /// Returns the picked set indices in selection order, or `None` when the
 /// union of all sets does not cover the universe.
@@ -727,7 +399,6 @@ pub fn greedy_set_cover_weighted(
     universe_size: usize,
     sets: &[Vec<usize>],
     costs: &[u32],
-    threads: usize,
     arena: &mut KernelArena,
 ) -> Option<Vec<usize>> {
     assert_eq!(
@@ -742,7 +413,7 @@ pub fn greedy_set_cover_weighted(
     if universe_size == 0 {
         return Some(Vec::new());
     }
-    build_index_into(universe_size, sets, threads, arena);
+    build_index_into(universe_size, sets, arena);
 
     let KernelArena {
         set_off,
@@ -762,6 +433,9 @@ pub fn greedy_set_cover_weighted(
     reset(covered, universe_size, false);
     let mut remaining = universe_size;
     let mut picked = Vec::new();
+    // Per-round dedup of gain-changed sets, stamped by round number
+    // (rounds never reach the u32::MAX sentinel: there are at most
+    // `universe_size < u32::MAX` of them).
     reset(last_touch, sets.len(), u32::MAX);
     touched.clear();
     let mut round = 0u32;
@@ -784,73 +458,14 @@ pub fn greedy_set_cover_weighted(
                 }
             }
         }
+        // One fresh snapshot per changed set, after all of the round's
+        // decrements (the winner itself drops to gain zero and is never
+        // re-enqueued).
         for &s in touched.iter() {
             let s = s as usize;
             RatioQueue::push_to(wheap, gains[s], costs[s], s);
         }
         round += 1;
-    }
-    Some(picked)
-}
-
-/// Greedy (Chvátal) set cover over packed-`u64` bitset rows — the eager
-/// per-round re-sweep kernel (the PR-1 fast path), retained for
-/// benchmarking against [`greedy_set_cover`] and as a second independent
-/// implementation in the equivalence tests.
-///
-/// Same contract, same deterministic lowest-index tie-breaking, and
-/// bit-identical picks as [`greedy_set_cover`]; each round costs one
-/// `popcount(set & !covered)` sweep over every set.
-///
-/// # Panics
-///
-/// Panics when a set contains an element `>= universe_size`.
-pub fn greedy_set_cover_bitset(universe_size: usize, sets: &[Vec<usize>]) -> Option<Vec<usize>> {
-    if universe_size == 0 {
-        return Some(Vec::new());
-    }
-    let words = universe_size.div_ceil(64);
-    // Pack each set into a bitset row once; duplicates collapse for free,
-    // which is exactly the unique-gain semantics of the reference solver.
-    let mut rows = vec![0u64; sets.len() * words];
-    for (i, set) in sets.iter().enumerate() {
-        let row = &mut rows[i * words..(i + 1) * words];
-        for &e in set {
-            assert!(
-                e < universe_size,
-                "set {i} contains element {e} outside universe 0..{universe_size}"
-            );
-            row[e / 64] |= 1 << (e % 64);
-        }
-    }
-    let mut covered = vec![0u64; words];
-    let mut remaining = universe_size;
-    let mut picked = Vec::new();
-    while remaining > 0 {
-        let mut best_gain = 0usize;
-        let mut best_idx = usize::MAX;
-        for (i, row) in rows.chunks_exact(words).enumerate() {
-            let gain = row
-                .iter()
-                .zip(&covered)
-                .map(|(r, c)| (r & !c).count_ones() as usize)
-                .sum::<usize>();
-            if gain > best_gain {
-                best_gain = gain;
-                best_idx = i;
-            }
-        }
-        if best_idx == usize::MAX {
-            return None; // no set adds anything, yet elements remain
-        }
-        picked.push(best_idx);
-        for (c, r) in covered
-            .iter_mut()
-            .zip(&rows[best_idx * words..(best_idx + 1) * words])
-        {
-            *c |= r;
-        }
-        remaining -= best_gain;
     }
     Some(picked)
 }
@@ -1239,7 +854,7 @@ impl WindowCover {
             assert!(cost > 0, "window cost must be positive");
             costs.push(cost);
         }
-        let picks = greedy_set_cover_weighted(sparse.len(), instance.windows(), &costs, 1, arena);
+        let picks = greedy_set_cover_weighted(sparse.len(), instance.windows(), &costs, arena);
         arena.wcosts = costs;
 
         let mut covered = vec![false; events.len()];
@@ -1396,8 +1011,7 @@ impl WindowCover {
     /// the gains over the merged instant ranges of its POs, once per
     /// window, and the live count of each instant holding one of its POs;
     /// an instant whose live count is zero is no longer a candidate.
-    /// Winners pop from the same lazy snapshot queue as
-    /// [`greedy_set_cover`].
+    /// Winners pop from the lazy max-gain snapshot queue, `GainQueue`.
     ///
     /// The slots equal the re-sweep's, which anchors at the events left
     /// after dropping covered devices' POs. Among the events left at one
@@ -1655,14 +1269,15 @@ fn incremental_pays_off(starts: &[u32], ends: &[u32], n_sparse: usize) -> bool {
 }
 
 /// The original straightforward solvers, retained verbatim as the oracle
-/// for equivalence testing of the bitset/scratch fast paths, plus the
+/// for equivalence testing of the production kernels, plus the
 /// naive per-anchor instance behind [`super::AnchorInstance`] and the
 /// weighted window cover over it.
 pub mod reference {
     use super::{CoverSlot, SimDuration, SimInstant};
 
     /// Reference greedy set cover: boolean coverage vector plus a tag
-    /// array for unique-gain counting (the pre-bitset implementation).
+    /// array for unique-gain counting, with a full re-scan of every set
+    /// per round.
     pub fn greedy_set_cover(universe_size: usize, sets: &[Vec<usize>]) -> Option<Vec<usize>> {
         let mut covered = vec![false; universe_size];
         let mut remaining = universe_size;
@@ -1990,18 +1605,12 @@ mod tests {
     fn generic_greedy_reports_uncoverable() {
         assert_eq!(greedy_set_cover(2, &[vec![0]]), None);
         assert_eq!(greedy_set_cover(0, &[]), Some(vec![]));
-        assert_eq!(greedy_set_cover_bitset(2, &[vec![0]]), None);
-        assert_eq!(greedy_set_cover_bitset(0, &[]), Some(vec![]));
     }
 
     #[test]
     fn incremental_single_set_covers_in_one_pick() {
         let sets = vec![vec![2, 0, 1]];
         assert_eq!(greedy_set_cover(3, &sets), Some(vec![0]));
-        assert_eq!(
-            greedy_set_cover(3, &sets),
-            greedy_set_cover_bitset(3, &sets)
-        );
     }
 
     #[test]
@@ -2080,9 +1689,9 @@ mod tests {
     }
 
     #[test]
-    fn all_three_greedy_solvers_match_exactly() {
+    fn greedy_matches_reference_exactly() {
         // Deterministic pseudo-random instances, compared pick-for-pick
-        // across the incremental, bitset and reference implementations.
+        // between the incremental and reference implementations.
         let mut state = 0x1234_5678_u64;
         let mut next = move || {
             state = state
@@ -2099,22 +1708,16 @@ mod tests {
             if trial % 2 == 0 {
                 sets.push((0..n).collect()); // force coverability half the time
             }
-            let oracle = reference::greedy_set_cover(n, &sets);
             assert_eq!(
                 greedy_set_cover(n, &sets),
-                oracle,
-                "incremental, trial {trial}: n={n} sets={sets:?}"
-            );
-            assert_eq!(
-                greedy_set_cover_bitset(n, &sets),
-                oracle,
-                "bitset, trial {trial}: n={n} sets={sets:?}"
+                reference::greedy_set_cover(n, &sets),
+                "trial {trial}: n={n} sets={sets:?}"
             );
         }
     }
 
-    /// A deterministic instance big enough to clear the serial cutoff and
-    /// genuinely exercise the parallel build phases.
+    /// A deterministic instance far larger than the hand-written ones
+    /// (2,000 elements, ~25k entries).
     fn large_instance(seed: u64) -> (usize, Vec<Vec<usize>>) {
         let mut state = seed;
         let mut next = move || {
@@ -2132,75 +1735,36 @@ mod tests {
     }
 
     #[test]
-    fn parallel_index_build_is_bit_identical() {
-        let (n, sets) = large_instance(0x9E37_79B9);
-        let mut serial = KernelArena::new();
-        let base = build_cover_index(n, &sets, 1, &mut serial);
-        assert_eq!(base.workers, 1);
-        assert_eq!(base.sets, sets.len());
-        assert!(
-            base.entries > 1 << 14,
-            "instance too small: {}",
-            base.entries
-        );
-        for threads in [2, 3, 4, 8] {
-            let mut arena = KernelArena::new();
-            let stats = build_cover_index(n, &sets, threads, &mut arena);
-            assert_eq!(stats.workers, threads, "requested workers honoured");
-            assert_eq!(stats.checksum, base.checksum, "{threads} workers");
-            assert_eq!(arena.set_off, serial.set_off, "{threads} workers");
-            assert_eq!(arena.set_elems, serial.set_elems, "{threads} workers");
-            assert_eq!(arena.elem_off, serial.elem_off, "{threads} workers");
-            assert_eq!(arena.elem_sets, serial.elem_sets, "{threads} workers");
-        }
-    }
-
-    #[test]
-    fn small_instances_build_serially_regardless_of_threads() {
-        let sets = vec![vec![0, 1], vec![2]];
-        let mut arena = KernelArena::new();
-        let stats = build_cover_index(3, &sets, 8, &mut arena);
-        assert_eq!(stats.workers, 1);
-        assert_eq!(stats.entries, 3);
-    }
-
-    #[test]
-    fn greedy_with_matches_default_at_every_thread_count() {
-        let (n, sets) = large_instance(0xDEAD_BEEF);
-        let expect = greedy_set_cover(n, &sets);
-        assert!(expect.is_some());
-        for threads in [0, 1, 2, 4, 8] {
-            let mut arena = KernelArena::new();
-            assert_eq!(
-                greedy_set_cover_with(n, &sets, threads, &mut arena),
-                expect,
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
     fn arena_reuse_across_different_instances_is_clean() {
         let mut arena = KernelArena::new();
         let (n, sets) = large_instance(0x5EED);
+        let costs: Vec<u32> = (0..sets.len()).map(|i| 1 + (i % 32) as u32).collect();
+        let expect = reference::greedy_set_cover_weighted(n, &sets, &costs);
+        assert!(expect.is_some());
         assert_eq!(
-            greedy_set_cover_with(n, &sets, 4, &mut arena),
-            greedy_set_cover(n, &sets)
+            greedy_set_cover_weighted(n, &sets, &costs, &mut arena),
+            expect
         );
         // A much smaller, differently-shaped instance on the same (dirty)
         // arena must match a fresh solve, including the uncoverable and
         // empty-universe edges.
         let small = vec![vec![0, 1, 2], vec![0, 1, 2, 3], vec![], vec![4]];
         assert_eq!(
-            greedy_set_cover_with(5, &small, 4, &mut arena),
+            greedy_set_cover_weighted(5, &small, &[1; 4], &mut arena),
             Some(vec![1, 3])
         );
-        assert_eq!(greedy_set_cover_with(2, &[vec![0]], 4, &mut arena), None);
-        assert_eq!(greedy_set_cover_with(0, &[], 4, &mut arena), Some(vec![]));
+        assert_eq!(
+            greedy_set_cover_weighted(2, &[vec![0]], &[1], &mut arena),
+            None
+        );
+        assert_eq!(
+            greedy_set_cover_weighted(0, &[], &[], &mut arena),
+            Some(vec![])
+        );
         // And the big instance again: warm buffers, same picks.
         assert_eq!(
-            greedy_set_cover_with(n, &sets, 2, &mut arena),
-            greedy_set_cover(n, &sets)
+            greedy_set_cover_weighted(n, &sets, &costs, &mut arena),
+            expect
         );
     }
 
@@ -2547,7 +2111,8 @@ mod tests {
     fn weighted_with_unit_costs_is_bit_identical_to_unweighted() {
         // The core invariant: `gain/1` keys sort exactly like `gain` keys
         // (the fixed-point key degenerates to `gain << 32`), so every
-        // round's pick — including tie rounds — must coincide.
+        // round's pick — including tie rounds — must coincide with the
+        // count greedy's.
         let mut state = 0x1234_5678_u64;
         let mut next = move || {
             state = state
@@ -2560,8 +2125,8 @@ mod tests {
             let (n, sets, _) = random_weighted_instance(&mut next, trial);
             let unit = vec![1u32; sets.len()];
             assert_eq!(
-                greedy_set_cover_weighted(n, &sets, &unit, 1, &mut arena),
-                greedy_set_cover(n, &sets),
+                greedy_set_cover_weighted(n, &sets, &unit, &mut arena),
+                reference::greedy_set_cover(n, &sets),
                 "trial {trial}: n={n} sets={sets:?}"
             );
         }
@@ -2580,7 +2145,7 @@ mod tests {
         for trial in 0..50 {
             let (n, sets, costs) = random_weighted_instance(&mut next, trial);
             assert_eq!(
-                greedy_set_cover_weighted(n, &sets, &costs, 1, &mut arena),
+                greedy_set_cover_weighted(n, &sets, &costs, &mut arena),
                 reference::greedy_set_cover_weighted(n, &sets, &costs),
                 "trial {trial}: n={n} sets={sets:?} costs={costs:?}"
             );
@@ -2597,7 +2162,7 @@ mod tests {
         let mut sets: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
         let mut costs = vec![7u32; n];
         let mut arena = KernelArena::new();
-        let picks = greedy_set_cover_weighted(n, &sets, &costs, 1, &mut arena).unwrap();
+        let picks = greedy_set_cover_weighted(n, &sets, &costs, &mut arena).unwrap();
         assert_eq!(picks, (0..n).collect::<Vec<_>>());
         // Scaled pairs: {2k, 2k+1} at cost 14 ties the singletons exactly
         // ((2<<32)/14 == (1<<32)/7) but sits at a higher index, so the
@@ -2606,7 +2171,7 @@ mod tests {
             sets.push(vec![2 * k, 2 * k + 1]);
             costs.push(14);
         }
-        let stormed = greedy_set_cover_weighted(n, &sets, &costs, 1, &mut arena).unwrap();
+        let stormed = greedy_set_cover_weighted(n, &sets, &costs, &mut arena).unwrap();
         assert_eq!(stormed, (0..n).collect::<Vec<_>>());
         assert_eq!(
             stormed,
@@ -2623,7 +2188,7 @@ mod tests {
         let mut arena = KernelArena::new();
         assert_eq!(greedy_set_cover(3, &sets), Some(vec![0]));
         assert_eq!(
-            greedy_set_cover_weighted(3, &sets, &costs, 1, &mut arena),
+            greedy_set_cover_weighted(3, &sets, &costs, &mut arena),
             Some(vec![1, 2])
         );
     }
@@ -2632,35 +2197,18 @@ mod tests {
     fn weighted_uncoverable_and_empty_edges() {
         let mut arena = KernelArena::new();
         assert_eq!(
-            greedy_set_cover_weighted(2, &[vec![0]], &[3], 1, &mut arena),
+            greedy_set_cover_weighted(2, &[vec![0]], &[3], &mut arena),
             None
         );
         assert_eq!(
-            greedy_set_cover_weighted(0, &[], &[], 1, &mut arena),
+            greedy_set_cover_weighted(0, &[], &[], &mut arena),
             Some(vec![])
         );
         // Empty sets never enter the heap whatever their cost.
         assert_eq!(
-            greedy_set_cover_weighted(1, &[vec![], vec![0]], &[1, 9], 1, &mut arena),
+            greedy_set_cover_weighted(1, &[vec![], vec![0]], &[1, 9], &mut arena),
             Some(vec![1])
         );
-    }
-
-    #[test]
-    fn weighted_threads_are_bit_identical() {
-        let (n, sets) = large_instance(0x00C0_FFEE);
-        let costs: Vec<u32> = (0..sets.len()).map(|i| 1 + (i % 32) as u32).collect();
-        let mut arena = KernelArena::new();
-        let base = greedy_set_cover_weighted(n, &sets, &costs, 1, &mut arena);
-        assert!(base.is_some());
-        for threads in [2, 4, 8] {
-            let mut fresh = KernelArena::new();
-            assert_eq!(
-                greedy_set_cover_weighted(n, &sets, &costs, threads, &mut fresh),
-                base,
-                "threads={threads}"
-            );
-        }
     }
 
     #[test]

@@ -23,15 +23,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod connection;
-mod drx_fsm;
 mod messages;
 mod ra;
 mod signalling;
 mod timer;
 
-pub use connection::{RrcConnection, RrcState, RrcTransitionError};
-pub use drx_fsm::{DrxPhase, DrxStateMachine, DrxTransitionError};
 pub use messages::{
     DlMessage, EstablishmentCause, MltcNotification, PagingMessage, PagingRecord,
     RrcConnectionRequest, MAX_PAGING_RECORDS,

@@ -13,7 +13,7 @@
 //! The [`RegroupPolicy`] decides when the mechanism re-plans on the
 //! evolved [`GroupingInput`] — real planning work, including DR-SC's
 //! set-cover solve (`docs/KERNELS.md`), so re-grouping cost is measurable
-//! (`bench_report`'s `regroup_churn_*` stages). A re-plan at an epoch
+//! (`bench_report`'s `replan_churn_*` stages). A re-plan at an epoch
 //! boundary serves that epoch exactly; skipping it trades signalling for
 //! misses. The outcome feeds two per-mechanism summary metrics:
 //! `regroup_count` (plan recomputations per run) and `stale_miss_ratio`
@@ -57,7 +57,7 @@ pub enum RegroupPolicy {
     /// repairable (adaptation, `mltc`, connectionless) fall back to a
     /// full re-plan. Serves every epoch, like [`RegroupPolicy::EveryEpoch`],
     /// at a fraction of the planning cost (`bench_report`'s
-    /// `regroup_churn[repair]` stage).
+    /// `replan_churn_repair` stage).
     Repair,
 }
 

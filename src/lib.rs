@@ -17,7 +17,7 @@
 //! | subframe clock, (e)DRX cycles, TS 36.304 paging occasions | [`time`] (`nbiot-time`) |
 //! | event queue, seeded RNG streams, statistics | [`des`] (`nbiot-des`) |
 //! | TBS tables, transfer durations, bandwidth ledger | [`phy`] (`nbiot-phy`) |
-//! | paging messages, random access, RRC connections | [`rrc`] (`nbiot-rrc`) |
+//! | paging messages, random access, signalling costs | [`rrc`] (`nbiot-rrc`) |
 //! | power states, uptime ledgers, relative metrics | [`energy`] (`nbiot-energy`) |
 //! | device classes, population generation | [`traffic`] (`nbiot-traffic`) |
 //! | **the paper's mechanisms: DR-SC, DA-SC, DR-SI (+ baselines)** | [`grouping`] (`nbiot-grouping`) |
@@ -68,8 +68,8 @@ pub mod prelude {
     };
     pub use nbiot_phy::{BandwidthLedger, CoverageClass, DataSize, NpdschConfig, TrafficCategory};
     pub use nbiot_rrc::{
-        DrxPhase, DrxStateMachine, EstablishmentCause, InactivityTimer, PagingMessage,
-        RandomAccess, RandomAccessConfig, SignallingCosts,
+        EstablishmentCause, InactivityTimer, PagingMessage, RandomAccess, RandomAccessConfig,
+        SignallingCosts,
     };
     #[cfg(feature = "serde")]
     pub use nbiot_service::{

@@ -2,13 +2,8 @@
 //! every `ComparisonResult`/`SweepPoint` field bit-identical for every
 //! thread count, and errors surfaced identically. The same contract holds
 //! one layer down: the SoA `Population` columns must reproduce the
-//! historical AoS device stream bit-for-bit, and the parallel set-cover
-//! index build must be pick-identical to the serial build at every
-//! thread count.
+//! historical AoS device stream bit-for-bit.
 
-use nbiot_multicast::grouping::set_cover::{
-    build_cover_index, greedy_set_cover, greedy_set_cover_with, KernelArena,
-};
 use nbiot_multicast::prelude::*;
 use nbiot_sim::sweep_devices;
 use proptest::prelude::*;
@@ -330,91 +325,6 @@ proptest! {
         prop_assert_eq!(&back, &pop);
         // The roundtrip must also preserve the row view exactly.
         assert_population_matches_aos(&back, &pop.profiles());
-    }
-}
-
-// ---- parallel vs serial set-cover index build ----
-
-/// A frame-cover-shaped instance big enough to clear the kernel's serial
-/// cutoff (> 2^14 index entries), so `threads > 1` really exercises the
-/// parallel counting + scatter phases.
-fn large_cover_instance(seed: u64) -> (usize, Vec<Vec<usize>>) {
-    let universe = 3_000;
-    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 33) as usize
-    };
-    let mut sets: Vec<Vec<usize>> = (0..220)
-        .map(|_| {
-            let len = 60 + next() % 60;
-            (0..len).map(|_| next() % universe).collect()
-        })
-        .collect();
-    // One guaranteed-coverable tail so greedy always completes.
-    sets.push((0..universe).collect());
-    (universe, sets)
-}
-
-#[test]
-fn index_build_threads_1_4_8_bit_identical_and_pick_identical() {
-    for seed in [1u64, 7, 42] {
-        let (universe, sets) = large_cover_instance(seed);
-        let entries: usize = sets.iter().map(Vec::len).sum();
-        assert!(entries > 1 << 14, "instance must clear the serial cutoff");
-        let mut arena = KernelArena::new();
-        let serial_stats = build_cover_index(universe, &sets, 1, &mut arena);
-        let serial_picks = greedy_set_cover_with(universe, &sets, 1, &mut arena);
-        assert!(serial_picks.is_some(), "instance is coverable");
-        for threads in [4usize, 8] {
-            let mut arena = KernelArena::new();
-            let stats = build_cover_index(universe, &sets, threads, &mut arena);
-            assert!(stats.workers > 1, "threads={threads} must fan out");
-            assert_eq!(
-                stats.checksum, serial_stats.checksum,
-                "index checksum, threads={threads}, seed={seed}"
-            );
-            assert_eq!(
-                greedy_set_cover_with(universe, &sets, threads, &mut arena),
-                serial_picks,
-                "picks, threads={threads}, seed={seed}"
-            );
-        }
-        // The 1-thread arena path must also agree with the historical
-        // public entry point.
-        assert_eq!(greedy_set_cover(universe, &sets), serial_picks);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn index_build_pick_identity_on_random_instances(
-        sets in proptest::collection::vec(
-            proptest::collection::vec(0usize..60, 0..15),
-            1..40
-        ),
-    ) {
-        // Small instances route through the serial cutoff; the contract —
-        // identical stats checksum and identical picks for threads
-        // {1, 4, 8} — must hold regardless of which path runs.
-        let universe = 60;
-        let mut arena = KernelArena::new();
-        let baseline_stats = build_cover_index(universe, &sets, 1, &mut arena);
-        let baseline_picks = greedy_set_cover_with(universe, &sets, 1, &mut arena);
-        for threads in [4usize, 8] {
-            let mut arena = KernelArena::new();
-            let stats = build_cover_index(universe, &sets, threads, &mut arena);
-            prop_assert_eq!(stats.checksum, baseline_stats.checksum);
-            prop_assert_eq!(
-                greedy_set_cover_with(universe, &sets, threads, &mut arena),
-                baseline_picks.clone()
-            );
-        }
-        prop_assert_eq!(greedy_set_cover(universe, &sets), baseline_picks);
     }
 }
 

@@ -2,7 +2,8 @@
 //! optimality reference on small instances.
 
 use nbiot_multicast::grouping::set_cover::{
-    greedy_set_cover, greedy_set_cover_bitset, reference, AnchorInstance, KernelArena, WindowCover,
+    greedy_set_cover, greedy_set_cover_weighted, reference, AnchorInstance, KernelArena,
+    WindowCover,
 };
 use nbiot_multicast::prelude::*;
 use proptest::prelude::*;
@@ -163,13 +164,20 @@ proptest! {
             proptest::collection::vec(0usize..40, 0..12),
             1..30
         ),
+        costs in proptest::collection::vec(1u32..=400, 29..30),
     ) {
-        // Both fast paths — the incremental-gain production solver and the
-        // bitset re-sweep — must reproduce the reference oracle's picks
-        // exactly (same sets, same order), including the None cases.
+        // The incremental-gain kernel must reproduce the reference
+        // oracles' picks exactly (same sets, same order), including the
+        // None cases: at unit cost through `greedy_set_cover`, and at a
+        // drawn cost per set (29 costs, the most sets a case draws,
+        // trimmed to the set count).
         let oracle = reference::greedy_set_cover(40, &sets);
-        prop_assert_eq!(greedy_set_cover(40, &sets), oracle.clone());
-        prop_assert_eq!(greedy_set_cover_bitset(40, &sets), oracle);
+        prop_assert_eq!(greedy_set_cover(40, &sets), oracle);
+        let costs = &costs[..sets.len()];
+        prop_assert_eq!(
+            greedy_set_cover_weighted(40, &sets, costs, &mut KernelArena::new()),
+            reference::greedy_set_cover_weighted(40, &sets, costs)
+        );
     }
 
     #[test]
@@ -191,8 +199,7 @@ proptest! {
         }
         let oracle = reference::greedy_set_cover(n, &sets);
         prop_assert!(oracle.is_some());
-        prop_assert_eq!(greedy_set_cover(n, &sets), oracle.clone());
-        prop_assert_eq!(greedy_set_cover_bitset(n, &sets), oracle);
+        prop_assert_eq!(greedy_set_cover(n, &sets), oracle);
     }
 
     #[test]
