@@ -492,7 +492,7 @@ stage_massive_smoke() {
         --warn-only --out "$report" > /dev/null
     local s
     for s in massive_instance_generation set_cover_massive_incremental plan_validate \
-             window_cover_massive; do
+             campaign_massive window_cover_massive; do
         grep -q "\"$s" "$report" || { echo "bench report lacks stage $s" >&2; return 1; }
     done
     echo "massive smoke OK (all three legs)"

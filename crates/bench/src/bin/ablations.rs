@@ -1,5 +1,5 @@
-//! Beyond-paper sensitivity studies (the "design choices" index of
-//! DESIGN.md):
+//! Beyond-paper sensitivity studies of the campaign model
+//! (`docs/ARCHITECTURE.md`, "Campaign accounting"):
 //!
 //! 1. **TI sweep** — how the inactivity-timer length moves the DR-SC
 //!    transmission count and the DA-SC/DR-SI waiting overhead,

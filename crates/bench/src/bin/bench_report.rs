@@ -9,8 +9,9 @@
 //! worker count, 0 = all cores). The massive-n scale-tier stages solve a
 //! `--massive-devices` (default 10^6) frame-cover point, validate the
 //! DA-SC and DR-SI plans of a massive-metering fleet of that size
-//! (`plan_validate`) and solve that fleet's DR-SC window cover
-//! (`window_cover_massive`). `--out <path>` redirects the
+//! (`plan_validate`), run the DR-SC, DA-SC and DR-SI campaigns of that
+//! fleet on prebuilt plans (`campaign_massive`) and solve its DR-SC
+//! window cover (`window_cover_massive`). `--out <path>` redirects the
 //! report. Building with `--features bench-alloc` adds a `mem` block to
 //! every stage (peak allocated bytes in the stage's window, plus
 //! bytes-per-device where the stage has a device count).
@@ -72,7 +73,8 @@ use nbiot_bench::{fail, fail_usage, workload, FigureOpts};
 use nbiot_des::SeedSequence;
 use nbiot_grouping::set_cover::{self, reference, WindowCover};
 use nbiot_grouping::{
-    improve, repair_plan, GroupingInput, GroupingParams, MechanismKind, MulticastPlan,
+    improve, repair_plan, GroupingError, GroupingInput, GroupingMechanism, GroupingParams,
+    MechanismKind, MulticastPlan,
 };
 use nbiot_service::{EventLog, GroupingService, ServeAction, ServiceConfig};
 use nbiot_sim::{
@@ -81,6 +83,28 @@ use nbiot_sim::{
 };
 use nbiot_time::SimDuration;
 use serde_json::{json, Value};
+
+/// A mechanism that hands back a prebuilt plan without touching the RNG,
+/// so a campaign stage times `run_campaign` without planning.
+struct Replay<'a>(&'a MulticastPlan);
+
+impl GroupingMechanism for Replay<'_> {
+    fn name(&self) -> String {
+        self.0.mechanism.clone()
+    }
+
+    fn is_standards_compliant(&self) -> bool {
+        self.0.standards_compliant
+    }
+
+    fn plan(
+        &self,
+        _input: &GroupingInput,
+        _rng: &mut dyn rand::RngCore,
+    ) -> Result<MulticastPlan, GroupingError> {
+        Ok(self.0.clone())
+    }
+}
 
 fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
@@ -279,7 +303,8 @@ fn main() {
                      runs the fixed macro workload through every pipeline stage and writes\n\
                      a BENCH_results.json report (default workload: 5 mechanisms x 500\n\
                      devices x 20 runs). --massive-devices sizes the scale-tier kernel,\n\
-                     plan_validate and window_cover_massive stages (default 1000000).\n\
+                     plan_validate, campaign_massive and window_cover_massive stages\n\
+                     (default 1000000).\n\
                      --compare turns the run into a regression gate against a baseline\n\
                      report; --warn-only downgrades it to a report.\n\
                      build with --features bench-alloc to add per-stage memory accounting."
@@ -764,35 +789,57 @@ fn main() {
     drop(massive_arena);
     drop(massive_sets);
 
-    // ---- Stage 3d: plan validation at massive n. DA-SC and DR-SI serve
-    // the whole massive-metering fleet with one transmission, so their
-    // plans hold the longest recipient list a plan can have. One plan is
-    // alive at a time.
+    // ---- Stage 3d: plan validation and campaigns at massive n. DA-SC
+    // and DR-SI serve the whole massive-metering fleet with one
+    // transmission, so their plans hold the longest recipient list a plan
+    // can have. `campaign_massive` runs `run_campaign` (validate plus the
+    // campaign engine, plus one plan clone) on each prebuilt plan, so it
+    // times the engine without planning. One plan is alive at a time.
     let massive_input = {
         let pop = nbiot_traffic::TrafficMix::massive_metering()
             .generate(massive_devices, &mut seq.child(2_000).rng(0))
             .expect("population");
         GroupingInput::from_population(&pop, params).expect("input")
     };
-    for kind in [MechanismKind::DaSc, MechanismKind::DrSi] {
+    for kind in [
+        MechanismKind::DrSc,
+        MechanismKind::DaSc,
+        MechanismKind::DrSi,
+    ] {
         let plan = kind
             .instantiate()
             .plan(&massive_input, &mut seq.child(2_000).rng(1))
             .expect("plan");
-        let (valid, ms) = timed_min(3, || plan.validate(&massive_input));
-        valid.expect("massive plans are valid");
+        if kind != MechanismKind::DrSc {
+            let (valid, ms) = timed_min(3, || plan.validate(&massive_input));
+            valid.expect("massive plans are valid");
+            stages.push(stage(
+                "plan_validate",
+                ms,
+                json!({
+                    "mechanism": kind.to_string(),
+                    "devices": massive_input.len(),
+                    "transmissions": plan.transmissions.len(),
+                    "recipients": plan
+                        .transmissions
+                        .iter()
+                        .map(|tx| tx.recipients.len())
+                        .sum::<usize>(),
+                }),
+            ));
+        }
+        let (result, ms) = timed_min(3, || {
+            let mut rng = seq.child(2_000).rng(3);
+            run_campaign(&Replay(&plan), &massive_input, &sim, &mut rng).expect("campaign")
+        });
         stages.push(stage(
-            "plan_validate",
+            "campaign_massive",
             ms,
             json!({
                 "mechanism": kind.to_string(),
                 "devices": massive_input.len(),
                 "transmissions": plan.transmissions.len(),
-                "recipients": plan
-                    .transmissions
-                    .iter()
-                    .map(|tx| tx.recipients.len())
-                    .sum::<usize>(),
+                "ra_draws": result.ledgers.iter().map(|l| l.random_accesses).sum::<u64>(),
             }),
         ));
     }

@@ -140,6 +140,8 @@ pub enum PlanViolation {
         /// The affected device.
         device: DeviceId,
     },
+    /// The plan's periodic control monitoring has a zero period.
+    ControlMonitoringPeriod,
 }
 
 impl fmt::Display for PlanViolation {
@@ -179,6 +181,9 @@ impl fmt::Display for PlanViolation {
                 f,
                 "{device} is not connected at exactly one page or wake trigger equal to its connect_at"
             ),
+            PlanViolation::ControlMonitoringPeriod => {
+                f.write_str("control monitoring has a zero period")
+            }
         }
     }
 }

@@ -33,7 +33,7 @@
 //!
 //! Every mechanism produces a [`MulticastPlan`] — a declarative schedule of
 //! transmissions, pagings, adaptations and wake-ups that the `nbiot-sim`
-//! crate executes event-by-event, and whose invariants
+//! crate executes, and whose invariants
 //! ([`MulticastPlan::validate`]) are enforced in tests.
 //!
 //! # Example

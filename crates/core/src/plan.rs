@@ -2,7 +2,7 @@
 //!
 //! A plan is the hand-off point between the planning layer (this crate —
 //! for DR-SC that means the [`crate::set_cover`] kernels) and the
-//! execution layer (`nbiot-sim`), which replays it event by event; the
+//! execution layer (`nbiot-sim`), which accounts it in sorted passes; the
 //! full pipeline is drawn in `docs/ARCHITECTURE.md`.
 
 use core::fmt;
@@ -95,9 +95,9 @@ pub struct DevicePlan {
 /// A complete multicast delivery plan.
 ///
 /// Plans are *declarative*: they state when each transmission happens and
-/// what every device does; `nbiot-sim` turns them into events and energy
-/// ledgers. [`MulticastPlan::validate`] checks the structural invariants
-/// every correct mechanism must uphold.
+/// what every device does; `nbiot-sim` turns them into energy and
+/// bandwidth ledgers. [`MulticastPlan::validate`] checks the structural
+/// invariants every correct mechanism must uphold.
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MulticastPlan {
@@ -142,19 +142,17 @@ impl MulticastPlan {
     /// Mean over devices of the waiting time between connecting and the
     /// serving transmission (the `TI/2`-on-average overhead of Fig. 6(b)).
     pub fn mean_wait(&self) -> SimDuration {
-        let waits: Vec<u64> = self
+        let (total, count) = self
             .device_plans
             .iter()
             .filter_map(|p| {
                 p.connect_at
                     .map(|c| p.receives_at.saturating_duration_since(c).as_ms())
             })
-            .collect();
-        if waits.is_empty() {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_ms(waits.iter().sum::<u64>() / waits.len() as u64)
-        }
+            .fold((0u64, 0u64), |(total, count), wait| {
+                (total + wait, count + 1)
+            });
+        SimDuration::from_ms(total.checked_div(count).unwrap_or(0))
     }
 
     /// Checks every structural invariant the campaign engine relies on,
@@ -197,6 +195,9 @@ impl MulticastPlan {
     /// 9. **The compliance flag matches the signalling**
     ///    ([`PlanViolation::ComplianceMismatch`]): only `mltc` directives
     ///    are non-standard.
+    /// 10. **Control monitoring has a nonzero period**
+    ///     ([`PlanViolation::ControlMonitoringPeriod`]): the engine divides
+    ///     the accounting horizon by it to count monitoring occasions.
     ///
     /// Check 4 covers every device before checks 5–8 run; each reports
     /// the first failing device in device order.
@@ -316,6 +317,13 @@ impl MulticastPlan {
         let uses_mltc = self.device_plans.iter().any(|p| p.mltc.is_some());
         if uses_mltc == self.standards_compliant {
             return Err(PlanViolation::ComplianceMismatch);
+        }
+        // 10. Control monitoring occasions are countable.
+        if self
+            .control_monitoring
+            .is_some_and(|cm| cm.period.is_zero())
+        {
+            return Err(PlanViolation::ControlMonitoringPeriod);
         }
         Ok(())
     }

@@ -1,38 +1,22 @@
-//! Deterministic discrete-event simulation kernel.
+//! Deterministic simulation support.
 //!
-//! This crate provides the replacement for the paper's custom Matlab
-//! simulator substrate:
+//! This crate provides the reproducibility and aggregation substrate that
+//! replaces the paper's custom Matlab simulator:
 //!
-//! * [`EventQueue`] — a time-ordered event queue with a deterministic
-//!   FIFO tie-break for simultaneous events,
 //! * [`SeedSequence`] — reproducible per-(run, component) RNG streams
 //!   derived from one master seed via SplitMix64,
 //! * [`RunningStats`] / [`Summary`] — numerically stable (Welford)
 //!   aggregation used to average experiment metrics over the paper's
 //!   100 runs.
 //!
-//! # Example
-//!
-//! ```
-//! use nbiot_des::EventQueue;
-//! use nbiot_time::SimInstant;
-//!
-//! let mut q = EventQueue::new();
-//! q.schedule(SimInstant::from_ms(20), "second");
-//! q.schedule(SimInstant::from_ms(10), "first");
-//! q.schedule(SimInstant::from_ms(20), "third"); // same time: FIFO order
-//!
-//! let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-//! assert_eq!(order, ["first", "second", "third"]);
-//! ```
+//! Campaigns need no event queue: `nbiot-sim` accounts a plan in sorted
+//! passes (`docs/ARCHITECTURE.md`, "Campaign accounting").
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod queue;
 mod rng;
 mod stats;
 
-pub use queue::EventQueue;
 pub use rng::{splitmix64, SeedSequence};
 pub use stats::{RunningStats, Summary};

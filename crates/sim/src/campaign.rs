@@ -26,14 +26,16 @@ use crate::{engine, CampaignResult, SimConfig, SimError};
 /// * [`SimError::Grouping`] when the mechanism cannot serve the group,
 /// * [`SimError::InvalidPlan`] when the produced plan violates a structural
 ///   invariant (a mechanism bug). Besides the delivery invariants this
-///   covers the engine's indexing assumptions:
+///   covers the engine's own assumptions:
 ///   [`DeviceOrder`](nbiot_grouping::PlanViolation::DeviceOrder) (device
 ///   plans not one per member in device order),
 ///   [`UnknownRecipient`](nbiot_grouping::PlanViolation::UnknownRecipient)
-///   (a recipient outside the group) and
+///   (a recipient outside the group),
 ///   [`ConnectionTrigger`](nbiot_grouping::PlanViolation::ConnectionTrigger)
 ///   (a device not connected at exactly one page or wake trigger equal to
-///   its `connect_at`).
+///   its `connect_at`) and
+///   [`ControlMonitoringPeriod`](nbiot_grouping::PlanViolation::ControlMonitoringPeriod)
+///   (control monitoring with a zero period).
 ///
 /// # Example
 ///
@@ -173,13 +175,13 @@ mod tests {
         assert_eq!(dasc_ideal.ledgers, dasc_serial.ledgers);
     }
 
-    /// DA-SC with its plan edited after planning: a stand-in for a buggy
-    /// mechanism.
-    struct Tampered(fn(&mut MulticastPlan));
+    /// A mechanism whose plan is edited after planning: a stand-in for a
+    /// buggy mechanism.
+    struct Tampered(MechanismKind, fn(&mut MulticastPlan));
 
     impl GroupingMechanism for Tampered {
         fn name(&self) -> String {
-            "tampered DA-SC".to_string()
+            format!("tampered {}", self.0)
         }
 
         fn is_standards_compliant(&self) -> bool {
@@ -191,8 +193,8 @@ mod tests {
             input: &GroupingInput,
             rng: &mut dyn RngCore,
         ) -> Result<MulticastPlan, GroupingError> {
-            let mut plan = DaSc::new().plan(input, rng)?;
-            (self.0)(&mut plan);
+            let mut plan = self.0.instantiate().plan(input, rng)?;
+            (self.1)(&mut plan);
             Ok(plan)
         }
     }
@@ -203,15 +205,15 @@ mod tests {
         // plan would panic it or charge the wrong ledgers.
         let input = input(4, 8);
         let first = input.ids()[0];
-        let cases: [(&str, Tampered, PlanViolation); 5] = [
+        let cases: [(&str, Tampered, PlanViolation); 6] = [
             (
                 "reversed device plans",
-                Tampered(|plan| plan.device_plans.reverse()),
+                Tampered(MechanismKind::DaSc, |plan| plan.device_plans.reverse()),
                 PlanViolation::DeviceOrder { index: 0 },
             ),
             (
                 "last member dropped",
-                Tampered(|plan| {
+                Tampered(MechanismKind::DaSc, |plan| {
                     let last = plan.device_plans.pop().unwrap().device;
                     plan.transmissions[0].recipients.retain(|&r| r != last);
                 }),
@@ -219,7 +221,7 @@ mod tests {
             ),
             (
                 "foreign device",
-                Tampered(|plan| {
+                Tampered(MechanismKind::DaSc, |plan| {
                     let member =
                         std::mem::replace(&mut plan.device_plans[3].device, DeviceId(9999));
                     for r in &mut plan.transmissions[0].recipients {
@@ -234,17 +236,24 @@ mod tests {
             ),
             (
                 "page removed",
-                Tampered(|plan| plan.device_plans[0].page = None),
+                Tampered(MechanismKind::DaSc, |plan| plan.device_plans[0].page = None),
                 PlanViolation::ConnectionTrigger { device: first },
             ),
             (
                 "page 40 s before connect_at",
-                Tampered(|plan| {
+                Tampered(MechanismKind::DaSc, |plan| {
                     let dp = &mut plan.device_plans[0];
                     let po = dp.connect_at.unwrap() - SimDuration::from_secs(40);
                     dp.page = Some(PageDirective { po });
                 }),
                 PlanViolation::ConnectionTrigger { device: first },
+            ),
+            (
+                "SC-MCCH monitored with a zero period",
+                Tampered(MechanismKind::ScPtm, |plan| {
+                    plan.control_monitoring.as_mut().unwrap().period = SimDuration::ZERO;
+                }),
+                PlanViolation::ControlMonitoringPeriod,
             ),
         ];
         for (label, mechanism, violation) in cases {

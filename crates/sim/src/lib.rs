@@ -1,9 +1,9 @@
 //! Single-cell NB-IoT multicast campaign simulator.
 //!
 //! This crate is the executable counterpart of `nbiot-grouping`: it takes a
-//! declarative [`MulticastPlan`](nbiot_grouping::MulticastPlan) and plays it
-//! out over the deterministic event queue of `nbiot-des`, producing per-
-//! device [`UptimeLedger`](nbiot_energy::UptimeLedger)s and a cell
+//! declarative [`MulticastPlan`](nbiot_grouping::MulticastPlan) and accounts
+//! it in a few sorted passes over flat arrays, producing per-device
+//! [`UptimeLedger`](nbiot_energy::UptimeLedger)s and a cell
 //! [`BandwidthLedger`](nbiot_phy::BandwidthLedger) — the raw material of the
 //! paper's Fig. 6 and Fig. 7.
 //!
@@ -11,7 +11,7 @@
 //!
 //! * [`SimConfig`] — payload size, NPDSCH configuration, random-access
 //!   model and signalling costs,
-//! * [`run_campaign`] — one mechanism on one population, event by event,
+//! * [`run_campaign`] — one mechanism on one population,
 //! * [`Scenario`] / [`run_scenario`] — a declarative experiment suite
 //!   (mix × device sweep × payloads × mechanisms × runs) executed as one
 //!   grid, with a registry of built-in scenarios; a scenario may declare
@@ -37,10 +37,12 @@
 //! so the results are **bit-identical for every thread count** —
 //! parallelism only buys wall-clock.
 //!
-//! Accounting model (documented in DESIGN.md): protocol actions (pagings,
-//! random access, reconfigurations, T322 wake-ups, transmissions) are
-//! simulated as discrete events; strictly periodic background PO
-//! monitoring is accounted analytically over a horizon common to all
+//! Accounting model (`docs/ARCHITECTURE.md`, "Campaign accounting"):
+//! protocol actions (pagings, random access, reconfigurations, T322
+//! wake-ups, transmissions) are replayed in protocol order only where
+//! order matters — the random-access draws and the shared carrier — and
+//! folded into the ledgers device by device; strictly periodic background
+//! PO monitoring is accounted analytically over a horizon common to all
 //! compared mechanisms, which is both exact and fast.
 //!
 //! # Example

@@ -6,7 +6,7 @@
 //! that a firmware-sized payload can be multicast to thousands of sleeping
 //! devices, together with the full substrate needed to evaluate them — 3GPP
 //! paging timing, an NB-IoT downlink model, RRC procedures, an energy
-//! ledger, a massive-IoT traffic model and a deterministic discrete-event
+//! ledger, a massive-IoT traffic model and a deterministic campaign
 //! simulator.
 //!
 //! This crate is a facade: it re-exports the public API of the workspace
@@ -15,7 +15,7 @@
 //! | Concern | Crate |
 //! |---------|-------|
 //! | subframe clock, (e)DRX cycles, TS 36.304 paging occasions | [`time`] (`nbiot-time`) |
-//! | event queue, seeded RNG streams, statistics | [`des`] (`nbiot-des`) |
+//! | seeded RNG streams, statistics | [`des`] (`nbiot-des`) |
 //! | TBS tables, transfer durations, bandwidth ledger | [`phy`] (`nbiot-phy`) |
 //! | paging messages, random access, signalling costs | [`rrc`] (`nbiot-rrc`) |
 //! | power states, uptime ledgers, relative metrics | [`energy`] (`nbiot-energy`) |
@@ -59,7 +59,7 @@ pub use nbiot_traffic as traffic;
 
 /// The most common imports, re-exported flat.
 pub mod prelude {
-    pub use nbiot_des::{EventQueue, RunningStats, SeedSequence, Summary};
+    pub use nbiot_des::{RunningStats, SeedSequence, Summary};
     pub use nbiot_energy::{PowerProfile, PowerState, RelativeUptime, UptimeLedger};
     pub use nbiot_grouping::{
         recommend, AdaptationGrid, DaSc, DrSc, DrSi, GroupingError, GroupingInput,
