@@ -107,7 +107,7 @@ stage_docs() {
         | sed 's/"\${figures\[@\]}"/cargo run --release -q -p nbiot-bench --bin figures --/' \
         > "$cmds"
     local bin help flags flag
-    for bin in figures fig6a fig6b fig7 all_figures ablations calibrate \
+    for bin in figures fig6a fig6b fig7 all_figures ablations \
                bench_report scenario_merge scenario_diff scenario_run groupingd; do
         grep -Eq -- "--bin $bin( |\$)" "$cmds" || continue
         help="$(cargo run --release -q -p nbiot-bench --bin "$bin" -- --help 2>&1 || true)"
@@ -451,6 +451,10 @@ stage_bench_gate() {
         --out "$ARTIFACT_DIR/BENCH_results.json" \
         "${gate_flags[@]}" > /dev/null
     test -s "$ARTIFACT_DIR/BENCH_results.json"
+    # The shared-input DR-SC family stage is what the derived
+    # dr_sc_family_sharing_ratio reads; a report without it is broken.
+    grep -q '"plan_dr_sc_family"' "$ARTIFACT_DIR/BENCH_results.json" \
+        || { echo "bench report lacks stage plan_dr_sc_family" >&2; return 1; }
     echo "bench report written to $ARTIFACT_DIR/BENCH_results.json:"
     grep -A4 '"derived"' "$ARTIFACT_DIR/BENCH_results.json"
 }

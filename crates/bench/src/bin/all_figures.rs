@@ -1,7 +1,7 @@
 //! Compat shim regenerating every figure of the paper's evaluation section
 //! in one go (Fig. 6(a), Fig. 6(b), Fig. 7), printing the same tables as
-//! the individual binaries. Used to produce EXPERIMENTS.md. Equivalent to
-//! running `figures --scenario paper-suite` plus `figures --scenario fig7`
+//! the individual binaries. Equivalent to running
+//! `figures --scenario paper-suite` plus `figures --scenario fig7`
 //! — Fig. 6(a) and 6(b) come out of *one* scenario grid, sharing each
 //! run's population and plans across the payload columns.
 //!

@@ -6,7 +6,11 @@
 //!
 //! Default workload: 5 mechanisms × 500 devices × 20 runs (override with
 //! `--devices`/`--runs`; `--threads` sets the *parallel* comparison's
-//! worker count, 0 = all cores). The massive-n scale-tier stages solve a
+//! worker count, 0 = all cores). Every `plan` and `campaign` repetition
+//! runs on a freshly built `GroupingInput`, so no repetition reads a DR-SC
+//! memo an earlier one filled; `plan_dr_sc_family` plans DR-SC,
+//! DR-SC-tabu and DR-SC-weighted on one fresh input, the shared case a
+//! scenario item runs. The massive-n scale-tier stages solve a
 //! `--massive-devices` (default 10^6) frame-cover point, validate the
 //! DA-SC and DR-SI plans of a massive-metering fleet of that size
 //! (`plan_validate`), run the DR-SC, DA-SC and DR-SI campaigns of that
@@ -50,6 +54,7 @@
 //!   "derived": {
 //!     "set_cover_speedup": 14.0,       // reference / incremental greedy, 1000 devices
 //!     "set_cover_stress_speedup": 28.0,      // reference / incremental, 10k devices
+//!     "dr_sc_family_sharing_ratio": 0.6,     // plan_dr_sc_family / summed cold family plans
 //!     "weighted_airtime_gain": 3.4,    // count-greedy airtime / weighted airtime, 10k devices
 //!     "window_cover_speedup": 1.2,     // reference / incremental timeline solver
 //!     "window_cover_incremental_speedup": 5.0, // per-round sweep / incremental
@@ -74,7 +79,7 @@ use nbiot_des::SeedSequence;
 use nbiot_grouping::set_cover::{self, reference, WindowCover};
 use nbiot_grouping::{
     improve, repair_plan, GroupingError, GroupingInput, GroupingMechanism, GroupingParams,
-    MechanismKind, MulticastPlan,
+    MechanismKind, MulticastPlan, DEFAULT_TABU_BUDGET,
 };
 use nbiot_service::{EventLog, GroupingService, ServeAction, ServiceConfig};
 use nbiot_sim::{
@@ -112,16 +117,30 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, start.elapsed().as_secs_f64() * 1000.0)
 }
 
-/// Best-of-`reps` wall clock after one warmup — used for the kernel,
-/// planning and campaign stages, where a single cold measurement is
-/// dominated by cache and page-fault noise.
+/// Best-of-`reps` wall clock after one warmup — used for the kernel
+/// stages, where a single cold measurement is dominated by cache and
+/// page-fault noise.
 fn timed_min<T>(reps: u32, mut f: impl FnMut() -> T) -> (T, f64) {
-    let mut out = f(); // warmup (and the returned value)
+    timed_min_with(reps, || (), |()| f())
+}
+
+/// [`timed_min`] with an untimed `setup` before every call, warmup
+/// included. The planning, campaign and re-planning stages set up a fresh
+/// `GroupingInput` each time: an input memoizes the DR-SC family's cover
+/// and anchor instance, so a reused one would time a memo read.
+fn timed_min_with<S, T>(
+    reps: u32,
+    mut setup: impl FnMut() -> S,
+    mut f: impl FnMut(&S) -> T,
+) -> (T, f64) {
+    let mut out = f(&setup()); // warmup (and the returned value)
     let mut best = f64::INFINITY;
     for _ in 0..reps {
+        let state = setup();
         let start = Instant::now();
-        out = std::hint::black_box(f());
+        let fresh = std::hint::black_box(f(&state));
         best = best.min(start.elapsed().as_secs_f64() * 1000.0);
+        out = fresh;
     }
     (out, best)
 }
@@ -403,22 +422,56 @@ fn main() {
         json!({ "generations": opts.runs * mechanisms, "devices_each": opts.devices }),
     ));
 
-    let input = GroupingInput::from_population(&populations[0], params).expect("input");
+    let fresh_input = || GroupingInput::from_population(&populations[0], params).expect("input");
+    let input = fresh_input();
 
-    // ---- Stage 2: planners ----
+    // ---- Stage 2: planners, each on a fresh input (cold memos) ----
+    let mut plan_ms = Vec::with_capacity(MechanismKind::ALL.len());
     for kind in MechanismKind::ALL {
         let mechanism = kind.instantiate();
-        let ((), ms) = timed_min(3, || {
+        let (_, ms) = timed_min_with(3, fresh_input, |input| {
             let mut rng = seq.child(1_000).rng(2);
-            let plan = mechanism.as_ref().plan(&input, &mut rng).expect("plan");
-            std::hint::black_box(&plan);
+            mechanism.as_ref().plan(input, &mut rng).expect("plan")
         });
+        plan_ms.push((kind, ms));
         stages.push(stage(
             "plan",
             ms,
             json!({ "mechanism": kind.to_string(), "devices": opts.devices }),
         ));
     }
+
+    // ---- Stage 2a: the DR-SC family on one shared input, the way a
+    // scenario item plans it: DR-SC fills the input's count-cover memo,
+    // DR-SC-tabu adds the anchor instance, DR-SC-weighted reads both.
+    // Compared with the three cold `plan` stages above, the derived
+    // `dr_sc_family_sharing_ratio` is what the sharing saves.
+    let family = [
+        MechanismKind::DrSc,
+        MechanismKind::DrScTabu(DEFAULT_TABU_BUDGET),
+        MechanismKind::DrScWeighted,
+    ];
+    let (family_tx, family_ms) = timed_min_with(3, fresh_input, |input| {
+        family
+            .iter()
+            .map(|kind| {
+                let mut rng = seq.child(1_000).rng(2);
+                let plan = kind.instantiate().plan(input, &mut rng).expect("plan");
+                (kind.to_string(), json!(plan.transmission_count()))
+            })
+            .collect::<Vec<_>>()
+    });
+    let family_cold_ms: f64 = plan_ms
+        .iter()
+        .filter(|(kind, _)| family.contains(kind))
+        .map(|&(_, ms)| ms)
+        .sum();
+    let dr_sc_family_sharing_ratio = family_ms / family_cold_ms;
+    stages.push(stage(
+        "plan_dr_sc_family",
+        family_ms,
+        json!({ "devices": opts.devices, "transmissions": Value::Object(family_tx) }),
+    ));
 
     // ---- Stage 2b: the deduplicated anchor-window instance DR-SC-tabu
     // and DR-SC-weighted solve, with its size before and after
@@ -616,17 +669,20 @@ fn main() {
             prev = pop;
         }
     }
-    let epoch_inputs: Vec<GroupingInput> = repair_fleets
-        .iter()
-        .map(|pop| GroupingInput::from_population(pop, params).expect("input"))
-        .collect();
     let repair_input0 = GroupingInput::from_population(&repair_pop0, params).expect("input");
     let dr_sc = MechanismKind::DrSc.instantiate();
     let repair_plan0 = dr_sc
         .plan(&repair_input0, &mut repair_seq.rng(100))
         .expect("plan");
-    let (full_plans, replan_full_ms) = timed_min(3, || {
-        epoch_inputs
+    let fresh_epoch_inputs = || {
+        repair_fleets
+            .iter()
+            .map(|pop| GroupingInput::from_population(pop, params).expect("input"))
+            .collect::<Vec<_>>()
+    };
+    let epoch_inputs = fresh_epoch_inputs();
+    let (full_plans, replan_full_ms) = timed_min_with(3, fresh_epoch_inputs, |inputs| {
+        inputs
             .iter()
             .enumerate()
             .map(|(epoch, input)| {
@@ -906,14 +962,13 @@ fn main() {
         json!({ "devices": events.len(), "slots": slots_ref.len() }),
     ));
 
-    // ---- Stage 4: single campaign execution per mechanism ----
+    // ---- Stage 4: single campaign execution per mechanism, planning
+    // included, each on a fresh input ----
     for kind in MechanismKind::ALL {
         let mechanism = kind.instantiate();
-        let ((), ms) = timed_min(3, || {
+        let (_, ms) = timed_min_with(3, fresh_input, |input| {
             let mut rng = seq.child(2_000).rng(3);
-            let result =
-                run_campaign(mechanism.as_ref(), &input, &sim, &mut rng).expect("campaign");
-            std::hint::black_box(&result);
+            run_campaign(mechanism.as_ref(), input, &sim, &mut rng).expect("campaign")
         });
         stages.push(stage(
             "campaign",
@@ -1107,6 +1162,7 @@ fn main() {
         "derived": json!({
             "set_cover_speedup": set_cover_speedup,
             "set_cover_stress_speedup": set_cover_stress_speedup,
+            "dr_sc_family_sharing_ratio": dr_sc_family_sharing_ratio,
             "weighted_airtime_gain": weighted_airtime_gain,
             "tabu_cover_gain": tabu_cover_gain,
             "repair_vs_full_replan_speedup": repair_vs_full_replan_speedup,

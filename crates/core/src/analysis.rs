@@ -24,8 +24,9 @@
 //! `T(n, p) = ln(1 + p n) / p`; the mixture couples classes through the
 //! anchor allocation. The model ignores the greedy's max-selection (which
 //! beats the random-window average early on) and phase correlations, so it
-//! overestimates slightly at large `n`; the tests accept a ±35 % band and
-//! the EXPERIMENTS.md tables show the actual agreement.
+//! overestimates slightly at large `n`; the tests accept a ±35 % band, and
+//! `figures --scenario fig7` prints the estimate beside the measured
+//! counts.
 
 use nbiot_time::SimDuration;
 

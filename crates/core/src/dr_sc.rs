@@ -3,34 +3,14 @@
 use rand::RngCore;
 
 use nbiot_phy::{CoverageClass, NpdschConfig};
-use nbiot_time::{SimDuration, SimInstant, TimeWindow};
+use nbiot_time::{SimDuration, TimeWindow};
 
 use crate::improve::{improve_cover, ImprovementStats};
-use crate::set_cover::{AnchorInstance, CoverSlot, WindowCover, DEFAULT_ARENA};
+use crate::set_cover::{CoverSlot, WindowCover, DEFAULT_ARENA};
 use crate::{
     DevicePlan, GroupingError, GroupingInput, GroupingMechanism, MulticastPlan, PageDirective,
     Transmission,
 };
-
-/// The error [`WindowCover::solve`] failure maps to: some sparse device
-/// has no paging occasion inside the horizon.
-fn no_usable_po(
-    input: &GroupingInput,
-    events: &[Vec<SimInstant>],
-    dense: &[bool],
-) -> GroupingError {
-    GroupingError::NoUsablePo {
-        device: input
-            .ids()
-            .iter()
-            .zip(events)
-            .zip(dense)
-            .find(|((_, e), &d)| e.is_empty() && !d)
-            .map(|((&id, _), _)| id)
-            .expect("solver fails only on sparse device without POs"),
-        t: input.search_horizon().end(),
-    }
-}
 
 /// FNV-1a over the anchor-window set-cover instance. [`DrScTabu`] seeds
 /// the tabu search from the instance rather than the caller's RNG so
@@ -56,7 +36,9 @@ fn instance_seed(n_sparse: usize, sets: &[Vec<usize>]) -> u64 {
 /// The cover is solved by [`WindowCover`], which dispatches between
 /// incremental gain maintenance and a per-round re-sweep by measured
 /// window occupancy (both slot-identical; see `docs/KERNELS.md`) — this
-/// planning step dominates DR-SC's cost at `large-n-stress` scale.
+/// planning step dominates DR-SC's cost at `large-n-stress` scale. The
+/// input memoizes the cover, so [`DrScTabu`] and [`DrScWeighted`] planned
+/// on the same input start from it without solving it again.
 ///
 /// Devices spend no more energy than under normal operation (aside from
 /// the reception itself); the price is bandwidth — the number of
@@ -108,17 +90,15 @@ impl GroupingMechanism for DrSc {
         input: &GroupingInput,
         _rng: &mut dyn RngCore,
     ) -> Result<MulticastPlan, GroupingError> {
-        let params = input.params();
-        let ti = params.ti.duration();
-        let horizon = input.search_horizon();
-        // Enumerate PO events only for sparse devices (cycle > TI); devices
-        // with cycle <= TI ("dense") have a PO in every window and ride the
+        // The cover spans sparse devices' POs (cycle > TI); devices with
+        // cycle <= TI ("dense") have a PO in every window and ride the
         // first transmission.
-        let (events, dense) = input.po_events();
-        let slots = WindowCover::new(ti)
-            .solve(horizon.start(), &events, &dense)
-            .ok_or_else(|| no_usable_po(input, &events, &dense))?;
-        Ok(plan_from_slots(input, &slots, self.guard, self.name()))
+        Ok(plan_from_slots(
+            input,
+            input.count_cover()?,
+            self.guard,
+            self.name(),
+        ))
     }
 }
 
@@ -239,11 +219,15 @@ fn fold_redundant_slots(input: &GroupingInput, slots: &mut Vec<CoverSlot>) {
 /// devices into an already-deep window is free, and on some instances the
 /// plain count-greedy cover exploits that better than ratio-greedy does
 /// (ratio-greedy splits covers into extra cheap windows whose base cost
-/// adds up). The mechanism therefore solves **both** covers, folds
-/// redundant slots out of each ([`fold_redundant_slots`]), prices each
-/// finished plan by its transmissions' deepest-recipient airtime, and
-/// keeps the cheaper one — so it is never worse than [`DrSc`] on total
-/// airtime, by construction (ties keep the weighted cover).
+/// adds up). The mechanism therefore weighs **both** covers. It solves
+/// the weighted cover on the input's memoized
+/// [`AnchorInstance`](crate::set_cover::AnchorInstance) and copies the
+/// input's memoized count cover, the one [`DrSc`] plans from (the memo
+/// itself is never edited). It folds redundant slots out of each
+/// ([`fold_redundant_slots`]), prices each finished plan by its
+/// transmissions' deepest-recipient airtime, and keeps the cheaper one —
+/// so it is never worse than [`DrSc`] on total airtime, by construction
+/// (ties keep the weighted cover).
 ///
 /// Everything downstream of window choice (paging directives, guard
 /// timing, transmission ordering) is byte-for-byte the DR-SC logic
@@ -327,7 +311,10 @@ impl GroupingMechanism for DrScWeighted {
     ) -> Result<MulticastPlan, GroupingError> {
         let ti = input.params().ti.duration();
         let horizon = input.search_horizon();
-        let (events, dense) = input.po_events();
+        // The count cover fails exactly when the weighted one does: some
+        // sparse device has no PO, so it lies in no window.
+        let mut counted = input.count_cover()?.to_vec();
+        let instance = input.anchor_instance();
         let table = self.airtime_table();
         let coverages = input.coverages();
         let window_cost = |members: &[usize]| {
@@ -338,23 +325,16 @@ impl GroupingMechanism for DrScWeighted {
                 .unwrap_or_default();
             table[deepest as usize]
         };
-        let cover = WindowCover::new(ti);
-        let weighted = DEFAULT_ARENA
+        let mut weighted = DEFAULT_ARENA
             .with(|arena| {
-                cover.solve_weighted(
+                WindowCover::new(ti).solve_weighted(
                     horizon.start(),
-                    &events,
-                    &dense,
+                    instance,
                     window_cost,
                     &mut arena.borrow_mut(),
                 )
             })
-            .ok_or_else(|| no_usable_po(input, &events, &dense))?;
-        let counted = cover
-            .solve(horizon.start(), &events, &dense)
-            .expect("count cover is feasible whenever the weighted cover is");
-        let mut weighted = weighted;
-        let mut counted = counted;
+            .expect("the weighted cover is feasible whenever the count cover is");
         fold_redundant_slots(input, &mut weighted);
         fold_redundant_slots(input, &mut counted);
         // Keep whichever refined cover transmits cheaper; ties keep the
@@ -375,18 +355,21 @@ pub const DEFAULT_TABU_BUDGET: u32 = 64;
 
 /// DR-SC with an anytime tabu-improvement pass over the greedy cover.
 ///
-/// Planning runs the same greedy [`WindowCover`] as [`DrSc`], then spends
-/// `budget` destroy-and-repair iterations of [`crate::improve`] trying to
-/// shrink the window set — fewer windows means fewer transmissions, the
-/// paper's Fig. 7 bandwidth cost. The improvement search works on the
-/// [`AnchorInstance`] — every distinct member set of a `TI` window
-/// anchored at a sparse PO, stored once — which is a strictly richer
-/// neighborhood than the greedy solver's newly-covered slots. Because
-/// each set appears once, tabu tenure bans a window's *content*, not one
-/// of its copies. Each greedy slot maps to its window; the rebuilt plan
-/// keeps retained greedy windows at their own anchors and opens windows
-/// the search introduced at their lowest anchor, so a run that finds no
-/// strictly smaller cover reproduces the greedy windows exactly.
+/// Planning starts from [`DrSc`]'s greedy [`WindowCover`] cover, then
+/// spends `budget` destroy-and-repair iterations of [`crate::improve`]
+/// trying to shrink the window set — fewer windows means fewer
+/// transmissions, the paper's Fig. 7 bandwidth cost. The improvement
+/// search works on the [`AnchorInstance`](crate::set_cover::AnchorInstance)
+/// — every distinct member set of a `TI` window anchored at a sparse PO,
+/// stored once — which is a strictly richer neighborhood than the greedy
+/// solver's newly-covered slots. Because each set appears once, tabu
+/// tenure bans a window's *content*, not one of its copies. The start
+/// cover and the instance are both the input's memos, shared with
+/// [`DrSc`] and [`DrScWeighted`] planned on the same input. Each greedy
+/// slot maps to its window; the rebuilt plan keeps retained greedy
+/// windows at their own anchors and opens windows the search introduced
+/// at their lowest anchor, so a run that finds no strictly smaller cover
+/// reproduces the greedy windows exactly.
 ///
 /// `budget == 0` delegates to [`DrSc`] and relabels: the plan content is
 /// bit-identical to plain DR-SC (locked by proptest). With `budget > 0`
@@ -454,20 +437,16 @@ impl GroupingMechanism for DrScTabu {
             return Ok(self.relabel(greedy.plan(input, rng)?, 0));
         }
         let ti = input.params().ti.duration();
-        let horizon = input.search_horizon();
-        let (events, dense) = input.po_events();
-        if dense.iter().all(|&d| d) {
+        let instance = input.anchor_instance();
+        if instance.sparse_devices().is_empty() {
             // All-dense groups are a single window already — optimal.
             return Ok(self.relabel(greedy.plan(input, rng)?, 0));
         }
-        let slots = WindowCover::new(ti)
-            .solve(horizon.start(), &events, &dense)
-            .ok_or_else(|| no_usable_po(input, &events, &dense))?;
+        let slots = input.count_cover()?;
 
         // The greedy slots are the initial solution: each slot is anchored
         // at a sparse PO, so it opens one of the instance's windows (never
         // the same one twice — a second copy would cover nothing new).
-        let instance = AnchorInstance::new(ti, &events, &dense);
         let greedy_anchors: Vec<usize> = slots
             .iter()
             .map(|s| {
@@ -526,7 +505,7 @@ impl GroupingMechanism for DrScTabu {
             .first_mut()
             .expect("some sparse device rides a window")
             .covered;
-        first.extend((0..input.len()).filter(|&d| dense[d]));
+        first.extend(instance.dense_devices());
         first.sort_unstable();
         let mut plan = plan_from_slots(input, &slots, self.guard, self.name());
         plan.improvement = Some(stats);

@@ -1,10 +1,14 @@
 //! Grouping problem input.
 
+use std::fmt;
+use std::sync::OnceLock;
+
 use nbiot_phy::CoverageClass;
 use nbiot_rrc::InactivityTimer;
 use nbiot_time::{CycleLadder, PagingConfig, PagingSchedule, SimDuration, SimInstant, UeId};
 use nbiot_traffic::{ClassId, DeviceId, DeviceProfile, Population};
 
+use crate::set_cover::{AnchorInstance, CoverSlot, WindowCover};
 use crate::GroupingError;
 
 /// Tunable parameters of a grouping problem.
@@ -41,7 +45,17 @@ impl Default for GroupingParams {
 /// building an input from a population is five column clones, not n
 /// struct copies. The row view [`GroupingInput::device`] /
 /// [`GroupingInput::iter`] materializes a [`DeviceProfile`] on demand.
-#[derive(Debug, Clone)]
+///
+/// The input also holds the planning state the DR-SC family shares: the
+/// greedy count cover ([`crate::DrSc`]'s plan, [`crate::DrScTabu`]'s
+/// start cover and [`crate::DrScWeighted`]'s count partner) and the
+/// deduplicated [`AnchorInstance`] (tabu's search space and the weighted
+/// cover's instance). Each is computed on the first plan that needs it
+/// and then read by every later one, from any thread; an input planned by
+/// DA-SC, DR-SI, unicast or SC-PTM alone never computes either. The input
+/// has no mutators, so neither can go stale. The PO timeline they are
+/// built from ([`GroupingInput::po_events`]) is not kept.
+#[derive(Clone)]
 pub struct GroupingInput {
     ids: Vec<DeviceId>,
     ues: Vec<UeId>,
@@ -59,6 +73,29 @@ pub struct GroupingInput {
     /// index map, precomputed once so per-campaign execution does no hash
     /// map construction (recipient lists reference devices by identity).
     positions: Vec<(DeviceId, usize)>,
+    /// DR-SC's count cover, solved on first use.
+    count_cover: OnceLock<Result<Vec<CoverSlot>, GroupingError>>,
+    /// The deduplicated anchor-window instance, built on first use.
+    anchor_instance: OnceLock<AnchorInstance>,
+}
+
+impl fmt::Debug for GroupingInput {
+    /// The device columns and parameters; the planning memos are derived
+    /// state and left out.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("GroupingInput")
+            .field("ids", &self.ids)
+            .field("ues", &self.ues)
+            .field("classes", &self.classes)
+            .field("pagings", &self.pagings)
+            .field("report_intervals", &self.report_intervals)
+            .field("coverages", &self.coverages)
+            .field("schedules", &self.schedules)
+            .field("params", &self.params)
+            .field("max_cycle", &self.max_cycle)
+            .field("positions", &self.positions)
+            .finish_non_exhaustive()
+    }
 }
 
 impl GroupingInput {
@@ -96,6 +133,8 @@ impl GroupingInput {
             params,
             max_cycle,
             positions,
+            count_cover: OnceLock::new(),
+            anchor_instance: OnceLock::new(),
         })
     }
 
@@ -147,6 +186,8 @@ impl GroupingInput {
             params,
             max_cycle,
             positions,
+            count_cover: OnceLock::new(),
+            anchor_instance: OnceLock::new(),
         })
     }
 
@@ -301,6 +342,9 @@ impl GroupingInput {
     /// DR-SC window cover: sparse devices (cycle greater than `TI`) get
     /// their enumerated occasions, dense devices get an empty list plus a
     /// `true` flag (they have a PO in every window).
+    ///
+    /// Each call enumerates the timeline afresh; the planners never call
+    /// it, they read the memoized products built from it.
     pub fn po_events(&self) -> (Vec<Vec<SimInstant>>, Vec<bool>) {
         let ti = self.params.ti.duration();
         let horizon = self.search_horizon();
@@ -315,6 +359,50 @@ impl GroupingInput {
                 }
             })
             .unzip()
+    }
+
+    /// DR-SC's greedy count cover ([`WindowCover::solve`] over
+    /// [`GroupingInput::po_events`]), solved on first use.
+    ///
+    /// # Errors
+    ///
+    /// [`GroupingError::NoUsablePo`] when a sparse device has no paging
+    /// occasion inside the search horizon.
+    pub(crate) fn count_cover(&self) -> Result<&[CoverSlot], GroupingError> {
+        self.count_cover
+            .get_or_init(|| {
+                let (events, dense) = self.po_events();
+                WindowCover::new(self.params.ti.duration())
+                    .solve(self.search_horizon().start(), &events, &dense)
+                    .ok_or_else(|| self.no_usable_po(&events, &dense))
+            })
+            .as_deref()
+            .map_err(Clone::clone)
+    }
+
+    /// The deduplicated anchor-window instance over the sparse devices'
+    /// POs ([`AnchorInstance::new`]), built on first use.
+    pub(crate) fn anchor_instance(&self) -> &AnchorInstance {
+        self.anchor_instance.get_or_init(|| {
+            let (events, dense) = self.po_events();
+            AnchorInstance::new(self.params.ti.duration(), &events, &dense)
+        })
+    }
+
+    /// The error a failed count cover maps to: the first sparse device
+    /// with no paging occasion inside the horizon.
+    fn no_usable_po(&self, events: &[Vec<SimInstant>], dense: &[bool]) -> GroupingError {
+        GroupingError::NoUsablePo {
+            device: self
+                .ids
+                .iter()
+                .zip(events)
+                .zip(dense)
+                .find(|((_, e), &d)| e.is_empty() && !d)
+                .map(|((&id, _), _)| id)
+                .expect("solver fails only on sparse device without POs"),
+            t: self.search_horizon().end(),
+        }
     }
 }
 

@@ -485,7 +485,8 @@ pub struct CoverSlot {
 
 /// The deduplicated anchor-window set-cover instance over sparse devices —
 /// the static instance [`WindowCover::solve_weighted`] and
-/// [`crate::DrScTabu`] solve.
+/// [`crate::DrScTabu`] solve. A [`crate::GroupingInput`] builds it once,
+/// on first use, and both planners read that one copy.
 ///
 /// Every distinct sparse PO instant `a` anchors a candidate window holding
 /// the sparse devices with a PO in `[a, a + TI)`. Most cycles are far
@@ -504,6 +505,8 @@ pub struct CoverSlot {
 /// only saves work and never decides.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnchorInstance {
+    /// Number of devices, dense ones included.
+    devices: usize,
     /// Event index of each sparse device; window members index this list.
     sparse: Vec<usize>,
     /// Distinct sparse PO instants, ascending.
@@ -547,6 +550,7 @@ impl AnchorInstance {
         flat.sort_unstable();
 
         let mut instance = AnchorInstance {
+            devices: events.len(),
             sparse,
             anchors: Vec::new(),
             window_of: Vec::new(),
@@ -615,6 +619,13 @@ impl AnchorInstance {
     /// are positions in this list (the set-cover universe).
     pub fn sparse_devices(&self) -> &[usize] {
         &self.sparse
+    }
+
+    /// The devices left out of the instance (a PO in every window),
+    /// ascending: the complement of [`AnchorInstance::sparse_devices`].
+    pub(crate) fn dense_devices(&self) -> impl Iterator<Item = usize> + '_ {
+        let mut sparse = self.sparse.iter().peekable();
+        (0..self.devices).filter(move |&d| sparse.next_if_eq(&&d).is_none())
     }
 
     /// The candidate anchors: every distinct sparse PO instant, ascending.
@@ -791,58 +802,50 @@ impl WindowCover {
         self.solve_with(horizon_start, events, dense, Strategy::Incremental, arena)
     }
 
-    /// Cost-aware cover over the [`AnchorInstance`] (the same deduplicated
-    /// anchor-window instance [`crate::DrScTabu`] searches): prices each
-    /// distinct window through `window_cost` and solves with
-    /// [`greedy_set_cover_weighted`] — each round picks the window
-    /// maximizing newly-covered devices *per unit cost* instead of the
-    /// raw count. A picked window opens at its lowest anchor.
+    /// Cost-aware cover over `instance`, an [`AnchorInstance`] built for
+    /// this solver's `TI` (the same deduplicated anchor-window instance
+    /// [`crate::DrScTabu`] searches): prices each distinct window through
+    /// `window_cost` and solves with [`greedy_set_cover_weighted`] — each
+    /// round picks the window maximizing newly-covered devices *per unit
+    /// cost* instead of the raw count. A picked window opens at its lowest
+    /// anchor.
     ///
-    /// `window_cost` receives the window's member devices as indices into
-    /// `events` (sparse members only, in PO order at the window's lowest
+    /// `window_cost` receives the window's member devices as device
+    /// indices (sparse members only, in PO order at the window's lowest
     /// anchor) and must return a positive cost that depends on the member
     /// *set* alone; for DR-SC it returns the coverage-class block airtime
-    /// of the deepest member. Dense devices ride the first selected
-    /// transmission exactly as in [`WindowCover::solve`] — their cost
-    /// contribution is constant across any cover, so they never influence
-    /// the argmax and are excluded from the priced instance.
+    /// of the deepest member. Dense devices (those the instance leaves
+    /// out) ride the first selected transmission exactly as in
+    /// [`WindowCover::solve`] — their cost contribution is constant across
+    /// any cover, so they never influence the argmax and are excluded
+    /// from the priced instance.
     ///
     /// Returns the selected transmissions in selection (greedy) order, or
-    /// `None` when some non-dense device has no PO events. The slots are
-    /// **identical** to the weighted greedy over the full per-anchor
-    /// instance ([`reference::window_cover_weighted`], proptest-locked):
-    /// anchors with equal member sets have equal gains and costs in every
-    /// round, so that greedy always picks the lowest of them — the one
-    /// anchor the deduplicated instance keeps. With a constant
-    /// `window_cost` the ratio key degenerates to `gain << 32`, so the
-    /// picks equal the unweighted kernel's on the same instance. They are
-    /// *not* slot-for-slot identical to [`WindowCover::solve`]: the
-    /// unweighted engines drop covered devices' events between rounds and
-    /// therefore re-anchor gain-tied windows at a surviving (uncovered)
-    /// PO, while the static instance keeps every anchor alive. The covered
-    /// POs are the same; only tie-round `window_start`s can differ.
+    /// `None` when some sparse device has no PO events (it lies in no
+    /// window). The slots are **identical** to the weighted greedy over
+    /// the full per-anchor instance ([`reference::window_cover_weighted`],
+    /// proptest-locked): anchors with equal member sets have equal gains
+    /// and costs in every round, so that greedy always picks the lowest of
+    /// them — the one anchor the deduplicated instance keeps. With a
+    /// constant `window_cost` the ratio key degenerates to `gain << 32`,
+    /// so the picks equal the unweighted kernel's on the same instance.
+    /// They are *not* slot-for-slot identical to [`WindowCover::solve`]:
+    /// the unweighted engines drop covered devices' events between rounds
+    /// and therefore re-anchor gain-tied windows at a surviving
+    /// (uncovered) PO, while the static instance keeps every anchor alive.
+    /// The covered POs are the same; only tie-round `window_start`s can
+    /// differ.
     ///
     /// # Panics
     ///
-    /// Panics when `events` and `dense` have different lengths, or when
-    /// `window_cost` returns zero.
+    /// Panics when `window_cost` returns zero.
     pub fn solve_weighted(
         &self,
         horizon_start: SimInstant,
-        events: &[Vec<SimInstant>],
-        dense: &[bool],
+        instance: &AnchorInstance,
         mut window_cost: impl FnMut(&[usize]) -> u32,
         arena: &mut KernelArena,
     ) -> Option<Vec<CoverSlot>> {
-        assert_eq!(events.len(), dense.len(), "events/dense length mismatch");
-        if events
-            .iter()
-            .zip(dense)
-            .any(|(evs, &d)| evs.is_empty() && !d)
-        {
-            return None;
-        }
-        let instance = AnchorInstance::new(self.ti, events, dense);
         let sparse = instance.sparse_devices();
         let mut costs = std::mem::take(&mut arena.wcosts);
         costs.clear();
@@ -857,7 +860,7 @@ impl WindowCover {
         let picks = greedy_set_cover_weighted(sparse.len(), instance.windows(), &costs, arena);
         arena.wcosts = costs;
 
-        let mut covered = vec![false; events.len()];
+        let mut covered = vec![false; instance.devices];
         let mut slots: Vec<CoverSlot> = Vec::new();
         for w in picks? {
             let window_start = instance.anchors()[instance.lowest_anchors()[w]];
@@ -877,7 +880,11 @@ impl WindowCover {
                 covered: newly,
             });
         }
-        self.attach_dense(horizon_start, dense, &mut covered, &mut slots);
+        self.attach_dense(
+            horizon_start,
+            instance.dense_devices().collect(),
+            &mut slots,
+        );
         Some(slots)
     }
 
@@ -886,17 +893,9 @@ impl WindowCover {
     fn attach_dense(
         &self,
         horizon_start: SimInstant,
-        dense: &[bool],
-        covered: &mut [bool],
+        dense_devices: Vec<usize>,
         slots: &mut Vec<CoverSlot>,
     ) {
-        let dense_devices: Vec<usize> = (0..dense.len())
-            .filter(|&d| dense[d] && !covered[d])
-            .collect();
-        for &d in &dense_devices {
-            covered[d] = true;
-        }
-        debug_assert!(covered.iter().all(|&c| c));
         if dense_devices.is_empty() {
             return;
         }
@@ -963,7 +962,12 @@ impl WindowCover {
         } else {
             self.rounds_sweep(arena, uncovered_sparse)
         };
-        self.attach_dense(horizon_start, dense, &mut arena.wc_covered, &mut slots);
+        debug_assert!((0..n).all(|d| dense[d] || arena.wc_covered[d]));
+        self.attach_dense(
+            horizon_start,
+            (0..n).filter(|&d| dense[d]).collect(),
+            &mut slots,
+        );
         Some(slots)
     }
 
@@ -2241,13 +2245,14 @@ mod tests {
             let solver = WindowCover::new(ti);
             let airtime =
                 |members: &[usize]| members.iter().map(|&d| weights[d]).max().unwrap_or(1);
+            let instance = AnchorInstance::new(ti, &events, &dense);
             assert_eq!(
-                solver.solve_weighted(ms(0), &events, &dense, airtime, &mut arena),
+                solver.solve_weighted(ms(0), &instance, airtime, &mut arena),
                 reference::window_cover_weighted(ti, ms(0), &events, &dense, airtime),
                 "weighted, trial {trial}"
             );
             assert_eq!(
-                solver.solve_weighted(ms(0), &events, &dense, |_| 1, &mut arena),
+                solver.solve_weighted(ms(0), &instance, |_| 1, &mut arena),
                 reference::window_cover_weighted(ti, ms(0), &events, &dense, |_| 1),
                 "unit-cost, trial {trial}"
             );
@@ -2256,17 +2261,20 @@ mod tests {
         // uncoverable sparse device (none of these involve anchor ties).
         let ti = SimDuration::from_ms(100);
         let solver = WindowCover::new(ti);
+        let empty = AnchorInstance::new(ti, &[], &[]);
         assert_eq!(
-            solver.solve_weighted(ms(0), &[], &[], |_| 1, &mut arena),
+            solver.solve_weighted(ms(0), &empty, |_| 1, &mut arena),
             Some(vec![])
         );
         let events = vec![vec![ms(5)], vec![ms(20)]];
+        let all_dense = AnchorInstance::new(ti, &events, &[true, true]);
         assert_eq!(
-            solver.solve_weighted(ms(0), &events, &[true, true], |_| 1, &mut arena),
+            solver.solve_weighted(ms(0), &all_dense, |_| 1, &mut arena),
             solver.solve(ms(0), &events, &[true, true])
         );
+        let no_po = AnchorInstance::new(ti, &[vec![]], &[false]);
         assert_eq!(
-            solver.solve_weighted(ms(0), &[vec![]], &[false], |_| 1, &mut arena),
+            solver.solve_weighted(ms(0), &no_po, |_| 1, &mut arena),
             None
         );
     }
@@ -2297,8 +2305,9 @@ mod tests {
         let solver = WindowCover::new(ti);
         let mut arena = KernelArena::new();
         let unweighted = solver.solve(ms(0), &events, &dense).unwrap();
+        let instance = AnchorInstance::new(ti, &events, &dense);
         let weighted = solver
-            .solve_weighted(ms(0), &events, &dense, cost, &mut arena)
+            .solve_weighted(ms(0), &instance, cost, &mut arena)
             .unwrap();
         assert_eq!(
             unweighted
@@ -2357,6 +2366,7 @@ mod tests {
         let dense = [false, false, true, false];
         let instance = AnchorInstance::new(ti, &events, &dense);
         assert_eq!(instance.sparse_devices(), &[0, 1, 3]);
+        assert_eq!(instance.dense_devices().collect::<Vec<_>>(), vec![2]);
         assert_eq!(
             instance.anchors(),
             &[ms(0), ms(50), ms(500), ms(1000), ms(1050), ms(1500)]
@@ -2389,6 +2399,7 @@ mod tests {
         for (events, dense) in [(vec![], vec![]), (vec![vec![ms(5)]], vec![true])] {
             let empty = AnchorInstance::new(ti, &events, &dense);
             assert!(empty.anchors().is_empty() && empty.windows().is_empty());
+            assert_eq!(empty.dense_devices().count(), events.len());
         }
     }
 }

@@ -37,7 +37,7 @@ impl InactivityTimer {
 impl Default for InactivityTimer {
     /// 10 s — the low end of the commercial 10–30 s range, and the value
     /// under which the default traffic mix reproduces the paper's Fig. 7
-    /// shape (see EXPERIMENTS.md).
+    /// shape (see `docs/SCENARIOS.md`).
     fn default() -> Self {
         InactivityTimer(SimDuration::from_secs(10))
     }

@@ -141,8 +141,8 @@ impl TrafficMix {
     /// sleeps on the longest eDRX cycles (87 min to 175 min). The exact
     /// shares were calibrated so that the DR-SC transmission curve
     /// reproduces the shape of the paper's Fig. 7 (≈50 % of N at N = 100
-    /// declining to ≈40 % at N = 1000); the calibration sweep is preserved
-    /// in `nbiot-bench --bin calibrate` and documented in EXPERIMENTS.md.
+    /// declining to ≈40 % at N = 1000); `docs/SCENARIOS.md` records the
+    /// choice.
     pub fn ericsson_city() -> TrafficMix {
         let h = SimDuration::from_secs(3600);
         TrafficMix::new(

@@ -528,3 +528,121 @@ fn instance_planners_serve_identical_timelines_with_one_window() {
         assert!(result.mean_connected_ms().is_finite());
     }
 }
+
+/// The planners that read an input's shared DR-SC planning state (the
+/// count cover and the anchor instance), tabu at three budgets: budget 0
+/// delegates to DR-SC.
+const DR_SC_FAMILY: [MechanismKind; 5] = [
+    MechanismKind::DrSc,
+    MechanismKind::DrScTabu(0),
+    MechanismKind::DrScTabu(8),
+    MechanismKind::DrScTabu(64),
+    MechanismKind::DrScWeighted,
+];
+
+// The memos live in `OnceLock`s, so an input stays shareable across
+// threads.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<GroupingInput>();
+};
+
+/// Plans family member `i` with an RNG fixed per member, so its plan
+/// cannot depend on which members ran before it.
+fn plan_member(i: usize, input: &GroupingInput, seed: u64) -> MulticastPlan {
+    DR_SC_FAMILY[i]
+        .instantiate()
+        .plan(input, &mut StdRng::seed_from_u64(seed ^ i as u64))
+        .unwrap()
+}
+
+/// The `k`-th permutation of `0..n` in lexicographic order (`k < n!`).
+fn nth_permutation(mut k: usize, n: usize) -> Vec<usize> {
+    let mut pool: Vec<usize> = (0..n).collect();
+    let mut order = Vec::with_capacity(n);
+    for left in (1..=n).rev() {
+        let block: usize = (1..left).product();
+        order.push(pool.remove(k / block));
+        k %= block;
+    }
+    order
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn planning_order_never_changes_a_dr_sc_family_plan(
+        mix in prop_oneof![
+            Just(TrafficMix::ericsson_city()),
+            Just(TrafficMix::heterogeneous_coverage()),
+            Just(TrafficMix::short_drx()),
+            Just(TrafficMix::massive_metering()),
+            Just(TrafficMix::bursty_alarm()),
+        ],
+        n in 1usize..=120,
+        seed in 0u64..1_000,
+        order in 0usize..120,
+    ) {
+        // One shared input planned in the drawn order (one of the 5!
+        // orders) against a fresh input per plan: a memo that one member
+        // fills or edits must never show in another member's plan.
+        let pop = mix.generate(n, &mut StdRng::seed_from_u64(seed)).unwrap();
+        let fresh = || GroupingInput::from_population(&pop, GroupingParams::default()).unwrap();
+        let shared = fresh();
+        let mut on_shared: Vec<Option<MulticastPlan>> = vec![None; DR_SC_FAMILY.len()];
+        for i in nth_permutation(order, DR_SC_FAMILY.len()) {
+            on_shared[i] = Some(plan_member(i, &shared, seed));
+        }
+        for (i, plan) in on_shared.iter().enumerate() {
+            let alone = plan_member(i, &fresh(), seed);
+            prop_assert_eq!(
+                plan.as_ref(),
+                Some(&alone),
+                "{} in order {order} on {} devices of {}",
+                DR_SC_FAMILY[i],
+                n,
+                mix.name
+            );
+        }
+    }
+}
+
+#[test]
+fn concurrent_planners_on_one_input_match_serial_plans() {
+    // Two threads plan the family on one shared input in opposite orders,
+    // released together by a barrier, so both race to fill the
+    // count-cover and anchor-instance memos.
+    let pop = TrafficMix::heterogeneous_coverage()
+        .generate(150, &mut StdRng::seed_from_u64(17))
+        .unwrap();
+    let input = || GroupingInput::from_population(&pop, GroupingParams::default()).unwrap();
+    let serial: Vec<MulticastPlan> = {
+        let own = input();
+        (0..DR_SC_FAMILY.len())
+            .map(|i| plan_member(i, &own, 17))
+            .collect()
+    };
+    let shared = input();
+    let start = std::sync::Barrier::new(2);
+    let (forward, backward) = std::thread::scope(|s| {
+        let forward = s.spawn(|| {
+            start.wait();
+            (0..DR_SC_FAMILY.len())
+                .map(|i| plan_member(i, &shared, 17))
+                .collect::<Vec<_>>()
+        });
+        let backward = s.spawn(|| {
+            start.wait();
+            let mut plans: Vec<MulticastPlan> = (0..DR_SC_FAMILY.len())
+                .rev()
+                .map(|i| plan_member(i, &shared, 17))
+                .collect();
+            plans.reverse();
+            plans
+        });
+        (forward.join().unwrap(), backward.join().unwrap())
+    });
+    assert_eq!(forward, serial);
+    assert_eq!(backward, serial);
+}

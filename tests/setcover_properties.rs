@@ -303,7 +303,7 @@ proptest! {
         };
         let mut arena = KernelArena::new();
         prop_assert_eq!(
-            WindowCover::new(ti).solve_weighted(SimInstant::ZERO, &events, &dense, cost, &mut arena),
+            WindowCover::new(ti).solve_weighted(SimInstant::ZERO, &instance, cost, &mut arena),
             reference::window_cover_weighted(ti, SimInstant::ZERO, &events, &dense, cost)
         );
     }
