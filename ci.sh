@@ -11,7 +11,8 @@
 #   test           tier-1 root-crate tests, then the whole workspace
 #   lint           clippy with -D warnings across all targets
 #   fmt            cargo fmt --check (no formatting drift)
-#   docs           cargo doc --no-deps warning-free (offline) + README
+#   docs           cargo doc --workspace --no-deps warning-free for our
+#                  crates (offline, vendor/ excluded) + README
 #                  quick-start commands cross-checked against --help
 #   figures-smoke  figures driver smoke: registry, TOML round-trip, JSON,
 #                  churned-family execution (mobility-churn reload)
@@ -93,8 +94,12 @@ stage_fmt() {
 }
 
 stage_docs() {
-    echo "==> cargo doc --no-deps (offline, warnings denied)"
-    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
+    echo "==> cargo doc --workspace --no-deps (offline, warnings denied)"
+    # Every crate of ours; the vendored stand-ins under vendor/ are not
+    # ours to document (vendor/proptest has a warning of its own).
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q \
+        --exclude rand --exclude serde --exclude serde_derive --exclude serde_json \
+        --exclude proptest --exclude criterion
     echo "==> README quick-start commands vs --help"
     # The README's fenced sh blocks are the quick-start contract: every
     # long flag they pass to an nbiot-bench binary must be documented by
@@ -498,6 +503,10 @@ stage_massive_smoke() {
     for s in massive_instance_generation set_cover_massive_incremental plan_validate \
              campaign_massive window_cover_massive; do
         grep -q "\"$s" "$report" || { echo "bench report lacks stage $s" >&2; return 1; }
+    done
+    # The window cover runs on schedule classes: its detail counts them.
+    for s in classes class_events; do
+        grep -q "\"$s\"" "$report" || { echo "window_cover_massive lacks $s" >&2; return 1; }
     done
     echo "massive smoke OK (all three legs)"
 }

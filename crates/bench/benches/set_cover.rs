@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use nbiot_bench::workload;
 use nbiot_des::SeedSequence;
-use nbiot_grouping::set_cover::{greedy_set_cover, reference, WindowCover};
+use nbiot_grouping::set_cover::{greedy_set_cover, reference, PoTimeline, WindowCover};
 use nbiot_time::{SimDuration, SimInstant};
 use rand::Rng;
 
@@ -32,17 +32,18 @@ fn bench_window_cover(c: &mut Criterion) {
     for &n in &[100usize, 500, 1000] {
         let events = synth_events(n, 2600, 2 * 10_486, 42);
         let dense = vec![false; n];
+        let timeline = PoTimeline::from_events(&events, &dense);
         group.bench_with_input(BenchmarkId::new("incremental", n), &n, |b, _| {
             b.iter(|| {
                 WindowCover::new(SimDuration::from_secs(10))
-                    .solve_incremental(SimInstant::ZERO, &events, &dense)
+                    .solve_incremental(SimInstant::ZERO, &timeline)
                     .expect("coverable")
             })
         });
         group.bench_with_input(BenchmarkId::new("sweep", n), &n, |b, _| {
             b.iter(|| {
                 WindowCover::new(SimDuration::from_secs(10))
-                    .solve_sweep(SimInstant::ZERO, &events, &dense)
+                    .solve_sweep(SimInstant::ZERO, &timeline)
                     .expect("coverable")
             })
         });

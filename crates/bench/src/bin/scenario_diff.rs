@@ -1,6 +1,7 @@
-//! Compares two full [`ScenarioArchive`]s mechanism-by-mechanism and
-//! point-by-point, exiting nonzero when any metric moves beyond tolerance
-//! — the CI regression gate of the shard/merge/diff workflow.
+//! Compares two full [`ScenarioArchive`](nbiot_sim::ScenarioArchive)s
+//! mechanism-by-mechanism and point-by-point, exiting nonzero when any
+//! metric moves beyond tolerance — the CI regression gate of the
+//! shard/merge/diff workflow.
 //!
 //! ```text
 //! scenario_diff baseline.json candidate.json             # exact equality

@@ -425,7 +425,9 @@ pub mod workload {
     /// A sparse PO timeline for [`nbiot_grouping::set_cover::WindowCover`]:
     /// `n_devices` devices with periodic occasions over the DR-SC horizon.
     ///
-    /// Returns `(events, dense)` in the solver's input shape.
+    /// Returns `(events, dense)`, the input of
+    /// [`nbiot_grouping::set_cover::PoTimeline::from_events`] and of the
+    /// reference solver.
     pub fn window_cover_instance(
         n_devices: usize,
         cycle_s: u64,
@@ -520,7 +522,8 @@ mod tests {
         assert!(events.iter().all(|e| !e.is_empty()));
         let ti = nbiot_time::SimDuration::from_secs(10);
         let zero = nbiot_time::SimInstant::ZERO;
-        let fast = nbiot_grouping::set_cover::WindowCover::new(ti).solve(zero, &events, &dense);
+        let timeline = nbiot_grouping::set_cover::PoTimeline::from_events(&events, &dense);
+        let fast = nbiot_grouping::set_cover::WindowCover::new(ti).solve(zero, &timeline);
         let oracle =
             nbiot_grouping::set_cover::reference::window_cover_solve(ti, zero, &events, &dense);
         assert_eq!(fast, oracle);

@@ -186,7 +186,9 @@ fn massive_metering_window_cover_is_pinned() {
     // per instant), the shape where candidates per PO event and per PO
     // instant differ most. The slot count and an FNV-1a fold over every
     // slot's window start and newly covered devices pin the cover, and
-    // both engines must agree on it.
+    // both engines must agree on it. The solver runs on the input's
+    // timeline over schedule classes; the PO count is the per-device one,
+    // each class event counted once per member.
     let pop = nbiot_traffic::TrafficMix::massive_metering()
         .generate(
             20_000,
@@ -194,16 +196,18 @@ fn massive_metering_window_cover_is_pinned() {
         )
         .expect("population");
     let input = GroupingInput::from_population(&pop, GroupingParams::default()).expect("input");
-    let (events, dense) = input.po_events();
-    let mut instants: Vec<_> = events.iter().flatten().copied().collect();
-    let pos = instants.len();
-    instants.sort_unstable();
+    let timeline = input.po_timeline();
+    let mut instants: Vec<_> = timeline.events().iter().map(|&(t, _)| t).collect();
     instants.dedup();
-    assert_eq!((pos, instants.len()), (86_472, 12_050), "fleet shape moved");
+    assert_eq!(
+        (timeline.device_events(), instants.len()),
+        (86_472, 12_050),
+        "fleet shape moved"
+    );
 
     let start = input.search_horizon().start();
     let cover = WindowCover::new(input.params().ti.duration());
-    let slots = cover.solve(start, &events, &dense).expect("coverable");
+    let slots = cover.solve(start, timeline).expect("coverable");
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for slot in &slots {
         for v in std::iter::once(slot.window_start.as_ms())
@@ -220,8 +224,8 @@ fn massive_metering_window_cover_is_pinned() {
         "massive-metering cover moved"
     );
     assert_eq!(
-        cover.solve_incremental(start, &events, &dense),
-        cover.solve_sweep(start, &events, &dense),
+        cover.solve_incremental(start, timeline),
+        cover.solve_sweep(start, timeline),
         "window-cover engines disagree"
     );
 }

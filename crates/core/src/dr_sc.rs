@@ -33,12 +33,14 @@ fn instance_seed(n_sparse: usize, sets: &[Vec<usize>]) -> u64 {
 /// group with (usually several) multicast transmissions chosen by greedy
 /// set cover over the paging-occasion timeline.
 ///
-/// The cover is solved by [`WindowCover`], which dispatches between
-/// incremental gain maintenance and a per-round re-sweep by measured
-/// window occupancy (both slot-identical; see `docs/KERNELS.md`) — this
-/// planning step dominates DR-SC's cost at `large-n-stress` scale. The
-/// input memoizes the cover, so [`DrScTabu`] and [`DrScWeighted`] planned
-/// on the same input start from it without solving it again.
+/// The cover is solved by [`WindowCover`] over the input's PO timeline
+/// of schedule classes (devices with equal paging schedules, covered
+/// together), which dispatches between incremental gain maintenance and
+/// a per-round re-sweep by measured window occupancy (both
+/// slot-identical; see `docs/KERNELS.md`) — this planning step dominates
+/// DR-SC's cost at `large-n-stress` scale. The input memoizes the cover,
+/// so [`DrScTabu`] and [`DrScWeighted`] planned on the same input start
+/// from it without solving it again.
 ///
 /// Devices spend no more energy than under normal operation (aside from
 /// the reception itself); the price is bandwidth — the number of
@@ -221,18 +223,20 @@ fn fold_redundant_slots(input: &GroupingInput, slots: &mut Vec<CoverSlot>) {
 /// (ratio-greedy splits covers into extra cheap windows whose base cost
 /// adds up). The mechanism therefore weighs **both** covers. It solves
 /// the weighted cover on the input's memoized
-/// [`AnchorInstance`](crate::set_cover::AnchorInstance) and copies the
-/// input's memoized count cover, the one [`DrSc`] plans from (the memo
-/// itself is never edited). It folds redundant slots out of each
-/// ([`fold_redundant_slots`]), prices each finished plan by its
-/// transmissions' deepest-recipient airtime, and keeps the cheaper one —
-/// so it is never worse than [`DrSc`] on total airtime, by construction
-/// (ties keep the weighted cover).
+/// [`AnchorInstance`](crate::set_cover::AnchorInstance) and folds
+/// redundant slots out of it (a whole slot moves into another picked
+/// window holding a PO of each of its devices). The count cover is the
+/// input's memo, the one [`DrSc`] plans from, read in place: no greedy
+/// count slot can fold into another (`docs/KERNELS.md`, "Shared DR-SC
+/// planning state"). It prices each cover by its transmissions'
+/// deepest-recipient airtime and keeps the cheaper one — so it is never
+/// worse than [`DrSc`] on total airtime, by construction (ties keep the
+/// weighted cover).
 ///
 /// Everything downstream of window choice (paging directives, guard
-/// timing, transmission ordering) is byte-for-byte the DR-SC logic
-/// ([`plan_from_slots`]), and the mechanism stays standards-compliant:
-/// it is still plain paging plus in-window multicast.
+/// timing, transmission ordering) is byte-for-byte the DR-SC logic, and
+/// the mechanism stays standards-compliant: it is still plain paging
+/// plus in-window multicast.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DrScWeighted {
     /// Delay between the last covered PO and the transmission (same role
@@ -313,7 +317,7 @@ impl GroupingMechanism for DrScWeighted {
         let horizon = input.search_horizon();
         // The count cover fails exactly when the weighted one does: some
         // sparse device has no PO, so it lies in no window.
-        let mut counted = input.count_cover()?.to_vec();
+        let counted = input.count_cover()?;
         let instance = input.anchor_instance();
         let table = self.airtime_table();
         let coverages = input.coverages();
@@ -336,16 +340,15 @@ impl GroupingMechanism for DrScWeighted {
             })
             .expect("the weighted cover is feasible whenever the count cover is");
         fold_redundant_slots(input, &mut weighted);
-        fold_redundant_slots(input, &mut counted);
-        // Keep whichever refined cover transmits cheaper; ties keep the
-        // weighted one (it optimized for exactly this objective).
+        // Keep whichever cover transmits cheaper; ties keep the weighted
+        // one (it optimized for exactly this objective).
         let slots =
-            if self.cover_airtime(&counted, coverages) < self.cover_airtime(&weighted, coverages) {
+            if self.cover_airtime(counted, coverages) < self.cover_airtime(&weighted, coverages) {
                 counted
             } else {
-                weighted
+                &weighted
             };
-        Ok(plan_from_slots(input, &slots, self.guard, self.name()))
+        Ok(plan_from_slots(input, slots, self.guard, self.name()))
     }
 }
 
@@ -708,6 +711,31 @@ mod tests {
                 u64::from(table[deepest as usize])
             })
             .sum()
+    }
+
+    #[test]
+    fn greedy_count_covers_have_no_redundant_slot() {
+        // DR-SC-weighted prices the memoized count cover without folding
+        // it: no greedy count slot fits inside another picked window.
+        for mix in [
+            TrafficMix::ericsson_city(),
+            TrafficMix::heterogeneous_coverage(),
+            TrafficMix::short_drx(),
+            TrafficMix::massive_metering(),
+            TrafficMix::bursty_alarm(),
+        ] {
+            for n in [1usize, 2, 9, 40, 120, 300] {
+                for seed in [0u64, 1, 7, 42] {
+                    let pop = mix.generate(n, &mut StdRng::seed_from_u64(seed)).unwrap();
+                    let input =
+                        GroupingInput::from_population(&pop, GroupingParams::default()).unwrap();
+                    let cover = input.count_cover().unwrap();
+                    let mut folded = cover.to_vec();
+                    fold_redundant_slots(&input, &mut folded);
+                    assert_eq!(folded, cover, "{} n={n} seed={seed}", mix.name);
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@ use nbiot_rrc::InactivityTimer;
 use nbiot_time::{CycleLadder, PagingConfig, PagingSchedule, SimDuration, SimInstant, UeId};
 use nbiot_traffic::{ClassId, DeviceId, DeviceProfile, Population};
 
-use crate::set_cover::{AnchorInstance, CoverSlot, WindowCover};
+use crate::set_cover::{AnchorInstance, CoverSlot, PoTimeline, WindowCover};
 use crate::GroupingError;
 
 /// Tunable parameters of a grouping problem.
@@ -47,14 +47,15 @@ impl Default for GroupingParams {
 /// [`GroupingInput::iter`] materializes a [`DeviceProfile`] on demand.
 ///
 /// The input also holds the planning state the DR-SC family shares: the
-/// greedy count cover ([`crate::DrSc`]'s plan, [`crate::DrScTabu`]'s
-/// start cover and [`crate::DrScWeighted`]'s count partner) and the
-/// deduplicated [`AnchorInstance`] (tabu's search space and the weighted
-/// cover's instance). Each is computed on the first plan that needs it
-/// and then read by every later one, from any thread; an input planned by
-/// DA-SC, DR-SI, unicast or SC-PTM alone never computes either. The input
-/// has no mutators, so neither can go stale. The PO timeline they are
-/// built from ([`GroupingInput::po_events`]) is not kept.
+/// [`PoTimeline`] over schedule classes (the only PO enumeration, also
+/// read by the campaign engine's PO count once built), the greedy count
+/// cover ([`crate::DrSc`]'s plan, [`crate::DrScTabu`]'s start cover and
+/// [`crate::DrScWeighted`]'s count partner) and the deduplicated
+/// [`AnchorInstance`] (tabu's search space and the weighted cover's
+/// instance). Each is computed on first use and then read by every later
+/// plan or campaign, from any thread; an input planned by DA-SC, DR-SI,
+/// unicast or SC-PTM alone never computes the cover or the instance. The
+/// input has no mutators, so none of them can go stale.
 #[derive(Clone)]
 pub struct GroupingInput {
     ids: Vec<DeviceId>,
@@ -73,6 +74,8 @@ pub struct GroupingInput {
     /// index map, precomputed once so per-campaign execution does no hash
     /// map construction (recipient lists reference devices by identity).
     positions: Vec<(DeviceId, usize)>,
+    /// The PO timeline over schedule classes, built on first use.
+    po_timeline: OnceLock<PoTimeline>,
     /// DR-SC's count cover, solved on first use.
     count_cover: OnceLock<Result<Vec<CoverSlot>, GroupingError>>,
     /// The deduplicated anchor-window instance, built on first use.
@@ -133,6 +136,7 @@ impl GroupingInput {
             params,
             max_cycle,
             positions,
+            po_timeline: OnceLock::new(),
             count_cover: OnceLock::new(),
             anchor_instance: OnceLock::new(),
         })
@@ -186,6 +190,7 @@ impl GroupingInput {
             params,
             max_cycle,
             positions,
+            po_timeline: OnceLock::new(),
             count_cover: OnceLock::new(),
             anchor_instance: OnceLock::new(),
         })
@@ -338,43 +343,40 @@ impl GroupingInput {
         nbiot_time::TimeWindow::new(self.params.start, self.default_transmission_time())
     }
 
-    /// Per-device PO events over the search horizon, the input of every
-    /// DR-SC window cover: sparse devices (cycle greater than `TI`) get
-    /// their enumerated occasions, dense devices get an empty list plus a
-    /// `true` flag (they have a PO in every window).
-    ///
-    /// Each call enumerates the timeline afresh; the planners never call
-    /// it, they read the memoized products built from it.
-    pub fn po_events(&self) -> (Vec<Vec<SimInstant>>, Vec<bool>) {
-        let ti = self.params.ti.duration();
-        let horizon = self.search_horizon();
-        self.pagings
-            .iter()
-            .zip(&self.schedules)
-            .map(|(paging, sched)| {
-                if paging.cycle.period() <= ti {
-                    (Vec::new(), true)
-                } else {
-                    (sched.pos_in(horizon), false)
-                }
-            })
-            .unzip()
+    /// The group's PO timeline over the search horizon, over schedule
+    /// classes ([`PoTimeline::new`]): sparse devices (cycle greater than
+    /// `TI`) contribute their class's occasions, dense devices none (they
+    /// have a PO in every window). Built on first use; DR-SC's cover and
+    /// the anchor instance read this one copy.
+    pub fn po_timeline(&self) -> &PoTimeline {
+        self.po_timeline.get_or_init(|| {
+            PoTimeline::new(
+                &self.schedules,
+                self.params.ti.duration(),
+                self.search_horizon(),
+            )
+        })
     }
 
     /// DR-SC's greedy count cover ([`WindowCover::solve`] over
-    /// [`GroupingInput::po_events`]), solved on first use.
+    /// [`GroupingInput::po_timeline`]), solved on first use.
     ///
     /// # Errors
     ///
-    /// [`GroupingError::NoUsablePo`] when a sparse device has no paging
-    /// occasion inside the search horizon.
+    /// [`GroupingError::NoUsablePo`] naming the first sparse device, in
+    /// device order, with no paging occasion inside the search horizon.
     pub(crate) fn count_cover(&self) -> Result<&[CoverSlot], GroupingError> {
         self.count_cover
             .get_or_init(|| {
-                let (events, dense) = self.po_events();
+                let timeline = self.po_timeline();
                 WindowCover::new(self.params.ti.duration())
-                    .solve(self.search_horizon().start(), &events, &dense)
-                    .ok_or_else(|| self.no_usable_po(&events, &dense))
+                    .solve(self.search_horizon().start(), timeline)
+                    .ok_or_else(|| GroupingError::NoUsablePo {
+                        device: self.ids[timeline
+                            .first_unreachable()
+                            .expect("solver fails only on sparse device without POs")],
+                        t: self.search_horizon().end(),
+                    })
             })
             .as_deref()
             .map_err(Clone::clone)
@@ -383,26 +385,8 @@ impl GroupingInput {
     /// The deduplicated anchor-window instance over the sparse devices'
     /// POs ([`AnchorInstance::new`]), built on first use.
     pub(crate) fn anchor_instance(&self) -> &AnchorInstance {
-        self.anchor_instance.get_or_init(|| {
-            let (events, dense) = self.po_events();
-            AnchorInstance::new(self.params.ti.duration(), &events, &dense)
-        })
-    }
-
-    /// The error a failed count cover maps to: the first sparse device
-    /// with no paging occasion inside the horizon.
-    fn no_usable_po(&self, events: &[Vec<SimInstant>], dense: &[bool]) -> GroupingError {
-        GroupingError::NoUsablePo {
-            device: self
-                .ids
-                .iter()
-                .zip(events)
-                .zip(dense)
-                .find(|((_, e), &d)| e.is_empty() && !d)
-                .map(|((&id, _), _)| id)
-                .expect("solver fails only on sparse device without POs"),
-            t: self.search_horizon().end(),
-        }
+        self.anchor_instance
+            .get_or_init(|| AnchorInstance::new(self.params.ti.duration(), self.po_timeline()))
     }
 }
 
@@ -544,6 +528,77 @@ mod tests {
         let absent = nbiot_traffic::DeviceId(u32::MAX);
         assert!(inp.ids().iter().all(|&id| id != absent));
         assert_eq!(inp.position_of(absent), None);
+    }
+
+    #[test]
+    fn po_timeline_classes_partition_the_fleet_by_schedule() {
+        for mix in [
+            TrafficMix::ericsson_city(),
+            TrafficMix::heterogeneous_coverage(),
+            TrafficMix::short_drx(),
+            TrafficMix::massive_metering(),
+            TrafficMix::bursty_alarm(),
+        ] {
+            for n in [1usize, 40, 300] {
+                let pop = mix.generate(n, &mut StdRng::seed_from_u64(9)).unwrap();
+                let inp = GroupingInput::from_population(&pop, GroupingParams::default()).unwrap();
+                let (timeline, schedules) = (inp.po_timeline(), inp.schedules());
+                let ti = inp.params().ti.duration();
+                let horizon = inp.search_horizon();
+                let label = format!("{} n={n}", mix.name);
+                let dense: Vec<usize> = (0..n).filter(|&d| schedules[d].period() <= ti).collect();
+                assert_eq!(timeline.dense_devices(), dense, "{label}");
+                let sparse = timeline.sparse_classes();
+                let weight: u32 = (0..sparse).map(|c| timeline.multiplicity(c)).sum();
+                assert_eq!(weight as usize, n - dense.len(), "{label}");
+                // Ascending member lists that partition the fleet; sparse
+                // classes are numbered by their lowest member.
+                let mut seen = vec![false; n];
+                for c in 0..timeline.classes() {
+                    let members = timeline.members(c);
+                    assert!(members.windows(2).all(|w| w[0] < w[1]), "{label}");
+                    for &d in members {
+                        let d = d as usize;
+                        assert!(!seen[d], "{label}: device {d} in two classes");
+                        seen[d] = true;
+                        assert_eq!(timeline.class_of(d), c, "{label}");
+                        assert_eq!(schedules[d], schedules[members[0] as usize], "{label}");
+                        assert_eq!(c < sparse, dense.binary_search(&d).is_err(), "{label}");
+                    }
+                }
+                assert!(seen.iter().all(|&s| s), "{label}");
+                assert!((1..sparse).all(|c| timeline.members(c - 1)[0] < timeline.members(c)[0]));
+                let firsts: Vec<_> = (0..timeline.classes())
+                    .map(|c| schedules[timeline.members(c)[0] as usize])
+                    .collect();
+                let distinct: std::collections::HashSet<_> = firsts.iter().collect();
+                assert_eq!(
+                    distinct.len(),
+                    firsts.len(),
+                    "{label}: a schedule in two classes"
+                );
+                // Each class's events are every member's own POs.
+                let mut events = vec![Vec::new(); sparse];
+                for &(t, c) in timeline.events() {
+                    events[c].push(t);
+                }
+                for (c, class_events) in events.iter().enumerate() {
+                    for &d in timeline.members(c) {
+                        assert_eq!(
+                            *class_events,
+                            schedules[d as usize].pos_in(horizon),
+                            "{label}"
+                        );
+                    }
+                }
+                let device_events: usize = (0..n)
+                    .filter(|d| dense.binary_search(d).is_err())
+                    .map(|d| schedules[d].pos_in(horizon).len())
+                    .sum();
+                assert_eq!(timeline.device_events(), device_events, "{label}");
+                assert_eq!(timeline.first_unreachable(), None, "{label}");
+            }
+        }
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!    moderate churn, because kept windows are already spread across the
 //!    joint PO pattern).
 //! 3. **Re-plan the leftovers** — new devices no kept window can reach —
-//!    with a fresh greedy [`WindowCover`] solve over just those devices,
-//!    appending the new windows.
+//!    with a fresh greedy [`WindowCover`] solve over a [`PoTimeline`] of
+//!    just those devices, appending the new windows.
 //!
 //! The procedure is fully deterministic (no RNG anywhere) and a repair
 //! against an unchanged fleet reproduces the plan's transmissions and
@@ -31,7 +31,7 @@ use std::collections::HashMap;
 use nbiot_time::{SimInstant, TimeWindow};
 
 use crate::improve::ImprovementStats;
-use crate::set_cover::{KernelArena, WindowCover};
+use crate::set_cover::{KernelArena, PoTimeline, WindowCover};
 use crate::{DevicePlan, GroupingError, GroupingInput, MulticastPlan, PageDirective, Transmission};
 
 /// Repairs `old` — a plan for an earlier fleet — into a valid plan for
@@ -175,27 +175,14 @@ fn repair_page_connect(
     // Leftovers get freshly solved windows (greedy, DR-SC construction).
     let replanned = leftover.len() as u32;
     if !leftover.is_empty() {
-        let mut events: Vec<Vec<SimInstant>> = Vec::with_capacity(leftover.len());
-        let mut dense: Vec<bool> = Vec::with_capacity(leftover.len());
-        for &idx in &leftover {
-            let is_dense = input.paging_configs()[idx].cycle.period() <= ti;
-            dense.push(is_dense);
-            if is_dense {
-                events.push(Vec::new());
-            } else {
-                events.push(input.schedules()[idx].pos_in(horizon));
-            }
-        }
+        let schedules: Vec<_> = leftover.iter().map(|&idx| input.schedules()[idx]).collect();
+        let timeline = PoTimeline::new(&schedules, ti, horizon);
         let slots = WindowCover::new(ti)
-            .solve_in(horizon.start(), &events, &dense, arena)
+            .solve_in(horizon.start(), &timeline, arena)
             .ok_or_else(|| GroupingError::NoUsablePo {
-                device: leftover
-                    .iter()
-                    .zip(&events)
-                    .zip(&dense)
-                    .find(|((_, e), &d)| e.is_empty() && !d)
-                    .map(|((&idx, _), _)| input.ids()[idx])
-                    .expect("solver fails only on sparse device without POs"),
+                device: input.ids()[leftover[timeline
+                    .first_unreachable()
+                    .expect("solver fails only on sparse device without POs")]],
                 t: horizon.end(),
             })?;
         // Guard between last page and transmission: reuse DR-SC's default.

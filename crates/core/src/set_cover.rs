@@ -15,15 +15,18 @@
 //!   unit-cost call (used for the Fig. 3 bipartite instance and for
 //!   cross-checking),
 //! * [`WindowCover`] — the specialized timeline solver: it slides a
-//!   `TI`-length window over the merged PO event list, exploiting two
+//!   `TI`-length window over the merged PO event list, exploiting three
 //!   structural facts: (a) an optimal window can always be anchored to
-//!   start at some PO, and (b) a device whose cycle is at most `TI` has a
-//!   PO in *every* window, so it never influences the argmax and can be
-//!   attached to the first selected transmission.
+//!   start at some PO, (b) a device whose cycle is at most `TI` has a PO
+//!   in *every* window, so it never influences the argmax and can be
+//!   attached to the first selected transmission, and (c) devices with
+//!   equal paging schedules lie in exactly the same windows, so the
+//!   solver covers *schedule classes* weighted by their device counts
+//!   ([`PoTimeline`]).
 //!
 //! The cost-aware and tabu variants instead solve the *static* instance
 //! [`AnchorInstance`]: every distinct member set of a window anchored at a
-//! PO, stored once.
+//! PO, stored once, over individual devices.
 //!
 //! # Performance
 //!
@@ -49,14 +52,15 @@
 //!    scratch buffers, `O(rounds × E)` for `E` PO events — the shape that
 //!    wins when rounds are few and windows are crowded.
 //! 3. **Reference oracles**: straightforward implementations, kept in
-//!    [`reference`] for the equivalence tests
+//!    [`reference`](mod@reference) for the equivalence tests
 //!    (`tests/setcover_properties.rs`).
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-use nbiot_time::{SimDuration, SimInstant};
+use nbiot_time::{PagingSchedule, SimDuration, SimInstant, TimeWindow};
 
 /// Lazy max-gain priority queue over `(gain, Reverse(candidate))`
 /// snapshots — the priority structure of the incremental window-cover
@@ -212,12 +216,14 @@ pub struct KernelArena {
     // and the per-anchor cost column of the window front-end.
     wheap: BinaryHeap<(u64, Reverse<u32>)>,
     wcosts: Vec<u32>,
-    // Window-cover scratch: the flat time-sorted event list, per-device
-    // coverage flags and in-window counts, and per distinct PO instant its
-    // first event, its window end, the first instant whose window reaches
-    // it, and its count of uncovered events. The incremental window engine
-    // keeps its device → instants CSR in `elem_off`/`elem_sets` and its
-    // gains, round stamps and heap in the solve scratch above.
+    // Window-cover scratch: the re-sweep's shrinking copy of the
+    // timeline's class events, per-class coverage flags and in-window
+    // counts, and per distinct PO instant its first event, its window end,
+    // the first instant whose window reaches it, and its count of
+    // uncovered events. The incremental window engine keeps its class →
+    // instants CSR in `elem_off`/`elem_sets` and its gains, round stamps
+    // and heap in the solve scratch above; the class multiplicities are
+    // read from the `PoTimeline`.
     wc_flat: Vec<(SimInstant, usize)>,
     wc_covered: Vec<bool>,
     wc_count: Vec<u32>,
@@ -483,6 +489,273 @@ pub struct CoverSlot {
     pub covered: Vec<usize>,
 }
 
+/// Fx-style multiply-rotate hasher behind [`PoTimeline`]'s class
+/// deduplication: a few multiplies per schedule, where std's SipHash map
+/// alone takes longer than the whole timeline build (12.9 against 10 ms
+/// for 10^5 devices). It gives up flooding resistance safely: a paging
+/// schedule is `UE_ID` modulo at most a few thousand per paging
+/// configuration, so no crafted fleet holds enough distinct keys to pile
+/// many of them onto one probe sequence.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A device group's paging-occasion timeline over **schedule classes** —
+/// the input of [`WindowCover`] and [`AnchorInstance`].
+///
+/// TS 36.304 derives every paging occasion from `UE_ID` modulo a small
+/// number, so devices share timelines: a schedule class is the set of
+/// devices with one PO timeline (equal [`PagingSchedule`]s; not the
+/// traffic class). A 10^5-device massive-metering fleet has about 7,700
+/// classes and 33k class POs instead of 435k device POs. The timeline
+/// enumerates each class's POs once and holds:
+///
+/// * each device's class, and each class's multiplicity and ascending
+///   member list;
+/// * the dense devices: cycle at most `TI`, so a PO in every window and
+///   no events. They form their own classes;
+/// * the time-sorted `(instant, class)` list over the sparse classes.
+///
+/// Classes are numbered sparse first, then dense, each in order of their
+/// lowest member, so the first sparse class without a PO holds the first
+/// such device.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PoTimeline {
+    /// Each device's class.
+    class_of: Vec<u32>,
+    /// Class `c`'s members are `members[member_off[c]..member_off[c + 1]]`.
+    member_off: Vec<u32>,
+    /// Device positions, ascending within each class.
+    members: Vec<u32>,
+    /// Classes `0..sparse` are sparse, the rest dense.
+    sparse: usize,
+    /// Dense devices, ascending.
+    dense: Vec<usize>,
+    /// Every PO of every sparse class, sorted by `(instant, class)`.
+    events: Vec<(SimInstant, usize)>,
+    /// The first sparse device without a PO.
+    unreachable: Option<usize>,
+}
+
+impl PoTimeline {
+    /// The timeline of devices with `schedules` (in device order) over
+    /// `horizon`: a device whose cycle is at most `ti` is dense, every
+    /// other one gets its POs inside `horizon`. Equal schedules form one
+    /// class, and [`PagingSchedule::pos_in`] runs once per sparse class.
+    pub fn new(schedules: &[PagingSchedule], ti: SimDuration, horizon: TimeWindow) -> PoTimeline {
+        PoTimeline::build(schedules.iter().map(|s| (s, s.period() <= ti)), |d| {
+            schedules[d].pos_in(horizon)
+        })
+    }
+
+    /// The timeline of synthetic per-device PO lists: `events[d]` are
+    /// device `d`'s POs (ignored when `dense[d]`). Devices with identical
+    /// lists and equal flags form one class.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `events` and `dense` have different lengths.
+    pub fn from_events(events: &[Vec<SimInstant>], dense: &[bool]) -> PoTimeline {
+        assert_eq!(events.len(), dense.len(), "events/dense length mismatch");
+        PoTimeline::build(
+            events
+                .iter()
+                .zip(dense)
+                .map(|(e, &d)| ((d, e.as_slice()), d)),
+            |d| events[d].clone(),
+        )
+    }
+
+    /// Numbers the classes of `keys` (one `(key, dense)` per device),
+    /// builds the member lists and enumerates each sparse class's POs
+    /// through `pos_of` at its lowest member.
+    fn build<K: Hash + Eq>(
+        keys: impl Iterator<Item = (K, bool)>,
+        mut pos_of: impl FnMut(usize) -> Vec<SimInstant>,
+    ) -> PoTimeline {
+        let mut ids: HashMap<K, u32, BuildHasherDefault<FxHasher>> = HashMap::default();
+        let mut class_dense: Vec<bool> = Vec::new();
+        let mut class_of: Vec<u32> = keys
+            .map(|(key, dense)| {
+                let next = class_dense.len() as u32;
+                *ids.entry(key).or_insert_with(|| {
+                    class_dense.push(dense);
+                    next
+                })
+            })
+            .collect();
+        drop(ids);
+        assert!(
+            class_of.len() < u32::MAX as usize,
+            "timeline uses u32 device indices"
+        );
+        // Renumber sparse classes first; each group keeps first-seen order.
+        let sparse = class_dense.iter().filter(|&&d| !d).count();
+        let mut next = [0, sparse];
+        let renumber: Vec<u32> = class_dense
+            .iter()
+            .map(|&d| {
+                next[usize::from(d)] += 1;
+                (next[usize::from(d)] - 1) as u32
+            })
+            .collect();
+        for c in &mut class_of {
+            *c = renumber[*c as usize];
+        }
+        // Member lists: a counting sort in device order keeps them
+        // ascending.
+        let classes = class_dense.len();
+        let mut member_off = vec![0u32; classes + 1];
+        for &c in &class_of {
+            member_off[c as usize + 1] += 1;
+        }
+        for c in 0..classes {
+            member_off[c + 1] += member_off[c];
+        }
+        let mut cursor = member_off[..classes].to_vec();
+        let mut members = vec![0u32; class_of.len()];
+        for (d, &c) in class_of.iter().enumerate() {
+            members[cursor[c as usize] as usize] = d as u32;
+            cursor[c as usize] += 1;
+        }
+        let dense = (0..class_of.len())
+            .filter(|&d| class_of[d] as usize >= sparse)
+            .collect();
+        let mut events = Vec::new();
+        let mut unreachable = None;
+        for c in 0..sparse {
+            let lowest = members[member_off[c] as usize] as usize;
+            let pos = pos_of(lowest);
+            if pos.is_empty() && unreachable.is_none() {
+                unreachable = Some(lowest);
+            }
+            events.extend(pos.into_iter().map(|t| (t, c)));
+        }
+        events.sort_unstable();
+        PoTimeline {
+            class_of,
+            member_off,
+            members,
+            sparse,
+            dense,
+            events,
+            unreachable,
+        }
+    }
+
+    /// Number of devices, dense ones included.
+    pub fn devices(&self) -> usize {
+        self.class_of.len()
+    }
+
+    /// Number of classes, dense ones included.
+    pub fn classes(&self) -> usize {
+        self.member_off.len() - 1
+    }
+
+    /// Number of sparse classes: classes `0..sparse_classes()` are the
+    /// sparse ones.
+    pub fn sparse_classes(&self) -> usize {
+        self.sparse
+    }
+
+    /// The class of device `device`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `device >= devices()`.
+    pub fn class_of(&self, device: usize) -> usize {
+        self.class_of[device] as usize
+    }
+
+    /// The members of `class`, ascending device positions.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `class >= classes()`.
+    pub fn members(&self, class: usize) -> &[u32] {
+        &self.members[self.member_off[class] as usize..self.member_off[class + 1] as usize]
+    }
+
+    /// The number of devices in `class`: the weight of its events in a
+    /// window's gain.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `class >= classes()`.
+    pub fn multiplicity(&self, class: usize) -> u32 {
+        self.member_off[class + 1] - self.member_off[class]
+    }
+
+    /// The dense devices (a PO in every window), ascending.
+    pub fn dense_devices(&self) -> &[usize] {
+        &self.dense
+    }
+
+    /// Every PO of every sparse class inside the horizon, sorted by
+    /// `(instant, class)`.
+    pub fn events(&self) -> &[(SimInstant, usize)] {
+        &self.events
+    }
+
+    /// The per-device PO count the timeline stands for: each class event
+    /// counted once per member.
+    pub fn device_events(&self) -> usize {
+        self.events
+            .iter()
+            .map(|&(_, c)| self.multiplicity(c) as usize)
+            .sum()
+    }
+
+    /// The first sparse device, in device order, without a PO inside the
+    /// horizon: no window covers it.
+    pub fn first_unreachable(&self) -> Option<usize> {
+        self.unreachable
+    }
+
+    /// The members of `classes`, merged into ascending device positions.
+    fn devices_of(&self, classes: &[usize]) -> Vec<usize> {
+        let mut devices: Vec<usize> = classes
+            .iter()
+            .flat_map(|&c| self.members(c).iter().map(|&d| d as usize))
+            .collect();
+        devices.sort_unstable();
+        devices
+    }
+}
+
 /// The deduplicated anchor-window set-cover instance over sparse devices —
 /// the static instance [`WindowCover::solve_weighted`] and
 /// [`crate::DrScTabu`] solve. A [`crate::GroupingInput`] builds it once,
@@ -496,7 +769,10 @@ pub struct CoverSlot {
 /// order of their lowest anchor, so a lowest-index tie law over windows is
 /// the lowest-anchor tie law over the full per-anchor instance.
 ///
-/// One sweep over the time-sorted PO events builds it: per-device
+/// The instance is per device, not per schedule class: the tabu search
+/// ([`crate::improve`]) counts uncovered devices, and the weighted cover
+/// prices member sets. One sweep over the timeline's POs, expanded to
+/// time-sorted per-device events, builds it: per-device
 /// in-window counts track the current member set, and an order-independent
 /// hash of that set (a wrapping sum of per-device keys) proposes earlier
 /// windows with the same hash. Every proposal is checked exactly — equal
@@ -530,27 +806,31 @@ fn member_key(s: usize) -> u64 {
 }
 
 impl AnchorInstance {
-    /// Builds the instance for windows of length `ti` over per-device PO
-    /// `events`; `dense` devices (a PO in every window) are left out, as
-    /// in [`WindowCover::solve`].
+    /// Builds the instance for windows of length `ti` over `timeline`'s
+    /// sparse devices; dense devices (a PO in every window) are left out,
+    /// as in [`WindowCover::solve`].
     ///
     /// # Panics
     ///
-    /// Panics when `events` and `dense` have different lengths or `ti` is
-    /// zero.
-    pub fn new(ti: SimDuration, events: &[Vec<SimInstant>], dense: &[bool]) -> AnchorInstance {
-        assert_eq!(events.len(), dense.len(), "events/dense length mismatch");
+    /// Panics when `ti` is zero.
+    pub fn new(ti: SimDuration, timeline: &PoTimeline) -> AnchorInstance {
         assert!(ti > SimDuration::ZERO, "anchor windows need a positive TI");
-        let sparse: Vec<usize> = (0..events.len()).filter(|&d| !dense[d]).collect();
-        let mut flat: Vec<(SimInstant, usize)> = sparse
-            .iter()
-            .enumerate()
-            .flat_map(|(s, &d)| events[d].iter().map(move |&t| (t, s)))
+        let n = timeline.devices();
+        let sparse: Vec<usize> = (0..n)
+            .filter(|&d| timeline.class_of(d) < timeline.sparse_classes())
             .collect();
+        let mut index = vec![0usize; n];
+        for (s, &d) in sparse.iter().enumerate() {
+            index[d] = s;
+        }
+        let mut flat: Vec<(SimInstant, usize)> = Vec::with_capacity(timeline.device_events());
+        for &(t, c) in timeline.events() {
+            flat.extend(timeline.members(c).iter().map(|&d| (t, index[d as usize])));
+        }
         flat.sort_unstable();
 
         let mut instance = AnchorInstance {
-            devices: events.len(),
+            devices: n,
             sparse,
             anchors: Vec::new(),
             window_of: Vec::new(),
@@ -674,7 +954,9 @@ impl AnchorInstance {
     }
 }
 
-/// The greedy timeline solver for DR-SC.
+/// The greedy timeline solver for DR-SC: Chvátal's greedy over `TI`
+/// windows anchored at paging occasions, run on a [`PoTimeline`]'s
+/// schedule classes, each weighted by its device count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowCover {
     ti: SimDuration,
@@ -706,74 +988,63 @@ impl WindowCover {
     ///
     /// * `horizon_start` — the beginning of the search horizon (used to
     ///   anchor the single window when *every* device is dense),
-    /// * `events` — per-device sorted PO instants within the search
-    ///   horizon; devices with an empty list are only coverable when
-    ///   `dense` (see below),
-    /// * `dense` — per-device flag: `true` when the device's paging cycle
-    ///   is at most `TI`, meaning every window contains one of its POs.
+    /// * `timeline` — the group's POs within the search horizon, over
+    ///   schedule classes; a sparse device is only coverable through its
+    ///   class's POs, a dense one (cycle at most `TI`) lies in every
+    ///   window.
     ///
-    /// Returns the selected transmissions in selection order, or `None`
-    /// when some non-dense device has no PO events (it could never be
-    /// covered).
+    /// Returns the selected transmissions in selection order, each
+    /// listing its newly covered devices in ascending position, or `None`
+    /// when some sparse device has no PO (it could never be covered).
     ///
     /// Each round opens the window, anchored at a PO instant that still
     /// holds an uncovered device's PO, that covers the most uncovered
-    /// devices (ties to the earliest instant). The rounds run on one of
-    /// two engines — incremental gain maintenance over distinct PO
-    /// instants ([`WindowCover::solve_incremental`]) or the per-round
-    /// re-sweep ([`WindowCover::solve_sweep`]) — chosen by a work estimate
-    /// of each; both produce **identical slots** (see `docs/KERNELS.md`
-    /// for the crossover analysis), so the choice only trades wall-clock.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `events` and `dense` have different lengths.
+    /// devices (ties to the earliest instant). The rounds run on classes:
+    /// devices of one class lie in the same windows, so they are always
+    /// covered in the same round, and a window's gain is the summed
+    /// multiplicity of its uncovered classes. The gains, the tie-breaks
+    /// and therefore the slots are those of the per-device greedy
+    /// ([`reference::window_cover_solve`]). The rounds run on one of two
+    /// engines — incremental gain maintenance over distinct PO instants
+    /// ([`WindowCover::solve_incremental`]) or the per-round re-sweep
+    /// ([`WindowCover::solve_sweep`]) — chosen by a work estimate of
+    /// each; both produce **identical slots** (see `docs/KERNELS.md` for
+    /// the crossover analysis), so the choice only trades wall-clock.
     pub fn solve(
         &self,
         horizon_start: SimInstant,
-        events: &[Vec<SimInstant>],
-        dense: &[bool],
+        timeline: &PoTimeline,
     ) -> Option<Vec<CoverSlot>> {
-        self.solve_in(horizon_start, events, dense, &mut KernelArena::new())
+        self.solve_in(horizon_start, timeline, &mut KernelArena::new())
     }
 
     /// [`WindowCover::solve`] with caller-owned scratch: every buffer of
-    /// both engines (the flat event list, the instant grouping, coverage
-    /// flags, gains and the snapshot heap) lives in `arena` and keeps its
-    /// capacity across calls, so a long-lived caller (the grouping service
-    /// patching plans request after request) stops allocating them once
-    /// the largest fleet has been seen. Output is **bit-identical** to
-    /// [`WindowCover::solve`] (locked by unit test).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `events` and `dense` have different lengths.
+    /// both engines (the re-sweep's event copy, the instant grouping,
+    /// coverage flags, gains and the snapshot heap) lives in `arena` and
+    /// keeps its capacity across calls, so a long-lived caller (the
+    /// grouping service patching plans request after request) stops
+    /// allocating them once the largest fleet has been seen. Output is
+    /// **bit-identical** to [`WindowCover::solve`] (locked by unit test).
     pub fn solve_in(
         &self,
         horizon_start: SimInstant,
-        events: &[Vec<SimInstant>],
-        dense: &[bool],
+        timeline: &PoTimeline,
         arena: &mut KernelArena,
     ) -> Option<Vec<CoverSlot>> {
-        self.solve_with(horizon_start, events, dense, Strategy::Auto, arena)
+        self.solve_with(horizon_start, timeline, Strategy::Auto, arena)
     }
 
     /// [`WindowCover::solve`] forced onto the per-round two-pointer
     /// re-sweep engine (the PR-1 kernel) — exposed so equivalence tests
     /// and benchmarks can pin the engine regardless of the crossover.
     /// Identical output to [`WindowCover::solve`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `events` and `dense` have different lengths.
     pub fn solve_sweep(
         &self,
         horizon_start: SimInstant,
-        events: &[Vec<SimInstant>],
-        dense: &[bool],
+        timeline: &PoTimeline,
     ) -> Option<Vec<CoverSlot>> {
         let arena = &mut KernelArena::new();
-        self.solve_with(horizon_start, events, dense, Strategy::Sweep, arena)
+        self.solve_with(horizon_start, timeline, Strategy::Sweep, arena)
     }
 
     /// [`WindowCover::solve`] forced onto the incremental-gain engine —
@@ -782,24 +1053,20 @@ impl WindowCover {
     /// [`WindowCover::solve`].
     ///
     /// The engine keeps one candidate per **distinct PO instant**, not per
-    /// PO event: the window opening at instant `t` holds the devices with
+    /// PO event: the window opening at instant `t` holds the classes with
     /// a PO in `[t, t + TI)`, and an instant stays a candidate while one
-    /// of its POs belongs to an uncovered device. Covering a device
+    /// of its POs belongs to an uncovered class. Covering a class
     /// decrements the gains of the instants whose window sees one of its
-    /// POs, once per window, so a solve does at most `M_inst` decrements,
-    /// the summed event count over the instants' windows.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `events` and `dense` have different lengths.
+    /// POs by its multiplicity, once per window, so a solve does at most
+    /// `M_inst` decrements, the summed class-event count over the
+    /// instants' windows.
     pub fn solve_incremental(
         &self,
         horizon_start: SimInstant,
-        events: &[Vec<SimInstant>],
-        dense: &[bool],
+        timeline: &PoTimeline,
     ) -> Option<Vec<CoverSlot>> {
         let arena = &mut KernelArena::new();
-        self.solve_with(horizon_start, events, dense, Strategy::Incremental, arena)
+        self.solve_with(horizon_start, timeline, Strategy::Incremental, arena)
     }
 
     /// Cost-aware cover over `instance`, an [`AnchorInstance`] built for
@@ -914,60 +1181,30 @@ impl WindowCover {
     fn solve_with(
         &self,
         horizon_start: SimInstant,
-        events: &[Vec<SimInstant>],
-        dense: &[bool],
+        timeline: &PoTimeline,
         strategy: Strategy,
         arena: &mut KernelArena,
     ) -> Option<Vec<CoverSlot>> {
-        assert_eq!(events.len(), dense.len(), "events/dense length mismatch");
-        let n = events.len();
-        if n == 0 {
-            return Some(Vec::new());
+        if timeline.first_unreachable().is_some() {
+            return None;
         }
-        for (evs, &is_dense) in events.iter().zip(dense) {
-            if evs.is_empty() && !is_dense {
-                return None;
-            }
-        }
-
-        // Flat, time-sorted (po, device) list over sparse devices only.
-        let flat = &mut arena.wc_flat;
-        flat.clear();
-        flat.reserve(
-            events
-                .iter()
-                .zip(dense)
-                .filter(|(_, &d)| !d)
-                .map(|(e, _)| e.len())
-                .sum(),
-        );
-        for (d, evs) in events.iter().enumerate() {
-            if !dense[d] {
-                flat.extend(evs.iter().map(|&t| (t, d)));
-            }
-        }
-        flat.sort_unstable();
-
-        let uncovered_sparse = dense.iter().filter(|&&d| !d).count();
-        reset(&mut arena.wc_covered, n, false);
+        let classes = timeline.sparse_classes();
+        let uncovered_sparse = timeline.devices() - timeline.dense_devices().len();
+        reset(&mut arena.wc_covered, classes, false);
         let incremental = strategy != Strategy::Sweep && {
-            self.group_instants(&arena.wc_flat, &mut arena.wc_starts, &mut arena.wc_ends);
+            self.group_instants(timeline.events(), &mut arena.wc_starts, &mut arena.wc_ends);
             strategy == Strategy::Incremental
-                || incremental_pays_off(&arena.wc_starts, &arena.wc_ends, uncovered_sparse)
+                || incremental_pays_off(&arena.wc_starts, &arena.wc_ends, classes)
         };
         let mut slots = if uncovered_sparse == 0 {
             Vec::new()
         } else if incremental {
-            self.rounds_incremental(arena, uncovered_sparse)
+            self.rounds_incremental(timeline, arena, uncovered_sparse)
         } else {
-            self.rounds_sweep(arena, uncovered_sparse)
+            self.rounds_sweep(timeline, arena, uncovered_sparse)
         };
-        debug_assert!((0..n).all(|d| dense[d] || arena.wc_covered[d]));
-        self.attach_dense(
-            horizon_start,
-            (0..n).filter(|&d| dense[d]).collect(),
-            &mut slots,
-        );
+        debug_assert!(arena.wc_covered.iter().all(|&c| c));
+        self.attach_dense(horizon_start, timeline.dense_devices().to_vec(), &mut slots);
         Some(slots)
     }
 
@@ -1009,34 +1246,35 @@ impl WindowCover {
 
     /// Greedy rounds on incremental gain maintenance over the instant
     /// grouping of [`WindowCover::group_instants`]. Per instant it keeps
-    /// the gain (distinct uncovered devices with a PO in its window), the
-    /// live count (its events whose device is still uncovered) and the
-    /// first instant whose window reaches it. Covering a device decrements
-    /// the gains over the merged instant ranges of its POs, once per
-    /// window, and the live count of each instant holding one of its POs;
-    /// an instant whose live count is zero is no longer a candidate.
-    /// Winners pop from the lazy max-gain snapshot queue, `GainQueue`.
+    /// the gain (summed multiplicity of the distinct uncovered classes
+    /// with a PO in its window), the live count (its events whose class is
+    /// still uncovered) and the first instant whose window reaches it.
+    /// Covering a class decrements the gains over the merged instant
+    /// ranges of its POs by its multiplicity, once per window, and the
+    /// live count of each instant holding one of its POs; an instant whose
+    /// live count is zero is no longer a candidate. Winners pop from the
+    /// lazy max-gain snapshot queue, `GainQueue`.
     ///
     /// The slots equal the re-sweep's, which anchors at the events left
-    /// after dropping covered devices' POs. Among the events left at one
+    /// after dropping covered classes' POs. Among the events left at one
     /// instant, the first has the largest window and the lowest index, so
     /// the event-level argmax over `(gain, lowest event)` is the
     /// instant-level argmax over `(gain, lowest live instant)`, and its
     /// window holds every event of the instant.
     fn rounds_incremental(
         &self,
+        timeline: &PoTimeline,
         arena: &mut KernelArena,
         mut uncovered_sparse: usize,
     ) -> Vec<CoverSlot> {
         let KernelArena {
-            elem_off: dev_off,
-            elem_sets: dev_instants,
+            elem_off: class_off,
+            elem_sets: class_instants,
             cursor,
             gains,
             last_touch,
             touched,
             heap,
-            wc_flat: flat,
             wc_covered: covered,
             wc_count: count,
             wc_starts: starts,
@@ -1045,7 +1283,8 @@ impl WindowCover {
             wc_live: live,
             ..
         } = arena;
-        let n = covered.len();
+        let flat = timeline.events();
+        let k = covered.len();
         let instants = ends.len();
         let events_of = |q: usize| starts[q] as usize..starts[q + 1] as usize;
         // first[q]: the first instant whose window reaches q (ends is
@@ -1060,39 +1299,43 @@ impl WindowCover {
         }
         live.clear();
         live.extend((0..instants).map(|q| events_of(q).len() as u32));
-        // Device → instants of its POs (CSR, ascending).
-        reset(dev_off, n + 1, 0);
-        for &(_, d) in flat.iter() {
-            dev_off[d + 1] += 1;
+        // Class → instants of its POs (CSR, ascending).
+        reset(class_off, k + 1, 0);
+        for &(_, c) in flat {
+            class_off[c + 1] += 1;
         }
-        for d in 0..n {
-            dev_off[d + 1] += dev_off[d];
+        for c in 0..k {
+            class_off[c + 1] += class_off[c];
         }
         cursor.clear();
-        cursor.extend_from_slice(&dev_off[..n]);
-        reset(dev_instants, flat.len(), 0);
+        cursor.extend_from_slice(&class_off[..k]);
+        reset(class_instants, flat.len(), 0);
         for q in 0..instants {
-            for &(_, d) in &flat[events_of(q)] {
-                dev_instants[cursor[d] as usize] = q as u32;
-                cursor[d] += 1;
+            for &(_, c) in &flat[events_of(q)] {
+                class_instants[cursor[c] as usize] = q as u32;
+                cursor[c] += 1;
             }
         }
         // Initial gains: one self-cleaning sweep (each event is counted
         // once as a window member and discounted once with its instant).
-        reset(count, n, 0);
+        reset(count, k, 0);
         gains.clear();
-        let (mut distinct, mut k) = (0u32, 0usize);
+        let (mut distinct, mut e) = (0u32, 0usize);
         for q in 0..instants {
-            while k < starts[ends[q] as usize] as usize {
-                let d = flat[k].1;
-                distinct += u32::from(count[d] == 0);
-                count[d] += 1;
-                k += 1;
+            while e < starts[ends[q] as usize] as usize {
+                let c = flat[e].1;
+                if count[c] == 0 {
+                    distinct += timeline.multiplicity(c);
+                }
+                count[c] += 1;
+                e += 1;
             }
             gains.push(distinct);
-            for &(_, d) in &flat[events_of(q)] {
-                count[d] -= 1;
-                distinct -= u32::from(count[d] == 0);
+            for &(_, c) in &flat[events_of(q)] {
+                count[c] -= 1;
+                if count[c] == 0 {
+                    distinct -= timeline.multiplicity(c);
+                }
             }
         }
 
@@ -1100,33 +1343,33 @@ impl WindowCover {
         // Per-round dedup of gain-changed instants, stamped by round.
         reset(last_touch, instants, u32::MAX);
         let mut slots = Vec::new();
+        let mut newly: Vec<usize> = Vec::new();
         let mut round = 0u32;
         while uncovered_sparse > 0 {
             let q = GainQueue::pop_current_from(heap, gains)
-                .expect("uncovered sparse device without events");
+                .expect("uncovered sparse class without events");
             let window_start = flat[starts[q] as usize].0;
-            let window = starts[q] as usize..starts[ends[q] as usize] as usize;
-            let mut newly: Vec<usize> = flat[window]
-                .iter()
-                .filter(|&&(_, d)| !covered[d])
-                .map(|&(_, d)| d)
-                .collect();
-            newly.sort_unstable();
-            newly.dedup();
+            newly.clear();
+            for &(_, c) in &flat[starts[q] as usize..starts[ends[q] as usize] as usize] {
+                if !covered[c] {
+                    covered[c] = true;
+                    newly.push(c);
+                }
+            }
             debug_assert!(!newly.is_empty(), "selected window covers nothing");
             touched.clear();
-            for &d in &newly {
-                covered[d] = true;
-                // Instants seeing >= 1 PO of d: the union of
-                // [first[p], p] over d's instants; the ranges are sorted
+            for &c in &newly {
+                let weight = timeline.multiplicity(c);
+                // Instants seeing >= 1 PO of c: the union of
+                // [first[p], p] over c's instants; the ranges are sorted
                 // on both ends, so a running start merges overlaps and
-                // each instant is decremented once for d.
+                // each instant is decremented once for c.
                 let mut next_start = 0usize;
-                for &p in &dev_instants[dev_off[d] as usize..dev_off[d + 1] as usize] {
+                for &p in &class_instants[class_off[c] as usize..class_off[c + 1] as usize] {
                     let p = p as usize;
                     live[p] -= 1;
                     for a in (first[p] as usize).max(next_start)..=p {
-                        gains[a] -= 1;
+                        gains[a] -= weight;
                         if last_touch[a] != round {
                             last_touch[a] = round;
                             touched.push(a as u32);
@@ -1135,7 +1378,6 @@ impl WindowCover {
                     next_start = p + 1;
                 }
             }
-            uncovered_sparse -= newly.len();
             // An instant's live count drops to zero in a round that also
             // decrements its gain, so withholding its fresh snapshot
             // leaves only stale ones: it is never picked again.
@@ -1146,10 +1388,12 @@ impl WindowCover {
                 }
             }
             round += 1;
+            let covered_devices = timeline.devices_of(&newly);
+            uncovered_sparse -= covered_devices.len();
             slots.push(CoverSlot {
                 window_start,
                 transmit_at: window_start + self.ti,
-                covered: newly,
+                covered: covered_devices,
             });
         }
         slots
@@ -1157,18 +1401,26 @@ impl WindowCover {
 
     /// Greedy rounds on the per-round re-sweep engine (the PR-1 kernel):
     /// hoisted scratch buffers, one self-cleaning two-pointer sweep per
-    /// round, spent events compacted away.
-    fn rounds_sweep(&self, arena: &mut KernelArena, mut uncovered_sparse: usize) -> Vec<CoverSlot> {
+    /// round over a copy of the class events, spent events compacted
+    /// away.
+    fn rounds_sweep(
+        &self,
+        timeline: &PoTimeline,
+        arena: &mut KernelArena,
+        mut uncovered_sparse: usize,
+    ) -> Vec<CoverSlot> {
         let KernelArena {
             wc_flat: flat,
             wc_covered: covered,
             wc_count: count,
             ..
         } = arena;
+        flat.clear();
+        flat.extend_from_slice(timeline.events());
         reset(count, covered.len(), 0);
         let mut slots = Vec::new();
         while uncovered_sparse > 0 {
-            let slot = self.greedy_round(flat, count, covered);
+            let slot = self.greedy_round(timeline, flat, count, covered);
             uncovered_sparse -= slot.covered.len();
             slots.push(slot);
         }
@@ -1176,11 +1428,13 @@ impl WindowCover {
     }
 
     /// One greedy round: a single two-pointer sweep over the remaining
-    /// events picks the best window anchor, then the newly covered devices
-    /// are extracted and their events compacted away. Allocates only the
-    /// returned slot's `covered` list.
+    /// class events picks the best window anchor, then the newly covered
+    /// classes are expanded to their devices and their events compacted
+    /// away. Allocates only the round's class list and the returned
+    /// slot's `covered` list.
     fn greedy_round(
         &self,
+        timeline: &PoTimeline,
         flat: &mut Vec<(SimInstant, usize)>,
         count: &mut [u32],
         covered: &mut [bool],
@@ -1190,22 +1444,23 @@ impl WindowCover {
         // becomes the anchor, so `count` is all-zero between rounds.
         debug_assert!(count.iter().all(|&c| c == 0));
 
-        // For each window anchored at event i, count distinct uncovered
-        // devices with a PO in [flat[i].0, flat[i].0 + TI).
-        let mut distinct = 0usize;
-        let mut best_gain = 0usize;
+        // For each window anchored at event i, sum the multiplicities of
+        // the distinct uncovered classes with a PO in
+        // [flat[i].0, flat[i].0 + TI).
+        let mut distinct = 0u32;
+        let mut best_gain = 0u32;
         let mut best_anchor = 0usize;
         let mut j = 0usize;
         for i in 0..flat.len() {
             let (start, _) = flat[i];
             let end = start + self.ti;
             while j < flat.len() && flat[j].0 < end {
-                let d = flat[j].1;
-                if !covered[d] {
-                    if count[d] == 0 {
-                        distinct += 1;
+                let c = flat[j].1;
+                if !covered[c] {
+                    if count[c] == 0 {
+                        distinct += timeline.multiplicity(c);
                     }
-                    count[d] += 1;
+                    count[c] += 1;
                 }
                 j += 1;
             }
@@ -1214,48 +1469,47 @@ impl WindowCover {
                 best_anchor = i;
             }
             // Remove the anchor event before moving on.
-            let d = flat[i].1;
-            if !covered[d] {
-                count[d] -= 1;
-                if count[d] == 0 {
-                    distinct -= 1;
+            let c = flat[i].1;
+            if !covered[c] {
+                count[c] -= 1;
+                if count[c] == 0 {
+                    distinct -= timeline.multiplicity(c);
                 }
             }
         }
-        debug_assert!(best_gain > 0, "uncovered sparse device without events");
+        debug_assert!(best_gain > 0, "uncovered sparse class without events");
         let window_start = flat[best_anchor].0;
         let transmit_at = window_start + self.ti;
-        let mut newly: Vec<usize> = flat
-            .iter()
-            .skip(best_anchor)
-            .take_while(|(t, _)| *t < transmit_at)
-            .filter(|(_, d)| !covered[*d])
-            .map(|&(_, d)| d)
-            .collect();
-        newly.sort_unstable();
-        newly.dedup();
-        for &d in &newly {
-            covered[d] = true;
+        let mut newly: Vec<usize> = Vec::new();
+        for &(t, c) in &flat[best_anchor..] {
+            if t >= transmit_at {
+                break;
+            }
+            if !covered[c] {
+                covered[c] = true;
+                newly.push(c);
+            }
         }
         // Compact spent events in place so later sweeps stay cheap.
-        flat.retain(|&(_, d)| !covered[d]);
+        flat.retain(|&(_, c)| !covered[c]);
         CoverSlot {
             window_start,
             transmit_at,
-            covered: newly,
+            covered: timeline.devices_of(&newly),
         }
     }
 }
 
 /// The engine crossover over the instant grouping of
-/// [`WindowCover::group_instants`]. The incremental engine does at most
-/// `M_inst` decrements, the instant mass: the summed event count over the
-/// instants' windows. The re-sweep pays `rounds × E` for `E` events, and a
-/// window covers at most `w̄ = M_ev / E` devices for the event mass
-/// `M_ev` (the summed event count over each event's window, the window
-/// an event opens holding the events from it on), so it needs
-/// `rounds ≳ n / w̄` rounds: about `n·E² / M_ev` work. The incremental
-/// engine runs iff `M_inst·M_ev ≤ n·E²`; with one event per instant
+/// [`WindowCover::group_instants`], counted in class events. The
+/// incremental engine does at most `M_inst` decrements, the instant mass:
+/// the summed event count over the instants' windows. The re-sweep pays
+/// `rounds × E` for `E` events, and a window covers at most
+/// `w̄ = M_ev / E` classes for the event mass `M_ev` (the summed event
+/// count over each event's window, the window an event opens holding the
+/// events from it on), so it needs `rounds ≳ n / w̄` rounds for `n`
+/// sparse classes: about `n·E² / M_ev` work. The incremental engine runs
+/// iff `M_inst·M_ev ≤ n·E²`; with one event per instant
 /// (`M_inst = M_ev`) that is `M_ev ≤ E·√n`. Every event at instant `q`
 /// shares the window end `starts[ends[q]]`, so both masses are sums over
 /// the instants. See `docs/KERNELS.md`.
@@ -1274,8 +1528,9 @@ fn incremental_pays_off(starts: &[u32], ends: &[u32], n_sparse: usize) -> bool {
 
 /// The original straightforward solvers, retained verbatim as the oracle
 /// for equivalence testing of the production kernels, plus the
-/// naive per-anchor instance behind [`super::AnchorInstance`] and the
-/// weighted window cover over it.
+/// naive per-anchor instance behind [`AnchorInstance`] and the
+/// weighted window cover over it. They take jagged per-device PO lists,
+/// not a [`PoTimeline`].
 pub mod reference {
     use super::{CoverSlot, SimDuration, SimInstant};
 
@@ -1779,7 +2034,10 @@ mod tests {
         let ti = SimDuration::from_ms(100);
         let events = vec![vec![ms(10)], vec![ms(50)], vec![ms(90)]];
         let slots = WindowCover::new(ti)
-            .solve(ms(0), &events, &[false, false, false])
+            .solve(
+                ms(0),
+                &PoTimeline::from_events(&events, &[false, false, false]),
+            )
             .unwrap();
         assert_eq!(slots.len(), 1);
         assert_eq!(slots[0].covered, vec![0, 1, 2]);
@@ -1793,7 +2051,10 @@ mod tests {
         let ti = SimDuration::from_ms(100);
         let events = vec![vec![ms(10)], vec![ms(50)], vec![ms(200)]];
         let slots = WindowCover::new(ti)
-            .solve(ms(0), &events, &[false, false, false])
+            .solve(
+                ms(0),
+                &PoTimeline::from_events(&events, &[false, false, false]),
+            )
             .unwrap();
         assert_eq!(slots.len(), 2);
         assert_eq!(slots[0].covered, vec![0, 1]);
@@ -1806,7 +2067,7 @@ mod tests {
         let ti = SimDuration::from_ms(100);
         let events = vec![vec![ms(0)], vec![ms(100)]];
         let slots = WindowCover::new(ti)
-            .solve(ms(0), &events, &[false, false])
+            .solve(ms(0), &PoTimeline::from_events(&events, &[false, false]))
             .unwrap();
         assert_eq!(slots.len(), 2);
     }
@@ -1817,7 +2078,7 @@ mod tests {
         // Device 0 sparse at t=500; device 1 dense (cycle <= TI).
         let events = vec![vec![ms(500)], vec![ms(5), ms(55), ms(105)]];
         let slots = WindowCover::new(ti)
-            .solve(ms(0), &events, &[false, true])
+            .solve(ms(0), &PoTimeline::from_events(&events, &[false, true]))
             .unwrap();
         assert_eq!(slots.len(), 1);
         assert_eq!(slots[0].covered, vec![0, 1]);
@@ -1828,7 +2089,7 @@ mod tests {
         let ti = SimDuration::from_ms(100);
         let events = vec![vec![ms(5), ms(55)], vec![ms(20), ms(80)]];
         let slots = WindowCover::new(ti)
-            .solve(ms(0), &events, &[true, true])
+            .solve(ms(0), &PoTimeline::from_events(&events, &[true, true]))
             .unwrap();
         assert_eq!(slots.len(), 1);
         assert_eq!(slots[0].covered, vec![0, 1]);
@@ -1839,7 +2100,7 @@ mod tests {
         let ti = SimDuration::from_ms(100);
         let events = vec![vec![ms(5)], vec![]];
         assert_eq!(
-            WindowCover::new(ti).solve(ms(0), &events, &[false, false]),
+            WindowCover::new(ti).solve(ms(0), &PoTimeline::from_events(&events, &[false, false])),
             None
         );
     }
@@ -1847,7 +2108,7 @@ mod tests {
     #[test]
     fn empty_problem_is_trivially_covered() {
         let slots = WindowCover::new(SimDuration::from_ms(10))
-            .solve(ms(0), &[], &[])
+            .solve(ms(0), &PoTimeline::from_events(&[], &[]))
             .unwrap();
         assert!(slots.is_empty());
     }
@@ -1862,14 +2123,17 @@ mod tests {
             vec![ms(1090)],
         ];
         let slots = WindowCover::new(ti)
-            .solve(ms(0), &events, &[false, false, false])
+            .solve(
+                ms(0),
+                &PoTimeline::from_events(&events, &[false, false, false]),
+            )
             .unwrap();
         assert_eq!(slots.len(), 1);
         assert_eq!(slots[0].window_start, ms(1000));
         // Tie case: two windows covering 1 device each, earliest wins.
         let events2 = vec![vec![ms(100), ms(900)]];
         let slots2 = WindowCover::new(ti)
-            .solve(ms(0), &events2, &[false])
+            .solve(ms(0), &PoTimeline::from_events(&events2, &[false]))
             .unwrap();
         assert_eq!(slots2[0].window_start, ms(100));
     }
@@ -1881,7 +2145,9 @@ mod tests {
             .map(|d| (0..4).map(|k| ms(d * 37 + k * 400)).collect())
             .collect();
         let dense = vec![false; 40];
-        let slots = WindowCover::new(ti).solve(ms(0), &events, &dense).unwrap();
+        let slots = WindowCover::new(ti)
+            .solve(ms(0), &PoTimeline::from_events(&events, &dense))
+            .unwrap();
         let mut seen = vec![0; 40];
         for s in &slots {
             for &d in &s.covered {
@@ -1926,21 +2192,51 @@ mod tests {
             let solver = WindowCover::new(ti);
             let oracle = reference::window_cover_solve(ti, ms(0), &events, &dense);
             assert_eq!(
-                solver.solve_incremental(ms(0), &events, &dense),
+                solver.solve_incremental(ms(0), &PoTimeline::from_events(&events, &dense)),
                 oracle,
                 "incremental, trial {trial}"
             );
             assert_eq!(
-                solver.solve_sweep(ms(0), &events, &dense),
+                solver.solve_sweep(ms(0), &PoTimeline::from_events(&events, &dense)),
                 oracle,
                 "sweep, trial {trial}"
             );
             assert_eq!(
-                solver.solve(ms(0), &events, &dense),
+                solver.solve(ms(0), &PoTimeline::from_events(&events, &dense)),
                 oracle,
                 "trial {trial}"
             );
         }
+    }
+
+    #[test]
+    fn timeline_merges_identical_lists_into_weighted_classes() {
+        let events = vec![
+            vec![ms(50), ms(500)],
+            vec![ms(10)],
+            vec![ms(50), ms(500)],
+            vec![ms(20)],
+            vec![ms(10)],
+            vec![],
+            vec![ms(20)],
+        ];
+        let dense = [false, true, false, false, true, false, false];
+        let timeline = PoTimeline::from_events(&events, &dense);
+        assert_eq!((timeline.devices(), timeline.classes()), (7, 4));
+        assert_eq!(timeline.sparse_classes(), 3);
+        let class_of: Vec<usize> = (0..7).map(|d| timeline.class_of(d)).collect();
+        assert_eq!(class_of, vec![0, 3, 0, 1, 3, 2, 1]);
+        let members: Vec<&[u32]> = (0..4).map(|c| timeline.members(c)).collect();
+        assert_eq!(members, vec![&[0, 2][..], &[3, 6], &[5], &[1, 4]]);
+        let weights: Vec<u32> = (0..4).map(|c| timeline.multiplicity(c)).collect();
+        assert_eq!(weights, vec![2, 2, 1, 2]);
+        assert_eq!(timeline.dense_devices(), &[1, 4]);
+        assert_eq!(timeline.events(), &[(ms(20), 1), (ms(50), 0), (ms(500), 0)]);
+        assert_eq!(timeline.device_events(), 6);
+        // Device 5 is sparse without a PO: no window reaches it.
+        assert_eq!(timeline.first_unreachable(), Some(5));
+        let solver = WindowCover::new(SimDuration::from_ms(100));
+        assert_eq!(solver.solve(ms(0), &timeline), None);
     }
 
     #[test]
@@ -1972,8 +2268,8 @@ mod tests {
             let dense: Vec<bool> = (0..n).map(|_| next() % 5 == 0).collect();
             let solver = WindowCover::new(ti);
             assert_eq!(
-                solver.solve_in(ms(0), &events, &dense, &mut arena),
-                solver.solve(ms(0), &events, &dense),
+                solver.solve_in(ms(0), &PoTimeline::from_events(&events, &dense), &mut arena),
+                solver.solve(ms(0), &PoTimeline::from_events(&events, &dense)),
                 "trial {trial}"
             );
         }
@@ -1994,7 +2290,10 @@ mod tests {
         let dense = [false, false, false];
         let solver = WindowCover::new(ti);
         let oracle = reference::window_cover_solve(ti, ms(0), &events, &dense);
-        assert_eq!(solver.solve_incremental(ms(0), &events, &dense), oracle);
+        assert_eq!(
+            solver.solve_incremental(ms(0), &PoTimeline::from_events(&events, &dense)),
+            oracle
+        );
         let slots = oracle.unwrap();
         assert_eq!(slots.len(), 2);
         assert_eq!(slots[0].covered, vec![0, 1]);
@@ -2006,9 +2305,18 @@ mod tests {
         let dense = vec![false; events.len()];
         let solver = WindowCover::new(ti);
         let oracle = reference::window_cover_solve(ti, ms(0), events, &dense);
-        assert_eq!(solver.solve_incremental(ms(0), events, &dense), oracle);
-        assert_eq!(solver.solve_sweep(ms(0), events, &dense), oracle);
-        assert_eq!(solver.solve(ms(0), events, &dense), oracle);
+        assert_eq!(
+            solver.solve_incremental(ms(0), &PoTimeline::from_events(events, &dense)),
+            oracle
+        );
+        assert_eq!(
+            solver.solve_sweep(ms(0), &PoTimeline::from_events(events, &dense)),
+            oracle
+        );
+        assert_eq!(
+            solver.solve(ms(0), &PoTimeline::from_events(events, &dense)),
+            oracle
+        );
         oracle
             .expect("coverable")
             .into_iter()
@@ -2077,19 +2385,20 @@ mod tests {
         let ti = SimDuration::from_ms(100);
         // Empty instance.
         assert_eq!(
-            WindowCover::new(ti).solve_incremental(ms(0), &[], &[]),
+            WindowCover::new(ti).solve_incremental(ms(0), &PoTimeline::from_events(&[], &[])),
             Some(vec![])
         );
         // All devices dense: one synthetic window at the horizon start.
         let events = vec![vec![ms(5)], vec![ms(20)]];
         let slots = WindowCover::new(ti)
-            .solve_incremental(ms(0), &events, &[true, true])
+            .solve_incremental(ms(0), &PoTimeline::from_events(&events, &[true, true]))
             .unwrap();
         assert_eq!(slots.len(), 1);
         assert_eq!(slots[0].window_start, ms(0));
         // Sparse device without events stays uncoverable.
         assert_eq!(
-            WindowCover::new(ti).solve_incremental(ms(0), &[vec![]], &[false]),
+            WindowCover::new(ti)
+                .solve_incremental(ms(0), &PoTimeline::from_events(&[vec![]], &[false])),
             None
         );
     }
@@ -2245,7 +2554,7 @@ mod tests {
             let solver = WindowCover::new(ti);
             let airtime =
                 |members: &[usize]| members.iter().map(|&d| weights[d]).max().unwrap_or(1);
-            let instance = AnchorInstance::new(ti, &events, &dense);
+            let instance = AnchorInstance::new(ti, &PoTimeline::from_events(&events, &dense));
             assert_eq!(
                 solver.solve_weighted(ms(0), &instance, airtime, &mut arena),
                 reference::window_cover_weighted(ti, ms(0), &events, &dense, airtime),
@@ -2261,18 +2570,18 @@ mod tests {
         // uncoverable sparse device (none of these involve anchor ties).
         let ti = SimDuration::from_ms(100);
         let solver = WindowCover::new(ti);
-        let empty = AnchorInstance::new(ti, &[], &[]);
+        let empty = AnchorInstance::new(ti, &PoTimeline::from_events(&[], &[]));
         assert_eq!(
             solver.solve_weighted(ms(0), &empty, |_| 1, &mut arena),
             Some(vec![])
         );
         let events = vec![vec![ms(5)], vec![ms(20)]];
-        let all_dense = AnchorInstance::new(ti, &events, &[true, true]);
+        let all_dense = AnchorInstance::new(ti, &PoTimeline::from_events(&events, &[true, true]));
         assert_eq!(
             solver.solve_weighted(ms(0), &all_dense, |_| 1, &mut arena),
-            solver.solve(ms(0), &events, &[true, true])
+            solver.solve(ms(0), &PoTimeline::from_events(&events, &[true, true]))
         );
-        let no_po = AnchorInstance::new(ti, &[vec![]], &[false]);
+        let no_po = AnchorInstance::new(ti, &PoTimeline::from_events(&[vec![]], &[false]));
         assert_eq!(
             solver.solve_weighted(ms(0), &no_po, |_| 1, &mut arena),
             None
@@ -2304,8 +2613,10 @@ mod tests {
         };
         let solver = WindowCover::new(ti);
         let mut arena = KernelArena::new();
-        let unweighted = solver.solve(ms(0), &events, &dense).unwrap();
-        let instance = AnchorInstance::new(ti, &events, &dense);
+        let unweighted = solver
+            .solve(ms(0), &PoTimeline::from_events(&events, &dense))
+            .unwrap();
+        let instance = AnchorInstance::new(ti, &PoTimeline::from_events(&events, &dense));
         let weighted = solver
             .solve_weighted(ms(0), &instance, cost, &mut arena)
             .unwrap();
@@ -2364,7 +2675,7 @@ mod tests {
             vec![ms(500), ms(1500)],
         ];
         let dense = [false, false, true, false];
-        let instance = AnchorInstance::new(ti, &events, &dense);
+        let instance = AnchorInstance::new(ti, &PoTimeline::from_events(&events, &dense));
         assert_eq!(instance.sparse_devices(), &[0, 1, 3]);
         assert_eq!(instance.dense_devices().collect::<Vec<_>>(), vec![2]);
         assert_eq!(
@@ -2391,13 +2702,13 @@ mod tests {
         // window holding everyone.
         let ti = SimDuration::from_ms(100);
         let events = vec![vec![ms(700)]; 4];
-        let instance = AnchorInstance::new(ti, &events, &[false; 4]);
+        let instance = AnchorInstance::new(ti, &PoTimeline::from_events(&events, &[false; 4]));
         assert_eq!(instance.anchors(), &[ms(700)]);
         assert_eq!(instance.windows(), &[vec![0, 1, 2, 3]]);
         assert_eq!(instance.anchor_entries(), instance.entries());
         // Empty and all-dense inputs build an empty instance.
         for (events, dense) in [(vec![], vec![]), (vec![vec![ms(5)]], vec![true])] {
-            let empty = AnchorInstance::new(ti, &events, &dense);
+            let empty = AnchorInstance::new(ti, &PoTimeline::from_events(&events, &dense));
             assert!(empty.anchors().is_empty() && empty.windows().is_empty());
             assert_eq!(empty.dense_devices().count(), events.len());
         }

@@ -31,9 +31,6 @@ use nbiot_time::{SimDuration, SimInstant, TimeWindow, UeId};
 
 use crate::{CampaignResult, SimConfig};
 
-#[cfg(test)]
-mod oracle;
-
 /// Executes `plan` and returns the measured campaign result.
 ///
 /// Protocol actions are accounted in the three passes of the module

@@ -1,7 +1,8 @@
 //! The DR-SC set-cover formulation, hands-on: reconstructs the paper's
 //! Fig. 3 bipartite instance, solves it with the greedy heuristic, then
-//! runs the windowed solver on a realistic PO timeline so you can watch
-//! the greedy pick transmission windows (the Fig. 4 walkthrough).
+//! runs the windowed solver on a realistic PO timeline, built over
+//! schedule classes, so you can watch the greedy pick transmission
+//! windows (the Fig. 4 walkthrough).
 //!
 //! Both calls go through the production incremental-gain kernels; the
 //! solver tiers and their equivalence guarantees are documented in
@@ -11,7 +12,7 @@
 //! cargo run --release --example set_cover_playground
 //! ```
 
-use nbiot_multicast::grouping::set_cover::{greedy_set_cover, WindowCover};
+use nbiot_multicast::grouping::set_cover::{greedy_set_cover, PoTimeline, WindowCover};
 use nbiot_multicast::prelude::*;
 use rand::SeedableRng;
 
@@ -47,34 +48,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ti = SimDuration::from_secs(10);
     let horizon = TimeWindow::starting_at(SimInstant::ZERO, SimDuration::from_secs(2 * 21_000));
 
-    let mut events = Vec::new();
-    let mut dense = Vec::new();
-    println!("12-device timeline (TI = {ti}):");
-    for device in population.iter() {
-        let schedule = device.schedule()?;
-        let is_dense = device.paging.cycle.period() <= ti;
-        dense.push(is_dense);
-        let pos = if is_dense {
-            vec![]
-        } else {
-            schedule.pos_in(horizon)
-        };
+    // Devices with equal paging schedules share one PO timeline: the
+    // solver covers these schedule classes, weighted by their size.
+    let timeline = PoTimeline::new(&population.schedules()?, ti, horizon);
+    println!(
+        "12-device timeline (TI = {ti}), {} schedule classes:",
+        timeline.classes()
+    );
+    for (d, device) in population.iter().enumerate() {
+        let class = timeline.class_of(d);
+        let pos = timeline.events().iter().filter(|&&(_, c)| c == class);
         println!(
-            "  {}: cycle {}, {} POs in horizon{}",
+            "  {}: cycle {}, class {class}, {} POs in horizon{}",
             device.id,
             device.paging.cycle,
-            pos.len(),
-            if is_dense {
+            pos.count(),
+            if class >= timeline.sparse_classes() {
                 " (dense: every window covers it)"
             } else {
                 ""
             },
         );
-        events.push(pos);
     }
 
     let slots = WindowCover::new(ti)
-        .solve(horizon.start(), &events, &dense)
+        .solve(horizon.start(), &timeline)
         .expect("coverable");
     println!("\ngreedy cover -> {} transmissions:", slots.len());
     for (i, slot) in slots.iter().enumerate() {

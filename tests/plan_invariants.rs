@@ -3,6 +3,7 @@
 
 use std::collections::HashMap;
 
+use nbiot_multicast::grouping::set_cover::{reference, AnchorInstance, WindowCover};
 use nbiot_multicast::grouping::{PlanViolation, Transmission};
 use nbiot_multicast::prelude::*;
 use proptest::prelude::*;
@@ -500,12 +501,11 @@ fn every_mechanism_is_valid_and_finite_on_edge_fleets() {
 #[test]
 fn instance_planners_serve_identical_timelines_with_one_window() {
     let input = shared_timeline_input();
-    let (events, dense) = input.po_events();
-    let instance = nbiot_multicast::grouping::set_cover::AnchorInstance::new(
-        input.params().ti.duration(),
-        &events,
-        &dense,
-    );
+    let timeline = input.po_timeline();
+    assert_eq!(timeline.sparse_classes(), 1);
+    assert_eq!(timeline.members(0), &[0, 1, 2, 3, 4]);
+    assert_eq!(timeline.dense_devices(), &[5]);
+    let instance = AnchorInstance::new(input.params().ti.duration(), timeline);
     assert_eq!(instance.anchors().len(), 2);
     assert_eq!(instance.windows(), &[vec![0, 1, 2, 3, 4]]);
     for kind in INSTANCE_PLANNERS {
@@ -605,6 +605,47 @@ proptest! {
                 mix.name
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn class_count_cover_is_the_per_device_cover_on_real_fleets(
+        mix in prop_oneof![
+            Just(TrafficMix::ericsson_city()),
+            Just(TrafficMix::heterogeneous_coverage()),
+            Just(TrafficMix::short_drx()),
+            Just(TrafficMix::massive_metering()),
+            Just(TrafficMix::bursty_alarm()),
+        ],
+        n in 1usize..=120,
+        seed in 0u64..1_000,
+    ) {
+        // The input's count cover runs on its schedule classes; the
+        // oracle covers every device on its own `pos_in` list.
+        let pop = mix.generate(n, &mut StdRng::seed_from_u64(seed)).unwrap();
+        let input = GroupingInput::from_population(&pop, GroupingParams::default()).unwrap();
+        let ti = input.params().ti.duration();
+        let horizon = input.search_horizon();
+        let dense: Vec<bool> = input.schedules().iter().map(|s| s.period() <= ti).collect();
+        let events: Vec<Vec<SimInstant>> = input
+            .schedules()
+            .iter()
+            .zip(&dense)
+            .map(|(s, &d)| if d { Vec::new() } else { s.pos_in(horizon) })
+            .collect();
+        let oracle = reference::window_cover_solve(ti, horizon.start(), &events, &dense);
+        let solver = WindowCover::new(ti);
+        let timeline = input.po_timeline();
+        prop_assert_eq!(solver.solve(horizon.start(), timeline), oracle.clone());
+        prop_assert_eq!(solver.solve_incremental(horizon.start(), timeline), oracle.clone());
+        prop_assert_eq!(solver.solve_sweep(horizon.start(), timeline), oracle.clone());
+        // DR-SC plans from the memoized count cover: one transmission per
+        // oracle slot.
+        let plan = DrSc::new().plan(&input, &mut StdRng::seed_from_u64(seed)).unwrap();
+        prop_assert_eq!(plan.transmission_count(), oracle.unwrap().len());
     }
 }
 

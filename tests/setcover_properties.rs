@@ -3,7 +3,7 @@
 
 use nbiot_multicast::grouping::set_cover::{
     greedy_set_cover, greedy_set_cover_weighted, reference, AnchorInstance, KernelArena,
-    WindowCover,
+    PoTimeline, WindowCover,
 };
 use nbiot_multicast::prelude::*;
 use proptest::prelude::*;
@@ -76,7 +76,7 @@ proptest! {
             .collect();
         let dense = vec![false; events.len()];
         let slots = WindowCover::new(ti)
-            .solve(SimInstant::ZERO, &events, &dense)
+            .solve(SimInstant::ZERO, &PoTimeline::from_events(&events, &dense))
             .expect("every device has events");
         let optimal = brute_force_min_windows(&events, ti).expect("coverable");
         // Chvatal bound: greedy <= H(n) * optimal; for n < 6, H(n) < 2.29.
@@ -108,7 +108,7 @@ proptest! {
             .collect();
         let dense = vec![false; events.len()];
         let slots = WindowCover::new(SimDuration::from_ms(ti_ms))
-            .solve(SimInstant::ZERO, &events, &dense)
+            .solve(SimInstant::ZERO, &PoTimeline::from_events(&events, &dense))
             .unwrap();
         let mut seen = vec![0usize; events.len()];
         for s in &slots {
@@ -224,7 +224,7 @@ proptest! {
             .collect();
         let dense = vec![false; events.len()];
         let slots = WindowCover::new(SimDuration::from_ms(10))
-            .solve(SimInstant::ZERO, &events, &dense)
+            .solve(SimInstant::ZERO, &PoTimeline::from_events(&events, &dense))
             .unwrap();
 
         let mut sets = vec![Vec::new(); 30];
@@ -257,7 +257,7 @@ proptest! {
             .map(|i| dense_bits.get(i).is_some_and(|&b| b == 0))
             .collect();
         let ti = SimDuration::from_ms(ti_ms);
-        let instance = AnchorInstance::new(ti, &events, &dense);
+        let instance = AnchorInstance::new(ti, &PoTimeline::from_events(&events, &dense));
         let naive = reference::anchor_windows(ti, &events, &dense);
 
         // Every anchor's window is exactly its member set, and each
@@ -346,13 +346,53 @@ proptest! {
             .collect();
         let ti = SimDuration::from_ms(ti_ms);
         let solver = WindowCover::new(ti);
+        let timeline = PoTimeline::from_events(&events, &dense);
         let oracle = reference::window_cover_solve(ti, SimInstant::ZERO, &events, &dense);
         // The crossover-dispatched default plus both engines pinned.
-        prop_assert_eq!(solver.solve(SimInstant::ZERO, &events, &dense), oracle.clone());
-        prop_assert_eq!(
-            solver.solve_incremental(SimInstant::ZERO, &events, &dense),
-            oracle.clone()
-        );
-        prop_assert_eq!(solver.solve_sweep(SimInstant::ZERO, &events, &dense), oracle);
+        prop_assert_eq!(solver.solve(SimInstant::ZERO, &timeline), oracle.clone());
+        prop_assert_eq!(solver.solve_incremental(SimInstant::ZERO, &timeline), oracle.clone());
+        prop_assert_eq!(solver.solve_sweep(SimInstant::ZERO, &timeline), oracle);
+    }
+
+    #[test]
+    fn class_cover_on_shared_timelines_is_the_per_device_cover(
+        pool in proptest::collection::vec(
+            proptest::collection::vec(0u64..20_000, 0..6),
+            1..6
+        ),
+        picks in proptest::collection::vec(0usize..64, 1..60),
+        dense_bits in proptest::collection::vec(0u8..5, 1..60),
+        ti_ms in 100u64..2_000,
+        step_ms in 1u64..=1_000,
+    ) {
+        // n devices share k pooled timelines, as paging schedules repeat
+        // across a fleet, plus some dense devices: every class carries a
+        // multiplicity, and both engines on the class timeline must
+        // return the per-device oracle's slots.
+        let pool: Vec<Vec<SimInstant>> = pool
+            .iter()
+            .map(|d| {
+                let mut v: Vec<SimInstant> = d
+                    .iter()
+                    .map(|&m| SimInstant::from_ms(m / step_ms * step_ms))
+                    .collect();
+                v.sort_unstable();
+                v.dedup();
+                v
+            })
+            .collect();
+        let events: Vec<Vec<SimInstant>> =
+            picks.iter().map(|&p| pool[p % pool.len()].clone()).collect();
+        let dense: Vec<bool> = (0..events.len())
+            .map(|i| dense_bits.get(i).is_some_and(|&b| b == 0))
+            .collect();
+        let ti = SimDuration::from_ms(ti_ms);
+        let solver = WindowCover::new(ti);
+        let timeline = PoTimeline::from_events(&events, &dense);
+        prop_assert!(timeline.sparse_classes() <= pool.len());
+        let oracle = reference::window_cover_solve(ti, SimInstant::ZERO, &events, &dense);
+        prop_assert_eq!(solver.solve(SimInstant::ZERO, &timeline), oracle.clone());
+        prop_assert_eq!(solver.solve_incremental(SimInstant::ZERO, &timeline), oracle.clone());
+        prop_assert_eq!(solver.solve_sweep(SimInstant::ZERO, &timeline), oracle);
     }
 }
