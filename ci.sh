@@ -111,9 +111,9 @@ stage_docs() {
         | sed -e ':a' -e '/\\$/{N;s/\\\n//;ba}' \
         | sed 's/"\${figures\[@\]}"/cargo run --release -q -p nbiot-bench --bin figures --/' \
         > "$cmds"
-    local bin help flags flag
-    for bin in figures fig6a fig6b fig7 all_figures ablations \
-               bench_report scenario_merge scenario_diff scenario_run groupingd; do
+    local src bin help flags flag
+    for src in crates/bench/src/bin/*.rs; do
+        bin="$(basename "$src" .rs)"
         grep -Eq -- "--bin $bin( |\$)" "$cmds" || continue
         help="$(cargo run --release -q -p nbiot-bench --bin "$bin" -- --help 2>&1 || true)"
         # A binary may appear with no flags at all (grep then exits 1

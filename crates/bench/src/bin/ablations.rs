@@ -34,21 +34,15 @@ use nbiot_grouping::{AdaptationGrid, DaSc, DrSi, GroupingInput, MechanismKind, N
 use nbiot_sim::{run_scenario, with_ti, Scenario, SimConfig};
 use nbiot_time::SimDuration;
 
-/// The ablation base point with every shared flag applied unconditionally
-/// (the historical behaviour of this binary's `opts.apply`).
+/// The ablation base point: the paper's default point under the shared
+/// flags.
 fn base_scenario(opts: &FigureOpts) -> Scenario {
     let mut s = Scenario {
         name: "ablation".into(),
         description: "sensitivity-study base point".into(),
         ..Scenario::default()
     };
-    s.runs = opts.runs;
-    s.devices = vec![opts.devices];
-    s.master_seed = opts.seed;
-    s.threads = opts.threads;
-    if let Some(mix) = &opts.mix {
-        s.mix = nbiot_bench::resolve_mix(mix);
-    }
+    opts.apply_to_scenario(&mut s);
     s
 }
 

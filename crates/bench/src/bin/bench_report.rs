@@ -60,10 +60,7 @@
 //!     "window_cover_speedup": 1.2,     // reference / incremental timeline solver
 //!     "window_cover_incremental_speedup": 5.0, // per-round sweep / incremental
 //!     "comparison_parallel_speedup": 5.9,
-//!     "population_sharing_speedup": 5.0,     // per-mechanism regeneration / once-per-run
 //!     "sweep_parallel_speedup": 5.5,         // serial full device sweep / one (point × run) pool
-//!     "sweep_pipeline_gain": 1.3,            // per-point barriers (PR-1) / one (point × run) pool
-//!     "figure_suite_sharing_speedup": 2.5,   // per-payload comparisons / one shared-plan grid
 //!     "coordinator_overhead": 1.05           // supervised 2-shard run / direct run_scenario
 //!   }
 //! }
@@ -83,10 +80,7 @@ use nbiot_grouping::{
     MechanismKind, MulticastPlan, DEFAULT_TABU_BUDGET,
 };
 use nbiot_service::{EventLog, GroupingService, ServeAction, ServiceConfig};
-use nbiot_sim::{
-    run_campaign, run_comparison, run_scenario, ExperimentConfig, RegroupPolicy, Scenario,
-    SimConfig,
-};
+use nbiot_sim::{run_campaign, run_scenario, RegroupPolicy, Scenario, SimConfig};
 use nbiot_time::SimDuration;
 use serde_json::{json, Value};
 
@@ -349,21 +343,28 @@ fn main() {
                         .unwrap_or_else(|| fail_usage("--compare needs a baseline path")),
                 );
             }
+            // A `nan` tolerance would flag no stage (`change > NaN` is
+            // false), `inf` none either.
             "--tolerance-pct" => {
                 tolerance_pct = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| fail_usage("--tolerance-pct needs a number (percent)"));
+                    .filter(|p: &f64| p.is_finite() && *p >= 0.0)
+                    .unwrap_or_else(|| {
+                        fail_usage("--tolerance-pct needs a finite, non-negative number (percent)")
+                    });
             }
             "--warn-only" => warn_only = true,
             _ => figure_args.push(arg),
         }
     }
     let mut opts = FigureOpts::parse(figure_args.into_iter());
-    // This binary's workload default is the ISSUE's macro shape
-    // (5 mechanisms × 500 devices × 20 runs), not the figures' 100 runs.
+    // This binary's workload default is the macro shape (5 mechanisms ×
+    // 500 devices × 20 runs), not the figures' 100 runs; marked as given
+    // so every scenario below runs it.
     if !opts.given.runs {
         opts.runs = 20;
+        opts.given.runs = true;
     }
     let seq = SeedSequence::new(opts.seed);
     let params = GroupingParams::default();
@@ -392,35 +393,22 @@ fn main() {
         json!({ "populations": opts.runs, "devices_each": opts.devices }),
     ));
 
-    // ---- Stage 1b: population sharing (once per run) vs the historical
-    // regeneration (once per mechanism per run). The scenario engine
-    // generates population + grouping input once per run and shares it
-    // across all mechanisms and payload variants; this stage measures the
-    // generation cost that sharing removes.
-    let mechanisms = MechanismKind::ALL.len() as u32;
-    let gen_inputs = |copies: u32| {
+    // ---- Stage 1b: population plus grouping input, generated once per
+    // run — what a scenario item shares across its mechanisms and
+    // payload variants.
+    let ((), shared_ms) = timed(|| {
         for run in 0..opts.runs as u64 {
-            for _ in 0..copies {
-                let pop = mix
-                    .generate(opts.devices, &mut seq.child(run).rng(0))
-                    .expect("population");
-                let input = GroupingInput::from_population(&pop, params).expect("input");
-                std::hint::black_box(&input);
-            }
+            let pop = mix
+                .generate(opts.devices, &mut seq.child(run).rng(0))
+                .expect("population");
+            let input = GroupingInput::from_population(&pop, params).expect("input");
+            std::hint::black_box(&input);
         }
-    };
-    let ((), shared_ms) = timed(|| gen_inputs(1));
-    let ((), regen_ms) = timed(|| gen_inputs(mechanisms));
-    let population_sharing_speedup = regen_ms / shared_ms;
+    });
     stages.push(stage(
         "population_shared_per_run",
         shared_ms,
         json!({ "generations": opts.runs, "devices_each": opts.devices }),
-    ));
-    stages.push(stage(
-        "population_regenerated_per_mechanism",
-        regen_ms,
-        json!({ "generations": opts.runs * mechanisms, "devices_each": opts.devices }),
     ));
 
     let fresh_input = || GroupingInput::from_population(&populations[0], params).expect("input");
@@ -982,12 +970,15 @@ fn main() {
         ));
     }
 
-    // ---- Stage 5: the full comparison, serial then parallel ----
-    let mut config = ExperimentConfig::default();
-    opts.apply(&mut config);
-    config.threads = 1;
-    let (serial_result, serial_ms) =
-        timed(|| run_comparison(&config, &MechanismKind::ALL).expect("comparison"));
+    // ---- Stage 5: the full comparison (one point, every mechanism),
+    // serial then parallel ----
+    let mut comparison = Scenario {
+        mechanisms: MechanismKind::ALL.to_vec(),
+        ..Scenario::default()
+    };
+    opts.apply_to_scenario(&mut comparison);
+    comparison.threads = 1;
+    let (serial_result, serial_ms) = timed(|| run_scenario(&comparison).expect("comparison"));
     stages.push(stage(
         "comparison_serial",
         serial_ms,
@@ -997,9 +988,8 @@ fn main() {
             "runs": opts.runs,
         }),
     ));
-    config.threads = opts.threads;
-    let (parallel_result, parallel_ms) =
-        timed(|| run_comparison(&config, &MechanismKind::ALL).expect("comparison"));
+    comparison.threads = opts.threads;
+    let (parallel_result, parallel_ms) = timed(|| run_scenario(&comparison).expect("comparison"));
     assert_eq!(
         serial_result, parallel_result,
         "parallel comparison must be bit-identical to serial"
@@ -1016,36 +1006,18 @@ fn main() {
     ));
 
     // ---- Stage 6: the full device sweep (Fig. 7 workload) through the
-    // (point × run) scheduler: serial, per-point barriers (the PR-1
-    // behaviour: the pool drains one point before starting the next), and
-    // the whole grid as one item pool.
+    // (point × run) scheduler, serial and as one parallel item pool. The
+    // sweep keeps fig7's group sizes whatever `--devices` says.
     let mut sweep = Scenario::builtin("fig7").expect("registered scenario");
-    sweep.runs = opts.runs;
-    sweep.master_seed = opts.seed;
+    let sizes = std::mem::take(&mut sweep.devices);
+    opts.apply_to_scenario(&mut sweep);
+    sweep.devices = sizes;
     sweep.threads = 1;
-    if let Some(mix) = &opts.mix {
-        sweep.mix = nbiot_bench::resolve_mix(mix);
-    }
     let (sweep_serial_result, sweep_serial_ms) = timed(|| run_scenario(&sweep).expect("sweep"));
     stages.push(stage(
         "sweep_serial",
         sweep_serial_ms,
         json!({ "points": sweep.devices.len(), "runs": opts.runs, "threads": 1u64 }),
-    ));
-    let (barrier_result, sweep_barrier_ms) = timed(|| {
-        let mut points = Vec::new();
-        for &n in &sweep.devices {
-            let mut one = sweep.clone();
-            one.devices = vec![n];
-            one.threads = opts.threads;
-            points.extend(run_scenario(&one).expect("sweep point").points);
-        }
-        points
-    });
-    stages.push(stage(
-        "sweep_point_barrier",
-        sweep_barrier_ms,
-        json!({ "points": sweep.devices.len(), "runs": opts.runs, "threads": opts.threads }),
     ));
     sweep.threads = opts.threads;
     let (sweep_parallel_result, sweep_parallel_ms) = timed(|| run_scenario(&sweep).expect("sweep"));
@@ -1058,57 +1030,18 @@ fn main() {
         sweep_serial_result, sweep_parallel_result,
         "point-parallel sweep must be bit-identical to serial"
     );
-    assert_eq!(
-        sweep_serial_result.points, barrier_result,
-        "per-point execution must be bit-identical to the full grid"
-    );
 
-    // ---- Stage 7: the Fig. 6 suite — three payload columns executed as
-    // separate comparisons (regenerating populations and plans per
-    // payload, the historical figure-binary behaviour) vs one scenario
-    // grid sharing them. Both serial, isolating the sharing win.
-    let payloads = nbiot_bench::scenarios::paper_payloads();
-    let (separate_results, suite_separate_ms) = timed(|| {
-        payloads
-            .iter()
-            .map(|&payload| {
-                let mut config = ExperimentConfig::default();
-                opts.apply(&mut config);
-                config.threads = 1;
-                config.sim = config.sim.with_payload(payload);
-                run_comparison(&config, &MechanismKind::PAPER_MECHANISMS).expect("comparison")
-            })
-            .collect::<Vec<_>>()
-    });
-    stages.push(stage(
-        "figure_suite_separate",
-        suite_separate_ms,
-        json!({ "payloads": payloads.len(), "devices": opts.devices, "runs": opts.runs }),
-    ));
+    // ---- Stage 7: the Fig. 6 suite — three payload columns in one
+    // serial scenario grid sharing each run's population and plans.
     let mut suite = Scenario::builtin("paper-suite").expect("registered scenario");
-    suite.devices = vec![opts.devices];
-    suite.runs = opts.runs;
-    suite.master_seed = opts.seed;
+    opts.apply_to_scenario(&mut suite);
     suite.threads = 1;
-    if let Some(mix) = &opts.mix {
-        // The "separate" path above inherits --mix via opts.apply(); the
-        // scenario must run the same population or the bit-identity
-        // assert below would (rightly) fire.
-        suite.mix = nbiot_bench::resolve_mix(mix);
-    }
     let (suite_result, suite_shared_ms) = timed(|| run_scenario(&suite).expect("suite"));
     stages.push(stage(
         "figure_suite_shared",
         suite_shared_ms,
-        json!({ "payloads": payloads.len(), "devices": opts.devices, "runs": opts.runs }),
+        json!({ "payloads": suite.payloads.len(), "devices": opts.devices, "runs": opts.runs }),
     ));
-    for (point, separate) in suite_result.points.iter().zip(&separate_results) {
-        assert_eq!(
-            &point.comparison, separate,
-            "shared-population suite must be bit-identical to separate comparisons"
-        );
-    }
-    let figure_suite_sharing_speedup = suite_separate_ms / suite_shared_ms;
 
     // ---- Stage 8: coordinator overhead — the same suite grid executed
     // through the fault-tolerant shard coordinator (2 supervised
@@ -1140,7 +1073,7 @@ fn main() {
         coordinator_ms,
         json!({
             "shards": coord_shards,
-            "payloads": payloads.len(),
+            "payloads": suite.payloads.len(),
             "devices": opts.devices,
             "runs": opts.runs,
         }),
@@ -1175,10 +1108,7 @@ fn main() {
             "window_cover_speedup": window_cover_speedup,
             "window_cover_incremental_speedup": window_cover_incremental_speedup,
             "comparison_parallel_speedup": serial_ms / parallel_ms,
-            "population_sharing_speedup": population_sharing_speedup,
             "sweep_parallel_speedup": sweep_serial_ms / sweep_parallel_ms,
-            "sweep_pipeline_gain": sweep_barrier_ms / sweep_parallel_ms,
-            "figure_suite_sharing_speedup": figure_suite_sharing_speedup,
             "coordinator_overhead": coordinator_overhead,
         }),
     });
@@ -1195,12 +1125,10 @@ fn main() {
          window-cover speedup {window_cover_speedup:.2}x \
          (incremental {window_cover_incremental_speedup:.2}x over sweep), \
          parallel comparison speedup {:.2}x, \
-         sweep point-parallel speedup {:.2}x (pipeline gain {:.2}x vs per-point barriers), \
-         figure-suite sharing speedup {figure_suite_sharing_speedup:.2}x, \
+         sweep point-parallel speedup {:.2}x, \
          coordinator overhead {coordinator_overhead:.2}x -> {out_path}",
         serial_ms / parallel_ms,
         sweep_serial_ms / sweep_parallel_ms,
-        sweep_barrier_ms / sweep_parallel_ms,
     );
 
     if let Some(baseline_path) = compare {

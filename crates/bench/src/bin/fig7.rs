@@ -1,8 +1,10 @@
-//! Compat shim for **Fig. 7** of the paper: the average number of multicast
-//! transmissions DR-SC needs to update all devices, as the group size grows
-//! from 100 to 1000 (averaged over `--runs` repetitions). Equivalent to
-//! `figures --scenario fig7`; the whole sweep executes as one scheduler
-//! grid, so `--threads` workers span every (size × run) pair at once.
+//! **Fig. 7** of the paper: the average number of multicast transmissions
+//! DR-SC needs to update all devices, as the group size grows from 100 to
+//! 1000 (averaged over `--runs` repetitions). The table is the one
+//! `figures --scenario fig7` prints; the `--json` output is the only one
+//! that carries the fluid-model estimate next to each point. The whole
+//! sweep executes as one scheduler grid, so `--threads` workers span every
+//! (size × run) pair at once.
 //!
 //! Expected shape (paper): around 50 % of the number of devices for small
 //! groups, falling to around 40 % at 1000 devices — i.e. DR-SC is only

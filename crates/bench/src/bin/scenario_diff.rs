@@ -39,16 +39,26 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
+            // `inf` would pass every finite delta and `nan` fail every
+            // inexact one, so only finite, non-negative tolerances parse.
             "--abs-tol" => {
                 tolerance.abs = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| fail_usage("--abs-tol needs a number"));
+                    .filter(|x: &f64| x.is_finite() && *x >= 0.0)
+                    .unwrap_or_else(|| fail_usage("--abs-tol needs a finite, non-negative number"));
             }
             "--rel-tol" => {
-                tolerance.rel = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    fail_usage("--rel-tol needs a number (fraction of the baseline)")
-                });
+                tolerance.rel = args
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .filter(|x: &f64| x.is_finite() && *x >= 0.0)
+                    .unwrap_or_else(|| {
+                        fail_usage(
+                            "--rel-tol needs a finite, non-negative number (fraction of the \
+                             baseline)",
+                        )
+                    });
             }
             "--json" => json = true,
             "--structural-only" => structural_only = true,

@@ -3,16 +3,12 @@
 //! The primary entry point is the **`figures`** driver, which executes any
 //! named or file-loaded [`Scenario`](nbiot_sim::Scenario)
 //! (`--scenario <name|path.json|path.toml>`, `--list` for the registry)
-//! through the shared (point × run) scheduler. The historical per-figure
-//! binaries remain as thin shims over the same engine:
+//! through the shared (point × run) scheduler:
 //!
 //! | Binary        | Paper artifact | Metric |
 //! |---------------|----------------|--------|
-//! | `figures`     | any scenario   | all of the below, captions derived from the actual config |
-//! | `fig6a`       | Fig. 6(a)      | relative light-sleep uptime increase vs unicast |
-//! | `fig6b`       | Fig. 6(b)      | relative connected-mode uptime increase vs unicast, per payload size |
-//! | `fig7`        | Fig. 7         | mean multicast transmissions vs group size (DR-SC) |
-//! | `all_figures` | all of the above | |
+//! | `figures`     | any scenario: Fig. 6(a) `fig6a`, Fig. 6(b) `fig6b`, Fig. 7 `fig7`, Fig. 6(a)+(b) in one grid `paper-suite` | the scenario's tables, captions derived from the actual config |
+//! | `fig7`        | Fig. 7         | mean DR-SC transmissions vs group size; its `--json` is the only output carrying the fluid-model estimate |
 //! | `ablations`   | beyond-paper sensitivity studies | TI, notify policy, adaptation grid, RACH contention |
 //! | `bench_report`| — | machine-trackable wall-clock of the macro workload (`BENCH_results.json`) |
 //!
@@ -207,17 +203,6 @@ impl FigureOpts {
             }
         }
         opts
-    }
-
-    /// Applies these options to an experiment configuration.
-    pub fn apply(&self, config: &mut nbiot_sim::ExperimentConfig) {
-        config.runs = self.runs;
-        config.n_devices = self.devices;
-        config.master_seed = self.seed;
-        config.threads = self.threads;
-        if let Some(name) = &self.mix {
-            config.mix = resolve_mix(name);
-        }
     }
 
     /// Overrides a scenario's fields with the *explicitly passed* flags
@@ -568,26 +553,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_transfers_all_fields() {
-        let opts = FigureOpts {
-            runs: 7,
-            devices: 42,
-            seed: 9,
-            threads: 3,
-            mix: Some("bursty-alarm".into()),
-            json: true,
-            given: GivenFlags::default(),
-        };
-        let mut cfg = nbiot_sim::ExperimentConfig::default();
-        opts.apply(&mut cfg);
-        assert_eq!(cfg.runs, 7);
-        assert_eq!(cfg.n_devices, 42);
-        assert_eq!(cfg.master_seed, 9);
-        assert_eq!(cfg.threads, 3);
-        assert_eq!(cfg.mix.name, "bursty-alarm");
-    }
-
-    #[test]
     fn parse_records_given_flags_and_resolves_mix() {
         let args = ["--runs", "5", "--mix", "clustered-heterogeneous"]
             .into_iter()
@@ -613,5 +578,19 @@ mod tests {
         // --devices/--seed were not passed: the scenario keeps its sweep.
         assert_eq!(scenario.devices, original_devices);
         assert_eq!(scenario.master_seed, original_seed);
+        // The two defaults agree, so applying every default flag as if
+        // passed leaves the default scenario unchanged.
+        let all_given = FigureOpts {
+            given: GivenFlags {
+                runs: true,
+                devices: true,
+                seed: true,
+                threads: true,
+            },
+            ..FigureOpts::default()
+        };
+        let mut scenario = nbiot_sim::Scenario::default();
+        all_given.apply_to_scenario(&mut scenario);
+        assert_eq!(scenario, nbiot_sim::Scenario::default());
     }
 }

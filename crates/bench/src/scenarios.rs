@@ -1,5 +1,6 @@
-//! Scenario loading and figure rendering shared by the `figures` driver
-//! and the legacy figure-binary shims.
+//! Scenario loading and figure rendering shared by the `figures` driver,
+//! the `fig7` binary and the archive tools (`scenario_merge`,
+//! `scenario_run`).
 //!
 //! A scenario is addressed either by registry name
 //! ([`nbiot_sim::Scenario::REGISTRY`]) or by a `.json`/`.toml` file path;
@@ -8,7 +9,6 @@
 
 use nbiot_des::SeedSequence;
 use nbiot_grouping::{analysis, GroupingInput, MechanismKind};
-use nbiot_phy::DataSize;
 use nbiot_sim::{run_scenario, Scenario, ScenarioArchive, ScenarioResult};
 
 use crate::{pct, render_table};
@@ -127,7 +127,7 @@ pub fn caption(scenario: &Scenario) -> String {
 
 /// Fig. 6(a)-style table: relative light-sleep uptime increase vs unicast.
 /// Devices/payload columns appear only when the scenario sweeps them.
-pub fn render_light_sleep(scenario: &Scenario, result: &ScenarioResult) -> String {
+fn render_light_sleep(scenario: &Scenario, result: &ScenarioResult) -> String {
     let multi_n = scenario.devices.len() > 1;
     let multi_p = scenario.payloads.len() > 1;
     let mut headers: Vec<&str> = Vec::new();
@@ -162,7 +162,7 @@ pub fn render_light_sleep(scenario: &Scenario, result: &ScenarioResult) -> Strin
 
 /// Fig. 6(b)-style table: relative connected-mode uptime increase vs
 /// unicast, with the mean pre-transmission wait.
-pub fn render_connected(scenario: &Scenario, result: &ScenarioResult) -> String {
+fn render_connected(scenario: &Scenario, result: &ScenarioResult) -> String {
     let multi_n = scenario.devices.len() > 1;
     let mut headers: Vec<&str> = Vec::new();
     if multi_n {
@@ -371,8 +371,8 @@ pub fn render_report(scenario: &Scenario, result: &ScenarioResult) -> String {
     out
 }
 
-/// Executes a scenario and prints the report (or JSON): the shared body
-/// of the `figures` driver and the legacy figure shims.
+/// Executes a scenario and prints the report (or JSON): the body of the
+/// `figures` driver.
 ///
 /// Exits with a one-line error on execution failure — appropriate for the
 /// CLI entry points this backs.
@@ -388,15 +388,6 @@ pub fn run_and_print(scenario: &Scenario, json: bool) -> ScenarioResult {
         println!("{}", render_report(scenario, &result));
     }
     result
-}
-
-/// The payload sizes of the paper's Fig. 6(b) (100 kB, 1 MB, 10 MB).
-pub fn paper_payloads() -> Vec<DataSize> {
-    vec![
-        DataSize::from_kb(100),
-        DataSize::from_mb(1),
-        DataSize::from_mb(10),
-    ]
 }
 
 #[cfg(test)]

@@ -160,6 +160,22 @@ fn bench_report_rejects_zero_devices_with_a_usage_error() {
 }
 
 #[test]
+fn bench_report_rejects_non_finite_or_negative_tolerances_before_any_stage() {
+    let dir = scratch("tolerance_pct");
+    let report = dir.join("report.json");
+    for value in ["inf", "nan", "-1"] {
+        let out = run(
+            env!("CARGO_BIN_EXE_bench_report"),
+            &["--tolerance-pct", value, "--out", report.to_str().unwrap()],
+        );
+        assert_error_line(&out, "bench_report", 2, "--tolerance-pct needs a finite");
+        assert!(stdout(&out).is_empty(), "{value}: no stage may run");
+        assert!(!report.exists(), "{value}: no report may be written");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn ablations_rejects_zero_runs_with_a_usage_error() {
     let out = run(env!("CARGO_BIN_EXE_ablations"), &["--runs", "0"]);
     assert_error_line(&out, "ablations", 2, "--runs needs a positive integer");
@@ -207,6 +223,28 @@ fn foreign_schema_versions_get_a_regenerate_message() {
 fn diff_requires_exactly_two_archives() {
     let out = run(env!("CARGO_BIN_EXE_scenario_diff"), &["only-one.json"]);
     assert_error_line(&out, "scenario_diff", 2, "baseline and a candidate");
+}
+
+#[test]
+fn diff_rejects_non_finite_or_negative_abs_tol() {
+    for value in ["inf", "infinity", "nan", "-1e-9"] {
+        let out = run(
+            env!("CARGO_BIN_EXE_scenario_diff"),
+            &["--abs-tol", value, "a.json", "b.json"],
+        );
+        assert_error_line(&out, "scenario_diff", 2, "--abs-tol needs a finite");
+    }
+}
+
+#[test]
+fn diff_rejects_non_finite_or_negative_rel_tol() {
+    for value in ["inf", "infinity", "nan", "-0.02"] {
+        let out = run(
+            env!("CARGO_BIN_EXE_scenario_diff"),
+            &["--rel-tol", value, "a.json", "b.json"],
+        );
+        assert_error_line(&out, "scenario_diff", 2, "--rel-tol needs a finite");
+    }
 }
 
 #[test]

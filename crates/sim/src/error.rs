@@ -27,11 +27,6 @@ pub enum SimError {
         /// Which list was empty (`"devices"`, `"payloads"`, `"mechanisms"`).
         what: &'static str,
     },
-    /// A device sweep was given an empty size list. Distinct from
-    /// [`SimError::EmptyScenario`]: this guards the direct
-    /// [`sweep_devices`](crate::sweep_devices) API, which used to return
-    /// an empty result set instead of failing.
-    EmptySweep,
     /// A re-grouping staleness threshold is not a fraction in `[0, 1]`.
     InvalidRegroupThreshold {
         /// The offending threshold.
@@ -117,9 +112,6 @@ impl fmt::Display for SimError {
             ),
             SimError::EmptyScenario { what } => {
                 write!(f, "scenario lists no {what}; every sweep axis needs at least one entry")
-            }
-            SimError::EmptySweep => {
-                write!(f, "device sweep lists no sizes; pass at least one group size")
             }
             SimError::InvalidRegroupThreshold { threshold } => write!(
                 f,

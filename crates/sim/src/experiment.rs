@@ -1,14 +1,15 @@
 //! The paper's experimental methodology: same populations, mechanisms
 //! compared against the per-run unicast baseline, averaged over runs.
 //!
-//! # One scheduler for every sweep
+//! # One scheduler for every grid
 //!
-//! All experiment execution — single comparisons ([`run_comparison`]),
-//! device sweeps ([`sweep_devices`]) and whole scenario grids
-//! ([`run_scenario`](crate::run_scenario)) — flows through one generic
-//! work-item scheduler ([`fan_out_items`]) whose unit of parallelism is a
-//! **(sweep point × run)** pair. The thread pool therefore spans entire
-//! sweeps and figure suites instead of draining one point at a time.
+//! Every experiment — a single comparison, a device sweep or a whole
+//! figure suite — is a [`Scenario`] grid, executed whole by
+//! [`run_scenario`](crate::run_scenario) or one shard at a time by
+//! `run_scenario_shard`. Both run one generic work-item scheduler
+//! ([`fan_out_items`]) whose unit of parallelism is a **(sweep point ×
+//! run)** pair. The thread pool therefore spans entire sweeps and figure
+//! suites instead of draining one point at a time.
 //!
 //! Every item is a pure function of its [`SeedSequence`] child (seeds
 //! derive per-run via `seq.child(run)`), items are distributed cyclically
@@ -16,7 +17,7 @@
 //! back **in item order** on the coordinating thread — the same push
 //! sequence serial execution performs. That makes every [`Summary`] field
 //! bit-identical regardless of the thread count, verified by
-//! `comparison_is_thread_count_invariant` below and
+//! `scenario_threads_are_bit_identical` and
 //! `tests/parallel_determinism.rs`.
 //!
 //! # Shared populations and plans
@@ -32,54 +33,12 @@
 use core::fmt;
 
 use nbiot_des::{RunningStats, SeedSequence, Summary};
-use nbiot_energy::PowerProfile;
-use nbiot_grouping::{
-    GroupingInput, GroupingMechanism, GroupingParams, MechanismKind, MulticastPlan, Unicast,
-};
+use nbiot_grouping::{GroupingInput, GroupingMechanism, MechanismKind, MulticastPlan, Unicast};
 use nbiot_phy::{CoverageClass, NpdschConfig};
-use nbiot_traffic::{ChurnModel, TrafficMix};
 use rand::rngs::StdRng;
 
-use crate::churn::{self, ChurnTimeline, RegroupPolicy, RegroupWork};
-use crate::{engine, CampaignResult, SimConfig, SimError};
-
-/// Configuration of one experiment (one point of a figure).
-#[derive(Debug, Clone)]
-pub struct ExperimentConfig {
-    /// Device population mix.
-    pub mix: TrafficMix,
-    /// Group size (the paper varies 100–1000).
-    pub n_devices: usize,
-    /// Number of repetitions (the paper uses 100).
-    pub runs: u32,
-    /// Master seed; every run derives its own independent streams.
-    pub master_seed: u64,
-    /// Grouping parameters (start, TI, optional transmission override).
-    pub grouping: GroupingParams,
-    /// PHY/protocol configuration.
-    pub sim: SimConfig,
-    /// Power profile used for the supplementary energy-in-Joules metric.
-    pub power: PowerProfile,
-    /// Worker threads for the work-item fan-out: `1` executes serially on
-    /// the calling thread, `0` uses all available cores, any other value
-    /// that many threads. Results are bit-identical for every setting.
-    pub threads: usize,
-}
-
-impl Default for ExperimentConfig {
-    fn default() -> Self {
-        ExperimentConfig {
-            mix: TrafficMix::ericsson_city(),
-            n_devices: 100,
-            runs: 10,
-            master_seed: 0x4E42_494F_5421, // "NBIOT!"
-            grouping: GroupingParams::default(),
-            sim: SimConfig::default(),
-            power: PowerProfile::default(),
-            threads: 1,
-        }
-    }
-}
+use crate::churn::{self, ChurnTimeline, RegroupWork};
+use crate::{engine, CampaignResult, PointResult, Scenario, ScenarioResult, SimConfig, SimError};
 
 /// Aggregated metrics of one mechanism across all runs of an experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,7 +77,7 @@ pub struct MechanismSummary {
     /// Devices finishing random access after their transmission started.
     pub late_joins: Summary,
     /// Plan recomputations per run under churn (zero for static
-    /// scenarios; see [`RegroupPolicy`]).
+    /// scenarios; see [`RegroupPolicy`](crate::RegroupPolicy)).
     pub regroup_count: Summary,
     /// Stale-missed device-epochs over all post-epoch-0 device-epochs
     /// (re-planned epochs contribute zero misses to the numerator but
@@ -318,43 +277,6 @@ where
     Ok(out)
 }
 
-/// The full experiment grid one scheduler invocation executes: device
-/// sweep points × payload variants × mechanisms × runs.
-///
-/// Work items are **(device point × run)** pairs; payload variants and
-/// mechanisms ride inside an item so they can share the run's population,
-/// grouping input and per-mechanism plan.
-pub(crate) struct GridSpec<'a> {
-    /// Device population mix.
-    pub mix: &'a TrafficMix,
-    /// Device sweep points (group sizes), one outer grid row each.
-    pub devices: &'a [usize],
-    /// Payload/protocol variants, one inner grid column each. The
-    /// mechanisms' plans are payload-independent and shared across these.
-    pub sims: &'a [SimConfig],
-    /// Mechanism set, in presentation order.
-    pub kinds: &'a [MechanismKind],
-    /// Repetitions per point.
-    pub runs: u32,
-    /// Master seed; run `r` of every point derives from `child(r)`.
-    pub master_seed: u64,
-    /// Grouping parameters.
-    pub grouping: GroupingParams,
-    /// Power profile for the energy metric.
-    pub power: &'a PowerProfile,
-    /// Compare against a per-run unicast baseline. When `false` the
-    /// relative metrics are zero (sweeps that only need absolute counts
-    /// skip the baseline's cost).
-    pub baseline: bool,
-    /// Population churn applied across campaign epochs after the
-    /// epoch-0 delivery (`None` = static population, the classic path).
-    pub churn: Option<&'a ChurnModel>,
-    /// When to re-plan on the evolved population (ignored without churn).
-    pub regroup: RegroupPolicy,
-    /// Worker threads (`0` = all cores, `1` = serial).
-    pub threads: usize,
-}
-
 /// Plans once, then executes the plan under every payload variant with a
 /// cloned post-plan RNG — bit-identical to planning from scratch per
 /// variant, since planning is deterministic in (input, RNG stream).
@@ -427,37 +349,40 @@ fn airtime_metrics(hist: &[u64; 3], sim: &SimConfig) -> (f64, f64) {
 
 /// One (device point × run) work item: fresh population and grouping
 /// input, shared by the unicast baseline and every mechanism across every
-/// payload variant. Returns rows indexed `[payload][mechanism]`.
+/// payload variant (`sims`, one per scenario payload). Returns rows
+/// indexed `[payload][mechanism]`.
 ///
-/// When the spec declares churn, the fleet then evolves across the
+/// When the scenario declares churn, the fleet then evolves across the
 /// model's epochs (one shared [`ChurnTimeline`] per item) and each
 /// mechanism's staleness/re-grouping trajectory is evaluated on top —
 /// the classic epoch-0 metrics above are never touched, which is what
 /// keeps zero-churn runs bit-identical to the static engine.
 fn grid_item(
-    spec: &GridSpec<'_>,
+    scenario: &Scenario,
+    sims: &[SimConfig],
     mechanisms: &[Box<dyn GroupingMechanism>],
     n_devices: usize,
     run: usize,
-) -> Result<Vec<Vec<MechRun>>, SimError> {
-    let run_seq = SeedSequence::new(spec.master_seed).child(run as u64);
-    let population = spec.mix.generate(n_devices, &mut run_seq.rng(0))?;
-    let input = GroupingInput::from_population(&population, spec.grouping)?;
-    let baselines = if spec.baseline {
+) -> Result<ItemRows, SimError> {
+    let run_seq = SeedSequence::new(scenario.master_seed).child(run as u64);
+    let population = scenario.mix.generate(n_devices, &mut run_seq.rng(0))?;
+    let input = GroupingInput::from_population(&population, scenario.grouping)?;
+    let baselines = if scenario.baseline {
         Some(execute_per_payload(
             &Unicast::new(),
             &input,
-            spec.sims,
+            sims,
             &mut run_seq.rng(1),
         )?)
     } else {
         None
     };
-    let mut rows: Vec<Vec<MechRun>> = (0..spec.sims.len())
-        .map(|_| Vec::with_capacity(spec.kinds.len()))
+    let kinds = &scenario.mechanisms;
+    let mut rows: ItemRows = (0..sims.len())
+        .map(|_| Vec::with_capacity(kinds.len()))
         .collect();
-    let mut plans: Vec<MulticastPlan> = Vec::with_capacity(spec.kinds.len());
-    for (i, (kind, mechanism)) in spec.kinds.iter().zip(mechanisms).enumerate() {
+    let mut plans: Vec<MulticastPlan> = Vec::with_capacity(kinds.len());
+    for (i, (kind, mechanism)) in kinds.iter().zip(mechanisms).enumerate() {
         let (plan, results) = match &baselines {
             // The baseline already executed unicast on this population;
             // reuse it (and leave the mechanism's RNG stream untouched,
@@ -466,7 +391,7 @@ fn grid_item(
             _ => execute_per_payload(
                 mechanism.as_ref(),
                 &input,
-                spec.sims,
+                sims,
                 &mut run_seq.rng(2 + i as u64),
             )?,
         };
@@ -478,7 +403,7 @@ fn grid_item(
         for (p, result) in results.iter().enumerate() {
             let baseline = baselines.as_ref().map_or(result, |(_, b)| &b[p]);
             let rel = result.mean_relative_vs(baseline);
-            let (plan_airtime_ms, airtime_vs_count_ratio) = airtime_metrics(&hist, &spec.sims[p]);
+            let (plan_airtime_ms, airtime_vs_count_ratio) = airtime_metrics(&hist, &sims[p]);
             rows[p].push(MechRun {
                 rel_light_sleep: rel.light_sleep,
                 rel_connected: rel.connected,
@@ -487,7 +412,7 @@ fn grid_item(
                 airtime_vs_count_ratio,
                 mean_wait_s: result.mean_wait.as_secs_f64(),
                 mean_connected_s: result.mean_connected_ms() / 1000.0,
-                mean_energy_mj: result.mean_energy_mj(spec.power),
+                mean_energy_mj: result.mean_energy_mj(&scenario.power),
                 ra_failures: result.ra_failures as f64,
                 late_joins: result.late_joins as f64,
                 regroups: 0.0,
@@ -501,23 +426,23 @@ fn grid_item(
         }
         plans.push(plan);
     }
-    if let Some(model) = spec.churn.filter(|m| !m.is_static()) {
-        let timeline = ChurnTimeline::evolve(model, spec.mix, &population, &run_seq)?;
+    if let Some(model) = scenario.churn.as_ref().filter(|m| !m.is_static()) {
+        let timeline = ChurnTimeline::evolve(model, &scenario.mix, &population, &run_seq)?;
         // Staleness is identity-based, so the policy trajectory is shared
         // by every mechanism; only the re-planning work is per-mechanism.
-        let trajectory = churn::plan_trajectory(&timeline, spec.regroup, &population);
+        let trajectory = churn::plan_trajectory(&timeline, scenario.regroup, &population);
         for (i, mechanism) in mechanisms.iter().enumerate() {
             let work = churn::replan_mechanism(
                 &timeline,
                 &trajectory,
-                spec.grouping,
+                scenario.grouping,
                 &churn::ReplanTarget {
                     index: i,
                     mechanism: mechanism.as_ref(),
                     epoch0_plan: &plans[i],
                 },
                 &run_seq,
-                spec.regroup,
+                scenario.regroup,
             )?;
             // The outcome is payload-independent, like the plan itself.
             for payload_rows in &mut rows {
@@ -533,135 +458,96 @@ fn grid_item(
     Ok(rows)
 }
 
-/// Executes an arbitrary subset of the grid's work items (identified by
+/// Executes an arbitrary subset of a scenario's work items (identified by
 /// their global indices, `item = point * runs + run`) through the
-/// scheduler and returns their raw records **in the given order**.
+/// scheduler and returns their raw records **in the given order**. The
+/// per-payload simulator configurations are derived once per call.
 ///
 /// This is the sharding primitive: every item is a pure function of
-/// (spec, item index), so any partition of the item pool — including a
-/// single-host "all items" run — produces records that can later be
+/// (scenario, item index), so any partition of the item pool — including
+/// a single-host "all items" run — produces records that can later be
 /// reassembled and folded bit-identically to serial execution.
 pub(crate) fn execute_grid_subset(
-    spec: &GridSpec<'_>,
+    scenario: &Scenario,
     items: &[usize],
 ) -> Result<Vec<ItemRows>, SimError> {
-    let runs = spec.runs as usize;
+    let sims: Vec<SimConfig> = scenario
+        .payloads
+        .iter()
+        .map(|&payload| scenario.sim.with_payload(payload))
+        .collect();
+    let runs = scenario.runs as usize;
     fan_out_items(
         items.len(),
-        spec.threads,
+        scenario.threads,
         || {
-            spec.kinds
+            scenario
+                .mechanisms
                 .iter()
                 .map(|k| k.instantiate())
                 .collect::<Vec<Box<dyn GroupingMechanism>>>()
         },
         |mechanisms, i| {
             let item = items[i];
-            grid_item(spec, mechanisms, spec.devices[item / runs], item % runs)
+            grid_item(
+                scenario,
+                &sims,
+                mechanisms,
+                scenario.devices[item / runs],
+                item % runs,
+            )
         },
     )
 }
 
-/// Folds the complete, item-ordered record set into one
-/// [`ComparisonResult`] per (device point × payload variant) — the exact
-/// push sequence serial execution performs, which is what keeps every
-/// thread count *and* every sharding bit-identical. The fold consumes
-/// records strictly in item order (device-major, run-minor), so callers
-/// hand over borrowed records without materializing a copy. Output is
-/// indexed `[device point][payload variant]`.
+/// Folds the complete, item-ordered record set of a scenario into its
+/// [`ScenarioResult`]: one [`ComparisonResult`] per (device point ×
+/// payload variant), device-major. This is the exact push sequence serial
+/// execution performs, which is what keeps every thread count *and* every
+/// sharding bit-identical. The fold consumes records strictly in item
+/// order (device-major, run-minor), so callers hand over borrowed records
+/// without materializing a copy.
 pub(crate) fn fold_grid<'a>(
-    spec: &GridSpec<'_>,
+    scenario: &Scenario,
     records: impl Iterator<Item = &'a ItemRows>,
-) -> Vec<Vec<ComparisonResult>> {
-    let runs = spec.runs as usize;
+) -> ScenarioResult {
     let mut records = records;
-    let mut grid = Vec::with_capacity(spec.devices.len());
-    for &n_devices in spec.devices {
-        let mut per_payload: Vec<Vec<(MechanismKind, MechStats)>> = (0..spec.sims.len())
-            .map(|_| {
-                spec.kinds
-                    .iter()
-                    .map(|&k| (k, MechStats::default()))
-                    .collect()
-            })
-            .collect();
-        for _ in 0..runs {
+    let mut points = Vec::with_capacity(scenario.devices.len() * scenario.payloads.len());
+    for &n_devices in &scenario.devices {
+        let mut per_payload =
+            vec![vec![MechStats::default(); scenario.mechanisms.len()]; scenario.payloads.len()];
+        for _ in 0..scenario.runs {
             let item = records.next().expect("one record per (point, run) item");
             for (payload_rows, acc) in item.iter().zip(per_payload.iter_mut()) {
-                for (row, (_, stats)) in payload_rows.iter().zip(acc.iter_mut()) {
+                for (row, stats) in payload_rows.iter().zip(acc.iter_mut()) {
                     stats.push(row, n_devices);
                 }
             }
         }
-        grid.push(
-            per_payload
+        for (acc, &payload) in per_payload.into_iter().zip(&scenario.payloads) {
+            let mechanisms = acc
                 .into_iter()
-                .map(|acc| ComparisonResult {
+                .zip(&scenario.mechanisms)
+                .map(|(stats, &kind)| stats.into_summary(kind))
+                .collect();
+            points.push(PointResult {
+                n_devices,
+                payload,
+                comparison: ComparisonResult {
                     n_devices,
-                    runs: spec.runs,
-                    mechanisms: acc
-                        .into_iter()
-                        .map(|(kind, s)| s.into_summary(kind))
-                        .collect(),
-                })
-                .collect(),
-        );
+                    runs: scenario.runs,
+                    mechanisms,
+                },
+            });
+        }
     }
-    grid
-}
-
-/// Executes the whole grid through the scheduler and folds the per-item
-/// records in run order. Output is indexed `[device point][payload
-/// variant]`.
-pub(crate) fn execute_grid(spec: &GridSpec<'_>) -> Result<Vec<Vec<ComparisonResult>>, SimError> {
-    let items: Vec<usize> = (0..spec.devices.len() * spec.runs as usize).collect();
-    let records = execute_grid_subset(spec, &items)?;
-    Ok(fold_grid(spec, records.iter()))
-}
-
-/// Runs the paper's comparison methodology.
-///
-/// For every run: generate a fresh population, execute the unicast
-/// baseline, then every requested mechanism on the *same* population, and
-/// accumulate per-run means of the relative metrics. Work items execute
-/// across [`ExperimentConfig::threads`] workers; the aggregation folds the
-/// per-run records in run order, so the result is bit-identical for every
-/// thread count.
-///
-/// # Errors
-///
-/// Propagates population, grouping and plan-validation failures (the
-/// lowest-numbered failing run wins, matching serial execution), and
-/// rejects degenerate configurations.
-pub fn run_comparison(
-    config: &ExperimentConfig,
-    kinds: &[MechanismKind],
-) -> Result<ComparisonResult, SimError> {
-    if config.n_devices == 0 || config.runs == 0 {
-        return Err(SimError::DegenerateExperiment {
-            n_devices: config.n_devices,
-            runs: config.runs,
-        });
+    ScenarioResult {
+        scenario: scenario.name.clone(),
+        mix: scenario.mix.name.clone(),
+        ti_s: scenario.ti_seconds(),
+        runs: scenario.runs,
+        points,
     }
-    let grid = execute_grid(&GridSpec {
-        mix: &config.mix,
-        devices: &[config.n_devices],
-        sims: std::slice::from_ref(&config.sim),
-        kinds,
-        runs: config.runs,
-        master_seed: config.master_seed,
-        grouping: config.grouping,
-        power: &config.power,
-        baseline: true,
-        churn: None,
-        regroup: RegroupPolicy::default(),
-        threads: config.threads,
-    })?;
-    Ok(grid
-        .into_iter()
-        .flatten()
-        .next()
-        .expect("grid has exactly one point"))
 }
 
 #[derive(Debug, Clone)]
@@ -759,99 +645,32 @@ impl Default for MechStats {
     }
 }
 
-/// One point of a group-size sweep (Fig. 7).
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct SweepPoint {
-    /// Group size.
-    pub n_devices: usize,
-    /// Transmission-count statistics for the swept mechanism.
-    pub transmissions: Summary,
-    /// Transmissions as a fraction of the group size.
-    pub ratio_to_devices: Summary,
-}
-
-/// Sweeps group sizes for one mechanism — the Fig. 7 x-axis.
-///
-/// The whole sweep executes as one scheduler invocation whose work items
-/// are (point × run) pairs, so [`ExperimentConfig::threads`] workers span
-/// *all* points at once instead of draining them one by one; the run-order
-/// fold keeps every point bit-identical for every thread count. The
-/// unicast baseline is skipped (transmission counts need no reference).
-///
-/// # Errors
-///
-/// Rejects an empty size list with [`SimError::EmptySweep`] (an empty
-/// sweep used to return an empty result set, which downstream figure
-/// code silently rendered as a zero-point plot), and propagates
-/// population, grouping and plan-validation failures.
-pub fn sweep_devices(
-    base: &ExperimentConfig,
-    kind: MechanismKind,
-    sizes: &[usize],
-) -> Result<Vec<SweepPoint>, SimError> {
-    if sizes.is_empty() {
-        return Err(SimError::EmptySweep);
-    }
-    let grid = execute_grid(&GridSpec {
-        mix: &base.mix,
-        devices: sizes,
-        sims: std::slice::from_ref(&base.sim),
-        kinds: &[kind],
-        runs: base.runs,
-        master_seed: base.master_seed,
-        grouping: base.grouping,
-        power: &base.power,
-        baseline: false,
-        churn: None,
-        regroup: RegroupPolicy::default(),
-        threads: base.threads,
-    })?;
-    Ok(grid
-        .into_iter()
-        .flatten()
-        .map(|cmp| {
-            let m = &cmp.mechanisms[0];
-            SweepPoint {
-                n_devices: cmp.n_devices,
-                transmissions: m.transmissions,
-                ratio_to_devices: m.transmissions_ratio,
-            }
-        })
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_scenario;
+    use nbiot_phy::DataSize;
 
-    fn small_config() -> ExperimentConfig {
-        ExperimentConfig {
-            n_devices: 30,
+    /// One serial 30-device point, three runs, of the given mechanisms.
+    fn small(mechanisms: &[MechanismKind]) -> Scenario {
+        Scenario {
+            devices: vec![30],
             runs: 3,
-            ..ExperimentConfig::default()
+            mechanisms: mechanisms.to_vec(),
+            threads: 1,
+            ..Scenario::default()
         }
     }
 
-    #[test]
-    fn degenerate_configs_rejected() {
-        let mut cfg = small_config();
-        cfg.runs = 0;
-        assert!(matches!(
-            run_comparison(&cfg, &[MechanismKind::DrSc]),
-            Err(SimError::DegenerateExperiment { .. })
-        ));
-        let mut cfg2 = small_config();
-        cfg2.n_devices = 0;
-        assert!(matches!(
-            run_comparison(&cfg2, &[MechanismKind::DrSc]),
-            Err(SimError::DegenerateExperiment { .. })
-        ));
+    /// The comparison at the single point of [`small`].
+    fn compare(mechanisms: &[MechanismKind]) -> ComparisonResult {
+        let mut result = run_scenario(&small(mechanisms)).unwrap();
+        result.points.remove(0).comparison
     }
 
     #[test]
     fn unicast_vs_itself_is_zero() {
-        let cmp = run_comparison(&small_config(), &[MechanismKind::Unicast]).unwrap();
+        let cmp = compare(&[MechanismKind::Unicast]);
         let u = cmp.mechanism("Unicast").unwrap();
         assert!(u.rel_light_sleep.mean.abs() < 1e-12);
         assert!(u.rel_connected.mean.abs() < 1e-12);
@@ -860,7 +679,7 @@ mod tests {
     #[test]
     fn paper_mechanism_ordering_holds() {
         // Fig. 6(a): DR-SC adds nothing; DR-SI adds a sliver; DA-SC more.
-        let cmp = run_comparison(&small_config(), &MechanismKind::PAPER_MECHANISMS).unwrap();
+        let cmp = compare(&MechanismKind::PAPER_MECHANISMS);
         let dr_sc = cmp.mechanism("DR-SC").unwrap().rel_light_sleep.mean;
         let da_sc = cmp.mechanism("DA-SC").unwrap().rel_light_sleep.mean;
         let dr_si = cmp.mechanism("DR-SI").unwrap().rel_light_sleep.mean;
@@ -871,120 +690,34 @@ mod tests {
 
     #[test]
     fn single_transmission_mechanisms() {
-        let cmp = run_comparison(
-            &small_config(),
-            &[
-                MechanismKind::DaSc,
-                MechanismKind::DrSi,
-                MechanismKind::Unicast,
-            ],
-        )
-        .unwrap();
+        let cmp = compare(&[
+            MechanismKind::DaSc,
+            MechanismKind::DrSi,
+            MechanismKind::Unicast,
+        ]);
         assert_eq!(cmp.mechanism("DA-SC").unwrap().transmissions.mean, 1.0);
         assert_eq!(cmp.mechanism("DR-SI").unwrap().transmissions.mean, 1.0);
         assert_eq!(cmp.mechanism("Unicast").unwrap().transmissions.mean, 30.0);
     }
 
     #[test]
-    fn sweep_produces_requested_points() {
-        let cfg = ExperimentConfig {
-            runs: 2,
-            ..small_config()
-        };
-        let points = sweep_devices(&cfg, MechanismKind::DrSc, &[10, 20]).unwrap();
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[0].n_devices, 10);
-        assert!(points[1].transmissions.mean >= points[0].transmissions.mean);
-    }
-
-    #[test]
-    fn empty_device_sweep_is_rejected() {
-        // An empty size list used to come back as Ok(vec![]) — a
-        // zero-point "sweep" that figure code happily rendered as an
-        // empty plot.
-        let err = sweep_devices(&small_config(), MechanismKind::DrSc, &[]).unwrap_err();
-        assert!(matches!(err, SimError::EmptySweep), "{err}");
-    }
-
-    #[test]
-    fn comparison_is_reproducible() {
-        let a = run_comparison(&small_config(), &[MechanismKind::DrSi]).unwrap();
-        let b = run_comparison(&small_config(), &[MechanismKind::DrSi]).unwrap();
-        assert_eq!(
-            a.mechanism("DR-SI").unwrap().rel_connected.mean,
-            b.mechanism("DR-SI").unwrap().rel_connected.mean
-        );
-    }
-
-    #[test]
-    fn comparison_is_thread_count_invariant() {
-        // The acceptance bar: every Summary field of every mechanism must
-        // be bit-identical between serial and parallel execution.
-        let base = ExperimentConfig {
-            n_devices: 25,
-            runs: 6,
-            ..ExperimentConfig::default()
-        };
-        let serial = run_comparison(&base, &MechanismKind::ALL).unwrap();
-        for threads in [2, 3, 8, 0] {
-            let parallel = run_comparison(
-                &ExperimentConfig {
-                    threads,
-                    ..base.clone()
-                },
-                &MechanismKind::ALL,
-            )
-            .unwrap();
-            assert_eq!(serial, parallel, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn sweep_is_thread_count_invariant() {
-        let base = ExperimentConfig {
-            runs: 4,
-            ..small_config()
-        };
-        let serial = sweep_devices(&base, MechanismKind::DrSc, &[10, 25]).unwrap();
-        let parallel = sweep_devices(
-            &ExperimentConfig { threads: 8, ..base },
-            MechanismKind::DrSc,
-            &[10, 25],
-        )
-        .unwrap();
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
     fn multi_payload_grid_shares_plans_bit_identically() {
         // The shared-population/shared-plan fast path must be invisible:
-        // every payload column of a grid equals a dedicated
-        // run_comparison at that payload (which regenerates everything).
-        let base = small_config();
-        let payloads = [
-            SimConfig::default(),
-            SimConfig::default().with_payload(nbiot_phy::DataSize::from_mb(1)),
-        ];
-        let grid = execute_grid(&GridSpec {
-            mix: &base.mix,
-            devices: &[base.n_devices],
-            sims: &payloads,
-            kinds: &MechanismKind::ALL,
-            runs: base.runs,
-            master_seed: base.master_seed,
-            grouping: base.grouping,
-            power: &base.power,
-            baseline: true,
-            churn: None,
-            regroup: RegroupPolicy::default(),
-            threads: 1,
-        })
-        .unwrap();
-        for (p, sim) in payloads.iter().enumerate() {
-            let mut cfg = base.clone();
-            cfg.sim = *sim;
-            let dedicated = run_comparison(&cfg, &MechanismKind::ALL).unwrap();
-            assert_eq!(grid[0][p], dedicated, "payload column {p}");
+        // every payload column of a grid equals a dedicated one-payload
+        // scenario at that payload (which regenerates everything).
+        let mut grid = small(&MechanismKind::ALL);
+        grid.payloads = vec![DataSize::from_kb(100), DataSize::from_mb(1)];
+        let result = run_scenario(&grid).unwrap();
+        for (point, &payload) in result.points.iter().zip(&grid.payloads) {
+            let dedicated = Scenario {
+                payloads: vec![payload],
+                ..grid.clone()
+            };
+            let dedicated = run_scenario(&dedicated).unwrap();
+            assert_eq!(
+                point.comparison, dedicated.points[0].comparison,
+                "payload {payload}"
+            );
         }
     }
 
@@ -992,12 +725,12 @@ mod tests {
     fn parallel_errors_match_serial_errors() {
         // A TI shorter than the shortest cycle fails in every run; the
         // parallel path must surface the same (first-run) error.
-        let mut cfg = small_config();
-        cfg.runs = 5;
-        cfg.grouping.ti = nbiot_rrc::InactivityTimer::new(nbiot_time::SimDuration::from_ms(1));
-        let serial = run_comparison(&cfg, &[MechanismKind::DrSc]).unwrap_err();
-        cfg.threads = 4;
-        let parallel = run_comparison(&cfg, &[MechanismKind::DrSc]).unwrap_err();
+        let mut scenario = small(&[MechanismKind::DrSc]);
+        scenario.runs = 5;
+        scenario.grouping.ti = nbiot_rrc::InactivityTimer::new(nbiot_time::SimDuration::from_ms(1));
+        let serial = run_scenario(&scenario).unwrap_err();
+        scenario.threads = 4;
+        let parallel = run_scenario(&scenario).unwrap_err();
         assert_eq!(serial, parallel);
     }
 
@@ -1042,7 +775,8 @@ mod tests {
 
     #[test]
     fn display_lists_mechanisms() {
-        let cmp = run_comparison(&small_config(), &[MechanismKind::DrSc]).unwrap();
-        assert!(cmp.to_string().contains("DR-SC"));
+        assert!(compare(&[MechanismKind::DrSc])
+            .to_string()
+            .contains("DR-SC"));
     }
 }

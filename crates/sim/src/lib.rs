@@ -12,24 +12,24 @@
 //! * [`SimConfig`] — payload size, NPDSCH configuration, random-access
 //!   model and signalling costs,
 //! * [`run_campaign`] — one mechanism on one population,
-//! * [`Scenario`] / [`run_scenario`] — a declarative experiment suite
-//!   (mix × device sweep × payloads × mechanisms × runs) executed as one
-//!   grid, with a registry of built-in scenarios; a scenario may declare
+//! * [`Scenario`] / [`run_scenario`] — the paper's methodology as one
+//!   declarative experiment suite (mix × device sweep × payloads ×
+//!   mechanisms × runs) executed as one grid: every run's population is
+//!   shared by the unicast baseline and every mechanism, and the
+//!   mechanisms' metrics relative to that baseline are averaged over
+//!   `runs` repetitions. A registry of built-in scenarios covers the
+//!   paper's figures; a scenario may declare
 //!   a [`ChurnModel`](nbiot_traffic::ChurnModel) plus a [`RegroupPolicy`]
 //!   to evolve the population across campaign epochs and re-plan when the
 //!   grouping goes stale (`docs/SCENARIOS.md`),
 //! * [`ShardSpec`] / [`run_scenario_shard`] / [`merge_archives`] (with the
 //!   `serde` feature) — multi-host sharding of the (point × run) item pool
 //!   into mergeable [`ScenarioArchive`]s, bit-identical to the unsharded
-//!   run,
-//! * [`ExperimentConfig`] / [`run_comparison`] — the paper's methodology:
-//!   the same populations, mechanisms compared against the unicast baseline
-//!   of the same run, averaged over `runs` repetitions,
-//! * [`sweep_devices`] — the Fig. 7 x-axis (group sizes 100…1000).
+//!   run.
 //!
 //! All experiment execution flows through one generic scheduler whose work
 //! items are **(sweep point × run)** pairs, fanned out across
-//! [`ExperimentConfig::threads`] OS threads (`0` = all cores, `1` =
+//! [`Scenario::threads`] OS threads (`0` = all cores, `1` =
 //! serial) — the pool spans entire sweeps and figure suites at once. Each
 //! item is a pure function of its per-run seed; within an item the run's
 //! population and each mechanism's plan are generated **once** and shared
@@ -48,17 +48,16 @@
 //! # Example
 //!
 //! ```
-//! use nbiot_grouping::{GroupingParams, MechanismKind};
-//! use nbiot_sim::{ExperimentConfig, run_comparison};
-//! use nbiot_traffic::TrafficMix;
+//! use nbiot_sim::{run_scenario, Scenario};
 //!
-//! let cfg = ExperimentConfig {
-//!     n_devices: 40,
+//! // The paper's default point (DR-SC, DA-SC, DR-SI), scaled down.
+//! let scenario = Scenario {
+//!     devices: vec![40],
 //!     runs: 3,
-//!     ..ExperimentConfig::default()
+//!     ..Scenario::default()
 //! };
-//! let cmp = run_comparison(&cfg, &MechanismKind::PAPER_MECHANISMS)?;
-//! let dr_sc = cmp.mechanism("DR-SC").unwrap();
+//! let result = run_scenario(&scenario)?;
+//! let dr_sc = result.points[0].comparison.mechanism("DR-SC").unwrap();
 //! // DR-SC spends no extra light-sleep energy over unicast (Fig. 6(a)).
 //! assert!(dr_sc.rel_light_sleep.mean.abs() < 1e-9);
 //! # Ok::<(), nbiot_sim::SimError>(())
@@ -82,10 +81,7 @@ pub use campaign::run_campaign;
 pub use churn::{PlannedFleet, RegroupPolicy};
 pub use config::SimConfig;
 pub use error::SimError;
-pub use experiment::{
-    run_comparison, sweep_devices, ComparisonResult, ExperimentConfig, ItemRows, MechRun,
-    MechanismSummary, SweepPoint,
-};
+pub use experiment::{ComparisonResult, ItemRows, MechRun, MechanismSummary};
 pub use result::CampaignResult;
 pub use scenario::{run_scenario, with_ti, PointResult, Scenario, ScenarioResult};
 #[cfg(feature = "serde")]

@@ -19,7 +19,7 @@ use nbiot_rrc::InactivityTimer;
 use nbiot_time::SimDuration;
 use nbiot_traffic::{ChurnModel, TrafficMix};
 
-use crate::experiment::{execute_grid, GridSpec};
+use crate::experiment::{execute_grid_subset, fold_grid};
 use crate::{ComparisonResult, RegroupPolicy, SimConfig, SimError};
 
 /// A declarative experiment workload: everything needed to reproduce a
@@ -52,7 +52,8 @@ pub struct Scenario {
     /// Power profile for the supplementary energy metric.
     pub power: PowerProfile,
     /// Compare mechanisms against a per-run unicast baseline. Disable for
-    /// sweeps that only need absolute counts (saves the baseline's cost).
+    /// sweeps that only need absolute counts (saves the baseline's cost;
+    /// the relative metrics are then zero).
     pub baseline: bool,
     /// Population churn across campaign epochs (`None` = static
     /// population, the paper's evaluation regime). See
@@ -415,63 +416,9 @@ impl ScenarioResult {
 /// work item (matching serial execution).
 pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioResult, SimError> {
     scenario.validate()?;
-    let sims = payload_sims(scenario);
-    let grid = execute_grid(&grid_spec(scenario, &sims))?;
-    Ok(assemble_result(scenario, grid))
-}
-
-/// The per-payload-variant simulator configurations of a scenario, one
-/// per inner grid column.
-pub(crate) fn payload_sims(scenario: &Scenario) -> Vec<SimConfig> {
-    scenario
-        .payloads
-        .iter()
-        .map(|&payload| scenario.sim.with_payload(payload))
-        .collect()
-}
-
-/// The scheduler grid one scenario execution (full or sharded) spans.
-pub(crate) fn grid_spec<'a>(scenario: &'a Scenario, sims: &'a [SimConfig]) -> GridSpec<'a> {
-    GridSpec {
-        mix: &scenario.mix,
-        devices: &scenario.devices,
-        sims,
-        kinds: &scenario.mechanisms,
-        runs: scenario.runs,
-        master_seed: scenario.master_seed,
-        grouping: scenario.grouping,
-        power: &scenario.power,
-        baseline: scenario.baseline,
-        churn: scenario.churn.as_ref(),
-        regroup: scenario.regroup,
-        threads: scenario.threads,
-    }
-}
-
-/// Shapes a folded grid into a [`ScenarioResult`] — shared by
-/// [`run_scenario`] and archive merging, so both produce byte-identical
-/// results from identical records.
-pub(crate) fn assemble_result(
-    scenario: &Scenario,
-    grid: Vec<Vec<ComparisonResult>>,
-) -> ScenarioResult {
-    let mut points = Vec::with_capacity(scenario.devices.len() * scenario.payloads.len());
-    for (row, &n_devices) in grid.into_iter().zip(&scenario.devices) {
-        for (comparison, &payload) in row.into_iter().zip(&scenario.payloads) {
-            points.push(PointResult {
-                n_devices,
-                payload,
-                comparison,
-            });
-        }
-    }
-    ScenarioResult {
-        scenario: scenario.name.clone(),
-        mix: scenario.mix.name.clone(),
-        ti_s: scenario.ti_seconds(),
-        runs: scenario.runs,
-        points,
-    }
+    let items: Vec<usize> = (0..scenario.devices.len() * scenario.runs as usize).collect();
+    let records = execute_grid_subset(scenario, &items)?;
+    Ok(fold_grid(scenario, records.iter()))
 }
 
 /// Convenience: a scenario whose `grouping.ti` is replaced — ablation
@@ -553,6 +500,12 @@ mod tests {
             run_scenario(&s),
             Err(SimError::DegenerateExperiment { .. })
         ));
+        let mut s = tiny("fig6a");
+        s.devices = vec![15, 0];
+        assert!(matches!(
+            run_scenario(&s),
+            Err(SimError::DegenerateExperiment { n_devices: 0, .. })
+        ));
     }
 
     #[test]
@@ -560,30 +513,5 @@ mod tests {
         let s = with_ti(tiny("fig6a"), SimDuration::from_secs(30));
         assert_eq!(s.ti_seconds(), 30.0);
         assert_eq!(s.grouping.start, GroupingParams::default().start);
-    }
-
-    #[test]
-    fn fig7_scenario_matches_sweep_devices() {
-        // The declarative path and the legacy wrapper must agree exactly.
-        let mut s = tiny("fig7");
-        s.devices = vec![10, 20];
-        let scenario_result = run_scenario(&s).unwrap();
-        let cfg = crate::ExperimentConfig {
-            runs: s.runs,
-            master_seed: s.master_seed,
-            ..crate::ExperimentConfig::default()
-        };
-        let sweep = crate::sweep_devices(&cfg, MechanismKind::DrSc, &[10, 20]).unwrap();
-        for (point, sp) in scenario_result.points.iter().zip(&sweep) {
-            assert_eq!(point.n_devices, sp.n_devices);
-            assert_eq!(
-                point.comparison.mechanisms[0].transmissions,
-                sp.transmissions
-            );
-            assert_eq!(
-                point.comparison.mechanisms[0].transmissions_ratio,
-                sp.ratio_to_devices
-            );
-        }
     }
 }

@@ -20,7 +20,6 @@
 //! configurations can never be merged into a frankenresult.
 
 use crate::experiment::{execute_grid_subset, fold_grid, ItemRows};
-use crate::scenario::{assemble_result, grid_spec, payload_sims};
 use crate::{Scenario, ScenarioResult, SimError};
 
 /// Archive format version; bumped whenever [`ScenarioArchive`]'s JSON
@@ -356,10 +355,10 @@ impl ScenarioArchive {
                 count: self.shard.count,
             });
         }
-        let sims = payload_sims(&self.scenario);
-        let spec = grid_spec(&self.scenario, &sims);
-        let grid = fold_grid(&spec, self.items.iter().map(|entry| &entry.rows));
-        Ok(assemble_result(&self.scenario, grid))
+        Ok(fold_grid(
+            &self.scenario,
+            self.items.iter().map(|entry| &entry.rows),
+        ))
     }
 }
 
@@ -469,10 +468,8 @@ pub fn run_scenario_shard(
 ) -> Result<ScenarioArchive, SimError> {
     shard.validate()?;
     scenario.validate()?;
-    let sims = payload_sims(scenario);
-    let spec = grid_spec(scenario, &sims);
     let owned = shard.items(scenario.devices.len() * scenario.runs as usize);
-    let rows = execute_grid_subset(&spec, &owned)?;
+    let rows = execute_grid_subset(scenario, &owned)?;
     Ok(ScenarioArchive {
         schema_version: ARCHIVE_SCHEMA_VERSION,
         fingerprint: scenario_fingerprint(scenario),

@@ -10,17 +10,19 @@
 use nbiot_multicast::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let config = ExperimentConfig {
-        n_devices: 300,
+    let scenario = Scenario {
+        devices: vec![300],
         runs: 20,
-        ..ExperimentConfig::default()
+        mechanisms: MechanismKind::ALL.to_vec(),
+        ..Scenario::default()
     };
 
     println!(
-        "comparing mechanisms on {} devices over {} runs (mix: ericsson-city)\n",
-        config.n_devices, config.runs
+        "comparing mechanisms on {} devices over {} runs (mix: {})\n",
+        scenario.devices[0], scenario.runs, scenario.mix.name
     );
-    let comparison = run_comparison(&config, &MechanismKind::ALL)?;
+    let result = run_scenario(&scenario)?;
+    let comparison = &result.points[0].comparison;
 
     println!(
         "{:<8} {:>16} {:>16} {:>14} {:>12} {:>10}",

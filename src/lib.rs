@@ -77,9 +77,8 @@ pub mod prelude {
         ServiceEvent, ServiceSnapshot,
     };
     pub use nbiot_sim::{
-        run_campaign, run_comparison, run_scenario, sweep_devices, CampaignResult,
-        ComparisonResult, ExperimentConfig, PointResult, RegroupPolicy, Scenario, ScenarioResult,
-        SimConfig, SimError,
+        run_campaign, run_scenario, CampaignResult, ComparisonResult, PointResult, RegroupPolicy,
+        Scenario, ScenarioResult, SimConfig, SimError,
     };
     pub use nbiot_time::{
         CycleLadder, DrxCycle, EdrxCycle, PagingConfig, PagingCycle, PagingSchedule, SimDuration,

@@ -197,12 +197,14 @@ fn multicast_data_airtime_beats_unicast_for_single_tx_mechanisms() {
 #[test]
 fn experiment_smoke_matches_figure_shapes() {
     // A miniature of all three figures in one cheap experiment.
-    let config = ExperimentConfig {
-        n_devices: 60,
+    let scenario = Scenario {
+        devices: vec![60],
         runs: 4,
-        ..ExperimentConfig::default()
+        mechanisms: MechanismKind::PAPER_MECHANISMS.to_vec(),
+        threads: 1,
+        ..Scenario::default()
     };
-    let cmp = run_comparison(&config, &MechanismKind::PAPER_MECHANISMS).unwrap();
+    let cmp = &run_scenario(&scenario).unwrap().points[0].comparison;
 
     // Fig. 6(a): DR-SC zero, DR-SI negligible, DA-SC larger.
     let ls = |name: &str| cmp.mechanism(name).unwrap().rel_light_sleep.mean;
@@ -223,17 +225,20 @@ fn experiment_smoke_matches_figure_shapes() {
 #[test]
 fn payload_growth_shrinks_relative_connected_overhead() {
     // The Fig. 6(b) trend across payload sizes.
-    let mut means = Vec::new();
-    for payload in [DataSize::from_kb(100), DataSize::from_mb(1)] {
-        let mut config = ExperimentConfig {
-            n_devices: 50,
-            runs: 3,
-            ..ExperimentConfig::default()
-        };
-        config.sim = config.sim.with_payload(payload);
-        let cmp = run_comparison(&config, &[MechanismKind::DaSc]).unwrap();
-        means.push(cmp.mechanism("DA-SC").unwrap().rel_connected.mean);
-    }
+    let scenario = Scenario {
+        devices: vec![50],
+        payloads: vec![DataSize::from_kb(100), DataSize::from_mb(1)],
+        runs: 3,
+        mechanisms: vec![MechanismKind::DaSc],
+        threads: 1,
+        ..Scenario::default()
+    };
+    let means: Vec<f64> = run_scenario(&scenario)
+        .unwrap()
+        .points
+        .iter()
+        .map(|p| p.comparison.mechanism("DA-SC").unwrap().rel_connected.mean)
+        .collect();
     assert!(
         means[1] < means[0] / 5.0,
         "overhead should shrink ~10x from 100kB to 1MB: {means:?}"

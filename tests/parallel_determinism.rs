@@ -1,62 +1,63 @@
 //! The parallel experiment harness must be a pure wall-clock optimization:
-//! every `ComparisonResult`/`SweepPoint` field bit-identical for every
-//! thread count, and errors surfaced identically. The same contract holds
+//! every `ScenarioResult` field bit-identical for every thread count, and
+//! errors surfaced identically. The same contract holds
 //! one layer down: the SoA `Population` columns must reproduce the
 //! historical AoS device stream bit-for-bit.
 
 use nbiot_multicast::prelude::*;
-use nbiot_sim::sweep_devices;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn base_config() -> ExperimentConfig {
-    ExperimentConfig {
-        n_devices: 30,
+/// One serial 30-device point, eight runs, of the given mechanisms.
+fn comparison(mechanisms: &[MechanismKind]) -> Scenario {
+    Scenario {
+        devices: vec![30],
         runs: 8,
-        ..ExperimentConfig::default()
+        mechanisms: mechanisms.to_vec(),
+        threads: 1,
+        ..Scenario::default()
     }
 }
 
 #[test]
 fn comparison_threads_1_vs_8_bit_identical() {
-    let serial = run_comparison(&base_config(), &MechanismKind::ALL).unwrap();
-    let parallel = run_comparison(
-        &ExperimentConfig {
-            threads: 8,
-            ..base_config()
-        },
-        &MechanismKind::ALL,
-    )
+    let serial = run_scenario(&comparison(&MechanismKind::ALL)).unwrap();
+    let parallel = run_scenario(&Scenario {
+        threads: 8,
+        ..comparison(&MechanismKind::ALL)
+    })
     .unwrap();
-    // PartialEq over ComparisonResult covers every Summary field (n, mean,
+    // PartialEq over ScenarioResult covers every Summary field (n, mean,
     // std_dev, ci95, min, max) of every metric of every mechanism.
     assert_eq!(serial, parallel);
 }
 
 #[test]
 fn comparison_auto_threads_bit_identical() {
-    let serial = run_comparison(&base_config(), &MechanismKind::PAPER_MECHANISMS).unwrap();
-    let auto = run_comparison(
-        &ExperimentConfig {
-            threads: 0,
-            ..base_config()
-        },
-        &MechanismKind::PAPER_MECHANISMS,
-    )
+    let serial = run_scenario(&comparison(&MechanismKind::PAPER_MECHANISMS)).unwrap();
+    let auto = run_scenario(&Scenario {
+        threads: 0,
+        ..comparison(&MechanismKind::PAPER_MECHANISMS)
+    })
     .unwrap();
     assert_eq!(serial, auto);
 }
 
 #[test]
 fn sweep_threads_1_vs_8_bit_identical() {
-    let cfg = base_config();
-    let serial = sweep_devices(&cfg, MechanismKind::DrSc, &[10, 20, 35]).unwrap();
-    let parallel = sweep_devices(
-        &ExperimentConfig { threads: 8, ..cfg },
-        MechanismKind::DrSc,
-        &[10, 20, 35],
-    )
+    // A DR-SC device sweep without the unicast baseline (the Fig. 7
+    // shape).
+    let sweep = Scenario {
+        devices: vec![10, 20, 35],
+        baseline: false,
+        ..comparison(&[MechanismKind::DrSc])
+    };
+    let serial = run_scenario(&sweep).unwrap();
+    let parallel = run_scenario(&Scenario {
+        threads: 8,
+        ..sweep
+    })
     .unwrap();
     assert_eq!(serial, parallel);
 }
@@ -100,27 +101,25 @@ fn full_device_sweep_scenario_threads_bit_identical() {
 fn shared_populations_match_per_payload_regeneration() {
     // Within a scenario, each run's population and every mechanism's plan
     // are generated once and shared across the payload columns; a
-    // dedicated run_comparison per payload regenerates everything. Both
-    // paths must agree bit-for-bit.
+    // dedicated one-point, one-payload scenario regenerates everything.
+    // Both paths must agree bit-for-bit.
     let scenario = small_scenario();
     let result = run_scenario(&scenario).unwrap();
     for &n_devices in &scenario.devices {
         for &payload in &scenario.payloads {
-            let mut config = ExperimentConfig {
-                n_devices,
-                runs: scenario.runs,
-                master_seed: scenario.master_seed,
-                ..ExperimentConfig::default()
-            };
-            config.sim = config.sim.with_payload(payload);
-            let dedicated = run_comparison(&config, &MechanismKind::PAPER_MECHANISMS).unwrap();
+            let dedicated = run_scenario(&Scenario {
+                devices: vec![n_devices],
+                payloads: vec![payload],
+                ..scenario.clone()
+            })
+            .unwrap();
             let point = result
                 .points
                 .iter()
                 .find(|p| p.n_devices == n_devices && p.payload == payload)
                 .expect("grid point");
             assert_eq!(
-                point.comparison, dedicated,
+                point.comparison, dedicated.points[0].comparison,
                 "{n_devices} devices, {payload}"
             );
         }
@@ -331,19 +330,14 @@ proptest! {
 #[test]
 fn thread_counts_beyond_runs_still_identical() {
     // More workers than runs: the fan-out clamps and stays correct.
-    let cfg = ExperimentConfig {
+    let narrow = Scenario {
         runs: 3,
-        threads: 64,
-        ..base_config()
+        ..comparison(&[MechanismKind::DaSc])
     };
-    let wide = run_comparison(&cfg, &[MechanismKind::DaSc]).unwrap();
-    let narrow = run_comparison(
-        &ExperimentConfig {
-            threads: 1,
-            ..cfg.clone()
-        },
-        &[MechanismKind::DaSc],
-    )
+    let wide = run_scenario(&Scenario {
+        threads: 64,
+        ..narrow.clone()
+    })
     .unwrap();
-    assert_eq!(wide, narrow);
+    assert_eq!(wide, run_scenario(&narrow).unwrap());
 }

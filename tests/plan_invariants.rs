@@ -433,7 +433,7 @@ fn every_mechanism_is_valid_and_finite_on_edge_fleets() {
     // One and two devices of the city mix, an all-dense fleet (every
     // cycle within TI: the DR-SC instance is empty) and an all-CE2 fleet
     // (every transmission at the deepest repetition level).
-    // `run_comparison` validates every plan before executing it.
+    // `run_scenario` validates every plan before executing it.
     let all_ce2 = TrafficMix::new(
         "all-ce2",
         vec![ClassSpec::new(
@@ -451,14 +451,16 @@ fn every_mechanism_is_valid_and_finite_on_edge_fleets() {
         ("all-dense", TrafficMix::short_drx(), 20, 1.0),
         ("all-CE2", all_ce2, 20, 20.0),
     ] {
-        let config = ExperimentConfig {
+        let scenario = Scenario {
             mix,
-            n_devices: n,
+            devices: vec![n],
             runs: 3,
-            ..ExperimentConfig::default()
+            mechanisms: MechanismKind::ALL.to_vec(),
+            threads: 1,
+            ..Scenario::default()
         };
-        let cmp = run_comparison(&config, &MechanismKind::ALL).unwrap();
-        assert_finite(label, &cmp);
+        let cmp = &run_scenario(&scenario).unwrap().points[0].comparison;
+        assert_finite(label, cmp);
         assert_eq!(cmp.mechanisms.len(), MechanismKind::ALL.len(), "{label}");
         for m in &cmp.mechanisms {
             // Unicast sends one transmission per device.

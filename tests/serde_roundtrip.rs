@@ -121,12 +121,14 @@ fn scenario_results_roundtrip() {
 
 #[test]
 fn comparison_results_serialize_for_archival() {
-    let config = ExperimentConfig {
-        n_devices: 15,
+    let scenario = Scenario {
+        devices: vec![15],
         runs: 2,
-        ..ExperimentConfig::default()
+        mechanisms: vec![MechanismKind::DrSi],
+        threads: 1,
+        ..Scenario::default()
     };
-    let cmp = run_comparison(&config, &[MechanismKind::DrSi]).unwrap();
+    let cmp = &run_scenario(&scenario).unwrap().points[0].comparison;
     // One-way: results only need to be archivable (Summary is plain data).
     let json = serde_json::to_string_pretty(&cmp).expect("serialize");
     assert!(json.contains("DR-SI"));
