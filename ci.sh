@@ -460,6 +460,10 @@ stage_bench_gate() {
     # dr_sc_family_sharing_ratio reads; a report without it is broken.
     grep -q '"plan_dr_sc_family"' "$ARTIFACT_DIR/BENCH_results.json" \
         || { echo "bench report lacks stage plan_dr_sc_family" >&2; return 1; }
+    # The anchor_instance stage carries the instance's deterministic size
+    # and asserts that its device → window index transposes the windows.
+    grep -q '"anchor_instance"' "$ARTIFACT_DIR/BENCH_results.json" \
+        || { echo "bench report lacks stage anchor_instance" >&2; return 1; }
     echo "bench report written to $ARTIFACT_DIR/BENCH_results.json:"
     grep -A4 '"derived"' "$ARTIFACT_DIR/BENCH_results.json"
 }

@@ -463,22 +463,34 @@ fn main() {
     ));
 
     // ---- Stage 2b: the deduplicated anchor-window instance DR-SC-tabu
-    // and DR-SC-weighted solve, built from the input's PO timeline, with
-    // its size before and after deduplication (deterministic counters
+    // and DR-SC-weighted solve, built from the input's PO timeline with
+    // its device → window transpose, with its size before and after
+    // deduplication and the transpose's size (deterministic counters
     // beside the wall clock).
     let timeline = input.po_timeline();
     let (instance, instance_ms) = timed_min(3, || {
         set_cover::AnchorInstance::new(params.ti.duration(), timeline)
     });
+    // The device → window transpose holds every (window, device) pair
+    // once, like the window rows.
+    let index_entries: usize = (0..instance.sparse_devices().len())
+        .map(|s| instance.windows_of(s).len())
+        .sum();
+    assert_eq!(
+        index_entries,
+        instance.entries(),
+        "the device → window index must transpose the windows"
+    );
     stages.push(stage(
         "anchor_instance",
         instance_ms,
         json!({
             "devices": opts.devices,
             "anchors": instance.anchors().len(),
-            "windows": instance.windows().len(),
+            "windows": instance.window_count(),
             "entries_before_dedup": instance.anchor_entries(),
             "entries_after_dedup": instance.entries(),
+            "index_entries": index_entries,
         }),
     ));
 

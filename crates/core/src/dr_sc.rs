@@ -5,25 +5,27 @@ use rand::RngCore;
 use nbiot_phy::{CoverageClass, NpdschConfig};
 use nbiot_time::{SimDuration, TimeWindow};
 
-use crate::improve::{improve_cover, ImprovementStats};
-use crate::set_cover::{CoverSlot, WindowCover, DEFAULT_ARENA};
+use crate::improve::ImprovementStats;
+use crate::set_cover::{AnchorInstance, CoverSlot, WindowCover, DEFAULT_ARENA};
 use crate::{
     DevicePlan, GroupingError, GroupingInput, GroupingMechanism, MulticastPlan, PageDirective,
     Transmission,
 };
 
-/// FNV-1a over the anchor-window set-cover instance. [`DrScTabu`] seeds
-/// the tabu search from the instance rather than the caller's RNG so
-/// every budget rung of the anytime ladder replays the same iteration
-/// sequence — the guarantee behind budget-monotone cover cost.
-fn instance_seed(n_sparse: usize, sets: &[Vec<usize>]) -> u64 {
+/// FNV-1a over the anchor-window set-cover instance: the sparse device
+/// count, then each window's size and members. [`DrScTabu`] seeds the
+/// tabu search from the instance rather than the caller's RNG so every
+/// budget rung of the anytime ladder replays the same iteration sequence —
+/// the guarantee behind budget-monotone cover cost.
+fn instance_seed(instance: &AnchorInstance) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    h = (h ^ n_sparse as u64).wrapping_mul(PRIME);
-    for set in sets {
-        h = (h ^ set.len() as u64).wrapping_mul(PRIME);
-        for &e in set {
-            h = (h ^ e as u64).wrapping_mul(PRIME);
+    h = (h ^ instance.sparse_devices().len() as u64).wrapping_mul(PRIME);
+    for w in 0..instance.window_count() {
+        let members = instance.window(w);
+        h = (h ^ members.len() as u64).wrapping_mul(PRIME);
+        for &s in members {
+            h = (h ^ u64::from(s)).wrapping_mul(PRIME);
         }
     }
     h
@@ -467,9 +469,7 @@ impl GroupingMechanism for DrScTabu {
         // prefix (best-found cover cost monotone non-increasing in budget).
         // Mechanisms draw from independent RNG streams, so the seed comes
         // from the set-cover instance itself, not from `rng`.
-        let n_sparse = instance.sparse_devices().len();
-        let seed = instance_seed(n_sparse, instance.windows());
-        let (best, stats) = improve_cover(n_sparse, instance.windows(), &picks, self.budget, seed);
+        let (best, stats) = instance.improve_cover(&picks, self.budget, instance_seed(instance));
 
         // Rebuild the plan: a retained greedy pick keeps its own anchor, a
         // window the search introduced opens at its lowest anchor, and
@@ -478,16 +478,17 @@ impl GroupingMechanism for DrScTabu {
         // first transmission, as in DR-SC.
         let mut anchor_of = instance.lowest_anchors().to_vec();
         for (&w, &a) in picks.iter().zip(&greedy_anchors) {
-            anchor_of[w] = a;
+            anchor_of[w] = a as u32;
         }
-        let mut chosen: Vec<(usize, usize)> = best.iter().map(|&w| (anchor_of[w], w)).collect();
+        let mut chosen: Vec<(u32, usize)> = best.iter().map(|&w| (anchor_of[w], w)).collect();
         chosen.sort_unstable();
         let sparse = instance.sparse_devices();
-        let mut assigned = vec![false; n_sparse];
+        let mut assigned = vec![false; sparse.len()];
         let mut slots: Vec<CoverSlot> = Vec::with_capacity(chosen.len());
         for (a, w) in chosen {
             let mut covered = Vec::new();
-            for &s in &instance.windows()[w] {
+            for &s in instance.window(w) {
+                let s = s as usize;
                 if !assigned[s] {
                     assigned[s] = true;
                     covered.push(sparse[s]);
@@ -495,7 +496,7 @@ impl GroupingMechanism for DrScTabu {
             }
             if !covered.is_empty() {
                 covered.sort_unstable();
-                let window_start = instance.anchors()[a];
+                let window_start = instance.anchors()[a as usize];
                 slots.push(CoverSlot {
                     window_start,
                     transmit_at: window_start + ti,

@@ -27,39 +27,10 @@
 //! returns the input picks byte-for-byte (locked by proptest), which is
 //! what makes `DR-SC-tabu(0)` bit-identical to plain DR-SC.
 
-use std::time::{Duration, Instant};
-
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
-/// The anytime knob: how much work one improvement run may spend.
-///
-/// [`Budget::Iterations`] is the deterministic mode every golden and
-/// bit-identity contract uses. [`Budget::WallClock`] trades that away for
-/// a real-time bound: the search runs destroy-and-repair iterations until
-/// the deadline passes, so the iteration count — and therefore the result
-/// — depends on the host's speed and load. **Wall-clock runs are
-/// non-deterministic by design and must never feed goldens, archives or
-/// regression baselines**; they exist for interactive/service callers
-/// that want "the best plan you can find in 50 ms".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Budget {
-    /// A fixed number of destroy-and-repair iterations. `Iterations(0)`
-    /// returns the initial solution byte-for-byte; results are
-    /// bit-identical across hosts, threads and repeated runs.
-    Iterations(u32),
-    /// Iterate until this many milliseconds of wall-clock time have
-    /// elapsed (checked before each iteration; `WallClock(0)` returns the
-    /// initial solution). Non-deterministic — see the type docs.
-    WallClock(u64),
-}
-
-impl Budget {
-    /// Whether this budget allows no work at all (the identity run).
-    pub fn is_zero(&self) -> bool {
-        matches!(self, Budget::Iterations(0) | Budget::WallClock(0))
-    }
-}
+use crate::set_cover::SetIndex;
 
 /// How many iterations a removed set stays tabu.
 ///
@@ -83,22 +54,11 @@ pub struct ImprovementStats {
     pub budget_spent: u32,
 }
 
-/// Whether some set lists an element twice (elements outside the universe
-/// are left to the caller's bounds check).
-fn repeats_an_element(universe_size: usize, sets: &[Vec<usize>]) -> bool {
-    let mut seen = vec![usize::MAX; universe_size];
-    sets.iter().enumerate().any(|(i, set)| {
-        set.iter().any(|&e| {
-            seen.get_mut(e)
-                .is_some_and(|s| std::mem::replace(s, i) == i)
-        })
-    })
-}
-
 /// Improves a feasible set-cover solution by tabu local search.
 ///
 /// * `universe_size`, `sets` — the same instance the initial solution was
-///   computed on (every element `< universe_size`).
+///   computed on (every element `< universe_size`; an element listed
+///   twice in one set counts once).
 /// * `initial` — indices into `sets` that jointly cover the universe.
 /// * `budget` — maximum destroy-and-repair iterations; `0` returns
 ///   `initial` unchanged.
@@ -108,11 +68,13 @@ fn repeats_an_element(universe_size: usize, sets: &[Vec<usize>]) -> bool {
 /// Returns the best cover found (in first-added order) plus the run's
 /// [`ImprovementStats`]. Every returned solution covers the full
 /// universe — accepted moves preserve feasibility by construction (the
-/// repair loop only terminates once nothing is uncovered).
+/// repair loop only terminates once nothing is uncovered). The search
+/// never depends on the element order within a set.
 ///
 /// # Panics
 ///
-/// Panics (debug builds) when `initial` does not cover the universe.
+/// Panics when a set contains an element `>= universe_size`, and (debug
+/// builds) when `initial` does not cover the universe.
 pub fn improve_cover(
     universe_size: usize,
     sets: &[Vec<usize>],
@@ -120,30 +82,19 @@ pub fn improve_cover(
     budget: u32,
     seed: u64,
 ) -> (Vec<usize>, ImprovementStats) {
-    improve_cover_with(
-        universe_size,
-        sets,
-        initial,
-        Budget::Iterations(budget),
-        seed,
-    )
+    let mut index = SetIndex::default();
+    index.build(universe_size, sets, &mut Vec::new());
+    search(&index, initial, budget, seed)
 }
 
-/// [`improve_cover`] with an explicit [`Budget`] mode.
-///
-/// `Budget::Iterations(n)` is byte-identical to `improve_cover(..., n,
-/// ...)` (locked by unit test); `Budget::WallClock(ms)` runs until the
-/// deadline and is non-deterministic — see the [`Budget`] docs for what
-/// that excludes it from.
-///
-/// # Panics
-///
-/// Panics (debug builds) when `initial` does not cover the universe.
-pub fn improve_cover_with(
-    universe_size: usize,
-    sets: &[Vec<usize>],
+/// The tabu search of [`improve_cover`] over a built `index`: the
+/// explicit-set entry point and
+/// [`AnchorInstance::improve_cover`](crate::set_cover::AnchorInstance::improve_cover)
+/// both run it.
+pub(crate) fn search(
+    index: &SetIndex,
     initial: &[usize],
-    budget: Budget,
+    budget: u32,
     seed: u64,
 ) -> (Vec<usize>, ImprovementStats) {
     let initial_cost = initial.len() as u32;
@@ -153,70 +104,22 @@ pub fn improve_cover_with(
         moves_accepted: 0,
         budget_spent: 0,
     };
-    if budget.is_zero() || initial.len() <= 1 || universe_size == 0 {
+    let universe_size = index.elements();
+    if budget == 0 || initial.len() <= 1 || universe_size == 0 {
         return (initial.to_vec(), stats);
-    }
-    let iter_limit = match budget {
-        Budget::Iterations(n) => n,
-        Budget::WallClock(_) => u32::MAX,
-    };
-    let deadline = match budget {
-        Budget::Iterations(_) => None,
-        Budget::WallClock(ms) => Some(Instant::now() + Duration::from_millis(ms)),
-    };
-
-    // Normalize away duplicate elements within a set: the solution state
-    // below counts cover *multiplicity*, and a set listing an element
-    // twice would read as "covered twice" on its own — enough for the
-    // redundancy pass to strip the sole covering set and silently lose
-    // the element. Real window instances are duplicate-free and are used
-    // as given (element order within a set never affects the search).
-    let normalized: Vec<Vec<usize>>;
-    let sets = if repeats_an_element(universe_size, sets) {
-        normalized = sets
-            .iter()
-            .map(|s| {
-                let mut v = s.clone();
-                v.sort_unstable();
-                v.dedup();
-                v
-            })
-            .collect();
-        &normalized[..]
-    } else {
-        sets
-    };
-
-    // Element -> covering sets (CSR), built once.
-    let mut elem_off = vec![0usize; universe_size + 1];
-    for set in sets {
-        for &e in set {
-            assert!(e < universe_size, "element {e} outside universe");
-            elem_off[e + 1] += 1;
-        }
-    }
-    for e in 0..universe_size {
-        elem_off[e + 1] += elem_off[e];
-    }
-    let mut cursor = elem_off[..universe_size].to_vec();
-    let mut elem_sets = vec![0u32; elem_off[universe_size]];
-    for (s, set) in sets.iter().enumerate() {
-        for &e in set {
-            elem_sets[cursor[e]] = s as u32;
-            cursor[e] += 1;
-        }
     }
 
     // Current solution state: picks (stable order), membership flag and
-    // per-element cover multiplicity.
+    // per-element cover multiplicity (the index holds each element once
+    // per set, so a multiplicity counts distinct covering sets).
     let mut picks: Vec<usize> = initial.to_vec();
-    let mut in_solution = vec![false; sets.len()];
+    let mut in_solution = vec![false; index.sets()];
     let mut cover = vec![0u32; universe_size];
     for &s in &picks {
         debug_assert!(!in_solution[s], "duplicate pick {s}");
         in_solution[s] = true;
-        for &e in &sets[s] {
-            cover[e] += 1;
+        for &e in index.set(s) {
+            cover[e as usize] += 1;
         }
     }
     debug_assert!(
@@ -226,24 +129,15 @@ pub fn improve_cover_with(
 
     let mut best = picks.clone();
     // Iteration number each set stays tabu through (exclusive).
-    let mut tabu_until = vec![0u32; sets.len()];
+    let mut tabu_until = vec![0u32; index.sets()];
     // Per-repair scratch: candidate gain per set, stamped by repair pass
     // (each pass of the repair loop recomputes gains from scratch).
-    let mut gain = vec![0u32; sets.len()];
-    let mut gain_stamp = vec![0u32; sets.len()];
+    let mut gain = vec![0u32; index.sets()];
+    let mut gain_stamp = vec![0u32; index.sets()];
     let mut pass = 0u32;
     let mut rng = StdRng::seed_from_u64(seed);
 
-    // The loop over `iter` is shaped exactly like the historical
-    // `for iter in 0..budget`: iteration mode must replay it
-    // byte-for-byte, wall-clock mode merely adds the deadline check
-    // before each iteration.
-    for iter in 0..iter_limit {
-        if let Some(deadline) = deadline {
-            if Instant::now() >= deadline {
-                break;
-            }
-        }
+    for iter in 0..budget {
         stats.budget_spent = iter + 1;
         // Destroy: seeded victim choice among current picks.
         let victim_pos = (rng.next_u64() % picks.len() as u64) as usize;
@@ -252,10 +146,10 @@ pub fn improve_cover_with(
         let victim = picks.remove(victim_pos);
         in_solution[victim] = false;
         tabu_until[victim] = iter + 1 + TABU_TENURE;
-        let mut uncovered: Vec<usize> = Vec::new();
-        for &e in &sets[victim] {
-            cover[e] -= 1;
-            if cover[e] == 0 {
+        let mut uncovered: Vec<u32> = Vec::new();
+        for &e in index.set(victim) {
+            cover[e as usize] -= 1;
+            if cover[e as usize] == 0 {
                 uncovered.push(e);
             }
         }
@@ -269,7 +163,7 @@ pub fn improve_cover_with(
             let mut fallback_set = usize::MAX; // best among tabu sets
             let mut fallback_gain = 0u32;
             for &e in &uncovered {
-                for &s in &elem_sets[elem_off[e]..elem_off[e + 1]] {
+                for &s in index.sets_of(e as usize) {
                     let s = s as usize;
                     if in_solution[s] {
                         continue;
@@ -308,10 +202,10 @@ pub fn improve_cover_with(
             debug_assert_ne!(chosen, usize::MAX, "victim itself restores coverage");
             picks.push(chosen);
             in_solution[chosen] = true;
-            for &e in &sets[chosen] {
-                cover[e] += 1;
+            for &e in index.set(chosen) {
+                cover[e as usize] += 1;
             }
-            uncovered.retain(|&e| cover[e] == 0);
+            uncovered.retain(|&e| cover[e as usize] == 0);
         }
 
         // Strip sets the repair made fully redundant (every element
@@ -319,9 +213,10 @@ pub fn improve_cover_with(
         let mut p = 0usize;
         while p < picks.len() {
             let s = picks[p];
-            if sets[s].iter().all(|&e| cover[e] >= 2) {
-                for &e in &sets[s] {
-                    cover[e] -= 1;
+            let members = index.set(s);
+            if members.iter().all(|&e| cover[e as usize] >= 2) {
+                for &e in members {
+                    cover[e as usize] -= 1;
                 }
                 in_solution[s] = false;
                 picks.remove(p);
@@ -447,8 +342,8 @@ mod tests {
 
     #[test]
     fn element_order_within_sets_never_changes_the_search() {
-        // Duplicate-free sets are searched as given, without the sorting
-        // normalization: the element order inside a set must not matter.
+        // The index keeps each set's elements in the order given: that
+        // order must not matter to the search.
         let (n, sets, initial) = trap_instance();
         let reversed: Vec<Vec<usize>> = sets
             .iter()
@@ -469,46 +364,5 @@ mod tests {
         let (picks, stats) = improve_cover(2, &sets, &[0], 16, 1);
         assert_eq!(picks, vec![0]);
         assert_eq!(stats.budget_spent, 0);
-    }
-
-    #[test]
-    fn iteration_budget_mode_is_byte_identical_to_the_plain_entry() {
-        let (n, sets, initial) = trap_instance();
-        for budget in [0u32, 1, 3, 8, 32, 64] {
-            for seed in [7u64, 42, 9] {
-                let plain = improve_cover(n, &sets, &initial, budget, seed);
-                let via_enum =
-                    improve_cover_with(n, &sets, &initial, Budget::Iterations(budget), seed);
-                assert_eq!(plain, via_enum, "budget {budget} seed {seed}");
-            }
-        }
-    }
-
-    #[test]
-    fn wall_clock_zero_is_identity() {
-        let (n, sets, initial) = trap_instance();
-        let (picks, stats) = improve_cover_with(n, &sets, &initial, Budget::WallClock(0), 42);
-        assert_eq!(picks, initial);
-        assert_eq!(stats.budget_spent, 0);
-        assert!(Budget::WallClock(0).is_zero());
-        assert!(Budget::Iterations(0).is_zero());
-        assert!(!Budget::WallClock(1).is_zero());
-        assert!(!Budget::Iterations(1).is_zero());
-    }
-
-    #[test]
-    fn wall_clock_budget_keeps_feasibility_and_never_worsens() {
-        // Wall-clock results are host-dependent, so assert only the
-        // invariants: full coverage, final cost ≤ initial cost, and a
-        // consistent stats block.
-        let (n, sets, initial) = trap_instance();
-        let (picks, stats) = improve_cover_with(n, &sets, &initial, Budget::WallClock(20), 42);
-        assert!(covers(n, &sets, &picks));
-        assert!(stats.final_cost <= stats.initial_cost);
-        assert_eq!(picks.len() as u32, stats.final_cost);
-        assert!(
-            stats.budget_spent >= 1,
-            "20ms allows at least one iteration"
-        );
     }
 }

@@ -77,7 +77,7 @@ pub use da_sc::{AdaptationGrid, DaSc};
 pub use dr_sc::{DrSc, DrScTabu, DrScWeighted, DEFAULT_TABU_BUDGET};
 pub use dr_si::{DrSi, NotifyPolicy};
 pub use error::{GroupingError, PlanViolation};
-pub use improve::{Budget, ImprovementStats};
+pub use improve::ImprovementStats;
 pub use input::{GroupingInput, GroupingParams};
 pub use mechanism::{GroupingMechanism, MechanismKind};
 pub use plan::{

@@ -62,6 +62,8 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use nbiot_time::{PagingSchedule, SimDuration, SimInstant, TimeWindow};
 
+use crate::improve::ImprovementStats;
+
 /// Lazy max-gain priority queue over `(gain, Reverse(candidate))`
 /// snapshots — the priority structure of the incremental window-cover
 /// engine, kept in a caller-owned heap (the [`KernelArena`]'s).
@@ -183,9 +185,115 @@ impl RatioQueue {
     }
 }
 
-/// Reusable scratch for the incremental set-cover kernels: the dedup CSR,
-/// the element→sets inverted index, the solve-phase scratch (gains,
-/// coverage tombstones, queue storage) and the window-cover buffers.
+/// An explicit set system as the kernels read it: each set's distinct
+/// elements as a `u32` CSR row plus the element → sets transpose, each
+/// element's sets ascending. The explicit-set entry points build one per
+/// call; an [`AnchorInstance`] holds one, which the weighted rounds and
+/// the tabu search read in place.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct SetIndex {
+    /// Set `i`'s elements are `set_elems[set_off[i]..set_off[i + 1]]`.
+    set_off: Vec<u32>,
+    set_elems: Vec<u32>,
+    /// Element `e`'s sets are `elem_sets[elem_off[e]..elem_off[e + 1]]`,
+    /// ascending.
+    elem_off: Vec<u32>,
+    elem_sets: Vec<u32>,
+}
+
+impl SetIndex {
+    /// Refills the index with `sets` over elements `0..universe_size`; an
+    /// element listed twice in one set counts once (the unique-gain
+    /// semantics of the reference solvers). `seen` is dedup scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a set contains an element `>= universe_size`.
+    pub(crate) fn build(&mut self, universe_size: usize, sets: &[Vec<usize>], seen: &mut Vec<u32>) {
+        assert!(
+            universe_size < u32::MAX as usize && sets.len() < u32::MAX as usize,
+            "index build uses u32 entries"
+        );
+        self.set_off.clear();
+        self.set_off.push(0);
+        self.set_elems.clear();
+        self.set_elems.reserve(sets.iter().map(Vec::len).sum());
+        reset(seen, universe_size, u32::MAX);
+        for (i, set) in sets.iter().enumerate() {
+            for &e in set {
+                assert!(
+                    e < universe_size,
+                    "set {i} contains element {e} outside universe 0..{universe_size}"
+                );
+                if seen[e] != i as u32 {
+                    seen[e] = i as u32;
+                    self.set_elems.push(e as u32);
+                }
+            }
+            self.close_set();
+        }
+        self.transpose(universe_size);
+    }
+
+    /// Ends the set whose elements were pushed since the last call.
+    fn close_set(&mut self) {
+        let end = u32::try_from(self.set_elems.len()).expect("index uses u32 offsets");
+        self.set_off.push(end);
+    }
+
+    /// Builds the element → sets transpose of the set rows: a counting
+    /// pass, an exclusive prefix sum, then a scatter in set order, so each
+    /// element's sets come out ascending.
+    fn transpose(&mut self, universe_size: usize) {
+        reset(&mut self.elem_off, universe_size + 1, 0);
+        for &e in &self.set_elems {
+            self.elem_off[e as usize + 1] += 1;
+        }
+        for e in 0..universe_size {
+            self.elem_off[e + 1] += self.elem_off[e];
+        }
+        reset(&mut self.elem_sets, self.set_elems.len(), 0);
+        for (i, row) in self.set_off.windows(2).enumerate() {
+            for &e in &self.set_elems[row[0] as usize..row[1] as usize] {
+                // `elem_off[e]` is the next free slot of element `e` and
+                // ends as the start of element `e + 1`: shift it back.
+                let slot = &mut self.elem_off[e as usize];
+                self.elem_sets[*slot as usize] = i as u32;
+                *slot += 1;
+            }
+        }
+        self.elem_off.copy_within(..universe_size, 1);
+        self.elem_off[0] = 0;
+    }
+
+    /// Number of sets.
+    #[inline]
+    pub(crate) fn sets(&self) -> usize {
+        self.set_off.len() - 1
+    }
+
+    /// Number of elements (the universe size).
+    #[inline]
+    pub(crate) fn elements(&self) -> usize {
+        self.elem_off.len() - 1
+    }
+
+    /// The distinct elements of set `i`.
+    #[inline]
+    pub(crate) fn set(&self, i: usize) -> &[u32] {
+        &self.set_elems[self.set_off[i] as usize..self.set_off[i + 1] as usize]
+    }
+
+    /// The sets holding element `e`, ascending.
+    #[inline]
+    pub(crate) fn sets_of(&self, e: usize) -> &[u32] {
+        &self.elem_sets[self.elem_off[e] as usize..self.elem_off[e + 1] as usize]
+    }
+}
+
+/// Reusable scratch for the incremental set-cover kernels: the
+/// explicit-set `SetIndex`, the solve-phase scratch (gains, coverage
+/// tombstones, queue storage) and the window-cover buffers.
 ///
 /// Every buffer keeps its capacity across calls, so repeated plans within
 /// a run — the per-round re-planning of a churned campaign, or a figure
@@ -196,13 +304,9 @@ impl RatioQueue {
 /// arena internally.
 #[derive(Debug, Default)]
 pub struct KernelArena {
-    // Dedup CSR over the input sets.
-    set_off: Vec<usize>,
-    set_elems: Vec<u32>,
-    // Element → sets inverted index (CSR).
-    elem_off: Vec<u32>,
-    elem_sets: Vec<u32>,
-    // Build scratch: dedup stamps and scatter cursors.
+    // The explicit-set index and its dedup stamps; the window engine's
+    // scatter cursors.
+    index: SetIndex,
     seen: Vec<u32>,
     cursor: Vec<u32>,
     // Solve scratch.
@@ -221,9 +325,9 @@ pub struct KernelArena {
     // counts, and per distinct PO instant its first event, its window end,
     // the first instant whose window reaches it, and its count of
     // uncovered events. The incremental window engine keeps its class →
-    // instants CSR in `elem_off`/`elem_sets` and its gains, round stamps
-    // and heap in the solve scratch above; the class multiplicities are
-    // read from the `PoTimeline`.
+    // instants CSR in the index's transpose arrays and its gains, round
+    // stamps and heap in the solve scratch above; the class
+    // multiplicities are read from the `PoTimeline`.
     wc_flat: Vec<(SimInstant, usize)>,
     wc_covered: Vec<bool>,
     wc_count: Vec<u32>,
@@ -245,70 +349,6 @@ impl KernelArena {
 fn reset<T: Copy>(buf: &mut Vec<T>, len: usize, value: T) {
     buf.clear();
     buf.resize(len, value);
-}
-
-/// Builds the dedup CSR and the element→sets inverted index into `arena`:
-/// the dedup pass, then the counting pass, then the exclusive-prefix-sum
-/// scatter.
-///
-/// # Panics
-///
-/// Panics when a set contains an element `>= universe_size`.
-fn build_index_into(universe_size: usize, sets: &[Vec<usize>], arena: &mut KernelArena) {
-    assert!(
-        universe_size < u32::MAX as usize && sets.len() < u32::MAX as usize,
-        "index build uses u32 entries"
-    );
-
-    // --- Phase A: dedup each set into a CSR row (repeated elements count
-    // once — the unique-gain semantics of the reference solver). The
-    // index arrays are u32: the CSR is the memory-bandwidth hot spot of
-    // the whole solver, and halving the entry width measurably moves the
-    // build. ---
-    arena.set_off.clear();
-    arena.set_off.reserve(sets.len() + 1);
-    arena.set_off.push(0);
-    arena.set_elems.clear();
-    reset(&mut arena.seen, universe_size, u32::MAX);
-    for (i, set) in sets.iter().enumerate() {
-        for &e in set {
-            assert!(
-                e < universe_size,
-                "set {i} contains element {e} outside universe 0..{universe_size}"
-            );
-            if arena.seen[e] != i as u32 {
-                arena.seen[e] = i as u32;
-                arena.set_elems.push(e as u32);
-            }
-        }
-        arena.set_off.push(arena.set_elems.len());
-    }
-
-    // --- Phase B: count each element's sets into the element-offset
-    // array. ---
-    reset(&mut arena.elem_off, universe_size + 1, 0u32);
-    for &e in &arena.set_elems {
-        arena.elem_off[e as usize + 1] += 1;
-    }
-    // Exclusive prefix sum: elem_off[e] is where element e's set list
-    // starts in elem_sets.
-    for i in 0..universe_size {
-        arena.elem_off[i + 1] += arena.elem_off[i];
-    }
-
-    // --- Phase C: scatter set indices to their prefix-sum positions. ---
-    arena.cursor.clear();
-    arena
-        .cursor
-        .extend_from_slice(&arena.elem_off[..universe_size]);
-    reset(&mut arena.elem_sets, arena.set_elems.len(), 0u32);
-    for (i, w) in arena.set_off.windows(2).enumerate() {
-        for &e in &arena.set_elems[w[0]..w[1]] {
-            let c = &mut arena.cursor[e as usize];
-            arena.elem_sets[*c as usize] = i as u32;
-            *c += 1;
-        }
-    }
 }
 
 thread_local! {
@@ -419,13 +459,19 @@ pub fn greedy_set_cover_weighted(
     if universe_size == 0 {
         return Some(Vec::new());
     }
-    build_index_into(universe_size, sets, arena);
+    let mut index = std::mem::take(&mut arena.index);
+    index.build(universe_size, sets, &mut arena.seen);
+    let picked = weighted_rounds(&index, costs, arena);
+    arena.index = index;
+    picked
+}
 
+/// The greedy rounds of [`greedy_set_cover_weighted`] over a built
+/// `index` with one positive cost per set, on `arena`'s solve scratch
+/// (the arena's own index is not read, so the index can be an
+/// [`AnchorInstance`]'s).
+fn weighted_rounds(index: &SetIndex, costs: &[u32], arena: &mut KernelArena) -> Option<Vec<usize>> {
     let KernelArena {
-        set_off,
-        set_elems,
-        elem_off,
-        elem_sets,
         gains,
         covered,
         last_touch,
@@ -434,27 +480,27 @@ pub fn greedy_set_cover_weighted(
         ..
     } = arena;
     gains.clear();
-    gains.extend(set_off.windows(2).map(|w| (w[1] - w[0]) as u32));
+    gains.extend((0..index.sets()).map(|i| index.set(i).len() as u32));
     RatioQueue::seed(wheap, gains, costs);
-    reset(covered, universe_size, false);
-    let mut remaining = universe_size;
+    let mut remaining = index.elements();
+    reset(covered, remaining, false);
     let mut picked = Vec::new();
     // Per-round dedup of gain-changed sets, stamped by round number
     // (rounds never reach the u32::MAX sentinel: there are at most
     // `universe_size < u32::MAX` of them).
-    reset(last_touch, sets.len(), u32::MAX);
+    reset(last_touch, index.sets(), u32::MAX);
     touched.clear();
     let mut round = 0u32;
     while remaining > 0 {
         let best = RatioQueue::pop_current_from(wheap, gains, costs)?;
         picked.push(best);
         touched.clear();
-        for &e in &set_elems[set_off[best]..set_off[best + 1]] {
+        for &e in index.set(best) {
             let e = e as usize;
             if !covered[e] {
                 covered[e] = true;
                 remaining -= 1;
-                for &s in &elem_sets[elem_off[e] as usize..elem_off[e + 1] as usize] {
+                for &s in index.sets_of(e) {
                     let s = s as usize;
                     gains[s] -= 1;
                     if last_touch[s] != round {
@@ -495,7 +541,9 @@ pub struct CoverSlot {
 /// for 10^5 devices). It gives up flooding resistance safely: a paging
 /// schedule is `UE_ID` modulo at most a few thousand per paging
 /// configuration, so no crafted fleet holds enough distinct keys to pile
-/// many of them onto one probe sequence.
+/// many of them onto one probe sequence. [`AnchorInstance`]'s member-set
+/// map uses it too: its keys are sums of SplitMix64-finalized device
+/// positions, already mixed, and a hit is only a proposal.
 #[derive(Default)]
 struct FxHasher(u64);
 
@@ -759,7 +807,7 @@ impl PoTimeline {
 /// The deduplicated anchor-window set-cover instance over sparse devices —
 /// the static instance [`WindowCover::solve_weighted`] and
 /// [`crate::DrScTabu`] solve. A [`crate::GroupingInput`] builds it once,
-/// on first use, and both planners read that one copy.
+/// on first use, and both planners read that one copy in place.
 ///
 /// Every distinct sparse PO instant `a` anchors a candidate window holding
 /// the sparse devices with a PO in `[a, a + TI)`. Most cycles are far
@@ -767,7 +815,10 @@ impl PoTimeline {
 /// many anchors; the instance stores each distinct set **once**, at its
 /// lowest anchor, plus an anchor → window map. Windows are numbered in
 /// order of their lowest anchor, so a lowest-index tie law over windows is
-/// the lowest-anchor tie law over the full per-anchor instance.
+/// the lowest-anchor tie law over the full per-anchor instance. The
+/// windows are stored as a `u32` CSR together with its device → window
+/// transpose: the index the weighted greedy rounds and the tabu search
+/// read, so no plan re-indexes the instance.
 ///
 /// The instance is per device, not per schedule class: the tabu search
 /// ([`crate::improve`]) counts uncovered devices, and the weighted cover
@@ -788,12 +839,13 @@ pub struct AnchorInstance {
     /// Distinct sparse PO instants, ascending.
     anchors: Vec<SimInstant>,
     /// The window each anchor opens.
-    window_of: Vec<usize>,
+    window_of: Vec<u32>,
     /// Each window's lowest anchor (an index into `anchors`).
-    lowest: Vec<usize>,
+    lowest: Vec<u32>,
     /// Distinct member sets (sparse indices in PO order at the lowest
-    /// anchor), in lowest-anchor order.
-    windows: Vec<Vec<usize>>,
+    /// anchor), in lowest-anchor order, with their sparse device → window
+    /// transpose.
+    windows: SetIndex,
 }
 
 /// Per-device key of the order-independent member-set hash (the
@@ -828,6 +880,7 @@ impl AnchorInstance {
             flat.extend(timeline.members(c).iter().map(|&d| (t, index[d as usize])));
         }
         flat.sort_unstable();
+        assert!(flat.len() < u32::MAX as usize, "u32 instance indices");
 
         let mut instance = AnchorInstance {
             devices: n,
@@ -835,15 +888,18 @@ impl AnchorInstance {
             anchors: Vec::new(),
             window_of: Vec::new(),
             lowest: Vec::new(),
-            windows: Vec::new(),
+            windows: SetIndex {
+                set_off: vec![0],
+                ..SetIndex::default()
+            },
         };
         let mut count = vec![0u32; instance.sparse.len()];
-        let mut stamp = vec![usize::MAX; instance.sparse.len()];
+        let mut stamp = vec![u32::MAX; instance.sparse.len()];
         let (mut size, mut hash) = (0usize, 0u64);
         // Latest window per hash, chained to the previous window with the
         // same hash.
-        let mut by_hash: HashMap<u64, usize> = HashMap::new();
-        let mut same_hash: Vec<Option<usize>> = Vec::new();
+        let mut by_hash: HashMap<u64, u32, BuildHasherDefault<FxHasher>> = HashMap::default();
+        let mut same_hash: Vec<Option<u32>> = Vec::new();
         let (mut lo, mut hi) = (0usize, 0usize);
         while lo < flat.len() {
             let a = flat[lo].0;
@@ -859,23 +915,22 @@ impl AnchorInstance {
             }
             let mut candidate = by_hash.get(&hash).copied();
             while let Some(w) = candidate {
-                let members = &instance.windows[w];
-                if members.len() == size && members.iter().all(|&s| count[s] > 0) {
+                let members = instance.window(w as usize);
+                if members.len() == size && members.iter().all(|&s| count[s as usize] > 0) {
                     break;
                 }
-                candidate = same_hash[w];
+                candidate = same_hash[w as usize];
             }
             let window = candidate.unwrap_or_else(|| {
-                let w = instance.windows.len();
-                let mut members = Vec::with_capacity(size);
+                let w = instance.windows.sets() as u32;
                 for &(_, s) in &flat[lo..hi] {
                     if stamp[s] != w {
                         stamp[s] = w;
-                        members.push(s);
+                        instance.windows.set_elems.push(s as u32);
                     }
                 }
-                instance.windows.push(members);
-                instance.lowest.push(instance.anchors.len());
+                instance.windows.close_set();
+                instance.lowest.push(instance.anchors.len() as u32);
                 same_hash.push(by_hash.insert(hash, w));
                 w
             });
@@ -892,6 +947,7 @@ impl AnchorInstance {
                 lo += 1;
             }
         }
+        instance.windows.transpose(instance.sparse.len());
         instance
     }
 
@@ -925,32 +981,60 @@ impl AnchorInstance {
     ///
     /// Panics when `anchor >= anchors().len()`.
     pub fn window_of(&self, anchor: usize) -> usize {
-        self.window_of[anchor]
+        self.window_of[anchor] as usize
     }
 
     /// Each window's lowest anchor, as an index into
     /// [`AnchorInstance::anchors`] (ascending: windows are numbered in
     /// lowest-anchor order).
-    pub fn lowest_anchors(&self) -> &[usize] {
+    pub fn lowest_anchors(&self) -> &[u32] {
         &self.lowest
     }
 
-    /// The distinct member sets, in lowest-anchor order — the candidate
-    /// sets of the set cover. Each lists its sparse indices in PO order at
-    /// its lowest anchor.
-    pub fn windows(&self) -> &[Vec<usize>] {
-        &self.windows
+    /// Number of distinct windows: the candidate sets of the set cover.
+    pub fn window_count(&self) -> usize {
+        self.windows.sets()
+    }
+
+    /// The members of window `w` (positions in
+    /// [`AnchorInstance::sparse_devices`]) in PO order at its lowest
+    /// anchor. Panics when `w >= window_count()`.
+    pub fn window(&self, w: usize) -> &[u32] {
+        self.windows.set(w)
+    }
+
+    /// The windows holding sparse device `s` (a position in
+    /// [`AnchorInstance::sparse_devices`]), ascending: the transpose of
+    /// [`AnchorInstance::window`]. Panics when `s` is out of range.
+    pub fn windows_of(&self, s: usize) -> &[u32] {
+        self.windows.sets_of(s)
     }
 
     /// Summed size of the distinct windows.
     pub fn entries(&self) -> usize {
-        self.windows.iter().map(Vec::len).sum()
+        self.windows.set_elems.len()
     }
 
     /// Summed window size over every anchor: the size of the instance
     /// before deduplication.
     pub fn anchor_entries(&self) -> usize {
-        self.window_of.iter().map(|&w| self.windows[w].len()).sum()
+        self.window_of
+            .iter()
+            .map(|&w| self.window(w as usize).len())
+            .sum()
+    }
+
+    /// [`improve_cover`](crate::improve::improve_cover) over the windows,
+    /// run on the instance's own index instead of a copy: `initial` is a
+    /// cover of the sparse devices by window indices, and the result
+    /// equals `improve_cover` over the windows copied out.
+    pub fn improve_cover(
+        &self,
+        initial: &[usize],
+        budget: u32,
+        seed: u64,
+    ) -> (Vec<usize>, ImprovementStats) {
+        crate::improve::search(&self.windows, initial, budget, seed)
     }
 }
 
@@ -1072,10 +1156,10 @@ impl WindowCover {
     /// Cost-aware cover over `instance`, an [`AnchorInstance`] built for
     /// this solver's `TI` (the same deduplicated anchor-window instance
     /// [`crate::DrScTabu`] searches): prices each distinct window through
-    /// `window_cost` and solves with [`greedy_set_cover_weighted`] — each
-    /// round picks the window maximizing newly-covered devices *per unit
-    /// cost* instead of the raw count. A picked window opens at its lowest
-    /// anchor.
+    /// `window_cost` and runs the rounds of [`greedy_set_cover_weighted`]
+    /// on the instance's own index — each round picks the window
+    /// maximizing newly-covered devices *per unit cost* instead of the raw
+    /// count. A picked window opens at its lowest anchor.
     ///
     /// `window_cost` receives the window's member devices as device
     /// indices (sparse members only, in PO order at the window's lowest
@@ -1117,23 +1201,24 @@ impl WindowCover {
         let mut costs = std::mem::take(&mut arena.wcosts);
         costs.clear();
         let mut members: Vec<usize> = Vec::new();
-        for window in instance.windows() {
+        for w in 0..instance.window_count() {
             members.clear();
-            members.extend(window.iter().map(|&s| sparse[s]));
+            members.extend(instance.window(w).iter().map(|&s| sparse[s as usize]));
             let cost = window_cost(&members);
             assert!(cost > 0, "window cost must be positive");
             costs.push(cost);
         }
-        let picks = greedy_set_cover_weighted(sparse.len(), instance.windows(), &costs, arena);
+        let picks = weighted_rounds(&instance.windows, &costs, arena);
         arena.wcosts = costs;
 
         let mut covered = vec![false; instance.devices];
         let mut slots: Vec<CoverSlot> = Vec::new();
         for w in picks? {
-            let window_start = instance.anchors()[instance.lowest_anchors()[w]];
-            let mut newly: Vec<usize> = instance.windows()[w]
+            let window_start = instance.anchors()[instance.lowest_anchors()[w] as usize];
+            let mut newly: Vec<usize> = instance
+                .window(w)
                 .iter()
-                .map(|&s| sparse[s])
+                .map(|&s| sparse[s as usize])
                 .filter(|&d| !covered[d])
                 .collect();
             newly.sort_unstable();
@@ -1268,8 +1353,12 @@ impl WindowCover {
         mut uncovered_sparse: usize,
     ) -> Vec<CoverSlot> {
         let KernelArena {
-            elem_off: class_off,
-            elem_sets: class_instants,
+            index:
+                SetIndex {
+                    elem_off: class_off,
+                    elem_sets: class_instants,
+                    ..
+                },
             cursor,
             gains,
             last_touch,
@@ -2682,7 +2771,12 @@ mod tests {
             instance.anchors(),
             &[ms(0), ms(50), ms(500), ms(1000), ms(1050), ms(1500)]
         );
-        assert_eq!(instance.windows(), &[vec![0, 1], vec![1], vec![2]]);
+        let windows: Vec<&[u32]> = (0..instance.window_count())
+            .map(|w| instance.window(w))
+            .collect();
+        assert_eq!(windows, vec![&[0, 1][..], &[1], &[2]]);
+        let transpose: Vec<&[u32]> = (0..3).map(|s| instance.windows_of(s)).collect();
+        assert_eq!(transpose, vec![&[0][..], &[0, 1], &[2]]);
         assert_eq!(instance.lowest_anchors(), &[0, 1, 2]);
         let window_of: Vec<usize> = (0..6).map(|a| instance.window_of(a)).collect();
         assert_eq!(window_of, vec![0, 1, 2, 0, 1, 2]);
@@ -2704,12 +2798,13 @@ mod tests {
         let events = vec![vec![ms(700)]; 4];
         let instance = AnchorInstance::new(ti, &PoTimeline::from_events(&events, &[false; 4]));
         assert_eq!(instance.anchors(), &[ms(700)]);
-        assert_eq!(instance.windows(), &[vec![0, 1, 2, 3]]);
+        assert_eq!(instance.window_count(), 1);
+        assert_eq!(instance.window(0), &[0, 1, 2, 3]);
         assert_eq!(instance.anchor_entries(), instance.entries());
         // Empty and all-dense inputs build an empty instance.
         for (events, dense) in [(vec![], vec![]), (vec![vec![ms(5)]], vec![true])] {
             let empty = AnchorInstance::new(ti, &PoTimeline::from_events(&events, &dense));
-            assert!(empty.anchors().is_empty() && empty.windows().is_empty());
+            assert!(empty.anchors().is_empty() && empty.window_count() == 0);
             assert_eq!(empty.dense_devices().count(), events.len());
         }
     }

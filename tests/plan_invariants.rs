@@ -509,7 +509,8 @@ fn instance_planners_serve_identical_timelines_with_one_window() {
     assert_eq!(timeline.dense_devices(), &[5]);
     let instance = AnchorInstance::new(input.params().ti.duration(), timeline);
     assert_eq!(instance.anchors().len(), 2);
-    assert_eq!(instance.windows(), &[vec![0, 1, 2, 3, 4]]);
+    assert_eq!(instance.window_count(), 1);
+    assert_eq!(instance.window(0), &[0, 1, 2, 3, 4]);
     for kind in INSTANCE_PLANNERS {
         let mechanism = kind.instantiate();
         let plan = mechanism

@@ -1,6 +1,7 @@
 //! Property-based tests of the set-cover solvers, including a brute-force
 //! optimality reference on small instances.
 
+use nbiot_multicast::grouping::improve::improve_cover;
 use nbiot_multicast::grouping::set_cover::{
     greedy_set_cover, greedy_set_cover_weighted, reference, AnchorInstance, KernelArena,
     PoTimeline, WindowCover,
@@ -243,6 +244,8 @@ proptest! {
         dense_bits in proptest::collection::vec(0u8..5, 1..20),
         weights in proptest::collection::vec(1u32..40, 1..20),
         ti_ms in 50u64..600,
+        budget in 0u32..48,
+        seed in 0u64..1_000,
     ) {
         // Periodic PO timelines (period a multiple of 200 ms) make member
         // sets recur across anchors, as real paging cycles do.
@@ -259,6 +262,10 @@ proptest! {
         let ti = SimDuration::from_ms(ti_ms);
         let instance = AnchorInstance::new(ti, &PoTimeline::from_events(&events, &dense));
         let naive = reference::anchor_windows(ti, &events, &dense);
+        let n_sparse = instance.sparse_devices().len();
+        let windows: Vec<Vec<usize>> = (0..instance.window_count())
+            .map(|w| instance.window(w).iter().map(|&s| s as usize).collect())
+            .collect();
 
         // Every anchor's window is exactly its member set, and each
         // distinct window sits at the lowest anchor holding that set.
@@ -266,19 +273,18 @@ proptest! {
         for (a, (t, members)) in naive.iter().enumerate() {
             prop_assert_eq!(instance.anchors()[a], *t);
             let w = instance.window_of(a);
-            let mut window: Vec<usize> = instance.windows()[w]
+            let mut window: Vec<usize> = windows[w]
                 .iter()
                 .map(|&s| instance.sparse_devices()[s])
                 .collect();
             window.sort_unstable();
             prop_assert_eq!(&window, members);
-            let lowest = instance.lowest_anchors()[w];
+            let lowest = instance.lowest_anchors()[w] as usize;
             prop_assert_eq!(&naive[lowest].1, members);
             prop_assert!(naive[..lowest].iter().all(|(_, m)| m != members));
         }
         // Distinct windows differ pairwise.
-        let mut sets: Vec<Vec<usize>> = instance
-            .windows()
+        let mut sets: Vec<Vec<usize>> = windows
             .iter()
             .map(|w| {
                 let mut w = w.clone();
@@ -295,6 +301,34 @@ proptest! {
             instance.anchor_entries(),
             naive.iter().map(|(_, m)| m.len()).sum::<usize>()
         );
+
+        // The device → window index is the exact transpose of the windows:
+        // each (window, device) pair once in each direction, and each
+        // device's windows ascending.
+        let mut forward: Vec<(usize, usize)> = windows
+            .iter()
+            .enumerate()
+            .flat_map(|(w, members)| members.iter().map(move |&s| (w, s)))
+            .collect();
+        let mut backward: Vec<(usize, usize)> = Vec::new();
+        for s in 0..n_sparse {
+            let of = instance.windows_of(s);
+            prop_assert!(of.windows(2).all(|p| p[0] < p[1]), "device {} windows {:?}", s, of);
+            backward.extend(of.iter().map(|&w| (w as usize, s)));
+        }
+        forward.sort_unstable();
+        backward.sort_unstable();
+        prop_assert!(forward.windows(2).all(|p| p[0] != p[1]), "a window lists a device twice");
+        prop_assert_eq!(forward, backward);
+
+        // The in-place tabu search on the instance equals `improve_cover`
+        // over the window lists copied out, cover and stats alike.
+        if let Some(initial) = greedy_set_cover(n_sparse, &windows) {
+            prop_assert_eq!(
+                instance.improve_cover(&initial, budget, seed),
+                improve_cover(n_sparse, &windows, &initial, budget, seed)
+            );
+        }
 
         // The weighted cover over the deduplicated instance returns the
         // same slots as the weighted greedy over the full naive instance.
