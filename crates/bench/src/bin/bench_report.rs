@@ -552,10 +552,8 @@ fn main() {
     let plan_airtime =
         |picks: &[usize], costs: &[u32]| picks.iter().map(|&s| u64::from(costs[s])).sum::<u64>();
     let (wn, wsets, wcosts) = workload::weighted_cover_instance(1_000, opts.seed);
-    let mut weighted_arena = set_cover::KernelArena::new();
     let (weighted_picks, weighted_ms) = timed_min(5, || {
-        set_cover::greedy_set_cover_weighted(wn, &wsets, &wcosts, &mut weighted_arena)
-            .expect("coverable")
+        set_cover::greedy_set_cover_weighted(wn, &wsets, &wcosts).expect("coverable")
     });
     assert_eq!(
         Some(weighted_picks.clone()),
@@ -577,8 +575,7 @@ fn main() {
 
     let (wn10k, wsets10k, wcosts10k) = workload::weighted_cover_instance(10_000, opts.seed);
     let (stress_weighted, weighted_stress_ms) = timed_min(3, || {
-        set_cover::greedy_set_cover_weighted(wn10k, &wsets10k, &wcosts10k, &mut weighted_arena)
-            .expect("coverable")
+        set_cover::greedy_set_cover_weighted(wn10k, &wsets10k, &wcosts10k).expect("coverable")
     });
     let stress_count = set_cover::greedy_set_cover(wn10k, &wsets10k).expect("coverable");
     let stress_weighted_airtime = plan_airtime(&stress_weighted, &wcosts10k);
@@ -733,8 +730,8 @@ fn main() {
     // ---- Stage 3b3: sustained-load service replay — the `groupingd`
     // engine end to end. One churned event log (fleet events + a
     // campaign request per epoch) is replayed through `GroupingService`
-    // twice: under the `repair` policy (LNS patches through the
-    // persistent arena) and under `every-epoch` full re-planning. The
+    // twice: under the `repair` policy (LNS patches of the cached plan)
+    // and under `every-epoch` full re-planning. The
     // ratio is the online price of `RegroupPolicy::Repair` including
     // all engine bookkeeping, not just the kernel race of Stage 3b2.
     let service_devices = 1_000usize;
@@ -810,9 +807,9 @@ fn main() {
     // frame-cover point (post-dense-filter shape, so entries scale with
     // the event count). Single measurement per stage: at this scale a run
     // is milliseconds-to-seconds and cache noise is irrelevant. The
-    // kernel stage times one solve after a warmup solve has sized the
-    // arena, so it measures the index build and the greedy rounds, not
-    // first-touch allocation.
+    // kernel stage times one solve after a warmup solve; like every
+    // explicit-set stage it includes the kernel's own scratch
+    // allocation, the index build and the greedy rounds.
     let ((massive_universe, massive_sets), massive_instance_ms) =
         timed(|| workload::frame_cover_instance_with(massive_devices, 0.0, opts.seed));
     stages.push(stage(
@@ -821,15 +818,9 @@ fn main() {
         json!({ "devices": massive_universe, "sets": massive_sets.len() }),
     ));
     let unit = vec![1; massive_sets.len()];
-    let mut massive_arena = set_cover::KernelArena::new();
     let (massive_inc, massive_incremental_ms) = timed_min(1, || {
-        set_cover::greedy_set_cover_weighted(
-            massive_universe,
-            &massive_sets,
-            &unit,
-            &mut massive_arena,
-        )
-        .expect("coverable")
+        set_cover::greedy_set_cover_weighted(massive_universe, &massive_sets, &unit)
+            .expect("coverable")
     });
     stages.push(stage(
         "set_cover_massive_incremental",
@@ -844,7 +835,6 @@ fn main() {
     // The scale tier holds the largest allocations of the whole report
     // (~hundreds of MB at 10^6 devices); release them before the
     // campaign stages.
-    drop(massive_arena);
     drop(massive_sets);
 
     // ---- Stage 3d: plan validation and campaigns at massive n. DA-SC

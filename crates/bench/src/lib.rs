@@ -517,10 +517,8 @@ mod tests {
     #[test]
     fn weighted_instance_separates_the_kernels() {
         let (n, sets, costs) = workload::weighted_cover_instance(256, 7);
-        let mut arena = nbiot_grouping::set_cover::KernelArena::default();
-        let weighted =
-            nbiot_grouping::set_cover::greedy_set_cover_weighted(n, &sets, &costs, &mut arena)
-                .expect("umbrella-vs-pieces instances always cover");
+        let weighted = nbiot_grouping::set_cover::greedy_set_cover_weighted(n, &sets, &costs)
+            .expect("umbrella-vs-pieces instances always cover");
         let oracle =
             nbiot_grouping::set_cover::reference::greedy_set_cover_weighted(n, &sets, &costs)
                 .unwrap();

@@ -11,7 +11,7 @@
 use nbiot_bench::workload;
 use nbiot_des::SeedSequence;
 use nbiot_grouping::set_cover::{
-    greedy_set_cover, greedy_set_cover_weighted, reference, KernelArena, WindowCover,
+    greedy_set_cover, greedy_set_cover_weighted, reference, WindowCover,
 };
 use nbiot_grouping::{repair_plan, GroupingInput, GroupingParams, MechanismKind};
 
@@ -54,8 +54,7 @@ fn weighted_cover_1000_pick_sequence_is_pinned() {
     // any change to the ratio arithmetic, heap laziness, or the instance
     // generator moves this sequence.
     let (n, sets, costs) = workload::weighted_cover_instance(1_000, BENCH_SEED);
-    let mut arena = KernelArena::new();
-    let picks = greedy_set_cover_weighted(n, &sets, &costs, &mut arena)
+    let picks = greedy_set_cover_weighted(n, &sets, &costs)
         .expect("umbrella-vs-pieces instances always cover");
     assert_eq!(
         &picks[..12],
@@ -74,7 +73,7 @@ fn weighted_cover_1000_pick_sequence_is_pinned() {
     // bit-identically on the very same instance.
     let unit = vec![1u32; sets.len()];
     assert_eq!(
-        greedy_set_cover_weighted(n, &sets, &unit, &mut arena),
+        greedy_set_cover_weighted(n, &sets, &unit),
         reference::greedy_set_cover(n, &sets),
         "unit-cost weighted picks must be bit-identical to unweighted"
     );

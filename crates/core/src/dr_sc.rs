@@ -3,10 +3,10 @@
 use rand::RngCore;
 
 use nbiot_phy::{CoverageClass, NpdschConfig};
-use nbiot_time::{SimDuration, TimeWindow};
+use nbiot_time::{SimDuration, SimInstant, TimeWindow};
 
 use crate::improve::ImprovementStats;
-use crate::set_cover::{AnchorInstance, CoverSlot, WindowCover, DEFAULT_ARENA};
+use crate::set_cover::{AnchorInstance, CoverSlot, WindowCover};
 use crate::{
     DevicePlan, GroupingError, GroupingInput, GroupingMechanism, MulticastPlan, PageDirective,
     Transmission,
@@ -106,13 +106,48 @@ impl GroupingMechanism for DrSc {
     }
 }
 
-/// Builds the DR-SC-family plan from a solved cover: every covered device
-/// is paged at its own first PO inside its slot's window, the slot
-/// transmits `guard` after the last of those pages (capped at the window
-/// end, which preserves the first-paged device's inactivity timer), and
-/// transmissions are emitted in time order. Shared by [`DrSc`],
-/// [`DrScWeighted`] and [`DrScTabu`], so the variants differ from plain
-/// DR-SC *only* in which windows carry which devices.
+/// Schedules one solved slot whose `covered` lists input positions: every
+/// member is paged at its own first PO inside the slot's window, and the
+/// slot transmits `guard` after the last of those pages, capped at the
+/// window end (which preserves the first-paged device's inactivity
+/// timer). Fills each member's entry of `device_plans` and returns the
+/// transmission. Every DR-SC-family plan and the repair's fresh windows
+/// are scheduled here.
+pub(crate) fn slot_transmission(
+    input: &GroupingInput,
+    slot: &CoverSlot,
+    guard: SimDuration,
+    device_plans: &mut [Option<DevicePlan>],
+) -> Transmission {
+    let pages: Vec<SimInstant> = slot
+        .covered
+        .iter()
+        .map(|&idx| input.schedules()[idx].first_po_at_or_after(slot.window_start))
+        .collect();
+    let last_po = pages.iter().copied().max().expect("non-empty slot");
+    let transmit_at = (last_po + guard).min(slot.transmit_at);
+    for (&idx, &po) in slot.covered.iter().zip(&pages) {
+        debug_assert!(po < transmit_at);
+        device_plans[idx] = Some(DevicePlan {
+            device: input.ids()[idx],
+            page: Some(PageDirective { po }),
+            mltc: None,
+            adaptation: None,
+            connect_at: Some(po),
+            receives_at: transmit_at,
+        });
+    }
+    Transmission {
+        at: transmit_at,
+        recipients: slot.covered.iter().map(|&idx| input.ids()[idx]).collect(),
+    }
+}
+
+/// Builds the DR-SC-family plan from a solved cover: each slot is
+/// scheduled by [`slot_transmission`], and transmissions are emitted in
+/// time order. Shared by [`DrSc`], [`DrScWeighted`] and [`DrScTabu`], so
+/// the variants differ from plain DR-SC *only* in which windows carry
+/// which devices.
 fn plan_from_slots(
     input: &GroupingInput,
     slots: &[CoverSlot],
@@ -121,33 +156,11 @@ fn plan_from_slots(
 ) -> MulticastPlan {
     let params = input.params();
     let horizon = input.search_horizon();
-    let mut transmissions = Vec::with_capacity(slots.len());
     let mut device_plans: Vec<Option<DevicePlan>> = vec![None; input.len()];
-    for slot in slots {
-        let recipients: Vec<_> = slot.covered.iter().map(|&idx| input.ids()[idx]).collect();
-        let pages: Vec<nbiot_time::SimInstant> = slot
-            .covered
-            .iter()
-            .map(|&idx| input.schedules()[idx].first_po_at_or_after(slot.window_start))
-            .collect();
-        let last_po = pages.iter().copied().max().expect("non-empty slot");
-        let transmit_at = (last_po + guard).min(slot.transmit_at);
-        for (&idx, &po) in slot.covered.iter().zip(&pages) {
-            debug_assert!(po < transmit_at);
-            device_plans[idx] = Some(DevicePlan {
-                device: input.ids()[idx],
-                page: Some(PageDirective { po }),
-                mltc: None,
-                adaptation: None,
-                connect_at: Some(po),
-                receives_at: transmit_at,
-            });
-        }
-        transmissions.push(Transmission {
-            at: transmit_at,
-            recipients,
-        });
-    }
+    let mut transmissions: Vec<Transmission> = slots
+        .iter()
+        .map(|slot| slot_transmission(input, slot, guard, &mut device_plans))
+        .collect();
     transmissions.sort_by_key(|t| t.at);
     let device_plans: Vec<DevicePlan> = device_plans
         .into_iter()
@@ -331,15 +344,8 @@ impl GroupingMechanism for DrScWeighted {
                 .unwrap_or_default();
             table[deepest as usize]
         };
-        let mut weighted = DEFAULT_ARENA
-            .with(|arena| {
-                WindowCover::new(ti).solve_weighted(
-                    horizon.start(),
-                    instance,
-                    window_cost,
-                    &mut arena.borrow_mut(),
-                )
-            })
+        let mut weighted = WindowCover::new(ti)
+            .solve_weighted(horizon.start(), instance, window_cost)
             .expect("the weighted cover is feasible whenever the count cover is");
         fold_redundant_slots(input, &mut weighted);
         // Keep whichever cover transmits cheaper; ties keep the weighted

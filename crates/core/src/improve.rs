@@ -82,9 +82,7 @@ pub fn improve_cover(
     budget: u32,
     seed: u64,
 ) -> (Vec<usize>, ImprovementStats) {
-    let mut index = SetIndex::default();
-    index.build(universe_size, sets, &mut Vec::new());
-    search(&index, initial, budget, seed)
+    search(&SetIndex::new(universe_size, sets), initial, budget, seed)
 }
 
 /// The tabu search of [`improve_cover`] over a built `index`: the

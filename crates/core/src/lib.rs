@@ -85,6 +85,6 @@ pub use plan::{
     PageDirective, Transmission,
 };
 pub use recommend::{recommend, Recommendation, SelectionPolicy};
-pub use repair::{repair_plan, repair_plan_with};
+pub use repair::repair_plan;
 pub use scptm::ScPtm;
 pub use unicast::Unicast;

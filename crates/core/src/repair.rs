@@ -30,9 +30,12 @@ use std::collections::HashMap;
 
 use nbiot_time::{SimInstant, TimeWindow};
 
+use crate::dr_sc::slot_transmission;
 use crate::improve::ImprovementStats;
-use crate::set_cover::{KernelArena, PoTimeline, WindowCover};
-use crate::{DevicePlan, GroupingError, GroupingInput, MulticastPlan, PageDirective, Transmission};
+use crate::set_cover::{PoTimeline, WindowCover};
+use crate::{
+    DevicePlan, DrSc, GroupingError, GroupingInput, MulticastPlan, PageDirective, Transmission,
+};
 
 /// Repairs `old` — a plan for an earlier fleet — into a valid plan for
 /// `input`, the fleet after churn.
@@ -56,27 +59,6 @@ pub fn repair_plan(
     old: &MulticastPlan,
     input: &GroupingInput,
 ) -> Option<Result<MulticastPlan, GroupingError>> {
-    crate::set_cover::DEFAULT_ARENA
-        .with(|arena| repair_plan_with(old, input, &mut arena.borrow_mut()))
-}
-
-/// [`repair_plan`] with caller-owned kernel scratch.
-///
-/// The leftover re-solve runs through [`WindowCover::solve_in`] on
-/// `arena`, so a long-lived caller (the grouping service patching plans
-/// request after request) reuses the solver buffers across repairs
-/// instead of re-allocating them. Output is **bit-identical** to
-/// [`repair_plan`], which itself delegates here through a thread-local
-/// arena.
-///
-/// # Errors
-///
-/// Same conditions as [`repair_plan`].
-pub fn repair_plan_with(
-    old: &MulticastPlan,
-    input: &GroupingInput,
-    arena: &mut KernelArena,
-) -> Option<Result<MulticastPlan, GroupingError>> {
     if old.control_monitoring.is_some() || !old.requires_connection || !old.standards_compliant {
         return None;
     }
@@ -87,13 +69,12 @@ pub fn repair_plan_with(
     {
         return None;
     }
-    Some(repair_page_connect(old, input, arena))
+    Some(repair_page_connect(old, input))
 }
 
 fn repair_page_connect(
     old: &MulticastPlan,
     input: &GroupingInput,
-    arena: &mut KernelArena,
 ) -> Result<MulticastPlan, GroupingError> {
     let params = input.params();
     let ti = params.ti.duration();
@@ -178,38 +159,22 @@ fn repair_page_connect(
         let schedules: Vec<_> = leftover.iter().map(|&idx| input.schedules()[idx]).collect();
         let timeline = PoTimeline::new(&schedules, ti, horizon);
         let slots = WindowCover::new(ti)
-            .solve_in(horizon.start(), &timeline, arena)
+            .solve(horizon.start(), &timeline)
             .ok_or_else(|| GroupingError::NoUsablePo {
                 device: input.ids()[leftover[timeline
                     .first_unreachable()
                     .expect("solver fails only on sparse device without POs")]],
                 t: horizon.end(),
             })?;
-        // Guard between last page and transmission: reuse DR-SC's default.
-        let guard = crate::DrSc::default().guard;
-        for slot in &slots {
-            let members: Vec<usize> = slot.covered.iter().map(|&i| leftover[i]).collect();
-            let pages: Vec<SimInstant> = members
-                .iter()
-                .map(|&idx| input.schedules()[idx].first_po_at_or_after(slot.window_start))
-                .collect();
-            let last_po = pages.iter().copied().max().expect("non-empty slot");
-            let transmit_at = (last_po + guard).min(slot.transmit_at);
-            for (&idx, &po) in members.iter().zip(&pages) {
-                debug_assert!(po < transmit_at);
-                device_plans[idx] = Some(DevicePlan {
-                    device: input.ids()[idx],
-                    page: Some(PageDirective { po }),
-                    mltc: None,
-                    adaptation: None,
-                    connect_at: Some(po),
-                    receives_at: transmit_at,
-                });
+        // The leftover timeline numbers devices by leftover position;
+        // the slots are scheduled by input position, under DR-SC's
+        // default guard.
+        let guard = DrSc::default().guard;
+        for mut slot in slots {
+            for d in &mut slot.covered {
+                *d = leftover[*d];
             }
-            kept.push(Transmission {
-                at: transmit_at,
-                recipients: members.iter().map(|&idx| input.ids()[idx]).collect(),
-            });
+            kept.push(slot_transmission(input, &slot, guard, &mut device_plans));
         }
     }
 
@@ -325,33 +290,45 @@ mod tests {
 
     #[test]
     fn churned_fleet_reattaches_arrivals_to_kept_windows() {
-        let model = ChurnModel {
+        let moderate = ChurnModel {
             epochs: 1,
             departure_rate: 0.15,
             arrival_rate: 0.2,
             handover_rate: 0.1,
         };
-        let (plan, churned) = churned_pair(300, 8, model);
-        let repaired = repair_plan(&plan, &churned).expect("repairable").unwrap();
-        repaired.validate(&churned).unwrap();
-        let stats = repaired.improvement.unwrap();
-        assert!(
-            stats.moves_accepted > 0,
-            "expected some arrivals to attach to kept windows: {stats:?}"
-        );
-        // Every kept transmission sits at one of the old plan's instants.
-        let old_instants: Vec<_> = plan.transmissions.iter().map(|tx| tx.at).collect();
-        let kept = repaired
-            .transmissions
-            .iter()
-            .filter(|tx| old_instants.contains(&tx.at))
-            .count();
-        assert!(kept > 0, "churn at these rates must keep some windows");
-        // Attached devices page inside the window of the serving
-        // transmission — the reattach invariant.
-        for dp in &repaired.device_plans {
-            let po = dp.page.expect("page-and-connect shape").po;
-            assert!(po < dp.receives_at);
+        let heavier = ChurnModel {
+            departure_rate: 0.3,
+            arrival_rate: 0.4,
+            ..moderate
+        };
+        for (n, seed, model) in [
+            (300, 8, moderate),
+            (150, 8, heavier),
+            (150, 9, heavier),
+            (150, 21, heavier),
+        ] {
+            let (plan, churned) = churned_pair(n, seed, model);
+            let repaired = repair_plan(&plan, &churned).expect("repairable").unwrap();
+            repaired.validate(&churned).unwrap();
+            let stats = repaired.improvement.unwrap();
+            assert!(
+                stats.moves_accepted > 0,
+                "expected some arrivals to attach to kept windows: {stats:?}"
+            );
+            // Every kept transmission sits at one of the old plan's instants.
+            let old_instants: Vec<_> = plan.transmissions.iter().map(|tx| tx.at).collect();
+            let kept = repaired
+                .transmissions
+                .iter()
+                .filter(|tx| old_instants.contains(&tx.at))
+                .count();
+            assert!(kept > 0, "churn at these rates must keep some windows");
+            // Attached devices page inside the window of the serving
+            // transmission — the reattach invariant.
+            for dp in &repaired.device_plans {
+                let po = dp.page.expect("page-and-connect shape").po;
+                assert!(po < dp.receives_at);
+            }
         }
     }
 
@@ -374,26 +351,5 @@ mod tests {
             stats.budget_spent > 0,
             "expected leftover re-planned arrivals: {stats:?}"
         );
-    }
-
-    #[test]
-    fn caller_owned_arena_repair_is_bit_identical_across_reuse() {
-        // One arena serving repair after repair (the service's steady
-        // state) must reproduce the thread-local path bit-for-bit.
-        let mut arena = KernelArena::new();
-        for seed in [8u64, 9, 21] {
-            let model = ChurnModel {
-                epochs: 1,
-                departure_rate: 0.3,
-                arrival_rate: 0.4,
-                handover_rate: 0.1,
-            };
-            let (plan, churned) = churned_pair(150, seed, model);
-            let fresh = repair_plan(&plan, &churned).expect("repairable").unwrap();
-            let reused = repair_plan_with(&plan, &churned, &mut arena)
-                .expect("repairable")
-                .unwrap();
-            assert_eq!(fresh, reused, "seed {seed}");
-        }
     }
 }

@@ -55,7 +55,6 @@
 //!    [`reference`](mod@reference) for the equivalence tests
 //!    (`tests/setcover_properties.rs`).
 
-use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -66,13 +65,13 @@ use crate::improve::ImprovementStats;
 
 /// Lazy max-gain priority queue over `(gain, Reverse(candidate))`
 /// snapshots — the priority structure of the incremental window-cover
-/// engine, kept in a caller-owned heap (the [`KernelArena`]'s).
+/// engine.
 ///
 /// Gains of a greedy cover only ever *decrease* as coverage grows
 /// (coverage gain is submodular), so a snapshot taken earlier is an upper
 /// bound on the candidate's current gain. Every gain change pushes a fresh
-/// snapshot; [`GainQueue::pop_current_from`] discards stale entries until
-/// the top snapshot matches the candidate's live gain. The first current
+/// snapshot; [`GainQueue::pop_current`] discards stale entries until the
+/// top snapshot matches the candidate's live gain. The first current
 /// entry popped is exactly the eager greedy's argmax with ties broken
 /// towards the lowest index: any entry ordered above `(gain[s*], s*)`
 /// either carries a stale (higher) gain or would itself be a lower-index
@@ -81,37 +80,35 @@ use crate::improve::ImprovementStats;
 /// The keys are `u32`, so a snapshot is 8 bytes: gains are device counts
 /// and candidates are set/instant indices, both far below 2^32 for any
 /// instance that fits in memory.
-struct GainQueue;
+struct GainQueue {
+    heap: BinaryHeap<(u32, Reverse<u32>)>,
+}
 
 impl GainQueue {
-    /// Re-seeds `heap` (retaining its capacity) with a snapshot of every
-    /// candidate with a positive gain.
-    fn seed(heap: &mut BinaryHeap<(u32, Reverse<u32>)>, gains: &[u32]) {
-        heap.clear();
-        heap.extend(
-            gains
+    /// A queue holding a snapshot of every candidate with a positive gain.
+    fn new(gains: &[u32]) -> GainQueue {
+        GainQueue {
+            heap: gains
                 .iter()
                 .enumerate()
                 .filter(|&(_, &g)| g > 0)
-                .map(|(i, &g)| (g, Reverse(i as u32))),
-        );
+                .map(|(i, &g)| (g, Reverse(i as u32)))
+                .collect(),
+        }
     }
 
     /// Pushes a fresh snapshot (no-op for exhausted candidates).
-    fn push_to(heap: &mut BinaryHeap<(u32, Reverse<u32>)>, gain: u32, candidate: usize) {
+    fn push(&mut self, gain: u32, candidate: usize) {
         if gain > 0 {
-            heap.push((gain, Reverse(candidate as u32)));
+            self.heap.push((gain, Reverse(candidate as u32)));
         }
     }
 
     /// Pops snapshots until one is current (`gains[c]` unchanged) and
     /// returns that candidate, or `None` when every remaining candidate
     /// has gain zero.
-    fn pop_current_from(
-        heap: &mut BinaryHeap<(u32, Reverse<u32>)>,
-        gains: &[u32],
-    ) -> Option<usize> {
-        while let Some((gain, Reverse(candidate))) = heap.pop() {
+    fn pop_current(&mut self, gains: &[u32]) -> Option<usize> {
+        while let Some((gain, Reverse(candidate))) = self.heap.pop() {
             let candidate = candidate as usize;
             if gains[candidate] == gain {
                 return Some(candidate);
@@ -136,7 +133,9 @@ impl GainQueue {
 /// gain, so the pick sequence is the count greedy's
 /// (proptest-locked against [`reference::greedy_set_cover`] in
 /// `tests/setcover_properties.rs`).
-struct RatioQueue;
+struct RatioQueue {
+    heap: BinaryHeap<(u64, Reverse<u32>)>,
+}
 
 impl RatioQueue {
     /// The deterministic fixed-point ratio key. `cost` must be nonzero
@@ -146,36 +145,32 @@ impl RatioQueue {
         ((gain as u64) << 32) / cost as u64
     }
 
-    /// Re-seeds `heap` (retaining its capacity) with a snapshot of every
-    /// candidate with a positive gain.
-    fn seed(heap: &mut BinaryHeap<(u64, Reverse<u32>)>, gains: &[u32], costs: &[u32]) {
-        heap.clear();
-        heap.extend(
-            gains
+    /// A queue holding a snapshot of every candidate with a positive gain.
+    fn new(gains: &[u32], costs: &[u32]) -> RatioQueue {
+        RatioQueue {
+            heap: gains
                 .iter()
                 .zip(costs)
                 .enumerate()
                 .filter(|&(_, (&g, _))| g > 0)
-                .map(|(i, (&g, &c))| (Self::key(g, c), Reverse(i as u32))),
-        );
+                .map(|(i, (&g, &c))| (Self::key(g, c), Reverse(i as u32)))
+                .collect(),
+        }
     }
 
     /// Pushes a fresh snapshot (no-op for exhausted candidates).
-    fn push_to(heap: &mut BinaryHeap<(u64, Reverse<u32>)>, gain: u32, cost: u32, candidate: usize) {
+    fn push(&mut self, gain: u32, cost: u32, candidate: usize) {
         if gain > 0 {
-            heap.push((Self::key(gain, cost), Reverse(candidate as u32)));
+            self.heap
+                .push((Self::key(gain, cost), Reverse(candidate as u32)));
         }
     }
 
     /// Pops snapshots until one carries the candidate's live key and
     /// returns that candidate, or `None` when every remaining candidate
     /// has gain zero.
-    fn pop_current_from(
-        heap: &mut BinaryHeap<(u64, Reverse<u32>)>,
-        gains: &[u32],
-        costs: &[u32],
-    ) -> Option<usize> {
-        while let Some((key, Reverse(candidate))) = heap.pop() {
+    fn pop_current(&mut self, gains: &[u32], costs: &[u32]) -> Option<usize> {
+        while let Some((key, Reverse(candidate))) = self.heap.pop() {
             let candidate = candidate as usize;
             if gains[candidate] > 0 && Self::key(gains[candidate], costs[candidate]) == key {
                 return Some(candidate);
@@ -202,23 +197,26 @@ pub(crate) struct SetIndex {
 }
 
 impl SetIndex {
-    /// Refills the index with `sets` over elements `0..universe_size`; an
-    /// element listed twice in one set counts once (the unique-gain
-    /// semantics of the reference solvers). `seen` is dedup scratch.
+    /// The index of `sets` over elements `0..universe_size`; an element
+    /// listed twice in one set counts once (the unique-gain semantics of
+    /// the reference solvers).
     ///
     /// # Panics
     ///
     /// Panics when a set contains an element `>= universe_size`.
-    pub(crate) fn build(&mut self, universe_size: usize, sets: &[Vec<usize>], seen: &mut Vec<u32>) {
+    pub(crate) fn new(universe_size: usize, sets: &[Vec<usize>]) -> SetIndex {
         assert!(
             universe_size < u32::MAX as usize && sets.len() < u32::MAX as usize,
             "index build uses u32 entries"
         );
-        self.set_off.clear();
-        self.set_off.push(0);
-        self.set_elems.clear();
-        self.set_elems.reserve(sets.iter().map(Vec::len).sum());
-        reset(seen, universe_size, u32::MAX);
+        let mut index = SetIndex {
+            set_off: Vec::with_capacity(sets.len() + 1),
+            set_elems: Vec::with_capacity(sets.iter().map(Vec::len).sum()),
+            ..SetIndex::default()
+        };
+        index.set_off.push(0);
+        // Dedup stamps: the last set each element was pushed for.
+        let mut seen = vec![u32::MAX; universe_size];
         for (i, set) in sets.iter().enumerate() {
             for &e in set {
                 assert!(
@@ -227,12 +225,13 @@ impl SetIndex {
                 );
                 if seen[e] != i as u32 {
                     seen[e] = i as u32;
-                    self.set_elems.push(e as u32);
+                    index.set_elems.push(e as u32);
                 }
             }
-            self.close_set();
+            index.close_set();
         }
-        self.transpose(universe_size);
+        index.transpose(universe_size);
+        index
     }
 
     /// Ends the set whose elements were pushed since the last call.
@@ -245,25 +244,27 @@ impl SetIndex {
     /// pass, an exclusive prefix sum, then a scatter in set order, so each
     /// element's sets come out ascending.
     fn transpose(&mut self, universe_size: usize) {
-        reset(&mut self.elem_off, universe_size + 1, 0);
+        let mut elem_off = vec![0u32; universe_size + 1];
         for &e in &self.set_elems {
-            self.elem_off[e as usize + 1] += 1;
+            elem_off[e as usize + 1] += 1;
         }
         for e in 0..universe_size {
-            self.elem_off[e + 1] += self.elem_off[e];
+            elem_off[e + 1] += elem_off[e];
         }
-        reset(&mut self.elem_sets, self.set_elems.len(), 0);
+        let mut elem_sets = vec![0u32; self.set_elems.len()];
         for (i, row) in self.set_off.windows(2).enumerate() {
             for &e in &self.set_elems[row[0] as usize..row[1] as usize] {
                 // `elem_off[e]` is the next free slot of element `e` and
                 // ends as the start of element `e + 1`: shift it back.
-                let slot = &mut self.elem_off[e as usize];
-                self.elem_sets[*slot as usize] = i as u32;
+                let slot = &mut elem_off[e as usize];
+                elem_sets[*slot as usize] = i as u32;
                 *slot += 1;
             }
         }
-        self.elem_off.copy_within(..universe_size, 1);
-        self.elem_off[0] = 0;
+        elem_off.copy_within(..universe_size, 1);
+        elem_off[0] = 0;
+        self.elem_off = elem_off;
+        self.elem_sets = elem_sets;
     }
 
     /// Number of sets.
@@ -291,74 +292,6 @@ impl SetIndex {
     }
 }
 
-/// Reusable scratch for the incremental set-cover kernels: the
-/// explicit-set `SetIndex`, the solve-phase scratch (gains, coverage
-/// tombstones, queue storage) and the window-cover buffers.
-///
-/// Every buffer keeps its capacity across calls, so repeated plans within
-/// a run — the per-round re-planning of a churned campaign, or a figure
-/// sweep's device-count ladder — stop allocating once the largest
-/// instance has been seen. Construct one with [`KernelArena::new`] and
-/// thread it through [`greedy_set_cover_weighted`] /
-/// [`WindowCover::solve_in`]; [`greedy_set_cover`] uses a thread-local
-/// arena internally.
-#[derive(Debug, Default)]
-pub struct KernelArena {
-    // The explicit-set index and its dedup stamps; the window engine's
-    // scatter cursors.
-    index: SetIndex,
-    seen: Vec<u32>,
-    cursor: Vec<u32>,
-    // Solve scratch.
-    gains: Vec<u32>,
-    covered: Vec<bool>,
-    last_touch: Vec<u32>,
-    touched: Vec<u32>,
-    heap: BinaryHeap<(u32, Reverse<u32>)>,
-    // Weighted-solve scratch: the u64 ratio-keyed heap (the window
-    // cover's gain heap stays u32-keyed — see `GainQueue`'s size note)
-    // and the per-anchor cost column of the window front-end.
-    wheap: BinaryHeap<(u64, Reverse<u32>)>,
-    wcosts: Vec<u32>,
-    // Window-cover scratch: the re-sweep's shrinking copy of the
-    // timeline's class events, per-class coverage flags and in-window
-    // counts, and per distinct PO instant its first event, its window end,
-    // the first instant whose window reaches it, and its count of
-    // uncovered events. The incremental window engine keeps its class →
-    // instants CSR in the index's transpose arrays and its gains, round
-    // stamps and heap in the solve scratch above; the class
-    // multiplicities are read from the `PoTimeline`.
-    wc_flat: Vec<(SimInstant, usize)>,
-    wc_covered: Vec<bool>,
-    wc_count: Vec<u32>,
-    wc_starts: Vec<u32>,
-    wc_ends: Vec<u32>,
-    wc_first: Vec<u32>,
-    wc_live: Vec<u32>,
-}
-
-impl KernelArena {
-    /// An empty arena; buffers grow on first use and are retained after.
-    pub fn new() -> KernelArena {
-        KernelArena::default()
-    }
-}
-
-/// Clears and refills `buf` to `len` copies of `value`, retaining
-/// capacity.
-fn reset<T: Copy>(buf: &mut Vec<T>, len: usize, value: T) {
-    buf.clear();
-    buf.resize(len, value);
-}
-
-thread_local! {
-    /// The default arena behind [`greedy_set_cover`] (and
-    /// [`crate::repair_plan`]): repeated solves on one thread (a figure
-    /// sweep, a churn campaign's re-plans) reuse capacity without the
-    /// caller holding an arena.
-    pub(crate) static DEFAULT_ARENA: RefCell<KernelArena> = RefCell::new(KernelArena::new());
-}
-
 /// Greedy (Chvátal) set cover over explicit sets — the paper's Fig. 3
 /// rule: each round picks the set covering the most still-uncovered
 /// elements.
@@ -372,9 +305,9 @@ thread_local! {
 /// `tests/setcover_properties.rs`).
 ///
 /// This is [`greedy_set_cover_weighted`] with every cost 1 (a unit-cost
-/// ratio key orders candidates exactly by gain) on a thread-local
-/// [`KernelArena`]. Total work is `O(L log L)` for summed set size `L`,
-/// independent of the number of rounds (see `docs/KERNELS.md`).
+/// ratio key orders candidates exactly by gain). Total work is
+/// `O(L log L)` for summed set size `L`, independent of the number of
+/// rounds (see `docs/KERNELS.md`).
 ///
 /// # Panics
 ///
@@ -400,10 +333,7 @@ thread_local! {
 /// assert_eq!(picked, vec![3, 4]); // frames 4 and 5
 /// ```
 pub fn greedy_set_cover(universe_size: usize, sets: &[Vec<usize>]) -> Option<Vec<usize>> {
-    let unit = vec![1; sets.len()];
-    DEFAULT_ARENA.with(|arena| {
-        greedy_set_cover_weighted(universe_size, sets, &unit, &mut arena.borrow_mut())
-    })
+    greedy_set_cover_weighted(universe_size, sets, &vec![1; sets.len()])
 }
 
 /// Weighted-gain greedy set cover: each round picks the set maximizing
@@ -423,9 +353,7 @@ pub fn greedy_set_cover(universe_size: usize, sets: &[Vec<usize>]) -> Option<Vec
 /// winner decrements only the sets intersecting the newly covered
 /// elements, and winners pop from a lazy max-ratio snapshot heap (costs
 /// are static and gains only decrease, so stale snapshots are upper
-/// bounds). Total work is `O(L log L)` for summed set size `L`. All
-/// allocations live in `arena` and are reused across calls; see
-/// [`KernelArena`].
+/// bounds). Total work is `O(L log L)` for summed set size `L`.
 ///
 /// **Unit costs reproduce the count greedy pick for pick**: with
 /// `cost == 1` the key is `gain << 32`, strictly monotone in the gain, so
@@ -445,7 +373,6 @@ pub fn greedy_set_cover_weighted(
     universe_size: usize,
     sets: &[Vec<usize>],
     costs: &[u32],
-    arena: &mut KernelArena,
 ) -> Option<Vec<usize>> {
     assert_eq!(
         costs.len(),
@@ -459,40 +386,28 @@ pub fn greedy_set_cover_weighted(
     if universe_size == 0 {
         return Some(Vec::new());
     }
-    let mut index = std::mem::take(&mut arena.index);
-    index.build(universe_size, sets, &mut arena.seen);
-    let picked = weighted_rounds(&index, costs, arena);
-    arena.index = index;
-    picked
+    weighted_rounds(&SetIndex::new(universe_size, sets), costs)
 }
 
 /// The greedy rounds of [`greedy_set_cover_weighted`] over a built
-/// `index` with one positive cost per set, on `arena`'s solve scratch
-/// (the arena's own index is not read, so the index can be an
-/// [`AnchorInstance`]'s).
-fn weighted_rounds(index: &SetIndex, costs: &[u32], arena: &mut KernelArena) -> Option<Vec<usize>> {
-    let KernelArena {
-        gains,
-        covered,
-        last_touch,
-        touched,
-        wheap,
-        ..
-    } = arena;
-    gains.clear();
-    gains.extend((0..index.sets()).map(|i| index.set(i).len() as u32));
-    RatioQueue::seed(wheap, gains, costs);
+/// `index` (an explicit-set call's own, or an [`AnchorInstance`]'s) with
+/// one positive cost per set.
+fn weighted_rounds(index: &SetIndex, costs: &[u32]) -> Option<Vec<usize>> {
+    let mut gains: Vec<u32> = (0..index.sets())
+        .map(|i| index.set(i).len() as u32)
+        .collect();
+    let mut queue = RatioQueue::new(&gains, costs);
     let mut remaining = index.elements();
-    reset(covered, remaining, false);
+    let mut covered = vec![false; remaining];
     let mut picked = Vec::new();
     // Per-round dedup of gain-changed sets, stamped by round number
     // (rounds never reach the u32::MAX sentinel: there are at most
     // `universe_size < u32::MAX` of them).
-    reset(last_touch, index.sets(), u32::MAX);
-    touched.clear();
+    let mut last_touch = vec![u32::MAX; index.sets()];
+    let mut touched: Vec<u32> = Vec::new();
     let mut round = 0u32;
     while remaining > 0 {
-        let best = RatioQueue::pop_current_from(wheap, gains, costs)?;
+        let best = queue.pop_current(&gains, costs)?;
         picked.push(best);
         touched.clear();
         for &e in index.set(best) {
@@ -513,9 +428,9 @@ fn weighted_rounds(index: &SetIndex, costs: &[u32], arena: &mut KernelArena) -> 
         // One fresh snapshot per changed set, after all of the round's
         // decrements (the winner itself drops to gain zero and is never
         // re-enqueued).
-        for &s in touched.iter() {
+        for &s in &touched {
             let s = s as usize;
-            RatioQueue::push_to(wheap, gains[s], costs[s], s);
+            queue.push(gains[s], costs[s], s);
         }
         round += 1;
     }
@@ -1099,23 +1014,7 @@ impl WindowCover {
         horizon_start: SimInstant,
         timeline: &PoTimeline,
     ) -> Option<Vec<CoverSlot>> {
-        self.solve_in(horizon_start, timeline, &mut KernelArena::new())
-    }
-
-    /// [`WindowCover::solve`] with caller-owned scratch: every buffer of
-    /// both engines (the re-sweep's event copy, the instant grouping,
-    /// coverage flags, gains and the snapshot heap) lives in `arena` and
-    /// keeps its capacity across calls, so a long-lived caller (the
-    /// grouping service patching plans request after request) stops
-    /// allocating them once the largest fleet has been seen. Output is
-    /// **bit-identical** to [`WindowCover::solve`] (locked by unit test).
-    pub fn solve_in(
-        &self,
-        horizon_start: SimInstant,
-        timeline: &PoTimeline,
-        arena: &mut KernelArena,
-    ) -> Option<Vec<CoverSlot>> {
-        self.solve_with(horizon_start, timeline, Strategy::Auto, arena)
+        self.solve_with(horizon_start, timeline, Strategy::Auto)
     }
 
     /// [`WindowCover::solve`] forced onto the per-round two-pointer
@@ -1127,8 +1026,7 @@ impl WindowCover {
         horizon_start: SimInstant,
         timeline: &PoTimeline,
     ) -> Option<Vec<CoverSlot>> {
-        let arena = &mut KernelArena::new();
-        self.solve_with(horizon_start, timeline, Strategy::Sweep, arena)
+        self.solve_with(horizon_start, timeline, Strategy::Sweep)
     }
 
     /// [`WindowCover::solve`] forced onto the incremental-gain engine —
@@ -1149,8 +1047,7 @@ impl WindowCover {
         horizon_start: SimInstant,
         timeline: &PoTimeline,
     ) -> Option<Vec<CoverSlot>> {
-        let arena = &mut KernelArena::new();
-        self.solve_with(horizon_start, timeline, Strategy::Incremental, arena)
+        self.solve_with(horizon_start, timeline, Strategy::Incremental)
     }
 
     /// Cost-aware cover over `instance`, an [`AnchorInstance`] built for
@@ -1195,11 +1092,9 @@ impl WindowCover {
         horizon_start: SimInstant,
         instance: &AnchorInstance,
         mut window_cost: impl FnMut(&[usize]) -> u32,
-        arena: &mut KernelArena,
     ) -> Option<Vec<CoverSlot>> {
         let sparse = instance.sparse_devices();
-        let mut costs = std::mem::take(&mut arena.wcosts);
-        costs.clear();
+        let mut costs = Vec::with_capacity(instance.window_count());
         let mut members: Vec<usize> = Vec::new();
         for w in 0..instance.window_count() {
             members.clear();
@@ -1208,8 +1103,7 @@ impl WindowCover {
             assert!(cost > 0, "window cost must be positive");
             costs.push(cost);
         }
-        let picks = weighted_rounds(&instance.windows, &costs, arena);
-        arena.wcosts = costs;
+        let picks = weighted_rounds(&instance.windows, &costs);
 
         let mut covered = vec![false; instance.devices];
         let mut slots: Vec<CoverSlot> = Vec::new();
@@ -1268,55 +1162,47 @@ impl WindowCover {
         horizon_start: SimInstant,
         timeline: &PoTimeline,
         strategy: Strategy,
-        arena: &mut KernelArena,
     ) -> Option<Vec<CoverSlot>> {
         if timeline.first_unreachable().is_some() {
             return None;
         }
         let classes = timeline.sparse_classes();
         let uncovered_sparse = timeline.devices() - timeline.dense_devices().len();
-        reset(&mut arena.wc_covered, classes, false);
-        let incremental = strategy != Strategy::Sweep && {
-            self.group_instants(timeline.events(), &mut arena.wc_starts, &mut arena.wc_ends);
-            strategy == Strategy::Incremental
-                || incremental_pays_off(&arena.wc_starts, &arena.wc_ends, classes)
-        };
+        let mut covered = vec![false; classes];
+        let instants = (strategy != Strategy::Sweep)
+            .then(|| self.group_instants(timeline.events()))
+            .filter(|(starts, ends)| {
+                strategy == Strategy::Incremental || incremental_pays_off(starts, ends, classes)
+            });
         let mut slots = if uncovered_sparse == 0 {
             Vec::new()
-        } else if incremental {
-            self.rounds_incremental(timeline, arena, uncovered_sparse)
+        } else if let Some((starts, ends)) = instants {
+            self.rounds_incremental(timeline, &starts, &ends, &mut covered, uncovered_sparse)
         } else {
-            self.rounds_sweep(timeline, arena, uncovered_sparse)
+            self.rounds_sweep(timeline, &mut covered, uncovered_sparse)
         };
-        debug_assert!(arena.wc_covered.iter().all(|&c| c));
+        debug_assert!(covered.iter().all(|&c| c));
         self.attach_dense(horizon_start, timeline.dense_devices().to_vec(), &mut slots);
         Some(slots)
     }
 
-    /// Groups the time-sorted events by distinct instant:
-    /// `starts[q]..starts[q + 1]` are the events at instant `q`, and
-    /// `ends[q]` is the first instant outside the window that opens at
-    /// `q`, so that window holds the events `starts[q]..starts[ends[q]]`
-    /// (`ends` is non-decreasing).
-    fn group_instants(
-        &self,
-        flat: &[(SimInstant, usize)],
-        starts: &mut Vec<u32>,
-        ends: &mut Vec<u32>,
-    ) {
+    /// Groups the time-sorted events by distinct instant into
+    /// `(starts, ends)`: `starts[q]..starts[q + 1]` are the events at
+    /// instant `q`, and `ends[q]` is the first instant outside the window
+    /// that opens at `q`, so that window holds the events
+    /// `starts[q]..starts[ends[q]]` (`ends` is non-decreasing).
+    fn group_instants(&self, flat: &[(SimInstant, usize)]) -> (Vec<u32>, Vec<u32>) {
         assert!(
             flat.len() < u32::MAX as usize,
             "instant grouping uses u32 event offsets"
         );
-        starts.clear();
-        starts.extend(
-            (0..flat.len())
-                .filter(|&i| i == 0 || flat[i - 1].0 != flat[i].0)
-                .map(|i| i as u32),
-        );
+        let mut starts: Vec<u32> = (0..flat.len())
+            .filter(|&i| i == 0 || flat[i - 1].0 != flat[i].0)
+            .map(|i| i as u32)
+            .collect();
         let instants = starts.len();
         starts.push(flat.len() as u32);
-        ends.clear();
+        let mut ends = Vec::with_capacity(instants);
         let mut k = 0usize;
         for q in 0..instants {
             let end = flat[starts[q] as usize].0 + self.ti;
@@ -1327,6 +1213,7 @@ impl WindowCover {
             }
             ends.push(k as u32);
         }
+        (starts, ends)
     }
 
     /// Greedy rounds on incremental gain maintenance over the instant
@@ -1349,36 +1236,18 @@ impl WindowCover {
     fn rounds_incremental(
         &self,
         timeline: &PoTimeline,
-        arena: &mut KernelArena,
+        starts: &[u32],
+        ends: &[u32],
+        covered: &mut [bool],
         mut uncovered_sparse: usize,
     ) -> Vec<CoverSlot> {
-        let KernelArena {
-            index:
-                SetIndex {
-                    elem_off: class_off,
-                    elem_sets: class_instants,
-                    ..
-                },
-            cursor,
-            gains,
-            last_touch,
-            touched,
-            heap,
-            wc_covered: covered,
-            wc_count: count,
-            wc_starts: starts,
-            wc_ends: ends,
-            wc_first: first,
-            wc_live: live,
-            ..
-        } = arena;
         let flat = timeline.events();
         let k = covered.len();
         let instants = ends.len();
         let events_of = |q: usize| starts[q] as usize..starts[q + 1] as usize;
         // first[q]: the first instant whose window reaches q (ends is
         // non-decreasing, so {a : ends[a] > q} is a suffix).
-        first.clear();
+        let mut first = Vec::with_capacity(instants);
         let mut a = 0usize;
         for q in 0..instants {
             while ends[a] as usize <= q {
@@ -1386,19 +1255,17 @@ impl WindowCover {
             }
             first.push(a as u32);
         }
-        live.clear();
-        live.extend((0..instants).map(|q| events_of(q).len() as u32));
+        let mut live: Vec<u32> = (0..instants).map(|q| events_of(q).len() as u32).collect();
         // Class → instants of its POs (CSR, ascending).
-        reset(class_off, k + 1, 0);
+        let mut class_off = vec![0u32; k + 1];
         for &(_, c) in flat {
             class_off[c + 1] += 1;
         }
         for c in 0..k {
             class_off[c + 1] += class_off[c];
         }
-        cursor.clear();
-        cursor.extend_from_slice(&class_off[..k]);
-        reset(class_instants, flat.len(), 0);
+        let mut cursor = class_off[..k].to_vec();
+        let mut class_instants = vec![0u32; flat.len()];
         for q in 0..instants {
             for &(_, c) in &flat[events_of(q)] {
                 class_instants[cursor[c] as usize] = q as u32;
@@ -1407,8 +1274,8 @@ impl WindowCover {
         }
         // Initial gains: one self-cleaning sweep (each event is counted
         // once as a window member and discounted once with its instant).
-        reset(count, k, 0);
-        gains.clear();
+        let mut count = vec![0u32; k];
+        let mut gains = Vec::with_capacity(instants);
         let (mut distinct, mut e) = (0u32, 0usize);
         for q in 0..instants {
             while e < starts[ends[q] as usize] as usize {
@@ -1428,14 +1295,16 @@ impl WindowCover {
             }
         }
 
-        GainQueue::seed(heap, gains);
+        let mut queue = GainQueue::new(&gains);
         // Per-round dedup of gain-changed instants, stamped by round.
-        reset(last_touch, instants, u32::MAX);
+        let mut last_touch = vec![u32::MAX; instants];
+        let mut touched: Vec<u32> = Vec::new();
         let mut slots = Vec::new();
         let mut newly: Vec<usize> = Vec::new();
         let mut round = 0u32;
         while uncovered_sparse > 0 {
-            let q = GainQueue::pop_current_from(heap, gains)
+            let q = queue
+                .pop_current(&gains)
                 .expect("uncovered sparse class without events");
             let window_start = flat[starts[q] as usize].0;
             newly.clear();
@@ -1470,10 +1339,10 @@ impl WindowCover {
             // An instant's live count drops to zero in a round that also
             // decrements its gain, so withholding its fresh snapshot
             // leaves only stale ones: it is never picked again.
-            for &a in touched.iter() {
+            for &a in &touched {
                 let a = a as usize;
                 if live[a] > 0 {
-                    GainQueue::push_to(heap, gains[a], a);
+                    queue.push(gains[a], a);
                 }
             }
             round += 1;
@@ -1495,21 +1364,14 @@ impl WindowCover {
     fn rounds_sweep(
         &self,
         timeline: &PoTimeline,
-        arena: &mut KernelArena,
+        covered: &mut [bool],
         mut uncovered_sparse: usize,
     ) -> Vec<CoverSlot> {
-        let KernelArena {
-            wc_flat: flat,
-            wc_covered: covered,
-            wc_count: count,
-            ..
-        } = arena;
-        flat.clear();
-        flat.extend_from_slice(timeline.events());
-        reset(count, covered.len(), 0);
+        let mut flat = timeline.events().to_vec();
+        let mut count = vec![0u32; covered.len()];
         let mut slots = Vec::new();
         while uncovered_sparse > 0 {
-            let slot = self.greedy_round(timeline, flat, count, covered);
+            let slot = self.greedy_round(timeline, &mut flat, &mut count, covered);
             uncovered_sparse -= slot.covered.len();
             slots.push(slot);
         }
@@ -2083,40 +1945,6 @@ mod tests {
     }
 
     #[test]
-    fn arena_reuse_across_different_instances_is_clean() {
-        let mut arena = KernelArena::new();
-        let (n, sets) = large_instance(0x5EED);
-        let costs: Vec<u32> = (0..sets.len()).map(|i| 1 + (i % 32) as u32).collect();
-        let expect = reference::greedy_set_cover_weighted(n, &sets, &costs);
-        assert!(expect.is_some());
-        assert_eq!(
-            greedy_set_cover_weighted(n, &sets, &costs, &mut arena),
-            expect
-        );
-        // A much smaller, differently-shaped instance on the same (dirty)
-        // arena must match a fresh solve, including the uncoverable and
-        // empty-universe edges.
-        let small = vec![vec![0, 1, 2], vec![0, 1, 2, 3], vec![], vec![4]];
-        assert_eq!(
-            greedy_set_cover_weighted(5, &small, &[1; 4], &mut arena),
-            Some(vec![1, 3])
-        );
-        assert_eq!(
-            greedy_set_cover_weighted(2, &[vec![0]], &[1], &mut arena),
-            None
-        );
-        assert_eq!(
-            greedy_set_cover_weighted(0, &[], &[], &mut arena),
-            Some(vec![])
-        );
-        // And the big instance again: warm buffers, same picks.
-        assert_eq!(
-            greedy_set_cover_weighted(n, &sets, &costs, &mut arena),
-            expect
-        );
-    }
-
-    #[test]
     fn fig2a_single_shared_window() {
         // Fig. 2(a): POs of devices 2 and 3 fall within TI of device 1's PO
         // -> one transmission covers all three.
@@ -2257,44 +2085,52 @@ mod tests {
     #[test]
     fn both_window_engines_match_reference_exactly() {
         // Dense/sparse mixtures, compared slot-for-slot, with the engine
-        // pinned both ways (and the crossover-dispatched default).
-        let mut state = 0x9E37_79B9_u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        for trial in 0..40 {
-            let n = 1 + (next() % 30) as usize;
-            let ti = SimDuration::from_ms(50 + next() % 500);
-            let events: Vec<Vec<SimInstant>> = (0..n)
-                .map(|_| {
-                    let mut v: Vec<SimInstant> =
-                        (0..1 + next() % 5).map(|_| ms(next() % 5_000)).collect();
-                    v.sort_unstable();
-                    v.dedup();
-                    v
-                })
-                .collect();
-            let dense: Vec<bool> = (0..n).map(|_| next() % 4 == 0).collect();
-            let solver = WindowCover::new(ti);
-            let oracle = reference::window_cover_solve(ti, ms(0), &events, &dense);
-            assert_eq!(
-                solver.solve_incremental(ms(0), &PoTimeline::from_events(&events, &dense)),
-                oracle,
-                "incremental, trial {trial}"
-            );
-            assert_eq!(
-                solver.solve_sweep(ms(0), &PoTimeline::from_events(&events, &dense)),
-                oracle,
-                "sweep, trial {trial}"
-            );
-            assert_eq!(
-                solver.solve(ms(0), &PoTimeline::from_events(&events, &dense)),
-                oracle,
-                "trial {trial}"
-            );
+        // pinned both ways (and the crossover-dispatched default). Two
+        // shapes: (LCG seed, trials, max devices, TI span, max POs per
+        // device, PO span in ms, one dense device in).
+        for (seed, trials, max_n, ti_span, max_pos, span, dense_one_in) in [
+            (0x9E37_79B9_u64, 40, 30, 500, 5, 5_000, 4),
+            (0x1234_5678, 30, 40, 400, 4, 4_000, 5),
+        ] {
+            let mut state = seed;
+            let mut next = move || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                state >> 33
+            };
+            for trial in 0..trials {
+                let n = 1 + (next() % max_n) as usize;
+                let ti = SimDuration::from_ms(50 + next() % ti_span);
+                let events: Vec<Vec<SimInstant>> = (0..n)
+                    .map(|_| {
+                        let mut v: Vec<SimInstant> = (0..1 + next() % max_pos)
+                            .map(|_| ms(next() % span))
+                            .collect();
+                        v.sort_unstable();
+                        v.dedup();
+                        v
+                    })
+                    .collect();
+                let dense: Vec<bool> = (0..n).map(|_| next() % dense_one_in == 0).collect();
+                let solver = WindowCover::new(ti);
+                let oracle = reference::window_cover_solve(ti, ms(0), &events, &dense);
+                assert_eq!(
+                    solver.solve_incremental(ms(0), &PoTimeline::from_events(&events, &dense)),
+                    oracle,
+                    "incremental, seed {seed:#x} trial {trial}"
+                );
+                assert_eq!(
+                    solver.solve_sweep(ms(0), &PoTimeline::from_events(&events, &dense)),
+                    oracle,
+                    "sweep, seed {seed:#x} trial {trial}"
+                );
+                assert_eq!(
+                    solver.solve(ms(0), &PoTimeline::from_events(&events, &dense)),
+                    oracle,
+                    "seed {seed:#x} trial {trial}"
+                );
+            }
         }
     }
 
@@ -2326,42 +2162,6 @@ mod tests {
         assert_eq!(timeline.first_unreachable(), Some(5));
         let solver = WindowCover::new(SimDuration::from_ms(100));
         assert_eq!(solver.solve(ms(0), &timeline), None);
-    }
-
-    #[test]
-    fn arena_backed_solve_is_bit_identical_across_reuse() {
-        // One arena serving solve after solve (the grouping service's
-        // repair path) must reproduce the allocating entry point exactly,
-        // including across instances of different sizes so stale capacity
-        // can never leak into a later solve.
-        let mut arena = KernelArena::new();
-        let mut state = 0x1234_5678_u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        for trial in 0..30 {
-            let n = 1 + (next() % 40) as usize;
-            let ti = SimDuration::from_ms(50 + next() % 400);
-            let events: Vec<Vec<SimInstant>> = (0..n)
-                .map(|_| {
-                    let mut v: Vec<SimInstant> =
-                        (0..1 + next() % 4).map(|_| ms(next() % 4_000)).collect();
-                    v.sort_unstable();
-                    v.dedup();
-                    v
-                })
-                .collect();
-            let dense: Vec<bool> = (0..n).map(|_| next() % 5 == 0).collect();
-            let solver = WindowCover::new(ti);
-            assert_eq!(
-                solver.solve_in(ms(0), &PoTimeline::from_events(&events, &dense), &mut arena),
-                solver.solve(ms(0), &PoTimeline::from_events(&events, &dense)),
-                "trial {trial}"
-            );
-        }
     }
 
     #[test]
@@ -2522,12 +2322,11 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 33) as usize
         };
-        let mut arena = KernelArena::new();
         for trial in 0..50 {
             let (n, sets, _) = random_weighted_instance(&mut next, trial);
             let unit = vec![1u32; sets.len()];
             assert_eq!(
-                greedy_set_cover_weighted(n, &sets, &unit, &mut arena),
+                greedy_set_cover_weighted(n, &sets, &unit),
                 reference::greedy_set_cover(n, &sets),
                 "trial {trial}: n={n} sets={sets:?}"
             );
@@ -2543,15 +2342,20 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 33) as usize
         };
-        let mut arena = KernelArena::new();
         for trial in 0..50 {
             let (n, sets, costs) = random_weighted_instance(&mut next, trial);
             assert_eq!(
-                greedy_set_cover_weighted(n, &sets, &costs, &mut arena),
+                greedy_set_cover_weighted(n, &sets, &costs),
                 reference::greedy_set_cover_weighted(n, &sets, &costs),
                 "trial {trial}: n={n} sets={sets:?} costs={costs:?}"
             );
         }
+        // One instance far larger than the random ones.
+        let (n, sets) = large_instance(0x5EED);
+        let costs: Vec<u32> = (0..sets.len()).map(|i| 1 + (i % 32) as u32).collect();
+        let expect = reference::greedy_set_cover_weighted(n, &sets, &costs);
+        assert!(expect.is_some());
+        assert_eq!(greedy_set_cover_weighted(n, &sets, &costs), expect);
     }
 
     #[test]
@@ -2563,8 +2367,7 @@ mod tests {
         let n = 64;
         let mut sets: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
         let mut costs = vec![7u32; n];
-        let mut arena = KernelArena::new();
-        let picks = greedy_set_cover_weighted(n, &sets, &costs, &mut arena).unwrap();
+        let picks = greedy_set_cover_weighted(n, &sets, &costs).unwrap();
         assert_eq!(picks, (0..n).collect::<Vec<_>>());
         // Scaled pairs: {2k, 2k+1} at cost 14 ties the singletons exactly
         // ((2<<32)/14 == (1<<32)/7) but sits at a higher index, so the
@@ -2573,7 +2376,7 @@ mod tests {
             sets.push(vec![2 * k, 2 * k + 1]);
             costs.push(14);
         }
-        let stormed = greedy_set_cover_weighted(n, &sets, &costs, &mut arena).unwrap();
+        let stormed = greedy_set_cover_weighted(n, &sets, &costs).unwrap();
         assert_eq!(stormed, (0..n).collect::<Vec<_>>());
         assert_eq!(
             stormed,
@@ -2587,29 +2390,26 @@ mod tests {
         // same universe with the two cheap sets (total cost 2 vs 100).
         let sets = vec![vec![0, 1, 2], vec![0, 1], vec![2]];
         let costs = vec![100, 1, 1];
-        let mut arena = KernelArena::new();
         assert_eq!(greedy_set_cover(3, &sets), Some(vec![0]));
         assert_eq!(
-            greedy_set_cover_weighted(3, &sets, &costs, &mut arena),
+            greedy_set_cover_weighted(3, &sets, &costs),
             Some(vec![1, 2])
         );
     }
 
     #[test]
     fn weighted_uncoverable_and_empty_edges() {
-        let mut arena = KernelArena::new();
-        assert_eq!(
-            greedy_set_cover_weighted(2, &[vec![0]], &[3], &mut arena),
-            None
-        );
-        assert_eq!(
-            greedy_set_cover_weighted(0, &[], &[], &mut arena),
-            Some(vec![])
-        );
+        assert_eq!(greedy_set_cover_weighted(2, &[vec![0]], &[3]), None);
+        assert_eq!(greedy_set_cover_weighted(0, &[], &[]), Some(vec![]));
         // Empty sets never enter the heap whatever their cost.
         assert_eq!(
-            greedy_set_cover_weighted(1, &[vec![], vec![0]], &[1, 9], &mut arena),
+            greedy_set_cover_weighted(1, &[vec![], vec![0]], &[1, 9]),
             Some(vec![1])
+        );
+        let small = vec![vec![0, 1, 2], vec![0, 1, 2, 3], vec![], vec![4]];
+        assert_eq!(
+            greedy_set_cover_weighted(5, &small, &[1; 4]),
+            Some(vec![1, 3])
         );
     }
 
@@ -2618,7 +2418,6 @@ mod tests {
         // Random dense/sparse mixtures with per-device weights (window
         // cost = heaviest member, the DR-SC airtime shape) AND with unit
         // costs, both compared slot-for-slot against the rescan oracle.
-        let mut arena = KernelArena::new();
         let mut state = 0x9E37_79B9_u64;
         let mut next = move || {
             state = state
@@ -2645,12 +2444,12 @@ mod tests {
                 |members: &[usize]| members.iter().map(|&d| weights[d]).max().unwrap_or(1);
             let instance = AnchorInstance::new(ti, &PoTimeline::from_events(&events, &dense));
             assert_eq!(
-                solver.solve_weighted(ms(0), &instance, airtime, &mut arena),
+                solver.solve_weighted(ms(0), &instance, airtime),
                 reference::window_cover_weighted(ti, ms(0), &events, &dense, airtime),
                 "weighted, trial {trial}"
             );
             assert_eq!(
-                solver.solve_weighted(ms(0), &instance, |_| 1, &mut arena),
+                solver.solve_weighted(ms(0), &instance, |_| 1),
                 reference::window_cover_weighted(ti, ms(0), &events, &dense, |_| 1),
                 "unit-cost, trial {trial}"
             );
@@ -2660,21 +2459,15 @@ mod tests {
         let ti = SimDuration::from_ms(100);
         let solver = WindowCover::new(ti);
         let empty = AnchorInstance::new(ti, &PoTimeline::from_events(&[], &[]));
-        assert_eq!(
-            solver.solve_weighted(ms(0), &empty, |_| 1, &mut arena),
-            Some(vec![])
-        );
+        assert_eq!(solver.solve_weighted(ms(0), &empty, |_| 1), Some(vec![]));
         let events = vec![vec![ms(5)], vec![ms(20)]];
         let all_dense = AnchorInstance::new(ti, &PoTimeline::from_events(&events, &[true, true]));
         assert_eq!(
-            solver.solve_weighted(ms(0), &all_dense, |_| 1, &mut arena),
+            solver.solve_weighted(ms(0), &all_dense, |_| 1),
             solver.solve(ms(0), &PoTimeline::from_events(&events, &[true, true]))
         );
         let no_po = AnchorInstance::new(ti, &PoTimeline::from_events(&[vec![]], &[false]));
-        assert_eq!(
-            solver.solve_weighted(ms(0), &no_po, |_| 1, &mut arena),
-            None
-        );
+        assert_eq!(solver.solve_weighted(ms(0), &no_po, |_| 1), None);
     }
 
     #[test]
@@ -2701,14 +2494,11 @@ mod tests {
             }
         };
         let solver = WindowCover::new(ti);
-        let mut arena = KernelArena::new();
         let unweighted = solver
             .solve(ms(0), &PoTimeline::from_events(&events, &dense))
             .unwrap();
         let instance = AnchorInstance::new(ti, &PoTimeline::from_events(&events, &dense));
-        let weighted = solver
-            .solve_weighted(ms(0), &instance, cost, &mut arena)
-            .unwrap();
+        let weighted = solver.solve_weighted(ms(0), &instance, cost).unwrap();
         assert_eq!(
             unweighted
                 .iter()

@@ -1,8 +1,7 @@
 //! The long-lived group-state engine.
 
 use nbiot_des::SeedSequence;
-use nbiot_grouping::set_cover::KernelArena;
-use nbiot_grouping::{repair_plan_with, GroupingInput, MechanismKind, MulticastPlan};
+use nbiot_grouping::{repair_plan, GroupingInput, MechanismKind, MulticastPlan};
 use nbiot_sim::{PlannedFleet, RegroupPolicy};
 use nbiot_traffic::Population;
 
@@ -135,8 +134,6 @@ pub struct GroupingService {
     pub(crate) serves: u64,
     pub(crate) events_since_plan: u64,
     pub(crate) plan: Option<PlanState>,
-    /// Set-cover scratch reused across repair requests.
-    pub(crate) arena: KernelArena,
 }
 
 impl GroupingService {
@@ -158,7 +155,6 @@ impl GroupingService {
             serves: 0,
             events_since_plan: 0,
             plan: None,
-            arena: KernelArena::new(),
         })
     }
 
@@ -241,43 +237,31 @@ impl GroupingService {
         let action = if !reusable {
             self.replan(kind, serve)?;
             ServeAction::Full
-        } else if self.events_since_plan == 0 {
-            // Every policy serves an unchanged fleet from cache:
-            // re-planning would reproduce the same plan.
+        } else if !self
+            .config
+            .policy
+            .regroups(self.events_since_plan, stale_fraction)
+        {
             ServeAction::Cached
-        } else {
-            match self.config.policy {
-                RegroupPolicy::Never => ServeAction::Cached,
-                RegroupPolicy::EveryEpoch => {
+        } else if self.config.policy == RegroupPolicy::Repair {
+            let input = GroupingInput::from_population(&self.fleet, self.config.params)?;
+            let state = self.plan.as_ref().expect("reusable implies cached plan");
+            match repair_plan(&state.plan, &input) {
+                Some(Ok(plan)) => {
+                    plan.validate(&input)?;
+                    self.install(canonical.clone(), plan);
+                    ServeAction::Repair
+                }
+                Some(Err(e)) => return Err(e.into()),
+                // Non-repairable shape: fall back to a full plan.
+                None => {
                     self.replan(kind, serve)?;
                     ServeAction::Full
                 }
-                RegroupPolicy::StalenessThreshold(t) => {
-                    if stale_fraction > t {
-                        self.replan(kind, serve)?;
-                        ServeAction::Full
-                    } else {
-                        ServeAction::Cached
-                    }
-                }
-                RegroupPolicy::Repair => {
-                    let input = GroupingInput::from_population(&self.fleet, self.config.params)?;
-                    let state = self.plan.as_ref().expect("reusable implies cached plan");
-                    match repair_plan_with(&state.plan, &input, &mut self.arena) {
-                        Some(Ok(plan)) => {
-                            plan.validate(&input)?;
-                            self.install(canonical.clone(), plan);
-                            ServeAction::Repair
-                        }
-                        Some(Err(e)) => return Err(e.into()),
-                        // Non-repairable shape: fall back to a full plan.
-                        None => {
-                            self.replan(kind, serve)?;
-                            ServeAction::Full
-                        }
-                    }
-                }
             }
+        } else {
+            self.replan(kind, serve)?;
+            ServeAction::Full
         };
         let state = self.plan.as_ref().expect("serve installs or keeps a plan");
         Ok(ServeSummary {

@@ -21,10 +21,7 @@
 //!   [`MulticastPlan`](nbiot_grouping::MulticastPlan)s on request, and
 //!   decides per request whether the cached plan still holds, the LNS
 //!   repair pass patches it, or the mechanism re-plans from scratch —
-//!   governed by a [`RegroupPolicy`](nbiot_sim::RegroupPolicy). Repairs
-//!   reuse one persistent
-//!   [`KernelArena`](nbiot_grouping::set_cover::KernelArena) across
-//!   requests.
+//!   governed by a [`RegroupPolicy`](nbiot_sim::RegroupPolicy).
 //! * [`ServiceSnapshot`] — versioned, checksummed persistence
 //!   ([`SNAPSHOT_SCHEMA_VERSION`]): a restored service continues the
 //!   log bit-identically to one that never stopped.

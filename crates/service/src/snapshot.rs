@@ -12,7 +12,6 @@
 //! * a **checksum** (the shard FNV-1a digest,
 //!   [`nbiot_sim::value_digest`]) over the serialized state.
 
-use nbiot_grouping::set_cover::KernelArena;
 use nbiot_sim::{value_digest, PlannedFleet};
 use nbiot_time::UeId;
 use nbiot_traffic::{DeviceId, DeviceProfile, Population};
@@ -253,8 +252,9 @@ impl GroupingService {
     ///
     /// # Errors
     ///
-    /// [`ServiceSnapshot::validate`] failures and configuration
-    /// validation failures.
+    /// [`ServiceSnapshot::validate`] failures, configuration validation
+    /// failures, and [`ServiceError::CorruptSnapshot`] for a cached plan
+    /// whose identity pairs are not strictly id-ascending.
     pub fn restore(snapshot: &ServiceSnapshot) -> Result<GroupingService, ServiceError> {
         snapshot.validate()?;
         let state = &snapshot.state;
@@ -264,6 +264,18 @@ impl GroupingService {
             state.class_names.clone(),
             state.devices.clone(),
         );
+        let plan = match &state.plan {
+            Some(record) => Some(PlanState {
+                mechanism: record.mechanism.clone(),
+                plan: record.plan.clone(),
+                planned: PlannedFleet::from_members(record.planned.clone()).ok_or_else(|| {
+                    ServiceError::CorruptSnapshot {
+                        detail: "planned-fleet ids are not strictly ascending".to_string(),
+                    }
+                })?,
+            }),
+            None => None,
+        };
         Ok(GroupingService {
             config: state.config,
             fleet,
@@ -271,12 +283,7 @@ impl GroupingService {
             next_record: state.next_record,
             serves: state.serves,
             events_since_plan: state.events_since_plan,
-            plan: state.plan.as_ref().map(|record| PlanState {
-                mechanism: record.mechanism.clone(),
-                plan: record.plan.clone(),
-                planned: PlannedFleet::from_members(record.planned.clone()),
-            }),
-            arena: KernelArena::new(),
+            plan,
         })
     }
 }
@@ -366,6 +373,20 @@ mod tests {
         );
         let err = ServiceSnapshot::from_json(&snapshot.to_json_pretty()).unwrap_err();
         assert!(matches!(err, ServiceError::CorruptSnapshot { .. }));
+        // A resealed cached plan whose identity pairs are out of id order
+        // is refused on restore, in every build.
+        let mut state = service.snapshot().state;
+        state
+            .plan
+            .as_mut()
+            .expect("a served log caches a plan")
+            .planned
+            .reverse();
+        let err = GroupingService::restore(&ServiceSnapshot::seal(state)).unwrap_err();
+        assert!(
+            matches!(&err, ServiceError::CorruptSnapshot { detail } if detail.contains("ascending")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -90,6 +90,21 @@ impl RegroupPolicy {
         }
     }
 
+    /// Whether a campaign with `events_since_plan` fleet events since the
+    /// current plan re-plans (or, under [`RegroupPolicy::Repair`],
+    /// repairs). An unchanged fleet never does: re-planning it would
+    /// reproduce the same plan. `stale_fraction` is the current plan's
+    /// [`PlannedFleet::stale_fraction`] of the fleet, which only
+    /// [`RegroupPolicy::StalenessThreshold`] reads.
+    pub fn regroups(&self, events_since_plan: u64, stale_fraction: f64) -> bool {
+        events_since_plan > 0
+            && match *self {
+                RegroupPolicy::Never => false,
+                RegroupPolicy::EveryEpoch | RegroupPolicy::Repair => true,
+                RegroupPolicy::StalenessThreshold(t) => stale_fraction > t,
+            }
+    }
+
     /// Checks a threshold is a finite fraction in `[0, 1]`.
     ///
     /// # Errors
@@ -189,10 +204,10 @@ impl ChurnTimeline {
     }
 }
 
-/// The identity snapshot a plan was computed against: `(id, ue)` pairs in
-/// device order. Device order is id-ascending by construction (survivors
-/// keep their order, arrivals append with fresh higher ids), so staleness
-/// lookups are binary searches.
+/// The identity snapshot a plan was computed against: `(id, ue)` pairs
+/// sorted by id, so staleness lookups are binary searches. A fleet's
+/// device order need not be id-ascending: the grouping service appends
+/// registrations in event-log order.
 ///
 /// This is the staleness primitive shared by the batch simulator (the
 /// [`RegroupPolicy`] trajectory walk) and the long-lived grouping service
@@ -204,30 +219,26 @@ pub struct PlannedFleet {
 }
 
 impl PlannedFleet {
-    /// Captures the identity snapshot of `pop` in device order.
+    /// Captures the identity snapshot of `pop`.
     pub fn snapshot(pop: &Population) -> PlannedFleet {
-        PlannedFleet {
-            members: (0..pop.len()).map(|i| (pop.id(i), pop.ues()[i])).collect(),
-        }
-    }
-
-    /// Rebuilds a snapshot from stored `(id, ue)` pairs (a service
-    /// snapshot restoring its plan state). Pairs must be id-ascending —
-    /// the order [`PlannedFleet::snapshot`] records — or staleness
-    /// lookups would miss.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) when ids are not strictly ascending.
-    pub fn from_members(members: Vec<(DeviceId, UeId)>) -> PlannedFleet {
-        debug_assert!(
-            members.windows(2).all(|w| w[0].0 < w[1].0),
-            "planned-fleet members must be id-ascending"
-        );
+        let mut members: Vec<(DeviceId, UeId)> =
+            (0..pop.len()).map(|i| (pop.id(i), pop.ues()[i])).collect();
+        members.sort_unstable_by_key(|&(id, _)| id);
         PlannedFleet { members }
     }
 
-    /// The `(id, ue)` pairs in device order.
+    /// Rebuilds a snapshot from stored `(id, ue)` pairs (a service
+    /// snapshot restoring its plan state), or `None` when the ids are not
+    /// strictly ascending: the order [`PlannedFleet::snapshot`] records,
+    /// without which staleness lookups would miss.
+    pub fn from_members(members: Vec<(DeviceId, UeId)>) -> Option<PlannedFleet> {
+        members
+            .windows(2)
+            .all(|w| w[0].0 < w[1].0)
+            .then_some(PlannedFleet { members })
+    }
+
+    /// The `(id, ue)` pairs, id-ascending.
     pub fn members(&self) -> &[(DeviceId, UeId)] {
         &self.members
     }
@@ -244,13 +255,21 @@ impl PlannedFleet {
     /// the staleness measure [`RegroupPolicy::StalenessThreshold`]
     /// compares against. Returns `0.0` for an empty population.
     pub fn stale_fraction(&self, pop: &Population) -> f64 {
-        if pop.is_empty() {
-            return 0.0;
-        }
+        self.staleness(pop).1
+    }
+
+    /// The number of `pop`'s devices this snapshot cannot serve, and
+    /// [`PlannedFleet::stale_fraction`].
+    fn staleness(&self, pop: &Population) -> (usize, f64) {
         let missed = (0..pop.len())
             .filter(|&i| !self.serves(pop.id(i), pop.ues()[i]))
             .count();
-        missed as f64 / pop.len() as f64
+        let fraction = if pop.is_empty() {
+            0.0
+        } else {
+            missed as f64 / pop.len() as f64
+        };
+        (missed, fraction)
     }
 }
 
@@ -278,30 +297,15 @@ pub(crate) fn plan_trajectory(
     initial: &Population,
 ) -> RegroupTrajectory {
     let mut planned = PlannedFleet::snapshot(initial);
-    let mut events_since_plan = 0usize;
+    let mut events_since_plan = 0u64;
     let mut regroup_epochs = Vec::new();
     let mut stale_misses = 0usize;
     let mut device_epochs = 0usize;
     for (epoch, (pop, events)) in timeline.epochs.iter().enumerate() {
-        events_since_plan += events.total();
+        events_since_plan += events.total() as u64;
         device_epochs += pop.len();
-        let stale = (0..pop.len())
-            .filter(|&i| !planned.serves(pop.id(i), pop.ues()[i]))
-            .count();
-        let regroup = events_since_plan > 0
-            && match policy {
-                RegroupPolicy::Never => false,
-                RegroupPolicy::EveryEpoch | RegroupPolicy::Repair => true,
-                // A fully-departed fleet has nothing left to serve: its
-                // staleness is defined as 0.0, not the 0/0 NaN the bare
-                // division produced (NaN compared false only by IEEE
-                // accident, and any later `>=`/`partial_cmp` refactor
-                // would have silently changed the decision).
-                RegroupPolicy::StalenessThreshold(t) => {
-                    !pop.is_empty() && stale as f64 / pop.len() as f64 > t
-                }
-            };
-        if regroup {
+        let (stale, stale_fraction) = planned.staleness(pop);
+        if policy.regroups(events_since_plan, stale_fraction) {
             regroup_epochs.push(epoch);
             planned = PlannedFleet::snapshot(pop);
             events_since_plan = 0;
@@ -584,7 +588,19 @@ mod tests {
         assert_eq!(planned.members().len(), 30);
         assert_eq!(planned.stale_fraction(&pop), 0.0);
         let rebuilt = PlannedFleet::from_members(planned.members().to_vec());
-        assert_eq!(rebuilt, planned);
+        assert_eq!(rebuilt.as_ref(), Some(&planned));
+        // A fleet in descending id order snapshots id-ascending and
+        // serves itself; stored pairs out of id order are refused.
+        let reversed = Population::new(
+            pop.mix_name().to_string(),
+            pop.class_names().to_vec(),
+            pop.profiles().into_iter().rev().collect(),
+        );
+        assert_eq!(PlannedFleet::snapshot(&reversed), planned);
+        assert_eq!(planned.stale_fraction(&reversed), 0.0);
+        let mut descending = planned.members().to_vec();
+        descending.reverse();
+        assert_eq!(PlannedFleet::from_members(descending), None);
         // A handover makes exactly one device stale.
         let mut moved = pop.clone();
         moved.set_ue(4, nbiot_time::UeId(0x5EED));

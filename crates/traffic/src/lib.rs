@@ -7,9 +7,11 @@
 //! 1. the **distribution of (e)DRX cycles** across the device population —
 //!    which controls how often paging occasions of different devices fall
 //!    close together (the whole game for DR-SC), and
-//! 2. the **paging-occasion phases**, set by per-device UE identities, and
-//! 3. a **background uplink reporting process** per device class (used by
-//!    the random-access contention ablations).
+//! 2. the **paging-occasion phases**, set by per-device UE identities.
+//!
+//! Each class also carries a mean uplink report interval, kept with every
+//! device profile; the random-access contention ablation sets its
+//! contender count directly instead of sampling reports.
 //!
 //! [`TrafficMix`] describes a population as weighted [`ClassSpec`]s;
 //! [`TrafficMix::ericsson_city`] is the default city-scale mix of smart
@@ -40,10 +42,8 @@ mod churn;
 mod error;
 mod mix;
 mod population;
-mod uplink;
 
 pub use churn::{ChurnEvents, ChurnModel, FleetEvent};
 pub use error::TrafficError;
 pub use mix::{ClassSpec, TrafficMix};
 pub use population::{ClassId, DeviceId, DeviceProfile, Population};
-pub use uplink::poisson_arrivals;

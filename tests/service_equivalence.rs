@@ -9,8 +9,9 @@
 //!
 //! Event logs are both synthesized from the churn process and generated
 //! arbitrarily (random interleavings of registers, departures, handovers
-//! and campaign requests over a growing id space), so the equivalence is
-//! not an artifact of `ChurnModel`'s event ordering.
+//! and campaign requests, registering fresh ids in shuffled order), so
+//! the equivalence is not an artifact of `ChurnModel`'s event ordering
+//! or of an id-sorted fleet.
 
 use nbiot_multicast::prelude::*;
 use nbiot_multicast::service::{Applied, ServiceSnapshot};
@@ -53,23 +54,28 @@ fn synthesized(devices: usize, epochs: u32, seed: u64) -> EventLog {
 }
 
 /// An arbitrary (but always-valid) event log: devices register with
-/// strictly increasing ids; departures and handovers target live
-/// devices; at least one device always survives once any registered, so
-/// campaign requests can plan. The mix is only used to sample profiles.
+/// fresh ids in shuffled order, so the fleet is not id-sorted; departures
+/// and handovers target live devices; at least one device always
+/// survives once any registered, so campaign requests can plan. The mix
+/// is only used to sample profiles.
 fn arbitrary_log(steps: &[u8], seed: u64) -> EventLog {
     let mix = TrafficMix::mobility_churn();
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let template = mix.generate(1, &mut rng).expect("template population");
+    let mut fresh_ids: Vec<u32> = (0..steps.len() as u32).collect();
+    for i in (1..fresh_ids.len()).rev() {
+        fresh_ids.swap(i, rng.gen_range(0..=i));
+    }
+    let mut fresh_ids = fresh_ids.into_iter();
     let mut live: Vec<DeviceProfile> = Vec::new();
-    let mut next_id = 0u32;
     let mut epoch = 0u32;
     let mut records = Vec::new();
     for &step in steps {
         let event = match step % 8 {
             // Half the steps register, so fleets actually grow.
             0..=3 => {
-                let device = mix.sample_device(DeviceId(next_id), &mut rng).unwrap();
-                next_id += 1;
+                let id = fresh_ids.next().expect("one fresh id per step");
+                let device = mix.sample_device(DeviceId(id), &mut rng).unwrap();
                 live.push(device);
                 ServiceEvent::Fleet(FleetEvent::Register(device))
             }
@@ -121,12 +127,19 @@ fn mirror(survivors: &mut Vec<DeviceProfile>, event: &FleetEvent) {
 }
 
 /// Replays `log` keeping a mirror of the surviving devices; at every
-/// prefix, asserts the service fleet equals a batch rebuild from them.
+/// prefix, asserts the service fleet equals a batch rebuild from them,
+/// and that a request on the fleet its cached plan was computed for finds
+/// nothing stale.
 fn assert_prefix_equivalence(log: &EventLog, cfg: ServiceConfig) {
     let mut service = GroupingService::new(cfg, log).expect("service");
     let mut survivors: Vec<DeviceProfile> = Vec::new();
     for record in &log.records {
-        service.apply(record).expect("apply");
+        let unchanged = service.plan().is_some() && service.events_since_plan() == 0;
+        if let Applied::Served(summary) = service.apply(record).expect("apply") {
+            if unchanged {
+                assert_eq!(summary.stale_fraction, 0.0, "unchanged fleet: {summary:?}");
+            }
+        }
         if let ServiceEvent::Fleet(event) = &record.event {
             mirror(&mut survivors, event);
         }

@@ -3,8 +3,7 @@
 
 use nbiot_multicast::grouping::improve::improve_cover;
 use nbiot_multicast::grouping::set_cover::{
-    greedy_set_cover, greedy_set_cover_weighted, reference, AnchorInstance, KernelArena,
-    PoTimeline, WindowCover,
+    greedy_set_cover, greedy_set_cover_weighted, reference, AnchorInstance, PoTimeline, WindowCover,
 };
 use nbiot_multicast::prelude::*;
 use proptest::prelude::*;
@@ -176,7 +175,7 @@ proptest! {
         prop_assert_eq!(greedy_set_cover(40, &sets), oracle);
         let costs = &costs[..sets.len()];
         prop_assert_eq!(
-            greedy_set_cover_weighted(40, &sets, costs, &mut KernelArena::new()),
+            greedy_set_cover_weighted(40, &sets, costs),
             reference::greedy_set_cover_weighted(40, &sets, costs)
         );
     }
@@ -335,9 +334,8 @@ proptest! {
         let cost = |members: &[usize]| {
             members.iter().map(|&d| weights.get(d).copied().unwrap_or(1)).max().unwrap_or(1)
         };
-        let mut arena = KernelArena::new();
         prop_assert_eq!(
-            WindowCover::new(ti).solve_weighted(SimInstant::ZERO, &instance, cost, &mut arena),
+            WindowCover::new(ti).solve_weighted(SimInstant::ZERO, &instance, cost),
             reference::window_cover_weighted(ti, SimInstant::ZERO, &events, &dense, cost)
         );
     }
