@@ -36,7 +36,9 @@
 #   weighted-smoke airtime-weighted cover: reduced weighted-airtime point
 #                  at threads {1,8} (bit-identity), then zero-tolerance
 #                  diff against golden/weighted_smoke.json
-#   bench-gate     bench_report --compare against BENCH_baseline.json
+#   bench-gate     bench_report --compare against BENCH_baseline.json (a
+#                  baseline stage or derived key the report lacks fails
+#                  even under --warn-only)
 #   massive-smoke  scale tier: reduced 10^5-device massive-n point diffed
 #                  against golden/massive_smoke.json at zero tolerance
 #                  (summary-level only; the archive guard is exercised
@@ -99,7 +101,7 @@ stage_docs() {
     # ours to document (vendor/proptest has a warning of its own).
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q \
         --exclude rand --exclude serde --exclude serde_derive --exclude serde_json \
-        --exclude proptest --exclude criterion
+        --exclude proptest
     echo "==> README quick-start commands vs --help"
     # The README's fenced sh blocks are the quick-start contract: every
     # long flag they pass to an nbiot-bench binary must be documented by

@@ -1,28 +1,22 @@
 //! Machine-trackable macro-benchmark: runs a fixed workload through every
 //! pipeline stage (population generation, planning, set-cover kernels,
-//! campaign execution, full comparison serial vs parallel) and writes
-//! `BENCH_results.json` with wall-clock per stage, so the perf trajectory
-//! of the repository is comparable PR over PR.
+//! paging-occasion queries, campaign execution, full comparison serial vs
+//! parallel) and writes `BENCH_results.json` with the wall clock of each
+//! stage, so the perf trajectory of the repository is comparable PR over
+//! PR.
 //!
-//! Default workload: 5 mechanisms × 500 devices × 20 runs (override with
-//! `--devices`/`--runs`; `--threads` sets the *parallel* comparison's
-//! worker count, 0 = all cores). Every `plan` and `campaign` repetition
-//! runs on a freshly built `GroupingInput`, so no repetition reads a DR-SC
-//! memo an earlier one filled; `plan_dr_sc_family` plans DR-SC,
-//! DR-SC-tabu and DR-SC-weighted on one fresh input, the shared case a
-//! scenario item runs. The massive-n scale-tier stages solve a
-//! `--massive-devices` (default 10^6) frame-cover point, validate the
-//! DA-SC and DR-SI plans of a massive-metering fleet of that size
-//! (`plan_validate`), run the DR-SC, DA-SC and DR-SI campaigns of that
-//! fleet on prebuilt plans (`campaign_massive`) and build its PO timeline
-//! and solve its DR-SC window cover on a fresh input per repetition
-//! (`window_cover_massive`). `--out <path>` redirects the
-//! report. Building with `--features bench-alloc` adds a `mem` block to
-//! every stage (peak allocated bytes in the stage's window, plus
-//! bytes-per-device where the stage has a device count).
-//! The default `BENCH_results.json` is gitignored scratch; the committed
-//! full-workload snapshot is `BENCH_baseline.json` (regenerate it with
-//! `--out BENCH_baseline.json` when a change moves performance).
+//! Default workload: all 7 mechanisms (`MechanismKind::ALL`) × 500 devices
+//! × 20 runs (override with `--devices`/`--runs`; `--threads` sets the
+//! *parallel* comparison's worker count, 0 = all cores), plus a
+//! `--massive-devices` (default 10^6) scale tier. Each stage is declared
+//! once through [`Report::stage`]: a name, repetitions and the body of one
+//! call (untimed setup, one timed closure, detail). The derived wall-clock
+//! ratios come from [`TIME_RATIOS`]. README.md ("Performance tracking")
+//! describes every stage and the report schema. `--out <path>` redirects
+//! the report; the default `BENCH_results.json` is gitignored scratch, and
+//! the committed full-workload snapshot is `BENCH_baseline.json`
+//! (regenerate it with `--out BENCH_baseline.json` when a change moves
+//! performance).
 //!
 //! `--compare <baseline.json>` turns the run into a **regression gate**:
 //! every stage's wall clock is compared against the same-keyed stage of
@@ -30,7 +24,10 @@
 //! slower by more than `--tolerance-pct <p>` percent (default 25).
 //! `--warn-only` downgrades the gate to a report — the right setting on
 //! noisy shared hardware like the 1-core CI container, where wall-clock
-//! ratios are not trustworthy (see ROADMAP).
+//! ratios are not trustworthy (see ROADMAP). A baseline stage or `derived`
+//! key the report lacks is a structural mismatch: it exits 1 even under
+//! `--warn-only`, so a retired stage drops its baseline entry. The
+//! baseline is read and the report file created before the first stage.
 //!
 //! ```text
 //! cargo run --release -p nbiot-bench --bin bench_report
@@ -38,37 +35,8 @@
 //! cargo run --release -p nbiot-bench --bin bench_report -- \
 //!     --compare BENCH_baseline.json --tolerance-pct 25 --warn-only
 //! ```
-//!
-//! # `BENCH_results.json` schema
-//!
-//! ```json
-//! {
-//!   "schema_version": 1,
-//!   "workload": { "devices": 500, "runs": 20, "mechanisms": 5,
-//!                  "seed": 86085268470817, "parallel_threads": 0 },
-//!   "stages": [
-//!     { "name": "population_generation", "wall_clock_ms": 1.2,
-//!       "detail": { ... stage-specific numbers ... },
-//!       "mem": { "peak_alloc_bytes": 123456, "bytes_per_device": 246.9 } },
-//!     ...                              // "mem" only with --features bench-alloc
-//!   ],
-//!   "derived": {
-//!     "set_cover_speedup": 14.0,       // reference / incremental greedy, 1000 devices
-//!     "set_cover_stress_speedup": 28.0,      // reference / incremental, 10k devices
-//!     "dr_sc_family_sharing_ratio": 0.6,     // plan_dr_sc_family / summed cold family plans
-//!     "weighted_airtime_gain": 3.4,    // count-greedy airtime / weighted airtime, 10k devices
-//!     "window_cover_speedup": 1.2,     // reference / incremental timeline solver
-//!     "window_cover_incremental_speedup": 5.0, // per-round sweep / incremental
-//!     "comparison_parallel_speedup": 5.9,
-//!     "sweep_parallel_speedup": 5.5,         // serial full device sweep / one (point × run) pool
-//!     "coordinator_overhead": 1.05           // supervised 2-shard run / direct run_scenario
-//!   }
-//! }
-//! ```
-//!
-//! Stage wall-clocks are milliseconds (f64). `detail` keys are stable per
-//! stage name; new stages may be appended over time.
 
+use std::io::Write as _;
 use std::time::Instant;
 
 use nbiot_bench::coordinator::{self, RunConfig};
@@ -81,8 +49,36 @@ use nbiot_grouping::{
 };
 use nbiot_service::{EventLog, GroupingService, ServeAction, ServiceConfig};
 use nbiot_sim::{run_campaign, run_scenario, RegroupPolicy, Scenario, SimConfig};
-use nbiot_time::SimDuration;
+use nbiot_time::{SimDuration, SimInstant, TimeWindow};
 use serde_json::{json, Value};
+
+/// The DR-SC family a scenario item plans on one shared input.
+const FAMILY: [MechanismKind; 3] = [
+    MechanismKind::DrSc,
+    MechanismKind::DrScTabu(DEFAULT_TABU_BUDGET),
+    MechanismKind::DrScWeighted,
+];
+
+/// The wall-clock ratios of `derived`: (key, numerator stage keys,
+/// denominator stage keys), each side the summed wall clock of its stages.
+/// The stderr summary line prints the same ratios.
+#[rustfmt::skip]
+const TIME_RATIOS: [(&str, &[&str], &[&str]); 10] = [
+    ("set_cover_speedup", &["set_cover_reference"], &["set_cover_incremental"]),
+    ("set_cover_stress_speedup", &["set_cover_stress_reference"],
+        &["set_cover_stress_incremental"]),
+    // What sharing one input saves over the three cold family plans.
+    ("dr_sc_family_sharing_ratio", &["plan_dr_sc_family"],
+        &["plan[DR-SC]", "plan[DR-SC-tabu(64)]", "plan[DR-SC-weighted]"]),
+    ("repair_vs_full_replan_speedup", &["replan_churn_full"], &["replan_churn_repair"]),
+    ("service_replay_repair_speedup", &["service_replay_full"], &["service_replay_repair"]),
+    ("window_cover_speedup", &["window_cover_reference"], &["window_cover_incremental"]),
+    ("window_cover_incremental_speedup", &["window_cover_sweep"], &["window_cover_incremental"]),
+    ("comparison_parallel_speedup", &["comparison_serial"], &["comparison_parallel"]),
+    ("sweep_parallel_speedup", &["sweep_serial"], &["sweep_point_parallel"]),
+    // What the supervision machinery costs on a fault-free run.
+    ("coordinator_overhead", &["coordinator_supervised_suite"], &["figure_suite_shared"]),
+];
 
 /// A mechanism that hands back a prebuilt plan without touching the RNG,
 /// so a campaign stage times `run_campaign` without planning.
@@ -106,38 +102,67 @@ impl GroupingMechanism for Replay<'_> {
     }
 }
 
-fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed().as_secs_f64() * 1000.0)
+/// The stage records of one run, in run order.
+#[derive(Default)]
+struct Report {
+    stages: Vec<Value>,
 }
 
-/// Best-of-`reps` wall clock after one warmup — used for the kernel
-/// stages, where a single cold measurement is dominated by cache and
-/// page-fault noise.
-fn timed_min<T>(reps: u32, mut f: impl FnMut() -> T) -> (T, f64) {
-    timed_min_with(reps, || (), |()| f())
-}
-
-/// [`timed_min`] with an untimed `setup` before every call, warmup
-/// included. The planning, campaign and re-planning stages set up a fresh
-/// `GroupingInput` each time: an input memoizes the DR-SC family's cover
-/// and anchor instance, so a reused one would time a memo read.
-fn timed_min_with<S, T>(
-    reps: u32,
-    mut setup: impl FnMut() -> S,
-    mut f: impl FnMut(&S) -> T,
-) -> (T, f64) {
-    let mut out = f(&setup()); // warmup (and the returned value)
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let state = setup();
-        let start = Instant::now();
-        let fresh = std::hint::black_box(f(&state));
-        best = best.min(start.elapsed().as_secs_f64() * 1000.0);
-        out = fresh;
+impl Report {
+    /// Runs one stage and appends its record; returns the last call's
+    /// output.
+    ///
+    /// `call` is one call of the stage: its untimed setup, then its timed
+    /// closure through [`Clock::time`], then its output and detail.
+    /// `reps == 0` makes one cold call. `reps = k` makes one warm-up call
+    /// and then `k` calls, and records the fastest of those: a single cold
+    /// measurement of a kernel is dominated by cache and page-fault noise.
+    /// Every call runs its own setup; the planning, campaign and
+    /// re-planning stages build a fresh `GroupingInput` there, since an
+    /// input memoizes the DR-SC family's cover and anchor instance and a
+    /// reused one would time a memo read. The record keeps the detail of
+    /// the call it times, so a rate in it matches the wall clock.
+    fn stage<T>(
+        &mut self,
+        name: &str,
+        reps: u32,
+        mut call: impl FnMut(&mut Clock) -> (T, Value),
+    ) -> T {
+        let mut best = (f64::INFINITY, Value::Null);
+        let mut last = None;
+        for i in 0..=reps {
+            let mut clock = Clock(None);
+            let (out, detail) = call(&mut clock);
+            // With repetitions, call 0 only warms up.
+            if (i > 0 || reps == 0) && clock.ms() < best.0 {
+                best = (clock.ms(), detail);
+            }
+            last = Some(out);
+        }
+        self.stages
+            .push(json!({ "name": name, "wall_clock_ms": best.0, "detail": best.1 }));
+        last.expect("`0..=reps` makes a call")
     }
-    (out, best)
+}
+
+/// The wall clock of one stage call's timed closure.
+struct Clock(Option<f64>);
+
+impl Clock {
+    /// Runs and times `run`, the call's one timed closure.
+    fn time<T>(&mut self, run: impl FnOnce() -> T) -> T {
+        assert!(self.0.is_none(), "a stage call times one closure");
+        let start = Instant::now();
+        let out = std::hint::black_box(run());
+        self.0 = Some(start.elapsed().as_secs_f64() * 1000.0);
+        out
+    }
+
+    /// The timed closure's wall clock in milliseconds.
+    fn ms(&self) -> f64 {
+        self.0
+            .expect("a stage call times its closure with `Clock::time`")
+    }
 }
 
 /// Events per second from a count and an elapsed wall-clock in
@@ -152,40 +177,6 @@ fn per_sec(count: usize, elapsed_ms: f64) -> f64 {
         count as f64 / (elapsed_ms / 1000.0)
     }
 }
-
-/// Builds one stage record and closes its memory-measurement window.
-///
-/// Built with `--features bench-alloc`, each stage carries a `mem` block:
-/// the peak allocated bytes since the previous stage record (the window
-/// covers that stage's measurement) and, when the stage's detail names a
-/// device count, the derived bytes-per-device. Without the feature the
-/// block is omitted and the schema is unchanged.
-fn stage(name: &str, wall_clock_ms: f64, detail: Value) -> Value {
-    let mut entries = vec![
-        ("name".to_string(), json!(name)),
-        ("wall_clock_ms".to_string(), json!(wall_clock_ms)),
-        ("detail".to_string(), detail),
-    ];
-    if let Some(peak) = nbiot_bench::alloc_meter::peak_bytes() {
-        let devices = entries
-            .iter()
-            .find(|(k, _)| k == "detail")
-            .and_then(|(_, d)| lookup(d, "devices").or_else(|| lookup(d, "devices_each")))
-            .and_then(as_f64);
-        let mem = match devices {
-            Some(n) if n > 0.0 => json!({
-                "peak_alloc_bytes": peak,
-                "bytes_per_device": peak as f64 / n,
-            }),
-            _ => json!({ "peak_alloc_bytes": peak }),
-        };
-        entries.push(("mem".to_string(), mem));
-    }
-    nbiot_bench::alloc_meter::reset_peak();
-    Value::Object(entries)
-}
-
-// ---- the --compare regression gate ----
 
 fn lookup<'v>(value: &'v Value, key: &str) -> Option<&'v Value> {
     value
@@ -204,6 +195,13 @@ fn as_f64(value: &Value) -> Option<f64> {
     }
 }
 
+/// The stage records of a report (none when it has no `stages` array).
+fn stages_of(report: &Value) -> &[Value] {
+    lookup(report, "stages")
+        .and_then(Value::as_array)
+        .unwrap_or(&[])
+}
+
 /// The identity of a stage across reports: its name, qualified by the
 /// mechanism when the stage repeats per mechanism (`plan`, `campaign`).
 fn stage_key(stage: &Value) -> Option<String> {
@@ -214,15 +212,32 @@ fn stage_key(stage: &Value) -> Option<String> {
     }
 }
 
-///`(key, wall_clock_ms)` of every well-formed stage in a report.
-fn stage_times(report: &Value) -> Vec<(String, f64)> {
-    lookup(report, "stages")
-        .and_then(Value::as_array)
-        .unwrap_or(&[])
+///`(key, wall_clock_ms)` of every well-formed stage record.
+fn stage_times(stages: &[Value]) -> Vec<(String, f64)> {
+    stages
         .iter()
         .filter_map(|s| Some((stage_key(s)?, as_f64(lookup(s, "wall_clock_ms")?)?)))
         .collect()
 }
+
+/// Every [`TIME_RATIOS`] row evaluated on `stages`, in table order.
+fn time_ratios(stages: &[Value]) -> Vec<(&'static str, f64)> {
+    let times = stage_times(stages);
+    let sum = |keys: &[&str]| -> f64 {
+        keys.iter()
+            .map(|key| match times.iter().find(|(k, _)| k == key) {
+                Some(&(_, ms)) => ms,
+                None => panic!("TIME_RATIOS names stage `{key}`, which the report lacks"),
+            })
+            .sum()
+    };
+    TIME_RATIOS
+        .iter()
+        .map(|&(key, numerator, denominator)| (key, sum(numerator) / sum(denominator)))
+        .collect()
+}
+
+// ---- the --compare regression gate ----
 
 /// One row of the comparison table.
 struct StageDelta {
@@ -239,13 +254,12 @@ impl StageDelta {
 
 /// Pairs the current report's stages with the baseline's by key and
 /// splits them into (compared rows, keys with no baseline counterpart).
-/// Stages only in the baseline are ignored — a renamed or retired stage
-/// must not fail the gate forever.
+/// Baseline keys the report lacks are [`missing_keys`]' business.
 fn compare_stages(current: &Value, baseline: &Value) -> (Vec<StageDelta>, Vec<String>) {
-    let baseline_times = stage_times(baseline);
+    let baseline_times = stage_times(stages_of(baseline));
     let mut rows = Vec::new();
     let mut unmatched = Vec::new();
-    for (key, current_ms) in stage_times(current) {
+    for (key, current_ms) in stage_times(stages_of(current)) {
         match baseline_times.iter().find(|(k, _)| *k == key) {
             Some(&(_, baseline_ms)) if baseline_ms > 0.0 => rows.push(StageDelta {
                 key,
@@ -256,6 +270,29 @@ fn compare_stages(current: &Value, baseline: &Value) -> (Vec<StageDelta>, Vec<St
         }
     }
     (rows, unmatched)
+}
+
+/// Baseline stage keys and `derived` keys (as `derived.<key>`) that the
+/// current report lacks: a dropped or renamed stage, which fails the gate
+/// even under `--warn-only`.
+fn missing_keys(current: &Value, baseline: &Value) -> Vec<String> {
+    let keys = |report: &Value| -> Vec<String> {
+        let derived = lookup(report, "derived")
+            .and_then(Value::as_object)
+            .unwrap_or(&[])
+            .iter()
+            .map(|(key, _)| format!("derived.{key}"));
+        stage_times(stages_of(report))
+            .into_iter()
+            .map(|(key, _)| key)
+            .chain(derived)
+            .collect()
+    };
+    let present = keys(current);
+    keys(baseline)
+        .into_iter()
+        .filter(|key| !present.contains(key))
+        .collect()
 }
 
 /// Runs the gate: prints the per-stage comparison and returns the keys of
@@ -315,13 +352,13 @@ fn main() {
                      [--tolerance-pct P]\n\
                      \x20      [--warn-only]\n\
                      runs the fixed macro workload through every pipeline stage and writes\n\
-                     a BENCH_results.json report (default workload: 5 mechanisms x 500\n\
+                     a BENCH_results.json report (default workload: 7 mechanisms x 500\n\
                      devices x 20 runs). --massive-devices sizes the scale-tier kernel,\n\
-                     plan_validate, campaign_massive and window_cover_massive stages\n\
-                     (default 1000000).\n\
+                     plan_validate, campaign_massive, window_cover_massive and po_queries\n\
+                     stages (default 1000000).\n\
                      --compare turns the run into a regression gate against a baseline\n\
-                     report; --warn-only downgrades it to a report.\n\
-                     build with --features bench-alloc to add per-stage memory accounting."
+                     report; --warn-only downgrades it to a report. A baseline stage or\n\
+                     derived key missing from the report fails the gate even so."
                 );
                 return;
             }
@@ -359,13 +396,27 @@ fn main() {
         }
     }
     let mut opts = FigureOpts::parse(figure_args.into_iter());
-    // This binary's workload default is the macro shape (5 mechanisms ×
-    // 500 devices × 20 runs), not the figures' 100 runs; marked as given
+    // This binary's workload default is the macro shape (every mechanism
+    // × 500 devices × 20 runs), not the figures' 100 runs; marked as given
     // so every scenario below runs it.
     if !opts.given.runs {
         opts.runs = 20;
         opts.given.runs = true;
     }
+    // A bad baseline or report path fails here, not after the run.
+    let baseline: Option<Value> = compare.map(|path| {
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| fail(format!("cannot read baseline `{path}`: {e}")));
+        let baseline: Value = serde_json::from_str(&text)
+            .unwrap_or_else(|e| fail(format!("bad baseline JSON in `{path}`: {e}")));
+        if stage_times(stages_of(&baseline)).is_empty() {
+            fail(format!("baseline `{path}` holds no bench_report stages"));
+        }
+        baseline
+    });
+    let mut out_file = std::fs::File::create(&out_path)
+        .unwrap_or_else(|e| fail(format!("cannot write benchmark report `{out_path}`: {e}")));
+
     let seq = SeedSequence::new(opts.seed);
     let params = GroupingParams::default();
     let sim = SimConfig::default();
@@ -374,93 +425,75 @@ fn main() {
         .as_deref()
         .map(nbiot_bench::resolve_mix)
         .unwrap_or_else(nbiot_traffic::TrafficMix::ericsson_city);
-    let mut stages: Vec<Value> = Vec::new();
-    // Open the first stage's memory window after setup, not at startup.
-    nbiot_bench::alloc_meter::reset_peak();
+    let mut report = Report::default();
 
     // ---- Stage 1: population generation ----
-    let (populations, pop_ms) = timed(|| {
-        (0..opts.runs as u64)
-            .map(|run| {
-                mix.generate(opts.devices, &mut seq.child(run).rng(0))
-                    .expect("population")
-            })
-            .collect::<Vec<_>>()
+    let populations = report.stage("population_generation", 0, |clock| {
+        let populations = clock.time(|| {
+            (0..opts.runs as u64)
+                .map(|run| {
+                    mix.generate(opts.devices, &mut seq.child(run).rng(0))
+                        .expect("population")
+                })
+                .collect::<Vec<_>>()
+        });
+        let detail = json!({ "populations": opts.runs, "devices_each": opts.devices });
+        (populations, detail)
     });
-    stages.push(stage(
-        "population_generation",
-        pop_ms,
-        json!({ "populations": opts.runs, "devices_each": opts.devices }),
-    ));
 
     // ---- Stage 1b: population plus grouping input, generated once per
     // run — what a scenario item shares across its mechanisms and
     // payload variants.
-    let ((), shared_ms) = timed(|| {
-        for run in 0..opts.runs as u64 {
-            let pop = mix
-                .generate(opts.devices, &mut seq.child(run).rng(0))
-                .expect("population");
-            let input = GroupingInput::from_population(&pop, params).expect("input");
-            std::hint::black_box(&input);
-        }
+    report.stage("population_shared_per_run", 0, |clock| {
+        clock.time(|| {
+            for run in 0..opts.runs as u64 {
+                let pop = mix
+                    .generate(opts.devices, &mut seq.child(run).rng(0))
+                    .expect("population");
+                let input = GroupingInput::from_population(&pop, params).expect("input");
+                std::hint::black_box(&input);
+            }
+        });
+        let detail = json!({ "generations": opts.runs, "devices_each": opts.devices });
+        ((), detail)
     });
-    stages.push(stage(
-        "population_shared_per_run",
-        shared_ms,
-        json!({ "generations": opts.runs, "devices_each": opts.devices }),
-    ));
 
     let fresh_input = || GroupingInput::from_population(&populations[0], params).expect("input");
     let input = fresh_input();
 
     // ---- Stage 2: planners, each on a fresh input (cold memos) ----
-    let mut plan_ms = Vec::with_capacity(MechanismKind::ALL.len());
     for kind in MechanismKind::ALL {
         let mechanism = kind.instantiate();
-        let (_, ms) = timed_min_with(3, fresh_input, |input| {
-            let mut rng = seq.child(1_000).rng(2);
-            mechanism.as_ref().plan(input, &mut rng).expect("plan")
+        report.stage("plan", 3, |clock| {
+            let input = fresh_input();
+            clock.time(|| {
+                let mut rng = seq.child(1_000).rng(2);
+                mechanism.plan(&input, &mut rng).expect("plan")
+            });
+            let detail = json!({ "mechanism": kind.to_string(), "devices": opts.devices });
+            ((), detail)
         });
-        plan_ms.push((kind, ms));
-        stages.push(stage(
-            "plan",
-            ms,
-            json!({ "mechanism": kind.to_string(), "devices": opts.devices }),
-        ));
     }
 
     // ---- Stage 2a: the DR-SC family on one shared input, the way a
     // scenario item plans it: DR-SC fills the input's count-cover memo,
     // DR-SC-tabu adds the anchor instance, DR-SC-weighted reads both.
-    // Compared with the three cold `plan` stages above, the derived
-    // `dr_sc_family_sharing_ratio` is what the sharing saves.
-    let family = [
-        MechanismKind::DrSc,
-        MechanismKind::DrScTabu(DEFAULT_TABU_BUDGET),
-        MechanismKind::DrScWeighted,
-    ];
-    let (family_tx, family_ms) = timed_min_with(3, fresh_input, |input| {
-        family
-            .iter()
-            .map(|kind| {
-                let mut rng = seq.child(1_000).rng(2);
-                let plan = kind.instantiate().plan(input, &mut rng).expect("plan");
-                (kind.to_string(), json!(plan.transmission_count()))
-            })
-            .collect::<Vec<_>>()
+    report.stage("plan_dr_sc_family", 3, |clock| {
+        let input = fresh_input();
+        let transmissions = clock.time(|| {
+            FAMILY
+                .iter()
+                .map(|kind| {
+                    let mut rng = seq.child(1_000).rng(2);
+                    let plan = kind.instantiate().plan(&input, &mut rng).expect("plan");
+                    (kind.to_string(), json!(plan.transmission_count()))
+                })
+                .collect::<Vec<_>>()
+        });
+        let detail =
+            json!({ "devices": opts.devices, "transmissions": Value::Object(transmissions) });
+        ((), detail)
     });
-    let family_cold_ms: f64 = plan_ms
-        .iter()
-        .filter(|(kind, _)| family.contains(kind))
-        .map(|&(_, ms)| ms)
-        .sum();
-    let dr_sc_family_sharing_ratio = family_ms / family_cold_ms;
-    stages.push(stage(
-        "plan_dr_sc_family",
-        family_ms,
-        json!({ "devices": opts.devices, "transmissions": Value::Object(family_tx) }),
-    ));
 
     // ---- Stage 2b: the deduplicated anchor-window instance DR-SC-tabu
     // and DR-SC-weighted solve, built from the input's PO timeline with
@@ -468,78 +501,61 @@ fn main() {
     // deduplication and the transpose's size (deterministic counters
     // beside the wall clock).
     let timeline = input.po_timeline();
-    let (instance, instance_ms) = timed_min(3, || {
-        set_cover::AnchorInstance::new(params.ti.duration(), timeline)
-    });
-    // The device → window transpose holds every (window, device) pair
-    // once, like the window rows.
-    let index_entries: usize = (0..instance.sparse_devices().len())
-        .map(|s| instance.windows_of(s).len())
-        .sum();
-    assert_eq!(
-        index_entries,
-        instance.entries(),
-        "the device → window index must transpose the windows"
-    );
-    stages.push(stage(
-        "anchor_instance",
-        instance_ms,
-        json!({
+    report.stage("anchor_instance", 3, |clock| {
+        let instance =
+            clock.time(|| set_cover::AnchorInstance::new(params.ti.duration(), timeline));
+        // The device → window transpose holds every (window, device)
+        // pair once, like the window rows.
+        let index_entries: usize = (0..instance.sparse_devices().len())
+            .map(|s| instance.windows_of(s).len())
+            .sum();
+        assert_eq!(
+            index_entries,
+            instance.entries(),
+            "the device → window index must transpose the windows"
+        );
+        let detail = json!({
             "devices": opts.devices,
             "anchors": instance.anchors().len(),
             "windows": instance.window_count(),
             "entries_before_dedup": instance.anchor_entries(),
             "entries_after_dedup": instance.entries(),
             "index_entries": index_entries,
-        }),
-    ));
+        });
+        ((), detail)
+    });
 
     // ---- Stage 3: set-cover kernels — incremental vs reference on the
     // 1000-device frame-cover instance, then on a 10k-device
     // large-n-stress point (the regime the inverted-index update model
-    // targets).
-    let (universe, sets) = workload::frame_cover_instance(1_000, opts.seed);
-    let (picked_inc, incremental_ms) = timed_min(5, || {
-        set_cover::greedy_set_cover(universe, &sets).expect("coverable")
+    // targets). The stress point uses the post-dense-filtering shape
+    // (dense share 0): at scale the DR-SC pipeline hands the cover kernel
+    // only the long-cycle tail — see `workload::frame_cover_instance_with`.
+    type Solver = fn(usize, &[Vec<usize>]) -> Option<Vec<usize>>;
+    let solvers: [(&str, Solver); 2] = [
+        ("incremental", set_cover::greedy_set_cover),
+        ("reference", reference::greedy_set_cover),
+    ];
+    let points = [
+        ("set_cover", 1_000, 0.3, 5),
+        ("set_cover_stress", 10_000, 0.0, 3),
+    ];
+    let [_, (universe10k, sets10k, stress_inc)] = points.map(|(prefix, devices, dense, reps)| {
+        let (universe, sets) = workload::frame_cover_instance_with(devices, dense, opts.seed);
+        let [incremental, reference_picks] = solvers.map(|(tier, solve)| {
+            report.stage(&format!("{prefix}_{tier}"), reps, |clock| {
+                let picks = clock.time(|| solve(universe, &sets).expect("coverable"));
+                let detail =
+                    json!({ "devices": universe, "sets": sets.len(), "picks": picks.len() });
+                (picks, detail)
+            })
+        });
+        assert_eq!(
+            incremental, reference_picks,
+            "solvers must agree pick-for-pick"
+        );
+        (universe, sets, incremental)
     });
-    let (picked_ref, reference_ms) = timed_min(5, || {
-        reference::greedy_set_cover(universe, &sets).expect("coverable")
-    });
-    assert_eq!(picked_inc, picked_ref, "solvers must agree pick-for-pick");
-    let set_cover_speedup = reference_ms / incremental_ms;
-    stages.push(stage(
-        "set_cover_incremental",
-        incremental_ms,
-        json!({ "devices": universe, "sets": sets.len(), "picks": picked_inc.len() }),
-    ));
-    stages.push(stage(
-        "set_cover_reference",
-        reference_ms,
-        json!({ "devices": universe, "sets": sets.len(), "picks": picked_ref.len() }),
-    ));
-
-    // The stress point uses the post-dense-filtering shape (dense share
-    // 0): at scale the DR-SC pipeline hands the cover kernel only the
-    // long-cycle tail — see `workload::frame_cover_instance_with`.
-    let (universe10k, sets10k) = workload::frame_cover_instance_with(10_000, 0.0, opts.seed);
-    let (stress_inc, stress_incremental_ms) = timed_min(3, || {
-        set_cover::greedy_set_cover(universe10k, &sets10k).expect("coverable")
-    });
-    let (stress_ref, stress_reference_ms) = timed_min(3, || {
-        reference::greedy_set_cover(universe10k, &sets10k).expect("coverable")
-    });
-    assert_eq!(stress_inc, stress_ref, "solvers must agree pick-for-pick");
-    let set_cover_stress_speedup = stress_reference_ms / stress_incremental_ms;
-    stages.push(stage(
-        "set_cover_stress_incremental",
-        stress_incremental_ms,
-        json!({ "devices": universe10k, "sets": sets10k.len(), "picks": stress_inc.len() }),
-    ));
-    stages.push(stage(
-        "set_cover_stress_reference",
-        stress_reference_ms,
-        json!({ "devices": universe10k, "sets": sets10k.len(), "picks": stress_ref.len() }),
-    ));
 
     // ---- Stage 3a1: the airtime-weighted cover kernel — cost-aware
     // Chvátal greedy on the umbrella-vs-pieces instance whose costs are
@@ -552,51 +568,53 @@ fn main() {
     let plan_airtime =
         |picks: &[usize], costs: &[u32]| picks.iter().map(|&s| u64::from(costs[s])).sum::<u64>();
     let (wn, wsets, wcosts) = workload::weighted_cover_instance(1_000, opts.seed);
-    let (weighted_picks, weighted_ms) = timed_min(5, || {
-        set_cover::greedy_set_cover_weighted(wn, &wsets, &wcosts).expect("coverable")
+    let count_airtime = plan_airtime(
+        &set_cover::greedy_set_cover(wn, &wsets).expect("coverable"),
+        &wcosts,
+    );
+    let weighted_picks = report.stage("set_cover_weighted", 5, |clock| {
+        let picks = clock
+            .time(|| set_cover::greedy_set_cover_weighted(wn, &wsets, &wcosts).expect("coverable"));
+        let detail = json!({
+            "devices": wn,
+            "sets": wsets.len(),
+            "picks": picks.len(),
+            "plan_airtime": plan_airtime(&picks, &wcosts),
+            "count_greedy_airtime": count_airtime,
+        });
+        (picks, detail)
     });
     assert_eq!(
-        Some(weighted_picks.clone()),
+        Some(weighted_picks),
         reference::greedy_set_cover_weighted(wn, &wsets, &wcosts),
         "weighted kernel must agree with the oracle pick-for-pick"
     );
-    let count_picks = set_cover::greedy_set_cover(wn, &wsets).expect("coverable");
-    stages.push(stage(
-        "set_cover_weighted",
-        weighted_ms,
-        json!({
-            "devices": wn,
-            "sets": wsets.len(),
-            "picks": weighted_picks.len(),
-            "plan_airtime": plan_airtime(&weighted_picks, &wcosts),
-            "count_greedy_airtime": plan_airtime(&count_picks, &wcosts),
-        }),
-    ));
 
     let (wn10k, wsets10k, wcosts10k) = workload::weighted_cover_instance(10_000, opts.seed);
-    let (stress_weighted, weighted_stress_ms) = timed_min(3, || {
-        set_cover::greedy_set_cover_weighted(wn10k, &wsets10k, &wcosts10k).expect("coverable")
+    let stress_count_airtime = plan_airtime(
+        &set_cover::greedy_set_cover(wn10k, &wsets10k).expect("coverable"),
+        &wcosts10k,
+    );
+    let stress_weighted_airtime = report.stage("set_cover_weighted_stress", 3, |clock| {
+        let picks = clock.time(|| {
+            set_cover::greedy_set_cover_weighted(wn10k, &wsets10k, &wcosts10k).expect("coverable")
+        });
+        let airtime = plan_airtime(&picks, &wcosts10k);
+        let detail = json!({
+            "devices": wn10k,
+            "sets": wsets10k.len(),
+            "picks": picks.len(),
+            "plan_airtime": airtime,
+            "count_greedy_airtime": stress_count_airtime,
+        });
+        (airtime, detail)
     });
-    let stress_count = set_cover::greedy_set_cover(wn10k, &wsets10k).expect("coverable");
-    let stress_weighted_airtime = plan_airtime(&stress_weighted, &wcosts10k);
-    let stress_count_airtime = plan_airtime(&stress_count, &wcosts10k);
     let weighted_airtime_gain = stress_count_airtime as f64 / stress_weighted_airtime as f64;
     assert!(
         weighted_airtime_gain >= 1.0,
         "the weighted kernel must never pay more airtime than count-greedy \
          on the stress instance ({stress_weighted_airtime} vs {stress_count_airtime} subframes)"
     );
-    stages.push(stage(
-        "set_cover_weighted_stress",
-        weighted_stress_ms,
-        json!({
-            "devices": wn10k,
-            "sets": wsets10k.len(),
-            "picks": stress_weighted.len(),
-            "plan_airtime": stress_weighted_airtime,
-            "count_greedy_airtime": stress_count_airtime,
-        }),
-    ));
 
     // ---- Stage 3a2: the anytime tabu pass over the greedy stress cover
     // — the plan-improvement kernel spending a deterministic iteration
@@ -605,8 +623,19 @@ fn main() {
     // pass beating plain greedy, so the assert fails the whole report if
     // the kernel ever stops finding the known slack in this instance.
     let tabu_budget = 256u32;
-    let ((tabu_picks, tabu_stats), tabu_improve_ms) = timed_min(3, || {
-        improve::improve_cover(universe10k, &sets10k, &stress_inc, tabu_budget, opts.seed)
+    let (tabu_picks, tabu_stats) = report.stage("tabu_improve_stress", 3, |clock| {
+        let (picks, stats) = clock.time(|| {
+            improve::improve_cover(universe10k, &sets10k, &stress_inc, tabu_budget, opts.seed)
+        });
+        let detail = json!({
+            "devices": universe10k,
+            "budget": tabu_budget,
+            "initial_cost": stats.initial_cost,
+            "final_cost": stats.final_cost,
+            "moves_accepted": stats.moves_accepted,
+            "budget_spent": stats.budget_spent,
+        });
+        ((picks, stats), detail)
     });
     assert!(
         tabu_stats.final_cost < tabu_stats.initial_cost,
@@ -616,18 +645,6 @@ fn main() {
     );
     assert_eq!(tabu_picks.len() as u32, tabu_stats.final_cost);
     let tabu_cover_gain = f64::from(tabu_stats.initial_cost) / f64::from(tabu_stats.final_cost);
-    stages.push(stage(
-        "tabu_improve_stress",
-        tabu_improve_ms,
-        json!({
-            "devices": universe10k,
-            "budget": tabu_budget,
-            "initial_cost": tabu_stats.initial_cost,
-            "final_cost": tabu_stats.final_cost,
-            "moves_accepted": tabu_stats.moves_accepted,
-            "budget_spent": tabu_stats.budget_spent,
-        }),
-    ));
 
     // ---- Stage 3b2: LNS plan repair vs full re-planning — the
     // `RegroupPolicy::Repair` economics end to end. One DR-SC plan is
@@ -680,52 +697,47 @@ fn main() {
             .collect::<Vec<_>>()
     };
     let epoch_inputs = fresh_epoch_inputs();
-    let (full_plans, replan_full_ms) = timed_min_with(3, fresh_epoch_inputs, |inputs| {
-        inputs
-            .iter()
-            .enumerate()
-            .map(|(epoch, input)| {
-                dr_sc
-                    .plan(input, &mut repair_seq.rng(200 + epoch as u64))
-                    .expect("plan")
-            })
-            .collect::<Vec<_>>()
+    report.stage("replan_churn_full", 3, |clock| {
+        let inputs = fresh_epoch_inputs();
+        let plans = clock.time(|| {
+            inputs
+                .iter()
+                .enumerate()
+                .map(|(epoch, input)| {
+                    dr_sc
+                        .plan(input, &mut repair_seq.rng(200 + epoch as u64))
+                        .expect("plan")
+                })
+                .collect::<Vec<_>>()
+        });
+        let total: usize = plans.iter().map(MulticastPlan::transmission_count).sum();
+        let detail = json!({
+            "devices": repair_devices,
+            "epochs": repair_epochs,
+            "transmissions_total": total,
+        });
+        ((), detail)
     });
-    let (repaired_final, replan_repair_ms) = timed_min(3, || {
-        let mut current = repair_plan0.clone();
-        for input in &epoch_inputs {
-            current = repair_plan(&current, input)
-                .expect("DR-SC plans are repairable")
-                .expect("repair");
-        }
-        current
+    let repaired_final = report.stage("replan_churn_repair", 3, |clock| {
+        let repaired = clock.time(|| {
+            let mut current = repair_plan0.clone();
+            for input in &epoch_inputs {
+                current = repair_plan(&current, input)
+                    .expect("DR-SC plans are repairable")
+                    .expect("repair");
+            }
+            current
+        });
+        let detail = json!({
+            "devices": repair_devices,
+            "epochs": repair_epochs,
+            "transmissions_final": repaired.transmission_count(),
+        });
+        (repaired, detail)
     });
     repaired_final
         .validate(epoch_inputs.last().expect("epochs"))
         .expect("repaired chain must validate against the final fleet");
-    let repair_vs_full_replan_speedup = replan_full_ms / replan_repair_ms;
-    let full_tx_total: usize = full_plans
-        .iter()
-        .map(MulticastPlan::transmission_count)
-        .sum();
-    stages.push(stage(
-        "replan_churn_full",
-        replan_full_ms,
-        json!({
-            "devices": repair_devices,
-            "epochs": repair_epochs,
-            "transmissions_total": full_tx_total,
-        }),
-    ));
-    stages.push(stage(
-        "replan_churn_repair",
-        replan_repair_ms,
-        json!({
-            "devices": repair_devices,
-            "epochs": repair_epochs,
-            "transmissions_final": repaired_final.transmission_count(),
-        }),
-    ));
 
     // ---- Stage 3b3: sustained-load service replay — the `groupingd`
     // engine end to end. One churned event log (fleet events + a
@@ -749,59 +761,46 @@ fn main() {
         opts.seed,
     )
     .expect("event log");
-    let service_cfg = |policy| ServiceConfig {
-        policy,
-        seed: opts.seed,
-        threads: 1,
-        ..ServiceConfig::default()
+    let replay = |policy| {
+        let cfg = ServiceConfig {
+            policy,
+            seed: opts.seed,
+            threads: 1,
+            ..ServiceConfig::default()
+        };
+        let mut svc = GroupingService::new(cfg, &service_log).expect("service");
+        svc.replay(&service_log).expect("replay")
     };
-    let (repair_serves, service_repair_ms) = timed_min(3, || {
-        let mut svc = GroupingService::new(service_cfg(RegroupPolicy::Repair), &service_log)
-            .expect("service");
-        svc.replay(&service_log).expect("replay")
+    let repair_serves = report.stage("service_replay_repair", 3, |clock| {
+        let serves = clock.time(|| replay(RegroupPolicy::Repair));
+        let repairs = serves
+            .iter()
+            .filter(|s| s.action == ServeAction::Repair)
+            .count();
+        let detail = json!({
+            "devices": service_devices,
+            "records": service_log.records.len(),
+            "serves": serves.len(),
+            "repair_share": repairs as f64 / serves.len().max(1) as f64,
+            "max_stale_fraction": serves.iter().map(|s| s.stale_fraction).fold(0.0f64, f64::max),
+            "serves_per_sec": per_sec(serves.len(), clock.ms()),
+        });
+        (serves.len(), detail)
     });
-    let (full_serves, service_full_ms) = timed_min(3, || {
-        let mut svc = GroupingService::new(service_cfg(RegroupPolicy::EveryEpoch), &service_log)
-            .expect("service");
-        svc.replay(&service_log).expect("replay")
+    let full_serves = report.stage("service_replay_full", 3, |clock| {
+        let serves = clock.time(|| replay(RegroupPolicy::EveryEpoch));
+        let detail = json!({
+            "devices": service_devices,
+            "records": service_log.records.len(),
+            "serves": serves.len(),
+            "serves_per_sec": per_sec(serves.len(), clock.ms()),
+        });
+        (serves.len(), detail)
     });
     assert_eq!(
-        repair_serves.len(),
-        full_serves.len(),
+        repair_serves, full_serves,
         "both policies must serve every campaign request"
     );
-    let repair_share = repair_serves
-        .iter()
-        .filter(|s| s.action == ServeAction::Repair)
-        .count() as f64
-        / repair_serves.len().max(1) as f64;
-    let max_stale_fraction = repair_serves
-        .iter()
-        .map(|s| s.stale_fraction)
-        .fold(0.0f64, f64::max);
-    let service_replay_repair_speedup = service_full_ms / service_repair_ms;
-    stages.push(stage(
-        "service_replay_repair",
-        service_repair_ms,
-        json!({
-            "devices": service_devices,
-            "records": service_log.records.len(),
-            "serves": repair_serves.len(),
-            "repair_share": repair_share,
-            "max_stale_fraction": max_stale_fraction,
-            "serves_per_sec": per_sec(repair_serves.len(), service_repair_ms),
-        }),
-    ));
-    stages.push(stage(
-        "service_replay_full",
-        service_full_ms,
-        json!({
-            "devices": service_devices,
-            "records": service_log.records.len(),
-            "serves": full_serves.len(),
-            "serves_per_sec": per_sec(full_serves.len(), service_full_ms),
-        }),
-    ));
 
     // ---- Stage 3c: the massive-n scale tier — the 10^5-10^6-device
     // frame-cover point (post-dense-filter shape, so entries scale with
@@ -810,28 +809,27 @@ fn main() {
     // kernel stage times one solve after a warmup solve; like every
     // explicit-set stage it includes the kernel's own scratch
     // allocation, the index build and the greedy rounds.
-    let ((massive_universe, massive_sets), massive_instance_ms) =
-        timed(|| workload::frame_cover_instance_with(massive_devices, 0.0, opts.seed));
-    stages.push(stage(
-        "massive_instance_generation",
-        massive_instance_ms,
-        json!({ "devices": massive_universe, "sets": massive_sets.len() }),
-    ));
+    let (massive_universe, massive_sets) =
+        report.stage("massive_instance_generation", 0, |clock| {
+            let (universe, sets) =
+                clock.time(|| workload::frame_cover_instance_with(massive_devices, 0.0, opts.seed));
+            let detail = json!({ "devices": universe, "sets": sets.len() });
+            ((universe, sets), detail)
+        });
     let unit = vec![1; massive_sets.len()];
-    let (massive_inc, massive_incremental_ms) = timed_min(1, || {
-        set_cover::greedy_set_cover_weighted(massive_universe, &massive_sets, &unit)
-            .expect("coverable")
-    });
-    stages.push(stage(
-        "set_cover_massive_incremental",
-        massive_incremental_ms,
-        json!({
+    report.stage("set_cover_massive_incremental", 1, |clock| {
+        let picks = clock.time(|| {
+            set_cover::greedy_set_cover_weighted(massive_universe, &massive_sets, &unit)
+                .expect("coverable")
+        });
+        let detail = json!({
             "devices": massive_universe,
             "sets": massive_sets.len(),
             "entries": massive_sets.iter().map(Vec::len).sum::<usize>(),
-            "picks": massive_inc.len(),
-        }),
-    ));
+            "picks": picks.len(),
+        });
+        ((), detail)
+    });
     // The scale tier holds the largest allocations of the whole report
     // (~hundreds of MB at 10^6 devices); release them before the
     // campaign stages.
@@ -859,61 +857,94 @@ fn main() {
             .plan(&massive_input, &mut seq.child(2_000).rng(1))
             .expect("plan");
         if kind != MechanismKind::DrSc {
-            let (valid, ms) = timed_min(3, || plan.validate(&massive_input));
-            valid.expect("massive plans are valid");
-            stages.push(stage(
-                "plan_validate",
-                ms,
-                json!({
+            report.stage("plan_validate", 3, |clock| {
+                let valid = clock.time(|| plan.validate(&massive_input));
+                valid.expect("massive plans are valid");
+                let recipients: usize = plan
+                    .transmissions
+                    .iter()
+                    .map(|tx| tx.recipients.len())
+                    .sum();
+                let detail = json!({
                     "mechanism": kind.to_string(),
                     "devices": massive_input.len(),
                     "transmissions": plan.transmissions.len(),
-                    "recipients": plan
-                        .transmissions
-                        .iter()
-                        .map(|tx| tx.recipients.len())
-                        .sum::<usize>(),
-                }),
-            ));
+                    "recipients": recipients,
+                });
+                ((), detail)
+            });
         }
-        let (result, ms) = timed_min(3, || {
-            let mut rng = seq.child(2_000).rng(3);
-            run_campaign(&Replay(&plan), &massive_input, &sim, &mut rng).expect("campaign")
-        });
-        stages.push(stage(
-            "campaign_massive",
-            ms,
-            json!({
+        report.stage("campaign_massive", 3, |clock| {
+            let result = clock.time(|| {
+                let mut rng = seq.child(2_000).rng(3);
+                run_campaign(&Replay(&plan), &massive_input, &sim, &mut rng).expect("campaign")
+            });
+            let detail = json!({
                 "mechanism": kind.to_string(),
                 "devices": massive_input.len(),
                 "transmissions": plan.transmissions.len(),
                 "ra_draws": result.ledgers.iter().map(|l| l.random_accesses).sum::<u64>(),
-            }),
-        ));
+            });
+            ((), detail)
+        });
     }
     drop(massive_input);
     // The same fleet's DR-SC window cover as the planner pays for it: the
     // input's PO timeline over schedule classes, then the solve, on a
     // fresh input per repetition. eDRX paging time windows put its sparse
     // POs on few distinct instants, unlike the uniform phases of the
-    // `window_cover_*` stages below. The closure also reads the
+    // `window_cover_*` stages below. The timed closure also reads the
     // timeline's counters, O(class events).
-    let (detail, ms) = timed_min_with(3, fresh_massive_input, |input| {
-        let timeline = input.po_timeline();
-        let slots = WindowCover::new(params.ti.duration())
-            .solve(input.search_horizon().start(), timeline)
-            .expect("coverable");
-        let events = timeline.events();
-        json!({
-            "devices": input.len(),
-            "events": timeline.device_events(),
-            "instants": events.chunk_by(|a, b| a.0 == b.0).count(),
-            "classes": timeline.classes(),
-            "class_events": events.len(),
-            "slots": slots.len(),
-        })
+    report.stage("window_cover_massive", 3, |clock| {
+        let input = fresh_massive_input();
+        let detail = clock.time(|| {
+            let timeline = input.po_timeline();
+            let slots = WindowCover::new(params.ti.duration())
+                .solve(input.search_horizon().start(), timeline)
+                .expect("coverable");
+            let events = timeline.events();
+            json!({
+                "devices": input.len(),
+                "events": timeline.device_events(),
+                "instants": events.chunk_by(|a, b| a.0 == b.0).count(),
+                "classes": timeline.classes(),
+                "class_events": events.len(),
+                "slots": slots.len(),
+            })
+        });
+        ((), detail)
     });
-    stages.push(stage("window_cover_massive", ms, detail));
+    // The same fleet's per-device paging arithmetic: DR-SI's test for a PO
+    // in its `[t − TI, t)` window, then the page PO in the window or the
+    // notification PO before it, then the campaign engine's PO count over
+    // its accounting horizon `[start, t + TI + transfer)`.
+    let transfer = sim.npdsch.plan_transfer(sim.payload).duration;
+    report.stage("po_queries", 3, |clock| {
+        let input = fresh_massive_input();
+        let t = input
+            .transmission_time()
+            .expect("default transmission time");
+        let ti = params.ti.duration();
+        let window = TimeWindow::new(t.saturating_sub(ti).max(params.start), t);
+        let h_end = t + ti + transfer;
+        let (in_window, pos) = clock.time(|| {
+            let (mut in_window, mut pos) = (0usize, 0u64);
+            for sched in input.schedules() {
+                let hit = sched.has_po_in(window);
+                std::hint::black_box(if hit {
+                    Some(sched.first_po_at_or_after(window.start()))
+                } else {
+                    sched.last_po_before(window.start())
+                });
+                in_window += usize::from(hit);
+                pos += sched.count_pos_between(params.start, h_end);
+            }
+            (in_window, pos)
+        });
+        let detail =
+            json!({ "devices": input.len(), "po_in_window": in_window, "pos_monitored": pos });
+        ((), detail)
+    });
     drop(massive_pop);
 
     // Each engine stage builds its timeline from the jagged lists inside
@@ -921,55 +952,45 @@ fn main() {
     // flatten, sort, cover.
     let (events, dense) = workload::window_cover_instance(1_000, 2_600, opts.seed);
     let ti = SimDuration::from_secs(10);
-    let start = nbiot_time::SimInstant::ZERO;
-    let (slots_fast, window_incremental_ms) = timed_min(5, || {
-        let timeline = set_cover::PoTimeline::from_events(&events, &dense);
-        WindowCover::new(ti)
-            .solve_incremental(start, &timeline)
-            .expect("coverable")
+    let start = SimInstant::ZERO;
+    let timeline = || set_cover::PoTimeline::from_events(&events, &dense);
+    type TimelineSolver<'a> = &'a dyn Fn() -> Option<Vec<set_cover::CoverSlot>>;
+    let solvers: [(&str, TimelineSolver); 3] = [
+        ("window_cover_incremental", &|| {
+            WindowCover::new(ti).solve_incremental(start, &timeline())
+        }),
+        ("window_cover_sweep", &|| {
+            WindowCover::new(ti).solve_sweep(start, &timeline())
+        }),
+        ("window_cover_reference", &|| {
+            reference::window_cover_solve(ti, start, &events, &dense)
+        }),
+    ];
+    let slots = solvers.map(|(name, solve)| {
+        report.stage(name, 5, |clock| {
+            let slots = clock.time(|| solve().expect("coverable"));
+            let detail = json!({ "devices": events.len(), "slots": slots.len() });
+            (slots, detail)
+        })
     });
-    let (slots_sweep, window_sweep_ms) = timed_min(5, || {
-        let timeline = set_cover::PoTimeline::from_events(&events, &dense);
-        WindowCover::new(ti)
-            .solve_sweep(start, &timeline)
-            .expect("coverable")
-    });
-    let (slots_ref, window_ref_ms) = timed_min(5, || {
-        reference::window_cover_solve(ti, start, &events, &dense).expect("coverable")
-    });
-    assert_eq!(slots_fast, slots_ref, "timeline solvers must agree");
-    assert_eq!(slots_sweep, slots_ref, "timeline solvers must agree");
-    let window_cover_speedup = window_ref_ms / window_incremental_ms;
-    let window_cover_incremental_speedup = window_sweep_ms / window_incremental_ms;
-    stages.push(stage(
-        "window_cover_incremental",
-        window_incremental_ms,
-        json!({ "devices": events.len(), "slots": slots_fast.len() }),
-    ));
-    stages.push(stage(
-        "window_cover_sweep",
-        window_sweep_ms,
-        json!({ "devices": events.len(), "slots": slots_sweep.len() }),
-    ));
-    stages.push(stage(
-        "window_cover_reference",
-        window_ref_ms,
-        json!({ "devices": events.len(), "slots": slots_ref.len() }),
-    ));
+    assert!(
+        slots.iter().all(|s| *s == slots[2]),
+        "timeline solvers must agree"
+    );
 
     // ---- Stage 4: single campaign execution per mechanism, planning
     // included, each on a fresh input ----
     for kind in MechanismKind::ALL {
         let mechanism = kind.instantiate();
-        let (_, ms) = timed_min_with(3, fresh_input, |input| {
-            let mut rng = seq.child(2_000).rng(3);
-            run_campaign(mechanism.as_ref(), input, &sim, &mut rng).expect("campaign")
+        report.stage("campaign", 3, |clock| {
+            let input = fresh_input();
+            clock.time(|| {
+                let mut rng = seq.child(2_000).rng(3);
+                run_campaign(mechanism.as_ref(), &input, &sim, &mut rng).expect("campaign")
+            });
+            let detail = json!({ "mechanism": kind.to_string(), "devices": opts.devices });
+            ((), detail)
         });
-        stages.push(stage(
-            "campaign",
-            ms,
-            json!({ "mechanism": kind.to_string(), "devices": opts.devices }),
-        ));
     }
 
     // ---- Stage 5: the full comparison (one point, every mechanism),
@@ -980,32 +1001,30 @@ fn main() {
     };
     opts.apply_to_scenario(&mut comparison);
     comparison.threads = 1;
-    let (serial_result, serial_ms) = timed(|| run_scenario(&comparison).expect("comparison"));
-    stages.push(stage(
-        "comparison_serial",
-        serial_ms,
-        json!({
+    let serial_result = report.stage("comparison_serial", 0, |clock| {
+        let result = clock.time(|| run_scenario(&comparison).expect("comparison"));
+        let detail = json!({
             "mechanisms": MechanismKind::ALL.len(),
             "devices": opts.devices,
             "runs": opts.runs,
-        }),
-    ));
+        });
+        (result, detail)
+    });
     comparison.threads = opts.threads;
-    let (parallel_result, parallel_ms) = timed(|| run_scenario(&comparison).expect("comparison"));
-    assert_eq!(
-        serial_result, parallel_result,
-        "parallel comparison must be bit-identical to serial"
-    );
-    stages.push(stage(
-        "comparison_parallel",
-        parallel_ms,
-        json!({
+    let parallel_result = report.stage("comparison_parallel", 0, |clock| {
+        let result = clock.time(|| run_scenario(&comparison).expect("comparison"));
+        let detail = json!({
             "mechanisms": MechanismKind::ALL.len(),
             "devices": opts.devices,
             "runs": opts.runs,
             "threads": opts.threads,
-        }),
-    ));
+        });
+        (result, detail)
+    });
+    assert_eq!(
+        serial_result, parallel_result,
+        "parallel comparison must be bit-identical to serial"
+    );
 
     // ---- Stage 6: the full device sweep (Fig. 7 workload) through the
     // (point × run) scheduler, serial and as one parallel item pool. The
@@ -1014,22 +1033,18 @@ fn main() {
     let sizes = std::mem::take(&mut sweep.devices);
     opts.apply_to_scenario(&mut sweep);
     sweep.devices = sizes;
-    sweep.threads = 1;
-    let (sweep_serial_result, sweep_serial_ms) = timed(|| run_scenario(&sweep).expect("sweep"));
-    stages.push(stage(
-        "sweep_serial",
-        sweep_serial_ms,
-        json!({ "points": sweep.devices.len(), "runs": opts.runs, "threads": 1u64 }),
-    ));
-    sweep.threads = opts.threads;
-    let (sweep_parallel_result, sweep_parallel_ms) = timed(|| run_scenario(&sweep).expect("sweep"));
-    stages.push(stage(
-        "sweep_point_parallel",
-        sweep_parallel_ms,
-        json!({ "points": sweep.devices.len(), "runs": opts.runs, "threads": opts.threads }),
-    ));
+    let [sweep_serial, sweep_parallel] =
+        [("sweep_serial", 1), ("sweep_point_parallel", opts.threads)].map(|(name, threads)| {
+            sweep.threads = threads;
+            report.stage(name, 0, |clock| {
+                let result = clock.time(|| run_scenario(&sweep).expect("sweep"));
+                let detail =
+                    json!({ "points": sweep.devices.len(), "runs": opts.runs, "threads": threads });
+                (result, detail)
+            })
+        });
     assert_eq!(
-        sweep_serial_result, sweep_parallel_result,
+        sweep_serial, sweep_parallel,
         "point-parallel sweep must be bit-identical to serial"
     );
 
@@ -1038,12 +1053,12 @@ fn main() {
     let mut suite = Scenario::builtin("paper-suite").expect("registered scenario");
     opts.apply_to_scenario(&mut suite);
     suite.threads = 1;
-    let (suite_result, suite_shared_ms) = timed(|| run_scenario(&suite).expect("suite"));
-    stages.push(stage(
-        "figure_suite_shared",
-        suite_shared_ms,
-        json!({ "payloads": suite.payloads.len(), "devices": opts.devices, "runs": opts.runs }),
-    ));
+    let suite_result = report.stage("figure_suite_shared", 0, |clock| {
+        let result = clock.time(|| run_scenario(&suite).expect("suite"));
+        let detail =
+            json!({ "payloads": suite.payloads.len(), "devices": opts.devices, "runs": opts.runs });
+        (result, detail)
+    });
 
     // ---- Stage 8: coordinator overhead — the same suite grid executed
     // through the fault-tolerant shard coordinator (2 supervised
@@ -1055,10 +1070,19 @@ fn main() {
     let coord_dir = std::env::temp_dir().join(format!("bench_report_coord_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&coord_dir);
     let coord_shards = 2u32;
-    let (coord_outcome, coordinator_ms) = timed(|| {
-        let mut config = RunConfig::new(suite.clone(), coord_shards, &coord_dir);
-        config.backoff_base_ms = 0;
-        coordinator::run(&config).unwrap_or_else(|e| fail(format!("supervised suite run: {e}")))
+    let coord_outcome = report.stage("coordinator_supervised_suite", 0, |clock| {
+        let outcome = clock.time(|| {
+            let mut config = RunConfig::new(suite.clone(), coord_shards, &coord_dir);
+            config.backoff_base_ms = 0;
+            coordinator::run(&config).unwrap_or_else(|e| fail(format!("supervised suite run: {e}")))
+        });
+        let detail = json!({
+            "shards": coord_shards,
+            "payloads": suite.payloads.len(),
+            "devices": opts.devices,
+            "runs": opts.runs,
+        });
+        (outcome, detail)
     });
     let merged = coord_outcome
         .merged
@@ -1069,18 +1093,14 @@ fn main() {
         "supervised sharded run must fold to the direct run's exact result"
     );
     let _ = std::fs::remove_dir_all(&coord_dir);
-    let coordinator_overhead = coordinator_ms / suite_shared_ms;
-    stages.push(stage(
-        "coordinator_supervised_suite",
-        coordinator_ms,
-        json!({
-            "shards": coord_shards,
-            "payloads": suite.payloads.len(),
-            "devices": opts.devices,
-            "runs": opts.runs,
-        }),
-    ));
 
+    let ratios = time_ratios(&report.stages);
+    let mut derived: Vec<(String, Value)> = ratios
+        .iter()
+        .map(|&(key, ratio)| (key.to_string(), json!(ratio)))
+        .collect();
+    derived.push(("weighted_airtime_gain".into(), json!(weighted_airtime_gain)));
+    derived.push(("tabu_cover_gain".into(), json!(tabu_cover_gain)));
     let report = json!({
         "schema_version": 1u64,
         "workload": json!({
@@ -1098,48 +1118,30 @@ fn main() {
             "detected_parallelism": std::thread::available_parallelism()
                 .map_or(0u64, |n| n.get() as u64),
         }),
-        "stages": Value::Array(stages),
-        "derived": json!({
-            "set_cover_speedup": set_cover_speedup,
-            "set_cover_stress_speedup": set_cover_stress_speedup,
-            "dr_sc_family_sharing_ratio": dr_sc_family_sharing_ratio,
-            "weighted_airtime_gain": weighted_airtime_gain,
-            "tabu_cover_gain": tabu_cover_gain,
-            "repair_vs_full_replan_speedup": repair_vs_full_replan_speedup,
-            "service_replay_repair_speedup": service_replay_repair_speedup,
-            "window_cover_speedup": window_cover_speedup,
-            "window_cover_incremental_speedup": window_cover_incremental_speedup,
-            "comparison_parallel_speedup": serial_ms / parallel_ms,
-            "sweep_parallel_speedup": sweep_serial_ms / sweep_parallel_ms,
-            "coordinator_overhead": coordinator_overhead,
-        }),
+        "stages": Value::Array(report.stages),
+        "derived": Value::Object(derived),
     });
     let text = serde_json::to_string_pretty(&report).expect("serializable");
-    std::fs::write(&out_path, &text)
+    out_file
+        .write_all(text.as_bytes())
         .unwrap_or_else(|e| fail(format!("cannot write benchmark report `{out_path}`: {e}")));
     println!("{text}");
-    eprintln!(
-        "\nbench_report: set-cover speedup over the reference {set_cover_speedup:.2}x \
-         ({set_cover_stress_speedup:.2}x at 10k devices), \
-         tabu cover gain {tabu_cover_gain:.3}x at budget {tabu_budget}, \
-         churn repair {repair_vs_full_replan_speedup:.2}x over full re-planning \
-         (service replay {service_replay_repair_speedup:.2}x), \
-         window-cover speedup {window_cover_speedup:.2}x \
-         (incremental {window_cover_incremental_speedup:.2}x over sweep), \
-         parallel comparison speedup {:.2}x, \
-         sweep point-parallel speedup {:.2}x, \
-         coordinator overhead {coordinator_overhead:.2}x -> {out_path}",
-        serial_ms / parallel_ms,
-        sweep_serial_ms / sweep_parallel_ms,
-    );
+    let summary: Vec<String> = ratios
+        .iter()
+        .map(|(key, ratio)| format!("{key} {ratio:.2}x"))
+        .collect();
+    eprintln!("\nbench_report: {} -> {out_path}", summary.join(", "));
 
-    if let Some(baseline_path) = compare {
-        let baseline: Value = serde_json::from_str(
-            &std::fs::read_to_string(&baseline_path)
-                .unwrap_or_else(|e| fail(format!("cannot read baseline `{baseline_path}`: {e}"))),
-        )
-        .unwrap_or_else(|e| fail(format!("bad baseline JSON in `{baseline_path}`: {e}")));
+    if let Some(baseline) = baseline {
         let violations = run_gate(&report, &baseline, tolerance_pct);
+        let missing = missing_keys(&report, &baseline);
+        if !missing.is_empty() {
+            fail(format!(
+                "structural mismatch: the report lacks baseline key(s) {} \
+                 (a retired stage drops its baseline entry)",
+                missing.join(", ")
+            ));
+        }
         if !violations.is_empty() {
             eprintln!(
                 "bench gate: {} stage(s) regressed beyond {tolerance_pct}%: {}",
@@ -1159,6 +1161,8 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
 
     fn report(stages: &[(&str, Option<&str>, f64)]) -> Value {
@@ -1169,7 +1173,7 @@ mod tests {
                     Some(m) => json!({ "mechanism": m }),
                     None => json!({}),
                 };
-                stage(name, ms, detail)
+                json!({ "name": name, "wall_clock_ms": ms, "detail": detail })
             })
             .collect();
         json!({ "schema_version": 1u64, "stages": Value::Array(stages) })
@@ -1182,7 +1186,7 @@ mod tests {
             ("plan", Some("DA-SC"), 2.0),
             ("comparison_serial", None, 3.0),
         ]);
-        let times = stage_times(&r);
+        let times = stage_times(stages_of(&r));
         assert_eq!(
             times,
             vec![
@@ -1208,5 +1212,85 @@ mod tests {
         let violations = run_gate(&current, &baseline, 10.0);
         assert_eq!(violations, vec!["b".to_string()]);
         assert!(run_gate(&current, &baseline, 60.0).is_empty());
+        assert!(missing_keys(&current, &baseline).is_empty());
+    }
+
+    #[test]
+    fn gate_reports_baseline_keys_the_report_lacks() {
+        let baseline_stages = report(&[
+            ("a", None, 1.0),
+            ("plan", Some("DR-SC"), 1.0),
+            ("plan", Some("DA-SC"), 1.0),
+        ]);
+        // `new` has no baseline entry: a new stage, never a mismatch.
+        let current_stages = report(&[
+            ("a", None, 1.0),
+            ("plan", Some("DR-SC"), 1.0),
+            ("new", None, 1.0),
+        ]);
+        let baseline = json!({
+            "stages": stages_of(&baseline_stages),
+            "derived": json!({ "a_speedup": 2.0, "retired_ratio": 1.0 }),
+        });
+        let current = json!({
+            "stages": stages_of(&current_stages),
+            "derived": json!({ "a_speedup": 2.0 }),
+        });
+        assert_eq!(
+            missing_keys(&current, &baseline),
+            ["plan[DA-SC]", "derived.retired_ratio"]
+        );
+    }
+
+    #[test]
+    fn stages_run_setup_and_timed_closure_once_per_call_and_return_the_last_output() {
+        // `reps == 0` is one cold call, `reps = k` a warm-up plus k calls.
+        for reps in [0u32, 1, 3] {
+            let (setups, runs) = (Cell::new(0), Cell::new(0));
+            let mut report = Report::default();
+            let out = report.stage("s", reps, |clock| {
+                setups.set(setups.get() + 1);
+                let run = clock.time(|| {
+                    runs.set(runs.get() + 1);
+                    runs.get()
+                });
+                ((setups.get(), run), json!({ "run": run }))
+            });
+            assert_eq!((setups.get(), runs.get()), (reps + 1, reps + 1));
+            assert_eq!(out, (reps + 1, reps + 1), "the last call, on its own setup");
+            assert_eq!(report.stages.len(), 1);
+        }
+    }
+
+    #[test]
+    fn time_ratios_divide_the_numerator_by_the_summed_denominators() {
+        let mut keys: Vec<&str> = TIME_RATIOS
+            .iter()
+            .flat_map(|(_, numerator, denominator)| numerator.iter().chain(*denominator))
+            .copied()
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        // Stage i of `keys` takes i + 1 ms; `plan[DR-SC]` is `plan` on DR-SC.
+        let ms = |key: &&str| (keys.iter().position(|k| k == key).expect("stage") + 1) as f64;
+        let stages: Vec<_> = keys
+            .iter()
+            .map(|key| match key.split_once('[') {
+                Some((name, mechanism)) => (name, mechanism.strip_suffix(']'), ms(key)),
+                None => (*key, None, ms(key)),
+            })
+            .collect();
+        let ratios = time_ratios(stages_of(&report(&stages)));
+        for (&(key, ratio), (row, numerator, denominator)) in ratios.iter().zip(TIME_RATIOS) {
+            assert_eq!(key, row);
+            let expected =
+                numerator.iter().map(ms).sum::<f64>() / denominator.iter().map(ms).sum::<f64>();
+            assert_eq!(ratio, expected, "{key}");
+        }
+        let family: Vec<String> = FAMILY.iter().map(|kind| format!("plan[{kind}]")).collect();
+        assert_eq!(
+            TIME_RATIOS[2].2, family,
+            "the sharing ratio divides by the family's cold plans"
+        );
     }
 }

@@ -9,7 +9,7 @@
 //! |---------------|----------------|--------|
 //! | `figures`     | any scenario: Fig. 6(a) `fig6a`, Fig. 6(b) `fig6b`, Fig. 7 `fig7`, Fig. 6(a)+(b) in one grid `paper-suite` | the scenario's tables, captions derived from the actual config |
 //! | `fig7`        | Fig. 7         | mean DR-SC transmissions vs group size; its `--json` is the only output carrying the fluid-model estimate |
-//! | `ablations`   | beyond-paper sensitivity studies | TI, notify policy, adaptation grid, RACH contention |
+//! | `ablations`   | beyond-paper sensitivity studies | TI, notify policy, adaptation grid, RACH contention, SC-PTM monitoring, paging density `nB`, channel serialization |
 //! | `bench_report`| — | machine-trackable wall-clock of the macro workload (`BENCH_results.json`) |
 //!
 //! Common flags: `--runs <u32>` (default 100, the paper's repetition
@@ -20,7 +20,6 @@
 
 use std::fmt::Write as _;
 
-pub mod alloc_meter;
 pub mod coordinator;
 pub mod diff;
 pub mod scenarios;
@@ -286,9 +285,9 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Deterministic synthetic workloads shared by the criterion benches and
-/// the `bench_report` binary, mirroring the structure DR-SC's solvers see
-/// in real campaigns.
+/// Deterministic synthetic workloads shared by the `bench_report` stages
+/// and the kernel regression pins, mirroring the structure DR-SC's solvers
+/// see in real campaigns.
 pub mod workload {
     use nbiot_des::SeedSequence;
     use nbiot_time::SimInstant;

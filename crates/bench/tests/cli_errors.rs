@@ -175,6 +175,78 @@ fn bench_report_rejects_non_finite_or_negative_tolerances_before_any_stage() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Runs `bench_report` on a small workload with `args` appended and
+/// asserts a data error naming `needle` before any stage: nothing on
+/// stdout and no report at `report`.
+fn assert_bench_report_fails_early(args: &[&str], report: &Path, needle: &str) {
+    let mut all = vec![
+        "--runs",
+        "1",
+        "--devices",
+        "20",
+        "--massive-devices",
+        "2000",
+    ];
+    all.extend_from_slice(args);
+    let out = run(env!("CARGO_BIN_EXE_bench_report"), &all);
+    assert_error_line(&out, "bench_report", 1, needle);
+    assert!(
+        stdout(&out).is_empty(),
+        "no stage may run: {}",
+        stdout(&out)
+    );
+    assert!(!report.exists(), "no report may be written");
+}
+
+#[test]
+fn bench_report_rejects_a_missing_baseline_before_any_stage() {
+    let dir = scratch("missing_baseline");
+    let report = dir.join("report.json");
+    let baseline = dir.join("absent.json");
+    assert_bench_report_fails_early(
+        &[
+            "--compare",
+            baseline.to_str().unwrap(),
+            "--out",
+            report.to_str().unwrap(),
+        ],
+        &report,
+        "cannot read baseline",
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn bench_report_rejects_malformed_baseline_json_before_any_stage() {
+    let dir = scratch("malformed_baseline");
+    let report = dir.join("report.json");
+    let baseline = dir.join("baseline.json");
+    std::fs::write(&baseline, r#"{"stages": [{"name": "plan""#).expect("fixture");
+    assert_bench_report_fails_early(
+        &[
+            "--compare",
+            baseline.to_str().unwrap(),
+            "--out",
+            report.to_str().unwrap(),
+        ],
+        &report,
+        "bad baseline JSON",
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn bench_report_rejects_an_out_path_in_a_missing_directory_before_any_stage() {
+    let dir = scratch("missing_out_dir");
+    let report = dir.join("no_such_dir").join("report.json");
+    assert_bench_report_fails_early(
+        &["--out", report.to_str().unwrap()],
+        &report,
+        "cannot write benchmark report",
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn ablations_rejects_zero_runs_with_a_usage_error() {
     let out = run(env!("CARGO_BIN_EXE_ablations"), &["--runs", "0"]);

@@ -1,7 +1,7 @@
 //! Regression pins for the set-cover kernels on the benchmark workloads.
 //!
-//! The bench stages (`bench_report`, the criterion benches) assume all
-//! solver tiers agree pick-for-pick on these instances; this test
+//! The `bench_report` stages assume all solver tiers agree pick-for-pick
+//! on these instances; this test
 //! additionally pins the *absolute* round-by-round pick sequence of the
 //! 1000-device frame-cover instance at the default benchmark seed, so any
 //! change to greedy semantics — tie-breaking, gain accounting, instance
