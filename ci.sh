@@ -31,8 +31,8 @@
 #   service-smoke  groupingd event-log replay: JSONL serve transcript
 #                  diffed against golden/service_smoke.json at zero
 #                  tolerance, a snapshot -> restore -> continue leg that
-#                  must reproduce the transcript tail, and a --threads 8
-#                  bit-identity leg
+#                  must reproduce the transcript tail, and an empty-fleet
+#                  leg that must serve only zero-transmission plans
 #   weighted-smoke airtime-weighted cover: reduced weighted-airtime point
 #                  at threads {1,8} (bit-identity), then zero-tolerance
 #                  diff against golden/weighted_smoke.json
@@ -336,10 +336,21 @@ stage_service_smoke() {
         | diff -u - "$SCRATCH/service_resumed.jsonl"
     echo "service smoke leg 2 OK (restore-midway transcript matches the uninterrupted tail)"
 
-    # Leg 3: the configured thread count never changes the transcript.
-    "${d[@]}" --events "$events" --policy repair --seed 42 --threads 8 \
-        > "$SCRATCH/service_t8.jsonl"
-    diff -u "$SCRATCH/service_full.jsonl" "$SCRATCH/service_t8.jsonl"
+    # Leg 3: an empty fleet is an ordinary state. A log that never
+    # registers a device replays with exit 0, and every serve plans no
+    # transmission.
+    local empty="$SCRATCH/service_empty_events.json"
+    "${d[@]}" --synth --devices 0 --epochs 2 --emit-events "$empty" 2> /dev/null
+    "${d[@]}" --events "$empty" > "$SCRATCH/service_empty.jsonl"
+    local serves
+    serves="$(grep -c '"serve"' "$SCRATCH/service_empty.jsonl")"
+    if [[ "$serves" -ne 3 ]] \
+        || grep '"serve"' "$SCRATCH/service_empty.jsonl" \
+            | grep -qv '"devices":0,"transmissions":0'; then
+        echo "empty-fleet replay did not serve three zero-transmission plans:" >&2
+        cat "$SCRATCH/service_empty.jsonl" >&2
+        exit 1
+    fi
     echo "service smoke OK (all three legs)"
 }
 

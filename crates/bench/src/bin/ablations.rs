@@ -260,6 +260,7 @@ fn nb_density(base: &Scenario) {
     println!("\n==== Ablation 6: paging density nB (PO alignment) ====\n");
     use nbiot_grouping::{DrSc, GroupingMechanism};
     use nbiot_time::NbParam;
+    use nbiot_traffic::Population;
     let seq = SeedSequence::new(base.master_seed);
     let n_devices = base.devices[0];
     let mut rows = Vec::new();
@@ -280,7 +281,8 @@ fn nb_density(base: &Scenario) {
             for d in &mut devices {
                 d.paging.nb = nb;
             }
-            let input = GroupingInput::from_devices(devices, base.grouping).expect("input");
+            let pop = Population::new(pop.mix_name().into(), pop.class_names().to_vec(), devices);
+            let input = GroupingInput::from_population(&pop, base.grouping).expect("input");
             let mut rng = run_seq.rng(11);
             let plan = DrSc::new().plan(&input, &mut rng).expect("plan");
             tx.push(plan.transmission_count() as f64);

@@ -765,7 +765,6 @@ fn main() {
         let cfg = ServiceConfig {
             policy,
             seed: opts.seed,
-            threads: 1,
             ..ServiceConfig::default()
         };
         let mut svc = GroupingService::new(cfg, &service_log).expect("service");

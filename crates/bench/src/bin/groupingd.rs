@@ -12,10 +12,10 @@
 //!
 //! Stdout is a deterministic JSONL transcript: one line per served
 //! campaign plus a final summary line — bit-identical for a given
-//! (config, event log), across restarts from any snapshot, and for every
-//! `--threads` setting, which is what the `service-smoke` CI stage
-//! diffs. Exit codes: `0` success, `1` runtime failures (corrupt
-//! logs/snapshots, foreign fingerprints, planning errors), `2` usage.
+//! (config, event log) and across restarts from any snapshot, which is
+//! what the `service-smoke` CI stage diffs. Exit codes: `0` success, `1`
+//! runtime failures (corrupt logs/snapshots, foreign fingerprints,
+//! planning errors), `2` usage.
 
 use nbiot_bench::{fail, fail_usage, OrFail};
 use nbiot_service::{Applied, EventLog, GroupingService, ServiceConfig, ServiceSnapshot};
@@ -26,7 +26,7 @@ use serde_json::json;
 fn usage() -> ! {
     eprintln!(
         "usage: groupingd --events <log.json> [--policy <never|every-epoch|staleness:T|repair>]\n\
-         \x20      [--seed N] [--threads N] [--snapshot-every N] [--snapshot-out PATH]\n\
+         \x20      [--seed N] [--snapshot-every N] [--snapshot-out PATH]\n\
          \x20      [--restore PATH]\n\
          \x20  or: groupingd --synth --emit-events PATH [--mix NAME] [--devices N] [--epochs N]\n\
          \x20      [--mechanism NAME] [--seed N] [--departure-rate F] [--arrival-rate F]\n\
@@ -48,7 +48,6 @@ fn main() {
     let mut events_path: Option<String> = None;
     let mut policy = String::from("repair");
     let mut seed = 0u64;
-    let mut threads = 1usize;
     let mut snapshot_every: Option<u64> = None;
     let mut snapshot_out: Option<String> = None;
     let mut restore: Option<String> = None;
@@ -77,7 +76,6 @@ fn main() {
             "--events" => events_path = Some(value(&mut args, "--events")),
             "--policy" => policy = value(&mut args, "--policy"),
             "--seed" => seed = parsed(&mut args, "--seed"),
-            "--threads" => threads = parsed(&mut args, "--threads"),
             "--snapshot-every" => snapshot_every = Some(parsed(&mut args, "--snapshot-every")),
             "--snapshot-out" => snapshot_out = Some(value(&mut args, "--snapshot-out")),
             "--restore" => restore = Some(value(&mut args, "--restore")),
@@ -129,7 +127,6 @@ fn main() {
     let config = ServiceConfig {
         policy,
         seed,
-        threads,
         ..ServiceConfig::default()
     };
 

@@ -55,7 +55,8 @@ pub fn load_archive(path: &str) -> Result<ScenarioArchive, String> {
         // A clean parse failure on an archive of another era deserves a
         // better message than "missing field": peek at the generic JSON
         // for a schema_version that this build simply doesn't speak.
-        match archive_schema_version(&text) {
+        let value = serde_json::from_str::<serde::Value>(&text).ok();
+        match value.as_ref().and_then(nbiot_sim::peek_schema_version) {
             Some(version) if version != nbiot_sim::ARCHIVE_SCHEMA_VERSION => format!(
                 "archive `{path}` has schema version {version}; this build reads version {} — \
                  regenerate the archive with the current `figures --emit-archive`",
@@ -68,21 +69,6 @@ pub fn load_archive(path: &str) -> Result<ScenarioArchive, String> {
         .validate()
         .map_err(|e| format!("invalid archive `{path}`: {e}"))?;
     Ok(archive)
-}
-
-/// Extracts `schema_version` from archive JSON text without assuming any
-/// other part of the shape parses.
-fn archive_schema_version(text: &str) -> Option<u32> {
-    let value: serde::Value = serde_json::from_str(text).ok()?;
-    let entries = value.as_object()?;
-    let version = entries
-        .iter()
-        .find(|(key, _)| key == "schema_version")
-        .map(|(_, v)| v)?;
-    match version {
-        serde::Value::U64(v) => u32::try_from(*v).ok(),
-        _ => None,
-    }
 }
 
 /// Largest per-point device count for which `figures --emit-archive` will

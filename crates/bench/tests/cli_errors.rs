@@ -596,6 +596,41 @@ fn groupingd_names_foreign_snapshot_schema_versions() {
             future.to_str().unwrap(),
         ],
     );
-    assert_error_line(&out, "groupingd", 1, "reads version 1");
+    let supported = format!("reads version {}", nbiot_service::SNAPSHOT_SCHEMA_VERSION);
+    assert_error_line(&out, "groupingd", 1, &supported);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn groupingd_serves_an_empty_fleet_with_no_transmission() {
+    let dir = scratch("empty_fleet");
+    let events = dir.join("events.json");
+    let synth = run(
+        env!("CARGO_BIN_EXE_groupingd"),
+        &[
+            "--synth",
+            "--devices",
+            "0",
+            "--epochs",
+            "2",
+            "--emit-events",
+            events.to_str().unwrap(),
+        ],
+    );
+    assert!(synth.status.success(), "synth: {}", stderr(&synth));
+    let out = run(
+        env!("CARGO_BIN_EXE_groupingd"),
+        &["--events", events.to_str().unwrap()],
+    );
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let transcript = stdout(&out);
+    let serves: Vec<&str> = transcript
+        .lines()
+        .filter(|l| l.contains("\"serve\""))
+        .collect();
+    assert_eq!(serves.len(), 3, "{transcript}");
+    for line in serves {
+        assert!(line.contains(r#""devices":0,"transmissions":0"#), "{line}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

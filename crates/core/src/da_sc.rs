@@ -8,9 +8,10 @@ use rand::RngCore;
 
 use nbiot_time::{CycleLadder, PagingConfig, PagingSchedule, SimDuration, SimInstant, TimeWindow};
 
+use crate::plan::transmission_to_all;
 use crate::{
     AdaptationDirective, DevicePlan, GroupingError, GroupingInput, GroupingMechanism,
-    MulticastPlan, PageDirective, Transmission,
+    MulticastPlan, PageDirective,
 };
 
 /// How the adapted DRX grid is phased after the reconfiguration.
@@ -168,12 +169,11 @@ impl GroupingMechanism for DaSc {
             });
         }
 
-        let recipients = device_plans.iter().map(|p| p.device).collect();
         Ok(MulticastPlan {
             mechanism: self.name(),
             standards_compliant: true,
             requires_connection: true,
-            transmissions: vec![Transmission { at: t, recipients }],
+            transmissions: transmission_to_all(t, &device_plans),
             device_plans,
             horizon: TimeWindow::new(params.start, t),
             control_monitoring: None,

@@ -4,9 +4,10 @@ use rand::{Rng, RngCore};
 
 use nbiot_time::{SimInstant, TimeWindow};
 
+use crate::plan::transmission_to_all;
 use crate::{
     DevicePlan, GroupingError, GroupingInput, GroupingMechanism, MltcDirective, MulticastPlan,
-    PageDirective, Transmission,
+    PageDirective,
 };
 
 /// At which of its paging occasions a device is notified in advance.
@@ -116,14 +117,13 @@ impl GroupingMechanism for DrSi {
             });
         }
 
-        let recipients = device_plans.iter().map(|p| p.device).collect();
         Ok(MulticastPlan {
             mechanism: self.name(),
             // The flag reflects the signalling actually used: a group whose
             // POs all fall inside the window needs no extension.
             standards_compliant: !any_mltc,
             requires_connection: true,
-            transmissions: vec![Transmission { at: t, recipients }],
+            transmissions: transmission_to_all(t, &device_plans),
             device_plans,
             horizon: TimeWindow::new(params.start, t),
             control_monitoring: None,

@@ -9,8 +9,6 @@ use nbiot_traffic::DeviceId;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum GroupingError {
-    /// The group contains no devices.
-    EmptyGroup,
     /// The inactivity timer is shorter than the shortest standard DRX
     /// cycle, so DA-SC cannot guarantee a PO inside the pre-transmission
     /// window (the paper's guarantee "since the shortest DRX cycle is
@@ -43,7 +41,6 @@ pub enum GroupingError {
 impl fmt::Display for GroupingError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            GroupingError::EmptyGroup => f.write_str("multicast group is empty"),
             GroupingError::TiTooShort {
                 ti_ms,
                 shortest_cycle_ms,

@@ -106,9 +106,11 @@ impl GroupingInput {
     /// the population's columns, with schedules resolved from the
     /// `pagings`/`ues` pair.
     ///
+    /// An empty population builds an empty input, which every mechanism
+    /// plans with no transmission.
+    ///
     /// # Errors
     ///
-    /// * [`GroupingError::EmptyGroup`] for an empty population,
     /// * [`GroupingError::TiTooShort`] when `TI` is shorter than the
     ///   shortest standard DRX cycle (DA-SC's feasibility guarantee),
     /// * [`GroupingError::Schedule`] when a paging schedule cannot be
@@ -117,9 +119,6 @@ impl GroupingInput {
         pop: &Population,
         params: GroupingParams,
     ) -> Result<GroupingInput, GroupingError> {
-        if pop.is_empty() {
-            return Err(GroupingError::EmptyGroup);
-        }
         Self::validate_ti(&params)?;
         let schedules = pop.schedules()?;
         let max_cycle = pop.max_cycle();
@@ -132,60 +131,6 @@ impl GroupingInput {
             pagings: pop.paging_configs().to_vec(),
             report_intervals: pop.report_intervals().to_vec(),
             coverages: pop.classes().iter().map(|&c| pop.coverage_of(c)).collect(),
-            schedules,
-            params,
-            max_cycle,
-            positions,
-            po_timeline: OnceLock::new(),
-            count_cover: OnceLock::new(),
-            anchor_instance: OnceLock::new(),
-        })
-    }
-
-    /// Builds the input from an explicit device list.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`GroupingInput::from_population`].
-    pub fn from_devices(
-        devices: Vec<DeviceProfile>,
-        params: GroupingParams,
-    ) -> Result<GroupingInput, GroupingError> {
-        if devices.is_empty() {
-            return Err(GroupingError::EmptyGroup);
-        }
-        Self::validate_ti(&params)?;
-        let schedules = devices
-            .iter()
-            .map(|d| d.schedule())
-            .collect::<Result<Vec<_>, _>>()?;
-        let max_cycle = devices
-            .iter()
-            .map(|d| d.paging.cycle.period())
-            .max()
-            .expect("non-empty");
-        let n = devices.len();
-        let mut ids = Vec::with_capacity(n);
-        let mut ues = Vec::with_capacity(n);
-        let mut classes = Vec::with_capacity(n);
-        let mut pagings = Vec::with_capacity(n);
-        let mut report_intervals = Vec::with_capacity(n);
-        for d in devices {
-            ids.push(d.id);
-            ues.push(d.ue);
-            classes.push(d.class);
-            pagings.push(d.paging);
-            report_intervals.push(d.report_interval);
-        }
-        let positions = Self::index_positions(&ids);
-        let coverages = vec![CoverageClass::default(); ids.len()];
-        Ok(GroupingInput {
-            ids,
-            ues,
-            classes,
-            pagings,
-            report_intervals,
-            coverages,
             schedules,
             params,
             max_cycle,
@@ -277,10 +222,8 @@ impl GroupingInput {
         &self.report_intervals
     }
 
-    /// Coverage-enhancement classes, in device order. All
-    /// [`CoverageClass::Normal`] for inputs built from explicit device
-    /// lists ([`GroupingInput::from_devices`]) — only populations carry a
-    /// class-level coverage table.
+    /// Coverage-enhancement classes, in device order, resolved from the
+    /// population's class-level coverage table.
     pub fn coverages(&self) -> &[CoverageClass] {
         &self.coverages
     }
@@ -300,7 +243,7 @@ impl GroupingInput {
         self.ids.len()
     }
 
-    /// `true` when the group is empty (cannot happen post-construction).
+    /// `true` when the group is empty.
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
     }
@@ -398,17 +341,24 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn input(n: usize) -> GroupingInput {
-        let pop = TrafficMix::ericsson_city()
+    fn pop(n: usize) -> Population {
+        TrafficMix::ericsson_city()
             .generate(n, &mut StdRng::seed_from_u64(5))
-            .unwrap();
-        GroupingInput::from_population(&pop, GroupingParams::default()).unwrap()
+            .unwrap()
+    }
+
+    fn input(n: usize) -> GroupingInput {
+        GroupingInput::from_population(&pop(n), GroupingParams::default()).unwrap()
     }
 
     #[test]
-    fn empty_group_rejected() {
-        let err = GroupingInput::from_devices(vec![], GroupingParams::default()).unwrap_err();
-        assert_eq!(err, GroupingError::EmptyGroup);
+    fn empty_population_builds_an_empty_input() {
+        let inp = input(0);
+        assert!(inp.is_empty());
+        assert_eq!(inp.max_cycle(), SimDuration::ZERO);
+        assert_eq!(inp.transmission_time().unwrap(), inp.params().start);
+        assert_eq!(inp.position_of(DeviceId(0)), None);
+        assert!(inp.count_cover().unwrap().is_empty());
     }
 
     #[test]
@@ -442,13 +392,15 @@ mod tests {
 
     #[test]
     fn early_override_rejected_late_accepted() {
-        let inp = input(10);
-        let minimum = inp.default_transmission_time();
+        let pop = pop(10);
+        let minimum = GroupingInput::from_population(&pop, GroupingParams::default())
+            .unwrap()
+            .default_transmission_time();
         let late = GroupingParams {
             transmission_time: Some(minimum + SimDuration::from_secs(60)),
             ..GroupingParams::default()
         };
-        let inp2 = GroupingInput::from_devices(inp.profiles(), late).unwrap();
+        let inp2 = GroupingInput::from_population(&pop, late).unwrap();
         assert_eq!(
             inp2.transmission_time().unwrap(),
             minimum + SimDuration::from_secs(60)
@@ -457,7 +409,7 @@ mod tests {
             transmission_time: Some(SimInstant::from_ms(1)),
             ..GroupingParams::default()
         };
-        let inp3 = GroupingInput::from_devices(inp.profiles(), early).unwrap();
+        let inp3 = GroupingInput::from_population(&pop, early).unwrap();
         assert!(matches!(
             inp3.transmission_time(),
             Err(GroupingError::TransmissionTooEarly { .. })
@@ -470,20 +422,6 @@ mod tests {
         assert_eq!(inp.len(), inp.schedules().len());
         assert_eq!(inp.len(), 40);
         assert!(!inp.is_empty());
-    }
-
-    #[test]
-    fn population_and_device_list_construction_agree() {
-        // from_population clones columns; from_devices decomposes rows.
-        // Both must land on the same input.
-        let pop = TrafficMix::ericsson_city()
-            .generate(60, &mut StdRng::seed_from_u64(6))
-            .unwrap();
-        let a = GroupingInput::from_population(&pop, GroupingParams::default()).unwrap();
-        let b = GroupingInput::from_devices(pop.profiles(), GroupingParams::default()).unwrap();
-        assert_eq!(a.profiles(), b.profiles());
-        assert_eq!(a.schedules(), b.schedules());
-        assert_eq!(a.max_cycle(), b.max_cycle());
     }
 
     #[test]
@@ -510,9 +448,16 @@ mod tests {
         }
         // Some depth must actually appear in the heterogeneous mix.
         assert!(inp.coverages().iter().any(|&c| c != CoverageClass::Normal));
-        // Device-list construction has no class table: all CE0.
-        let from_rows =
-            GroupingInput::from_devices(pop.profiles(), GroupingParams::default()).unwrap();
+        // A population rebuilt from its rows has the default class
+        // table: the same input, all CE0.
+        let rows = Population::new(
+            pop.mix_name().into(),
+            pop.class_names().to_vec(),
+            pop.profiles(),
+        );
+        let from_rows = GroupingInput::from_population(&rows, GroupingParams::default()).unwrap();
+        assert_eq!(from_rows.profiles(), inp.profiles());
+        assert_eq!(from_rows.schedules(), inp.schedules());
         assert!(from_rows
             .coverages()
             .iter()
@@ -603,10 +548,12 @@ mod tests {
 
     #[test]
     fn position_index_survives_permuted_device_order() {
-        let inp = input(20);
-        let mut devices = inp.profiles();
+        let pop = pop(20);
+        let mut devices = pop.profiles();
         devices.reverse();
-        let permuted = GroupingInput::from_devices(devices, *inp.params()).unwrap();
+        let reversed = Population::new(pop.mix_name().into(), pop.class_names().to_vec(), devices);
+        let permuted =
+            GroupingInput::from_population(&reversed, GroupingParams::default()).unwrap();
         for (i, &id) in permuted.ids().iter().enumerate() {
             assert_eq!(permuted.position_of(id), Some(i));
         }

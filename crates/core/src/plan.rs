@@ -92,6 +92,20 @@ pub struct DevicePlan {
     pub receives_at: SimInstant,
 }
 
+/// The transmission list of a single-transmission plan: one transmission
+/// at `at` to every device in `device_plans`, or none when the plan
+/// serves no device.
+pub(crate) fn transmission_to_all(
+    at: SimInstant,
+    device_plans: &[DevicePlan],
+) -> Vec<Transmission> {
+    if device_plans.is_empty() {
+        return Vec::new();
+    }
+    let recipients = device_plans.iter().map(|p| p.device).collect();
+    vec![Transmission { at, recipients }]
+}
+
 /// A complete multicast delivery plan.
 ///
 /// Plans are *declarative*: they state when each transmission happens and

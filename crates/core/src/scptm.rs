@@ -8,9 +8,9 @@ use rand::RngCore;
 
 use nbiot_time::{SimDuration, SimInstant, TimeWindow};
 
+use crate::plan::transmission_to_all;
 use crate::{
     ControlMonitoring, DevicePlan, GroupingError, GroupingInput, GroupingMechanism, MulticastPlan,
-    Transmission,
 };
 
 /// The Single Cell – Point To Multipoint baseline.
@@ -84,12 +84,11 @@ impl GroupingMechanism for ScPtm {
                 receives_at: t,
             })
             .collect();
-        let recipients = device_plans.iter().map(|p| p.device).collect();
         Ok(MulticastPlan {
             mechanism: self.name(),
             standards_compliant: true,
             requires_connection: false,
-            transmissions: vec![Transmission { at: t, recipients }],
+            transmissions: transmission_to_all(t, &device_plans),
             device_plans,
             horizon: TimeWindow::new(params.start, t),
             control_monitoring: Some(ControlMonitoring {

@@ -22,11 +22,6 @@ pub struct ServiceConfig {
     /// [`SeedSequence`] child stream, so served plans are a pure
     /// function of (config, event log).
     pub seed: u64,
-    /// Worker threads reserved for future parallel planning. The engine
-    /// is presently single-threaded per event and **bit-identical for
-    /// every thread count**; the field is normalized to 0 in the
-    /// snapshot fingerprint so snapshots stay portable across it.
-    pub threads: usize,
 }
 
 impl Default for ServiceConfig {
@@ -35,7 +30,6 @@ impl Default for ServiceConfig {
             params: nbiot_grouping::GroupingParams::default(),
             policy: RegroupPolicy::Repair,
             seed: 0,
-            threads: 1,
         }
     }
 }

@@ -5,14 +5,14 @@
 //! the cached plan. Integrity follows the `ScenarioArchive` playbook:
 //!
 //! * a **schema version** gating which builds can read the file,
-//! * a **fingerprint** over (configuration with `threads` normalized to
-//!   0, mix name, class table) — computable from a config and an event
-//!   log *without* the snapshot, so a driver can detect a snapshot taken
-//!   under a different setup before trusting any of its state,
+//! * a **fingerprint** over (configuration, mix name, class table) —
+//!   computable from a config and an event log *without* the snapshot,
+//!   so a caller can detect a snapshot taken under a different setup
+//!   before trusting any of its state,
 //! * a **checksum** (the shard FNV-1a digest,
 //!   [`nbiot_sim::value_digest`]) over the serialized state.
 
-use nbiot_sim::{value_digest, PlannedFleet};
+use nbiot_sim::{peek_schema_version, value_digest, PlannedFleet};
 use nbiot_time::UeId;
 use nbiot_traffic::{DeviceId, DeviceProfile, Population};
 use serde::Serialize;
@@ -21,7 +21,7 @@ use crate::engine::{GroupingService, PlanState, ServiceConfig};
 use crate::ServiceError;
 
 /// Snapshot format version this build writes and reads.
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 1;
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 2;
 
 /// The cached plan as persisted: the plan, its mechanism, and the
 /// `(id, ue)` identity pairs it was computed against.
@@ -74,16 +74,13 @@ pub struct ServiceSnapshot {
     pub state: ServiceState,
 }
 
-/// Fingerprint of a service setup: configuration (with `threads`
-/// normalized to 0 — thread count never changes results) plus the
-/// fleet's mix header. Computable from a [`ServiceConfig`] and an
+/// Fingerprint of a service setup: configuration plus the fleet's mix
+/// header. Computable from a [`ServiceConfig`] and an
 /// [`EventLog`](crate::EventLog) header alone, so a driver can reject a
 /// foreign snapshot before restoring anything from it.
 pub fn service_fingerprint(config: &ServiceConfig, mix_name: &str, class_names: &[String]) -> u64 {
-    let mut normalized = *config;
-    normalized.threads = 0;
     let value = serde::Value::Object(vec![
-        ("config".to_string(), normalized.to_value()),
+        ("config".to_string(), config.to_value()),
         ("mix_name".to_string(), mix_name.to_value()),
         ("class_names".to_string(), class_names.to_value()),
     ]);
@@ -199,21 +196,6 @@ impl ServiceSnapshot {
             }
         }
     }
-}
-
-/// Best-effort `schema_version` peek on a generic JSON tree.
-fn peek_schema_version(value: &serde::Value) -> Option<u32> {
-    let entries = value.as_object()?;
-    entries.iter().find_map(|(key, v)| {
-        if key == "schema_version" {
-            match v {
-                serde::Value::U64(raw) => u32::try_from(*raw).ok(),
-                _ => None,
-            }
-        } else {
-            None
-        }
-    })
 }
 
 impl GroupingService {
@@ -395,7 +377,8 @@ mod tests {
         let err = ServiceSnapshot::from_json(text).unwrap_err();
         let message = err.to_string();
         assert!(message.contains("schema version 99"), "{message}");
-        assert!(message.contains("reads version 1"), "{message}");
+        let supported = format!("reads version {SNAPSHOT_SCHEMA_VERSION}");
+        assert!(message.contains(&supported), "{message}");
         // A sealed snapshot with a bumped version also fails validate.
         let log = log(10, 0, 4);
         let mut service = GroupingService::new(config(), &log).unwrap();
@@ -403,7 +386,7 @@ mod tests {
         let mut snapshot = service.snapshot();
         snapshot.schema_version = 99;
         let message = snapshot.validate().unwrap_err().to_string();
-        assert!(message.contains("reads version 1"), "{message}");
+        assert!(message.contains(&supported), "{message}");
     }
 
     #[test]
@@ -423,14 +406,5 @@ mod tests {
         assert_ne!(foreign, snapshot.fingerprint);
         let err = snapshot.expect_fingerprint(foreign).unwrap_err();
         assert!(matches!(err, ServiceError::ForeignSnapshot { .. }));
-        // Thread count is normalized out: not part of the identity.
-        let threaded = ServiceConfig {
-            threads: 8,
-            ..config()
-        };
-        assert_eq!(
-            service_fingerprint(&threaded, &log.mix_name, &log.class_names),
-            snapshot.fingerprint
-        );
     }
 }

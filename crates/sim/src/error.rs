@@ -201,7 +201,10 @@ mod tests {
 
     #[test]
     fn display_chains_causes() {
-        let e = SimError::Grouping(GroupingError::EmptyGroup);
+        let e = SimError::Grouping(GroupingError::TiTooShort {
+            ti_ms: 100,
+            shortest_cycle_ms: 320,
+        });
         assert!(e.to_string().contains("grouping failed"));
         assert!(std::error::Error::source(&e).is_some());
     }

@@ -86,7 +86,7 @@ pub use result::CampaignResult;
 pub use scenario::{run_scenario, with_ti, PointResult, Scenario, ScenarioResult};
 #[cfg(feature = "serde")]
 pub use shard::{
-    merge_archives, merge_archives_with, record_checksum, run_scenario_shard, scenario_fingerprint,
-    value_digest, ArchiveItem, MergePolicy, ScenarioArchive, ShardCoverage, ShardSpec,
-    ARCHIVE_SCHEMA_VERSION,
+    merge_archives, merge_archives_with, peek_schema_version, record_checksum, run_scenario_shard,
+    scenario_fingerprint, value_digest, ArchiveItem, MergePolicy, ScenarioArchive, ShardCoverage,
+    ShardSpec, ARCHIVE_SCHEMA_VERSION,
 };

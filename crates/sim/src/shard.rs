@@ -397,6 +397,20 @@ pub fn value_digest(value: &serde::Value) -> u64 {
     hash
 }
 
+/// The `schema_version` key of a persisted JSON tree, read without
+/// assuming any other part of its shape: how a loader names the format
+/// version of an archive or snapshot it cannot parse.
+pub fn peek_schema_version(value: &serde::Value) -> Option<u32> {
+    let (_, version) = value
+        .as_object()?
+        .iter()
+        .find(|(key, _)| key == "schema_version")?;
+    match version {
+        serde::Value::U64(raw) => u32::try_from(*raw).ok(),
+        _ => None,
+    }
+}
+
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 

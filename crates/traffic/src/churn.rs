@@ -95,8 +95,8 @@ impl FleetEvent {
 /// boundary steps. Each step, in order:
 ///
 /// 1. **departures** — every device independently leaves with probability
-///    [`departure_rate`](ChurnModel::departure_rate) (at least one device
-///    always remains, so a grouping input can still be built);
+///    [`departure_rate`](ChurnModel::departure_rate) (a rate of 1 empties
+///    the cell);
 /// 2. **handovers** — every surviving device independently re-registers
 ///    with a fresh UE identity with probability
 ///    [`handover_rate`](ChurnModel::handover_rate), moving its paging
@@ -198,8 +198,7 @@ impl ChurnModel {
     /// one arrival trial per initial slot — so the evolved population is
     /// bit-identical to the unrecorded path, and replaying the returned
     /// events onto a clone of `pop` with [`FleetEvent::apply`] reproduces
-    /// it bit-identically too (including the keep-one rule: the retained
-    /// device's departure is *not* recorded).
+    /// it bit-identically too.
     ///
     /// # Errors
     ///
@@ -236,16 +235,6 @@ impl ChurnModel {
                 });
             }
             evolved.push(device);
-        }
-        // A grouping input needs at least one device: when the whole
-        // population departs in one step, the last device stays put. Its
-        // departure is necessarily the last event recorded so far
-        // (departed devices draw nothing else, arrivals come later).
-        if evolved.is_empty() && !pop.is_empty() {
-            evolved.push(pop.device(pop.len() - 1));
-            events.departures -= 1;
-            let undone = log.pop();
-            debug_assert_eq!(undone, Some(FleetEvent::Depart(pop.id(pop.len() - 1))));
         }
         if self.arrival_rate > 0.0 {
             for _ in 0..base_size {
@@ -433,7 +422,7 @@ mod tests {
     }
 
     #[test]
-    fn total_departure_keeps_one_device() {
+    fn total_departure_empties_the_fleet() {
         let mix = TrafficMix::ericsson_city();
         let p = pop(10, 7);
         let mut next_id = 10;
@@ -446,8 +435,8 @@ mod tests {
         let (evolved, ev) = apocalypse
             .step(&mix, &p, 10, &mut next_id, &mut StdRng::seed_from_u64(15))
             .unwrap();
-        assert_eq!(evolved.len(), 1);
-        assert_eq!(ev.departures, 9);
+        assert!(evolved.is_empty());
+        assert_eq!(ev.departures, 10);
     }
 
     #[test]
@@ -488,7 +477,7 @@ mod tests {
     }
 
     #[test]
-    fn apocalypse_recording_drops_the_retained_departure() {
+    fn apocalypse_recording_records_every_departure() {
         let mix = TrafficMix::ericsson_city();
         let p = pop(10, 25);
         let mut next_id = 10;
@@ -501,10 +490,10 @@ mod tests {
         let (evolved, ev, log) = apocalypse
             .step_recorded(&mix, &p, 10, &mut next_id, &mut StdRng::seed_from_u64(26))
             .unwrap();
-        assert_eq!(evolved.len(), 1);
-        assert_eq!(ev.departures, 9);
-        assert_eq!(log.len(), 9, "the kept device's departure is unrecorded");
-        assert!(log.iter().all(|e| *e != FleetEvent::Depart(DeviceId(9))));
+        assert!(evolved.is_empty());
+        assert_eq!(ev.departures, 10);
+        let departed: Vec<_> = (0..10).map(|i| FleetEvent::Depart(DeviceId(i))).collect();
+        assert_eq!(log, departed);
         let mut replayed = p.clone();
         for event in &log {
             event.apply(&mut replayed).unwrap();

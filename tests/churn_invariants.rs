@@ -71,30 +71,51 @@ fn churn_leaves_classic_metrics_untouched() {
     // Churn epochs happen *after* the epoch-0 delivery the classic
     // metrics measure, so switching churn on moves only the two new
     // summaries; light-sleep, connected, transmissions etc. stay
-    // bit-identical to the static run of the same seed.
+    // bit-identical to the static run of the same seed. The second model
+    // empties the fleet at the first boundary, so its repairs and
+    // re-plans run on an empty group.
     let baseline = run_scenario(&static_scenario()).unwrap();
-    let mut churned = static_scenario();
-    churned.churn = Some(ChurnModel {
-        epochs: 4,
-        departure_rate: 0.1,
-        arrival_rate: 0.1,
-        handover_rate: 0.2,
-    });
-    churned.regroup = RegroupPolicy::StalenessThreshold(0.3);
-    let with_churn = run_scenario(&churned).unwrap();
-    let mut saw_churn_motion = false;
-    for (a, b) in baseline.points.iter().zip(&with_churn.points) {
-        for (ma, mb) in a.comparison.mechanisms.iter().zip(&b.comparison.mechanisms) {
-            assert_eq!(ma.rel_light_sleep, mb.rel_light_sleep, "{}", ma.mechanism);
-            assert_eq!(ma.rel_connected, mb.rel_connected, "{}", ma.mechanism);
-            assert_eq!(ma.transmissions, mb.transmissions, "{}", ma.mechanism);
-            assert_eq!(ma.mean_wait_s, mb.mean_wait_s, "{}", ma.mechanism);
-            assert_eq!(ma.mean_energy_mj, mb.mean_energy_mj, "{}", ma.mechanism);
-            assert_eq!(ma.ra_failures, mb.ra_failures, "{}", ma.mechanism);
-            saw_churn_motion |= mb.regroup_count.mean > 0.0 || mb.stale_miss_ratio.mean > 0.0;
+    for (model, policy) in [
+        (
+            ChurnModel {
+                epochs: 4,
+                departure_rate: 0.1,
+                arrival_rate: 0.1,
+                handover_rate: 0.2,
+            },
+            RegroupPolicy::StalenessThreshold(0.3),
+        ),
+        (
+            ChurnModel {
+                epochs: 4,
+                departure_rate: 1.0,
+                arrival_rate: 0.0,
+                handover_rate: 0.0,
+            },
+            RegroupPolicy::Repair,
+        ),
+    ] {
+        let mut churned = static_scenario();
+        churned.churn = Some(model);
+        churned.regroup = policy;
+        let with_churn = run_scenario(&churned).unwrap();
+        let mut saw_churn_motion = false;
+        for (a, b) in baseline.points.iter().zip(&with_churn.points) {
+            for (ma, mb) in a.comparison.mechanisms.iter().zip(&b.comparison.mechanisms) {
+                assert_eq!(ma.rel_light_sleep, mb.rel_light_sleep, "{}", ma.mechanism);
+                assert_eq!(ma.rel_connected, mb.rel_connected, "{}", ma.mechanism);
+                assert_eq!(ma.transmissions, mb.transmissions, "{}", ma.mechanism);
+                assert_eq!(ma.mean_wait_s, mb.mean_wait_s, "{}", ma.mechanism);
+                assert_eq!(ma.mean_energy_mj, mb.mean_energy_mj, "{}", ma.mechanism);
+                assert_eq!(ma.ra_failures, mb.ra_failures, "{}", ma.mechanism);
+                saw_churn_motion |= mb.regroup_count.mean > 0.0 || mb.stale_miss_ratio.mean > 0.0;
+            }
         }
+        assert!(
+            saw_churn_motion,
+            "{model:?}: the churned run must register churn"
+        );
     }
-    assert!(saw_churn_motion, "the churned run must register churn");
 }
 
 #[test]

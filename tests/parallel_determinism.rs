@@ -188,8 +188,7 @@ fn aos_generate(mix: &TrafficMix, n: usize, rng: &mut StdRng) -> Vec<DeviceProfi
 
 /// The historical AoS churn epoch, reproducing `ChurnModel::step`'s
 /// documented draw order: per survivor a departure draw then a handover
-/// draw (+ fresh identity), last-device rescue on total departure, then
-/// one arrival draw per `base_size` slot.
+/// draw (+ fresh identity), then one arrival draw per `base_size` slot.
 fn aos_churn_step(
     model: &ChurnModel,
     mix: &TrafficMix,
@@ -208,9 +207,6 @@ fn aos_churn_step(
             device.ue = UeId(rng.gen());
         }
         evolved.push(device);
-    }
-    if evolved.is_empty() && !devices.is_empty() {
-        evolved.push(devices[devices.len() - 1]);
     }
     if model.arrival_rate > 0.0 {
         for _ in 0..base_size {

@@ -425,7 +425,8 @@ fn shared_timeline_input() -> GroupingInput {
         d.paging = PagingConfig::edrx(EdrxCycle::Hf16);
     }
     devices[5].paging = PagingConfig::drx(DrxCycle::Rf128);
-    GroupingInput::from_devices(devices, GroupingParams::default()).unwrap()
+    let pop = Population::new(pop.mix_name().into(), pop.class_names().to_vec(), devices);
+    GroupingInput::from_population(&pop, GroupingParams::default()).unwrap()
 }
 
 #[test]
@@ -485,18 +486,41 @@ fn every_mechanism_is_valid_and_finite_on_edge_fleets() {
             }
         }
     }
-    // Sparse devices on one PO timeline, through `run_campaign`.
-    let input = shared_timeline_input();
-    for kind in MechanismKind::ALL {
-        let result = run_campaign(
-            kind.instantiate().as_ref(),
-            &input,
-            &SimConfig::default(),
-            &mut StdRng::seed_from_u64(2),
-        )
+    // Sparse devices on one PO timeline, and the empty fleet, through
+    // `run_campaign` (a scenario point has at least one device).
+    let empty = TrafficMix::ericsson_city()
+        .generate(0, &mut StdRng::seed_from_u64(2))
         .unwrap();
-        assert_finite(&kind.to_string(), &result);
-        assert_eq!(result.device_count(), input.len(), "{kind}");
+    let empty = GroupingInput::from_population(&empty, GroupingParams::default()).unwrap();
+    for input in [shared_timeline_input(), empty] {
+        let label = format!("{} devices", input.len());
+        for kind in MechanismKind::ALL {
+            let result = run_campaign(
+                kind.instantiate().as_ref(),
+                &input,
+                &SimConfig::default(),
+                &mut StdRng::seed_from_u64(2),
+            )
+            .unwrap();
+            assert_finite(&format!("{label}, {kind}"), &result);
+            assert_eq!(result.device_count(), input.len(), "{label}, {kind}");
+            if input.is_empty() {
+                assert_eq!(result.transmission_count, 0, "{kind}");
+                for data in [TrafficCategory::MulticastData, TrafficCategory::UnicastData] {
+                    let airtime = result.bandwidth.airtime(data);
+                    assert_eq!(airtime, SimDuration::ZERO, "{kind}: {data:?}");
+                }
+                assert_eq!(result.mean_wait, SimDuration::ZERO, "{kind}");
+                assert_eq!(result.mean_light_sleep_ms(), 0.0, "{kind}");
+                assert_eq!(result.mean_connected_ms(), 0.0, "{kind}");
+                assert_eq!(
+                    result.mean_energy_mj(&PowerProfile::default()),
+                    0.0,
+                    "{kind}"
+                );
+                assert_eq!((result.late_joins, result.ra_failures), (0, 0), "{kind}");
+            }
+        }
     }
 }
 

@@ -5,7 +5,8 @@
 //!   surviving devices;
 //! * snapshot → restore → continue reproduces an uninterrupted run byte
 //!   for byte, from **every** cut point;
-//! * the configured thread count never changes results.
+//! * an empty fleet is an ordinary state: it serves plans with no
+//!   transmission and snapshots like any other.
 //!
 //! Event logs are both synthesized from the churn process and generated
 //! arbitrarily (random interleavings of registers, departures, handovers
@@ -19,11 +20,10 @@ use nbiot_multicast::traffic::FleetEvent;
 use proptest::prelude::*;
 use rand::{Rng as _, SeedableRng as _};
 
-fn config(policy: RegroupPolicy, seed: u64, threads: usize) -> ServiceConfig {
+fn config(policy: RegroupPolicy, seed: u64) -> ServiceConfig {
     ServiceConfig {
         policy,
         seed,
-        threads,
         ..ServiceConfig::default()
     }
 }
@@ -55,9 +55,9 @@ fn synthesized(devices: usize, epochs: u32, seed: u64) -> EventLog {
 
 /// An arbitrary (but always-valid) event log: devices register with
 /// fresh ids in shuffled order, so the fleet is not id-sorted; departures
-/// and handovers target live devices; at least one device always
-/// survives once any registered, so campaign requests can plan. The mix
-/// is only used to sample profiles.
+/// and handovers target live devices, and may empty the fleet; campaign
+/// requests come whatever the fleet size, an empty fleet included. The
+/// mix is only used to sample profiles.
 fn arbitrary_log(steps: &[u8], seed: u64) -> EventLog {
     let mix = TrafficMix::mobility_churn();
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -80,7 +80,7 @@ fn arbitrary_log(steps: &[u8], seed: u64) -> EventLog {
                 ServiceEvent::Fleet(FleetEvent::Register(device))
             }
             4 => match live.len() {
-                0 | 1 => continue,
+                0 => continue,
                 n => {
                     let victim = live.remove(rng.gen_range(0..n));
                     ServiceEvent::Fleet(FleetEvent::Depart(victim.id))
@@ -97,7 +97,7 @@ fn arbitrary_log(steps: &[u8], seed: u64) -> EventLog {
                     })
                 }
             },
-            6 if !live.is_empty() => {
+            6 => {
                 epoch += 1;
                 ServiceEvent::CampaignRequest {
                     mechanism: "dr-sc".into(),
@@ -196,7 +196,7 @@ proptest! {
         policy_index in 0u8..4,
     ) {
         let log = synthesized(devices, epochs, seed);
-        assert_prefix_equivalence(&log, config(policy_from(policy_index), seed, 1));
+        assert_prefix_equivalence(&log, config(policy_from(policy_index), seed));
     }
 
     #[test]
@@ -206,7 +206,7 @@ proptest! {
         policy_index in 0u8..4,
     ) {
         let log = arbitrary_log(&steps, seed);
-        assert_prefix_equivalence(&log, config(policy_from(policy_index), seed, 1));
+        assert_prefix_equivalence(&log, config(policy_from(policy_index), seed));
     }
 
     #[test]
@@ -219,7 +219,7 @@ proptest! {
         // plan must equal a from-scratch plan over a fresh batch rebuild
         // of the surviving fleet, drawn from that serve's seed stream.
         let log = synthesized(devices, epochs, seed);
-        let cfg = config(RegroupPolicy::EveryEpoch, seed, 1);
+        let cfg = config(RegroupPolicy::EveryEpoch, seed);
         let mut service = GroupingService::new(cfg, &log).expect("service");
         let mut survivors: Vec<DeviceProfile> = Vec::new();
         for record in &log.records {
@@ -254,7 +254,7 @@ proptest! {
     ) {
         let log = synthesized(devices, epochs, seed);
         let cut = log.records.len() * cut_permille as usize / 1000;
-        assert_cut_equivalence(&log, config(policy_from(policy_index), seed, 1), cut);
+        assert_cut_equivalence(&log, config(policy_from(policy_index), seed), cut);
     }
 
     #[test]
@@ -265,31 +265,62 @@ proptest! {
     ) {
         let log = arbitrary_log(&steps, seed);
         let cut = log.records.len() * cut_permille as usize / 1000;
-        assert_cut_equivalence(&log, config(RegroupPolicy::Repair, seed, 1), cut);
+        assert_cut_equivalence(&log, config(RegroupPolicy::Repair, seed), cut);
     }
+}
 
-    #[test]
-    fn thread_counts_never_change_results(
-        devices in 5usize..30,
-        epochs in 1u32..4,
-        seed in 0u64..300,
-        policy_index in 0u8..4,
-    ) {
-        let log = synthesized(devices, epochs, seed);
-        let policy = policy_from(policy_index);
-        let mut one = GroupingService::new(config(policy, seed, 1), &log).expect("service");
-        let mut eight = GroupingService::new(config(policy, seed, 8), &log).expect("service");
-        let a = one.replay(&log).expect("threads=1");
-        let b = eight.replay(&log).expect("threads=8");
-        prop_assert_eq!(a, b);
-        prop_assert_eq!(one.fleet(), eight.fleet());
-        prop_assert_eq!(one.plan(), eight.plan());
-        // Snapshots are portable across thread counts: the fingerprint
-        // normalizes `threads`, and the stored fleets are identical.
-        prop_assert_eq!(one.fingerprint(), eight.fingerprint());
-        prop_assert_eq!(
-            &one.snapshot().state.devices,
-            &eight.snapshot().state.devices
-        );
+#[test]
+fn emptied_fleets_serve_no_transmission_and_snapshot_like_any_other() {
+    // Every device departs at epoch 1 and none arrives: epochs 1..=3
+    // request campaigns for an empty fleet.
+    let log = EventLog::synthesize(
+        &TrafficMix::mobility_churn(),
+        5,
+        &ChurnModel {
+            epochs: 3,
+            departure_rate: 1.0,
+            arrival_rate: 0.0,
+            handover_rate: 0.0,
+        },
+        "dr-sc",
+        7,
+    )
+    .expect("synthesis succeeds");
+    let departures = log
+        .records
+        .iter()
+        .filter(|r| matches!(r.event, ServiceEvent::Fleet(FleetEvent::Depart(_))))
+        .count();
+    assert_eq!(departures, 5, "a departure rate of 1 empties the fleet");
+    // The epoch-1 campaign request comes after all five departures.
+    let request = log
+        .records
+        .iter()
+        .position(|r| r.epoch == 1 && matches!(r.event, ServiceEvent::CampaignRequest { .. }))
+        .expect("an epoch-1 campaign request");
+    for policy_index in 0..4 {
+        let cfg = config(policy_from(policy_index), 7);
+        let mut service = GroupingService::new(cfg, &log).expect("service");
+        let serves = service.replay(&log).expect("replay");
+        assert_eq!(serves.len(), 4, "{cfg:?}");
+        assert!(serves[0].transmissions > 0, "{cfg:?}");
+        for serve in &serves[1..] {
+            assert_eq!(serve.devices, 0, "{cfg:?}: {serve:?}");
+            assert_eq!(serve.stale_fraction, 0.0, "{cfg:?}: {serve:?}");
+            // A policy that re-plans the emptied fleet transmits nothing;
+            // one that keeps the epoch-0 plan serves it unchanged.
+            let expected = if cfg.policy.regroups(1, 0.0) {
+                0
+            } else {
+                serves[0].transmissions
+            };
+            assert_eq!(serve.transmissions, expected, "{cfg:?}: {serve:?}");
+        }
+        assert!(service.fleet().is_empty());
+        // Snapshots cut at the empty fleet, before and after its first
+        // request, restore into the uninterrupted tail.
+        for cut in [request, request + 1] {
+            assert_cut_equivalence(&log, cfg, cut);
+        }
     }
 }
