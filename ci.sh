@@ -32,7 +32,8 @@
 #                  diffed against golden/service_smoke.json at zero
 #                  tolerance, a snapshot -> restore -> continue leg that
 #                  must reproduce the transcript tail, and an empty-fleet
-#                  leg that must serve only zero-transmission plans
+#                  leg: a never-populated log and an emptied fleet under
+#                  staleness:0.5 must serve zero-transmission plans
 #   weighted-smoke airtime-weighted cover: reduced weighted-airtime point
 #                  at threads {1,8} (bit-identity), then zero-tolerance
 #                  diff against golden/weighted_smoke.json
@@ -338,7 +339,9 @@ stage_service_smoke() {
 
     # Leg 3: an empty fleet is an ordinary state. A log that never
     # registers a device replays with exit 0, and every serve plans no
-    # transmission.
+    # transmission. A fleet that every device leaves is wholly stale, so
+    # the staleness policy re-plans it: every serve after the first
+    # transmits nothing.
     local empty="$SCRATCH/service_empty_events.json"
     "${d[@]}" --synth --devices 0 --epochs 2 --emit-events "$empty" 2> /dev/null
     "${d[@]}" --events "$empty" > "$SCRATCH/service_empty.jsonl"
@@ -349,6 +352,18 @@ stage_service_smoke() {
             | grep -qv '"devices":0,"transmissions":0'; then
         echo "empty-fleet replay did not serve three zero-transmission plans:" >&2
         cat "$SCRATCH/service_empty.jsonl" >&2
+        exit 1
+    fi
+    local emptied="$SCRATCH/service_emptied_events.json"
+    "${d[@]}" --synth --devices 5 --epochs 3 --departure-rate 1.0 --arrival-rate 0 \
+        --emit-events "$emptied" 2> /dev/null
+    "${d[@]}" --events "$emptied" --policy staleness:0.5 > "$SCRATCH/service_emptied.jsonl"
+    serves="$(grep -c '"serve"' "$SCRATCH/service_emptied.jsonl")"
+    if [[ "$serves" -ne 4 ]] \
+        || grep '"serve"' "$SCRATCH/service_emptied.jsonl" | tail -n +2 \
+            | grep -qv '"devices":0,"transmissions":0'; then
+        echo "emptied-fleet replay under staleness:0.5 kept transmitting to nobody:" >&2
+        cat "$SCRATCH/service_emptied.jsonl" >&2
         exit 1
     fi
     echo "service smoke OK (all three legs)"

@@ -241,7 +241,7 @@ pub fn fluid_estimates(scenario: &Scenario) -> Vec<f64> {
 }
 
 /// Churn table: plan recomputations and stale-miss ratio per mechanism,
-/// first payload column only (like the plan, the churn trajectory is
+/// first payload column only (like the plan, the churn outcome is
 /// payload-independent). Only rendered for scenarios declaring churn.
 pub fn render_churn(scenario: &Scenario, result: &ScenarioResult) -> String {
     let headers = [

@@ -84,17 +84,20 @@ impl GroupingMechanism for ScPtm {
                 receives_at: t,
             })
             .collect();
+        let transmissions = transmission_to_all(t, &device_plans);
+        // No session, nothing to announce on SC-MCCH.
+        let control_monitoring = (!transmissions.is_empty()).then_some(ControlMonitoring {
+            period: self.mcch_period,
+            per_occasion: self.mcch_occasion,
+        });
         Ok(MulticastPlan {
             mechanism: self.name(),
             standards_compliant: true,
             requires_connection: false,
-            transmissions: transmission_to_all(t, &device_plans),
+            transmissions,
             device_plans,
             horizon: TimeWindow::new(params.start, t),
-            control_monitoring: Some(ControlMonitoring {
-                period: self.mcch_period,
-                per_occasion: self.mcch_occasion,
-            }),
+            control_monitoring,
             improvement: None,
         })
     }

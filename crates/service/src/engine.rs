@@ -1,8 +1,8 @@
 //! The long-lived group-state engine.
 
 use nbiot_des::SeedSequence;
-use nbiot_grouping::{repair_plan, GroupingInput, MechanismKind, MulticastPlan};
-use nbiot_sim::{PlannedFleet, RegroupPolicy};
+use nbiot_grouping::{GroupingInput, MechanismKind, MulticastPlan};
+use nbiot_sim::{RegroupPolicy, ServeAction, ServedPlan};
 use nbiot_traffic::Population;
 
 use crate::event::{EventLog, EventRecord, ServiceEvent};
@@ -47,28 +47,6 @@ impl ServiceConfig {
     }
 }
 
-/// How a campaign request was satisfied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum ServeAction {
-    /// The mechanism planned from scratch on the current fleet.
-    Full,
-    /// The cached plan was patched by the LNS repair pass.
-    Repair,
-    /// The cached plan was served as-is.
-    Cached,
-}
-
-impl ServeAction {
-    /// Lower-case wire spelling (transcripts, reports).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ServeAction::Full => "full",
-            ServeAction::Repair => "repair",
-            ServeAction::Cached => "cached",
-        }
-    }
-}
-
 /// What one served campaign request looked like.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ServeSummary {
@@ -85,7 +63,8 @@ pub struct ServeSummary {
     /// How the request was satisfied.
     pub action: ServeAction,
     /// Fraction of the fleet the *pre-serve* plan could not reach
-    /// (1.0 when no usable plan was cached).
+    /// (1.0 when no usable plan was cached, or when every device it was
+    /// planned for has left).
     pub stale_fraction: f64,
 }
 
@@ -101,13 +80,11 @@ pub enum Applied {
     SnapshotRequested,
 }
 
-/// The plan currently on offer, with the fleet identities it was
-/// computed against.
+/// The plan currently on offer and the mechanism that planned it.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct PlanState {
     pub(crate) mechanism: String,
-    pub(crate) plan: MulticastPlan,
-    pub(crate) planned: PlannedFleet,
+    pub(crate) served: ServedPlan,
 }
 
 /// The event-driven group-state engine: an incrementally maintained
@@ -212,8 +189,14 @@ impl GroupingService {
         Ok(summaries)
     }
 
-    /// Serves one campaign request: decide cached / repair / full under
-    /// the configured [`RegroupPolicy`], then summarize.
+    /// Serves one campaign request. A request for another mechanism than
+    /// the cached plan's plans from scratch; otherwise
+    /// [`ServedPlan::serve`] keeps, repairs or re-plans the cached plan
+    /// under the configured [`RegroupPolicy`]. A full plan draws from the
+    /// serve's dedicated stream (`SeedSequence::new(seed).child(serve)
+    /// .rng(0)`) — the stream a from-scratch batch plan of the same serve
+    /// index would use, which is what makes served plans
+    /// replay-equivalent.
     fn serve(&mut self, epoch: u32, mechanism: &str) -> Result<ServeSummary, ServiceError> {
         let kind =
             MechanismKind::by_name(mechanism).ok_or_else(|| ServiceError::UnknownMechanism {
@@ -222,73 +205,44 @@ impl GroupingService {
         let canonical = kind.to_string();
         let serve = self.serves;
         self.serves += 1;
-        // A cached plan is reusable only for the same mechanism.
-        let reusable = matches!(&self.plan, Some(state) if state.mechanism == canonical);
-        let stale_fraction = match &self.plan {
-            Some(state) if reusable => state.planned.stale_fraction(&self.fleet),
-            _ => 1.0,
+        let replan = |input: &GroupingInput| {
+            let mut rng = SeedSequence::new(self.config.seed).child(serve).rng(0);
+            kind.instantiate().plan(input, &mut rng)
         };
-        let action = if !reusable {
-            self.replan(kind, serve)?;
-            ServeAction::Full
-        } else if !self
-            .config
-            .policy
-            .regroups(self.events_since_plan, stale_fraction)
-        {
-            ServeAction::Cached
-        } else if self.config.policy == RegroupPolicy::Repair {
-            let input = GroupingInput::from_population(&self.fleet, self.config.params)?;
-            let state = self.plan.as_ref().expect("reusable implies cached plan");
-            match repair_plan(&state.plan, &input) {
-                Some(Ok(plan)) => {
-                    plan.validate(&input)?;
-                    self.install(canonical.clone(), plan);
-                    ServeAction::Repair
-                }
-                Some(Err(e)) => return Err(e.into()),
-                // Non-repairable shape: fall back to a full plan.
-                None => {
-                    self.replan(kind, serve)?;
-                    ServeAction::Full
-                }
+        let (action, stale_fraction) = match &mut self.plan {
+            // A cached plan is reusable only for the same mechanism.
+            Some(state) if state.mechanism == canonical => {
+                let (action, _, stale_fraction) = state.served.serve(
+                    self.config.policy,
+                    &self.fleet,
+                    self.events_since_plan,
+                    self.config.params,
+                    replan,
+                )?;
+                (action, stale_fraction)
             }
-        } else {
-            self.replan(kind, serve)?;
-            ServeAction::Full
+            _ => {
+                let served = ServedPlan::plan(&self.fleet, self.config.params, replan)?;
+                self.plan = Some(PlanState {
+                    mechanism: canonical.clone(),
+                    served,
+                });
+                (ServeAction::Full, 1.0)
+            }
         };
+        if action != ServeAction::Cached {
+            self.events_since_plan = 0;
+        }
         let state = self.plan.as_ref().expect("serve installs or keeps a plan");
         Ok(ServeSummary {
             serve,
             epoch,
             mechanism: canonical,
             devices: self.fleet.len(),
-            transmissions: state.plan.transmissions.len(),
+            transmissions: state.served.plan.transmissions.len(),
             action,
             stale_fraction,
         })
-    }
-
-    /// Full re-plan on the current fleet, drawing from the serve's
-    /// dedicated stream (`SeedSequence::new(seed).child(serve).rng(0)`)
-    /// — the stream a from-scratch batch plan of the same serve index
-    /// would use, which is what makes served plans replay-equivalent.
-    fn replan(&mut self, kind: MechanismKind, serve: u64) -> Result<(), ServiceError> {
-        let input = GroupingInput::from_population(&self.fleet, self.config.params)?;
-        let mut rng = SeedSequence::new(self.config.seed).child(serve).rng(0);
-        let plan = kind.instantiate().plan(&input, &mut rng)?;
-        plan.validate(&input)?;
-        self.install(kind.to_string(), plan);
-        Ok(())
-    }
-
-    fn install(&mut self, mechanism: String, plan: MulticastPlan) {
-        self.plan = Some(PlanState {
-            mechanism,
-            plan,
-            planned: PlannedFleet::snapshot(&self.fleet),
-        });
-        self.events_since_plan = 0;
     }
 
     /// The service configuration.
@@ -323,7 +277,7 @@ impl GroupingService {
 
     /// The currently cached plan, when one has been served.
     pub fn plan(&self) -> Option<&MulticastPlan> {
-        self.plan.as_ref().map(|state| &state.plan)
+        self.plan.as_ref().map(|state| &state.served.plan)
     }
 
     /// Canonical mechanism name of the cached plan.

@@ -121,8 +121,15 @@ impl From<PlanViolation> for ServiceError {
 }
 
 impl From<SimError> for ServiceError {
+    /// A planning failure of the serve step stays a
+    /// [`ServiceError::Grouping`] and a plan violation a
+    /// [`ServiceError::Plan`]; anything else is [`ServiceError::Sim`].
     fn from(e: SimError) -> Self {
-        ServiceError::Sim(e)
+        match e {
+            SimError::Grouping(e) => ServiceError::Grouping(e),
+            SimError::InvalidPlan(v) => ServiceError::Plan(v),
+            e => ServiceError::Sim(e),
+        }
     }
 }
 

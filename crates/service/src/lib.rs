@@ -21,7 +21,9 @@
 //!   [`MulticastPlan`](nbiot_grouping::MulticastPlan)s on request, and
 //!   decides per request whether the cached plan still holds, the LNS
 //!   repair pass patches it, or the mechanism re-plans from scratch —
-//!   governed by a [`RegroupPolicy`](nbiot_sim::RegroupPolicy).
+//!   governed by a [`RegroupPolicy`](nbiot_sim::RegroupPolicy) and
+//!   decided by [`ServedPlan::serve`](nbiot_sim::ServedPlan::serve), the
+//!   serve step the batch simulator runs once per churn epoch.
 //! * [`ServiceSnapshot`] — versioned, checksummed persistence
 //!   ([`SNAPSHOT_SCHEMA_VERSION`]): a restored service continues the
 //!   log bit-identically to one that never stopped.
@@ -57,9 +59,10 @@ mod error;
 mod event;
 mod snapshot;
 
-pub use engine::{Applied, GroupingService, ServeAction, ServeSummary, ServiceConfig};
+pub use engine::{Applied, GroupingService, ServeSummary, ServiceConfig};
 pub use error::ServiceError;
 pub use event::{EventLog, EventRecord, ServiceEvent};
+pub use nbiot_sim::ServeAction;
 pub use snapshot::{
     service_fingerprint, PlanRecord, ServiceSnapshot, ServiceState, SNAPSHOT_SCHEMA_VERSION,
 };

@@ -12,7 +12,7 @@
 //! * a **checksum** (the shard FNV-1a digest,
 //!   [`nbiot_sim::value_digest`]) over the serialized state.
 
-use nbiot_sim::{peek_schema_version, value_digest, PlannedFleet};
+use nbiot_sim::{peek_schema_version, value_digest, PlannedFleet, ServedPlan};
 use nbiot_time::UeId;
 use nbiot_traffic::{DeviceId, DeviceProfile, Population};
 use serde::Serialize;
@@ -212,8 +212,8 @@ impl GroupingService {
             events_since_plan: self.events_since_plan,
             plan: self.plan.as_ref().map(|state| PlanRecord {
                 mechanism: state.mechanism.clone(),
-                plan: state.plan.clone(),
-                planned: state.planned.members().to_vec(),
+                plan: state.served.plan.clone(),
+                planned: state.served.planned.members().to_vec(),
             }),
         })
     }
@@ -249,12 +249,14 @@ impl GroupingService {
         let plan = match &state.plan {
             Some(record) => Some(PlanState {
                 mechanism: record.mechanism.clone(),
-                plan: record.plan.clone(),
-                planned: PlannedFleet::from_members(record.planned.clone()).ok_or_else(|| {
-                    ServiceError::CorruptSnapshot {
-                        detail: "planned-fleet ids are not strictly ascending".to_string(),
-                    }
-                })?,
+                served: ServedPlan {
+                    plan: record.plan.clone(),
+                    planned: PlannedFleet::from_members(record.planned.clone()).ok_or_else(
+                        || ServiceError::CorruptSnapshot {
+                            detail: "planned-fleet ids are not strictly ascending".to_string(),
+                        },
+                    )?,
+                },
             }),
             None => None,
         };

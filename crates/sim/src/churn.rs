@@ -1,4 +1,4 @@
-//! Re-grouping under device churn: plan staleness and recomputation.
+//! Re-grouping under device churn: plan staleness and the serve step.
 //!
 //! A [`Scenario`](crate::Scenario) may declare a
 //! [`ChurnModel`](nbiot_traffic::ChurnModel): the population then evolves
@@ -10,25 +10,29 @@
 //! when the current plan was computed) or **stale-missed** (it arrived or
 //! handed over since — its planned POs are wrong or absent).
 //!
-//! The [`RegroupPolicy`] decides when the mechanism re-plans on the
-//! evolved [`GroupingInput`] — real planning work, including DR-SC's
-//! set-cover solve (`docs/KERNELS.md`), so re-grouping cost is measurable
-//! (`bench_report`'s `replan_churn_*` stages). A re-plan at an epoch
-//! boundary serves that epoch exactly; skipping it trades signalling for
-//! misses. The outcome feeds two per-mechanism summary metrics:
-//! `regroup_count` (plan recomputations per run) and `stale_miss_ratio`
-//! (missed device-epochs over **all** post-epoch-0 device-epochs —
-//! re-planned epochs miss nothing but still widen the denominator, which
-//! keeps the ratio comparable across policies).
+//! [`ServedPlan::serve`] is the one serve step for a churned fleet: it
+//! measures the plan's staleness once, lets the [`RegroupPolicy`] decide,
+//! and then serves the cached plan, patches it with the LNS repair pass,
+//! or re-plans on the evolved [`GroupingInput`] — real planning work,
+//! including DR-SC's set-cover solve (`docs/KERNELS.md`), so re-grouping
+//! cost is measurable (`bench_report`'s `replan_churn_*` stages). The
+//! batch simulator serves every mechanism of a churned run through it
+//! once per epoch, and the grouping service (`nbiot-service`) serves
+//! every campaign request through it. A regroup at an epoch boundary
+//! serves that epoch exactly; skipping it trades signalling for misses.
+//! The simulator folds the outcome into two per-mechanism summary
+//! metrics: `regroup_count` (plan recomputations per run) and
+//! `stale_miss_ratio` (missed device-epochs over **all** post-epoch-0
+//! device-epochs — regrouped epochs miss nothing but still widen the
+//! denominator, which keeps the ratio comparable across policies).
 //!
 //! Zero-churn behaviour is pinned by `tests/churn_invariants.rs`: with
 //! all rates zero the population never changes, no policy ever fires, and
 //! every summary is bit-identical to the static engine.
 
-use nbiot_des::SeedSequence;
-use nbiot_grouping::{GroupingInput, GroupingMechanism, GroupingParams, MulticastPlan};
+use nbiot_grouping::{repair_plan, GroupingError, GroupingInput, GroupingParams, MulticastPlan};
 use nbiot_time::UeId;
-use nbiot_traffic::{ChurnEvents, ChurnModel, DeviceId, Population, TrafficMix};
+use nbiot_traffic::{DeviceId, Population};
 
 use crate::SimError;
 
@@ -48,7 +52,8 @@ pub enum RegroupPolicy {
     /// Re-plan at every epoch boundary where the population changed.
     EveryEpoch,
     /// Re-plan when the stale fraction of the current population (devices
-    /// the current plan cannot serve) exceeds this threshold.
+    /// the current plan cannot serve; 1.0 once every planned device has
+    /// left) exceeds this threshold, so a threshold of 1.0 never re-plans.
     StalenessThreshold(f64),
     /// Patch the stale plan at every changed epoch boundary with the LNS
     /// repair pass ([`nbiot_grouping::repair_plan`]) instead of
@@ -94,7 +99,7 @@ impl RegroupPolicy {
     /// current plan re-plans (or, under [`RegroupPolicy::Repair`],
     /// repairs). An unchanged fleet never does: re-planning it would
     /// reproduce the same plan. `stale_fraction` is the current plan's
-    /// [`PlannedFleet::stale_fraction`] of the fleet, which only
+    /// [`PlannedFleet::staleness`] fraction of the fleet, which only
     /// [`RegroupPolicy::StalenessThreshold`] reads.
     pub fn regroups(&self, events_since_plan: u64, stale_fraction: f64) -> bool {
         events_since_plan > 0
@@ -120,87 +125,26 @@ impl RegroupPolicy {
     }
 }
 
-/// Per-mechanism churn outcome of one run, folded into
-/// [`MechanismSummary`](crate::MechanismSummary).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub(crate) struct ChurnOutcome {
-    /// Plan recomputations across the run's epochs.
-    pub regroups: f64,
-    /// Stale-missed device-epochs over **all** post-epoch-0
-    /// device-epochs — quiet and freshly re-planned epochs count in the
-    /// denominator with zero misses, so the ratio is comparable across
-    /// policies (an `EveryEpoch` run reports 0, a `Never` run the full
-    /// accumulated staleness, over the same base).
-    pub stale_miss_ratio: f64,
+/// How a campaign request was served.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+pub enum ServeAction {
+    /// The mechanism planned from scratch on the current fleet.
+    Full,
+    /// The cached plan was patched by the LNS repair pass.
+    Repair,
+    /// The cached plan was served as-is.
+    Cached,
 }
 
-/// Summed plan-improvement economics of one run's planning work (epoch-0
-/// plan plus every regroup-epoch plan), folded into the four
-/// `cover_cost_*`/`improve_*` fields of
-/// [`MechanismSummary`](crate::MechanismSummary). Plans without an
-/// improvement record (greedy, baselines) contribute zeros, so the sums
-/// are exactly the tabu/repair work the run performed.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub(crate) struct RegroupWork {
-    /// Summed `initial_cost` (plan cost before improvement/repair).
-    pub cover_cost_initial: f64,
-    /// Summed `final_cost` (plan cost after improvement/repair).
-    pub cover_cost_final: f64,
-    /// Summed accepted improvement moves / attached arrivals.
-    pub improve_moves: f64,
-    /// Summed spent iteration budget / freshly re-planned leftovers.
-    pub improve_budget: f64,
-}
-
-impl RegroupWork {
-    /// Accumulates one plan's improvement record (no-op when absent).
-    pub fn absorb(&mut self, plan: &MulticastPlan) {
-        if let Some(stats) = plan.improvement {
-            self.cover_cost_initial += f64::from(stats.initial_cost);
-            self.cover_cost_final += f64::from(stats.final_cost);
-            self.improve_moves += f64::from(stats.moves_accepted);
-            self.improve_budget += f64::from(stats.budget_spent);
+impl ServeAction {
+    /// Lower-case wire spelling (transcripts, reports).
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            ServeAction::Full => "full",
+            ServeAction::Repair => "repair",
+            ServeAction::Cached => "cached",
         }
-    }
-}
-
-/// RNG stream ids of the churn machinery inside one (point × run) item.
-/// The static path uses streams 0 (population), 1 (baseline) and `2 + i`
-/// (mechanism `i`); churn streams branch through [`SeedSequence::child`]
-/// at ids far above any plausible mechanism count so the stream spaces
-/// can never collide.
-const CHURN_EVOLVE_CHILD: u64 = 1 << 40;
-const REGROUP_CHILD_BASE: u64 = (1 << 40) + 1;
-
-/// The evolved population at each epoch boundary, shared by every
-/// mechanism of the run (the fleet does not depend on who is planning).
-pub(crate) struct ChurnTimeline {
-    epochs: Vec<(Population, ChurnEvents)>,
-}
-
-impl ChurnTimeline {
-    /// Evolves `initial` across the model's epochs, drawing from the
-    /// run's dedicated churn streams (`run_seq.child(CHURN).rng(epoch)`).
-    ///
-    /// # Errors
-    ///
-    /// Churn-model validation failures ([`SimError::Traffic`]).
-    pub fn evolve(
-        model: &ChurnModel,
-        mix: &TrafficMix,
-        initial: &Population,
-        run_seq: &SeedSequence,
-    ) -> Result<ChurnTimeline, SimError> {
-        let base_size = initial.len();
-        let mut next_id = base_size as u32;
-        let mut epochs: Vec<(Population, ChurnEvents)> = Vec::with_capacity(model.epochs as usize);
-        for epoch in 1..=u64::from(model.epochs) {
-            let mut rng = run_seq.child(CHURN_EVOLVE_CHILD).rng(epoch);
-            let previous = epochs.last().map_or(initial, |(pop, _)| pop);
-            let step = model.step(mix, previous, base_size, &mut next_id, &mut rng)?;
-            epochs.push(step);
-        }
-        Ok(ChurnTimeline { epochs })
     }
 }
 
@@ -208,11 +152,6 @@ impl ChurnTimeline {
 /// sorted by id, so staleness lookups are binary searches. A fleet's
 /// device order need not be id-ascending: the grouping service appends
 /// registrations in event-log order.
-///
-/// This is the staleness primitive shared by the batch simulator (the
-/// [`RegroupPolicy`] trajectory walk) and the long-lived grouping service
-/// (`nbiot-service`), which snapshots the fleet at plan time and asks
-/// [`PlannedFleet::serves`] per device on later requests.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannedFleet {
     members: Vec<(DeviceId, UeId)>,
@@ -250,146 +189,112 @@ impl PlannedFleet {
             .is_ok_and(|i| self.members[i].1 == ue)
     }
 
-    /// The fraction of `pop`'s devices this snapshot cannot serve
-    /// (departed-then-readmitted ids, handovers, and arrivals all count) —
-    /// the staleness measure [`RegroupPolicy::StalenessThreshold`]
-    /// compares against. Returns `0.0` for an empty population.
-    pub fn stale_fraction(&self, pop: &Population) -> f64 {
-        self.staleness(pop).1
-    }
-
-    /// The number of `pop`'s devices this snapshot cannot serve, and
-    /// [`PlannedFleet::stale_fraction`].
-    fn staleness(&self, pop: &Population) -> (usize, f64) {
+    /// The number of `pop`'s devices this snapshot cannot serve
+    /// (departed-then-readmitted ids, handovers, and arrivals all count),
+    /// and their fraction of `pop`: the staleness measure
+    /// [`RegroupPolicy::StalenessThreshold`] compares against. A fleet
+    /// that every planned device has left is wholly stale (1.0); an empty
+    /// fleet under a plan for nobody is not stale at all (0.0).
+    pub fn staleness(&self, pop: &Population) -> (usize, f64) {
         let missed = (0..pop.len())
             .filter(|&i| !self.serves(pop.id(i), pop.ues()[i]))
             .count();
-        let fraction = if pop.is_empty() {
-            0.0
-        } else {
-            missed as f64 / pop.len() as f64
+        let fraction = match (pop.is_empty(), self.members.is_empty()) {
+            (true, true) => 0.0,
+            (true, false) => 1.0,
+            (false, _) => missed as f64 / pop.len() as f64,
         };
         (missed, fraction)
     }
 }
 
-/// The policy's decision trajectory across a run's epochs: which epoch
-/// boundaries re-plan, and the resulting outcome.
-///
-/// Staleness is *identity-based* (a device is served iff it existed with
-/// the same paging identity at the last plan), deliberately independent
-/// of which mechanism planned — so the trajectory is computed **once per
-/// work item** and shared by every mechanism; only the re-planning work
-/// itself ([`replan_mechanism`]) is per-mechanism.
-pub(crate) struct RegroupTrajectory {
-    /// Timeline epoch indices (0-based) whose boundary re-plans.
-    pub regroup_epochs: Vec<usize>,
-    /// The folded churn metrics of the run.
-    pub outcome: ChurnOutcome,
+/// A validated plan on offer, with the fleet identities it was computed
+/// against: the state [`ServedPlan::serve`] advances from one campaign
+/// to the next.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServedPlan {
+    /// The plan the next campaign rides unless the policy regroups.
+    pub plan: MulticastPlan,
+    /// The fleet identities the plan was computed against.
+    pub planned: PlannedFleet,
 }
 
-/// Walks the timeline under `policy`: per epoch, count the devices the
-/// current plan cannot serve, decide whether to re-plan, and account the
-/// misses of the epochs that ride a stale plan.
-pub(crate) fn plan_trajectory(
-    timeline: &ChurnTimeline,
-    policy: RegroupPolicy,
-    initial: &Population,
-) -> RegroupTrajectory {
-    let mut planned = PlannedFleet::snapshot(initial);
-    let mut events_since_plan = 0u64;
-    let mut regroup_epochs = Vec::new();
-    let mut stale_misses = 0usize;
-    let mut device_epochs = 0usize;
-    for (epoch, (pop, events)) in timeline.epochs.iter().enumerate() {
-        events_since_plan += events.total() as u64;
-        device_epochs += pop.len();
-        let (stale, stale_fraction) = planned.staleness(pop);
-        if policy.regroups(events_since_plan, stale_fraction) {
-            regroup_epochs.push(epoch);
-            planned = PlannedFleet::snapshot(pop);
-            events_since_plan = 0;
-        } else {
-            stale_misses += stale;
+impl ServedPlan {
+    /// Plans from scratch on `fleet` through `plan`, validates the plan
+    /// and snapshots the fleet's identities.
+    ///
+    /// # Errors
+    ///
+    /// Grouping-input and planning failures ([`SimError::Grouping`]) and
+    /// plan violations ([`SimError::InvalidPlan`]).
+    pub fn plan(
+        fleet: &Population,
+        params: GroupingParams,
+        plan: impl FnOnce(&GroupingInput) -> Result<MulticastPlan, GroupingError>,
+    ) -> Result<ServedPlan, SimError> {
+        let input = GroupingInput::from_population(fleet, params)?;
+        ServedPlan::validated(plan(&input)?, &input, fleet)
+    }
+
+    /// Serves one campaign to `fleet`, `events_since_plan` fleet events
+    /// after this plan was computed. The policy reads the staleness of
+    /// the plan on `fleet` and keeps the plan, or regroups: under
+    /// [`RegroupPolicy::Repair`] the LNS repair pass
+    /// ([`nbiot_grouping::repair_plan`]) patches it, and shapes it cannot
+    /// patch (adaptation, `mltc`, connectionless) fall back to `replan`;
+    /// every other policy re-plans through `replan`, the caller's planner
+    /// with its own RNG stream. A new plan is validated and the fleet
+    /// re-snapshotted. Returns the action with the *pre-serve* staleness:
+    /// the devices the previous plan could not serve, and their fraction.
+    ///
+    /// # Errors
+    ///
+    /// As [`ServedPlan::plan`], repair failures included. A failed serve
+    /// leaves the served plan untouched.
+    pub fn serve(
+        &mut self,
+        policy: RegroupPolicy,
+        fleet: &Population,
+        events_since_plan: u64,
+        params: GroupingParams,
+        replan: impl FnOnce(&GroupingInput) -> Result<MulticastPlan, GroupingError>,
+    ) -> Result<(ServeAction, usize, f64), SimError> {
+        let (missed, stale_fraction) = self.planned.staleness(fleet);
+        if !policy.regroups(events_since_plan, stale_fraction) {
+            return Ok((ServeAction::Cached, missed, stale_fraction));
         }
-    }
-    RegroupTrajectory {
-        outcome: ChurnOutcome {
-            regroups: regroup_epochs.len() as f64,
-            stale_miss_ratio: if device_epochs == 0 {
-                0.0
-            } else {
-                stale_misses as f64 / device_epochs as f64
-            },
-        },
-        regroup_epochs,
-    }
-}
-
-/// One mechanism's identity within a run's re-planning pass: which
-/// planner, its index (selecting the dedicated RNG stream), and the
-/// epoch-0 plan the first [`RegroupPolicy::Repair`] patch starts from.
-pub(crate) struct ReplanTarget<'a> {
-    pub index: usize,
-    pub mechanism: &'a dyn GroupingMechanism,
-    pub epoch0_plan: &'a MulticastPlan,
-}
-
-/// Executes one mechanism's re-planning work at every epoch the
-/// trajectory regroups: under [`RegroupPolicy::Repair`] the stale plan is
-/// patched via [`nbiot_grouping::repair_plan`] (falling back to a full
-/// re-plan for non-repairable shapes); every other policy runs the real
-/// planner on the evolved [`GroupingInput`], drawing from the mechanism's
-/// dedicated stream (`run_seq.child(REGROUP_BASE + mechanism).rng(epoch +
-/// 1)`) — this is the set-cover cost the `regroup_count` summary
-/// attributes. Returns the summed improvement/repair economics of the
-/// regroup-epoch plans (the epoch-0 plan is absorbed by the caller).
-///
-/// # Errors
-///
-/// Grouping-input or plan failures on an evolved population — surfaced
-/// exactly like their static-path counterparts.
-pub(crate) fn replan_mechanism(
-    timeline: &ChurnTimeline,
-    trajectory: &RegroupTrajectory,
-    grouping: GroupingParams,
-    target: &ReplanTarget<'_>,
-    run_seq: &SeedSequence,
-    policy: RegroupPolicy,
-) -> Result<RegroupWork, SimError> {
-    let mut work = RegroupWork::default();
-    // The plan the next repair patches: epoch-0's until the first regroup.
-    let mut current: Option<MulticastPlan> = None;
-    for &epoch in &trajectory.regroup_epochs {
-        let input = GroupingInput::from_population(&timeline.epochs[epoch].0, grouping)?;
+        let input = GroupingInput::from_population(fleet, params)?;
         let repaired = if policy == RegroupPolicy::Repair {
-            let stale = current.as_ref().unwrap_or(target.epoch0_plan);
-            nbiot_grouping::repair_plan(stale, &input).transpose()?
+            repair_plan(&self.plan, &input).transpose()?
         } else {
             None
         };
-        let plan = match repaired {
-            Some(plan) => plan,
-            None => {
-                let mut rng = run_seq
-                    .child(REGROUP_CHILD_BASE + target.index as u64)
-                    .rng(epoch as u64 + 1);
-                target.mechanism.plan(&input, &mut rng)?
-            }
+        let (action, plan) = match repaired {
+            Some(plan) => (ServeAction::Repair, plan),
+            None => (ServeAction::Full, replan(&input)?),
         };
-        plan.validate(&input)?;
-        work.absorb(&plan);
-        if policy == RegroupPolicy::Repair {
-            current = Some(plan);
-        }
+        *self = ServedPlan::validated(plan, &input, fleet)?;
+        Ok((action, missed, stale_fraction))
     }
-    Ok(work)
+
+    fn validated(
+        plan: MulticastPlan,
+        input: &GroupingInput,
+        fleet: &Population,
+    ) -> Result<ServedPlan, SimError> {
+        plan.validate(input)?;
+        Ok(ServedPlan {
+            plan,
+            planned: PlannedFleet::snapshot(fleet),
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use nbiot_grouping::MechanismKind;
+    use nbiot_traffic::{ChurnModel, TrafficMix};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -399,169 +304,161 @@ mod tests {
             .unwrap()
     }
 
-    fn churny(epochs: u32) -> ChurnModel {
-        ChurnModel {
-            epochs,
+    /// One churned epoch of `pop`, with its fleet-event count.
+    fn churned(pop: &Population) -> (Population, u64) {
+        let model = ChurnModel {
+            epochs: 1,
             departure_rate: 0.1,
             arrival_rate: 0.1,
             handover_rate: 0.2,
+        };
+        let mut next_id = pop.len() as u32;
+        let mix = TrafficMix::mobility_churn();
+        let mut rng = StdRng::seed_from_u64(5);
+        let (fleet, events) = model
+            .step(&mix, pop, pop.len(), &mut next_id, &mut rng)
+            .unwrap();
+        (fleet, events.total() as u64)
+    }
+
+    fn planner(
+        kind: MechanismKind,
+    ) -> impl FnOnce(&GroupingInput) -> Result<MulticastPlan, GroupingError> {
+        move |input| {
+            kind.instantiate()
+                .plan(input, &mut StdRng::seed_from_u64(1))
         }
     }
 
-    fn run_under(policy: RegroupPolicy, model: &ChurnModel) -> (ChurnOutcome, RegroupWork) {
-        let mix = TrafficMix::mobility_churn();
+    fn served(pop: &Population, kind: MechanismKind) -> ServedPlan {
+        ServedPlan::plan(pop, GroupingParams::default(), planner(kind)).unwrap()
+    }
+
+    #[test]
+    fn quiet_fleets_are_served_cached_under_every_policy() {
         let pop = initial(60);
-        let seq = SeedSequence::new(42).child(0);
-        let timeline = ChurnTimeline::evolve(model, &mix, &pop, &seq).unwrap();
-        let trajectory = plan_trajectory(&timeline, policy, &pop);
-        assert_eq!(
-            trajectory.regroup_epochs.len() as f64,
-            trajectory.outcome.regroups,
-            "regroup epoch list and count must agree"
-        );
-        let mechanism = MechanismKind::DrSc.instantiate();
-        let input = GroupingInput::from_population(&pop, GroupingParams::default()).unwrap();
-        let epoch0 = mechanism
-            .plan(&input, &mut seq.rng(0))
-            .expect("epoch-0 plan");
-        let work = replan_mechanism(
-            &timeline,
-            &trajectory,
-            GroupingParams::default(),
-            &ReplanTarget {
-                index: 0,
-                mechanism: mechanism.as_ref(),
-                epoch0_plan: &epoch0,
-            },
-            &seq,
-            policy,
-        )
-        .unwrap();
-        (trajectory.outcome, work)
-    }
-
-    fn outcome_under(policy: RegroupPolicy, model: &ChurnModel) -> ChurnOutcome {
-        run_under(policy, model).0
-    }
-
-    #[test]
-    fn never_policy_accumulates_misses_without_regrouping() {
-        let outcome = outcome_under(RegroupPolicy::Never, &churny(5));
-        assert_eq!(outcome.regroups, 0.0);
-        assert!(
-            outcome.stale_miss_ratio > 0.1,
-            "5 churned epochs must leave stale devices: {outcome:?}"
-        );
-    }
-
-    #[test]
-    fn every_epoch_policy_serves_every_epoch() {
-        let outcome = outcome_under(RegroupPolicy::EveryEpoch, &churny(5));
-        assert_eq!(outcome.regroups, 5.0, "every churned epoch re-plans");
-        assert_eq!(outcome.stale_miss_ratio, 0.0, "re-planning serves all");
-    }
-
-    #[test]
-    fn threshold_policy_sits_between_the_extremes() {
-        let never = outcome_under(RegroupPolicy::Never, &churny(6));
-        let always = outcome_under(RegroupPolicy::EveryEpoch, &churny(6));
-        // Per-epoch staleness is ~25-30 % under churny(), so a 50 %
-        // threshold needs ~2 epochs of drift to fire: the policy must
-        // regroup sometimes, but not every epoch.
-        let some = outcome_under(RegroupPolicy::StalenessThreshold(0.5), &churny(6));
-        assert!(
-            some.regroups >= 1.0 && some.regroups < 6.0,
-            "threshold should regroup sometimes but not always: {some:?}"
-        );
-        assert!(
-            some.stale_miss_ratio < never.stale_miss_ratio,
-            "regrouping must reduce misses: {some:?} vs {never:?}"
-        );
-        assert!(some.stale_miss_ratio >= always.stale_miss_ratio);
-    }
-
-    #[test]
-    fn quiet_epochs_never_trigger_any_policy() {
-        let zero = ChurnModel {
-            epochs: 4,
-            departure_rate: 0.0,
-            arrival_rate: 0.0,
-            handover_rate: 0.0,
-        };
         for policy in [
             RegroupPolicy::Never,
             RegroupPolicy::EveryEpoch,
             RegroupPolicy::StalenessThreshold(0.0),
             RegroupPolicy::Repair,
         ] {
-            let (outcome, work) = run_under(policy, &zero);
-            assert_eq!(outcome, ChurnOutcome::default(), "{policy:?}");
-            assert_eq!(work, RegroupWork::default(), "{policy:?}");
+            let mut served = served(&pop, MechanismKind::DrSc);
+            let before = served.clone();
+            let params = GroupingParams::default();
+            let outcome = served
+                .serve(policy, &pop, 0, params, planner(MechanismKind::DrSc))
+                .unwrap();
+            assert_eq!(outcome, (ServeAction::Cached, 0, 0.0), "{policy:?}");
+            assert_eq!(served, before, "{policy:?}");
         }
     }
 
     #[test]
-    fn fully_departed_fleet_defines_staleness_as_zero() {
-        // ChurnModel::step keeps one survivor by construction, so the
-        // empty-fleet epoch is synthesized directly: every device left
-        // and nobody arrived. The threshold policy's staleness ratio on
-        // an empty population used to be the 0/0 NaN (which compared
-        // false only by IEEE accident); it is defined as 0.0 now, so the
-        // empty epochs must neither fire a regroup nor poison the
-        // outcome.
-        let pop = initial(30);
-        let gone = ChurnEvents {
-            arrivals: 0,
-            departures: pop.len(),
-            handovers: 0,
-        };
-        let timeline = ChurnTimeline {
-            epochs: vec![(pop.empty_like(0), gone); 3],
-        };
-        for threshold in [0.0, 0.5, 1.0] {
-            let t = plan_trajectory(
-                &timeline,
-                RegroupPolicy::StalenessThreshold(threshold),
-                &pop,
-            );
-            assert_eq!(t.outcome.regroups, 0.0, "threshold {threshold}");
-            assert!(
-                t.outcome.stale_miss_ratio.is_finite(),
-                "threshold {threshold}"
-            );
-            assert_eq!(t.outcome.stale_miss_ratio, 0.0, "threshold {threshold}");
+    fn churned_fleets_are_served_as_the_policy_says() {
+        let pop = initial(60);
+        let (fleet, events) = churned(&pop);
+        let params = GroupingParams::default();
+        for (policy, kind, expected) in [
+            (
+                RegroupPolicy::Never,
+                MechanismKind::DrSc,
+                ServeAction::Cached,
+            ),
+            (
+                RegroupPolicy::EveryEpoch,
+                MechanismKind::DrSc,
+                ServeAction::Full,
+            ),
+            (
+                RegroupPolicy::Repair,
+                MechanismKind::DrSc,
+                ServeAction::Repair,
+            ),
+            // Adaptation plans cannot be repaired: the full re-plan
+            // fallback.
+            (
+                RegroupPolicy::Repair,
+                MechanismKind::DaSc,
+                ServeAction::Full,
+            ),
+        ] {
+            let mut served = served(&pop, kind);
+            let before = served.clone();
+            let staleness = before.planned.staleness(&fleet);
+            assert!(staleness.0 > 0, "one churned epoch leaves stale devices");
+            let (action, missed, fraction) = served
+                .serve(policy, &fleet, events, params, planner(kind))
+                .unwrap();
+            assert_eq!(action, expected, "{policy:?}, {kind}");
+            assert_eq!((missed, fraction), staleness, "{policy:?}, {kind}");
+            if action == ServeAction::Cached {
+                assert_eq!(served, before, "{policy:?}, {kind}");
+            } else {
+                assert_eq!(served.planned, PlannedFleet::snapshot(&fleet));
+                let input = GroupingInput::from_population(&fleet, params).unwrap();
+                served.plan.validate(&input).unwrap();
+            }
         }
     }
 
     #[test]
-    fn repair_policy_serves_every_epoch_and_accounts_its_work() {
-        let (outcome, work) = run_under(RegroupPolicy::Repair, &churny(5));
-        let (every, _) = run_under(RegroupPolicy::EveryEpoch, &churny(5));
-        assert_eq!(outcome, every, "repair decides exactly like EveryEpoch");
-        // DR-SC plans are repairable, and 5 churned epochs patch real
-        // arrivals: the repair economics must show up in the totals.
-        assert!(work.cover_cost_initial > 0.0, "{work:?}");
-        assert!(work.cover_cost_final > 0.0, "{work:?}");
-        assert!(
-            work.improve_moves + work.improve_budget > 0.0,
-            "churned epochs must attach or re-plan arrivals: {work:?}"
-        );
-    }
-
-    #[test]
-    fn timeline_is_reproducible_and_stream_isolated() {
-        let mix = TrafficMix::mobility_churn();
+    fn a_failed_replan_leaves_the_served_plan_untouched() {
         let pop = initial(40);
-        let seq = SeedSequence::new(7).child(3);
-        let a = ChurnTimeline::evolve(&churny(3), &mix, &pop, &seq).unwrap();
-        let b = ChurnTimeline::evolve(&churny(3), &mix, &pop, &seq).unwrap();
-        for ((pa, ea), (pb, eb)) in a.epochs.iter().zip(&b.epochs) {
-            assert_eq!(pa, pb);
-            assert_eq!(ea, eb);
+        let (fleet, events) = churned(&pop);
+        // DA-SC under repair reaches the re-plan through the fallback.
+        for policy in [RegroupPolicy::EveryEpoch, RegroupPolicy::Repair] {
+            let mut served = served(&pop, MechanismKind::DaSc);
+            let before = served.clone();
+            let failing = GroupingError::TiTooShort {
+                ti_ms: 1,
+                shortest_cycle_ms: 2,
+            };
+            let err = served
+                .serve(policy, &fleet, events, GroupingParams::default(), |_| {
+                    Err(failing.clone())
+                })
+                .unwrap_err();
+            assert_eq!(err, SimError::Grouping(failing), "{policy:?}");
+            assert_eq!(served, before, "{policy:?}");
         }
-        // A different run derives a different fleet trajectory.
-        let c = ChurnTimeline::evolve(&churny(3), &mix, &pop, &seq.child(1)).unwrap();
-        assert_ne!(a.epochs[0].0, c.epochs[0].0);
+    }
+
+    #[test]
+    fn emptied_fleet_is_wholly_stale() {
+        let pop = initial(30);
+        let empty = pop.empty_like(0);
+        assert_eq!(PlannedFleet::snapshot(&pop).staleness(&empty), (0, 1.0));
+        assert_eq!(PlannedFleet::snapshot(&empty).staleness(&empty), (0, 0.0));
+        // Every threshold below 1.0 re-plans the emptied fleet once; the
+        // empty plan then serves it with nothing stale.
+        let params = GroupingParams::default();
+        for (threshold, expected) in [
+            (0.0, ServeAction::Full),
+            (0.5, ServeAction::Full),
+            (1.0, ServeAction::Cached),
+        ] {
+            let policy = RegroupPolicy::StalenessThreshold(threshold);
+            let mut served = served(&pop, MechanismKind::DrSc);
+            let departures = pop.len() as u64;
+            let outcome = served
+                .serve(
+                    policy,
+                    &empty,
+                    departures,
+                    params,
+                    planner(MechanismKind::DrSc),
+                )
+                .unwrap();
+            assert_eq!(outcome, (expected, 0, 1.0), "threshold {threshold}");
+            if expected == ServeAction::Full {
+                assert!(served.plan.transmissions.is_empty());
+                let again = served
+                    .serve(policy, &empty, 1, params, planner(MechanismKind::DrSc))
+                    .unwrap();
+                assert_eq!(again, (ServeAction::Cached, 0, 0.0));
+            }
+        }
     }
 
     #[test]
@@ -586,7 +483,7 @@ mod tests {
         let pop = initial(30);
         let planned = PlannedFleet::snapshot(&pop);
         assert_eq!(planned.members().len(), 30);
-        assert_eq!(planned.stale_fraction(&pop), 0.0);
+        assert_eq!(planned.staleness(&pop), (0, 0.0));
         let rebuilt = PlannedFleet::from_members(planned.members().to_vec());
         assert_eq!(rebuilt.as_ref(), Some(&planned));
         // A fleet in descending id order snapshots id-ascending and
@@ -597,7 +494,7 @@ mod tests {
             pop.profiles().into_iter().rev().collect(),
         );
         assert_eq!(PlannedFleet::snapshot(&reversed), planned);
-        assert_eq!(planned.stale_fraction(&reversed), 0.0);
+        assert_eq!(planned.staleness(&reversed), (0, 0.0));
         let mut descending = planned.members().to_vec();
         descending.reverse();
         assert_eq!(PlannedFleet::from_members(descending), None);
@@ -605,18 +502,18 @@ mod tests {
         let mut moved = pop.clone();
         moved.set_ue(4, nbiot_time::UeId(0x5EED));
         assert!(!planned.serves(moved.id(4), moved.ues()[4]));
-        assert!((planned.stale_fraction(&moved) - 1.0 / 30.0).abs() < 1e-12);
+        assert_eq!(planned.staleness(&moved), (1, 1.0 / 30.0));
         // A departure shrinks the fleet without going stale; an arrival
         // the plan never saw is stale.
         let mut shrunk = pop.clone();
         shrunk.remove_row(7);
-        assert_eq!(planned.stale_fraction(&shrunk), 0.0);
+        assert_eq!(planned.staleness(&shrunk), (0, 0.0));
         let mut grown = pop.clone();
         grown.push(nbiot_traffic::DeviceProfile {
             id: nbiot_traffic::DeviceId(99),
             ..pop.device(0)
         });
-        assert!((planned.stale_fraction(&grown) - 1.0 / 31.0).abs() < 1e-12);
+        assert_eq!(planned.staleness(&grown), (1, 1.0 / 31.0));
     }
 
     #[test]

@@ -29,15 +29,23 @@
 //! computed **once** and executed per payload with a cloned post-plan RNG
 //! — bit-identical to re-planning from scratch, because planning is a
 //! deterministic function of the same input and RNG stream.
+//!
+//! # Churned epochs
+//!
+//! When the scenario declares churn, the item then runs one epoch-major
+//! loop: the fleet takes one [`ChurnModel::step`], and every mechanism
+//! serves its plan to it through [`ServedPlan::serve`] — the serve step
+//! the grouping service (`nbiot-service`) runs per campaign request.
 
 use core::fmt;
 
 use nbiot_des::{RunningStats, SeedSequence, Summary};
 use nbiot_grouping::{GroupingInput, GroupingMechanism, MechanismKind, MulticastPlan, Unicast};
 use nbiot_phy::{CoverageClass, NpdschConfig};
+use nbiot_traffic::{ChurnModel, Population};
 use rand::rngs::StdRng;
 
-use crate::churn::{self, ChurnTimeline, RegroupWork};
+use crate::churn::{PlannedFleet, ServeAction, ServedPlan};
 use crate::{engine, CampaignResult, PointResult, Scenario, ScenarioResult, SimConfig, SimError};
 
 /// Aggregated metrics of one mechanism across all runs of an experiment.
@@ -347,16 +355,37 @@ fn airtime_metrics(hist: &[u64; 3], sim: &SimConfig) -> (f64, f64) {
     (airtime_ms as f64, ratio)
 }
 
+/// Adds a plan's improvement record (none for greedy plans and
+/// baselines) to the run's `cover_cost_*` / `improve_*` sums: the epoch-0
+/// plan and every regroup plan of the run contribute.
+fn absorb_improvement(row: &mut MechRun, plan: &MulticastPlan) {
+    if let Some(stats) = plan.improvement {
+        row.cover_cost_initial += f64::from(stats.initial_cost);
+        row.cover_cost_final += f64::from(stats.final_cost);
+        row.improve_moves += f64::from(stats.moves_accepted);
+        row.improve_budget += f64::from(stats.budget_spent);
+    }
+}
+
+/// RNG stream ids of the churn machinery inside one (point × run) item.
+/// The static path uses streams 0 (population), 1 (baseline) and `2 + i`
+/// (mechanism `i`); churn streams branch through [`SeedSequence::child`]
+/// at ids far above any plausible mechanism count so the stream spaces
+/// can never collide: the fleet evolves on `child(CHURN_EVOLVE_CHILD)`
+/// and mechanism `i` re-plans on `child(REGROUP_CHILD_BASE + i)`, one
+/// `rng(epoch)` per epoch.
+const CHURN_EVOLVE_CHILD: u64 = 1 << 40;
+const REGROUP_CHILD_BASE: u64 = (1 << 40) + 1;
+
 /// One (device point × run) work item: fresh population and grouping
 /// input, shared by the unicast baseline and every mechanism across every
 /// payload variant (`sims`, one per scenario payload). Returns rows
 /// indexed `[payload][mechanism]`.
 ///
-/// When the scenario declares churn, the fleet then evolves across the
-/// model's epochs (one shared [`ChurnTimeline`] per item) and each
-/// mechanism's staleness/re-grouping trajectory is evaluated on top —
-/// the classic epoch-0 metrics above are never touched, which is what
-/// keeps zero-churn runs bit-identical to the static engine.
+/// When the scenario declares churn, [`serve_epochs`] then serves each
+/// mechanism's plan to the evolving fleet; the classic epoch-0 metrics
+/// are never touched, which is what keeps zero-churn runs bit-identical
+/// to the static engine.
 fn grid_item(
     scenario: &Scenario,
     sims: &[SimConfig],
@@ -395,16 +424,12 @@ fn grid_item(
                 &mut run_seq.rng(2 + i as u64),
             )?,
         };
-        // The plan (and hence its improvement record) is shared by every
-        // payload variant.
-        let mut work = RegroupWork::default();
-        work.absorb(&plan);
         let hist = coverage_histogram(&plan, &input);
         for (p, result) in results.iter().enumerate() {
             let baseline = baselines.as_ref().map_or(result, |(_, b)| &b[p]);
             let rel = result.mean_relative_vs(baseline);
             let (plan_airtime_ms, airtime_vs_count_ratio) = airtime_metrics(&hist, &sims[p]);
-            rows[p].push(MechRun {
+            let mut row = MechRun {
                 rel_light_sleep: rel.light_sleep,
                 rel_connected: rel.connected,
                 transmissions: result.transmission_count as f64,
@@ -417,45 +442,101 @@ fn grid_item(
                 late_joins: result.late_joins as f64,
                 regroups: 0.0,
                 stale_miss_ratio: 0.0,
-                cover_cost_initial: work.cover_cost_initial,
-                cover_cost_final: work.cover_cost_final,
-                improve_moves: work.improve_moves,
-                improve_budget: work.improve_budget,
+                cover_cost_initial: 0.0,
+                cover_cost_final: 0.0,
+                improve_moves: 0.0,
+                improve_budget: 0.0,
                 compliant: result.standards_compliant,
-            });
+            };
+            // The plan (and hence its improvement record) is shared by
+            // every payload variant.
+            absorb_improvement(&mut row, &plan);
+            rows[p].push(row);
         }
         plans.push(plan);
     }
     if let Some(model) = scenario.churn.as_ref().filter(|m| !m.is_static()) {
-        let timeline = ChurnTimeline::evolve(model, &scenario.mix, &population, &run_seq)?;
-        // Staleness is identity-based, so the policy trajectory is shared
-        // by every mechanism; only the re-planning work is per-mechanism.
-        let trajectory = churn::plan_trajectory(&timeline, scenario.regroup, &population);
-        for (i, mechanism) in mechanisms.iter().enumerate() {
-            let work = churn::replan_mechanism(
-                &timeline,
-                &trajectory,
-                scenario.grouping,
-                &churn::ReplanTarget {
-                    index: i,
-                    mechanism: mechanism.as_ref(),
-                    epoch0_plan: &plans[i],
-                },
-                &run_seq,
+        serve_epochs(
+            scenario, model, mechanisms, population, plans, &run_seq, &mut rows,
+        )?;
+    }
+    Ok(rows)
+}
+
+/// Evolves `fleet` across the churn model's epochs and serves every
+/// mechanism's plan to it once per epoch through [`ServedPlan::serve`],
+/// starting from the epoch-0 `plans`. Each mechanism's regroups, stale
+/// misses and regroup-plan improvement work land in its rows; they are
+/// payload-independent, like the plans.
+///
+/// # Errors
+///
+/// Churn-step, grouping-input and plan failures on an evolved fleet, in
+/// (epoch, mechanism) order.
+fn serve_epochs(
+    scenario: &Scenario,
+    model: &ChurnModel,
+    mechanisms: &[Box<dyn GroupingMechanism>],
+    mut fleet: Population,
+    plans: Vec<MulticastPlan>,
+    run_seq: &SeedSequence,
+    rows: &mut ItemRows,
+) -> Result<(), SimError> {
+    let planned = PlannedFleet::snapshot(&fleet);
+    // Per mechanism: the served plan, fleet events since it was planned,
+    // and the device-epochs it missed.
+    let mut state: Vec<(ServedPlan, u64, usize)> = plans
+        .into_iter()
+        .map(|plan| {
+            let planned = planned.clone();
+            (ServedPlan { plan, planned }, 0, 0)
+        })
+        .collect();
+    let base_size = fleet.len();
+    let mut next_id = base_size as u32;
+    let mut device_epochs = 0usize;
+    for epoch in 1..=u64::from(model.epochs) {
+        let mut rng = run_seq.child(CHURN_EVOLVE_CHILD).rng(epoch);
+        let (evolved, events) =
+            model.step(&scenario.mix, &fleet, base_size, &mut next_id, &mut rng)?;
+        fleet = evolved;
+        device_epochs += fleet.len();
+        for (i, (mechanism, (served, events_since_plan, misses))) in
+            mechanisms.iter().zip(&mut state).enumerate()
+        {
+            *events_since_plan += events.total() as u64;
+            let replan = |input: &GroupingInput| {
+                let stream = run_seq.child(REGROUP_CHILD_BASE + i as u64);
+                mechanism.plan(input, &mut stream.rng(epoch))
+            };
+            let (action, missed, _) = served.serve(
                 scenario.regroup,
+                &fleet,
+                *events_since_plan,
+                scenario.grouping,
+                replan,
             )?;
-            // The outcome is payload-independent, like the plan itself.
-            for payload_rows in &mut rows {
-                payload_rows[i].regroups = trajectory.outcome.regroups;
-                payload_rows[i].stale_miss_ratio = trajectory.outcome.stale_miss_ratio;
-                payload_rows[i].cover_cost_initial += work.cover_cost_initial;
-                payload_rows[i].cover_cost_final += work.cover_cost_final;
-                payload_rows[i].improve_moves += work.improve_moves;
-                payload_rows[i].improve_budget += work.improve_budget;
+            if action == ServeAction::Cached {
+                *misses += missed;
+                continue;
+            }
+            *events_since_plan = 0;
+            for payload_rows in rows.iter_mut() {
+                payload_rows[i].regroups += 1.0;
+                absorb_improvement(&mut payload_rows[i], &served.plan);
             }
         }
     }
-    Ok(rows)
+    for payload_rows in rows.iter_mut() {
+        for (row, &(_, _, misses)) in payload_rows.iter_mut().zip(&state) {
+            row.stale_miss_ratio = if device_epochs == 0 {
+                0.0
+            } else {
+                misses as f64 / device_epochs as f64
+            };
+        }
+    }
+    Ok(())
 }
 
 /// Executes an arbitrary subset of a scenario's work items (identified by
@@ -502,11 +583,12 @@ pub(crate) fn execute_grid_subset(
 
 /// Folds the complete, item-ordered record set of a scenario into its
 /// [`ScenarioResult`]: one [`ComparisonResult`] per (device point ×
-/// payload variant), device-major. This is the exact push sequence serial
-/// execution performs, which is what keeps every thread count *and* every
-/// sharding bit-identical. The fold consumes records strictly in item
-/// order (device-major, run-minor), so callers hand over borrowed records
-/// without materializing a copy.
+/// payload variant), device-major. Each summary statistic collects its
+/// metric over the point's runs in item order — the exact push sequence
+/// serial execution performs, which is what keeps every thread count
+/// *and* every sharding bit-identical. The fold consumes records strictly
+/// in item order (device-major, run-minor), so callers hand over borrowed
+/// records without materializing a copy.
 pub(crate) fn fold_grid<'a>(
     scenario: &Scenario,
     records: impl Iterator<Item = &'a ItemRows>,
@@ -514,21 +596,15 @@ pub(crate) fn fold_grid<'a>(
     let mut records = records;
     let mut points = Vec::with_capacity(scenario.devices.len() * scenario.payloads.len());
     for &n_devices in &scenario.devices {
-        let mut per_payload =
-            vec![vec![MechStats::default(); scenario.mechanisms.len()]; scenario.payloads.len()];
-        for _ in 0..scenario.runs {
-            let item = records.next().expect("one record per (point, run) item");
-            for (payload_rows, acc) in item.iter().zip(per_payload.iter_mut()) {
-                for (row, stats) in payload_rows.iter().zip(acc.iter_mut()) {
-                    stats.push(row, n_devices);
-                }
-            }
-        }
-        for (acc, &payload) in per_payload.into_iter().zip(&scenario.payloads) {
-            let mechanisms = acc
-                .into_iter()
-                .zip(&scenario.mechanisms)
-                .map(|(stats, &kind)| stats.into_summary(kind))
+        let runs: Vec<&ItemRows> = (0..scenario.runs)
+            .map(|_| records.next().expect("one record per (point, run) item"))
+            .collect();
+        for (p, &payload) in scenario.payloads.iter().enumerate() {
+            let mechanisms = scenario
+                .mechanisms
+                .iter()
+                .enumerate()
+                .map(|(m, &kind)| summarize(kind, n_devices, runs.iter().map(|item| &item[p][m])))
                 .collect();
             points.push(PointResult {
                 n_devices,
@@ -550,98 +626,39 @@ pub(crate) fn fold_grid<'a>(
     }
 }
 
-#[derive(Debug, Clone)]
-struct MechStats {
-    rel_light_sleep: RunningStats,
-    rel_connected: RunningStats,
-    transmissions: RunningStats,
-    transmissions_ratio: RunningStats,
-    plan_airtime_ms: RunningStats,
-    airtime_vs_count_ratio: RunningStats,
-    mean_wait_s: RunningStats,
-    mean_connected_s: RunningStats,
-    mean_energy_mj: RunningStats,
-    ra_failures: RunningStats,
-    late_joins: RunningStats,
-    regroup_count: RunningStats,
-    stale_miss_ratio: RunningStats,
-    cover_cost_initial: RunningStats,
-    cover_cost_final: RunningStats,
-    improve_moves: RunningStats,
-    improve_budget: RunningStats,
-    compliant: bool,
-}
-
-impl MechStats {
-    fn push(&mut self, row: &MechRun, n_devices: usize) {
-        self.rel_light_sleep.push(row.rel_light_sleep);
-        self.rel_connected.push(row.rel_connected);
-        self.transmissions.push(row.transmissions);
-        self.transmissions_ratio
-            .push(row.transmissions / n_devices as f64);
-        self.plan_airtime_ms.push(row.plan_airtime_ms);
-        self.airtime_vs_count_ratio.push(row.airtime_vs_count_ratio);
-        self.mean_wait_s.push(row.mean_wait_s);
-        self.mean_connected_s.push(row.mean_connected_s);
-        self.mean_energy_mj.push(row.mean_energy_mj);
-        self.ra_failures.push(row.ra_failures);
-        self.late_joins.push(row.late_joins);
-        self.regroup_count.push(row.regroups);
-        self.stale_miss_ratio.push(row.stale_miss_ratio);
-        self.cover_cost_initial.push(row.cover_cost_initial);
-        self.cover_cost_final.push(row.cover_cost_final);
-        self.improve_moves.push(row.improve_moves);
-        self.improve_budget.push(row.improve_budget);
-        self.compliant &= row.compliant;
-    }
-
-    fn into_summary(self, kind: MechanismKind) -> MechanismSummary {
-        MechanismSummary {
-            mechanism: kind.to_string(),
-            standards_compliant: self.compliant,
-            rel_light_sleep: self.rel_light_sleep.summary(),
-            rel_connected: self.rel_connected.summary(),
-            transmissions: self.transmissions.summary(),
-            transmissions_ratio: self.transmissions_ratio.summary(),
-            plan_airtime_ms: self.plan_airtime_ms.summary(),
-            airtime_vs_count_ratio: self.airtime_vs_count_ratio.summary(),
-            mean_wait_s: self.mean_wait_s.summary(),
-            mean_connected_s: self.mean_connected_s.summary(),
-            mean_energy_mj: self.mean_energy_mj.summary(),
-            ra_failures: self.ra_failures.summary(),
-            late_joins: self.late_joins.summary(),
-            regroup_count: self.regroup_count.summary(),
-            stale_miss_ratio: self.stale_miss_ratio.summary(),
-            cover_cost_initial: self.cover_cost_initial.summary(),
-            cover_cost_final: self.cover_cost_final.summary(),
-            improve_moves: self.improve_moves.summary(),
-            improve_budget: self.improve_budget.summary(),
-        }
-    }
-}
-
-impl Default for MechStats {
-    fn default() -> Self {
-        MechStats {
-            rel_light_sleep: RunningStats::new(),
-            rel_connected: RunningStats::new(),
-            transmissions: RunningStats::new(),
-            transmissions_ratio: RunningStats::new(),
-            plan_airtime_ms: RunningStats::new(),
-            airtime_vs_count_ratio: RunningStats::new(),
-            mean_wait_s: RunningStats::new(),
-            mean_connected_s: RunningStats::new(),
-            mean_energy_mj: RunningStats::new(),
-            ra_failures: RunningStats::new(),
-            late_joins: RunningStats::new(),
-            regroup_count: RunningStats::new(),
-            stale_miss_ratio: RunningStats::new(),
-            cover_cost_initial: RunningStats::new(),
-            cover_cost_final: RunningStats::new(),
-            improve_moves: RunningStats::new(),
-            improve_budget: RunningStats::new(),
-            compliant: true,
-        }
+/// One mechanism's summary over its per-run rows at a point of
+/// `n_devices` devices.
+fn summarize<'a>(
+    kind: MechanismKind,
+    n_devices: usize,
+    rows: impl Iterator<Item = &'a MechRun> + Clone,
+) -> MechanismSummary {
+    let stat =
+        |metric: fn(&MechRun) -> f64| rows.clone().map(metric).collect::<RunningStats>().summary();
+    MechanismSummary {
+        mechanism: kind.to_string(),
+        standards_compliant: rows.clone().all(|r| r.compliant),
+        rel_light_sleep: stat(|r| r.rel_light_sleep),
+        rel_connected: stat(|r| r.rel_connected),
+        transmissions: stat(|r| r.transmissions),
+        transmissions_ratio: rows
+            .clone()
+            .map(|r| r.transmissions / n_devices as f64)
+            .collect::<RunningStats>()
+            .summary(),
+        plan_airtime_ms: stat(|r| r.plan_airtime_ms),
+        airtime_vs_count_ratio: stat(|r| r.airtime_vs_count_ratio),
+        mean_wait_s: stat(|r| r.mean_wait_s),
+        mean_connected_s: stat(|r| r.mean_connected_s),
+        mean_energy_mj: stat(|r| r.mean_energy_mj),
+        ra_failures: stat(|r| r.ra_failures),
+        late_joins: stat(|r| r.late_joins),
+        regroup_count: stat(|r| r.regroups),
+        stale_miss_ratio: stat(|r| r.stale_miss_ratio),
+        cover_cost_initial: stat(|r| r.cover_cost_initial),
+        cover_cost_final: stat(|r| r.cover_cost_final),
+        improve_moves: stat(|r| r.improve_moves),
+        improve_budget: stat(|r| r.improve_budget),
     }
 }
 
@@ -778,5 +795,43 @@ mod tests {
         assert!(compare(&[MechanismKind::DrSc])
             .to_string()
             .contains("DR-SC"));
+    }
+
+    #[test]
+    fn churned_items_are_reproducible_and_stream_isolated() {
+        let mut scenario = small(&[
+            MechanismKind::DrSc,
+            MechanismKind::DrScTabu(16),
+            MechanismKind::DaSc,
+        ]);
+        scenario.mix = nbiot_traffic::TrafficMix::mobility_churn();
+        scenario.churn = Some(ChurnModel {
+            epochs: 3,
+            departure_rate: 0.1,
+            arrival_rate: 0.1,
+            handover_rate: 0.2,
+        });
+        scenario.regroup = crate::RegroupPolicy::StalenessThreshold(0.15);
+        let item = |s: &Scenario, run: usize| execute_grid_subset(s, &[run]).unwrap().remove(0);
+        let a = item(&scenario, 0);
+        assert_eq!(
+            a,
+            item(&scenario, 0),
+            "an item is a pure function of its run"
+        );
+        let churn = |rows: &ItemRows| (rows[0][1].regroups, rows[0][1].improve_moves);
+        assert!(churn(&a).0 > 0.0, "the fleet drifts past the threshold");
+        assert_ne!(
+            churn(&a),
+            churn(&item(&scenario, 1)),
+            "runs evolve own fleets"
+        );
+        // The fleet evolves on its own stream and each mechanism re-plans
+        // on its own: dropping the last mechanism moves no other row.
+        let mut fewer = scenario.clone();
+        fewer.mechanisms.pop();
+        for (all, kept) in a.iter().zip(&item(&fewer, 0)) {
+            assert_eq!(&all[..2], &kept[..]);
+        }
     }
 }

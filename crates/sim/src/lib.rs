@@ -78,7 +78,7 @@ mod scenario;
 mod shard;
 
 pub use campaign::run_campaign;
-pub use churn::{PlannedFleet, RegroupPolicy};
+pub use churn::{PlannedFleet, RegroupPolicy, ServeAction, ServedPlan};
 pub use config::SimConfig;
 pub use error::SimError;
 pub use experiment::{ComparisonResult, ItemRows, MechRun, MechanismSummary};

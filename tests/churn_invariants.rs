@@ -2,7 +2,8 @@
 //! all rates zero — under *any* re-grouping policy — produces summaries
 //! bit-identical to the static engine, and a static scenario's classic
 //! metrics are untouched by churned execution (only the new
-//! `regroup_count` / `stale_miss_ratio` summaries ever move).
+//! `regroup_count` / `stale_miss_ratio` summaries ever move). The churn
+//! fields of one churned item are pinned per policy.
 
 use nbiot_multicast::prelude::*;
 
@@ -187,5 +188,87 @@ fn churn_scenarios_roundtrip_through_serde() {
         let text = serde_json::to_string(&s).expect("serializable");
         let back: Scenario = serde_json::from_str(&text).expect("deserializable");
         assert_eq!(back, s, "{name}");
+    }
+}
+
+/// The churn fields of one reduced churn-repair item (DR-SC,
+/// DR-SC-tabu(64), DA-SC; 60 devices; run 1 of 2) under `policy`, per
+/// mechanism: `[regroups, stale_miss_ratio, cover_cost_initial,
+/// cover_cost_final, improve_moves, improve_budget]`.
+fn churned_item(policy: RegroupPolicy) -> Vec<[f64; 6]> {
+    let mut s = Scenario::builtin("churn-repair").expect("registered");
+    s.devices = vec![60];
+    s.runs = 2;
+    s.threads = 1;
+    s.regroup = policy;
+    let archive = nbiot_multicast::sim::run_scenario_shard(
+        &s,
+        nbiot_multicast::sim::ShardSpec { index: 1, count: 2 },
+    )
+    .expect("churned shard");
+    assert_eq!(archive.items.len(), 1, "one item per shard");
+    let rows = &archive.items[0].rows;
+    // Churn fields are payload-independent, like the plans they count.
+    assert!(rows.iter().all(|payload| payload == &rows[0]));
+    rows[0]
+        .iter()
+        .map(|r| {
+            [
+                r.regroups,
+                r.stale_miss_ratio,
+                r.cover_cost_initial,
+                r.cover_cost_final,
+                r.improve_moves,
+                r.improve_budget,
+            ]
+        })
+        .collect()
+}
+
+#[test]
+fn churned_item_records_are_pinned() {
+    // How often each policy regroups, how many device-epochs it misses
+    // (353 post-epoch-0 device-epochs in this item) and what the regroup
+    // plans cost: a serve step that moves any decision, miss or plan
+    // fails here. DR-SC carries no improvement record except under
+    // repair; DA-SC never repairs (the full re-plan fallback).
+    let never = 127.0 / 353.0;
+    let threshold = 24.0 / 353.0;
+    let pins: [(RegroupPolicy, [[f64; 6]; 3]); 4] = [
+        (
+            RegroupPolicy::Never,
+            [
+                [0.0, never, 0.0, 0.0, 0.0, 0.0],
+                [0.0, never, 15.0, 15.0, 64.0, 64.0],
+                [0.0, never, 0.0, 0.0, 0.0, 0.0],
+            ],
+        ),
+        (
+            RegroupPolicy::EveryEpoch,
+            [
+                [6.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                [6.0, 0.0, 99.0, 96.0, 395.0, 448.0],
+                [6.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            ],
+        ),
+        (
+            RegroupPolicy::StalenessThreshold(0.15),
+            [
+                [3.0, threshold, 0.0, 0.0, 0.0, 0.0],
+                [3.0, threshold, 56.0, 54.0, 240.0, 256.0],
+                [3.0, threshold, 0.0, 0.0, 0.0, 0.0],
+            ],
+        ),
+        (
+            RegroupPolicy::Repair,
+            [
+                [6.0, 0.0, 108.0, 113.0, 34.0, 13.0],
+                [6.0, 0.0, 128.0, 134.0, 98.0, 77.0],
+                [6.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            ],
+        ),
+    ];
+    for (policy, expected) in pins {
+        assert_eq!(churned_item(policy), expected, "{policy:?}");
     }
 }

@@ -506,9 +506,9 @@ fn every_mechanism_is_valid_and_finite_on_edge_fleets() {
             assert_eq!(result.device_count(), input.len(), "{label}, {kind}");
             if input.is_empty() {
                 assert_eq!(result.transmission_count, 0, "{kind}");
-                for data in [TrafficCategory::MulticastData, TrafficCategory::UnicastData] {
-                    let airtime = result.bandwidth.airtime(data);
-                    assert_eq!(airtime, SimDuration::ZERO, "{kind}: {data:?}");
+                for category in TrafficCategory::ALL {
+                    let airtime = result.bandwidth.airtime(category);
+                    assert_eq!(airtime, SimDuration::ZERO, "{kind}: {category:?}");
                 }
                 assert_eq!(result.mean_wait, SimDuration::ZERO, "{kind}");
                 assert_eq!(result.mean_light_sleep_ms(), 0.0, "{kind}");

@@ -304,17 +304,21 @@ fn emptied_fleets_serve_no_transmission_and_snapshot_like_any_other() {
         let serves = service.replay(&log).expect("replay");
         assert_eq!(serves.len(), 4, "{cfg:?}");
         assert!(serves[0].transmissions > 0, "{cfg:?}");
-        for serve in &serves[1..] {
+        // The epoch-0 plan reaches nobody in the emptied fleet: it is
+        // wholly stale. Every policy but `never` re-plans it once and then
+        // serves the empty plan, which nothing has outdated since; `never`
+        // keeps serving the epoch-0 plan unchanged.
+        let regroups = cfg.policy.regroups(1, 1.0);
+        assert_eq!(regroups, cfg.policy != RegroupPolicy::Never, "{cfg:?}");
+        for (k, serve) in serves[1..].iter().enumerate() {
             assert_eq!(serve.devices, 0, "{cfg:?}: {serve:?}");
-            assert_eq!(serve.stale_fraction, 0.0, "{cfg:?}: {serve:?}");
-            // A policy that re-plans the emptied fleet transmits nothing;
-            // one that keeps the epoch-0 plan serves it unchanged.
-            let expected = if cfg.policy.regroups(1, 0.0) {
-                0
-            } else {
-                serves[0].transmissions
+            let (transmissions, stale_fraction) = match (regroups, k) {
+                (false, _) => (serves[0].transmissions, 1.0),
+                (true, 0) => (0, 1.0),
+                (true, _) => (0, 0.0),
             };
-            assert_eq!(serve.transmissions, expected, "{cfg:?}: {serve:?}");
+            assert_eq!(serve.transmissions, transmissions, "{cfg:?}: {serve:?}");
+            assert_eq!(serve.stale_fraction, stale_fraction, "{cfg:?}: {serve:?}");
         }
         assert!(service.fleet().is_empty());
         // Snapshots cut at the empty fleet, before and after its first
