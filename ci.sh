@@ -44,11 +44,11 @@
 #                  against golden/massive_smoke.json at zero tolerance
 #                  (summary-level only; the archive guard is exercised
 #                  too), plus the bench_report massive stages
+#   nightly        full paper-suite scenario diffed summary-level against
+#                  golden/paper_suite.json at zero tolerance (a per-PR
+#                  check, re-run by the schedule-triggered workflow job)
 #
 # Extra stages outside the per-PR matrix (dispatch with --stage):
-#   nightly        full paper-suite scenario diffed summary-level against
-#                  golden/paper_suite.json at zero tolerance (the
-#                  schedule-triggered workflow job)
 #   base-diff      rebuild the fig6b smoke archive on the PR head AND on
 #                  the merge-base revision, scenario_diff --json between
 #                  them into $CI_ARTIFACT_DIR; metric drift is
@@ -59,7 +59,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-STAGES=(build test lint fmt docs figures-smoke shard-smoke golden fault-smoke anytime-smoke service-smoke weighted-smoke bench-gate massive-smoke)
+STAGES=(build test lint fmt docs figures-smoke shard-smoke golden fault-smoke anytime-smoke service-smoke weighted-smoke bench-gate massive-smoke nightly)
 
 ARTIFACT_DIR="${CI_ARTIFACT_DIR:-}"
 if [[ -z "$ARTIFACT_DIR" ]]; then
@@ -371,11 +371,11 @@ stage_service_smoke() {
 
 stage_nightly() {
     echo "==> nightly: full paper-suite vs committed golden (summary-level, zero tolerance)"
-    # The schedule-triggered full-suite gate: the complete paper-suite
-    # scenario (every payload, default run count) must reproduce the
-    # committed summary bit-for-bit. Summary-level like the massive
-    # gate — the raw archive of the full suite is large and adds nothing
-    # over the folded summaries. Regenerate deliberately with:
+    # The full-suite gate, per PR and on the schedule: the complete
+    # paper-suite scenario (every payload, default run count) must
+    # reproduce the committed summary bit-for-bit. Summary-level like the
+    # massive gate — the raw archive of the full suite is large and adds
+    # nothing over the folded summaries. Regenerate deliberately with:
     #   cargo run --release -q -p nbiot-bench --bin figures -- \
     #       --scenario paper-suite --json > golden/paper_suite.json
     local fresh="$SCRATCH/paper_suite_fresh.json"

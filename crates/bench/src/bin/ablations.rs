@@ -28,7 +28,7 @@
 //! cargo run --release -p nbiot-bench --bin ablations -- --runs 20
 //! ```
 
-use nbiot_bench::{pct, render_table, FigureOpts};
+use nbiot_bench::{outln, pct, render_table, FigureOpts};
 use nbiot_des::{RunningStats, SeedSequence};
 use nbiot_grouping::{AdaptationGrid, DaSc, DrSi, GroupingInput, MechanismKind, NotifyPolicy};
 use nbiot_sim::{run_scenario, with_ti, Scenario, SimConfig};
@@ -60,7 +60,7 @@ fn main() {
 }
 
 fn ti_sweep(base: &Scenario) {
-    println!("==== Ablation 1: inactivity timer TI (paper range 10-30 s) ====\n");
+    outln!("==== Ablation 1: inactivity timer TI (paper range 10-30 s) ====\n");
     let mut rows = Vec::new();
     for ti_s in [10u64, 20, 30] {
         let scenario = with_ti(base.clone(), SimDuration::from_secs(ti_s));
@@ -75,7 +75,7 @@ fn ti_sweep(base: &Scenario) {
             ]);
         }
     }
-    println!(
+    outln!(
         "{}",
         render_table(
             &[
@@ -88,11 +88,11 @@ fn ti_sweep(base: &Scenario) {
             &rows
         )
     );
-    println!("longer TI: fewer DR-SC transmissions, more waiting for everyone\n");
+    outln!("longer TI: fewer DR-SC transmissions, more waiting for everyone\n");
 }
 
 fn notify_policy(base: &Scenario) {
-    println!("==== Ablation 2: DR-SI notification policy ====\n");
+    outln!("==== Ablation 2: DR-SI notification policy ====\n");
     let seq = SeedSequence::new(base.master_seed);
     let n_devices = base.devices[0];
     let mut rows = Vec::new();
@@ -132,15 +132,15 @@ fn notify_policy(base: &Scenario) {
             format!("{:.0}", lead.summary().ci95),
         ]);
     }
-    println!(
+    outln!(
         "{}",
         render_table(&["policy", "mean T322 lead time (s)", "±95%CI"], &rows)
     );
-    println!("earlier notification = longer armed timers (same energy, more state)\n");
+    outln!("earlier notification = longer armed timers (same energy, more state)\n");
 }
 
 fn adaptation_grid(base: &Scenario) {
-    println!("==== Ablation 3: DA-SC adaptation grid ====\n");
+    outln!("==== Ablation 3: DA-SC adaptation grid ====\n");
     let seq = SeedSequence::new(base.master_seed);
     let n_devices = base.devices[0];
     let mut rows = Vec::new();
@@ -179,15 +179,15 @@ fn adaptation_grid(base: &Scenario) {
             format!("{:.1}", extra_pos.summary().ci95),
         ]);
     }
-    println!(
+    outln!(
         "{}",
         render_table(&["grid", "extra POs per device", "±95%CI"], &rows)
     );
-    println!("the grids are near-equivalent: the cycle choice dominates, not the phase\n");
+    outln!("the grids are near-equivalent: the cycle choice dominates, not the phase\n");
 }
 
 fn rach_contention(base: &Scenario) {
-    println!("==== Ablation 4: RACH contention (DR-SI wake-up draws) ====\n");
+    outln!("==== Ablation 4: RACH contention (DR-SI wake-up draws) ====\n");
     let mut rows = Vec::new();
     for contenders in [0u32, 10, 50, 200] {
         let scenario = Scenario {
@@ -207,18 +207,18 @@ fn rach_contention(base: &Scenario) {
             format!("{:.2}", m.ra_failures.mean),
         ]);
     }
-    println!(
+    outln!(
         "{}",
         render_table(
             &["contenders", "mean connected (s)", "RA failures/run"],
             &rows
         )
     );
-    println!("the random T322 spread keeps contention tolerable until extreme loads\n");
+    outln!("the random T322 spread keeps contention tolerable until extreme loads\n");
 }
 
 fn scptm_cost(base: &Scenario) {
-    println!("==== Ablation 5: SC-PTM baseline (why on-demand multicast exists) ====\n");
+    outln!("==== Ablation 5: SC-PTM baseline (why on-demand multicast exists) ====\n");
     let scenario = Scenario {
         mechanisms: vec![
             MechanismKind::ScPtm,
@@ -241,7 +241,7 @@ fn scptm_cost(base: &Scenario) {
             ]
         })
         .collect();
-    println!(
+    outln!(
         "{}",
         render_table(
             &[
@@ -253,11 +253,11 @@ fn scptm_cost(base: &Scenario) {
             &rows
         )
     );
-    println!("SC-PTM pays continuous SC-MCCH monitoring; the paper's mechanisms do not");
+    outln!("SC-PTM pays continuous SC-MCCH monitoring; the paper's mechanisms do not");
 }
 
 fn nb_density(base: &Scenario) {
-    println!("\n==== Ablation 6: paging density nB (PO alignment) ====\n");
+    outln!("\n==== Ablation 6: paging density nB (PO alignment) ====\n");
     use nbiot_grouping::{DrSc, GroupingMechanism};
     use nbiot_time::NbParam;
     use nbiot_traffic::Population;
@@ -293,18 +293,18 @@ fn nb_density(base: &Scenario) {
             format!("{:.1}", tx.summary().ci95),
         ]);
     }
-    println!(
+    outln!(
         "{}",
         render_table(&["paging density", "DR-SC transmissions", "±95%CI"], &rows)
     );
-    println!(
+    outln!(
         "negative result: for eDRX-dominated populations PO diversity comes from\n\
          the paging-hyperframe phase, not the PF offset, so nB barely moves DR-SC"
     );
 }
 
 fn channel_serialization(base: &Scenario) {
-    println!("\n==== Ablation 7: single-carrier serialization ====\n");
+    outln!("\n==== Ablation 7: single-carrier serialization ====\n");
     let mut rows = Vec::new();
     for (label, serialize) in [
         ("ideal channel (paper)", false),
@@ -327,7 +327,7 @@ fn channel_serialization(base: &Scenario) {
             format!("{:.1}", cmp.mechanisms[1].mean_connected_s.mean),
         ]);
     }
-    println!(
+    outln!(
         "{}",
         render_table(
             &[
@@ -338,5 +338,5 @@ fn channel_serialization(base: &Scenario) {
             &rows
         )
     );
-    println!("queueing on the real single carrier hits unicast hard; one multicast never queues");
+    outln!("queueing on the real single carrier hits unicast hard; one multicast never queues");
 }

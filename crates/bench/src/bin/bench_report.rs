@@ -40,7 +40,7 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use nbiot_bench::coordinator::{self, RunConfig};
-use nbiot_bench::{fail, fail_usage, workload, FigureOpts};
+use nbiot_bench::{fail, fail_usage, outln, workload, FigureOpts};
 use nbiot_des::SeedSequence;
 use nbiot_grouping::set_cover::{self, reference, WindowCover};
 use nbiot_grouping::{
@@ -1124,7 +1124,7 @@ fn main() {
     out_file
         .write_all(text.as_bytes())
         .unwrap_or_else(|e| fail(format!("cannot write benchmark report `{out_path}`: {e}")));
-    println!("{text}");
+    outln!("{text}");
     let summary: Vec<String> = ratios
         .iter()
         .map(|(key, ratio)| format!("{key} {ratio:.2}x"))

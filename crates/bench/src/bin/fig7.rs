@@ -18,7 +18,7 @@
 //! cargo run --release -p nbiot-bench --bin fig7 -- --runs 100
 //! ```
 
-use nbiot_bench::{scenarios, FigureOpts};
+use nbiot_bench::{outln, scenarios, FigureOpts};
 use nbiot_sim::{run_scenario, Scenario};
 
 fn main() {
@@ -43,15 +43,15 @@ fn main() {
                 serde_json::json!({ "point": point, "fluid_estimate": est })
             })
             .collect();
-        println!(
+        outln!(
             "{}",
             serde_json::to_string_pretty(&value).expect("serializable")
         );
         return;
     }
 
-    println!("Fig. 7 — DR-SC multicast transmissions vs group size");
-    println!("{}\n", scenarios::caption(&scenario));
-    println!("{}", scenarios::render_transmissions(&scenario, &result));
-    println!("paper: ratio ≈ 50% at small N, falling to ≈ 40% at N = 1000");
+    outln!("Fig. 7 — DR-SC multicast transmissions vs group size");
+    outln!("{}\n", scenarios::caption(&scenario));
+    outln!("{}", scenarios::render_transmissions(&scenario, &result));
+    outln!("paper: ratio ≈ 50% at small N, falling to ≈ 40% at N = 1000");
 }

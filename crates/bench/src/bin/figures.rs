@@ -24,7 +24,7 @@
 //! into a result bit-identical to the unsharded run, and `scenario_diff`
 //! compares two archives.
 
-use nbiot_bench::{fail, fail_usage, scenarios, FigureOpts, OrFail};
+use nbiot_bench::{fail, fail_usage, outln, scenarios, FigureOpts, OrFail};
 use nbiot_grouping::MechanismKind;
 use nbiot_sim::{run_scenario_shard, Scenario, ShardSpec};
 use nbiot_traffic::TrafficMix;
@@ -80,12 +80,12 @@ fn main() {
                 )
             }
             "--list" => {
-                println!("built-in scenarios:");
+                outln!("built-in scenarios:");
                 for name in Scenario::REGISTRY {
                     let s = Scenario::builtin(name).expect("registered");
-                    println!("  {name:<16} {}", s.description);
+                    outln!("  {name:<16} {}", s.description);
                 }
-                println!(
+                outln!(
                     "\nregistered traffic mixes (for --mix): {}",
                     TrafficMix::REGISTRY.join(", ")
                 );
@@ -117,11 +117,11 @@ fn main() {
     if let Some(format) = dump {
         let value = serde_json::to_value(&scenario);
         match format.as_str() {
-            "json" => println!(
+            "json" => outln!(
                 "{}",
                 serde_json::to_string_pretty(&scenario).expect("serializable")
             ),
-            "toml" => println!(
+            "toml" => outln!(
                 "{}",
                 nbiot_bench::toml_lite::to_toml(&value).expect("TOML-writable")
             ),
@@ -157,12 +157,12 @@ fn main() {
             // A 1/1 archive is a whole run: render it like a normal run.
             let result = archive.result().expect("complete archive folds");
             if opts.json {
-                println!(
+                outln!(
                     "{}",
                     serde_json::to_string_pretty(&result).expect("serializable")
                 );
             } else {
-                println!("{}", scenarios::render_report(&scenario, &result));
+                outln!("{}", scenarios::render_report(&scenario, &result));
             }
         }
         eprintln!(

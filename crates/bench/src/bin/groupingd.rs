@@ -17,7 +17,7 @@
 //! runtime failures (corrupt logs/snapshots, foreign fingerprints,
 //! planning errors), `2` usage.
 
-use nbiot_bench::{fail, fail_usage, OrFail};
+use nbiot_bench::{fail, fail_usage, outln, OrFail};
 use nbiot_service::{Applied, EventLog, GroupingService, ServiceConfig, ServiceSnapshot};
 use nbiot_sim::RegroupPolicy;
 use nbiot_traffic::{ChurnModel, TrafficMix};
@@ -162,7 +162,7 @@ fn main() {
         match applied {
             Applied::Fleet => {}
             Applied::Served(summary) => {
-                println!(
+                outln!(
                     "{}",
                     serde_json::to_string(&summary).expect("summaries always serialize")
                 );
@@ -182,7 +182,7 @@ fn main() {
             since_snapshot = 0;
         }
     }
-    println!(
+    outln!(
         "{}",
         serde_json::to_string(&json!({
             "records": service.next_record(),

@@ -19,7 +19,7 @@
 //! run counts, compliance flips).
 
 use nbiot_bench::diff::{diff_results, diff_to_json, render_diff, DiffTolerance};
-use nbiot_bench::{fail, fail_usage, scenarios, OrFail};
+use nbiot_bench::{fail, fail_usage, out, outln, scenarios, OrFail};
 use nbiot_sim::ScenarioResult;
 
 fn load_result(path: &str) -> ScenarioResult {
@@ -91,12 +91,12 @@ fn main() {
     let report = diff_results(&baseline, &candidate, tolerance);
 
     if json {
-        println!(
+        outln!(
             "{}",
             serde_json::to_string_pretty(&diff_to_json(&report)).expect("serializable")
         );
     } else {
-        print!("{}", render_diff(&report));
+        out!("{}", render_diff(&report));
     }
     // Base-vs-PR artifact diffs run with --structural-only: two archives
     // built from different code revisions are *expected* to drift on

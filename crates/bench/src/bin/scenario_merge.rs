@@ -17,7 +17,7 @@
 //! accepts missing shards by emitting a coverage-annotated degraded
 //! archive (exit status 3) instead of a result.
 
-use nbiot_bench::{fail, fail_usage, scenarios, OrFail, EXIT_DEGRADED};
+use nbiot_bench::{fail, fail_usage, outln, scenarios, OrFail, EXIT_DEGRADED};
 use nbiot_sim::{merge_archives_with, MergePolicy, ScenarioArchive};
 
 fn main() {
@@ -81,7 +81,7 @@ fn main() {
     if let Some(coverage) = &merged.coverage {
         // A degraded merge has no foldable result: report the coverage
         // instead of tables, and exit distinctly so automation notices.
-        println!(
+        outln!(
             "scenario_merge: DEGRADED merge of {}: shards {:?} missing, \
              item coverage {:.1}% ({} of {} shards present)",
             merged.scenario.name,
@@ -96,11 +96,11 @@ fn main() {
         .result()
         .unwrap_or_else(|e| fail(format!("merged archive does not fold: {e}")));
     if json {
-        println!(
+        outln!(
             "{}",
             serde_json::to_string_pretty(&result).expect("serializable")
         );
     } else {
-        println!("{}", scenarios::render_report(&merged.scenario, &result));
+        outln!("{}", scenarios::render_report(&merged.scenario, &result));
     }
 }

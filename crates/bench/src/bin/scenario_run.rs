@@ -29,7 +29,8 @@ use nbiot_bench::coordinator::{
     self, AttemptOutcome, FaultPlan, RunConfig, RunOutcome, WorkerMode,
 };
 use nbiot_bench::{
-    fail, fail_usage, render_table, scenarios, FigureOpts, OrFail, EXIT_DEGRADED, EXIT_HALTED,
+    fail, fail_usage, out, outln, render_table, scenarios, FigureOpts, OrFail, EXIT_DEGRADED,
+    EXIT_HALTED,
 };
 
 fn usage() -> ! {
@@ -149,7 +150,7 @@ fn main() {
             .unwrap_or_else(|e| fail(format!("cannot write report `{path}`: {e}")));
     }
     if opts.json {
-        println!(
+        outln!(
             "{}",
             serde_json::to_string_pretty(&outcome.report).expect("serializable")
         );
@@ -224,21 +225,23 @@ fn print_summary(outcome: &RunOutcome) {
             ]
         })
         .collect();
-    println!(
+    outln!(
         "==== campaign {} ({} shards, fingerprint {:#018x}) ====",
-        report.scenario, report.shards, report.fingerprint
+        report.scenario,
+        report.shards,
+        report.fingerprint
     );
-    print!(
+    out!(
         "{}",
         render_table(&["shard", "status", "attempts", "trail"], &rows)
     );
     match (&outcome.merged, report.halted) {
-        (_, true) => println!(
+        (_, true) => outln!(
             "verdict: HALTED after {} completed shard(s); resume with the same --run-dir",
             report.completed.len()
         ),
         (Some(merged), _) => match &merged.coverage {
-            None => println!(
+            None => outln!(
                 "verdict: complete — {} items merged -> {}",
                 merged.items.len(),
                 outcome
@@ -247,7 +250,7 @@ fn print_summary(outcome: &RunOutcome) {
                     .map(|p| p.display().to_string())
                     .unwrap_or_default()
             ),
-            Some(coverage) => println!(
+            Some(coverage) => outln!(
                 "verdict: DEGRADED — shards {:?} missing, item coverage {:.1}% -> {}",
                 coverage.missing,
                 coverage.item_coverage * 100.0,
@@ -258,7 +261,7 @@ fn print_summary(outcome: &RunOutcome) {
                     .unwrap_or_default()
             ),
         },
-        (None, false) if !report.failed.is_empty() => println!(
+        (None, false) if !report.failed.is_empty() => outln!(
             "verdict: FAILED — shards {:?} exhausted {} attempt(s); re-run to retry, or pass \
              --allow-partial to degrade",
             report.failed,
@@ -269,6 +272,6 @@ fn print_summary(outcome: &RunOutcome) {
                 .max()
                 .unwrap_or(0)
         ),
-        (None, false) => println!("verdict: nothing to merge"),
+        (None, false) => outln!("verdict: nothing to merge"),
     }
 }

@@ -64,6 +64,36 @@ pub fn fail_with(code: i32, message: impl core::fmt::Display) -> ! {
     std::process::exit(code);
 }
 
+/// Writes `args` to stdout and flushes it: the one path result output
+/// takes. A failed write, such as a full disk or a closed pipe, exits
+/// through [`fail`] with one error line, where `println!` would panic.
+pub fn write_stdout(args: core::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = stdout.write_fmt(args).and_then(|()| stdout.flush()) {
+        fail(format_args!("cannot write to stdout: {e}"));
+    }
+}
+
+/// `println!` through [`write_stdout`].
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// `print!` through [`write_stdout`].
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
 /// `Result` adapter for CLI entry points: unwraps `Ok`, routes `Err`
 /// through [`fail`] / [`fail_usage`] as a one-line message.
 pub trait OrFail<T> {

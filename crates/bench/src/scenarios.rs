@@ -11,7 +11,7 @@ use nbiot_des::SeedSequence;
 use nbiot_grouping::{analysis, GroupingInput, MechanismKind};
 use nbiot_sim::{run_scenario, Scenario, ScenarioArchive, ScenarioResult};
 
-use crate::{pct, render_table};
+use crate::{outln, pct, render_table};
 
 /// Loads a scenario from a registry name or a `.json`/`.toml` file path.
 ///
@@ -366,12 +366,12 @@ pub fn run_and_print(scenario: &Scenario, json: bool) -> ScenarioResult {
     let result = run_scenario(scenario)
         .unwrap_or_else(|e| crate::fail(format!("scenario execution failed: {e}")));
     if json {
-        println!(
+        outln!(
             "{}",
             serde_json::to_string_pretty(&result).expect("serializable")
         );
     } else {
-        println!("{}", render_report(scenario, &result));
+        outln!("{}", render_report(scenario, &result));
     }
     result
 }

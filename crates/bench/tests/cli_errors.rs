@@ -10,7 +10,9 @@ use std::process::{Command, Output};
 use std::sync::OnceLock;
 
 use nbiot_bench::scenarios;
-use nbiot_sim::ArchiveItem;
+use nbiot_grouping::GroupingParams;
+use nbiot_sim::{ArchiveItem, Scenario};
+use nbiot_time::SimInstant;
 
 fn run(bin: &str, args: &[&str]) -> Output {
     Command::new(bin)
@@ -633,4 +635,148 @@ fn groupingd_serves_an_empty_fleet_with_no_transmission() {
         assert!(line.contains(r#""devices":0,"transmissions":0"#), "{line}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---- result output that cannot be written ----
+
+/// Runs `bin` with its stdout on `/dev/full`, where every write fails.
+#[cfg(target_os = "linux")]
+fn run_into_full_disk(bin: &str, args: &[&str]) -> Output {
+    let full = std::fs::OpenOptions::new()
+        .write(true)
+        .open("/dev/full")
+        .expect("/dev/full opens");
+    Command::new(bin)
+        .args(args)
+        .stdout(full)
+        .output()
+        .expect("binary spawns")
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn figures_reports_a_full_stdout_as_a_data_error() {
+    let out = run_into_full_disk(
+        env!("CARGO_BIN_EXE_figures"),
+        &[
+            "--scenario",
+            "fig6b",
+            "--runs",
+            "2",
+            "--devices",
+            "20",
+            "--json",
+        ],
+    );
+    assert_error_line(&out, "figures", 1, "stdout");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn fig7_reports_a_full_stdout_as_a_data_error() {
+    let out = run_into_full_disk(
+        env!("CARGO_BIN_EXE_fig7"),
+        &["--runs", "1", "--devices", "20"],
+    );
+    assert_error_line(&out, "fig7", 1, "stdout");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn diff_reports_a_full_stdout_as_a_data_error() {
+    let dir = scratch("diff_full_stdout");
+    let archive = dir.join("a.json");
+    let archive = archive.to_str().unwrap();
+    let emit = run(
+        env!("CARGO_BIN_EXE_figures"),
+        &[
+            "--scenario",
+            "fig6b",
+            "--runs",
+            "2",
+            "--devices",
+            "10",
+            "--emit-archive",
+            archive,
+        ],
+    );
+    assert!(emit.status.success(), "emit: {}", stderr(&emit));
+    let out = run_into_full_disk(env!("CARGO_BIN_EXE_scenario_diff"), &[archive, archive]);
+    assert_error_line(&out, "scenario_diff", 1, "stdout");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn merge_reports_a_full_stdout_as_a_data_error() {
+    let (s0, s1) = shard_fixtures();
+    let out = run_into_full_disk(
+        env!("CARGO_BIN_EXE_scenario_merge"),
+        &[s0.to_str().unwrap(), s1.to_str().unwrap()],
+    );
+    assert_error_line(&out, "scenario_merge", 1, "stdout");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn groupingd_reports_a_full_stdout_as_a_data_error() {
+    let (events, _) = groupingd_fixture();
+    let out = run_into_full_disk(
+        env!("CARGO_BIN_EXE_groupingd"),
+        &["--events", events.to_str().unwrap()],
+    );
+    assert_error_line(&out, "groupingd", 1, "stdout");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn figures_reports_a_closed_stdout_pipe_as_a_data_error() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["--scenario", "fig6b", "--runs", "2", "--devices", "20"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary spawns");
+    // Close the read end before the run prints its first line.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("figures exits");
+    assert_error_line(&out, "figures", 1, "stdout");
+}
+
+// ---- grouping instants past the latest plannable one ----
+
+/// Runs a one-device-point fig6b scenario whose grouping parameters
+/// `set` edits.
+fn figures_with_grouping(tag: &str, set: impl FnOnce(&mut GroupingParams)) -> Output {
+    let mut scenario = Scenario::builtin("fig6b").expect("registered scenario");
+    scenario.runs = 1;
+    scenario.devices = vec![5];
+    set(&mut scenario.grouping);
+    let dir = scratch(tag);
+    let path = dir.join("scenario.json");
+    std::fs::write(&path, serde_json::to_string_pretty(&scenario).unwrap()).unwrap();
+    let out = run(
+        env!("CARGO_BIN_EXE_figures"),
+        &["--scenario", path.to_str().unwrap()],
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    out
+}
+
+/// An instant whose search horizon still ends inside `u64`, but whose
+/// paging-occasion lookups would not.
+const NEAR_MAX: SimInstant = SimInstant::from_ms(18_446_744_073_688_000_000);
+
+#[test]
+fn figures_rejects_a_start_past_the_latest_plannable_instant() {
+    let out = figures_with_grouping("late_start", |g| g.start = NEAR_MAX);
+    assert_error_line(&out, "figures", 1, "grouping start");
+}
+
+#[test]
+fn figures_rejects_a_transmission_time_past_the_latest_plannable_instant() {
+    let out = figures_with_grouping("late_transmission", |g| {
+        g.transmission_time = Some(NEAR_MAX)
+    });
+    assert_error_line(&out, "figures", 1, "grouping transmission_time");
 }

@@ -36,6 +36,16 @@ pub enum GroupingError {
         /// Minimum feasible instant (`start + 2·maxDRX`).
         minimum: SimInstant,
     },
+    /// A grouping parameter lies past the latest instant planning accepts
+    /// ([`crate::GroupingParams::LATEST_INSTANT`]).
+    InstantOutOfRange {
+        /// The parameter: `start` or `transmission_time`.
+        field: &'static str,
+        /// Requested instant.
+        requested: SimInstant,
+        /// The latest accepted instant.
+        latest: SimInstant,
+    },
 }
 
 impl fmt::Display for GroupingError {
@@ -55,6 +65,16 @@ impl fmt::Display for GroupingError {
             GroupingError::TransmissionTooEarly { requested, minimum } => write!(
                 f,
                 "transmission time {requested} precedes feasible minimum {minimum}"
+            ),
+            GroupingError::InstantOutOfRange {
+                field,
+                requested,
+                latest,
+            } => write!(
+                f,
+                "grouping {field} {} ms is past the latest plannable instant {} ms",
+                requested.as_ms(),
+                latest.as_ms()
             ),
         }
     }

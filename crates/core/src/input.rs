@@ -25,6 +25,23 @@ pub struct GroupingParams {
     pub transmission_time: Option<SimInstant>,
 }
 
+impl GroupingParams {
+    /// The latest `start` or `transmission_time` a grouping problem
+    /// accepts: 2^62 ms, about 146 million years.
+    ///
+    /// Planning and campaign execution compute instants past these two.
+    /// The search horizon ends 2·maxDRX after `start`. The campaign's
+    /// accounting horizon ends TI plus the payload airtime after the later
+    /// of `transmission_time` and that horizon end. A paging-occasion
+    /// lookup past an instant walks at most two eDRX cycles further. maxDRX
+    /// and an eDRX cycle are at most 10,485.76 s, below 2^24 ms, so from
+    /// this bound every such instant fits in `u64` milliseconds with
+    /// 3·2^62 − 2^26 ms left for TI and the payload airtime. The PO
+    /// timeline's shifted copies of its first period stay inside the
+    /// search horizon, so they fit too.
+    pub const LATEST_INSTANT: SimInstant = SimInstant::from_ms(1 << 62);
+}
+
 impl Default for GroupingParams {
     fn default() -> Self {
         GroupingParams {
@@ -113,13 +130,15 @@ impl GroupingInput {
     ///
     /// * [`GroupingError::TiTooShort`] when `TI` is shorter than the
     ///   shortest standard DRX cycle (DA-SC's feasibility guarantee),
+    /// * [`GroupingError::InstantOutOfRange`] when `start` or
+    ///   `transmission_time` is past [`GroupingParams::LATEST_INSTANT`],
     /// * [`GroupingError::Schedule`] when a paging schedule cannot be
     ///   resolved.
     pub fn from_population(
         pop: &Population,
         params: GroupingParams,
     ) -> Result<GroupingInput, GroupingError> {
-        Self::validate_ti(&params)?;
+        Self::validate(&params)?;
         let schedules = pop.schedules()?;
         let max_cycle = pop.max_cycle();
         let ids: Vec<DeviceId> = (0..pop.len()).map(|i| pop.id(i)).collect();
@@ -141,13 +160,26 @@ impl GroupingInput {
         })
     }
 
-    fn validate_ti(params: &GroupingParams) -> Result<(), GroupingError> {
+    fn validate(params: &GroupingParams) -> Result<(), GroupingError> {
         let shortest = SimDuration::from_frames(CycleLadder::FRAMES[0]);
         if params.ti.duration() < shortest {
             return Err(GroupingError::TiTooShort {
                 ti_ms: params.ti.duration().as_ms(),
                 shortest_cycle_ms: shortest.as_ms(),
             });
+        }
+        let latest = GroupingParams::LATEST_INSTANT;
+        for (field, at) in [
+            ("start", Some(params.start)),
+            ("transmission_time", params.transmission_time),
+        ] {
+            if let Some(requested) = at.filter(|&at| at > latest) {
+                return Err(GroupingError::InstantOutOfRange {
+                    field,
+                    requested,
+                    latest,
+                });
+            }
         }
         Ok(())
     }
@@ -336,7 +368,7 @@ impl GroupingInput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nbiot_time::{DrxCycle, EdrxCycle, PagingCycle};
+    use nbiot_time::{DrxCycle, EdrxCycle, PagingCycle, TimeWindow};
     use nbiot_traffic::TrafficMix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -417,6 +449,40 @@ mod tests {
     }
 
     #[test]
+    fn instants_past_the_latest_are_rejected() {
+        let pop = pop(30);
+        let latest = GroupingParams::LATEST_INSTANT;
+        let past = latest + SimDuration::from_ms(1);
+        for (field, params) in [
+            (
+                "start",
+                GroupingParams {
+                    start: past,
+                    ..GroupingParams::default()
+                },
+            ),
+            (
+                "transmission_time",
+                GroupingParams {
+                    transmission_time: Some(past),
+                    ..GroupingParams::default()
+                },
+            ),
+        ] {
+            let err = GroupingInput::from_population(&pop, params).unwrap_err();
+            assert_eq!(
+                err,
+                GroupingError::InstantOutOfRange {
+                    field,
+                    requested: past,
+                    latest
+                }
+            );
+            assert!(err.to_string().contains(field), "{err}");
+        }
+    }
+
+    #[test]
     fn schedules_align_with_devices() {
         let inp = input(40);
         assert_eq!(inp.len(), inp.schedules().len());
@@ -477,73 +543,164 @@ mod tests {
 
     #[test]
     fn po_timeline_classes_partition_the_fleet_by_schedule() {
-        for mix in [
-            TrafficMix::ericsson_city(),
-            TrafficMix::heterogeneous_coverage(),
-            TrafficMix::short_drx(),
-            TrafficMix::massive_metering(),
-            TrafficMix::bursty_alarm(),
-        ] {
+        for name in TrafficMix::REGISTRY {
+            let mix = TrafficMix::by_name(name).unwrap();
             for n in [1usize, 40, 300] {
                 let pop = mix.generate(n, &mut StdRng::seed_from_u64(9)).unwrap();
                 let inp = GroupingInput::from_population(&pop, GroupingParams::default()).unwrap();
-                let (timeline, schedules) = (inp.po_timeline(), inp.schedules());
-                let ti = inp.params().ti.duration();
+                let (schedules, ti) = (inp.schedules(), inp.params().ti.duration());
+                let label = format!("{name} n={n}");
                 let horizon = inp.search_horizon();
-                let label = format!("{} n={n}", mix.name);
-                let dense: Vec<usize> = (0..n).filter(|&d| schedules[d].period() <= ti).collect();
-                assert_eq!(timeline.dense_devices(), dense, "{label}");
-                let sparse = timeline.sparse_classes();
-                let weight: u32 = (0..sparse).map(|c| timeline.multiplicity(c)).sum();
-                assert_eq!(weight as usize, n - dense.len(), "{label}");
-                // Ascending member lists that partition the fleet; sparse
-                // classes are numbered by their lowest member.
-                let mut seen = vec![false; n];
-                for c in 0..timeline.classes() {
-                    let members = timeline.members(c);
-                    assert!(members.windows(2).all(|w| w[0] < w[1]), "{label}");
-                    for &d in members {
-                        let d = d as usize;
-                        assert!(!seen[d], "{label}: device {d} in two classes");
-                        seen[d] = true;
-                        assert_eq!(timeline.class_of(d), c, "{label}");
-                        assert_eq!(schedules[d], schedules[members[0] as usize], "{label}");
-                        assert_eq!(c < sparse, dense.binary_search(&d).is_err(), "{label}");
+                check_timeline(&label, schedules, ti, horizon, inp.po_timeline());
+                assert_eq!(inp.po_timeline().first_unreachable(), None, "{label}");
+                if n > 40 {
+                    continue;
+                }
+                // Horizons [s, s + k·P + r) that start off the frame grid,
+                // over none to three whole periods of P = maxDRX and a
+                // remainder r of 0, less than TI and more than TI.
+                let period = inp.max_cycle();
+                let s = SimInstant::from_ms(1_234_567);
+                for k in 0..4 {
+                    for r in [SimDuration::ZERO, ti / 2, ti * 3] {
+                        let horizon = TimeWindow::starting_at(s, period * k + r);
+                        let label = format!("{label} k={k} r={r}");
+                        let timeline = PoTimeline::new(schedules, ti, horizon);
+                        check_timeline(&label, schedules, ti, horizon, &timeline);
                     }
                 }
-                assert!(seen.iter().all(|&s| s), "{label}");
-                assert!((1..sparse).all(|c| timeline.members(c - 1)[0] < timeline.members(c)[0]));
-                let firsts: Vec<_> = (0..timeline.classes())
-                    .map(|c| schedules[timeline.members(c)[0] as usize])
+                // A repair-style leftover: the search horizon over the
+                // schedules whose cycle is shorter than maxDRX.
+                let subset: Vec<PagingSchedule> = schedules
+                    .iter()
+                    .filter(|s| s.period() < period)
+                    .copied()
                     .collect();
-                let distinct: std::collections::HashSet<_> = firsts.iter().collect();
-                assert_eq!(
-                    distinct.len(),
-                    firsts.len(),
-                    "{label}: a schedule in two classes"
-                );
-                // Each class's events are every member's own POs.
-                let mut events = vec![Vec::new(); sparse];
-                for &(t, c) in timeline.events() {
-                    events[c].push(t);
-                }
-                for (c, class_events) in events.iter().enumerate() {
-                    for &d in timeline.members(c) {
-                        assert_eq!(
-                            *class_events,
-                            schedules[d as usize].pos_in(horizon),
-                            "{label}"
-                        );
-                    }
-                }
-                let device_events: usize = (0..n)
-                    .filter(|d| dense.binary_search(d).is_err())
-                    .map(|d| schedules[d].pos_in(horizon).len())
-                    .sum();
-                assert_eq!(timeline.device_events(), device_events, "{label}");
-                assert_eq!(timeline.first_unreachable(), None, "{label}");
+                let timeline = PoTimeline::new(&subset, ti, horizon);
+                check_timeline(&format!("{label} subset"), &subset, ti, horizon, &timeline);
             }
         }
+    }
+
+    /// Checks `timeline`, built by [`PoTimeline::new`] over `schedules` and
+    /// `horizon`: its classes partition the devices by schedule, each
+    /// class's events are its members' POs, and the anchor instance and
+    /// every cover engine equal those of the per-device timeline, which
+    /// enumerates and sweeps the whole horizon.
+    fn check_timeline(
+        label: &str,
+        schedules: &[PagingSchedule],
+        ti: SimDuration,
+        horizon: TimeWindow,
+        timeline: &PoTimeline,
+    ) {
+        let n = schedules.len();
+        let dense: Vec<usize> = (0..n).filter(|&d| schedules[d].period() <= ti).collect();
+        assert_eq!(timeline.dense_devices(), dense, "{label}");
+        let sparse = timeline.sparse_classes();
+        let weight: u32 = (0..sparse).map(|c| timeline.multiplicity(c)).sum();
+        assert_eq!(weight as usize, n - dense.len(), "{label}");
+        // Ascending member lists that partition the fleet; sparse classes
+        // are numbered by their lowest member.
+        let mut seen = vec![false; n];
+        for c in 0..timeline.classes() {
+            let members = timeline.members(c);
+            assert!(members.windows(2).all(|w| w[0] < w[1]), "{label}");
+            for &d in members {
+                let d = d as usize;
+                assert!(!seen[d], "{label}: device {d} in two classes");
+                seen[d] = true;
+                assert_eq!(timeline.class_of(d), c, "{label}");
+                assert_eq!(schedules[d], schedules[members[0] as usize], "{label}");
+                assert_eq!(c < sparse, dense.binary_search(&d).is_err(), "{label}");
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "{label}");
+        assert!((1..sparse).all(|c| timeline.members(c - 1)[0] < timeline.members(c)[0]));
+        let firsts: Vec<_> = (0..timeline.classes())
+            .map(|c| schedules[timeline.members(c)[0] as usize])
+            .collect();
+        let distinct: std::collections::HashSet<_> = firsts.iter().collect();
+        assert_eq!(
+            distinct.len(),
+            firsts.len(),
+            "{label}: a schedule in two classes"
+        );
+        // Each class's events are every member's own POs.
+        let pos: Vec<Vec<SimInstant>> = schedules.iter().map(|s| s.pos_in(horizon)).collect();
+        let mut events = vec![Vec::new(); sparse];
+        for &(t, c) in timeline.events() {
+            events[c].push(t);
+        }
+        for (c, class_events) in events.iter().enumerate() {
+            for &d in timeline.members(c) {
+                assert_eq!(*class_events, pos[d as usize], "{label}");
+            }
+        }
+        let is_dense: Vec<bool> = (0..n).map(|d| dense.binary_search(&d).is_ok()).collect();
+        let device_events: usize = (0..n).filter(|&d| !is_dense[d]).map(|d| pos[d].len()).sum();
+        assert_eq!(timeline.device_events(), device_events, "{label}");
+        let unreachable = (0..n).find(|&d| !is_dense[d] && pos[d].is_empty());
+        assert_eq!(timeline.first_unreachable(), unreachable, "{label}");
+        // The oracle: the per-device timeline, which has no period.
+        let full = PoTimeline::from_events(&pos, &is_dense);
+        assert_eq!(
+            AnchorInstance::new(ti, timeline),
+            AnchorInstance::new(ti, &full),
+            "{label}"
+        );
+        let solver = WindowCover::new(ti);
+        let slots = solver.solve(horizon.start(), &full);
+        for t in [timeline, &full] {
+            assert_eq!(solver.solve(horizon.start(), t), slots, "{label}");
+            assert_eq!(solver.solve_sweep(horizon.start(), t), slots, "{label}");
+            assert_eq!(
+                solver.solve_incremental(horizon.start(), t),
+                slots,
+                "{label}"
+            );
+        }
+    }
+
+    #[test]
+    fn later_anchors_open_their_twins_windows_one_period_earlier() {
+        let mut twins = 0;
+        for name in TrafficMix::REGISTRY {
+            let mix = TrafficMix::by_name(name).unwrap();
+            for n in [2usize, 60, 300] {
+                let pop = mix.generate(n, &mut StdRng::seed_from_u64(4)).unwrap();
+                let inp = GroupingInput::from_population(&pop, GroupingParams::default()).unwrap();
+                let (ti, horizon) = (inp.params().ti.duration(), inp.search_horizon());
+                let label = format!("{name} n={n}");
+                // P: the largest sparse cycle.
+                let Some(period) = inp
+                    .schedules()
+                    .iter()
+                    .map(PagingSchedule::period)
+                    .filter(|&p| p > ti)
+                    .max()
+                else {
+                    continue;
+                };
+                let boundary = horizon.start() + period;
+                let events = inp.po_timeline().events();
+                for &(t, c) in events.iter().filter(|e| e.0 >= boundary) {
+                    assert!(events.binary_search(&(t - period, c)).is_ok(), "{label}");
+                }
+                let instance = inp.anchor_instance();
+                for (a, &t) in instance.anchors().iter().enumerate() {
+                    if t >= boundary && t + ti <= horizon.end() {
+                        let twin = instance.anchor_index(t - period).expect("twin anchor");
+                        assert_eq!(instance.window_of(a), instance.window_of(twin), "{label}");
+                        twins += 1;
+                    }
+                }
+                for slot in inp.count_cover().unwrap() {
+                    assert!(slot.window_start < boundary, "{label}");
+                }
+            }
+        }
+        assert!(twins > 0);
     }
 
     #[test]

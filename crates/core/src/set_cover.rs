@@ -514,6 +514,13 @@ impl Hasher for FxHasher {
 /// Classes are numbered sparse first, then dense, each in order of their
 /// lowest member, so the first sparse class without a PO holds the first
 /// such device.
+///
+/// Every TS 36.304 cycle is a power-of-two number of frames, so the POs
+/// repeat with the largest sparse cycle `P`. [`PoTimeline::new`] enumerates
+/// the first period `[start, start + P)` and appends the later periods as
+/// shifted copies; the cover engines and [`AnchorInstance::new`] sweep the
+/// first period only (see "One paging period" in `docs/KERNELS.md`). A
+/// [`PoTimeline::from_events`] timeline has no period.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoTimeline {
     /// Each device's class.
@@ -530,17 +537,62 @@ pub struct PoTimeline {
     events: Vec<(SimInstant, usize)>,
     /// The first sparse device without a PO.
     unreachable: Option<usize>,
+    /// How the events repeat, when a later period lies in the horizon.
+    repeat: Option<Repeat>,
+}
+
+/// The periodic structure of a [`PoTimeline`]: every event at or after
+/// `boundary` is the event one `period` earlier, shifted by `period`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Repeat {
+    /// The largest sparse cycle `P`.
+    period: SimDuration,
+    /// `start + P`, the end of the first period.
+    boundary: SimInstant,
+    /// The horizon end.
+    end: SimInstant,
 }
 
 impl PoTimeline {
     /// The timeline of devices with `schedules` (in device order) over
     /// `horizon`: a device whose cycle is at most `ti` is dense, every
     /// other one gets its POs inside `horizon`. Equal schedules form one
-    /// class, and [`PagingSchedule::pos_in`] runs once per sparse class.
+    /// class, and [`PagingSchedule::pos_in`] runs once per sparse class,
+    /// over the first period `[start, start + P)` for the largest sparse
+    /// cycle `P`; each later period is a shifted copy of it.
     pub fn new(schedules: &[PagingSchedule], ti: SimDuration, horizon: TimeWindow) -> PoTimeline {
-        PoTimeline::build(schedules.iter().map(|s| (s, s.period() <= ti)), |d| {
-            schedules[d].pos_in(horizon)
-        })
+        let (start, end) = (horizon.start(), horizon.end());
+        let mut timeline = PoTimeline::build(schedules.iter().map(|s| (s, s.period() <= ti)));
+        let repeat = (0..timeline.sparse)
+            .map(|c| schedules[timeline.members(c)[0] as usize].period())
+            .max()
+            .filter(|&p| p < end - start)
+            .map(|period| Repeat {
+                period,
+                boundary: start + period,
+                end,
+            });
+        let first = repeat.map_or(horizon, |r| TimeWindow::new(start, r.boundary));
+        timeline.enumerate(|d| schedules[d].pos_in(first));
+        if let Some(r) = repeat {
+            // Every cycle divides P, so each later period is the first one
+            // shifted; the copies are already sorted.
+            let first = timeline.events.len();
+            let mut shift = r.period;
+            while shift < end - start {
+                let last = end - shift;
+                for k in 0..first {
+                    let (t, c) = timeline.events[k];
+                    if t >= last {
+                        break;
+                    }
+                    timeline.events.push((t + shift, c));
+                }
+                shift += r.period;
+            }
+            timeline.repeat = repeat;
+        }
+        timeline
     }
 
     /// The timeline of synthetic per-device PO lists: `events[d]` are
@@ -552,22 +604,19 @@ impl PoTimeline {
     /// Panics when `events` and `dense` have different lengths.
     pub fn from_events(events: &[Vec<SimInstant>], dense: &[bool]) -> PoTimeline {
         assert_eq!(events.len(), dense.len(), "events/dense length mismatch");
-        PoTimeline::build(
+        let mut timeline = PoTimeline::build(
             events
                 .iter()
                 .zip(dense)
                 .map(|(e, &d)| ((d, e.as_slice()), d)),
-            |d| events[d].clone(),
-        )
+        );
+        timeline.enumerate(|d| events[d].clone());
+        timeline
     }
 
-    /// Numbers the classes of `keys` (one `(key, dense)` per device),
-    /// builds the member lists and enumerates each sparse class's POs
-    /// through `pos_of` at its lowest member.
-    fn build<K: Hash + Eq>(
-        keys: impl Iterator<Item = (K, bool)>,
-        mut pos_of: impl FnMut(usize) -> Vec<SimInstant>,
-    ) -> PoTimeline {
+    /// Numbers the classes of `keys` (one `(key, dense)` per device) and
+    /// builds the member lists; the timeline has no events yet.
+    fn build<K: Hash + Eq>(keys: impl Iterator<Item = (K, bool)>) -> PoTimeline {
         let mut ids: HashMap<K, u32, BuildHasherDefault<FxHasher>> = HashMap::default();
         let mut class_dense: Vec<bool> = Vec::new();
         let mut class_of: Vec<u32> = keys
@@ -616,26 +665,30 @@ impl PoTimeline {
         let dense = (0..class_of.len())
             .filter(|&d| class_of[d] as usize >= sparse)
             .collect();
-        let mut events = Vec::new();
-        let mut unreachable = None;
-        for c in 0..sparse {
-            let lowest = members[member_off[c] as usize] as usize;
-            let pos = pos_of(lowest);
-            if pos.is_empty() && unreachable.is_none() {
-                unreachable = Some(lowest);
-            }
-            events.extend(pos.into_iter().map(|t| (t, c)));
-        }
-        events.sort_unstable();
         PoTimeline {
             class_of,
             member_off,
             members,
             sparse,
             dense,
-            events,
-            unreachable,
+            events: Vec::new(),
+            unreachable: None,
+            repeat: None,
         }
+    }
+
+    /// Enumerates each sparse class's POs through `pos_of` at its lowest
+    /// member, sorted by `(instant, class)`.
+    fn enumerate(&mut self, mut pos_of: impl FnMut(usize) -> Vec<SimInstant>) {
+        for c in 0..self.sparse {
+            let lowest = self.members(c)[0] as usize;
+            let pos = pos_of(lowest);
+            if pos.is_empty() && self.unreachable.is_none() {
+                self.unreachable = Some(lowest);
+            }
+            self.events.extend(pos.into_iter().map(|t| (t, c)));
+        }
+        self.events.sort_unstable();
     }
 
     /// Number of devices, dense ones included.
@@ -708,6 +761,12 @@ impl PoTimeline {
         self.unreachable
     }
 
+    /// The end of the first period, `start + P`: every event at or after
+    /// it repeats an earlier one. [`SimInstant::MAX`] when nothing repeats.
+    fn first_period_end(&self) -> SimInstant {
+        self.repeat.map_or(SimInstant::MAX, |r| r.boundary)
+    }
+
     /// The members of `classes`, merged into ascending device positions.
     fn devices_of(&self, classes: &[usize]) -> Vec<usize> {
         let mut devices: Vec<usize> = classes
@@ -737,14 +796,16 @@ impl PoTimeline {
 ///
 /// The instance is per device, not per schedule class: the tabu search
 /// ([`crate::improve`]) counts uncovered devices, and the weighted cover
-/// prices member sets. One sweep over the timeline's POs, expanded to
+/// prices member sets. A sweep over the timeline's POs, expanded to
 /// time-sorted per-device events, builds it: per-device
 /// in-window counts track the current member set, and an order-independent
 /// hash of that set (a wrapping sum of per-device keys) proposes earlier
 /// windows with the same hash. Every proposal is checked exactly — equal
 /// size and every member of the candidate inside the current window — so
 /// two anchors share a window iff their member sets are equal; the hash
-/// only saves work and never decides.
+/// only saves work and never decides. The sweep covers the first paging
+/// period's anchors and the anchors whose window the horizon truncates;
+/// every other anchor opens its twin's window, one period earlier.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnchorInstance {
     /// Number of devices, dense ones included.
@@ -790,13 +851,88 @@ impl AnchorInstance {
         for (s, &d) in sparse.iter().enumerate() {
             index[d] = s;
         }
-        let mut flat: Vec<(SimInstant, usize)> = Vec::with_capacity(timeline.device_events());
-        for &(t, c) in timeline.events() {
-            flat.extend(timeline.members(c).iter().map(|&d| (t, index[d as usize])));
-        }
-        flat.sort_unstable();
-        assert!(flat.len() < u32::MAX as usize, "u32 instance indices");
-
+        // The time-sorted per-device events of `events`, a run of the
+        // timeline's class events. Those are time-sorted already, so
+        // sorting each instant's events sorts the list.
+        let expand = |events: &[(SimInstant, usize)]| {
+            let mut flat: Vec<(SimInstant, usize)> = Vec::with_capacity(
+                events
+                    .iter()
+                    .map(|&(_, c)| timeline.multiplicity(c) as usize)
+                    .sum(),
+            );
+            for &(t, c) in events {
+                flat.extend(timeline.members(c).iter().map(|&d| (t, index[d as usize])));
+            }
+            for instant in flat.chunk_by_mut(|a, b| a.0 == b.0) {
+                instant.sort_unstable();
+            }
+            flat
+        };
+        let mut count = vec![0u32; sparse.len()];
+        let mut stamp = vec![u32::MAX; sparse.len()];
+        // Latest window per hash, chained to the previous window with the
+        // same hash. Both sweeps share it, so a tail window dedups against
+        // the first period's and windows stay numbered by lowest anchor.
+        let mut by_hash: HashMap<u64, u32, BuildHasherDefault<FxHasher>> = HashMap::default();
+        let mut same_hash: Vec<Option<u32>> = Vec::new();
+        // Appends the anchors of `flat` before `stop`, each with its
+        // window; a window reads every event of `flat`.
+        let mut sweep =
+            |instance: &mut AnchorInstance, flat: &[(SimInstant, usize)], stop: SimInstant| {
+                let (mut size, mut hash) = (0usize, 0u64);
+                let (mut lo, mut hi) = (0usize, 0usize);
+                while lo < flat.len() && flat[lo].0 < stop {
+                    let a = flat[lo].0;
+                    let end = a + ti;
+                    while hi < flat.len() && flat[hi].0 < end {
+                        let s = flat[hi].1;
+                        if count[s] == 0 {
+                            size += 1;
+                            hash = hash.wrapping_add(member_key(s));
+                        }
+                        count[s] += 1;
+                        hi += 1;
+                    }
+                    let mut candidate = by_hash.get(&hash).copied();
+                    while let Some(w) = candidate {
+                        let members = instance.window(w as usize);
+                        if members.len() == size && members.iter().all(|&s| count[s as usize] > 0) {
+                            break;
+                        }
+                        candidate = same_hash[w as usize];
+                    }
+                    let window = candidate.unwrap_or_else(|| {
+                        let w = instance.windows.sets() as u32;
+                        for &(_, s) in &flat[lo..hi] {
+                            if stamp[s] != w {
+                                stamp[s] = w;
+                                instance.windows.set_elems.push(s as u32);
+                            }
+                        }
+                        instance.windows.close_set();
+                        instance.lowest.push(instance.anchors.len() as u32);
+                        same_hash.push(by_hash.insert(hash, w));
+                        w
+                    });
+                    instance.anchors.push(a);
+                    instance.window_of.push(window);
+                    // Slide past the anchor instant: its events leave the window.
+                    while lo < flat.len() && flat[lo].0 == a {
+                        let s = flat[lo].1;
+                        count[s] -= 1;
+                        if count[s] == 0 {
+                            size -= 1;
+                            hash = hash.wrapping_sub(member_key(s));
+                        }
+                        lo += 1;
+                    }
+                }
+                // The next sweep starts from empty counts.
+                for &(_, s) in &flat[lo..hi] {
+                    count[s] = 0;
+                }
+            };
         let mut instance = AnchorInstance {
             devices: n,
             sparse,
@@ -808,60 +944,37 @@ impl AnchorInstance {
                 ..SetIndex::default()
             },
         };
-        let mut count = vec![0u32; instance.sparse.len()];
-        let mut stamp = vec![u32::MAX; instance.sparse.len()];
-        let (mut size, mut hash) = (0usize, 0u64);
-        // Latest window per hash, chained to the previous window with the
-        // same hash.
-        let mut by_hash: HashMap<u64, u32, BuildHasherDefault<FxHasher>> = HashMap::default();
-        let mut same_hash: Vec<Option<u32>> = Vec::new();
-        let (mut lo, mut hi) = (0usize, 0usize);
-        while lo < flat.len() {
-            let a = flat[lo].0;
-            let end = a + ti;
-            while hi < flat.len() && flat[hi].0 < end {
-                let s = flat[hi].1;
-                if count[s] == 0 {
-                    size += 1;
-                    hash = hash.wrapping_add(member_key(s));
-                }
-                count[s] += 1;
-                hi += 1;
-            }
-            let mut candidate = by_hash.get(&hash).copied();
-            while let Some(w) = candidate {
-                let members = instance.window(w as usize);
-                if members.len() == size && members.iter().all(|&s| count[s as usize] > 0) {
+        let events = timeline.events();
+        let boundary = timeline.first_period_end();
+        // The first period's anchors; windows crossing its end read the
+        // copied events.
+        let reach = boundary.saturating_add(ti);
+        let first = &events[..events.partition_point(|e| e.0 < reach)];
+        sweep(&mut instance, &expand(first), boundary);
+        // A later anchor whose window fits in the horizon opens the window
+        // of its twin one period earlier: as many anchors back as the first
+        // period holds, so over several periods the twins chain.
+        let mut tail = boundary;
+        if let Some(r) = timeline.repeat {
+            let mut twin = 0;
+            while let Some(&t) = instance.anchors.get(twin) {
+                tail = t + r.period;
+                if tail + ti > r.end {
                     break;
                 }
-                candidate = same_hash[w as usize];
-            }
-            let window = candidate.unwrap_or_else(|| {
-                let w = instance.windows.sets() as u32;
-                for &(_, s) in &flat[lo..hi] {
-                    if stamp[s] != w {
-                        stamp[s] = w;
-                        instance.windows.set_elems.push(s as u32);
-                    }
-                }
-                instance.windows.close_set();
-                instance.lowest.push(instance.anchors.len() as u32);
-                same_hash.push(by_hash.insert(hash, w));
-                w
-            });
-            instance.anchors.push(a);
-            instance.window_of.push(window);
-            // Slide past the anchor instant: its events leave the window.
-            while lo < flat.len() && flat[lo].0 == a {
-                let s = flat[lo].1;
-                count[s] -= 1;
-                if count[s] == 0 {
-                    size -= 1;
-                    hash = hash.wrapping_sub(member_key(s));
-                }
-                lo += 1;
+                instance.anchors.push(tail);
+                instance.window_of.push(instance.window_of[twin]);
+                twin += 1;
             }
         }
+        // The horizon truncates the tail windows, so they are swept: a
+        // truncated window can price lower than its twin.
+        let tail = events.partition_point(|e| e.0 < tail);
+        sweep(&mut instance, &expand(&events[tail..]), SimInstant::MAX);
+        assert!(
+            instance.windows.set_elems.len() < u32::MAX as usize,
+            "u32 instance indices"
+        );
         instance.windows.transpose(instance.sparse.len());
         instance
     }
@@ -1169,17 +1282,31 @@ impl WindowCover {
         let classes = timeline.sparse_classes();
         let uncovered_sparse = timeline.devices() - timeline.dense_devices().len();
         let mut covered = vec![false; classes];
+        // Candidates anchor in the first period; windows crossing its end
+        // read the copied events. A later anchor never wins a round: its
+        // twin one period earlier has the same live classes (a subset,
+        // when the horizon truncates it) and takes the tie.
+        let boundary = timeline.first_period_end();
+        let events = timeline.events();
+        let events = &events[..events.partition_point(|e| e.0 < boundary.saturating_add(self.ti))];
         let instants = (strategy != Strategy::Sweep)
-            .then(|| self.group_instants(timeline.events()))
+            .then(|| self.group_instants(events, boundary))
             .filter(|(starts, ends)| {
                 strategy == Strategy::Incremental || incremental_pays_off(starts, ends, classes)
             });
         let mut slots = if uncovered_sparse == 0 {
             Vec::new()
         } else if let Some((starts, ends)) = instants {
-            self.rounds_incremental(timeline, &starts, &ends, &mut covered, uncovered_sparse)
+            self.rounds_incremental(
+                timeline,
+                events,
+                &starts,
+                &ends,
+                &mut covered,
+                uncovered_sparse,
+            )
         } else {
-            self.rounds_sweep(timeline, &mut covered, uncovered_sparse)
+            self.rounds_sweep(timeline, events, boundary, &mut covered, uncovered_sparse)
         };
         debug_assert!(covered.iter().all(|&c| c));
         self.attach_dense(horizon_start, timeline.dense_devices().to_vec(), &mut slots);
@@ -1188,10 +1315,15 @@ impl WindowCover {
 
     /// Groups the time-sorted events by distinct instant into
     /// `(starts, ends)`: `starts[q]..starts[q + 1]` are the events at
-    /// instant `q`, and `ends[q]` is the first instant outside the window
-    /// that opens at `q`, so that window holds the events
+    /// instant `q`, and for each candidate instant (one before
+    /// `boundary`) `ends[q]` is the first instant outside the window that
+    /// opens at `q`, so that window holds the events
     /// `starts[q]..starts[ends[q]]` (`ends` is non-decreasing).
-    fn group_instants(&self, flat: &[(SimInstant, usize)]) -> (Vec<u32>, Vec<u32>) {
+    fn group_instants(
+        &self,
+        flat: &[(SimInstant, usize)],
+        boundary: SimInstant,
+    ) -> (Vec<u32>, Vec<u32>) {
         assert!(
             flat.len() < u32::MAX as usize,
             "instant grouping uses u32 event offsets"
@@ -1205,7 +1337,11 @@ impl WindowCover {
         let mut ends = Vec::with_capacity(instants);
         let mut k = 0usize;
         for q in 0..instants {
-            let end = flat[starts[q] as usize].0 + self.ti;
+            let at = flat[starts[q] as usize].0;
+            if at >= boundary {
+                break;
+            }
+            let end = at + self.ti;
             // A positive TI keeps instant q inside its own window.
             k = k.max(q + 1);
             while k < instants && flat[starts[k] as usize].0 < end {
@@ -1217,10 +1353,11 @@ impl WindowCover {
     }
 
     /// Greedy rounds on incremental gain maintenance over the instant
-    /// grouping of [`WindowCover::group_instants`]. Per instant it keeps
-    /// the gain (summed multiplicity of the distinct uncovered classes
-    /// with a PO in its window), the live count (its events whose class is
-    /// still uncovered) and the first instant whose window reaches it.
+    /// grouping of [`WindowCover::group_instants`]. Per candidate instant
+    /// it keeps the gain (summed multiplicity of the distinct uncovered
+    /// classes with a PO in its window) and the live count (its events
+    /// whose class is still uncovered), and per instant the first
+    /// candidate whose window reaches it.
     /// Covering a class decrements the gains over the merged instant
     /// ranges of its POs by its multiplicity, once per window, and the
     /// live count of each instant holding one of its POs; an instant whose
@@ -1236,26 +1373,27 @@ impl WindowCover {
     fn rounds_incremental(
         &self,
         timeline: &PoTimeline,
+        flat: &[(SimInstant, usize)],
         starts: &[u32],
         ends: &[u32],
         covered: &mut [bool],
         mut uncovered_sparse: usize,
     ) -> Vec<CoverSlot> {
-        let flat = timeline.events();
         let k = covered.len();
-        let instants = ends.len();
+        let instants = starts.len() - 1;
+        let candidates = ends.len();
         let events_of = |q: usize| starts[q] as usize..starts[q + 1] as usize;
-        // first[q]: the first instant whose window reaches q (ends is
+        // first[q]: the first candidate whose window reaches q (ends is
         // non-decreasing, so {a : ends[a] > q} is a suffix).
         let mut first = Vec::with_capacity(instants);
         let mut a = 0usize;
         for q in 0..instants {
-            while ends[a] as usize <= q {
+            while a < candidates && ends[a] as usize <= q {
                 a += 1;
             }
             first.push(a as u32);
         }
-        let mut live: Vec<u32> = (0..instants).map(|q| events_of(q).len() as u32).collect();
+        let mut live: Vec<u32> = (0..candidates).map(|q| events_of(q).len() as u32).collect();
         // Class → instants of its POs (CSR, ascending).
         let mut class_off = vec![0u32; k + 1];
         for &(_, c) in flat {
@@ -1275,9 +1413,9 @@ impl WindowCover {
         // Initial gains: one self-cleaning sweep (each event is counted
         // once as a window member and discounted once with its instant).
         let mut count = vec![0u32; k];
-        let mut gains = Vec::with_capacity(instants);
+        let mut gains = Vec::with_capacity(candidates);
         let (mut distinct, mut e) = (0u32, 0usize);
-        for q in 0..instants {
+        for q in 0..candidates {
             while e < starts[ends[q] as usize] as usize {
                 let c = flat[e].1;
                 if count[c] == 0 {
@@ -1297,7 +1435,7 @@ impl WindowCover {
 
         let mut queue = GainQueue::new(&gains);
         // Per-round dedup of gain-changed instants, stamped by round.
-        let mut last_touch = vec![u32::MAX; instants];
+        let mut last_touch = vec![u32::MAX; candidates];
         let mut touched: Vec<u32> = Vec::new();
         let mut slots = Vec::new();
         let mut newly: Vec<usize> = Vec::new();
@@ -1318,15 +1456,17 @@ impl WindowCover {
             touched.clear();
             for &c in &newly {
                 let weight = timeline.multiplicity(c);
-                // Instants seeing >= 1 PO of c: the union of
+                // Candidates seeing >= 1 PO of c: the union of
                 // [first[p], p] over c's instants; the ranges are sorted
                 // on both ends, so a running start merges overlaps and
-                // each instant is decremented once for c.
+                // each candidate is decremented once for c.
                 let mut next_start = 0usize;
                 for &p in &class_instants[class_off[c] as usize..class_off[c + 1] as usize] {
                     let p = p as usize;
-                    live[p] -= 1;
-                    for a in (first[p] as usize).max(next_start)..=p {
+                    if p < candidates {
+                        live[p] -= 1;
+                    }
+                    for a in (first[p] as usize).max(next_start)..(p + 1).min(candidates) {
                         gains[a] -= weight;
                         if last_touch[a] != round {
                             last_touch[a] = round;
@@ -1360,18 +1500,20 @@ impl WindowCover {
     /// Greedy rounds on the per-round re-sweep engine (the PR-1 kernel):
     /// hoisted scratch buffers, one self-cleaning two-pointer sweep per
     /// round over a copy of the class events, spent events compacted
-    /// away.
+    /// away. Events at or after `boundary` anchor no window.
     fn rounds_sweep(
         &self,
         timeline: &PoTimeline,
+        events: &[(SimInstant, usize)],
+        boundary: SimInstant,
         covered: &mut [bool],
         mut uncovered_sparse: usize,
     ) -> Vec<CoverSlot> {
-        let mut flat = timeline.events().to_vec();
+        let mut flat = events.to_vec();
         let mut count = vec![0u32; covered.len()];
         let mut slots = Vec::new();
         while uncovered_sparse > 0 {
-            let slot = self.greedy_round(timeline, &mut flat, &mut count, covered);
+            let slot = self.greedy_round(timeline, &mut flat, boundary, &mut count, covered);
             uncovered_sparse -= slot.covered.len();
             slots.push(slot);
         }
@@ -1387,12 +1529,14 @@ impl WindowCover {
         &self,
         timeline: &PoTimeline,
         flat: &mut Vec<(SimInstant, usize)>,
+        boundary: SimInstant,
         count: &mut [u32],
         covered: &mut [bool],
     ) -> CoverSlot {
         // The sweep below is self-cleaning: every event is counted once
         // when the right pointer passes it and discounted once when it
-        // becomes the anchor, so `count` is all-zero between rounds.
+        // becomes the anchor or the sweep ends, so `count` is all-zero
+        // between rounds.
         debug_assert!(count.iter().all(|&c| c == 0));
 
         // For each window anchored at event i, sum the multiplicities of
@@ -1402,7 +1546,8 @@ impl WindowCover {
         let mut best_gain = 0u32;
         let mut best_anchor = 0usize;
         let mut j = 0usize;
-        for i in 0..flat.len() {
+        let anchors = flat.partition_point(|e| e.0 < boundary);
+        for i in 0..anchors {
             let (start, _) = flat[i];
             let end = start + self.ti;
             while j < flat.len() && flat[j].0 < end {
@@ -1426,6 +1571,12 @@ impl WindowCover {
                 if count[c] == 0 {
                     distinct -= timeline.multiplicity(c);
                 }
+            }
+        }
+        // Events past the last anchor were counted by its window.
+        for &(_, c) in &flat[anchors..j] {
+            if !covered[c] {
+                count[c] -= 1;
             }
         }
         debug_assert!(best_gain > 0, "uncovered sparse class without events");

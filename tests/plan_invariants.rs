@@ -430,6 +430,36 @@ fn shared_timeline_input() -> GroupingInput {
 }
 
 #[test]
+fn campaigns_at_the_latest_plannable_instant_stay_in_range() {
+    // Planning and campaign execution add bounded offsets past `start`
+    // and `transmission_time`; at the latest accepted instant they still
+    // fit in `u64` (a debug build panics on any overflow).
+    let latest = GroupingParams::LATEST_INSTANT;
+    for grouping in [
+        GroupingParams {
+            start: latest,
+            ..GroupingParams::default()
+        },
+        GroupingParams {
+            start: latest - SimDuration::from_secs(30_000),
+            transmission_time: Some(latest),
+            ..GroupingParams::default()
+        },
+    ] {
+        let scenario = Scenario {
+            devices: vec![20],
+            runs: 1,
+            mechanisms: MechanismKind::ALL.to_vec(),
+            grouping,
+            threads: 1,
+            ..Scenario::default()
+        };
+        let cmp = &run_scenario(&scenario).unwrap().points[0].comparison;
+        assert_finite("latest instant", cmp);
+    }
+}
+
+#[test]
 fn every_mechanism_is_valid_and_finite_on_edge_fleets() {
     // One and two devices of the city mix, an all-dense fleet (every
     // cycle within TI: the DR-SC instance is empty) and an all-CE2 fleet
