@@ -45,8 +45,7 @@
 #                  (summary-level only; the archive guard is exercised
 #                  too), plus the bench_report massive stages
 #   nightly        full paper-suite scenario diffed summary-level against
-#                  golden/paper_suite.json at zero tolerance (a per-PR
-#                  check, re-run by the schedule-triggered workflow job)
+#                  golden/paper_suite.json at zero tolerance
 #
 # Extra stages outside the per-PR matrix (dispatch with --stage):
 #   base-diff      rebuild the fig6b smoke archive on the PR head AND on
@@ -371,11 +370,11 @@ stage_service_smoke() {
 
 stage_nightly() {
     echo "==> nightly: full paper-suite vs committed golden (summary-level, zero tolerance)"
-    # The full-suite gate, per PR and on the schedule: the complete
-    # paper-suite scenario (every payload, default run count) must
-    # reproduce the committed summary bit-for-bit. Summary-level like the
-    # massive gate — the raw archive of the full suite is large and adds
-    # nothing over the folded summaries. Regenerate deliberately with:
+    # The full-suite gate: the complete paper-suite scenario (every
+    # payload, default run count) must reproduce the committed summary
+    # bit-for-bit. Summary-level like the massive gate — the raw archive
+    # of the full suite is large and adds nothing over the folded
+    # summaries. Regenerate deliberately with:
     #   cargo run --release -q -p nbiot-bench --bin figures -- \
     #       --scenario paper-suite --json > golden/paper_suite.json
     local fresh="$SCRATCH/paper_suite_fresh.json"

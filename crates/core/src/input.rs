@@ -543,6 +543,7 @@ mod tests {
 
     #[test]
     fn po_timeline_classes_partition_the_fleet_by_schedule() {
+        let mut twins = 0;
         for name in TrafficMix::REGISTRY {
             let mix = TrafficMix::by_name(name).unwrap();
             for n in [1usize, 40, 300] {
@@ -551,7 +552,7 @@ mod tests {
                 let (schedules, ti) = (inp.schedules(), inp.params().ti.duration());
                 let label = format!("{name} n={n}");
                 let horizon = inp.search_horizon();
-                check_timeline(&label, schedules, ti, horizon, inp.po_timeline());
+                twins += check_timeline(&label, schedules, ti, horizon, inp.po_timeline());
                 assert_eq!(inp.po_timeline().first_unreachable(), None, "{label}");
                 if n > 40 {
                     continue;
@@ -566,7 +567,7 @@ mod tests {
                         let horizon = TimeWindow::starting_at(s, period * k + r);
                         let label = format!("{label} k={k} r={r}");
                         let timeline = PoTimeline::new(schedules, ti, horizon);
-                        check_timeline(&label, schedules, ti, horizon, &timeline);
+                        twins += check_timeline(&label, schedules, ti, horizon, &timeline);
                     }
                 }
                 // A repair-style leftover: the search horizon over the
@@ -577,23 +578,27 @@ mod tests {
                     .copied()
                     .collect();
                 let timeline = PoTimeline::new(&subset, ti, horizon);
-                check_timeline(&format!("{label} subset"), &subset, ti, horizon, &timeline);
+                twins +=
+                    check_timeline(&format!("{label} subset"), &subset, ti, horizon, &timeline);
             }
         }
+        // The horizons that repeat reach the twin path.
+        assert!(twins > 0);
     }
 
     /// Checks `timeline`, built by [`PoTimeline::new`] over `schedules` and
     /// `horizon`: its classes partition the devices by schedule, each
     /// class's events are its members' POs, and the anchor instance and
     /// every cover engine equal those of the per-device timeline, which
-    /// enumerates and sweeps the whole horizon.
+    /// enumerates and sweeps the whole horizon. Returns how many anchors of
+    /// that instance have a twin.
     fn check_timeline(
         label: &str,
         schedules: &[PagingSchedule],
         ti: SimDuration,
         horizon: TimeWindow,
         timeline: &PoTimeline,
-    ) {
+    ) -> usize {
         let n = schedules.len();
         let dense: Vec<usize> = (0..n).filter(|&d| schedules[d].period() <= ti).collect();
         assert_eq!(timeline.dense_devices(), dense, "{label}");
@@ -644,11 +649,8 @@ mod tests {
         assert_eq!(timeline.first_unreachable(), unreachable, "{label}");
         // The oracle: the per-device timeline, which has no period.
         let full = PoTimeline::from_events(&pos, &is_dense);
-        assert_eq!(
-            AnchorInstance::new(ti, timeline),
-            AnchorInstance::new(ti, &full),
-            "{label}"
-        );
+        let instance = AnchorInstance::new(ti, &full);
+        assert_eq!(AnchorInstance::new(ti, timeline), instance, "{label}");
         let solver = WindowCover::new(ti);
         let slots = solver.solve(horizon.start(), &full);
         for t in [timeline, &full] {
@@ -660,47 +662,30 @@ mod tests {
                 "{label}"
             );
         }
-    }
-
-    #[test]
-    fn later_anchors_open_their_twins_windows_one_period_earlier() {
+        // What the one-period build relies on, checked on the oracle's full
+        // sweep: with P the largest sparse cycle, an anchor at or after
+        // start + P whose window fits opens its twin's window, one period
+        // earlier, and every cover slot anchors before start + P.
+        let Some(period) = (0..sparse)
+            .map(|c| schedules[timeline.members(c)[0] as usize].period())
+            .max()
+        else {
+            return 0;
+        };
+        let boundary = horizon.start() + period;
         let mut twins = 0;
-        for name in TrafficMix::REGISTRY {
-            let mix = TrafficMix::by_name(name).unwrap();
-            for n in [2usize, 60, 300] {
-                let pop = mix.generate(n, &mut StdRng::seed_from_u64(4)).unwrap();
-                let inp = GroupingInput::from_population(&pop, GroupingParams::default()).unwrap();
-                let (ti, horizon) = (inp.params().ti.duration(), inp.search_horizon());
-                let label = format!("{name} n={n}");
-                // P: the largest sparse cycle.
-                let Some(period) = inp
-                    .schedules()
-                    .iter()
-                    .map(PagingSchedule::period)
-                    .filter(|&p| p > ti)
-                    .max()
-                else {
-                    continue;
-                };
-                let boundary = horizon.start() + period;
-                let events = inp.po_timeline().events();
-                for &(t, c) in events.iter().filter(|e| e.0 >= boundary) {
-                    assert!(events.binary_search(&(t - period, c)).is_ok(), "{label}");
-                }
-                let instance = inp.anchor_instance();
-                for (a, &t) in instance.anchors().iter().enumerate() {
-                    if t >= boundary && t + ti <= horizon.end() {
-                        let twin = instance.anchor_index(t - period).expect("twin anchor");
-                        assert_eq!(instance.window_of(a), instance.window_of(twin), "{label}");
-                        twins += 1;
-                    }
-                }
-                for slot in inp.count_cover().unwrap() {
-                    assert!(slot.window_start < boundary, "{label}");
-                }
+        for (a, &t) in instance.anchors().iter().enumerate() {
+            if t >= boundary && t + ti <= horizon.end() {
+                let twin = instance.anchor_index(t - period).expect("twin anchor");
+                assert_eq!(instance.window_of(a), instance.window_of(twin), "{label}");
+                twins += 1;
             }
         }
-        assert!(twins > 0);
+        assert!(
+            slots.iter().flatten().all(|s| s.window_start < boundary),
+            "{label}"
+        );
+        twins
     }
 
     #[test]

@@ -1546,12 +1546,12 @@ impl WindowCover {
         let mut best_gain = 0u32;
         let mut best_anchor = 0usize;
         let mut j = 0usize;
-        let anchors = flat.partition_point(|e| e.0 < boundary);
-        for i in 0..anchors {
-            let (start, _) = flat[i];
+        let events: &[(SimInstant, usize)] = flat;
+        let anchors = events.partition_point(|e| e.0 < boundary);
+        for (i, &(start, anchor_class)) in events[..anchors].iter().enumerate() {
             let end = start + self.ti;
-            while j < flat.len() && flat[j].0 < end {
-                let c = flat[j].1;
+            while j < events.len() && events[j].0 < end {
+                let c = events[j].1;
                 if !covered[c] {
                     if count[c] == 0 {
                         distinct += timeline.multiplicity(c);
@@ -1565,7 +1565,7 @@ impl WindowCover {
                 best_anchor = i;
             }
             // Remove the anchor event before moving on.
-            let c = flat[i].1;
+            let c = anchor_class;
             if !covered[c] {
                 count[c] -= 1;
                 if count[c] == 0 {
@@ -1574,7 +1574,7 @@ impl WindowCover {
             }
         }
         // Events past the last anchor were counted by its window.
-        for &(_, c) in &flat[anchors..j] {
+        for &(_, c) in &events[anchors..j] {
             if !covered[c] {
                 count[c] -= 1;
             }
