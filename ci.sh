@@ -535,6 +535,10 @@ stage_massive_smoke() {
              campaign_massive window_cover_massive; do
         grep -q "\"$s" "$report" || { echo "bench report lacks stage $s" >&2; return 1; }
     done
+    # Plan validation is timed for each of DR-SC, DA-SC and DR-SI.
+    local rows
+    rows=$(grep -c '"name": "plan_validate"' "$report" || true)
+    [[ "$rows" -eq 3 ]] || { echo "expected 3 plan_validate rows, got $rows" >&2; return 1; }
     # The window cover runs on schedule classes: its detail counts them.
     for s in classes class_events; do
         grep -q "\"$s\"" "$report" || { echo "window_cover_massive lacks $s" >&2; return 1; }

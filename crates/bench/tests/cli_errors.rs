@@ -11,8 +11,9 @@ use std::sync::OnceLock;
 
 use nbiot_bench::scenarios;
 use nbiot_grouping::GroupingParams;
+use nbiot_rrc::InactivityTimer;
 use nbiot_sim::{ArchiveItem, Scenario};
-use nbiot_time::SimInstant;
+use nbiot_time::{SimDuration, SimInstant};
 
 fn run(bin: &str, args: &[&str]) -> Output {
     Command::new(bin)
@@ -743,7 +744,7 @@ fn figures_reports_a_closed_stdout_pipe_as_a_data_error() {
     assert_error_line(&out, "figures", 1, "stdout");
 }
 
-// ---- grouping instants past the latest plannable one ----
+// ---- grouping parameters past their plannable bounds ----
 
 /// Runs a one-device-point fig6b scenario whose grouping parameters
 /// `set` edits.
@@ -779,4 +780,12 @@ fn figures_rejects_a_transmission_time_past_the_latest_plannable_instant() {
         g.transmission_time = Some(NEAR_MAX)
     });
     assert_error_line(&out, "figures", 1, "grouping transmission_time");
+}
+
+#[test]
+fn figures_rejects_a_ti_past_the_longest_plannable_timer() {
+    let out = figures_with_grouping("long_ti", |g| {
+        g.ti = InactivityTimer::new(SimDuration::from_ms(NEAR_MAX.as_ms()))
+    });
+    assert_error_line(&out, "figures", 1, "grouping ti");
 }

@@ -700,19 +700,13 @@ mod tests {
     /// at its deepest recipient's coverage class (one block per tx).
     fn plan_block_airtime(input: &GroupingInput, plan: &MulticastPlan) -> u64 {
         let table = DrScWeighted::default().airtime_table();
-        let idx_of: std::collections::HashMap<_, _> = input
-            .ids()
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i))
-            .collect();
         plan.transmissions
             .iter()
             .map(|tx| {
                 let deepest = tx
                     .recipients
                     .iter()
-                    .map(|id| input.coverages()[idx_of[id]])
+                    .map(|&id| input.coverages()[input.position_of(id).unwrap()])
                     .max()
                     .unwrap();
                 u64::from(table[deepest as usize])

@@ -19,6 +19,15 @@ pub enum GroupingError {
         /// Shortest standard cycle in ms.
         shortest_cycle_ms: u64,
     },
+    /// The inactivity timer is longer than the longest planning accepts
+    /// ([`crate::GroupingParams::LONGEST_TI`]): instants shifted by it
+    /// would not fit in `u64` milliseconds.
+    TiTooLong {
+        /// Configured TI in ms.
+        ti_ms: u64,
+        /// The longest accepted TI in ms.
+        longest_ms: u64,
+    },
     /// The chosen transmission time leaves a device without any paging
     /// occasion to be notified or adapted at.
     NoUsablePo {
@@ -57,6 +66,10 @@ impl fmt::Display for GroupingError {
             } => write!(
                 f,
                 "inactivity timer {ti_ms} ms is shorter than the shortest DRX cycle {shortest_cycle_ms} ms"
+            ),
+            GroupingError::TiTooLong { ti_ms, longest_ms } => write!(
+                f,
+                "grouping ti {ti_ms} ms is longer than the longest plannable inactivity timer {longest_ms} ms"
             ),
             GroupingError::NoUsablePo { device, t } => {
                 write!(f, "{device} has no usable paging occasion before {t}")

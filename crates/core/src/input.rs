@@ -40,6 +40,16 @@ impl GroupingParams {
     /// timeline's shifted copies of its first period stay inside the
     /// search horizon, so they fit too.
     pub const LATEST_INSTANT: SimInstant = SimInstant::from_ms(1 << 62);
+
+    /// The longest inactivity timer `TI` a grouping problem accepts:
+    /// 2^62 ms.
+    ///
+    /// Window ends `a + TI` and the campaign's accounting horizon add TI
+    /// to instants that [`GroupingParams::LATEST_INSTANT`] bounds, which
+    /// leaves 3·2^62 − 2^26 ms for TI plus the payload airtime. This bound
+    /// takes 2^62 ms of that budget and leaves 2^63 − 2^26 ms for the
+    /// airtime, so no TI-shifted instant wraps `u64` milliseconds.
+    pub const LONGEST_TI: SimDuration = SimDuration::from_ms(1 << 62);
 }
 
 impl Default for GroupingParams {
@@ -87,10 +97,11 @@ pub struct GroupingInput {
     schedules: Vec<PagingSchedule>,
     params: GroupingParams,
     max_cycle: SimDuration,
-    /// `(id, position)` pairs sorted by id: the identity → device-order
-    /// index map, precomputed once so per-campaign execution does no hash
-    /// map construction (recipient lists reference devices by identity).
-    positions: Vec<(DeviceId, usize)>,
+    /// The identity → device-order index, built once, through which every
+    /// plan recipient resolves: a dense table when the id span is at most
+    /// four ids a device (generated fleets, whose ids are their rows),
+    /// sorted pairs otherwise (event-log ids, which nothing bounds).
+    positions: PositionIndex,
     /// The PO timeline over schedule classes, built on first use.
     po_timeline: OnceLock<PoTimeline>,
     /// DR-SC's count cover, solved on first use.
@@ -100,8 +111,8 @@ pub struct GroupingInput {
 }
 
 impl fmt::Debug for GroupingInput {
-    /// The device columns and parameters; the planning memos are derived
-    /// state and left out.
+    /// The device columns and parameters; the position index and the
+    /// planning memos are derived state and left out.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("GroupingInput")
             .field("ids", &self.ids)
@@ -113,7 +124,6 @@ impl fmt::Debug for GroupingInput {
             .field("schedules", &self.schedules)
             .field("params", &self.params)
             .field("max_cycle", &self.max_cycle)
-            .field("positions", &self.positions)
             .finish_non_exhaustive()
     }
 }
@@ -130,6 +140,8 @@ impl GroupingInput {
     ///
     /// * [`GroupingError::TiTooShort`] when `TI` is shorter than the
     ///   shortest standard DRX cycle (DA-SC's feasibility guarantee),
+    /// * [`GroupingError::TiTooLong`] when `TI` is longer than
+    ///   [`GroupingParams::LONGEST_TI`],
     /// * [`GroupingError::InstantOutOfRange`] when `start` or
     ///   `transmission_time` is past [`GroupingParams::LATEST_INSTANT`],
     /// * [`GroupingError::Schedule`] when a paging schedule cannot be
@@ -142,7 +154,7 @@ impl GroupingInput {
         let schedules = pop.schedules()?;
         let max_cycle = pop.max_cycle();
         let ids: Vec<DeviceId> = (0..pop.len()).map(|i| pop.id(i)).collect();
-        let positions = Self::index_positions(&ids);
+        let positions = PositionIndex::new(&ids);
         Ok(GroupingInput {
             ids,
             ues: pop.ues().to_vec(),
@@ -168,6 +180,13 @@ impl GroupingInput {
                 shortest_cycle_ms: shortest.as_ms(),
             });
         }
+        let longest = GroupingParams::LONGEST_TI;
+        if params.ti.duration() > longest {
+            return Err(GroupingError::TiTooLong {
+                ti_ms: params.ti.duration().as_ms(),
+                longest_ms: longest.as_ms(),
+            });
+        }
         let latest = GroupingParams::LATEST_INSTANT;
         for (field, at) in [
             ("start", Some(params.start)),
@@ -184,22 +203,20 @@ impl GroupingInput {
         Ok(())
     }
 
-    fn index_positions(ids: &[DeviceId]) -> Vec<(DeviceId, usize)> {
-        let mut positions: Vec<(DeviceId, usize)> =
-            ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
-        positions.sort_unstable();
-        positions
-    }
-
     /// The device-order position of the device with identity `id`, or
-    /// `None` when `id` is not part of this group. Binary search over the
-    /// precomputed sorted index — no per-lookup hashing, no per-campaign
-    /// map construction.
+    /// `None` when `id` is not part of this group.
+    ///
+    /// The index is built once, with the input. When the id span
+    /// `[min id, max id]` is at most four slots a device, a lookup is one
+    /// read of a dense `u32` table over that span: no larger than sorted
+    /// `(id, position)` pairs at 16 bytes a device, which wider spans keep
+    /// and binary-search, so ids from outside the program never size a
+    /// table. An id repeated in a hand-built population resolves to its
+    /// first row (a plan over such a group fails validation with
+    /// [`crate::PlanViolation::NotExactlyOnce`]).
+    #[inline]
     pub fn position_of(&self, id: DeviceId) -> Option<usize> {
-        self.positions
-            .binary_search_by_key(&id, |&(k, _)| k)
-            .ok()
-            .map(|i| self.positions[i].1)
+        self.positions.get(id)
     }
 
     /// The device at position `i` (cheap: materialized from the columns).
@@ -365,6 +382,64 @@ impl GroupingInput {
     }
 }
 
+/// A group's identity → device-order index ([`GroupingInput::position_of`]).
+#[derive(Clone)]
+enum PositionIndex {
+    /// `slots[id − min]` is the first row holding `id`, or [`Self::VACANT`]
+    /// for an id in a gap of the span.
+    Dense { min: u32, slots: Vec<u32> },
+    /// `(id, position)` pairs sorted by id, then position.
+    Sorted(Vec<(DeviceId, usize)>),
+}
+
+impl PositionIndex {
+    /// The widest id span, in slots a device, that gets the dense table.
+    /// At four 4-byte slots a device the table is no larger than the
+    /// 16-byte sorted pairs. Generated fleets have ids equal to their rows
+    /// (span n). Replayed service-churn logs span 6.6–6.8·n at the median
+    /// and up to 12·n, and keep the pairs; a 16·n bound read no faster
+    /// there, so memory sets the bound. Event-log ids are unbounded: a
+    /// table for ids {0, u32::MAX} would take 16 GB.
+    const MAX_SLOTS_PER_DEVICE: usize = 4;
+
+    /// A dense slot that holds no device.
+    const VACANT: u32 = u32::MAX;
+
+    fn new(ids: &[DeviceId]) -> PositionIndex {
+        let n = ids.len();
+        let min = ids.iter().min().map_or(0, |id| id.0);
+        let span = ids.iter().max().map_or(0, |id| (id.0 - min) as usize + 1);
+        // The table stores rows as `u32`, below VACANT.
+        if span <= Self::MAX_SLOTS_PER_DEVICE * n && n < Self::VACANT as usize {
+            let mut slots = vec![Self::VACANT; span];
+            // Backwards, so a repeated id keeps its first row.
+            for (i, id) in ids.iter().enumerate().rev() {
+                slots[(id.0 - min) as usize] = i as u32;
+            }
+            PositionIndex::Dense { min, slots }
+        } else {
+            let mut pairs: Vec<(DeviceId, usize)> =
+                ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
+            pairs.sort_unstable();
+            PositionIndex::Sorted(pairs)
+        }
+    }
+
+    #[inline]
+    fn get(&self, id: DeviceId) -> Option<usize> {
+        match self {
+            PositionIndex::Dense { min, slots } => {
+                let slot = *slots.get(id.0.checked_sub(*min)? as usize)?;
+                (slot != Self::VACANT).then_some(slot as usize)
+            }
+            PositionIndex::Sorted(pairs) => {
+                let first = pairs.partition_point(|&(k, _)| k < id);
+                pairs.get(first).filter(|&&(k, _)| k == id).map(|&(_, i)| i)
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,6 +479,27 @@ mod tests {
         };
         let err = GroupingInput::from_population(&pop, params).unwrap_err();
         assert!(matches!(err, GroupingError::TiTooShort { .. }));
+    }
+
+    #[test]
+    fn ti_longer_than_the_longest_is_rejected() {
+        let pop = pop(3);
+        let with_ti = |ti| GroupingParams {
+            ti: InactivityTimer::new(ti),
+            ..GroupingParams::default()
+        };
+        let longest = GroupingParams::LONGEST_TI;
+        assert!(GroupingInput::from_population(&pop, with_ti(longest)).is_ok());
+        let err = GroupingInput::from_population(&pop, with_ti(longest + SimDuration::from_ms(1)))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            GroupingError::TiTooLong {
+                ti_ms: longest.as_ms() + 1,
+                longest_ms: longest.as_ms(),
+            }
+        );
+        assert!(err.to_string().contains("grouping ti"), "{err}");
     }
 
     #[test]
@@ -530,15 +626,73 @@ mod tests {
             .all(|&c| c == CoverageClass::Normal));
     }
 
+    /// The input of a city fleet whose row `i` carries id `ids[i]`.
+    fn input_with_ids(ids: &[u32]) -> GroupingInput {
+        let base = pop(ids.len());
+        let devices = base
+            .profiles()
+            .into_iter()
+            .zip(ids)
+            .map(|(d, &id)| DeviceProfile {
+                id: DeviceId(id),
+                ..d
+            })
+            .collect();
+        let pop = Population::new(base.mix_name().into(), base.class_names().to_vec(), devices);
+        GroupingInput::from_population(&pop, GroupingParams::default()).unwrap()
+    }
+
     #[test]
-    fn position_index_resolves_every_device() {
-        let inp = input(40);
-        for (i, &id) in inp.ids().iter().enumerate() {
-            assert_eq!(inp.position_of(id), Some(i));
+    fn position_index_resolves_every_device_on_both_paths() {
+        let (n, max) = (40u32, u32::MAX);
+        let identity: Vec<u32> = (0..n).collect();
+        let reversed: Vec<u32> = (1000..1000 + n).rev().collect();
+        let even: Vec<u32> = (0..n).map(|i| 2 * i).collect();
+        let sparse: Vec<u32> = (1..=n).map(|i| 5 * i).collect();
+        // (ids, takes the dense table, ids that must not resolve: below
+        // the min, in a gap, above the max, and u32::MAX where absent).
+        let fleets = [
+            (identity, true, vec![n, n + 1, max]),
+            (reversed, true, vec![0, 999, 1000 + n, max]),
+            // Span 2n: the table, with a gap at every odd id.
+            (even, true, vec![1, 2 * n - 3, 2 * n - 1, max]),
+            // Span 5n − 4: past four slots a device.
+            (sparse, false, vec![0, 4, 6, 199, 201, max]),
+            (vec![0, max], false, vec![1, 1 << 31, max - 1]),
+            (Vec::new(), true, vec![0, 1, max]),
+        ];
+        for (ids, dense, absent) in fleets {
+            let inp = input_with_ids(&ids);
+            let label = format!("{:?}", &ids[..ids.len().min(3)]);
+            assert_eq!(
+                matches!(inp.positions, PositionIndex::Dense { .. }),
+                dense,
+                "{label}"
+            );
+            for (i, &id) in ids.iter().enumerate() {
+                assert_eq!(inp.position_of(DeviceId(id)), Some(i), "{label}");
+            }
+            for id in absent {
+                assert!(!ids.contains(&id), "{label}: {id}");
+                assert_eq!(inp.position_of(DeviceId(id)), None, "{label}: {id}");
+            }
         }
-        let absent = nbiot_traffic::DeviceId(u32::MAX);
-        assert!(inp.ids().iter().all(|&id| id != absent));
-        assert_eq!(inp.position_of(absent), None);
+    }
+
+    #[test]
+    fn a_repeated_id_resolves_to_its_first_row() {
+        use crate::{DaSc, GroupingMechanism, PlanViolation};
+        for ids in [[3, 7, 3], [0, u32::MAX, 0]] {
+            let inp = input_with_ids(&ids);
+            assert_eq!(inp.position_of(DeviceId(ids[0])), Some(0), "{ids:?}");
+            let plan = DaSc::default()
+                .plan(&inp, &mut StdRng::seed_from_u64(0))
+                .unwrap();
+            assert!(matches!(
+                plan.validate(&inp),
+                Err(PlanViolation::NotExactlyOnce { times: 2, .. })
+            ));
+        }
     }
 
     #[test]
@@ -686,18 +840,5 @@ mod tests {
             "{label}"
         );
         twins
-    }
-
-    #[test]
-    fn position_index_survives_permuted_device_order() {
-        let pop = pop(20);
-        let mut devices = pop.profiles();
-        devices.reverse();
-        let reversed = Population::new(pop.mix_name().into(), pop.class_names().to_vec(), devices);
-        let permuted =
-            GroupingInput::from_population(&reversed, GroupingParams::default()).unwrap();
-        for (i, &id) in permuted.ids().iter().enumerate() {
-            assert_eq!(permuted.position_of(id), Some(i));
-        }
     }
 }

@@ -216,11 +216,12 @@ impl MulticastPlan {
     /// Check 4 covers every device before checks 5–8 run; each reports
     /// the first failing device in device order.
     ///
-    /// Cost: O(n + R log n) time and O(n) space, where n is the group
-    /// size and R the total number of recipients — one pass over the
-    /// recipient lists (each resolved with [`GroupingInput::position_of`])
-    /// and one over the device plans, both indexed by device position,
-    /// with no hash map.
+    /// Cost: O(n + R) time and O(n) space, where n is the group size and
+    /// R the total number of recipients — one pass over the recipient
+    /// lists (each resolved with [`GroupingInput::position_of`], one table
+    /// read) and one over the device plans, both indexed by device
+    /// position, with no hash map. A group whose id span exceeds four ids
+    /// a device resolves by binary search instead: O(n + R log n).
     ///
     /// # Errors
     ///

@@ -26,9 +26,7 @@
 //! DRX adaptation, `mltc` notifications or connectionless reception
 //! return `None` so the caller falls back to a full re-plan.
 
-use std::collections::HashMap;
-
-use nbiot_time::{SimInstant, TimeWindow};
+use nbiot_time::TimeWindow;
 
 use crate::dr_sc::slot_transmission;
 use crate::improve::ImprovementStats;
@@ -79,16 +77,21 @@ fn repair_page_connect(
     let params = input.params();
     let ti = params.ti.duration();
     let horizon = input.search_horizon();
-    let by_device: HashMap<_, &DevicePlan> =
-        old.device_plans.iter().map(|dp| (dp.device, dp)).collect();
+    // The old device plans by input position; departed devices drop out.
+    let mut by_device: Vec<Option<&DevicePlan>> = vec![None; input.len()];
+    for dp in &old.device_plans {
+        if let Some(idx) = input.position_of(dp.device) {
+            by_device[idx] = Some(dp);
+        }
+    }
 
     // Survivors keep their actions when still valid for their (possibly
     // re-drawn) schedule: the remembered PO must still be a real paging
     // occasion, inside the campaign, and before the serving transmission.
     let mut device_plans: Vec<Option<DevicePlan>> = vec![None; input.len()];
     let mut ejected: Vec<usize> = Vec::new();
-    for (idx, (&id, sched)) in input.ids().iter().zip(input.schedules()).enumerate() {
-        match by_device.get(&id) {
+    for (idx, (dp, sched)) in by_device.iter().zip(input.schedules()).enumerate() {
+        match dp {
             Some(dp) => {
                 let po = dp.page.expect("shape-checked above").po;
                 if po >= params.start && po < dp.receives_at && sched.first_po_at_or_after(po) == po
@@ -102,12 +105,14 @@ fn repair_page_connect(
         }
     }
 
-    // Kept transmissions: original instants, surviving recipients only.
-    let survivor_rx: HashMap<_, SimInstant> = device_plans
-        .iter()
-        .flatten()
-        .map(|dp| (dp.device, dp.receives_at))
-        .collect();
+    // Kept transmissions: original instants, surviving recipients only
+    // (read before any arrival attaches).
+    let survives_at = |d, at| {
+        input
+            .position_of(d)
+            .and_then(|idx| device_plans[idx].as_ref())
+            .is_some_and(|dp| dp.receives_at == at)
+    };
     let mut kept: Vec<Transmission> = old
         .transmissions
         .iter()
@@ -117,7 +122,7 @@ fn repair_page_connect(
                 .recipients
                 .iter()
                 .copied()
-                .filter(|d| survivor_rx.get(d) == Some(&tx.at))
+                .filter(|&d| survives_at(d, tx.at))
                 .collect(),
         })
         .filter(|tx| !tx.recipients.is_empty())

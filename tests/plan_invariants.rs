@@ -432,12 +432,18 @@ fn shared_timeline_input() -> GroupingInput {
 #[test]
 fn campaigns_at_the_latest_plannable_instant_stay_in_range() {
     // Planning and campaign execution add bounded offsets past `start`
-    // and `transmission_time`; at the latest accepted instant they still
-    // fit in `u64` (a debug build panics on any overflow).
+    // and `transmission_time`; at the latest accepted instant and the
+    // longest accepted TI they still fit in `u64` (a debug build panics
+    // on any overflow).
     let latest = GroupingParams::LATEST_INSTANT;
     for grouping in [
         GroupingParams {
             start: latest,
+            ..GroupingParams::default()
+        },
+        GroupingParams {
+            start: latest,
+            ti: InactivityTimer::new(GroupingParams::LONGEST_TI),
             ..GroupingParams::default()
         },
         GroupingParams {
