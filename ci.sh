@@ -43,7 +43,8 @@
 #   massive-smoke  scale tier: reduced 10^5-device massive-n point diffed
 #                  against golden/massive_smoke.json at zero tolerance
 #                  (summary-level only; the archive guard is exercised
-#                  too), plus the bench_report massive stages
+#                  too), plus the bench_report massive stages and the
+#                  po_queries stage's PO counts
 #   nightly        full paper-suite scenario diffed summary-level against
 #                  golden/paper_suite.json at zero tolerance
 #
@@ -532,9 +533,17 @@ stage_massive_smoke() {
         --warn-only --out "$report" > /dev/null
     local s
     for s in massive_instance_generation set_cover_massive_incremental plan_validate \
-             campaign_massive window_cover_massive; do
+             campaign_massive window_cover_massive po_queries; do
         grep -q "\"$s" "$report" || { echo "bench report lacks stage $s" >&2; return 1; }
     done
+    # The fleet's PO counts are deterministic: DR-SI's devices with a PO in
+    # [t - TI, t) and the engine's monitored POs over its horizon. A change
+    # here means a paging occasion moved.
+    local counts
+    counts=$(grep -A 6 '"name": "po_queries"' "$report" \
+        | grep -Eo '"(po_in_window|pos_monitored)": [0-9]+' | tr '\n' ' ')
+    [[ "$counts" == '"po_in_window": 220 "pos_monitored": 433434 ' ]] \
+        || { echo "po_queries counts moved: $counts" >&2; return 1; }
     # Plan validation is timed for each of DR-SC, DA-SC and DR-SI.
     local rows
     rows=$(grep -c '"name": "plan_validate"' "$report" || true)
@@ -580,7 +589,7 @@ case "${1:-}" in
         printf '%s\n' "${STAGES[@]}"
         ;;
     --help|-h)
-        sed -n '2,54p' "$0" | sed 's/^# \{0,1\}//'
+        sed -n '2,55p' "$0" | sed 's/^# \{0,1\}//'
         ;;
     "")
         for stage in "${STAGES[@]}"; do

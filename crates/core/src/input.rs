@@ -443,7 +443,7 @@ impl PositionIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nbiot_time::{DrxCycle, EdrxCycle, PagingCycle, TimeWindow};
+    use nbiot_time::{DrxCycle, EdrxCycle, PagingCycle, PtwLength, TimeWindow};
     use nbiot_traffic::TrafficMix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -740,6 +740,26 @@ mod tests {
         assert!(twins > 0);
     }
 
+    #[test]
+    fn po_timeline_keeps_the_tail_of_a_first_ptw_crossing_the_period_end() {
+        // UE 7's 5.12 s PTW opens 2.56 s before the end of its Hf2 cycle,
+        // so at start 0 the first period holds only its first half: the
+        // copies would drop the tail that reaches into the second period.
+        let cfg =
+            PagingConfig::edrx_with(EdrxCycle::Hf2, PtwLength::new(2).unwrap(), DrxCycle::Rf32);
+        let schedules: Vec<PagingSchedule> = (0..8)
+            .map(|ue| PagingSchedule::new(&cfg, UeId(ue)).unwrap())
+            .collect();
+        let (ti, period) = (SimDuration::from_secs(10), cfg.cycle.period());
+        for (start, device_events) in [(0, 248), (1_234_567, 256)] {
+            let horizon = TimeWindow::starting_at(SimInstant::from_ms(start), period * 2);
+            let timeline = PoTimeline::new(&schedules, ti, horizon);
+            let label = format!("crossing PTW from {start} ms");
+            check_timeline(&label, &schedules, ti, horizon, &timeline);
+            assert_eq!(timeline.device_events(), device_events, "{label}");
+        }
+    }
+
     /// Checks `timeline`, built by [`PoTimeline::new`] over `schedules` and
     /// `horizon`: its classes partition the devices by schedule, each
     /// class's events are its members' POs, and the anchor instance and
@@ -826,6 +846,13 @@ mod tests {
         else {
             return 0;
         };
+        // A class whose first PTW crosses the end of its cycle repeats only
+        // from `periodic_from` on: no twins before it.
+        if (0..sparse)
+            .any(|c| schedules[timeline.members(c)[0] as usize].periodic_from() > horizon.start())
+        {
+            return 0;
+        }
         let boundary = horizon.start() + period;
         let mut twins = 0;
         for (a, &t) in instance.anchors().iter().enumerate() {

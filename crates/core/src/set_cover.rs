@@ -559,14 +559,18 @@ impl PoTimeline {
     /// other one gets its POs inside `horizon`. Equal schedules form one
     /// class, and [`PagingSchedule::pos_in`] runs once per sparse class,
     /// over the first period `[start, start + P)` for the largest sparse
-    /// cycle `P`; each later period is a shifted copy of it.
+    /// cycle `P`; each later period is a shifted copy of it. When a class
+    /// does not repeat from `start` on (its first PTW crosses the end of
+    /// its cycle and `start` lies before [`PagingSchedule::periodic_from`]),
+    /// the whole horizon is enumerated instead.
     pub fn new(schedules: &[PagingSchedule], ti: SimDuration, horizon: TimeWindow) -> PoTimeline {
         let (start, end) = (horizon.start(), horizon.end());
         let mut timeline = PoTimeline::build(schedules.iter().map(|s| (s, s.period() <= ti)));
-        let repeat = (0..timeline.sparse)
-            .map(|c| schedules[timeline.members(c)[0] as usize].period())
+        let sparse = || (0..timeline.sparse).map(|c| &schedules[timeline.members(c)[0] as usize]);
+        let repeat = sparse()
+            .map(PagingSchedule::period)
             .max()
-            .filter(|&p| p < end - start)
+            .filter(|&p| p < end - start && sparse().all(|s| s.periodic_from() <= start))
             .map(|period| Repeat {
                 period,
                 boundary: start + period,

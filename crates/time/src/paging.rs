@@ -19,10 +19,13 @@
 //! * PTW length: 1–16 units of 2.56 s; inside the PTW the UE follows its
 //!   regular DRX formula above.
 //!
-//! All arithmetic here is done on absolute (non-wrapping) frame numbers;
-//! because every standard cycle divides the 1024-frame SFN period (and every
-//! eDRX cycle divides the 1024-hyperframe H-SFN period), absolute and
-//! wrapping arithmetic agree.
+//! [`PagingSchedule`] resolves both formulas once into one arithmetic
+//! progression per (e)DRX cycle: the first PO, the cycle, the spacing of a
+//! PTW's POs and how many a PTW holds. Every query is then O(1), for DRX and
+//! eDRX alike. The arithmetic runs on absolute (non-wrapping) time; because
+//! every standard cycle divides the 1024-frame SFN period (and every eDRX
+//! cycle divides the 1024-hyperframe H-SFN period), absolute and wrapping
+//! arithmetic agree.
 
 use core::fmt;
 
@@ -198,23 +201,22 @@ impl fmt::Display for PagingConfig {
     }
 }
 
-/// eDRX-specific precomputed parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct EdrxParams {
-    /// eDRX cycle in hyperframes.
-    cycle_hf: u64,
-    /// Paging hyperframe offset: `UE_ID mod T_eDRX,H`.
-    ph_offset: u64,
-    /// PTW start frame within the paging hyperframe (`256 * i_eDRX`).
-    ptw_start_frame: u64,
-    /// PTW length in frames.
-    ptw_frames: u64,
-}
-
 /// A device's fully resolved paging-occasion schedule.
 ///
-/// Construction resolves the TS 36.304 formulas once; all queries are then
-/// O(1) (DRX) or O(POs per PTW) (eDRX).
+/// Construction resolves the TS 36.304 formulas once into one arithmetic
+/// progression per repetition period: the POs are `f + m·P + i·s` for every
+/// period `m ≥ 0` and `0 ≤ i < k`, with `f` the first PO, `P` the cycle, `s`
+/// the (in-window) DRX cycle and `k` the POs one paging time window holds.
+/// Regular DRX is `k = 1`, `s = P`. A query locates `t` in that progression
+/// with two divisions (a count locates both ends), so every query is O(1)
+/// for both cycle kinds; `N(t)`, the number of POs before `t`, gives the
+/// counts.
+///
+/// The epoch opens period 0. A PTW that crosses the end of its eDRX cycle
+/// runs on into the next one, but there is no PTW before the epoch: no PO
+/// lies before `f`, and a count over `[0, t)` holds none of the POs a
+/// crossing PTW of period −1 would put there (see
+/// [`periodic_from`](Self::periodic_from)).
 ///
 /// # Example
 ///
@@ -232,14 +234,14 @@ struct EdrxParams {
 pub struct PagingSchedule {
     /// Original cycle (kept for reporting).
     cycle: PagingCycle,
-    /// In-window (or plain) DRX cycle length in frames.
-    t_frames: u64,
-    /// Paging-frame offset within the DRX cycle, in frames.
-    pf_offset: u64,
-    /// PO subframe within the paging frame (0..=9), in ms.
-    po_subframe: u64,
-    /// eDRX parameters, when the cycle is extended.
-    edrx: Option<EdrxParams>,
+    /// The first PO `f`, in ms since the epoch.
+    first: u64,
+    /// The repetition period `P` in ms: the (e)DRX cycle.
+    period: u64,
+    /// The spacing `s` of a period's POs in ms: the (in-window) DRX cycle.
+    step: u64,
+    /// The POs `k` of one period: 1 for DRX, the PTW's occupancy for eDRX.
+    per_period: u64,
 }
 
 /// PO subframe lookup for FDD, indexed by `i_s` (TS 36.304 Table 7.2).
@@ -255,27 +257,11 @@ impl PagingSchedule {
     /// Propagates [`PagingConfig::validate`] failures.
     pub fn new(cfg: &PagingConfig, ue: UeId) -> Result<PagingSchedule, TimeError> {
         cfg.validate()?;
-        let ue_id = ue.0 as u64;
-        let (t_frames, edrx) = match cfg.cycle {
-            PagingCycle::Drx(d) => (d.frames(), None),
-            PagingCycle::Edrx {
-                cycle,
-                ptw,
-                ptw_drx,
-            } => {
-                let cycle_hf = cycle.hyperframes();
-                let i_edrx = (ue_id / cycle_hf) % 4;
-                (
-                    ptw_drx.frames(),
-                    Some(EdrxParams {
-                        cycle_hf,
-                        ph_offset: ue_id % cycle_hf,
-                        ptw_start_frame: 256 * i_edrx,
-                        ptw_frames: ptw.frames(),
-                    }),
-                )
-            }
+        let ue_id = u64::from(ue.0);
+        let drx = match cfg.cycle {
+            PagingCycle::Drx(drx) | PagingCycle::Edrx { ptw_drx: drx, .. } => drx,
         };
+        let t_frames = drx.frames();
         let nb = cfg.nb.value(t_frames);
         let n = t_frames.min(nb);
         let ns = (nb / t_frames).max(1);
@@ -291,12 +277,29 @@ impl PagingSchedule {
                 })
             }
         };
+        // The first paging frame and the POs of one period.
+        let (first_pf, per_period) = match cfg.cycle {
+            PagingCycle::Drx(_) => (pf_offset, 1),
+            PagingCycle::Edrx { cycle, ptw, .. } => {
+                // PH: H-SFN mod T_eDRX,H = UE_ID mod T_eDRX,H; the PTW opens
+                // at SFN 256·i_eDRX. T divides 256, so it opens on a DRX
+                // cycle boundary and its first PF lies `pf_offset` frames in;
+                // validation keeps the PTW at least T long.
+                let cycle_hf = cycle.hyperframes();
+                let i_edrx = (ue_id / cycle_hf) % 4;
+                let ptw_start = (ue_id % cycle_hf) * FRAMES_PER_HYPERFRAME + 256 * i_edrx;
+                (
+                    ptw_start + pf_offset,
+                    1 + (ptw.frames() - 1 - pf_offset) / t_frames,
+                )
+            }
+        };
         Ok(PagingSchedule {
             cycle: cfg.cycle,
-            t_frames,
-            pf_offset,
-            po_subframe,
-            edrx,
+            first: first_pf * MS_PER_FRAME + po_subframe,
+            period: cfg.cycle.period().as_ms(),
+            step: t_frames * MS_PER_FRAME,
+            per_period,
         })
     }
 
@@ -309,92 +312,42 @@ impl PagingSchedule {
     /// Period after which the PO pattern repeats.
     #[inline]
     pub fn period(&self) -> SimDuration {
-        self.cycle.period()
+        SimDuration::from_ms(self.period)
     }
 
     /// Number of POs the device monitors per repetition period
     /// (1 for DRX; PTW occupancy for eDRX).
+    #[inline]
     pub fn pos_per_period(&self) -> u64 {
-        match self.edrx {
-            None => 1,
-            Some(e) => {
-                // Alignment of the DRX grid inside the PTW is identical each
-                // cycle because T divides the 1024-frame hyperframe.
-                let first = first_multiple_offset(e.ptw_start_frame, self.t_frames, self.pf_offset);
-                if first >= e.ptw_frames {
-                    0
-                } else {
-                    1 + (e.ptw_frames - 1 - first) / self.t_frames
-                }
-            }
-        }
+        self.per_period
+    }
+
+    /// The earliest instant from which the POs repeat with the period: for
+    /// every `t` at or after it, the POs at or after `t + P` are those at or
+    /// after `t`, shifted by `P`. It is later than the epoch only when the
+    /// first PTW crosses the end of its eDRX cycle: up to that instant lie
+    /// the POs a PTW of period −1 would hold, and there is none.
+    #[inline]
+    pub fn periodic_from(&self) -> SimInstant {
+        let last_of_first_period = self.at((0, self.per_period - 1)).as_ms();
+        SimInstant::from_ms((last_of_first_period + 1).saturating_sub(self.period))
     }
 
     /// The first PO at or after `t`.
+    #[inline]
     pub fn first_po_at_or_after(&self, t: SimInstant) -> SimInstant {
-        match self.edrx {
-            None => {
-                let base = self.pf_offset * MS_PER_FRAME + self.po_subframe;
-                let period = self.t_frames * MS_PER_FRAME;
-                let t_ms = t.as_ms();
-                if t_ms <= base {
-                    SimInstant::from_ms(base)
-                } else {
-                    let k = (t_ms - base).div_ceil(period);
-                    SimInstant::from_ms(base + k * period)
-                }
-            }
-            Some(e) => {
-                // Start from the PTW that could contain t (or the previous
-                // one when t is mid-PTW), then walk forward.
-                let hyper = t.as_ms() / (FRAMES_PER_HYPERFRAME * MS_PER_FRAME);
-                let mut m = (hyper.saturating_sub(e.ph_offset) / e.cycle_hf).saturating_sub(1);
-                loop {
-                    for po in self.pos_in_ptw(e, m) {
-                        if po >= t {
-                            return po;
-                        }
-                    }
-                    m += 1;
-                }
-            }
-        }
+        self.at(self.locate(t))
     }
 
     /// The last PO strictly before `t`, if any exists since the epoch.
+    #[inline]
     pub fn last_po_before(&self, t: SimInstant) -> Option<SimInstant> {
-        match self.edrx {
-            None => {
-                let base = self.pf_offset * MS_PER_FRAME + self.po_subframe;
-                let period = self.t_frames * MS_PER_FRAME;
-                let t_ms = t.as_ms();
-                if t_ms <= base {
-                    None
-                } else {
-                    let k = (t_ms - base - 1) / period;
-                    Some(SimInstant::from_ms(base + k * period))
-                }
-            }
-            Some(e) => {
-                let hyper = t.as_ms() / (FRAMES_PER_HYPERFRAME * MS_PER_FRAME);
-                let mut m = hyper.saturating_sub(e.ph_offset) / e.cycle_hf + 1;
-                loop {
-                    let mut best = None;
-                    for po in self.pos_in_ptw(e, m) {
-                        if po < t {
-                            best = Some(po);
-                        }
-                    }
-                    if let Some(po) = best {
-                        return Some(po);
-                    }
-                    if m == 0 {
-                        return None;
-                    }
-                    m -= 1;
-                }
-            }
-        }
+        let (m, i) = self.locate(t);
+        let previous = match i.checked_sub(1) {
+            Some(i) => (m, i),
+            None => (m.checked_sub(1)?, self.per_period - 1),
+        };
+        Some(self.at(previous))
     }
 
     /// All POs inside the half-open `window`, in order.
@@ -405,29 +358,16 @@ impl PagingSchedule {
     }
 
     /// Whether the device has at least one PO inside `window`.
+    #[inline]
     pub fn has_po_in(&self, window: TimeWindow) -> bool {
-        if window.is_empty() {
-            return false;
-        }
         self.first_po_at_or_after(window.start()) < window.end()
     }
 
-    /// Number of POs monitored in the half-open interval `[from, to)`.
-    ///
-    /// Computed analytically per repetition period, so it is cheap even for
-    /// very long intervals.
+    /// Number of POs monitored in the half-open interval `[from, to)`:
+    /// `N(to) − N(from)`, however long the interval.
+    #[inline]
     pub fn count_pos_between(&self, from: SimInstant, to: SimInstant) -> u64 {
-        if to <= from {
-            return 0;
-        }
-        let period_ms = self.period().as_ms();
-        let span = to.as_ms() - from.as_ms();
-        let full_periods = span / period_ms;
-        let mut count = full_periods * self.pos_per_period();
-        // Count the ragged remainder by iteration (bounded by POs per period).
-        let tail_start = SimInstant::from_ms(from.as_ms() + full_periods * period_ms);
-        count += self.iter_from(tail_start).take_while(|&po| po < to).count() as u64;
-        count
+        self.pos_before(to).saturating_sub(self.pos_before(from))
     }
 
     /// Infinite iterator over POs starting from the first PO at or after
@@ -435,35 +375,34 @@ impl PagingSchedule {
     pub fn iter_from(&self, from: SimInstant) -> PoIter {
         PoIter {
             schedule: *self,
-            next: self.first_po_at_or_after(from),
+            next: self.locate(from),
         }
     }
 
-    /// POs of hyperframe-cycle index `m` (eDRX only).
-    fn pos_in_ptw(&self, e: EdrxParams, m: u64) -> impl Iterator<Item = SimInstant> {
-        let ptw_start_frame =
-            (m * e.cycle_hf + e.ph_offset) * FRAMES_PER_HYPERFRAME + e.ptw_start_frame;
-        let first = first_multiple_offset(e.ptw_start_frame, self.t_frames, self.pf_offset);
-        let t_frames = self.t_frames;
-        let po_subframe = self.po_subframe;
-        let ptw_frames = e.ptw_frames;
-        (0u64..)
-            .map(move |i| first + i * t_frames)
-            .take_while(move |&off| off < ptw_frames)
-            .map(move |off| {
-                SimInstant::from_ms((ptw_start_frame + off) * MS_PER_FRAME + po_subframe)
-            })
+    /// `N(t)`: the number of POs before `t`.
+    #[inline]
+    fn pos_before(&self, t: SimInstant) -> u64 {
+        let (m, i) = self.locate(t);
+        m * self.per_period + i
     }
-}
 
-/// Smallest `x >= 0` such that `(start + x) mod t == offset`.
-#[inline]
-fn first_multiple_offset(start: u64, t: u64, offset: u64) -> u64 {
-    let rem = start % t;
-    if offset >= rem {
-        offset - rem
-    } else {
-        t - (rem - offset)
+    /// The first PO at or after `t` as `(m, i)`, `i < k`: it is
+    /// `f + m·P + i·s`, and `m·k + i` POs lie before `t`.
+    #[inline]
+    fn locate(&self, t: SimInstant) -> (u64, u64) {
+        let d = t.as_ms().saturating_sub(self.first);
+        let (m, i) = (d / self.period, (d % self.period).div_ceil(self.step));
+        if i < self.per_period {
+            (m, i)
+        } else {
+            (m + 1, 0)
+        }
+    }
+
+    /// The PO `i` of period `m`.
+    #[inline]
+    fn at(&self, (m, i): (u64, u64)) -> SimInstant {
+        SimInstant::from_ms(self.first + m * self.period + i * self.step)
     }
 }
 
@@ -473,18 +412,21 @@ fn first_multiple_offset(start: u64, t: u64, offset: u64) -> u64 {
 #[derive(Debug, Clone)]
 pub struct PoIter {
     schedule: PagingSchedule,
-    next: SimInstant,
+    /// The next PO as `(period, index within the period)`.
+    next: (u64, u64),
 }
 
 impl Iterator for PoIter {
     type Item = SimInstant;
 
     fn next(&mut self) -> Option<SimInstant> {
-        let current = self.next;
-        self.next = self
-            .schedule
-            .first_po_at_or_after(current + SimDuration::from_ms(1));
-        Some(current)
+        let (m, i) = self.next;
+        self.next = if i + 1 < self.schedule.per_period {
+            (m, i + 1)
+        } else {
+            (m + 1, 0)
+        };
+        Some(self.schedule.at((m, i)))
     }
 }
 
@@ -698,9 +640,26 @@ mod tests {
     }
 
     #[test]
-    fn first_multiple_offset_cases() {
-        assert_eq!(first_multiple_offset(0, 8, 3), 3);
-        assert_eq!(first_multiple_offset(5, 8, 3), 6); // 5+6=11, 11 mod 8 = 3
-        assert_eq!(first_multiple_offset(11, 8, 3), 0); // 11 mod 8 == 3
+    fn a_ptw_crossing_its_cycle_end_has_no_predecessor_before_the_epoch() {
+        // Hf2 with a 5.12 s PTW: UE 7's PTW opens at SFN 768 of hyperframe 1
+        // and runs 256 frames into the next cycle.
+        let cfg =
+            PagingConfig::edrx_with(EdrxCycle::Hf2, PtwLength::new(2).unwrap(), DrxCycle::Rf32);
+        let s = PagingSchedule::new(&cfg, UeId(7)).unwrap();
+        assert_eq!(s.pos_per_period(), 16);
+        assert_eq!(s.first_po_at_or_after(SimInstant::ZERO).as_ms(), 17_999);
+        // Two whole PTWs and the first half of the third, nothing before
+        // the first.
+        let p = s.period();
+        let three = SimInstant::ZERO + p * 3;
+        assert_eq!(s.count_pos_between(SimInstant::ZERO, three), 40);
+        let iterated = s.iter_from(SimInstant::ZERO).take_while(|&po| po < three);
+        assert_eq!(iterated.count(), 40);
+        // A PTW of period −1 would hold POs at 79, 399, ..., 2319 ms.
+        let from = s.periodic_from();
+        assert_eq!(from.as_ms(), 2_320);
+        assert_eq!(s.count_pos_between(from, from + p), 16);
+        let before = SimInstant::from_ms(2_319);
+        assert_eq!(s.count_pos_between(before, before + p), 15);
     }
 }

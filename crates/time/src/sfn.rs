@@ -10,7 +10,7 @@ pub const FRAMES_PER_HYPERFRAME: u64 = SFN_PERIOD;
 /// An absolute (non-wrapping) radio-frame number.
 ///
 /// Useful for computations that must not be confused by SFN wrap-around,
-/// e.g. the paging-frame search in [`crate::PagingSchedule`].
+/// e.g. paging-frame arithmetic (see [`crate::PagingSchedule`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[cfg_attr(feature = "serde", serde(transparent))]
