@@ -39,7 +39,8 @@
 #                  diff against golden/weighted_smoke.json
 #   bench-gate     bench_report --compare against BENCH_baseline.json (a
 #                  baseline stage or derived key the report lacks fails
-#                  even under --warn-only)
+#                  even under --warn-only; the anchor_instance sizes are
+#                  pinned)
 #   massive-smoke  scale tier: reduced 10^5-device massive-n point diffed
 #                  against golden/massive_smoke.json at zero tolerance
 #                  (summary-level only; the archive guard is exercised
@@ -489,9 +490,21 @@ stage_bench_gate() {
     grep -q '"plan_dr_sc_family"' "$ARTIFACT_DIR/BENCH_results.json" \
         || { echo "bench report lacks stage plan_dr_sc_family" >&2; return 1; }
     # The anchor_instance stage carries the instance's deterministic size
-    # and asserts that its device → window index transposes the windows.
+    # and asserts that its device → window runs expand to the windows. The
+    # sizes are pinned for both workloads: a change means the instance or
+    # its index moved.
     grep -q '"anchor_instance"' "$ARTIFACT_DIR/BENCH_results.json" \
         || { echo "bench report lacks stage anchor_instance" >&2; return 1; }
+    local sizes expected
+    sizes=$(grep -A 12 '"name": "anchor_instance"' "$ARTIFACT_DIR/BENCH_results.json" \
+        | grep -Eo '"(anchors|windows|entries_before_dedup|entries_after_dedup|index_entries|index_runs)": [0-9]+' \
+        | tr '\n' ' ')
+    expected='"anchors": 7724 "windows": 119 "entries_before_dedup": 31612 "entries_after_dedup": 585 "index_entries": 585 "index_runs": 161 '
+    if [[ "${BENCH_GATE_STRICT:-0}" == "1" ]]; then
+        expected='"anchors": 109546 "windows": 13249 "entries_before_dedup": 7317899 "entries_after_dedup": 895605 "index_entries": 895605 "index_runs": 24594 '
+    fi
+    [[ "$sizes" == "$expected" ]] \
+        || { echo "anchor_instance sizes moved: $sizes" >&2; return 1; }
     echo "bench report written to $ARTIFACT_DIR/BENCH_results.json:"
     grep -A4 '"derived"' "$ARTIFACT_DIR/BENCH_results.json"
 }

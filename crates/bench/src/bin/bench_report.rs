@@ -497,17 +497,22 @@ fn main() {
 
     // ---- Stage 2b: the deduplicated anchor-window instance DR-SC-tabu
     // and DR-SC-weighted solve, built from the input's PO timeline with
-    // its device → window transpose, with its size before and after
-    // deduplication and the transpose's size (deterministic counters
-    // beside the wall clock).
+    // its device → window runs, with its size before and after
+    // deduplication and the runs' count and summed length (deterministic
+    // counters beside the wall clock).
     let timeline = input.po_timeline();
     report.stage("anchor_instance", 3, |clock| {
         let instance =
             clock.time(|| set_cover::AnchorInstance::new(params.ti.duration(), timeline));
-        // The device → window transpose holds every (window, device)
-        // pair once, like the window rows.
-        let index_entries: usize = (0..instance.sparse_devices().len())
-            .map(|s| instance.windows_of(s).len())
+        // The device → window runs hold every (window, device) pair once,
+        // like the window rows.
+        let runs: Vec<&[(u32, u32)]> = (0..instance.sparse_devices().len())
+            .map(|s| instance.window_runs(s))
+            .collect();
+        let index_entries: usize = runs
+            .iter()
+            .flat_map(|r| r.iter())
+            .map(|&(start, end)| (end - start) as usize)
             .sum();
         assert_eq!(
             index_entries,
@@ -521,6 +526,7 @@ fn main() {
             "entries_before_dedup": instance.anchor_entries(),
             "entries_after_dedup": instance.entries(),
             "index_entries": index_entries,
+            "index_runs": runs.iter().map(|r| r.len()).sum::<usize>(),
         });
         ((), detail)
     });

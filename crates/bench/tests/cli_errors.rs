@@ -732,15 +732,15 @@ fn groupingd_reports_a_full_stdout_as_a_data_error() {
 #[cfg(target_os = "linux")]
 #[test]
 fn figures_reports_a_closed_stdout_pipe_as_a_data_error() {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_figures"))
+    // The read end is closed before the child starts, so its first write
+    // fails however the two processes are scheduled.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
         .args(["--scenario", "fig6b", "--runs", "2", "--devices", "20"])
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
+        .stdout(writer)
+        .output()
         .expect("binary spawns");
-    // Close the read end before the run prints its first line.
-    drop(child.stdout.take());
-    let out = child.wait_with_output().expect("figures exits");
     assert_error_line(&out, "figures", 1, "stdout");
 }
 

@@ -161,25 +161,26 @@ pub(crate) fn search(
             let mut fallback_set = usize::MAX; // best among tabu sets
             let mut fallback_gain = 0u32;
             for &e in &uncovered {
-                for &s in index.sets_of(e as usize) {
-                    let s = s as usize;
-                    if in_solution[s] {
-                        continue;
-                    }
-                    if gain_stamp[s] != pass {
-                        gain_stamp[s] = pass;
-                        gain[s] = 0;
-                    }
-                    gain[s] += 1;
-                    let g = gain[s];
-                    if tabu_until[s] <= iter {
-                        if g > best_gain || (g == best_gain && s < best_set) {
-                            best_gain = g;
-                            best_set = s;
+                for &(start, end) in index.runs_of(e as usize) {
+                    for s in start as usize..end as usize {
+                        if in_solution[s] {
+                            continue;
                         }
-                    } else if g > fallback_gain || (g == fallback_gain && s < fallback_set) {
-                        fallback_gain = g;
-                        fallback_set = s;
+                        if gain_stamp[s] != pass {
+                            gain_stamp[s] = pass;
+                            gain[s] = 0;
+                        }
+                        gain[s] += 1;
+                        let g = gain[s];
+                        if tabu_until[s] <= iter {
+                            if g > best_gain || (g == best_gain && s < best_set) {
+                                best_gain = g;
+                                best_set = s;
+                            }
+                        } else if g > fallback_gain || (g == fallback_gain && s < fallback_set) {
+                            fallback_gain = g;
+                            fallback_set = s;
+                        }
                     }
                 }
             }

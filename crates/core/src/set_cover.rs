@@ -37,12 +37,14 @@
 //!
 //! 1. **Incremental gain maintenance** (the production path): instead of
 //!    re-scanning every candidate each round, exact marginal gains are
-//!    kept current through an element→sets inverted index — covering a
-//!    round's winner decrements only the sets that intersect the newly
-//!    covered elements — and the next winner is popped from a lazy
-//!    snapshot heap (`RatioQueue`; `GainQueue` on the timeline). Total
-//!    work is `O(L log L)` over the whole solve, where `L` is the summed
-//!    set size, independent of the round count.
+//!    kept current through an element→sets inverted index (runs of
+//!    consecutive sets per element) — covering a round's winner
+//!    decrements only the sets that intersect the newly covered
+//!    elements — and the next winner is popped from a lazy heap
+//!    (`RatioQueue`, one entry per candidate, re-keyed at the top;
+//!    `GainQueue`'s snapshots on the timeline). Total work is
+//!    `O(L log L)` over the whole solve, where `L` is the summed set size,
+//!    independent of the round count.
 //!    [`greedy_set_cover_weighted`] is this solver over explicit sets;
 //!    [`WindowCover::solve_incremental`] runs the same scheme with one
 //!    candidate per distinct PO instant, and [`WindowCover::solve`]
@@ -56,6 +58,7 @@
 //!    (`tests/setcover_properties.rs`).
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
@@ -118,15 +121,18 @@ impl GainQueue {
     }
 }
 
-/// Lazy max-*ratio* priority queue — [`GainQueue`]'s weighted sibling,
-/// keyed on the deterministic fixed-point ratio `(gain << 32) / cost`.
+/// Max-*ratio* priority queue — [`GainQueue`]'s weighted sibling, keyed
+/// on the deterministic fixed-point ratio `(gain << 32) / cost`, with
+/// exactly one entry per live candidate.
 ///
-/// Costs are static over a solve and gains only decrease, so the ratio is
-/// monotone non-increasing and the same lazy-snapshot argument applies.
-/// One gain decrement moves the key by `2^32 / cost >= 1` (costs are
-/// `u32`, so the quotient never truncates to zero), hence a snapshot key
-/// equals the live key **iff** the gain is unchanged — the staleness test
-/// needs no separate gain comparison. The fixed-point key *is* the ratio
+/// Costs are static over a solve and gains only decrease, so an entry's
+/// key is an upper bound on its candidate's live key. Gain changes push
+/// nothing: [`RatioQueue::pop_current`] re-keys a stale top in place,
+/// drops a top whose gain reached zero, and returns the first top whose
+/// key equals its live key. That top is the eager argmax: every other
+/// candidate's live key is at most its entry's key, which is at most the
+/// top's, and an equal live key implies an equal entry key, where the
+/// heap puts the lower index first. The fixed-point key *is* the ratio
 /// law: two candidates tie exactly when their truncated keys agree, and
 /// ties break towards the lowest index via `Reverse(candidate)`. With unit
 /// costs the key degenerates to `gain << 32`, strictly monotone in the
@@ -145,7 +151,7 @@ impl RatioQueue {
         ((gain as u64) << 32) / cost as u64
     }
 
-    /// A queue holding a snapshot of every candidate with a positive gain.
+    /// A queue holding one entry for every candidate with a positive gain.
     fn new(gains: &[u32], costs: &[u32]) -> RatioQueue {
         RatioQueue {
             heap: gains
@@ -158,42 +164,45 @@ impl RatioQueue {
         }
     }
 
-    /// Pushes a fresh snapshot (no-op for exhausted candidates).
-    fn push(&mut self, gain: u32, cost: u32, candidate: usize) {
-        if gain > 0 {
-            self.heap
-                .push((Self::key(gain, cost), Reverse(candidate as u32)));
-        }
-    }
-
-    /// Pops snapshots until one carries the candidate's live key and
-    /// returns that candidate, or `None` when every remaining candidate
-    /// has gain zero.
+    /// Re-keys stale tops until one carries its candidate's live key and
+    /// removes and returns that candidate, or `None` when every remaining
+    /// candidate has gain zero.
     fn pop_current(&mut self, gains: &[u32], costs: &[u32]) -> Option<usize> {
-        while let Some((key, Reverse(candidate))) = self.heap.pop() {
+        while let Some(mut top) = self.heap.peek_mut() {
+            let (key, Reverse(candidate)) = *top;
             let candidate = candidate as usize;
-            if gains[candidate] > 0 && Self::key(gains[candidate], costs[candidate]) == key {
+            if gains[candidate] == 0 {
+                PeekMut::pop(top);
+                continue;
+            }
+            let live = Self::key(gains[candidate], costs[candidate]);
+            if live == key {
+                PeekMut::pop(top);
                 return Some(candidate);
             }
+            // The key only falls, so the entry sifts down when `top` drops.
+            top.0 = live;
         }
         None
     }
 }
 
 /// An explicit set system as the kernels read it: each set's distinct
-/// elements as a `u32` CSR row plus the element → sets transpose, each
-/// element's sets ascending. The explicit-set entry points build one per
-/// call; an [`AnchorInstance`] holds one, which the weighted rounds and
-/// the tabu search read in place.
+/// elements as a `u32` CSR row plus, per element, the maximal runs
+/// `[start, end)` of consecutive set indices that hold it, ascending. The
+/// explicit-set entry points build one per call; an [`AnchorInstance`]
+/// holds one, which the weighted rounds and the tabu search read in
+/// place. Consecutive anchor windows share nearly all their members, so
+/// a device's windows are a few dozen runs where a transpose would list
+/// about two thousand ids (500 ericsson-city devices).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct SetIndex {
     /// Set `i`'s elements are `set_elems[set_off[i]..set_off[i + 1]]`.
     set_off: Vec<u32>,
     set_elems: Vec<u32>,
-    /// Element `e`'s sets are `elem_sets[elem_off[e]..elem_off[e + 1]]`,
-    /// ascending.
-    elem_off: Vec<u32>,
-    elem_sets: Vec<u32>,
+    /// Element `e`'s runs are `runs[run_off[e]..run_off[e + 1]]`.
+    run_off: Vec<u32>,
+    runs: Vec<(u32, u32)>,
 }
 
 impl SetIndex {
@@ -230,7 +239,7 @@ impl SetIndex {
             }
             index.close_set();
         }
-        index.transpose(universe_size);
+        index.index_runs(universe_size);
         index
     }
 
@@ -240,31 +249,61 @@ impl SetIndex {
         self.set_off.push(end);
     }
 
-    /// Builds the element → sets transpose of the set rows: a counting
-    /// pass, an exclusive prefix sum, then a scatter in set order, so each
-    /// element's sets come out ascending.
-    fn transpose(&mut self, universe_size: usize) {
-        let mut elem_off = vec![0u32; universe_size + 1];
-        for &e in &self.set_elems {
-            elem_off[e as usize + 1] += 1;
+    /// Builds each element's runs from the set rows: a counting pass, an
+    /// exclusive prefix sum, then a fill pass that writes a run's start
+    /// when it opens and its end when it closes. Both passes walk the rows
+    /// in set order and open a run where an element's previous set is not
+    /// the one before, extending the open run otherwise.
+    fn index_runs(&mut self, universe_size: usize) {
+        // Per element: the end of its open run, `NONE` before its first
+        // set (no set index reaches it, so an element of set 0 opens a
+        // run), then its run count and, after the prefix sum, the slot
+        // after its open run.
+        const NONE: u32 = u32::MAX;
+        let mut open = vec![(NONE, 0u32); universe_size];
+        self.for_each_entry(|i, e| {
+            let (end, count) = &mut open[e];
+            if *end != i {
+                *count += 1;
+            }
+            *end = i + 1;
+        });
+        let mut run_off = Vec::with_capacity(universe_size + 1);
+        run_off.push(0u32);
+        for (end, slot) in &mut open {
+            let first = run_off[run_off.len() - 1];
+            run_off.push(first + *slot);
+            (*end, *slot) = (NONE, first);
         }
-        for e in 0..universe_size {
-            elem_off[e + 1] += elem_off[e];
-        }
-        let mut elem_sets = vec![0u32; self.set_elems.len()];
-        for (i, row) in self.set_off.windows(2).enumerate() {
-            for &e in &self.set_elems[row[0] as usize..row[1] as usize] {
-                // `elem_off[e]` is the next free slot of element `e` and
-                // ends as the start of element `e + 1`: shift it back.
-                let slot = &mut elem_off[e as usize];
-                elem_sets[*slot as usize] = i as u32;
+        let mut runs = vec![(0u32, 0u32); run_off[universe_size] as usize];
+        self.for_each_entry(|i, e| {
+            let (end, slot) = &mut open[e];
+            if *end != i {
+                if *end != NONE {
+                    runs[*slot as usize - 1].1 = *end;
+                }
+                runs[*slot as usize].0 = i;
                 *slot += 1;
             }
+            *end = i + 1;
+        });
+        // Close each element's last run.
+        for (end, slot) in open {
+            if end != NONE {
+                runs[slot as usize - 1].1 = end;
+            }
         }
-        elem_off.copy_within(..universe_size, 1);
-        elem_off[0] = 0;
-        self.elem_off = elem_off;
-        self.elem_sets = elem_sets;
+        self.run_off = run_off;
+        self.runs = runs;
+    }
+
+    /// Calls `f(i, e)` for every element `e` of every set `i`, in set order.
+    fn for_each_entry(&self, mut f: impl FnMut(u32, usize)) {
+        for (i, row) in self.set_off.windows(2).enumerate() {
+            for &e in &self.set_elems[row[0] as usize..row[1] as usize] {
+                f(i as u32, e as usize);
+            }
+        }
     }
 
     /// Number of sets.
@@ -276,7 +315,7 @@ impl SetIndex {
     /// Number of elements (the universe size).
     #[inline]
     pub(crate) fn elements(&self) -> usize {
-        self.elem_off.len() - 1
+        self.run_off.len() - 1
     }
 
     /// The distinct elements of set `i`.
@@ -285,10 +324,12 @@ impl SetIndex {
         &self.set_elems[self.set_off[i] as usize..self.set_off[i + 1] as usize]
     }
 
-    /// The sets holding element `e`, ascending.
+    /// The sets holding element `e` as maximal runs `[start, end)` of
+    /// consecutive set indices, ascending: each run ends before the next
+    /// one starts, never at its start.
     #[inline]
-    pub(crate) fn sets_of(&self, e: usize) -> &[u32] {
-        &self.elem_sets[self.elem_off[e] as usize..self.elem_off[e + 1] as usize]
+    pub(crate) fn runs_of(&self, e: usize) -> &[(u32, u32)] {
+        &self.runs[self.run_off[e] as usize..self.run_off[e + 1] as usize]
     }
 }
 
@@ -351,9 +392,10 @@ pub fn greedy_set_cover(universe_size: usize, sets: &[Vec<usize>]) -> Option<Vec
 /// Instead of re-scanning every set each round, exact marginal gains are
 /// maintained through an element→sets inverted index: covering a round's
 /// winner decrements only the sets intersecting the newly covered
-/// elements, and winners pop from a lazy max-ratio snapshot heap (costs
-/// are static and gains only decrease, so stale snapshots are upper
-/// bounds). Total work is `O(L log L)` for summed set size `L`.
+/// elements, and winners pop from a lazy max-ratio heap with one entry
+/// per set (costs are static and gains only decrease, so a stale key is
+/// an upper bound, re-keyed when it reaches the top). Total work is
+/// `O(L log L)` for summed set size `L`.
 ///
 /// **Unit costs reproduce the count greedy pick for pick**: with
 /// `cost == 1` the key is `gain << 32`, strictly monotone in the gain, so
@@ -400,39 +442,21 @@ fn weighted_rounds(index: &SetIndex, costs: &[u32]) -> Option<Vec<usize>> {
     let mut remaining = index.elements();
     let mut covered = vec![false; remaining];
     let mut picked = Vec::new();
-    // Per-round dedup of gain-changed sets, stamped by round number
-    // (rounds never reach the u32::MAX sentinel: there are at most
-    // `universe_size < u32::MAX` of them).
-    let mut last_touch = vec![u32::MAX; index.sets()];
-    let mut touched: Vec<u32> = Vec::new();
-    let mut round = 0u32;
     while remaining > 0 {
         let best = queue.pop_current(&gains, costs)?;
         picked.push(best);
-        touched.clear();
         for &e in index.set(best) {
             let e = e as usize;
             if !covered[e] {
                 covered[e] = true;
                 remaining -= 1;
-                for &s in index.sets_of(e) {
-                    let s = s as usize;
-                    gains[s] -= 1;
-                    if last_touch[s] != round {
-                        last_touch[s] = round;
-                        touched.push(s as u32);
+                for &(start, end) in index.runs_of(e) {
+                    for gain in &mut gains[start as usize..end as usize] {
+                        *gain -= 1;
                     }
                 }
             }
         }
-        // One fresh snapshot per changed set, after all of the round's
-        // decrements (the winner itself drops to gain zero and is never
-        // re-enqueued).
-        for &s in &touched {
-            let s = s as usize;
-            queue.push(gains[s], costs[s], s);
-        }
-        round += 1;
     }
     Some(picked)
 }
@@ -794,9 +818,9 @@ impl PoTimeline {
 /// lowest anchor, plus an anchor → window map. Windows are numbered in
 /// order of their lowest anchor, so a lowest-index tie law over windows is
 /// the lowest-anchor tie law over the full per-anchor instance. The
-/// windows are stored as a `u32` CSR together with its device → window
-/// transpose: the index the weighted greedy rounds and the tabu search
-/// read, so no plan re-indexes the instance.
+/// windows are stored as a `u32` CSR together with each device's windows
+/// as runs of consecutive window indices: the index the weighted greedy
+/// rounds and the tabu search read, so no plan re-indexes the instance.
 ///
 /// The instance is per device, not per schedule class: the tabu search
 /// ([`crate::improve`]) counts uncovered devices, and the weighted cover
@@ -823,8 +847,8 @@ pub struct AnchorInstance {
     /// Each window's lowest anchor (an index into `anchors`).
     lowest: Vec<u32>,
     /// Distinct member sets (sparse indices in PO order at the lowest
-    /// anchor), in lowest-anchor order, with their sparse device → window
-    /// transpose.
+    /// anchor), in lowest-anchor order, with each sparse device's runs of
+    /// windows.
     windows: SetIndex,
 }
 
@@ -979,7 +1003,7 @@ impl AnchorInstance {
             instance.windows.set_elems.len() < u32::MAX as usize,
             "u32 instance indices"
         );
-        instance.windows.transpose(instance.sparse.len());
+        instance.windows.index_runs(instance.sparse.len());
         instance
     }
 
@@ -1036,10 +1060,11 @@ impl AnchorInstance {
     }
 
     /// The windows holding sparse device `s` (a position in
-    /// [`AnchorInstance::sparse_devices`]), ascending: the transpose of
+    /// [`AnchorInstance::sparse_devices`]) as maximal runs `[start, end)`
+    /// of consecutive window indices, ascending: the transpose of
     /// [`AnchorInstance::window`]. Panics when `s` is out of range.
-    pub fn windows_of(&self, s: usize) -> &[u32] {
-        self.windows.sets_of(s)
+    pub fn window_runs(&self, s: usize) -> &[(u32, u32)] {
+        self.windows.runs_of(s)
     }
 
     /// Summed size of the distinct windows.
@@ -2720,8 +2745,8 @@ mod tests {
             .map(|w| instance.window(w))
             .collect();
         assert_eq!(windows, vec![&[0, 1][..], &[1], &[2]]);
-        let transpose: Vec<&[u32]> = (0..3).map(|s| instance.windows_of(s)).collect();
-        assert_eq!(transpose, vec![&[0][..], &[0, 1], &[2]]);
+        let runs: Vec<&[(u32, u32)]> = (0..3).map(|s| instance.window_runs(s)).collect();
+        assert_eq!(runs, vec![&[(0, 1)][..], &[(0, 2)], &[(2, 3)]]);
         assert_eq!(instance.lowest_anchors(), &[0, 1, 2]);
         let window_of: Vec<usize> = (0..6).map(|a| instance.window_of(a)).collect();
         assert_eq!(window_of, vec![0, 1, 2, 0, 1, 2]);
@@ -2751,6 +2776,71 @@ mod tests {
             let empty = AnchorInstance::new(ti, &PoTimeline::from_events(&events, &dense));
             assert!(empty.anchors().is_empty() && empty.window_count() == 0);
             assert_eq!(empty.dense_devices().count(), events.len());
+        }
+    }
+
+    #[test]
+    fn set_index_runs_are_maximal_and_expand_to_each_elements_sets() {
+        // (case, universe, sets, expected runs per element).
+        type Runs = Vec<Vec<(u32, u32)>>;
+        let cases: Vec<(&str, usize, Vec<Vec<usize>>, Runs)> = vec![
+            (
+                "an element of set 0 opens its own run",
+                2,
+                vec![vec![0], vec![1], vec![0]],
+                vec![vec![(0, 1), (2, 3)], vec![(1, 2)]],
+            ),
+            (
+                "an element in every set is one run",
+                2,
+                vec![vec![0, 1], vec![0], vec![1, 0]],
+                vec![vec![(0, 3)], vec![(0, 1), (2, 3)]],
+            ),
+            (
+                "back-to-back equal sets extend one run",
+                3,
+                vec![vec![2, 0], vec![0, 2], vec![0, 2], vec![1]],
+                vec![vec![(0, 3)], vec![(3, 4)], vec![(0, 3)]],
+            ),
+            (
+                "gaps between an element's sets close its runs",
+                1,
+                vec![vec![0], vec![], vec![0], vec![0], vec![], vec![], vec![0]],
+                vec![vec![(0, 1), (2, 4), (6, 7)]],
+            ),
+            (
+                "an element in no set has no runs",
+                3,
+                vec![vec![0], vec![2, 0]],
+                vec![vec![(0, 2)], vec![], vec![(1, 2)]],
+            ),
+            (
+                "empty sets and a repeated element",
+                2,
+                vec![vec![], vec![1, 1], vec![], vec![]],
+                vec![vec![], vec![(1, 2)]],
+            ),
+            ("no sets at all", 2, vec![], vec![vec![], vec![]]),
+        ];
+        for (case, universe, sets, expected) in cases {
+            let index = SetIndex::new(universe, &sets);
+            assert_eq!(index.elements(), universe, "{case}");
+            for (e, want) in expected.iter().enumerate() {
+                let runs = index.runs_of(e);
+                assert_eq!(runs, &want[..], "{case}: element {e}");
+                assert!(runs.iter().all(|r| r.0 < r.1), "{case}: empty run");
+                assert!(
+                    runs.windows(2).all(|p| p[0].1 < p[1].0),
+                    "{case}: runs of {e} not ascending and maximal"
+                );
+                let expanded: Vec<usize> = runs
+                    .iter()
+                    .flat_map(|&(start, end)| start as usize..end as usize)
+                    .collect();
+                let holding: Vec<usize> =
+                    (0..sets.len()).filter(|&i| sets[i].contains(&e)).collect();
+                assert_eq!(expanded, holding, "{case}: element {e}");
+            }
         }
     }
 }

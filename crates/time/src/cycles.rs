@@ -321,8 +321,6 @@ impl CycleLadder {
             .iter()
             .map(|&d| PagingCycle::Drx(d))
             .chain(EdrxCycle::ALL.iter().map(|&e| PagingCycle::edrx(e)))
-            .collect::<Vec<_>>()
-            .into_iter()
     }
 
     /// The standard cycle with exactly `frames` radio frames, if any.

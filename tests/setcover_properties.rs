@@ -301,9 +301,9 @@ proptest! {
             naive.iter().map(|(_, m)| m.len()).sum::<usize>()
         );
 
-        // The device → window index is the exact transpose of the windows:
-        // each (window, device) pair once in each direction, and each
-        // device's windows ascending.
+        // The device → window runs expand to the exact transpose of the
+        // windows: each (window, device) pair once in each direction, and
+        // each device's runs non-empty, ascending and maximal.
         let mut forward: Vec<(usize, usize)> = windows
             .iter()
             .enumerate()
@@ -311,9 +311,10 @@ proptest! {
             .collect();
         let mut backward: Vec<(usize, usize)> = Vec::new();
         for s in 0..n_sparse {
-            let of = instance.windows_of(s);
-            prop_assert!(of.windows(2).all(|p| p[0] < p[1]), "device {} windows {:?}", s, of);
-            backward.extend(of.iter().map(|&w| (w as usize, s)));
+            let runs = instance.window_runs(s);
+            prop_assert!(runs.iter().all(|r| r.0 < r.1), "device {} runs {:?}", s, runs);
+            prop_assert!(runs.windows(2).all(|p| p[0].1 < p[1].0), "device {} runs {:?}", s, runs);
+            backward.extend(runs.iter().flat_map(|&(start, end)| (start..end).map(|w| (w as usize, s))));
         }
         forward.sort_unstable();
         backward.sort_unstable();
