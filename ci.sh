@@ -479,11 +479,14 @@ stage_bench_gate() {
         gate_flags+=(--warn-only)
     fi
     # ${arr[@]+...} keeps the empty strict-mode array safe under `set -u`
-    # on bash < 4.4 (macOS ships 3.2).
+    # on bash < 4.4 (macOS ships 3.2). bench_report writes the report
+    # before it gates, so a failing gate still gets the report checks
+    # below, and its status is the stage's.
+    local gate_rc=0
     cargo run --release -q -p nbiot-bench --bin bench_report -- \
         ${workload_flags[@]+"${workload_flags[@]}"} \
         --out "$ARTIFACT_DIR/BENCH_results.json" \
-        "${gate_flags[@]}" > /dev/null
+        "${gate_flags[@]}" > /dev/null || gate_rc=$?
     test -s "$ARTIFACT_DIR/BENCH_results.json"
     # The shared-input DR-SC family stage is what the derived
     # dr_sc_family_sharing_ratio reads; a report without it is broken.
@@ -507,6 +510,8 @@ stage_bench_gate() {
         || { echo "anchor_instance sizes moved: $sizes" >&2; return 1; }
     echo "bench report written to $ARTIFACT_DIR/BENCH_results.json:"
     grep -A4 '"derived"' "$ARTIFACT_DIR/BENCH_results.json"
+    [[ "$gate_rc" -eq 0 ]] || echo "bench gate failed (exit $gate_rc); the report checks passed" >&2
+    return "$gate_rc"
 }
 
 stage_massive_smoke() {

@@ -40,11 +40,10 @@
 //!    kept current through an element→sets inverted index (runs of
 //!    consecutive sets per element) — covering a round's winner
 //!    decrements only the sets that intersect the newly covered
-//!    elements — and the next winner is popped from a lazy heap
-//!    (`RatioQueue`, one entry per candidate, re-keyed at the top;
-//!    `GainQueue`'s snapshots on the timeline). Total work is
-//!    `O(L log L)` over the whole solve, where `L` is the summed set size,
-//!    independent of the round count.
+//!    elements — and the next winner is popped from one lazy heap
+//!    (`LazyQueue`: one entry per candidate, re-keyed when it reaches the
+//!    top). Total work is `O(L log L)` over the whole solve, where `L` is
+//!    the summed set size, independent of the round count.
 //!    [`greedy_set_cover_weighted`] is this solver over explicit sets;
 //!    [`WindowCover::solve_incremental`] runs the same scheme with one
 //!    candidate per distinct PO instant, and [`WindowCover::solve`]
@@ -66,125 +65,73 @@ use nbiot_time::{PagingSchedule, SimDuration, SimInstant, TimeWindow};
 
 use crate::improve::ImprovementStats;
 
-/// Lazy max-gain priority queue over `(gain, Reverse(candidate))`
-/// snapshots — the priority structure of the incremental window-cover
-/// engine.
+/// Lazy max-key priority queue over `(key, Reverse(candidate))`, one
+/// entry per candidate: the priority structure of both greedy engines.
 ///
-/// Gains of a greedy cover only ever *decrease* as coverage grows
-/// (coverage gain is submodular), so a snapshot taken earlier is an upper
-/// bound on the candidate's current gain. Every gain change pushes a fresh
-/// snapshot; [`GainQueue::pop_current`] discards stale entries until the
-/// top snapshot matches the candidate's live gain. The first current
-/// entry popped is exactly the eager greedy's argmax with ties broken
-/// towards the lowest index: any entry ordered above `(gain[s*], s*)`
-/// either carries a stale (higher) gain or would itself be a lower-index
-/// argmax.
+/// The engine supplies each candidate's live key: the fixed-point
+/// gain/cost ratio ([`ratio_key`]) in the explicit-set rounds, and the
+/// gain of a live instant (zero once the instant is dead) on the
+/// timeline. Keys only fall over a solve (gains only decrease, costs are
+/// static and a dead instant stays dead), so an entry's key is an upper
+/// bound on its candidate's live key, and a gain change pushes nothing.
+/// [`LazyQueue::pop_current`] drops a top whose live key is zero, re-keys
+/// a stale top in place, and returns the first top whose key equals its
+/// live key. That top is the eager argmax with ties broken towards the
+/// lowest index: every other candidate's live key is at most its entry's
+/// key, which is at most the top's, and an equal live key implies an
+/// equal entry key, where the heap puts the lower index first.
 ///
-/// The keys are `u32`, so a snapshot is 8 bytes: gains are device counts
-/// and candidates are set/instant indices, both far below 2^32 for any
-/// instance that fits in memory.
-struct GainQueue {
-    heap: BinaryHeap<(u32, Reverse<u32>)>,
-}
-
-impl GainQueue {
-    /// A queue holding a snapshot of every candidate with a positive gain.
-    fn new(gains: &[u32]) -> GainQueue {
-        GainQueue {
-            heap: gains
-                .iter()
-                .enumerate()
-                .filter(|&(_, &g)| g > 0)
-                .map(|(i, &g)| (g, Reverse(i as u32)))
-                .collect(),
-        }
-    }
-
-    /// Pushes a fresh snapshot (no-op for exhausted candidates).
-    fn push(&mut self, gain: u32, candidate: usize) {
-        if gain > 0 {
-            self.heap.push((gain, Reverse(candidate as u32)));
-        }
-    }
-
-    /// Pops snapshots until one is current (`gains[c]` unchanged) and
-    /// returns that candidate, or `None` when every remaining candidate
-    /// has gain zero.
-    fn pop_current(&mut self, gains: &[u32]) -> Option<usize> {
-        while let Some((gain, Reverse(candidate))) = self.heap.pop() {
-            let candidate = candidate as usize;
-            if gains[candidate] == gain {
-                return Some(candidate);
-            }
-        }
-        None
-    }
-}
-
-/// Max-*ratio* priority queue — [`GainQueue`]'s weighted sibling, keyed
-/// on the deterministic fixed-point ratio `(gain << 32) / cost`, with
-/// exactly one entry per live candidate.
-///
-/// Costs are static over a solve and gains only decrease, so an entry's
-/// key is an upper bound on its candidate's live key. Gain changes push
-/// nothing: [`RatioQueue::pop_current`] re-keys a stale top in place,
-/// drops a top whose gain reached zero, and returns the first top whose
-/// key equals its live key. That top is the eager argmax: every other
-/// candidate's live key is at most its entry's key, which is at most the
-/// top's, and an equal live key implies an equal entry key, where the
-/// heap puts the lower index first. The fixed-point key *is* the ratio
-/// law: two candidates tie exactly when their truncated keys agree, and
-/// ties break towards the lowest index via `Reverse(candidate)`. With unit
-/// costs the key degenerates to `gain << 32`, strictly monotone in the
-/// gain, so the pick sequence is the count greedy's
-/// (proptest-locked against [`reference::greedy_set_cover`] in
-/// `tests/setcover_properties.rs`).
-struct RatioQueue {
+/// Candidates are set/instant indices, far below 2^32 for any instance
+/// that fits in memory, so an entry is 16 bytes.
+struct LazyQueue {
     heap: BinaryHeap<(u64, Reverse<u32>)>,
 }
 
-impl RatioQueue {
-    /// The deterministic fixed-point ratio key. `cost` must be nonzero
-    /// (asserted by the solver entry points).
-    #[inline]
-    fn key(gain: u32, cost: u32) -> u64 {
-        ((gain as u64) << 32) / cost as u64
-    }
-
-    /// A queue holding one entry for every candidate with a positive gain.
-    fn new(gains: &[u32], costs: &[u32]) -> RatioQueue {
-        RatioQueue {
-            heap: gains
-                .iter()
-                .zip(costs)
+impl LazyQueue {
+    /// A queue holding one entry for every candidate with a positive key.
+    fn new(keys: impl Iterator<Item = u64>) -> LazyQueue {
+        LazyQueue {
+            heap: keys
                 .enumerate()
-                .filter(|&(_, (&g, _))| g > 0)
-                .map(|(i, (&g, &c))| (Self::key(g, c), Reverse(i as u32)))
+                .filter(|&(_, k)| k > 0)
+                .map(|(i, k)| (k, Reverse(i as u32)))
                 .collect(),
         }
     }
 
-    /// Re-keys stale tops until one carries its candidate's live key and
-    /// removes and returns that candidate, or `None` when every remaining
-    /// candidate has gain zero.
-    fn pop_current(&mut self, gains: &[u32], costs: &[u32]) -> Option<usize> {
+    /// Re-keys stale tops to `live_key(candidate)` until one carries its
+    /// candidate's live key and removes and returns that candidate, or
+    /// `None` when every remaining candidate's live key is zero.
+    fn pop_current(&mut self, live_key: impl Fn(usize) -> u64) -> Option<usize> {
         while let Some(mut top) = self.heap.peek_mut() {
             let (key, Reverse(candidate)) = *top;
             let candidate = candidate as usize;
-            if gains[candidate] == 0 {
+            let live = live_key(candidate);
+            if live == 0 {
                 PeekMut::pop(top);
-                continue;
-            }
-            let live = Self::key(gains[candidate], costs[candidate]);
-            if live == key {
+            } else if live == key {
                 PeekMut::pop(top);
                 return Some(candidate);
+            } else {
+                // The key only falls, so the entry sifts down when `top` drops.
+                top.0 = live;
             }
-            // The key only falls, so the entry sifts down when `top` drops.
-            top.0 = live;
         }
         None
     }
+}
+
+/// The deterministic fixed-point ratio key `(gain << 32) / cost`, the
+/// explicit-set rounds' ratio law: two candidates tie exactly when their
+/// truncated keys agree. `cost` must be nonzero (asserted by the solver
+/// entry points); as a `u32` it is below 2^32, so the key is zero exactly
+/// when the gain is. With unit costs the key is `gain << 32`, strictly
+/// monotone in the gain, so the pick sequence is the count greedy's
+/// (proptest-locked against [`reference::greedy_set_cover`] in
+/// `tests/setcover_properties.rs`).
+#[inline]
+fn ratio_key(gain: u32, cost: u32) -> u64 {
+    ((gain as u64) << 32) / cost as u64
 }
 
 /// An explicit set system as the kernels read it: each set's distinct
@@ -438,12 +385,12 @@ fn weighted_rounds(index: &SetIndex, costs: &[u32]) -> Option<Vec<usize>> {
     let mut gains: Vec<u32> = (0..index.sets())
         .map(|i| index.set(i).len() as u32)
         .collect();
-    let mut queue = RatioQueue::new(&gains, costs);
+    let mut queue = LazyQueue::new(gains.iter().zip(costs).map(|(&g, &c)| ratio_key(g, c)));
     let mut remaining = index.elements();
     let mut covered = vec![false; remaining];
     let mut picked = Vec::new();
     while remaining > 0 {
-        let best = queue.pop_current(&gains, costs)?;
+        let best = queue.pop_current(|c| ratio_key(gains[c], costs[c]))?;
         picked.push(best);
         for &e in index.set(best) {
             let e = e as usize;
@@ -1183,7 +1130,8 @@ impl WindowCover {
     /// decrements the gains of the instants whose window sees one of its
     /// POs by its multiplicity, once per window, so a solve does at most
     /// `M_inst` decrements, the summed class-event count over the
-    /// instants' windows.
+    /// instants' windows. Winners pop from the same lazy queue as the
+    /// explicit-set rounds, keyed on a live instant's gain.
     pub fn solve_incremental(
         &self,
         horizon_start: SimInstant,
@@ -1390,8 +1338,9 @@ impl WindowCover {
     /// Covering a class decrements the gains over the merged instant
     /// ranges of its POs by its multiplicity, once per window, and the
     /// live count of each instant holding one of its POs; an instant whose
-    /// live count is zero is no longer a candidate. Winners pop from the
-    /// lazy max-gain snapshot queue, `GainQueue`.
+    /// live count is zero is no longer a candidate. Winners pop from a
+    /// `LazyQueue` whose live key is an instant's gain while the instant
+    /// is live and zero once it is dead, so keys only fall.
     ///
     /// The slots equal the re-sweep's, which anchors at the events left
     /// after dropping covered classes' POs. Among the events left at one
@@ -1462,16 +1411,14 @@ impl WindowCover {
             }
         }
 
-        let mut queue = GainQueue::new(&gains);
-        // Per-round dedup of gain-changed instants, stamped by round.
-        let mut last_touch = vec![u32::MAX; candidates];
-        let mut touched: Vec<u32> = Vec::new();
+        // Every instant is live (it holds an event) until its live count
+        // drops to zero; a dead instant's key is zero.
+        let mut queue = LazyQueue::new(gains.iter().map(|&g| u64::from(g)));
         let mut slots = Vec::new();
         let mut newly: Vec<usize> = Vec::new();
-        let mut round = 0u32;
         while uncovered_sparse > 0 {
             let q = queue
-                .pop_current(&gains)
+                .pop_current(|a| if live[a] > 0 { u64::from(gains[a]) } else { 0 })
                 .expect("uncovered sparse class without events");
             let window_start = flat[starts[q] as usize].0;
             newly.clear();
@@ -1482,7 +1429,6 @@ impl WindowCover {
                 }
             }
             debug_assert!(!newly.is_empty(), "selected window covers nothing");
-            touched.clear();
             for &c in &newly {
                 let weight = timeline.multiplicity(c);
                 // Candidates seeing >= 1 PO of c: the union of
@@ -1495,26 +1441,16 @@ impl WindowCover {
                     if p < candidates {
                         live[p] -= 1;
                     }
-                    for a in (first[p] as usize).max(next_start)..(p + 1).min(candidates) {
-                        gains[a] -= weight;
-                        if last_touch[a] != round {
-                            last_touch[a] = round;
-                            touched.push(a as u32);
-                        }
+                    // Past the last candidate `lo` can exceed `hi`:
+                    // skipping into `..hi` yields nothing there, where
+                    // slicing `lo..hi` would panic.
+                    let (lo, hi) = ((first[p] as usize).max(next_start), (p + 1).min(candidates));
+                    for gain in gains[..hi].iter_mut().skip(lo) {
+                        *gain -= weight;
                     }
                     next_start = p + 1;
                 }
             }
-            // An instant's live count drops to zero in a round that also
-            // decrements its gain, so withholding its fresh snapshot
-            // leaves only stale ones: it is never picked again.
-            for &a in &touched {
-                let a = a as usize;
-                if live[a] > 0 {
-                    queue.push(gains[a], a);
-                }
-            }
-            round += 1;
             let covered_devices = timeline.devices_of(&newly);
             uncovered_sparse -= covered_devices.len();
             slots.push(CoverSlot {

@@ -11,7 +11,7 @@
 //! * **DR-SI** extends the paging message with the non-critical
 //!   `mltc-transmission` extension ([`MltcNotification`]: device identity +
 //!   time remaining until the multicast transmission) and introduces the
-//!   [`T322`] timer and the non-standard
+//!   T322 timer and the non-standard
 //!   [`EstablishmentCause::MulticastReception`] — which is exactly why that
 //!   mechanism is *not* standards-compliant
 //!   ([`PagingMessage::is_standards_compliant`]).
@@ -34,4 +34,4 @@ pub use messages::{
 };
 pub use ra::{RaOutcome, RandomAccess, RandomAccessConfig};
 pub use signalling::SignallingCosts;
-pub use timer::{InactivityTimer, T322};
+pub use timer::InactivityTimer;

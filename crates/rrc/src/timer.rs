@@ -49,43 +49,6 @@ impl fmt::Display for InactivityTimer {
     }
 }
 
-/// The DR-SI wake-up timer (paper Sec. III-C).
-///
-/// Upon receiving an `mltc-transmission` notification the device draws a
-/// uniform-random instant in `[t − TI, t)` and arms T322 to expire there;
-/// at expiry it connects (with cause `multicastReception`) and waits for
-/// the multicast data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct T322 {
-    expires_at: SimInstant,
-}
-
-impl T322 {
-    /// Arms the timer to expire at `expires_at`.
-    pub const fn armed_at(expires_at: SimInstant) -> T322 {
-        T322 { expires_at }
-    }
-
-    /// Expiry instant.
-    #[inline]
-    pub const fn expires_at(self) -> SimInstant {
-        self.expires_at
-    }
-
-    /// Whether the timer has expired at `now`.
-    #[inline]
-    pub fn is_expired(self, now: SimInstant) -> bool {
-        now >= self.expires_at
-    }
-}
-
-impl fmt::Display for T322 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "T322@{}", self.expires_at)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,13 +66,5 @@ mod tests {
             ti.expiry_after(SimInstant::from_secs(5)),
             SimInstant::from_secs(15)
         );
-    }
-
-    #[test]
-    fn t322_expiry() {
-        let t = T322::armed_at(SimInstant::from_ms(100));
-        assert!(!t.is_expired(SimInstant::from_ms(99)));
-        assert!(t.is_expired(SimInstant::from_ms(100)));
-        assert!(t.is_expired(SimInstant::from_ms(101)));
     }
 }

@@ -77,26 +77,6 @@ impl CampaignResult {
         RelativeUptime::between(&mech_total, &base_total)
     }
 
-    /// Per-device relative uptime increases versus `baseline`, for
-    /// distribution-level analysis (the aggregate metric is
-    /// [`CampaignResult::mean_relative_vs`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the two results cover different device counts.
-    pub fn per_device_relative_vs(&self, baseline: &CampaignResult) -> Vec<RelativeUptime> {
-        assert_eq!(
-            self.ledgers.len(),
-            baseline.ledgers.len(),
-            "results compare different populations"
-        );
-        self.ledgers
-            .iter()
-            .zip(&baseline.ledgers)
-            .map(|(m, b)| RelativeUptime::between(m, b))
-            .collect()
-    }
-
     /// Mean per-device energy in millijoules under `profile`.
     pub fn mean_energy_mj(&self, profile: &PowerProfile) -> f64 {
         mean(self.ledgers.iter().map(|l| profile.energy_mj(l)))

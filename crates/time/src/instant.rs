@@ -181,12 +181,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Length in whole radio frames (truncating).
-    #[inline]
-    pub const fn as_frames(self) -> u64 {
-        self.0 / MS_PER_FRAME
-    }
-
     /// Length in seconds, as a float.
     #[inline]
     pub fn as_secs_f64(self) -> f64 {

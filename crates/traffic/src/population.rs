@@ -381,26 +381,6 @@ impl Population {
         }
         sub
     }
-
-    /// Splits the population into one sub-population per (non-empty)
-    /// class, in class order.
-    pub fn partition_by_class(&self) -> Vec<(String, Population)> {
-        self.class_names
-            .iter()
-            .map(|name| (name.clone(), self.filter_by_class(name)))
-            .filter(|(_, p)| !p.is_empty())
-            .collect()
-    }
-
-    /// Number of devices per class, in class order (including empty
-    /// classes).
-    pub fn class_counts(&self) -> Vec<(String, usize)> {
-        let mut counts = vec![0usize; self.class_names.len()];
-        for class in &self.classes {
-            counts[class.0] += 1;
-        }
-        self.class_names.iter().cloned().zip(counts).collect()
-    }
 }
 
 impl fmt::Display for Population {
@@ -579,25 +559,5 @@ mod tests {
             assert_eq!(p.device(d.id.index()).id, d.id);
         }
         assert!(p.filter_by_class("no-such-class").is_empty());
-    }
-
-    #[test]
-    fn partition_covers_whole_population() {
-        let p = pop(300);
-        let parts = p.partition_by_class();
-        let total: usize = parts.iter().map(|(_, sub)| sub.len()).sum();
-        assert_eq!(total, p.len());
-        for (name, sub) in &parts {
-            assert!(sub.iter().all(|d| p.class_name(d.class) == name));
-        }
-    }
-
-    #[test]
-    fn class_counts_sum_to_population() {
-        let p = pop(250);
-        let counts = p.class_counts();
-        let total: usize = counts.iter().map(|(_, c)| c).sum();
-        assert_eq!(total, 250);
-        assert_eq!(counts.len(), 7); // city mix classes
     }
 }

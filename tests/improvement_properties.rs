@@ -3,11 +3,12 @@
 //! and the LNS churn-repair path's equivalence to never re-planning when
 //! nothing churns.
 
-use nbiot_multicast::grouping::improve::improve_cover;
+use nbiot_multicast::grouping::improve::{improve_cover, ImprovementStats, TABU_TENURE};
 use nbiot_multicast::grouping::{repair_plan, DrSc, DrScTabu};
 use nbiot_multicast::prelude::*;
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 
 fn covers(universe: usize, sets: &[Vec<usize>], picks: &[usize]) -> bool {
     let mut covered = vec![false; universe];
@@ -17,6 +18,123 @@ fn covers(universe: usize, sets: &[Vec<usize>], picks: &[usize]) -> bool {
         }
     }
     covered.iter().all(|&c| c)
+}
+
+/// The tabu search of `improve_cover` without an inverted index: the same
+/// seeded victim draw, `TABU_TENURE`, aspiration, strip pass and rollback,
+/// but each repair pass recomputes every set's gain by scanning the set
+/// (deduplicated) against the uncovered elements. It reads no
+/// element → sets runs, so it sees every set of an element however those
+/// sets are spread over the indices.
+fn naive_tabu(
+    universe: usize,
+    sets: &[Vec<usize>],
+    initial: &[usize],
+    budget: u32,
+    seed: u64,
+) -> (Vec<usize>, ImprovementStats) {
+    let sets: Vec<Vec<usize>> = sets
+        .iter()
+        .map(|set| {
+            let mut set = set.clone();
+            set.sort_unstable();
+            set.dedup();
+            set
+        })
+        .collect();
+    let initial_cost = initial.len() as u32;
+    let mut stats = ImprovementStats {
+        initial_cost,
+        final_cost: initial_cost,
+        moves_accepted: 0,
+        budget_spent: 0,
+    };
+    if budget == 0 || initial.len() <= 1 || universe == 0 {
+        return (initial.to_vec(), stats);
+    }
+    let mut picks = initial.to_vec();
+    let mut cover = vec![0u32; universe];
+    for &s in &picks {
+        for &e in &sets[s] {
+            cover[e] += 1;
+        }
+    }
+    let mut best = picks.clone();
+    let mut tabu_until = vec![0u32; sets.len()];
+    let mut rng = StdRng::seed_from_u64(seed);
+    for iter in 0..budget {
+        stats.budget_spent = iter + 1;
+        let before = (picks.clone(), cover.clone());
+        let victim = picks.remove((rng.next_u64() % picks.len() as u64) as usize);
+        tabu_until[victim] = iter + 1 + TABU_TENURE;
+        for &e in &sets[victim] {
+            cover[e] -= 1;
+        }
+        loop {
+            let uncovered: Vec<usize> = (0..universe).filter(|&e| cover[e] == 0).collect();
+            if uncovered.is_empty() {
+                break;
+            }
+            // (gain, set) of the best non-tabu and the best tabu set; the
+            // ascending scan keeps the lowest index on ties.
+            let mut free: Option<(usize, usize)> = None;
+            let mut tabu: Option<(usize, usize)> = None;
+            for (s, set) in sets.iter().enumerate() {
+                let gain = set.iter().filter(|e| uncovered.contains(e)).count();
+                if picks.contains(&s) || gain == 0 {
+                    continue;
+                }
+                let slot = if tabu_until[s] <= iter {
+                    &mut free
+                } else {
+                    &mut tabu
+                };
+                if slot.is_none_or(|(g, _)| gain > g) {
+                    *slot = Some((gain, s));
+                }
+            }
+            let chosen = match (free, tabu) {
+                (Some((g, s)), Some((tg, ts))) => {
+                    if tg > g && picks.len() + 1 < best.len() {
+                        ts
+                    } else {
+                        s
+                    }
+                }
+                (Some((_, s)), None) | (None, Some((_, s))) => s,
+                (None, None) => unreachable!("the victim restores coverage"),
+            };
+            picks.push(chosen);
+            for &e in &sets[chosen] {
+                cover[e] += 1;
+            }
+        }
+        let mut p = 0;
+        while p < picks.len() {
+            let s = picks[p];
+            if sets[s].iter().all(|&e| cover[e] >= 2) {
+                for &e in &sets[s] {
+                    cover[e] -= 1;
+                }
+                picks.remove(p);
+            } else {
+                p += 1;
+            }
+        }
+        if picks.len() <= before.0.len() {
+            stats.moves_accepted += 1;
+            if picks.len() < best.len() {
+                best = picks.clone();
+            }
+        } else {
+            (picks, cover) = before;
+        }
+        if picks.len() <= 1 {
+            break;
+        }
+    }
+    stats.final_cost = best.len() as u32;
+    (best, stats)
 }
 
 proptest! {
@@ -52,6 +170,46 @@ proptest! {
         dedup.sort_unstable();
         dedup.dedup();
         prop_assert_eq!(dedup.len(), improved.len());
+    }
+
+    #[test]
+    fn tabu_search_matches_a_naive_oracle_when_elements_span_several_runs(
+        drawn in proptest::collection::vec(
+            proptest::collection::vec(0usize..20, 1..12),
+            1..24
+        ),
+        every_set in 0u8..2,
+        budget in 0u32..80,
+        seed in 0u64..1_000,
+    ) {
+        // Dense random sets put most elements in several sets that are
+        // not consecutive, so an element's sets form several runs of the
+        // index. The drawn elements are renumbered densely, so every
+        // instance is coverable. The search starts from the greedy cover,
+        // or from every set (redundant, so the strip pass and sideways
+        // moves are frequent).
+        let mut label = [usize::MAX; 20];
+        let mut universe = 0usize;
+        for &e in drawn.iter().flatten() {
+            if label[e] == usize::MAX {
+                label[e] = universe;
+                universe += 1;
+            }
+        }
+        let sets: Vec<Vec<usize>> = drawn
+            .iter()
+            .map(|set| set.iter().map(|&e| label[e]).collect())
+            .collect();
+        let initial = if every_set == 1 {
+            (0..sets.len()).collect()
+        } else {
+            nbiot_multicast::grouping::set_cover::greedy_set_cover(universe, &sets)
+                .expect("every element lies in a set")
+        };
+        prop_assert_eq!(
+            improve_cover(universe, &sets, &initial, budget, seed),
+            naive_tabu(universe, &sets, &initial, budget, seed)
+        );
     }
 
     #[test]
