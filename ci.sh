@@ -44,8 +44,9 @@
 #   massive-smoke  scale tier: reduced 10^5-device massive-n point diffed
 #                  against golden/massive_smoke.json at zero tolerance
 #                  (summary-level only; the archive guard is exercised
-#                  too), plus the bench_report massive stages and the
-#                  po_queries stage's PO counts
+#                  too), plus the bench_report massive stages, the
+#                  po_queries stage's PO counts and an 80 MB peak-RSS
+#                  ceiling on two parallel 10^5-device items
 #   nightly        full paper-suite scenario diffed summary-level against
 #                  golden/paper_suite.json at zero tolerance
 #
@@ -570,7 +571,26 @@ stage_massive_smoke() {
     for s in classes class_events; do
         grep -q "\"$s\"" "$report" || { echo "window_cover_massive lacks $s" >&2; return 1; }
     done
-    echo "massive smoke OK (all three legs)"
+
+    # Leg 4: memory of the massive tier. A grid item keeps population
+    # sums, not per-device ledgers, and one plan at a time: two parallel
+    # 10^5-device items peak near 57 MB, against about 110 MB when every
+    # plan and ledger of an item stayed alive. The built binary runs
+    # directly, since cargo's own RSS would count under `cargo run`.
+    cargo build --release -q -p nbiot-bench --bin figures
+    python3 - "${CARGO_TARGET_DIR:-target}/release/figures" <<'PY'
+import resource, subprocess, sys
+
+subprocess.run(
+    [sys.argv[1], "--scenario", "massive-n", "--devices", "100000",
+     "--runs", "2", "--threads", "2", "--json"],
+    stdout=subprocess.DEVNULL, check=True,
+)
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(f"massive smoke leg 4: figures peak RSS {peak_mb:.1f} MB (limit 80 MB)")
+sys.exit(0 if peak_mb <= 80 else 1)
+PY
+    echo "massive smoke OK (all four legs)"
 }
 
 run_stage() {

@@ -12,7 +12,7 @@ use std::sync::OnceLock;
 use nbiot_bench::scenarios;
 use nbiot_grouping::GroupingParams;
 use nbiot_rrc::InactivityTimer;
-use nbiot_sim::{ArchiveItem, Scenario};
+use nbiot_sim::{ArchiveItem, Scenario, SimConfig};
 use nbiot_time::{SimDuration, SimInstant};
 
 fn run(bin: &str, args: &[&str]) -> Output {
@@ -746,13 +746,12 @@ fn figures_reports_a_closed_stdout_pipe_as_a_data_error() {
 
 // ---- grouping parameters past their plannable bounds ----
 
-/// Runs a one-device-point fig6b scenario whose grouping parameters
-/// `set` edits.
-fn figures_with_grouping(tag: &str, set: impl FnOnce(&mut GroupingParams)) -> Output {
+/// Runs a one-device-point fig6b scenario that `set` edits.
+fn figures_with(tag: &str, set: impl FnOnce(&mut Scenario)) -> Output {
     let mut scenario = Scenario::builtin("fig6b").expect("registered scenario");
     scenario.runs = 1;
     scenario.devices = vec![5];
-    set(&mut scenario.grouping);
+    set(&mut scenario);
     let dir = scratch(tag);
     let path = dir.join("scenario.json");
     std::fs::write(&path, serde_json::to_string_pretty(&scenario).unwrap()).unwrap();
@@ -762,6 +761,16 @@ fn figures_with_grouping(tag: &str, set: impl FnOnce(&mut GroupingParams)) -> Ou
     );
     let _ = std::fs::remove_dir_all(&dir);
     out
+}
+
+/// [`figures_with`] a scenario whose grouping parameters `set` edits.
+fn figures_with_grouping(tag: &str, set: impl FnOnce(&mut GroupingParams)) -> Output {
+    figures_with(tag, |scenario| set(&mut scenario.grouping))
+}
+
+/// [`figures_with`] a scenario whose simulator configuration `set` edits.
+fn figures_with_sim(tag: &str, set: impl FnOnce(&mut SimConfig)) -> Output {
+    figures_with(tag, |scenario| set(&mut scenario.sim))
 }
 
 /// An instant whose search horizon still ends inside `u64`, but whose
@@ -788,4 +797,49 @@ fn figures_rejects_a_ti_past_the_longest_plannable_timer() {
         g.ti = InactivityTimer::new(SimDuration::from_ms(NEAR_MAX.as_ms()))
     });
     assert_error_line(&out, "figures", 1, "grouping ti");
+}
+
+// ---- simulator numbers outside their standard ranges ----
+
+#[test]
+fn figures_rejects_an_itbs_outside_the_tbs_table() {
+    // Decoding bypasses `Itbs::new`, which refuses 99.
+    let out = figures_with_sim("itbs", |sim| {
+        sim.npdsch.itbs = serde_json::from_str("99").unwrap()
+    });
+    assert_error_line(&out, "figures", 1, "sim.npdsch.itbs");
+}
+
+#[test]
+fn figures_rejects_an_nsf_outside_the_tbs_table() {
+    let out = figures_with_sim("nsf", |sim| {
+        sim.npdsch.nsf = serde_json::from_str("0").unwrap()
+    });
+    assert_error_line(&out, "figures", 1, "sim.npdsch.nsf");
+}
+
+#[test]
+fn figures_rejects_random_access_without_preambles() {
+    let out = figures_with_sim("preambles", |sim| {
+        sim.ra.preambles = 0;
+        sim.ra_contenders = 5;
+    });
+    assert_error_line(&out, "figures", 1, "sim.ra.preambles");
+}
+
+#[test]
+fn figures_rejects_more_contenders_than_the_collision_model_takes() {
+    let out = figures_with_sim("contenders", |sim| sim.ra_contenders = u32::MAX);
+    assert_error_line(&out, "figures", 1, "sim.ra_contenders");
+}
+
+#[test]
+fn figures_rejects_a_backoff_past_the_standard_range() {
+    // Summed RA latencies used to wrap and turn DR-SC's relative
+    // connected uptime negative.
+    let out = figures_with_sim("backoff", |sim| {
+        sim.ra.max_backoff = SimDuration::from_ms(u64::MAX);
+        sim.ra_contenders = 50;
+    });
+    assert_error_line(&out, "figures", 1, "sim.ra.max_backoff");
 }

@@ -60,7 +60,9 @@ pub fn run_campaign(
 ) -> Result<CampaignResult, SimError> {
     let plan = mechanism.plan(input, rng)?;
     plan.validate(input)?;
-    Ok(engine::execute(input, &plan, config, rng))
+    let mut ledgers = Vec::with_capacity(input.len());
+    let cell = engine::execute(input, &plan, config, rng, |ledger| ledgers.push(*ledger));
+    Ok(CampaignResult::new(&plan, ledgers, cell))
 }
 
 #[cfg(test)]

@@ -16,7 +16,10 @@
 //!    start, after any wait for the carrier, stored by recipient position.
 //! 3. **Devices**, in device order: the analytic PO count, paging
 //!    receptions, the adaptation session and restore, connected waiting
-//!    and receiving.
+//!    and receiving. Each device's ledger goes to the caller's fold as
+//!    soon as it is complete, so the engine stores no ledger:
+//!    `run_campaign` collects them, and the scenario grid adds them into
+//!    population sums.
 //!
 //! `docs/ARCHITECTURE.md` ("Campaign accounting") shows why this is the
 //! order a time-ordered event queue with a FIFO tie-break would replay.
@@ -25,13 +28,31 @@ use rand::RngCore;
 
 use nbiot_energy::{PowerState, UptimeLedger};
 use nbiot_grouping::{GroupingInput, MulticastPlan};
-use nbiot_phy::{BandwidthLedger, TrafficCategory};
+use nbiot_phy::{BandwidthLedger, TrafficCategory, TransferPlan};
 use nbiot_rrc::{DlMessage, MltcNotification, PagingMessage, RandomAccess, MAX_PAGING_RECORDS};
 use nbiot_time::{SimDuration, SimInstant, TimeWindow, UeId};
 
-use crate::{CampaignResult, SimConfig};
+use crate::SimConfig;
 
-/// Executes `plan` and returns the measured campaign result.
+/// What one campaign measures at the cell. The per-device ledgers are not
+/// part of it: [`execute`] hands each one to its caller's fold.
+#[derive(Debug, Clone)]
+pub(crate) struct CellOutcome {
+    /// Cell downlink airtime bookkeeping.
+    pub(crate) bandwidth: BandwidthLedger,
+    /// Devices whose random access completed after their transmission
+    /// started.
+    pub(crate) late_joins: u64,
+    /// Random-access procedures that exhausted their attempt budget.
+    pub(crate) ra_failures: u64,
+    /// The common accounting horizon.
+    pub(crate) horizon: TimeWindow,
+    /// The payload transfer footprint.
+    pub(crate) transfer: TransferPlan,
+}
+
+/// Executes `plan`, hands every device's ledger to `fold` in device
+/// order, and returns what the campaign measured at the cell.
 ///
 /// Protocol actions are accounted in the three passes of the module
 /// docs; strictly periodic PO monitoring is accounted analytically over a
@@ -42,7 +63,8 @@ pub(crate) fn execute(
     plan: &MulticastPlan,
     config: &SimConfig,
     rng: &mut dyn RngCore,
-) -> CampaignResult {
+    mut fold: impl FnMut(&UptimeLedger),
+) -> CellOutcome {
     let n = input.len();
     let params = input.params();
     let start = params.start;
@@ -155,11 +177,11 @@ pub(crate) fn execute(
     let monitoring = plan
         .control_monitoring
         .map(|cm| (cm.per_occasion, horizon.len().as_ms() / cm.period.as_ms()));
-    let mut ledgers = vec![UptimeLedger::new(); n];
     let (mut ordinary_pages, mut adaptations, mut mltc_pages) = (0u64, 0u64, 0u64);
     let mut late_joins = 0u64;
     let devices = plan.device_plans.iter().zip(input.schedules());
-    for (i, ((dp, sched), ledger)) in devices.zip(&mut ledgers).enumerate() {
+    for (i, (dp, sched)) in devices.enumerate() {
+        let mut ledger = UptimeLedger::new();
         // Periodic monitoring: natural POs, except that an adapted device
         // monitors its natural POs up to and including the adaptation
         // point, the adapted-cycle POs, then natural POs again after the
@@ -216,6 +238,7 @@ pub(crate) fn execute(
             ledger.accumulate(PowerState::ConnectedWaiting, span);
         }
         ledger.accumulate(PowerState::ConnectedReceiving, transfer.duration);
+        fold(&ledger);
     }
 
     let mut bandwidth = BandwidthLedger::new();
@@ -246,12 +269,7 @@ pub(crate) fn execute(
         bandwidth.record(TrafficCategory::ScPtmControl, costs.paging_base * occasions);
     }
 
-    CampaignResult {
-        mechanism: plan.mechanism.clone(),
-        standards_compliant: plan.standards_compliant,
-        transmission_count: plan.transmissions.len(),
-        mean_wait: plan.mean_wait(),
-        ledgers,
+    CellOutcome {
         bandwidth,
         late_joins,
         ra_failures,

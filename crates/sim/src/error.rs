@@ -27,6 +27,15 @@ pub enum SimError {
         /// Which list was empty (`"devices"`, `"payloads"`, `"mechanisms"`).
         what: &'static str,
     },
+    /// A scenario number lies outside the values the campaign model is
+    /// defined for (the bounds are listed on
+    /// [`Scenario::validate`](crate::Scenario::validate)).
+    OutOfRange {
+        /// The field, which names its path and allowed values.
+        field: SimField,
+        /// The offending value, in milliseconds for a duration.
+        value: u64,
+    },
     /// A re-grouping staleness threshold is not a fraction in `[0, 1]`.
     InvalidRegroupThreshold {
         /// The offending threshold.
@@ -113,6 +122,10 @@ impl fmt::Display for SimError {
             SimError::EmptyScenario { what } => {
                 write!(f, "scenario lists no {what}; every sweep axis needs at least one entry")
             }
+            SimError::OutOfRange { field, value } => {
+                let (path, allowed) = field.path_and_allowed();
+                write!(f, "scenario field {path} is {value}; it allows {allowed}")
+            }
             SimError::InvalidRegroupThreshold { threshold } => write!(
                 f,
                 "re-grouping staleness threshold must be a fraction in [0, 1], got {threshold}"
@@ -162,6 +175,54 @@ impl fmt::Display for SimError {
                  computing results"
             ),
             SimError::CorruptArchive { detail } => write!(f, "corrupt archive: {detail}"),
+        }
+    }
+}
+
+/// A simulator number that [`Scenario::validate`](crate::Scenario::validate)
+/// bounds; its doc lists the bounds and their sources.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SimField {
+    /// `sim.npdsch.itbs`.
+    Itbs,
+    /// `sim.npdsch.nsf`.
+    Nsf,
+    /// `sim.ra.nprach_period`.
+    NprachPeriod,
+    /// `sim.ra.preambles`.
+    Preambles,
+    /// `sim.ra.msg1_duration`.
+    Msg1Duration,
+    /// `sim.ra.msg2_delay`.
+    Msg2Delay,
+    /// `sim.ra.msg3_delay`.
+    Msg3Delay,
+    /// `sim.ra.msg4_delay`.
+    Msg4Delay,
+    /// `sim.ra.max_backoff`.
+    MaxBackoff,
+    /// `sim.ra.max_attempts`.
+    MaxAttempts,
+    /// `sim.ra_contenders`.
+    RaContenders,
+}
+
+impl SimField {
+    /// The field's path in a scenario file and the values it allows.
+    pub fn path_and_allowed(self) -> (&'static str, &'static str) {
+        const RA_STEP: &str = "0..=8388608 ms";
+        match self {
+            SimField::Itbs => ("sim.npdsch.itbs", "0..=13"),
+            SimField::Nsf => ("sim.npdsch.nsf", "1, 2, 3, 4, 5, 6, 8 or 10"),
+            SimField::NprachPeriod => ("sim.ra.nprach_period", "40..=2560 ms"),
+            SimField::Preambles => ("sim.ra.preambles", "1 or more"),
+            SimField::Msg1Duration => ("sim.ra.msg1_duration", RA_STEP),
+            SimField::Msg2Delay => ("sim.ra.msg2_delay", RA_STEP),
+            SimField::Msg3Delay => ("sim.ra.msg3_delay", RA_STEP),
+            SimField::Msg4Delay => ("sim.ra.msg4_delay", RA_STEP),
+            SimField::MaxBackoff => ("sim.ra.max_backoff", "0..=524288 ms"),
+            SimField::MaxAttempts => ("sim.ra.max_attempts", "3..=200"),
+            SimField::RaContenders => ("sim.ra_contenders", "0..=2147483647"),
         }
     }
 }

@@ -30,6 +30,14 @@
 //! — bit-identical to re-planning from scratch, because planning is a
 //! deterministic function of the same input and RNG stream.
 //!
+//! # One plan in memory at a time
+//!
+//! A row needs only population sums of a campaign's ledgers, so the
+//! engine's device pass adds each ledger into [`PopulationSums`] and no
+//! ledger is stored. A static item drops the population once the input is
+//! built and each plan once its rows are written; a churned item keeps
+//! both for the epochs.
+//!
 //! # Churned epochs
 //!
 //! When the scenario declares churn, the item then runs one epoch-major
@@ -40,13 +48,16 @@
 use core::fmt;
 
 use nbiot_des::{RunningStats, SeedSequence, Summary};
+use nbiot_energy::PowerProfile;
 use nbiot_grouping::{GroupingInput, GroupingMechanism, MechanismKind, MulticastPlan, Unicast};
 use nbiot_phy::{CoverageClass, NpdschConfig};
 use nbiot_traffic::{ChurnModel, Population};
 use rand::rngs::StdRng;
 
 use crate::churn::{PlannedFleet, ServeAction, ServedPlan};
-use crate::{engine, CampaignResult, PointResult, Scenario, ScenarioResult, SimConfig, SimError};
+use crate::engine::{self, CellOutcome};
+use crate::result::PopulationSums;
+use crate::{PointResult, Scenario, ScenarioResult, SimConfig, SimError};
 
 /// Aggregated metrics of one mechanism across all runs of an experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -285,24 +296,37 @@ where
     Ok(out)
 }
 
+/// One payload's campaign of a plan, as a grid row reads it: the
+/// population sums of its ledgers and what it measured at the cell.
+type FoldedCampaign = (PopulationSums, CellOutcome);
+
 /// Plans once, then executes the plan under every payload variant with a
 /// cloned post-plan RNG — bit-identical to planning from scratch per
-/// variant, since planning is deterministic in (input, RNG stream).
-/// Returns the plan too: churn repair patches it, and its improvement
-/// record feeds the `cover_cost_*`/`improve_*` metrics.
+/// variant, since planning is deterministic in (input, RNG stream). Each
+/// campaign's ledgers are folded into population sums (energy priced by
+/// `power`) as the engine produces them. Returns the plan too: churn
+/// repair patches it, and its improvement record feeds the
+/// `cover_cost_*`/`improve_*` metrics.
 fn execute_per_payload(
     mechanism: &dyn GroupingMechanism,
     input: &GroupingInput,
     sims: &[SimConfig],
+    power: &PowerProfile,
     rng: &mut StdRng,
-) -> Result<(MulticastPlan, Vec<CampaignResult>), SimError> {
+) -> Result<(MulticastPlan, Vec<FoldedCampaign>), SimError> {
     let plan = mechanism.plan(input, rng)?;
     plan.validate(input)?;
-    let results = sims
+    let campaigns = sims
         .iter()
-        .map(|sim| engine::execute(input, &plan, sim, &mut rng.clone()))
+        .map(|sim| {
+            let mut sums = PopulationSums::new(power);
+            let cell = engine::execute(input, &plan, sim, &mut rng.clone(), |ledger| {
+                sums.add(ledger)
+            });
+            (sums, cell)
+        })
         .collect();
-    Ok((plan, results))
+    Ok((plan, campaigns))
 }
 
 /// Per-transmission deepest-recipient coverage histogram of a plan,
@@ -385,7 +409,9 @@ const REGROUP_CHILD_BASE: u64 = (1 << 40) + 1;
 /// When the scenario declares churn, [`serve_epochs`] then serves each
 /// mechanism's plan to the evolving fleet; the classic epoch-0 metrics
 /// are never touched, which is what keeps zero-churn runs bit-identical
-/// to the static engine.
+/// to the static engine. The epochs are the only reader of the
+/// population and of the plans once the rows are written, so a static
+/// item drops each as soon as it has used it.
 fn grid_item(
     scenario: &Scenario,
     sims: &[SimConfig],
@@ -396,68 +422,84 @@ fn grid_item(
     let run_seq = SeedSequence::new(scenario.master_seed).child(run as u64);
     let population = scenario.mix.generate(n_devices, &mut run_seq.rng(0))?;
     let input = GroupingInput::from_population(&population, scenario.grouping)?;
-    let baselines = if scenario.baseline {
-        Some(execute_per_payload(
+    // A static item drops the population here.
+    let churn = scenario
+        .churn
+        .as_ref()
+        .filter(|m| !m.is_static())
+        .map(|model| (model, population));
+    let kinds = &scenario.mechanisms;
+    let baseline = if scenario.baseline {
+        let (plan, campaigns) = execute_per_payload(
             &Unicast::new(),
             &input,
             sims,
+            &scenario.power,
             &mut run_seq.rng(1),
-        )?)
+        )?;
+        // Only a unicast row reads the baseline's plan.
+        let plan = kinds.contains(&MechanismKind::Unicast).then_some(plan);
+        Some((plan, campaigns))
     } else {
         None
     };
-    let kinds = &scenario.mechanisms;
     let mut rows: ItemRows = (0..sims.len())
         .map(|_| Vec::with_capacity(kinds.len()))
         .collect();
-    let mut plans: Vec<MulticastPlan> = Vec::with_capacity(kinds.len());
+    let mut plans: Vec<MulticastPlan> = Vec::new();
     for (i, (kind, mechanism)) in kinds.iter().zip(mechanisms).enumerate() {
-        let (plan, results) = match &baselines {
+        let (plan, campaigns) = match &baseline {
             // The baseline already executed unicast on this population;
             // reuse it (and leave the mechanism's RNG stream untouched,
             // matching what a dedicated unicast row would observe).
-            Some((bplan, base)) if *kind == MechanismKind::Unicast => (bplan.clone(), base.clone()),
+            Some((Some(bplan), base)) if *kind == MechanismKind::Unicast => {
+                (bplan.clone(), base.clone())
+            }
             _ => execute_per_payload(
                 mechanism.as_ref(),
                 &input,
                 sims,
+                &scenario.power,
                 &mut run_seq.rng(2 + i as u64),
             )?,
         };
         let hist = coverage_histogram(&plan, &input);
-        for (p, result) in results.iter().enumerate() {
-            let baseline = baselines.as_ref().map_or(result, |(_, b)| &b[p]);
-            let rel = result.mean_relative_vs(baseline);
+        let mean_wait_s = plan.mean_wait().as_secs_f64();
+        for (p, (sums, cell)) in campaigns.iter().enumerate() {
+            let base = baseline.as_ref().map_or(sums, |(_, b)| &b[p].0);
+            let rel = sums.relative_vs(base);
             let (plan_airtime_ms, airtime_vs_count_ratio) = airtime_metrics(&hist, &sims[p]);
             let mut row = MechRun {
                 rel_light_sleep: rel.light_sleep,
                 rel_connected: rel.connected,
-                transmissions: result.transmission_count as f64,
+                transmissions: plan.transmissions.len() as f64,
                 plan_airtime_ms,
                 airtime_vs_count_ratio,
-                mean_wait_s: result.mean_wait.as_secs_f64(),
-                mean_connected_s: result.mean_connected_ms() / 1000.0,
-                mean_energy_mj: result.mean_energy_mj(&scenario.power),
-                ra_failures: result.ra_failures as f64,
-                late_joins: result.late_joins as f64,
+                mean_wait_s,
+                mean_connected_s: sums.mean_connected_ms() / 1000.0,
+                mean_energy_mj: sums.mean_energy_mj(),
+                ra_failures: cell.ra_failures as f64,
+                late_joins: cell.late_joins as f64,
                 regroups: 0.0,
                 stale_miss_ratio: 0.0,
                 cover_cost_initial: 0.0,
                 cover_cost_final: 0.0,
                 improve_moves: 0.0,
                 improve_budget: 0.0,
-                compliant: result.standards_compliant,
+                compliant: plan.standards_compliant,
             };
             // The plan (and hence its improvement record) is shared by
             // every payload variant.
             absorb_improvement(&mut row, &plan);
             rows[p].push(row);
         }
-        plans.push(plan);
+        if churn.is_some() {
+            plans.push(plan);
+        }
     }
-    if let Some(model) = scenario.churn.as_ref().filter(|m| !m.is_static()) {
+    if let Some((model, fleet)) = churn {
         serve_epochs(
-            scenario, model, mechanisms, population, plans, &run_seq, &mut rows,
+            scenario, model, mechanisms, fleet, plans, &run_seq, &mut rows,
         )?;
     }
     Ok(rows)
@@ -786,6 +828,50 @@ mod tests {
             assert!(
                 matches!(err, SimError::DegenerateExperiment { n_devices: 4, .. }),
                 "threads={threads}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_empty_campaign_folds_to_the_means_of_its_result() {
+        // A scenario point has at least one device, but the engine and
+        // the fold take an empty fleet through the ordinary path.
+        use rand::SeedableRng;
+        let population = nbiot_traffic::TrafficMix::ericsson_city()
+            .generate(0, &mut StdRng::seed_from_u64(2))
+            .unwrap();
+        let input =
+            GroupingInput::from_population(&population, nbiot_grouping::GroupingParams::default())
+                .unwrap();
+        let sims = [SimConfig::default()];
+        let power = PowerProfile::default();
+        for kind in MechanismKind::ALL {
+            let mechanism = kind.instantiate();
+            let rng = StdRng::seed_from_u64(3);
+            let (_, folded) =
+                execute_per_payload(mechanism.as_ref(), &input, &sims, &power, &mut rng.clone())
+                    .unwrap();
+            let (sums, cell) = &folded[0];
+            let result =
+                crate::run_campaign(mechanism.as_ref(), &input, &sims[0], &mut rng.clone())
+                    .unwrap();
+            assert_eq!(result.device_count(), 0, "{kind}");
+            for (folded, collected) in [
+                (sums.mean_connected_ms(), result.mean_connected_ms()),
+                (sums.mean_energy_mj(), result.mean_energy_mj(&power)),
+            ] {
+                assert_eq!(folded.to_bits(), 0.0f64.to_bits(), "{kind}");
+                assert_eq!(collected.to_bits(), 0.0f64.to_bits(), "{kind}");
+            }
+            assert_eq!(
+                sums.relative_vs(sums),
+                result.mean_relative_vs(&result),
+                "{kind}"
+            );
+            assert_eq!(
+                (cell.ra_failures, cell.late_joins),
+                (result.ra_failures, result.late_joins),
+                "{kind}"
             );
         }
     }

@@ -2,10 +2,13 @@
 //!
 //! This crate is the executable counterpart of `nbiot-grouping`: it takes a
 //! declarative [`MulticastPlan`](nbiot_grouping::MulticastPlan) and accounts
-//! it in a few sorted passes over flat arrays, producing per-device
-//! [`UptimeLedger`](nbiot_energy::UptimeLedger)s and a cell
-//! [`BandwidthLedger`](nbiot_phy::BandwidthLedger) — the raw material of the
-//! paper's Fig. 6 and Fig. 7.
+//! it in a few sorted passes over flat arrays, producing a cell
+//! [`BandwidthLedger`](nbiot_phy::BandwidthLedger) and one
+//! [`UptimeLedger`](nbiot_energy::UptimeLedger) per device — the raw
+//! material of the paper's Fig. 6 and Fig. 7. The engine hands each ledger
+//! to a fold as its device pass completes it: [`run_campaign`] collects
+//! them into a [`CampaignResult`], while a scenario grid keeps only their
+//! population sums, so an item's memory does not grow with ledgers.
 //!
 //! Layers:
 //!
@@ -33,9 +36,10 @@
 //! serial) — the pool spans entire sweeps and figure suites at once. Each
 //! item is a pure function of its per-run seed; within an item the run's
 //! population and each mechanism's plan are generated **once** and shared
-//! across payload variants. The per-item records are folded in item order,
-//! so the results are **bit-identical for every thread count** —
-//! parallelism only buys wall-clock.
+//! across payload variants; a static item holds one plan at a time and
+//! drops each once its rows are written. The per-item records are folded
+//! in item order, so the results are **bit-identical for every thread
+//! count** — parallelism only buys wall-clock.
 //!
 //! Accounting model (`docs/ARCHITECTURE.md`, "Campaign accounting"):
 //! protocol actions (pagings, random access, reconfigurations, T322
@@ -80,7 +84,7 @@ mod shard;
 pub use campaign::run_campaign;
 pub use churn::{PlannedFleet, RegroupPolicy, ServeAction, ServedPlan};
 pub use config::SimConfig;
-pub use error::SimError;
+pub use error::{SimError, SimField};
 pub use experiment::{ComparisonResult, ItemRows, MechRun, MechanismSummary};
 pub use result::CampaignResult;
 pub use scenario::{run_scenario, with_ti, PointResult, Scenario, ScenarioResult};

@@ -3,8 +3,11 @@
 use core::fmt;
 
 use nbiot_energy::{PowerProfile, RelativeUptime, UptimeLedger};
+use nbiot_grouping::MulticastPlan;
 use nbiot_phy::{BandwidthLedger, TransferPlan};
 use nbiot_time::{SimDuration, TimeWindow};
+
+use crate::engine::CellOutcome;
 
 /// Everything measured while executing one plan on one population.
 #[derive(Debug, Clone)]
@@ -33,19 +36,54 @@ pub struct CampaignResult {
 }
 
 impl CampaignResult {
+    /// The result of `plan`'s campaign: its ledgers, in device order, and
+    /// what the engine measured at the cell.
+    pub(crate) fn new(
+        plan: &MulticastPlan,
+        ledgers: Vec<UptimeLedger>,
+        cell: CellOutcome,
+    ) -> CampaignResult {
+        CampaignResult {
+            mechanism: plan.mechanism.clone(),
+            standards_compliant: plan.standards_compliant,
+            transmission_count: plan.transmissions.len(),
+            mean_wait: plan.mean_wait(),
+            ledgers,
+            bandwidth: cell.bandwidth,
+            late_joins: cell.late_joins,
+            ra_failures: cell.ra_failures,
+            horizon: cell.horizon,
+            transfer: cell.transfer,
+        }
+    }
+
     /// Number of devices.
     pub fn device_count(&self) -> usize {
         self.ledgers.len()
     }
 
+    /// The population sums of the ledgers; `profile` prices only the
+    /// energy sum.
+    fn sums(&self, profile: &PowerProfile) -> PopulationSums {
+        let mut sums = PopulationSums::new(profile);
+        for ledger in &self.ledgers {
+            sums.add(ledger);
+        }
+        sums
+    }
+
     /// Mean per-device light-sleep uptime in ms.
     pub fn mean_light_sleep_ms(&self) -> f64 {
-        mean(self.ledgers.iter().map(|l| l.light_sleep().as_ms() as f64))
+        let sum = self
+            .ledgers
+            .iter()
+            .fold(0.0, |sum, l| sum + l.light_sleep().as_ms() as f64);
+        mean(sum, self.ledgers.len())
     }
 
     /// Mean per-device connected-mode uptime in ms.
     pub fn mean_connected_ms(&self) -> f64 {
-        mean(self.ledgers.iter().map(|l| l.connected().as_ms() as f64))
+        self.sums(&PowerProfile::default()).mean_connected_ms()
     }
 
     /// Relative uptime increase of the whole population versus `baseline` —
@@ -63,23 +101,13 @@ impl CampaignResult {
     /// Panics when the two results cover different device counts (they must
     /// come from the same population).
     pub fn mean_relative_vs(&self, baseline: &CampaignResult) -> RelativeUptime {
-        assert_eq!(
-            self.ledgers.len(),
-            baseline.ledgers.len(),
-            "results compare different populations"
-        );
-        let mut mech_total = UptimeLedger::new();
-        let mut base_total = UptimeLedger::new();
-        for (mech, base) in self.ledgers.iter().zip(&baseline.ledgers) {
-            mech_total.merge(mech);
-            base_total.merge(base);
-        }
-        RelativeUptime::between(&mech_total, &base_total)
+        let profile = PowerProfile::default();
+        self.sums(&profile).relative_vs(&baseline.sums(&profile))
     }
 
     /// Mean per-device energy in millijoules under `profile`.
     pub fn mean_energy_mj(&self, profile: &PowerProfile) -> f64 {
-        mean(self.ledgers.iter().map(|l| profile.energy_mj(l)))
+        self.sums(profile).mean_energy_mj()
     }
 
     /// Total payload airtime spent on the downlink.
@@ -102,17 +130,75 @@ impl fmt::Display for CampaignResult {
     }
 }
 
-fn mean(values: impl Iterator<Item = f64>) -> f64 {
-    let mut sum = 0.0;
-    let mut n = 0u64;
-    for v in values {
-        sum += v;
-        n += 1;
+/// Population sums of one campaign's per-device ledgers, added in device
+/// order: everything the Fig. 6 metric and the mean connected uptime and
+/// energy read.
+///
+/// [`CampaignResult`]'s metrics fold its ledgers through
+/// [`PopulationSums::add`], and the scenario grid folds the engine's
+/// device pass through it directly, without storing a ledger; both paths
+/// therefore compute every metric bit for bit alike.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PopulationSums {
+    profile: PowerProfile,
+    devices: usize,
+    total: UptimeLedger,
+    connected_ms: f64,
+    energy_mj: f64,
+}
+
+impl PopulationSums {
+    /// Sums over no device; `profile` prices the energy sum.
+    pub(crate) fn new(profile: &PowerProfile) -> PopulationSums {
+        PopulationSums {
+            profile: *profile,
+            devices: 0,
+            total: UptimeLedger::new(),
+            connected_ms: 0.0,
+            energy_mj: 0.0,
+        }
     }
-    if n == 0 {
+
+    /// Adds the next device's ledger. The float sums depend on the order,
+    /// so devices come in device order.
+    pub(crate) fn add(&mut self, ledger: &UptimeLedger) {
+        self.devices += 1;
+        self.total.merge(ledger);
+        self.connected_ms += ledger.connected().as_ms() as f64;
+        self.energy_mj += self.profile.energy_mj(ledger);
+    }
+
+    /// The Fig. 6 metric: the relative increase of the population's total
+    /// uptime over `baseline`'s (see [`CampaignResult::mean_relative_vs`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the two sums cover different device counts.
+    pub(crate) fn relative_vs(&self, baseline: &PopulationSums) -> RelativeUptime {
+        assert_eq!(
+            self.devices, baseline.devices,
+            "results compare different populations"
+        );
+        RelativeUptime::between(&self.total, &baseline.total)
+    }
+
+    /// Mean per-device connected-mode uptime in ms.
+    pub(crate) fn mean_connected_ms(&self) -> f64 {
+        mean(self.connected_ms, self.devices)
+    }
+
+    /// Mean per-device energy in millijoules.
+    pub(crate) fn mean_energy_mj(&self) -> f64 {
+        mean(self.energy_mj, self.devices)
+    }
+}
+
+/// The mean of `devices` values that sum to `sum`; 0.0 over no device.
+fn mean(sum: f64, devices: usize) -> f64 {
+    if devices == 0 {
         0.0
     } else {
-        sum / n as f64
+        sum / devices as f64
     }
 }
 

@@ -14,13 +14,13 @@
 
 use nbiot_energy::PowerProfile;
 use nbiot_grouping::{GroupingParams, MechanismKind};
-use nbiot_phy::DataSize;
+use nbiot_phy::{DataSize, Itbs, Nsf};
 use nbiot_rrc::InactivityTimer;
 use nbiot_time::SimDuration;
 use nbiot_traffic::{ChurnModel, TrafficMix};
 
 use crate::experiment::{execute_grid_subset, fold_grid};
-use crate::{ComparisonResult, RegroupPolicy, SimConfig, SimError};
+use crate::{ComparisonResult, RegroupPolicy, SimConfig, SimError, SimField};
 
 /// A declarative experiment workload: everything needed to reproduce a
 /// figure or a sensitivity study, as one serializable value.
@@ -329,13 +329,37 @@ impl Scenario {
         self.grouping.ti.duration().as_secs_f64()
     }
 
-    /// Validates list shapes before execution.
+    /// Validates list shapes and the simulator's numbers before execution.
+    ///
+    /// A scenario file decodes the `I_TBS` and `N_SF` newtypes without
+    /// their checked constructors, and the random-access fields as plain
+    /// integers, so these bounds are checked here. The random-access
+    /// fields are held to their standard NB-IoT ranges (Andres-Maldonado
+    /// et al., "NarrowBand IoT data transmission procedures for massive
+    /// machine type communications"):
+    ///
+    /// | Field | Allowed | Source |
+    /// |---|---|---|
+    /// | `sim.npdsch.itbs` | 0..=13 | rows of TS 36.213 Table 16.4.1.5.1-1 ([`Itbs::new`]) |
+    /// | `sim.npdsch.nsf` | 1, 2, 3, 4, 5, 6, 8, 10 | its columns ([`Nsf::new`]) |
+    /// | `sim.ra.nprach_period` | 40..=2560 ms | TS 36.331 `nprach-Periodicity-r13` |
+    /// | `sim.ra.preambles` | at least 1 | the collision model `1 − (1 − 1/M)^k` |
+    /// | `sim.ra.msg1_duration` … `msg4_delay` | 0..=8388608 ms | TS 36.331 `mac-ContentionResolutionTimer-r13` pp64 at the longest NPDCCH period (`G` 64 × `Rmax` 2048 subframes), the longest wait of any step |
+    /// | `sim.ra.max_backoff` | 0..=524288 ms | TS 36.321 Table 7.2-2 |
+    /// | `sim.ra.max_attempts` | 3..=200 | TS 36.331 `preambleTransMax-CE-r13` |
+    /// | `sim.ra_contenders` | 0..=2147483647 | the model's exponent `k` is an `i32` |
+    ///
+    /// Under these bounds one random access lasts at most
+    /// 199 × (2560 + 2 × 2^23 + 524288) + 2560 + 4 × 2^23 ms, about
+    /// 3.5·10^9 ms, so the latencies of 10^7 devices sum to about
+    /// 3.5·10^16 ms, far inside `u64` milliseconds.
     ///
     /// # Errors
     ///
     /// [`SimError::EmptyScenario`] when a sweep axis or the mechanism set
     /// is empty, [`SimError::DegenerateExperiment`] for zero runs or a
-    /// zero-device point.
+    /// zero-device point, [`SimError::OutOfRange`] for a number outside
+    /// the table above.
     pub fn validate(&self) -> Result<(), SimError> {
         for (what, empty) in [
             ("devices", self.devices.is_empty()),
@@ -352,6 +376,7 @@ impl Scenario {
                 runs: self.runs,
             });
         }
+        validate_sim(&self.sim)?;
         if let Some(churn) = &self.churn {
             churn.validate()?;
         }
@@ -361,6 +386,56 @@ impl Scenario {
         self.regroup.validate()?;
         Ok(())
     }
+}
+
+/// The longest wait of one random-access step, in ms: 64 NPDCCH periods
+/// of 64 × 2048 subframes (see [`Scenario::validate`]).
+const LONGEST_RA_STEP_MS: u64 = 64 * 64 * 2048;
+
+/// Checks the simulator's numbers against the bounds that
+/// [`Scenario::validate`] lists, in the table's order. Branches only, no
+/// allocation: `Scenario::validate` runs on every scenario load.
+fn validate_sim(sim: &SimConfig) -> Result<(), SimError> {
+    let check = |field, value, ok: bool| {
+        if ok {
+            Ok(())
+        } else {
+            Err(SimError::OutOfRange { field, value })
+        }
+    };
+    let (npdsch, ra) = (&sim.npdsch, &sim.ra);
+    let (itbs, nsf) = (npdsch.itbs.index(), npdsch.nsf.subframes());
+    check(SimField::Itbs, itbs.into(), Itbs::new(itbs).is_some())?;
+    check(SimField::Nsf, nsf.into(), Nsf::new(nsf).is_some())?;
+    let period = ra.nprach_period.as_ms();
+    check(
+        SimField::NprachPeriod,
+        period,
+        (40..=2560).contains(&period),
+    )?;
+    check(SimField::Preambles, ra.preambles.into(), ra.preambles >= 1)?;
+    for (field, step) in [
+        (SimField::Msg1Duration, ra.msg1_duration),
+        (SimField::Msg2Delay, ra.msg2_delay),
+        (SimField::Msg3Delay, ra.msg3_delay),
+        (SimField::Msg4Delay, ra.msg4_delay),
+    ] {
+        check(field, step.as_ms(), step.as_ms() <= LONGEST_RA_STEP_MS)?;
+    }
+    let backoff = ra.max_backoff.as_ms();
+    check(SimField::MaxBackoff, backoff, backoff <= 524_288)?;
+    let attempts = ra.max_attempts;
+    check(
+        SimField::MaxAttempts,
+        attempts.into(),
+        (3..=200).contains(&attempts),
+    )?;
+    let contenders = sim.ra_contenders;
+    check(
+        SimField::RaContenders,
+        contenders.into(),
+        i32::try_from(contenders).is_ok(),
+    )
 }
 
 /// One grid point of a scenario result.
@@ -506,6 +581,77 @@ mod tests {
             run_scenario(&s),
             Err(SimError::DegenerateExperiment { n_devices: 0, .. })
         ));
+    }
+
+    #[test]
+    fn sim_bounds_are_inclusive_and_name_the_field() {
+        // Each edit puts one field on its bound, then one step past it.
+        // `I_TBS` and `N_SF` values off the table only decode from a file
+        // (`cli_errors.rs` covers them).
+        type Edit = fn(&mut SimConfig, bool);
+        fn ms(past: bool, bound: u64) -> SimDuration {
+            SimDuration::from_ms(bound + u64::from(past))
+        }
+        let edits: [(SimField, Edit); 9] = [
+            (SimField::NprachPeriod, |s, past| {
+                s.ra.nprach_period = SimDuration::from_ms(if past { 39 } else { 40 })
+            }),
+            (SimField::Preambles, |s, past| {
+                s.ra.preambles = u32::from(!past)
+            }),
+            (SimField::Msg1Duration, |s, past| {
+                s.ra.msg1_duration = ms(past, LONGEST_RA_STEP_MS)
+            }),
+            (SimField::Msg2Delay, |s, past| {
+                s.ra.msg2_delay = ms(past, LONGEST_RA_STEP_MS)
+            }),
+            (SimField::Msg3Delay, |s, past| {
+                s.ra.msg3_delay = ms(past, LONGEST_RA_STEP_MS)
+            }),
+            (SimField::Msg4Delay, |s, past| {
+                s.ra.msg4_delay = ms(past, LONGEST_RA_STEP_MS)
+            }),
+            (SimField::MaxBackoff, |s, past| {
+                s.ra.max_backoff = ms(past, 524_288)
+            }),
+            (SimField::MaxAttempts, |s, past| {
+                s.ra.max_attempts = if past { 201 } else { 200 }
+            }),
+            (SimField::RaContenders, |s, past| {
+                s.ra_contenders = i32::MAX as u32 + u32::from(past)
+            }),
+        ];
+        for (field, edit) in edits {
+            let mut s = tiny("fig6b");
+            edit(&mut s.sim, false);
+            assert_eq!(s.validate(), Ok(()), "{field:?} on its bound");
+            edit(&mut s.sim, true);
+            match s.validate() {
+                Err(SimError::OutOfRange { field: named, .. }) => assert_eq!(named, field),
+                other => panic!("{field:?} past its bound: {other:?}"),
+            }
+        }
+        // The other ends of the ranges.
+        let mut s = tiny("fig6b");
+        s.sim.ra.nprach_period = SimDuration::from_ms(2561);
+        assert!(s.validate().is_err());
+        s.sim.ra.nprach_period = SimDuration::from_ms(2560);
+        s.sim.ra.max_attempts = 2;
+        assert!(s.validate().is_err());
+        s.sim.ra.max_attempts = 3;
+        assert_eq!(s.validate(), Ok(()));
+    }
+
+    #[test]
+    fn the_longest_random_access_of_ten_million_devices_fits_in_u64() {
+        // Every attempt but the last collides and backs off for longest;
+        // the last completes the whole exchange.
+        let collided = 2560 + 2 * LONGEST_RA_STEP_MS + 524_288;
+        let longest = (199 * collided + 2560 + 4 * LONGEST_RA_STEP_MS).max(200 * collided);
+        assert_eq!(longest, 3_477_065_728);
+        // Two procedures a device at most: the adaptation and the
+        // connection.
+        assert!(longest.checked_mul(2 * 10_000_000).is_some());
     }
 
     #[test]
