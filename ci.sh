@@ -49,6 +49,10 @@
 #                  ceiling on two parallel 10^5-device items
 #   nightly        full paper-suite scenario diffed summary-level against
 #                  golden/paper_suite.json at zero tolerance
+#   perfbench-smoke build the benchmark of record (perfbench/, its own
+#                  workspace, --locked) and run each of its workloads for
+#                  0.1 s; each must report "correct": true and no failed
+#                  call
 #
 # Extra stages outside the per-PR matrix (dispatch with --stage):
 #   base-diff      rebuild the fig6b smoke archive on the PR head AND on
@@ -61,7 +65,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-STAGES=(build test lint fmt docs figures-smoke shard-smoke golden fault-smoke anytime-smoke service-smoke weighted-smoke bench-gate massive-smoke nightly)
+STAGES=(build test lint fmt docs figures-smoke shard-smoke golden fault-smoke anytime-smoke service-smoke weighted-smoke bench-gate massive-smoke nightly perfbench-smoke)
 
 ARTIFACT_DIR="${CI_ARTIFACT_DIR:-}"
 if [[ -z "$ARTIFACT_DIR" ]]; then
@@ -593,6 +597,33 @@ PY
     echo "massive smoke OK (all four legs)"
 }
 
+stage_perfbench_smoke() {
+    echo "==> perfbench smoke: build the benchmark of record, run each workload briefly"
+    # perfbench/ is its own workspace on the crates' public API, so no
+    # other stage compiles it; an API change that breaks it fails here.
+    # --locked keeps perfbench/Cargo.lock as it is.
+    local target="target/perfbench" w
+    CARGO_TARGET_DIR="$target" cargo build --release --offline --locked -q \
+        --manifest-path perfbench/Cargo.toml
+    for w in paper-grid metering-100k service-churn; do
+        "$target/release/perfbench" --workload "$w" --seed 1 --seconds 0.1 --trace 1 \
+            --trace-dir "$SCRATCH"/traces > "$SCRATCH/perfbench_$w.json"
+        # The last stdout line is the result, as in massive-smoke's leg 4.
+        python3 - "$w" "$SCRATCH/perfbench_$w.json" <<'PY'
+import json, sys
+
+workload, path = sys.argv[1], sys.argv[2]
+with open(path) as f:
+    result = json.loads(f.read().strip().splitlines()[-1])
+correct, failed = result.get("correct"), result.get("failed")
+print(f"perfbench {workload}: correct {correct}, failed {failed} "
+      f"of {result.get('attempted')}")
+sys.exit(0 if correct is True and failed == 0 else 1)
+PY
+    done
+    echo "perfbench smoke OK (three workloads)"
+}
+
 run_stage() {
     case "$1" in
         build)         stage_build ;;
@@ -610,6 +641,7 @@ run_stage() {
         bench-gate)    stage_bench_gate ;;
         massive-smoke) stage_massive_smoke ;;
         nightly)       stage_nightly ;;
+        perfbench-smoke) stage_perfbench_smoke ;;
         base-diff)     stage_base_diff ;;
         *)
             echo "unknown stage '$1'; stages: ${STAGES[*]}" >&2
@@ -627,7 +659,7 @@ case "${1:-}" in
         printf '%s\n' "${STAGES[@]}"
         ;;
     --help|-h)
-        sed -n '2,55p' "$0" | sed 's/^# \{0,1\}//'
+        sed -n '2,64p' "$0" | sed 's/^# \{0,1\}//'
         ;;
     "")
         for stage in "${STAGES[@]}"; do

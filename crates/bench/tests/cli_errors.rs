@@ -11,6 +11,7 @@ use std::sync::OnceLock;
 
 use nbiot_bench::scenarios;
 use nbiot_grouping::GroupingParams;
+use nbiot_phy::DataSize;
 use nbiot_rrc::InactivityTimer;
 use nbiot_sim::{ArchiveItem, Scenario, SimConfig};
 use nbiot_time::{SimDuration, SimInstant};
@@ -842,4 +843,53 @@ fn figures_rejects_a_backoff_past_the_standard_range() {
         sim.ra_contenders = 50;
     });
     assert_error_line(&out, "figures", 1, "sim.ra.max_backoff");
+}
+
+#[test]
+fn figures_rejects_npdsch_gaps_past_the_standard_range() {
+    // Each used to exit 0 with DA-SC's relative light-sleep uptime near
+    // -1.0 and connected uptimes near 1.4e9 s.
+    type Edit = fn(&mut SimConfig);
+    let edits: [(&str, Edit); 3] = [
+        ("sim.npdsch.inter_block_gap", |sim| {
+            sim.npdsch.inter_block_gap = u32::MAX
+        }),
+        ("sim.npdsch.npdcch_subframes", |sim| {
+            sim.npdsch.npdcch_subframes = u32::MAX
+        }),
+        ("sim.npdsch.dci_to_data_gap", |sim| {
+            sim.npdsch.dci_to_data_gap = u32::MAX
+        }),
+    ];
+    for (field, edit) in edits {
+        let out = figures_with_sim("npdsch_gap", edit);
+        assert_error_line(&out, "figures", 1, field);
+    }
+}
+
+#[test]
+fn figures_rejects_a_signalling_cost_past_the_standard_range() {
+    // Used to exit 0 with DA-SC's relative light-sleep uptime at 0.0.
+    let out = figures_with_sim("po_monitor_time", |sim| {
+        sim.costs.po_monitor_time = SimDuration::from_ms(u64::MAX)
+    });
+    assert_error_line(&out, "figures", 1, "sim.costs.po_monitor_time");
+}
+
+#[test]
+fn figures_rejects_a_payload_whose_bits_overflow() {
+    // 2^61 bytes are 2^64 bits, which wrapped to 0: no airtime at all.
+    let out = figures_with("payload_bits", |scenario| {
+        scenario.payloads = vec![DataSize::from_bytes(1 << 61)]
+    });
+    assert_error_line(&out, "figures", 1, "payloads");
+}
+
+#[test]
+fn figures_rejects_a_payload_whose_transfer_time_overflows() {
+    // Used to exit 0 with DA-SC's relative light-sleep uptime near -1.0.
+    let out = figures_with("payload_transfer", |scenario| {
+        scenario.payloads = vec![DataSize::from_bytes(u64::MAX)]
+    });
+    assert_error_line(&out, "figures", 1, "payloads");
 }

@@ -28,8 +28,6 @@
 //! `figures --scenario fig7` prints the estimate beside the measured
 //! counts.
 
-use nbiot_time::SimDuration;
-
 use crate::GroupingInput;
 
 /// The analytic DR-SC prediction.
@@ -121,13 +119,6 @@ pub fn estimate_dr_sc_transmissions(input: &GroupingInput) -> DrScEstimate {
     }
 }
 
-/// Expected waiting time between a device's connection and the multicast
-/// instant for the single-transmission mechanisms (DA-SC landings and
-/// DR-SI T322 draws are uniform over the window): `TI / 2`.
-pub fn expected_single_transmission_wait(ti: SimDuration) -> SimDuration {
-    ti / 2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,13 +201,5 @@ mod tests {
         assert!(large.transmissions > small.transmissions);
         // Ratio-to-devices declines with N (the Fig. 7 slope).
         assert!(large.transmissions / 1000.0 < small.transmissions / 100.0);
-    }
-
-    #[test]
-    fn expected_wait_is_half_ti() {
-        assert_eq!(
-            expected_single_transmission_wait(SimDuration::from_secs(10)),
-            SimDuration::from_secs(5)
-        );
     }
 }

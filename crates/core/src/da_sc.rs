@@ -62,13 +62,11 @@ impl DaSc {
     fn adapt(
         &self,
         device_cycle_frames: u64,
-        schedule: &PagingSchedule,
         ue: nbiot_time::UeId,
         nb: nbiot_time::NbParam,
         page_po: SimInstant,
         window: TimeWindow,
     ) -> Option<(nbiot_time::PagingCycle, SimInstant, u64)> {
-        let _ = schedule;
         for cycle in CycleLadder::cycles().rev() {
             if cycle.period_frames() >= device_cycle_frames {
                 continue;
@@ -147,7 +145,6 @@ impl GroupingMechanism for DaSc {
             let (new_cycle, landing_po, monitored) = self
                 .adapt(
                     dev.paging.cycle.period_frames(),
-                    sched,
                     dev.ue,
                     dev.paging.nb,
                     page_po,

@@ -1,9 +1,12 @@
 //! DR-SC: DRX Respecting, Standards Compliant (paper Sec. III-A).
 
+use std::borrow::Cow;
+
 use rand::RngCore;
 
 use nbiot_phy::{CoverageClass, NpdschConfig};
 use nbiot_time::{SimDuration, SimInstant, TimeWindow};
+use nbiot_traffic::DeviceId;
 
 use crate::improve::ImprovementStats;
 use crate::set_cover::{AnchorInstance, CoverSlot, WindowCover};
@@ -106,40 +109,47 @@ impl GroupingMechanism for DrSc {
     }
 }
 
-/// Schedules one solved slot whose `covered` lists input positions: every
-/// member is paged at its own first PO inside the slot's window, and the
-/// slot transmits `guard` after the last of those pages, capped at the
-/// window end (which preserves the first-paged device's inactivity
-/// timer). Fills each member's entry of `device_plans` and returns the
-/// transmission. Every DR-SC-family plan and the repair's fresh windows
-/// are scheduled here.
+/// The DR-SC slot rule, for one solved slot whose `covered` lists input
+/// positions: every member is paged at its own first PO at or after the
+/// window start, reported to `page(position, po)`, and the returned
+/// transmission goes out `guard` after the last of those pages, capped at
+/// the window end (which preserves the first-paged device's inactivity
+/// timer). Every DR-SC-family plan and the repair's fresh windows are
+/// scheduled here.
 pub(crate) fn slot_transmission(
     input: &GroupingInput,
     slot: &CoverSlot,
     guard: SimDuration,
-    device_plans: &mut [Option<DevicePlan>],
+    mut page: impl FnMut(usize, SimInstant),
 ) -> Transmission {
-    let pages: Vec<SimInstant> = slot
+    let schedules = input.schedules();
+    let last_po = slot
         .covered
         .iter()
-        .map(|&idx| input.schedules()[idx].first_po_at_or_after(slot.window_start))
-        .collect();
-    let last_po = pages.iter().copied().max().expect("non-empty slot");
-    let transmit_at = (last_po + guard).min(slot.transmit_at);
-    for (&idx, &po) in slot.covered.iter().zip(&pages) {
-        debug_assert!(po < transmit_at);
-        device_plans[idx] = Some(DevicePlan {
-            device: input.ids()[idx],
-            page: Some(PageDirective { po }),
-            mltc: None,
-            adaptation: None,
-            connect_at: Some(po),
-            receives_at: transmit_at,
-        });
-    }
+        .map(|&idx| {
+            let po = schedules[idx].first_po_at_or_after(slot.window_start);
+            page(idx, po);
+            po
+        })
+        .max()
+        .expect("non-empty slot");
     Transmission {
-        at: transmit_at,
+        at: (last_po + guard).min(slot.transmit_at),
         recipients: slot.covered.iter().map(|&idx| input.ids()[idx]).collect(),
+    }
+}
+
+/// A page-and-connect device plan: `device` is paged at `po`, connects
+/// there, and is served at `receives_at`.
+pub(crate) fn paged_plan(device: DeviceId, po: SimInstant, receives_at: SimInstant) -> DevicePlan {
+    debug_assert!(po < receives_at);
+    DevicePlan {
+        device,
+        page: Some(PageDirective { po }),
+        mltc: None,
+        adaptation: None,
+        connect_at: Some(po),
+        receives_at,
     }
 }
 
@@ -148,6 +158,14 @@ pub(crate) fn slot_transmission(
 /// time order. Shared by [`DrSc`], [`DrScWeighted`] and [`DrScTabu`], so
 /// the variants differ from plain DR-SC *only* in which windows carry
 /// which devices.
+///
+/// One pass over the slots records each device's slot and page PO in two
+/// columns by input position (a device listed by two slots keeps the
+/// later one); the device plans are then written once, in device order.
+///
+/// # Panics
+///
+/// Panics when some device lies in no slot.
 fn plan_from_slots(
     input: &GroupingInput,
     slots: &[CoverSlot],
@@ -156,16 +174,30 @@ fn plan_from_slots(
 ) -> MulticastPlan {
     let params = input.params();
     let horizon = input.search_horizon();
-    let mut device_plans: Vec<Option<DevicePlan>> = vec![None; input.len()];
+    let mut slot_of = vec![u32::MAX; input.len()];
+    let mut page_po = vec![SimInstant::ZERO; input.len()];
     let mut transmissions: Vec<Transmission> = slots
         .iter()
-        .map(|slot| slot_transmission(input, slot, guard, &mut device_plans))
+        .enumerate()
+        .map(|(k, slot)| {
+            slot_transmission(input, slot, guard, |idx, po| {
+                slot_of[idx] = k as u32;
+                page_po[idx] = po;
+            })
+        })
+        .collect();
+    let device_plans: Vec<DevicePlan> = slot_of
+        .iter()
+        .zip(&page_po)
+        .zip(input.ids())
+        .map(|((&k, &po), &device)| {
+            let tx = transmissions
+                .get(k as usize)
+                .expect("cover reaches every device");
+            paged_plan(device, po, tx.at)
+        })
         .collect();
     transmissions.sort_by_key(|t| t.at);
-    let device_plans: Vec<DevicePlan> = device_plans
-        .into_iter()
-        .map(|p| p.expect("cover reaches every device"))
-        .collect();
     let end = transmissions.last().map(|t| t.at).unwrap_or(horizon.end());
     MulticastPlan {
         mechanism,
@@ -328,6 +360,15 @@ impl GroupingMechanism for DrScWeighted {
         input: &GroupingInput,
         _rng: &mut dyn RngCore,
     ) -> Result<MulticastPlan, GroupingError> {
+        let slots = self.slots(input)?;
+        Ok(plan_from_slots(input, &slots, self.guard, self.name()))
+    }
+}
+
+impl DrScWeighted {
+    /// The cover this mechanism plans from: the folded weighted cover or
+    /// the input's count cover, whichever transmits cheaper.
+    fn slots<'a>(&self, input: &'a GroupingInput) -> Result<Cow<'a, [CoverSlot]>, GroupingError> {
         let ti = input.params().ti.duration();
         let horizon = input.search_horizon();
         // The count cover fails exactly when the weighted one does: some
@@ -350,13 +391,13 @@ impl GroupingMechanism for DrScWeighted {
         fold_redundant_slots(input, &mut weighted);
         // Keep whichever cover transmits cheaper; ties keep the weighted
         // one (it optimized for exactly this objective).
-        let slots =
+        Ok(
             if self.cover_airtime(counted, coverages) < self.cover_airtime(&weighted, coverages) {
-                counted
+                Cow::Borrowed(counted)
             } else {
-                &weighted
-            };
-        Ok(plan_from_slots(input, slots, self.guard, self.name()))
+                Cow::Owned(weighted)
+            },
+        )
     }
 }
 
@@ -382,7 +423,7 @@ pub const DEFAULT_TABU_BUDGET: u32 = 64;
 /// at their lowest anchor, so a run that finds no strictly smaller cover
 /// reproduces the greedy windows exactly.
 ///
-/// `budget == 0` delegates to [`DrSc`] and relabels: the plan content is
+/// `budget == 0` plans from [`DrSc`]'s cover: the plan content is
 /// bit-identical to plain DR-SC (locked by proptest). With `budget > 0`
 /// the plan carries [`ImprovementStats`] in
 /// [`MulticastPlan::improvement`], and quality is monotone non-increasing
@@ -414,44 +455,32 @@ impl DrScTabu {
         }
     }
 
-    /// Relabels a greedy plan as this mechanism's output with zero-work
-    /// improvement stats (the `budget == 0` / nothing-to-improve path).
-    fn relabel(&self, mut plan: MulticastPlan, budget_spent: u32) -> MulticastPlan {
-        let cost = plan.transmission_count() as u32;
-        plan.mechanism = self.name();
-        plan.improvement = Some(ImprovementStats {
-            initial_cost: cost,
-            final_cost: cost,
-            moves_accepted: 0,
-            budget_spent,
-        });
-        plan
-    }
-}
-
-impl GroupingMechanism for DrScTabu {
-    fn name(&self) -> String {
-        format!("DR-SC-tabu({})", self.budget)
-    }
-
-    fn is_standards_compliant(&self) -> bool {
-        true
-    }
-
-    fn plan(
+    /// The cover this mechanism plans from and the search's stats. A zero
+    /// budget and an all-dense group keep the input's count cover, with
+    /// zero-work stats.
+    fn slots<'a>(
         &self,
-        input: &GroupingInput,
-        rng: &mut dyn RngCore,
-    ) -> Result<MulticastPlan, GroupingError> {
-        let greedy = DrSc { guard: self.guard };
+        input: &'a GroupingInput,
+    ) -> Result<(Cow<'a, [CoverSlot]>, ImprovementStats), GroupingError> {
+        let greedy = || {
+            let slots = input.count_cover()?;
+            let cost = slots.len() as u32;
+            let stats = ImprovementStats {
+                initial_cost: cost,
+                final_cost: cost,
+                moves_accepted: 0,
+                budget_spent: 0,
+            };
+            Ok((Cow::Borrowed(slots), stats))
+        };
         if self.budget == 0 {
-            return Ok(self.relabel(greedy.plan(input, rng)?, 0));
+            return greedy();
         }
         let ti = input.params().ti.duration();
         let instance = input.anchor_instance();
         if instance.sparse_devices().is_empty() {
             // All-dense groups are a single window already — optimal.
-            return Ok(self.relabel(greedy.plan(input, rng)?, 0));
+            return greedy();
         }
         let slots = input.count_cover()?;
 
@@ -474,10 +503,10 @@ impl GroupingMechanism for DrScTabu {
         // larger budget replays a smaller budget's iteration sequence as a
         // prefix (best-found cover cost monotone non-increasing in budget).
         // Mechanisms draw from independent RNG streams, so the seed comes
-        // from the set-cover instance itself, not from `rng`.
+        // from the set-cover instance itself, not from the planning RNG.
         let (best, stats) = instance.improve_cover(&picks, self.budget, instance_seed(instance));
 
-        // Rebuild the plan: a retained greedy pick keeps its own anchor, a
+        // Rebuild the slots: a retained greedy pick keeps its own anchor, a
         // window the search introduced opens at its lowest anchor, and
         // windows run in anchor order. Each sparse device rides the
         // earliest window holding a PO of its own; dense devices ride the
@@ -517,6 +546,25 @@ impl GroupingMechanism for DrScTabu {
             .covered;
         first.extend(instance.dense_devices());
         first.sort_unstable();
+        Ok((Cow::Owned(slots), stats))
+    }
+}
+
+impl GroupingMechanism for DrScTabu {
+    fn name(&self) -> String {
+        format!("DR-SC-tabu({})", self.budget)
+    }
+
+    fn is_standards_compliant(&self) -> bool {
+        true
+    }
+
+    fn plan(
+        &self,
+        input: &GroupingInput,
+        _rng: &mut dyn RngCore,
+    ) -> Result<MulticastPlan, GroupingError> {
+        let (slots, stats) = self.slots(input)?;
         let mut plan = plan_from_slots(input, &slots, self.guard, self.name());
         plan.improvement = Some(stats);
         Ok(plan)
@@ -785,6 +833,98 @@ mod tests {
                 weighted_air <= greedy_air,
                 "seed {seed}: weighted {weighted_air} > greedy {greedy_air} subframes"
             );
+        }
+    }
+
+    /// The assembly `plan_from_slots` replaced, kept as its oracle: each
+    /// slot collects its pages, then scatters its members' rows into
+    /// `Option` slots, and the rows are unwrapped at the end.
+    fn scatter_plan_from_slots(
+        input: &GroupingInput,
+        slots: &[CoverSlot],
+        guard: SimDuration,
+        mechanism: String,
+    ) -> MulticastPlan {
+        let params = input.params();
+        let horizon = input.search_horizon();
+        let mut device_plans: Vec<Option<DevicePlan>> = vec![None; input.len()];
+        let mut transmissions: Vec<Transmission> = slots
+            .iter()
+            .map(|slot| {
+                let pages: Vec<SimInstant> = slot
+                    .covered
+                    .iter()
+                    .map(|&idx| input.schedules()[idx].first_po_at_or_after(slot.window_start))
+                    .collect();
+                let last_po = pages.iter().copied().max().expect("non-empty slot");
+                let transmit_at = (last_po + guard).min(slot.transmit_at);
+                for (&idx, &po) in slot.covered.iter().zip(&pages) {
+                    device_plans[idx] = Some(DevicePlan {
+                        device: input.ids()[idx],
+                        page: Some(PageDirective { po }),
+                        mltc: None,
+                        adaptation: None,
+                        connect_at: Some(po),
+                        receives_at: transmit_at,
+                    });
+                }
+                Transmission {
+                    at: transmit_at,
+                    recipients: slot.covered.iter().map(|&idx| input.ids()[idx]).collect(),
+                }
+            })
+            .collect();
+        transmissions.sort_by_key(|t| t.at);
+        let device_plans = device_plans
+            .into_iter()
+            .map(|p| p.expect("cover reaches every device"))
+            .collect();
+        let end = transmissions.last().map(|t| t.at).unwrap_or(horizon.end());
+        MulticastPlan {
+            mechanism,
+            standards_compliant: true,
+            requires_connection: true,
+            transmissions,
+            device_plans,
+            horizon: TimeWindow::new(params.start, end.max(horizon.end())),
+            control_monitoring: None,
+            improvement: None,
+        }
+    }
+
+    #[test]
+    fn dr_sc_family_plans_equal_the_scatter_assembly() {
+        let mut fleets = vec![(TrafficMix::short_drx(), 60)];
+        for mix in [TrafficMix::ericsson_city(), TrafficMix::massive_metering()] {
+            for n in [0usize, 1, 2, 40, 500] {
+                fleets.push((mix.clone(), n));
+            }
+        }
+        for (mix, n) in fleets {
+            let label = format!("{} n={n}", mix.name);
+            let mut rng = StdRng::seed_from_u64(n as u64 + 17);
+            let pop = mix.generate(n, &mut rng).unwrap();
+            let input = GroupingInput::from_population(&pop, GroupingParams::default()).unwrap();
+
+            let dr_sc = DrSc::new();
+            let oracle = scatter_plan_from_slots(
+                &input,
+                input.count_cover().unwrap(),
+                dr_sc.guard,
+                dr_sc.name(),
+            );
+            assert_eq!(dr_sc.plan(&input, &mut rng).unwrap(), oracle, "{label}");
+
+            let tabu = DrScTabu::new(64);
+            let (slots, stats) = tabu.slots(&input).unwrap();
+            let mut oracle = scatter_plan_from_slots(&input, &slots, tabu.guard, tabu.name());
+            oracle.improvement = Some(stats);
+            assert_eq!(tabu.plan(&input, &mut rng).unwrap(), oracle, "{label}");
+
+            let weighted = DrScWeighted::new();
+            let slots = weighted.slots(&input).unwrap();
+            let oracle = scatter_plan_from_slots(&input, &slots, weighted.guard, weighted.name());
+            assert_eq!(weighted.plan(&input, &mut rng).unwrap(), oracle, "{label}");
         }
     }
 }

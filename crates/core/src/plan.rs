@@ -219,9 +219,11 @@ impl MulticastPlan {
     /// Cost: O(n + R) time and O(n) space, where n is the group size and
     /// R the total number of recipients — one pass over the recipient
     /// lists (each resolved with [`GroupingInput::position_of`], one table
-    /// read) and one over the device plans, both indexed by device
-    /// position, with no hash map. A group whose id span exceeds four ids
-    /// a device resolves by binary search instead: O(n + R log n).
+    /// read, into a `u32` serve count and a serving instant per device
+    /// position) and one pass over the device plans that runs checks 5–8
+    /// and gathers what check 9 needs, with no hash map. A group whose id
+    /// span exceeds four ids a device resolves by binary search instead:
+    /// O(n + R log n).
     ///
     /// # Errors
     ///
@@ -234,14 +236,14 @@ impl MulticastPlan {
         // 2. Recipient pass: resolve each recipient to its device position,
         //    count it and record the instant that serves it.
         let n = input.len();
-        let mut served = vec![0usize; n];
+        let mut served = vec![0u32; n];
         let mut served_at = vec![SimInstant::ZERO; n];
         for tx in &self.transmissions {
             for &device in &tx.recipients {
                 let i = input
                     .position_of(device)
                     .ok_or(PlanViolation::UnknownRecipient { device })?;
-                served[i] += 1;
+                served[i] = served[i].saturating_add(1);
                 served_at[i] = tx.at;
             }
         }
@@ -261,13 +263,16 @@ impl MulticastPlan {
         if let Some(i) = served.iter().position(|&times| times != 1) {
             return Err(PlanViolation::NotExactlyOnce {
                 device: ids[i],
-                times: served[i],
+                times: served[i] as usize,
             });
         }
-        // 5.–8. Device pass.
+        // 5.–8. Device pass, which also notes for check 9 whether any
+        //       device plan carries an mltc directive.
         let ti = input.params().ti.duration();
         let start = input.params().start;
+        let mut uses_mltc = false;
         for (dp, &at) in self.device_plans.iter().zip(&served_at) {
+            uses_mltc |= dp.mltc.is_some();
             // 5. `receives_at` names the serving transmission. The
             //    transmissions are only searched to tell a dangling
             //    instant from one whose transmissions omit the device.
@@ -329,7 +334,6 @@ impl MulticastPlan {
         }
         // 9. Compliance flag consistency: only a plan that carries mltc
         //    directives may be non-compliant and vice versa.
-        let uses_mltc = self.device_plans.iter().any(|p| p.mltc.is_some());
         if uses_mltc == self.standards_compliant {
             return Err(PlanViolation::ComplianceMismatch);
         }
@@ -574,6 +578,62 @@ mod tests {
             dp.connect_at = None;
         }
         assert_eq!(plan.validate(&input), Ok(()));
+    }
+
+    #[test]
+    fn device_pass_violations_come_before_the_compliance_check() {
+        let input = tiny_input();
+        let (first, last) = (input.ids()[0], input.ids()[1]);
+        let t = SimInstant::from_secs(30);
+        let ti = input.params().ti.duration();
+        // A non-compliant flag without mltc (check 9) and a page that
+        // disagrees with connect_at (check 8).
+        let mut plan = valid_plan(&input);
+        plan.standards_compliant = false;
+        let connect_at = plan.device_plans[0].connect_at.unwrap();
+        plan.device_plans[0].page = Some(PageDirective {
+            po: connect_at - SimDuration::from_secs(1),
+        });
+        assert_eq!(
+            plan.validate(&input),
+            Err(PlanViolation::ConnectionTrigger { device: first })
+        );
+        // An mltc directive in a compliant plan (check 9) on the last
+        // device, after an expired inactivity timer (check 6) on the first.
+        let mut plan = valid_plan(&input);
+        plan.device_plans[1].mltc = Some(MltcDirective {
+            po: connect_at,
+            wake_at: connect_at,
+            time_remaining: SimDuration::from_secs(5),
+        });
+        plan.device_plans[0].connect_at = Some(t - ti - SimDuration::from_secs(1));
+        assert!(matches!(
+            plan.validate(&input),
+            Err(PlanViolation::InactivityViolated { device, .. }) if device == first
+        ));
+        // The mltc directive on a first device that passes checks 5–8,
+        // before a dangling `receives_at` (check 5) on the last.
+        let mut plan = valid_plan(&input);
+        plan.device_plans[0].page = None;
+        plan.device_plans[0].mltc = Some(MltcDirective {
+            po: connect_at - SimDuration::from_secs(1),
+            wake_at: connect_at,
+            time_remaining: SimDuration::from_secs(5),
+        });
+        plan.device_plans[1].receives_at = SimInstant::from_secs(999);
+        assert_eq!(
+            plan.validate(&input),
+            Err(PlanViolation::UnknownTransmission {
+                device: last,
+                receives_at: SimInstant::from_secs(999),
+            })
+        );
+        // Without the check-5 fault the same plan fails check 9.
+        plan.device_plans[1].receives_at = t;
+        assert_eq!(
+            plan.validate(&input),
+            Err(PlanViolation::ComplianceMismatch)
+        );
     }
 
     #[test]

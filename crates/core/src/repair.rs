@@ -28,12 +28,10 @@
 
 use nbiot_time::TimeWindow;
 
-use crate::dr_sc::slot_transmission;
+use crate::dr_sc::{paged_plan, slot_transmission};
 use crate::improve::ImprovementStats;
 use crate::set_cover::{PoTimeline, WindowCover};
-use crate::{
-    DevicePlan, DrSc, GroupingError, GroupingInput, MulticastPlan, PageDirective, Transmission,
-};
+use crate::{DevicePlan, DrSc, GroupingError, GroupingInput, MulticastPlan, Transmission};
 
 /// Repairs `old` — a plan for an earlier fleet — into a valid plan for
 /// `input`, the fleet after churn.
@@ -140,14 +138,7 @@ fn repair_page_connect(
             let po = sched.first_po_at_or_after(window_start);
             if po < tx.at {
                 tx.recipients.push(input.ids()[idx]);
-                device_plans[idx] = Some(DevicePlan {
-                    device: input.ids()[idx],
-                    page: Some(PageDirective { po }),
-                    mltc: None,
-                    adaptation: None,
-                    connect_at: Some(po),
-                    receives_at: tx.at,
-                });
+                device_plans[idx] = Some(paged_plan(input.ids()[idx], po, tx.at));
                 attached += 1;
                 placed = true;
                 break;
@@ -175,11 +166,16 @@ fn repair_page_connect(
         // the slots are scheduled by input position, under DR-SC's
         // default guard.
         let guard = DrSc::default().guard;
+        let mut paged = Vec::new();
         for mut slot in slots {
             for d in &mut slot.covered {
                 *d = leftover[*d];
             }
-            kept.push(slot_transmission(input, &slot, guard, &mut device_plans));
+            let tx = slot_transmission(input, &slot, guard, |idx, po| paged.push((idx, po)));
+            for (idx, po) in paged.drain(..) {
+                device_plans[idx] = Some(paged_plan(input.ids()[idx], po, tx.at));
+            }
+            kept.push(tx);
         }
     }
 

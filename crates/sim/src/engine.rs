@@ -11,7 +11,9 @@
 //! 1. **Draws.** One `RandomAccess::perform` per adaptation page, T322
 //!    wake and ordinary page, in instant order — adaptation pages and
 //!    wakes before pages on an equal instant, device order otherwise —
-//!    with each latency stored by device position.
+//!    with each latency stored by device position. Both draw lists are
+//!    ordered by a stable radix sort on their instants, linear in the
+//!    fleet.
 //! 2. **Transmissions**, in plan order (sorted by time): each one's data
 //!    start, after any wait for the carrier, stored by recipient position.
 //! 3. **Devices**, in device order: the analytic PO count, paging
@@ -108,8 +110,8 @@ pub(crate) fn execute(
     // (the connection its page or T322 wake opens). `early` holds the
     // adaptation pages and wakes, which draw before the ordinary pages of
     // an equal instant.
-    let mut early: Vec<(SimInstant, usize)> = Vec::new();
-    let mut pages: Vec<(SimInstant, usize)> = Vec::new();
+    let mut early: Vec<(SimInstant, usize)> = Vec::with_capacity(n);
+    let mut pages: Vec<(SimInstant, usize)> = Vec::with_capacity(n);
     for (i, dp) in plan.device_plans.iter().enumerate() {
         if let Some(a) = dp.adaptation {
             early.push((a.page_po, 2 * i));
@@ -122,8 +124,10 @@ pub(crate) fn execute(
         }
     }
     // Stable by instant: simultaneous draws keep device order.
-    early.sort_by_key(|&(at, _)| at);
-    pages.sort_by_key(|&(po, _)| po);
+    let mut scratch = Vec::new();
+    sort_by_instant(&mut early, &mut scratch);
+    sort_by_instant(&mut pages, &mut scratch);
+    drop(scratch);
     let ra = RandomAccess::new(config.ra);
     let mut ra_latency = vec![SimDuration::ZERO; 2 * n];
     let mut ra_failures = 0u64;
@@ -275,5 +279,143 @@ pub(crate) fn execute(
         ra_failures,
         horizon,
         transfer,
+    }
+}
+
+/// Orders `list` by instant, keeping the list order of equal instants:
+/// the order `sort_by_key` gives, in linear time. A least-significant-digit
+/// radix sort on `instant − min instant`, 8 bits a pass, runs only as many
+/// passes as the span of the instants needs (none when they are all
+/// equal); `scratch` is the scatter target, reused across lists.
+fn sort_by_instant(list: &mut [(SimInstant, usize)], scratch: &mut Vec<(SimInstant, usize)>) {
+    let (min, max) = list.iter().fold((u64::MAX, 0), |(lo, hi), &(at, _)| {
+        (lo.min(at.as_ms()), hi.max(at.as_ms()))
+    });
+    let span = max.saturating_sub(min);
+    let passes = (u64::BITS - span.leading_zeros()).div_ceil(8);
+    if passes == 0 {
+        return;
+    }
+    scratch.clear();
+    scratch.resize(list.len(), (SimInstant::ZERO, 0));
+    let (mut src, mut dst) = (&mut *list, scratch.as_mut_slice());
+    for pass in 0..passes {
+        let digit = |at: SimInstant| ((at.as_ms() - min) >> (8 * pass)) as usize & 0xff;
+        // counts[d + 1] counts digit d; the prefix sum turns counts[d]
+        // into the first slot of digit d.
+        let mut counts = [0usize; 257];
+        for &(at, _) in src.iter() {
+            counts[digit(at) + 1] += 1;
+        }
+        for d in 1..counts.len() {
+            counts[d] += counts[d - 1];
+        }
+        for &entry in src.iter() {
+            let slot = &mut counts[digit(entry.0)];
+            dst[*slot] = entry;
+            *slot += 1;
+        }
+        (src, dst) = (dst, src);
+    }
+    if passes % 2 == 1 {
+        list.copy_from_slice(scratch);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Asserts that the radix order of `list` is the order of the stable
+    /// comparison sort it replaced, which stays here as the oracle.
+    fn assert_sorts_like_sort_by_key(list: &[(SimInstant, usize)]) {
+        let mut oracle = list.to_vec();
+        oracle.sort_by_key(|&(at, _)| at);
+        let mut radix = list.to_vec();
+        sort_by_instant(&mut radix, &mut Vec::new());
+        assert_eq!(radix, oracle, "{} entries", list.len());
+    }
+
+    /// `len` entries whose instants are `min` plus an offset from
+    /// `offsets`, each tagged with its list position, so a tie that
+    /// changes order shows.
+    fn entries(
+        rng: &mut StdRng,
+        len: usize,
+        min: u64,
+        offsets: &[u64],
+    ) -> Vec<(SimInstant, usize)> {
+        (0..len)
+            .map(|i| {
+                let offset = offsets[rng.gen_range(0..offsets.len())];
+                (SimInstant::from_ms(min + offset), i)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn radix_order_is_the_stable_sort_order_on_degenerate_lists() {
+        assert_sorts_like_sort_by_key(&[]);
+        assert_sorts_like_sort_by_key(&[(SimInstant::from_ms(42), 7)]);
+        let equal: Vec<_> = (0..50).map(|i| (SimInstant::from_ms(9_000), i)).collect();
+        assert_sorts_like_sort_by_key(&equal);
+        // Descending device positions on one instant stay descending.
+        let equal: Vec<_> = (0..50).rev().map(|i| (SimInstant::ZERO, i)).collect();
+        assert_sorts_like_sort_by_key(&equal);
+    }
+
+    #[test]
+    fn radix_order_is_the_stable_sort_order_for_every_pass_count() {
+        // A span of b bits needs ceil(b / 8) passes: 1, 8 and 9 bits sit
+        // on either side of a pass boundary, as do 16 and 17, and 63 bits
+        // runs eight passes on instants near the top of u64.
+        let mut rng = StdRng::seed_from_u64(1);
+        for bits in [1u32, 8, 9, 16, 17, 63] {
+            let top = (1u64 << bits) - 1;
+            // Few distinct offsets, so most entries tie; both ends of the
+            // span are always present.
+            let mut offsets = vec![0, top];
+            offsets.extend((0..18).map(|_| rng.gen_range(0..=top)));
+            for min in [0, 1_000_003] {
+                let mut list = entries(&mut rng, 2_000, min, &offsets);
+                list[0].0 = SimInstant::from_ms(min + top);
+                list[1].0 = SimInstant::from_ms(min);
+                assert_sorts_like_sort_by_key(&list);
+            }
+        }
+    }
+
+    #[test]
+    fn radix_order_is_the_stable_sort_order_on_random_lists_with_ties() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for len in [2usize, 3, 17, 256, 5_000] {
+            for distinct in [1u64, 2, 16, 300] {
+                let offsets: Vec<u64> = (0..distinct)
+                    .map(|_| rng.gen_range(0..1u64 << 40))
+                    .collect();
+                let mut list = entries(&mut rng, len, 5_000, &offsets);
+                // Tags out of list order, as the engine's device slots are
+                // once a page list is built from several sources.
+                for entry in &mut list {
+                    entry.1 = rng.gen_range(0..2 * len);
+                }
+                assert_sorts_like_sort_by_key(&list);
+            }
+        }
+    }
+
+    #[test]
+    fn radix_order_is_the_stable_sort_order_on_a_massive_page_list() {
+        // 10^5 pages on the 2,048 paging occasions of a 1.28 s grid over
+        // one 43.69 min eDRX cycle: about 49 devices share each occasion.
+        let mut rng = StdRng::seed_from_u64(100_000);
+        let offsets: Vec<u64> = (0..2_048).map(|k| k * 1_280).collect();
+        let list: Vec<_> = entries(&mut rng, 100_000, 60_000, &offsets)
+            .into_iter()
+            .map(|(at, i)| (at, 2 * i + 1))
+            .collect();
+        assert_sorts_like_sort_by_key(&list);
     }
 }

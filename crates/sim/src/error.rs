@@ -205,12 +205,39 @@ pub enum SimField {
     MaxAttempts,
     /// `sim.ra_contenders`.
     RaContenders,
+    /// `sim.npdsch.npdcch_subframes`.
+    NpdcchSubframes,
+    /// `sim.npdsch.dci_to_data_gap`.
+    DciToDataGap,
+    /// `sim.npdsch.inter_block_gap`.
+    InterBlockGap,
+    /// `sim.costs.paging_base`.
+    PagingBase,
+    /// `sim.costs.paging_per_256_bits`.
+    PagingPer256Bits,
+    /// `sim.costs.ra_downlink`.
+    RaDownlink,
+    /// `sim.costs.rrc_setup`.
+    RrcSetup,
+    /// `sim.costs.rrc_reconfiguration`.
+    RrcReconfiguration,
+    /// `sim.costs.rrc_release`.
+    RrcRelease,
+    /// `sim.costs.paging_decode_time`.
+    PagingDecodeTime,
+    /// `sim.costs.mltc_decode_time`.
+    MltcDecodeTime,
+    /// `sim.costs.po_monitor_time`.
+    PoMonitorTime,
+    /// An entry of `payloads`.
+    Payload,
 }
 
 impl SimField {
     /// The field's path in a scenario file and the values it allows.
-    pub fn path_and_allowed(self) -> (&'static str, &'static str) {
+    fn path_and_allowed(self) -> (&'static str, &'static str) {
         const RA_STEP: &str = "0..=8388608 ms";
+        const DL_EXCHANGE: &str = "0..=23556 ms";
         match self {
             SimField::Itbs => ("sim.npdsch.itbs", "0..=13"),
             SimField::Nsf => ("sim.npdsch.nsf", "1, 2, 3, 4, 5, 6, 8 or 10"),
@@ -223,6 +250,19 @@ impl SimField {
             SimField::MaxBackoff => ("sim.ra.max_backoff", "0..=524288 ms"),
             SimField::MaxAttempts => ("sim.ra.max_attempts", "3..=200"),
             SimField::RaContenders => ("sim.ra_contenders", "0..=2147483647"),
+            SimField::NpdcchSubframes => ("sim.npdsch.npdcch_subframes", "1..=2048"),
+            SimField::DciToDataGap => ("sim.npdsch.dci_to_data_gap", "4..=1028"),
+            SimField::InterBlockGap => ("sim.npdsch.inter_block_gap", "0..=131072"),
+            SimField::PagingBase => ("sim.costs.paging_base", DL_EXCHANGE),
+            SimField::PagingPer256Bits => ("sim.costs.paging_per_256_bits", DL_EXCHANGE),
+            SimField::RaDownlink => ("sim.costs.ra_downlink", "0..=47112 ms"),
+            SimField::RrcSetup => ("sim.costs.rrc_setup", DL_EXCHANGE),
+            SimField::RrcReconfiguration => ("sim.costs.rrc_reconfiguration", DL_EXCHANGE),
+            SimField::RrcRelease => ("sim.costs.rrc_release", DL_EXCHANGE),
+            SimField::PagingDecodeTime => ("sim.costs.paging_decode_time", DL_EXCHANGE),
+            SimField::MltcDecodeTime => ("sim.costs.mltc_decode_time", DL_EXCHANGE),
+            SimField::PoMonitorTime => ("sim.costs.po_monitor_time", DL_EXCHANGE),
+            SimField::Payload => ("payloads", "0..=35184372088832 bytes"),
         }
     }
 }

@@ -332,27 +332,38 @@ impl Scenario {
     /// Validates list shapes and the simulator's numbers before execution.
     ///
     /// A scenario file decodes the `I_TBS` and `N_SF` newtypes without
-    /// their checked constructors, and the random-access fields as plain
-    /// integers, so these bounds are checked here. The random-access
-    /// fields are held to their standard NB-IoT ranges (Andres-Maldonado
-    /// et al., "NarrowBand IoT data transmission procedures for massive
-    /// machine type communications"):
+    /// their checked constructors, and every other number as a plain
+    /// integer, so these bounds are checked here. The random-access,
+    /// NPDSCH and signalling fields are held to their standard NB-IoT
+    /// ranges (Andres-Maldonado et al., "NarrowBand IoT data transmission
+    /// procedures for massive machine type communications"):
     ///
     /// | Field | Allowed | Source |
     /// |---|---|---|
     /// | `sim.npdsch.itbs` | 0..=13 | rows of TS 36.213 Table 16.4.1.5.1-1 ([`Itbs::new`]) |
     /// | `sim.npdsch.nsf` | 1, 2, 3, 4, 5, 6, 8, 10 | its columns ([`Nsf::new`]) |
+    /// | `sim.npdsch.npdcch_subframes` | 1..=2048 | TS 36.331 `npdcch-NumRepetitions-r13` (`Rmax`), the NPDCCH subframes of one DCI |
+    /// | `sim.npdsch.dci_to_data_gap` | 4..=1028 | TS 36.213 §16.4.1: NPDSCH starts in subframe n + 5 + k0, k0 ≤ 1024 (Table 16.4.1-1) |
+    /// | `sim.npdsch.inter_block_gap` | 0..=131072 | the longest NPDCCH search-space period, `G` 64 × `Rmax` 2048 subframes: the next DCI waits at most one |
     /// | `sim.ra.nprach_period` | 40..=2560 ms | TS 36.331 `nprach-Periodicity-r13` |
     /// | `sim.ra.preambles` | at least 1 | the collision model `1 − (1 − 1/M)^k` |
     /// | `sim.ra.msg1_duration` … `msg4_delay` | 0..=8388608 ms | TS 36.331 `mac-ContentionResolutionTimer-r13` pp64 at the longest NPDCCH period (`G` 64 × `Rmax` 2048 subframes), the longest wait of any step |
     /// | `sim.ra.max_backoff` | 0..=524288 ms | TS 36.321 Table 7.2-2 |
     /// | `sim.ra.max_attempts` | 3..=200 | TS 36.331 `preambleTransMax-CE-r13` |
     /// | `sim.ra_contenders` | 0..=2147483647 | the model's exponent `k` is an `i32` |
+    /// | `sim.costs.ra_downlink` | 0..=47112 ms | two downlink exchanges (MSG2 and MSG4), each bounded as below |
+    /// | every other `sim.costs` duration | 0..=23556 ms | one downlink exchange at its longest: a DCI of `Rmax` 2048 NPDCCH subframes, the 1028-subframe scheduling gap and an NPDSCH of `N_SF` 10 × 2048 repetitions (TS 36.213 Table 16.4.1.3-1) |
+    /// | each of `payloads` | 0..=2^45 bytes | its bits and transfer time fit in `u64`, below |
     ///
     /// Under these bounds one random access lasts at most
     /// 199 × (2560 + 2 × 2^23 + 524288) + 2560 + 4 × 2^23 ms, about
     /// 3.5·10^9 ms, so the latencies of 10^7 devices sum to about
-    /// 3.5·10^16 ms, far inside `u64` milliseconds.
+    /// 3.5·10^16 ms, far inside `u64` milliseconds. A transport block
+    /// lasts at most 32 × 2048 + 1028 + 32 × 10 + 131072 = 197956 ms (the
+    /// deepest coverage class repeats the NPDCCH and NPDSCH 32 times) and
+    /// carries at least 16 bits, so a 2^45-byte payload needs at most 2^44
+    /// blocks and about 3.5·10^18 ms, inside the 2^62 ms instant budget of
+    /// `GroupingParams::LATEST_INSTANT`.
     ///
     /// # Errors
     ///
@@ -377,6 +388,15 @@ impl Scenario {
             });
         }
         validate_sim(&self.sim)?;
+        for payload in &self.payloads {
+            let bytes = payload.bytes();
+            if bytes > LARGEST_PAYLOAD_BYTES {
+                return Err(SimError::OutOfRange {
+                    field: SimField::Payload,
+                    value: bytes,
+                });
+            }
+        }
         if let Some(churn) = &self.churn {
             churn.validate()?;
         }
@@ -388,9 +408,22 @@ impl Scenario {
     }
 }
 
+/// The longest NPDCCH search-space period, in subframes: `G` 64 ×
+/// `Rmax` 2048.
+const LONGEST_NPDCCH_PERIOD: u64 = 64 * 2048;
+
 /// The longest wait of one random-access step, in ms: 64 NPDCCH periods
-/// of 64 × 2048 subframes (see [`Scenario::validate`]).
-const LONGEST_RA_STEP_MS: u64 = 64 * 64 * 2048;
+/// at their longest (see [`Scenario::validate`]).
+const LONGEST_RA_STEP_MS: u64 = 64 * LONGEST_NPDCCH_PERIOD;
+
+/// One downlink exchange at its longest, in ms: a DCI of `Rmax` 2048
+/// NPDCCH subframes, a 4 + 1024-subframe scheduling gap and an NPDSCH of
+/// `N_SF` 10 × 2048 repetitions.
+const LONGEST_DL_EXCHANGE_MS: u64 = 2048 + 1028 + 10 * 2048;
+
+/// The largest payload, 2^45 bytes: its transfer fits the instant budget
+/// under every NPDSCH shape [`Scenario::validate`] accepts.
+const LARGEST_PAYLOAD_BYTES: u64 = 1 << 45;
 
 /// Checks the simulator's numbers against the bounds that
 /// [`Scenario::validate`] lists, in the table's order. Branches only, no
@@ -403,10 +436,28 @@ fn validate_sim(sim: &SimConfig) -> Result<(), SimError> {
             Err(SimError::OutOfRange { field, value })
         }
     };
-    let (npdsch, ra) = (&sim.npdsch, &sim.ra);
+    let (npdsch, ra, costs) = (&sim.npdsch, &sim.ra, &sim.costs);
     let (itbs, nsf) = (npdsch.itbs.index(), npdsch.nsf.subframes());
     check(SimField::Itbs, itbs.into(), Itbs::new(itbs).is_some())?;
     check(SimField::Nsf, nsf.into(), Nsf::new(nsf).is_some())?;
+    let npdcch = npdsch.npdcch_subframes;
+    check(
+        SimField::NpdcchSubframes,
+        npdcch.into(),
+        (1..=2048).contains(&npdcch),
+    )?;
+    let gap = npdsch.dci_to_data_gap;
+    check(
+        SimField::DciToDataGap,
+        gap.into(),
+        (4..=1028).contains(&gap),
+    )?;
+    let gap = npdsch.inter_block_gap;
+    check(
+        SimField::InterBlockGap,
+        gap.into(),
+        u64::from(gap) <= LONGEST_NPDCCH_PERIOD,
+    )?;
     let period = ra.nprach_period.as_ms();
     check(
         SimField::NprachPeriod,
@@ -435,7 +486,26 @@ fn validate_sim(sim: &SimConfig) -> Result<(), SimError> {
         SimField::RaContenders,
         contenders.into(),
         i32::try_from(contenders).is_ok(),
-    )
+    )?;
+    let ra_downlink = costs.ra_downlink.as_ms();
+    check(
+        SimField::RaDownlink,
+        ra_downlink,
+        ra_downlink <= 2 * LONGEST_DL_EXCHANGE_MS,
+    )?;
+    for (field, cost) in [
+        (SimField::PagingBase, costs.paging_base),
+        (SimField::PagingPer256Bits, costs.paging_per_256_bits),
+        (SimField::RrcSetup, costs.rrc_setup),
+        (SimField::RrcReconfiguration, costs.rrc_reconfiguration),
+        (SimField::RrcRelease, costs.rrc_release),
+        (SimField::PagingDecodeTime, costs.paging_decode_time),
+        (SimField::MltcDecodeTime, costs.mltc_decode_time),
+        (SimField::PoMonitorTime, costs.po_monitor_time),
+    ] {
+        check(field, cost.as_ms(), cost.as_ms() <= LONGEST_DL_EXCHANGE_MS)?;
+    }
+    Ok(())
 }
 
 /// One grid point of a scenario result.
@@ -509,6 +579,7 @@ pub fn with_ti(mut scenario: Scenario, ti: SimDuration) -> Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nbiot_phy::{CoverageClass, NpdschConfig};
 
     fn tiny(name: &str) -> Scenario {
         let mut s = Scenario::builtin(name).expect("builtin");
@@ -592,7 +663,7 @@ mod tests {
         fn ms(past: bool, bound: u64) -> SimDuration {
             SimDuration::from_ms(bound + u64::from(past))
         }
-        let edits: [(SimField, Edit); 9] = [
+        let edits: [(SimField, Edit); 21] = [
             (SimField::NprachPeriod, |s, past| {
                 s.ra.nprach_period = SimDuration::from_ms(if past { 39 } else { 40 })
             }),
@@ -620,6 +691,42 @@ mod tests {
             (SimField::RaContenders, |s, past| {
                 s.ra_contenders = i32::MAX as u32 + u32::from(past)
             }),
+            (SimField::NpdcchSubframes, |s, past| {
+                s.npdsch.npdcch_subframes = 2048 + u32::from(past)
+            }),
+            (SimField::DciToDataGap, |s, past| {
+                s.npdsch.dci_to_data_gap = 1028 + u32::from(past)
+            }),
+            (SimField::InterBlockGap, |s, past| {
+                s.npdsch.inter_block_gap = 131_072 + u32::from(past)
+            }),
+            (SimField::PagingBase, |s, past| {
+                s.costs.paging_base = ms(past, LONGEST_DL_EXCHANGE_MS)
+            }),
+            (SimField::PagingPer256Bits, |s, past| {
+                s.costs.paging_per_256_bits = ms(past, LONGEST_DL_EXCHANGE_MS)
+            }),
+            (SimField::RaDownlink, |s, past| {
+                s.costs.ra_downlink = ms(past, 2 * LONGEST_DL_EXCHANGE_MS)
+            }),
+            (SimField::RrcSetup, |s, past| {
+                s.costs.rrc_setup = ms(past, LONGEST_DL_EXCHANGE_MS)
+            }),
+            (SimField::RrcReconfiguration, |s, past| {
+                s.costs.rrc_reconfiguration = ms(past, LONGEST_DL_EXCHANGE_MS)
+            }),
+            (SimField::RrcRelease, |s, past| {
+                s.costs.rrc_release = ms(past, LONGEST_DL_EXCHANGE_MS)
+            }),
+            (SimField::PagingDecodeTime, |s, past| {
+                s.costs.paging_decode_time = ms(past, LONGEST_DL_EXCHANGE_MS)
+            }),
+            (SimField::MltcDecodeTime, |s, past| {
+                s.costs.mltc_decode_time = ms(past, LONGEST_DL_EXCHANGE_MS)
+            }),
+            (SimField::PoMonitorTime, |s, past| {
+                s.costs.po_monitor_time = ms(past, LONGEST_DL_EXCHANGE_MS)
+            }),
         ];
         for (field, edit) in edits {
             let mut s = tiny("fig6b");
@@ -639,7 +746,49 @@ mod tests {
         s.sim.ra.max_attempts = 2;
         assert!(s.validate().is_err());
         s.sim.ra.max_attempts = 3;
+        s.sim.npdsch.npdcch_subframes = 0;
+        assert!(s.validate().is_err());
+        s.sim.npdsch.npdcch_subframes = 1;
+        s.sim.npdsch.dci_to_data_gap = 3;
+        assert!(s.validate().is_err());
+        s.sim.npdsch.dci_to_data_gap = 4;
         assert_eq!(s.validate(), Ok(()));
+        // Every payload of the grid is bounded, not only the first.
+        s.payloads.push(DataSize::from_bytes(LARGEST_PAYLOAD_BYTES));
+        assert_eq!(s.validate(), Ok(()));
+        s.payloads
+            .push(DataSize::from_bytes(LARGEST_PAYLOAD_BYTES + 1));
+        assert_eq!(
+            s.validate(),
+            Err(SimError::OutOfRange {
+                field: SimField::Payload,
+                value: LARGEST_PAYLOAD_BYTES + 1,
+            })
+        );
+    }
+
+    #[test]
+    fn the_largest_payload_transfers_inside_the_instant_budget() {
+        // Every MCS at the deepest coverage class, with the longest gaps
+        // the bounds allow.
+        let bits = DataSize::from_bytes(LARGEST_PAYLOAD_BYTES).bits();
+        for itbs in 0..=13 {
+            for nsf in Nsf::ALL {
+                let npdsch = NpdschConfig {
+                    npdcch_subframes: 2048,
+                    dci_to_data_gap: 1028,
+                    inter_block_gap: 131_072,
+                    ..NpdschConfig::new(Itbs::new(itbs).unwrap(), nsf, CoverageClass::Extreme)
+                };
+                let block = npdsch.block_airtime_subframes();
+                assert!(block <= 197_956);
+                let transfer = bits.div_ceil(npdsch.tbs_bits()).checked_mul(block);
+                assert!(
+                    transfer.is_some_and(|ms| ms < GroupingParams::LATEST_INSTANT.as_ms()),
+                    "I_TBS {itbs}, {nsf}: {transfer:?} ms"
+                );
+            }
+        }
     }
 
     #[test]
